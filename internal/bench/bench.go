@@ -176,6 +176,10 @@ func Run(c Config) (*obs.BenchReport, error) {
 		Workers:   c.Workers,
 		Only:      c.Only,
 		Reduce:    c.Reduce,
+		Host: &obs.BenchHost{
+			NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		},
 	}
 	rows, err := c.Rows()
 	if err != nil {

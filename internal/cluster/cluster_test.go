@@ -1,16 +1,22 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/petri"
+	"repro/internal/pnio"
 	"repro/internal/reach"
 )
 
@@ -327,7 +333,7 @@ func TestRingDistribution(t *testing.T) {
 	nodes, _ := startCluster(t, 3)
 	counts := make([]int, 3)
 	for i := 0; i < 1000; i++ {
-		key := "run-" + itoa(i)
+		key := "run-" + strconv.Itoa(i)
 		owner := nodes[0].cache.owner(key)
 		for _, nd := range nodes[1:] {
 			if got := nd.cache.owner(key); got != owner {
@@ -387,4 +393,66 @@ func TestClusterSingleNodeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "single-node", seq, clu)
+}
+
+// TestCommitChecksPending pins the peer's end of the commit contract: a
+// commit may only name markings pending on this peer, and once one leaves
+// discoveries unassigned (the coordinator's MaxStates cut) the peer
+// refuses to expand further — it holds the cut markings as established.
+func TestCommitChecksPending(t *testing.T) {
+	nd, err := New(Config{Self: "http://127.0.0.1:1", Peers: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	nd.Register(mux)
+	post := func(path string, body *bytes.Buffer) int {
+		req := httptest.NewRequest("POST", "/cluster/v1/"+path, body)
+		req.Header.Set("X-Cluster-Job", "j1")
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	n := models.NSDP(4)
+	var netText strings.Builder
+	if err := pnio.Write(&netText, n); err != nil {
+		t.Fatal(err)
+	}
+	start, _ := json.Marshal(startReq{Job: "j1", Net: netText.String()})
+	if code := post("start", bytes.NewBuffer(start)); code != http.StatusOK {
+		t.Fatalf("start: %d", code)
+	}
+	m0 := n.InitialMarking()
+	var level, succs batch
+	level.add(m0, 0)
+	for _, tr := range n.EnabledTrans(m0) {
+		next, _ := n.Fire(m0, tr)
+		succs.add(next, 0)
+	}
+	if succs.len() < 2 {
+		t.Fatal("want a root with two successors")
+	}
+	if code := post("expand", level.body(frameExpand)); code != http.StatusOK {
+		t.Fatalf("expand: %d", code)
+	}
+
+	var stranger batch
+	stranger.add(n.EmptyMarking(), 1)
+	if code := post("commit", stranger.body(frameCommit)); code != http.StatusBadRequest {
+		t.Errorf("commit of a marking never discovered: %d, want 400", code)
+	}
+	var root batch
+	root.add(m0, 1)
+	if code := post("commit", root.body(frameCommit)); code != http.StatusBadRequest {
+		t.Errorf("commit of an established marking: %d, want 400", code)
+	}
+
+	var first batch
+	first.add(succs.marking(0), 1)
+	if code := post("commit", first.body(frameCommit)); code != http.StatusOK {
+		t.Fatalf("partial commit: %d", code)
+	}
+	if code := post("expand", first.body(frameExpand)); code != http.StatusConflict {
+		t.Errorf("expand after a cut commit: %d, want 409", code)
+	}
 }

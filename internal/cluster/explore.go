@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/petri"
 	"repro/internal/pnio"
 	"repro/internal/reach"
+	"repro/internal/visited"
 )
 
 // Explore runs one exhaustive reachability analysis across the
@@ -104,11 +104,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 	if o.Metrics != nil {
 		defer func() {
 			reg := o.Metrics
-			reg.Counter("reach.states").Add(int64(res.States))
-			reg.Counter("reach.arcs").Add(int64(res.Arcs))
-			reg.Counter("reach.deadlocks").Add(int64(len(res.Deadlocks)))
-			reg.Counter("reach.bad_states").Add(int64(len(res.BadStates)))
-			reg.Gauge("reach.queue_peak").SetMax(int64(qPeak))
+			reach.ExportMetrics(reg, res, qPeak)
 			reg.Counter("cluster.levels").Add(levels)
 			reg.Counter("cluster.steals").Add(steals)
 			reg.Counter("cluster.frontier_bytes_out").Add(bytesOut)
@@ -133,19 +129,25 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 		}
 	}
 
-	var states []petri.Marking
+	// The authoritative state table: id -> marking, and each state's
+	// shard for the level assignment.
+	var states visited.Store
 	var stateShard []uint32
+	intern := func(m petri.Marking, hash uint64) int {
+		id := states.Insert(m, hash)
+		stateShard = append(stateShard, reach.ShardOf(hash))
+		o.Progress.Tick(1)
+		tk.State(int64(id), 0)
+		return id
+	}
 	m0 := n.InitialMarking()
-	_, h0 := m0.KeyHash()
-	states = append(states, m0)
-	stateShard = append(stateShard, reach.ShardOf(h0))
-	o.Progress.Tick(1)
-	tk.State(0, 0)
+	intern(m0, m0.Hash())
+	limit := visited.Limit(o.MaxStates)
 
 	level := []int{0}
 
 	abort := func() (*reach.Result, error) {
-		res.States = len(states)
+		res.States = states.Len()
 		res.Complete = false
 		tk.Abort(o.Trace.Intern(ctx.Err().Error()))
 		return res, fmt.Errorf("reach: aborted: %w", ctx.Err())
@@ -171,7 +173,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 
 		// Expand all peers in parallel.
 		type peerBatch struct {
-			entries []expandEntry
+			entries batch // vals are level positions
 			reply   *expandReply
 		}
 		batches := make([]*peerBatch, len(nd.peers))
@@ -179,11 +181,11 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			if len(positions) == 0 {
 				continue
 			}
-			entries := make([]expandEntry, len(positions))
-			for i, pos := range positions {
-				entries[i] = expandEntry{pos: uint32(pos), key: states[level[pos]].Key()}
+			pb := &peerBatch{}
+			for _, pos := range positions {
+				pb.entries.add(states.At(level[pos]), uint64(pos))
 			}
-			batches[peer] = &peerBatch{entries: entries}
+			batches[peer] = pb
 		}
 		tk.Emit(trace.KindPhaseBegin, phWait, lvl)
 		err := nd.broadcast(func(peer int) error {
@@ -193,11 +195,8 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			}
 			wt := wire[peer]
 			wt.Emit(trace.KindPhaseBegin, phSerialize, lvl)
-			buf, err := encodeBuf(func(w io.Writer) error { return encodeExpand(w, pb.entries) })
+			buf := pb.entries.body(frameExpand)
 			wt.Emit(trace.KindPhaseEnd, phSerialize, lvl)
-			if err != nil {
-				return err
-			}
 			nd.addBytes(&bytesOut, int64(buf.Len()))
 			pid := trace.PairID(lvl, trace.RPCExpand, nd.self, peer)
 			wt.FrameSend(pid, int64(buf.Len()))
@@ -214,8 +213,8 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			}
 			nd.addBytes(&bytesIn, cr.n)
 			wt.FrameRecv(pid, cr.n)
-			if len(re.flags) != len(pb.entries) {
-				return fmt.Errorf("expand reply flag count %d != batch size %d", len(re.flags), len(pb.entries))
+			if len(re.flags) != pb.entries.len() {
+				return fmt.Errorf("expand reply flag count %d != batch size %d", len(re.flags), pb.entries.len())
 			}
 			pb.reply = re
 			return nil
@@ -230,21 +229,15 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 
 		// Merge verdict flags back into global position order, and take
 		// the scan-order-minimal violation across peers.
-		deadFlags := make([]bool, len(level))
-		badFlags := make([]bool, len(level))
+		flags := make([]byte, len(level))
 		vioOrder := ^uint64(0)
 		hasVio := false
 		for _, pb := range batches {
 			if pb == nil || pb.reply == nil {
 				continue
 			}
-			for i, e := range pb.entries {
-				if pb.reply.flags[i]&flagDead != 0 {
-					deadFlags[e.pos] = true
-				}
-				if pb.reply.flags[i]&flagBad != 0 {
-					badFlags[e.pos] = true
-				}
+			for i, pos := range pb.entries.vals {
+				flags[pos] = pb.reply.flags[i]
 			}
 			if pb.reply.hasVio && (!hasVio || pb.reply.vioOrder < vioOrder) {
 				hasVio = true
@@ -252,18 +245,18 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			}
 		}
 		for pos, id := range level {
-			if badFlags[pos] {
+			if flags[pos]&flagBad != 0 {
 				res.BadFound = true
-				res.BadStates = append(res.BadStates, states[id])
+				res.BadStates = append(res.BadStates, states.At(id))
 			}
-			if deadFlags[pos] {
+			if flags[pos]&flagDead != 0 {
 				res.Deadlock = true
-				res.Deadlocks = append(res.Deadlocks, states[id])
+				res.Deadlocks = append(res.Deadlocks, states.At(id))
 			}
 		}
 
 		// Collect pending discoveries from every owner.
-		collected := make([][]internEntry, len(nd.peers))
+		collected := make([]*batch, len(nd.peers)) // vals are order keys
 		err = nd.broadcast(func(peer int) error {
 			pid := trace.PairID(lvl, trace.RPCCollect, nd.self, peer)
 			wire[peer].FrameSend(pid, 0)
@@ -274,7 +267,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			defer cancel()
 			defer resp.Body.Close()
 			cr := &countingReader{r: resp.Body}
-			list, err := decodeKeyOrders(cr, frameCollect, nd.maxFrame)
+			list, err := decodeBatch(cr, frameCollect, n.Words(), nd.maxFrame)
 			if err != nil {
 				return err
 			}
@@ -290,79 +283,45 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			return nil, fmt.Errorf("cluster: collect: %w", err)
 		}
 		tk.Emit(trace.KindPhaseBegin, phMerge, lvl)
-		var discovered []*reach.Discovery
-		for _, list := range collected {
-			for _, e := range list {
-				m, ok := n.MarkingFromKey(e.key)
-				if !ok {
-					return nil, fmt.Errorf("cluster: collect: bad state key from peer")
-				}
-				discovered = append(discovered, &reach.Discovery{
-					Key:   e.key,
-					Hash:  petri.HashKey(e.key),
-					M:     m,
-					Order: e.order,
-					ID:    -1,
-				})
+		var discovered []reach.Discovery
+		for peer, list := range collected {
+			for i, order := range list.vals {
+				discovered = append(discovered, reach.Discovery{Order: order, Shard: uint32(peer), Local: int32(i)})
 			}
 		}
 		reach.SortDiscoveries(discovered)
 
-		trigger, capped, unsafeFirst := reach.PlanLevel(discovered, len(states), o.MaxStates, vioOrder, hasVio)
+		trigger, capped, unsafeFirst := reach.PlanLevel(discovered, states.Len(), limit, vioOrder, hasVio)
 		if unsafeFirst {
 			pos := reach.OrderPos(vioOrder)
 			t := reach.OrderTrans(vioOrder)
 			return nil, fmt.Errorf("%w: firing %s from %s double-marks a place",
-				reach.ErrUnsafe, n.TransName(t), states[level[pos]].String(n))
+				reach.ErrUnsafe, n.TransName(t), states.At(level[pos]).String(n))
 		}
 
 		// Assign ids in first-encounter order and commit them back.
 		nextLevel := make([]int, 0, len(discovered))
-		commitByOwner := make([][]commitEntry, len(nd.peers))
+		commitByOwner := make([]batch, len(nd.peers)) // vals are state ids
 		for _, d := range discovered {
 			if d.Order >= trigger {
 				break
 			}
-			d.ID = len(states)
-			states = append(states, d.M)
-			sh := reach.ShardOf(d.Hash)
-			stateShard = append(stateShard, sh)
-			owner := nd.owners[sh]
-			commitByOwner[owner] = append(commitByOwner[owner], commitEntry{key: d.Key, id: d.ID})
-			o.Progress.Tick(1)
-			tk.State(int64(d.ID), 0)
-			nextLevel = append(nextLevel, d.ID)
+			m := collected[d.Shard].marking(int(d.Local))
+			hash := m.Hash()
+			if states.Lookup(m, hash) >= 0 {
+				return nil, fmt.Errorf("cluster: collect: %s returned an already interned state", nd.peers[d.Shard])
+			}
+			id := intern(m, hash)
+			commitByOwner[nd.ownerOf(hash)].add(m, uint64(id))
+			nextLevel = append(nextLevel, id)
 		}
 		tk.Emit(trace.KindPhaseEnd, phMerge, lvl)
 		// Every peer gets a commit — an empty one still clears the
 		// level's pending set.
 		err = nd.broadcast(func(peer int) error {
-			wt := wire[peer]
-			wt.Emit(trace.KindPhaseBegin, phSerialize, lvl)
-			buf, err := encodeBuf(func(w io.Writer) error { return encodeCommit(w, commitByOwner[peer]) })
-			wt.Emit(trace.KindPhaseEnd, phSerialize, lvl)
-			if err != nil {
-				return err
-			}
-			nd.addBytes(&bytesOut, int64(buf.Len()))
-			pid := trace.PairID(lvl, trace.RPCCommit, nd.self, peer)
-			wt.FrameSend(pid, int64(buf.Len()))
-			resp, cancel, err := nd.post(ctx, peer, "/cluster/v1/commit", jobID, pid, buf, "application/octet-stream")
-			if err != nil {
-				return err
-			}
-			defer cancel()
-			defer resp.Body.Close()
-			cr := &countingReader{r: resp.Body}
-			typ, _, err := ReadFrame(cr, nd.maxFrame)
-			if err != nil {
-				return err
-			}
-			if typ != frameAck {
-				return errUnexpectedFrame(typ, frameAck)
-			}
-			wt.FrameRecv(pid, cr.n)
-			return nil
+			sent, err := nd.sendBatch(ctx, wire[peer], phSerialize, lvl, trace.RPCCommit, peer, "/cluster/v1/commit", jobID, frameCommit, &commitByOwner[peer])
+			nd.addBytes(&bytesOut, sent)
+			return err
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -390,7 +349,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 
 		if capped {
 			for _, id := range nextLevel {
-				m := states[id]
+				m := states.At(id)
 				if o.Bad != nil && o.Bad(m) {
 					res.BadFound = true
 					res.BadStates = append(res.BadStates, m)
@@ -400,7 +359,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 					res.Deadlocks = append(res.Deadlocks, m)
 				}
 			}
-			res.States = len(states)
+			res.States = states.Len()
 			res.Complete = false
 			return res, reach.ErrStateLimit
 		}
@@ -408,7 +367,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 		level = nextLevel
 	}
 
-	res.States = len(states)
+	res.States = states.Len()
 	tk.End(phExplore)
 	return res, nil
 }

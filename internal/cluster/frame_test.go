@@ -10,61 +10,79 @@ import (
 	"repro/internal/petri"
 )
 
-// tableOneKeys returns real state keys from Table 1 nets: the initial
-// markings and a few successors, giving the fuzzer realistic seeds
-// (little-endian bitset words of varying widths).
-func tableOneKeys(t testing.TB) []string {
+// tableOneMarkings returns real markings of one Table 1 net: the
+// initial marking and its successors, giving the fuzzer realistic seeds
+// (little-endian bitset words).
+func tableOneMarkings(t testing.TB, family string, size int) []petri.Marking {
 	t.Helper()
-	var keys []string
-	for _, spec := range []struct {
-		family string
-		size   int
-	}{
-		{"nsdp", 4}, {"rw", 6}, {"over", 3}, {"asat", 2},
-	} {
-		n, err := models.ByName(spec.family, spec.size)
-		if err != nil {
-			t.Fatalf("models.ByName(%s,%d): %v", spec.family, spec.size, err)
-		}
-		m := n.InitialMarking()
-		keys = append(keys, m.Key())
-		for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
-			if n.Enabled(m, tr) {
-				if next, safe := n.Fire(m, tr); safe {
-					keys = append(keys, next.Key())
-				}
+	n, err := models.ByName(family, size)
+	if err != nil {
+		t.Fatalf("models.ByName(%s,%d): %v", family, size, err)
+	}
+	m := n.InitialMarking()
+	out := []petri.Marking{m}
+	for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
+		if n.Enabled(m, tr) {
+			if next, safe := n.Fire(m, tr); safe {
+				out = append(out, next)
 			}
 		}
 	}
-	return keys
+	return out
 }
 
-// FuzzFrameRoundTrip feeds arbitrary byte strings through the
-// (key, order) wire codec used by intern batches and collect replies:
-// whatever encodes must decode to the same entries, and decoding the
-// encoded stream must consume it fully.
-func FuzzFrameRoundTrip(f *testing.F) {
-	for i, key := range tableOneKeys(f) {
-		f.Add(key, uint64(i)<<32|uint64(i))
+func sameBatch(t *testing.T, in, out *batch) {
+	t.Helper()
+	if out.len() != in.len() {
+		t.Fatalf("round trip %d entries -> %d", in.len(), out.len())
 	}
-	f.Add("", uint64(0))
-	f.Add(string(make([]byte, 300)), ^uint64(0))
-	f.Fuzz(func(t *testing.T, key string, order uint64) {
-		in := []internEntry{{key: key, order: order}, {key: key + "x", order: order / 2}}
-		var buf bytes.Buffer
-		if err := encodeKeyOrders(&buf, frameIntern, in); err != nil {
-			t.Fatalf("encode: %v", err)
+	for i := range in.vals {
+		if !out.marking(i).Equal(in.marking(i)) || out.vals[i] != in.vals[i] {
+			t.Fatalf("entry %d: (%v, %d) -> (%v, %d)", i, in.marking(i), in.vals[i], out.marking(i), out.vals[i])
 		}
-		out, err := decodeKeyOrders(&buf, frameIntern, MaxFrame)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+	}
+}
+
+// FuzzFrameRoundTrip feeds arbitrary markings through the (key, value)
+// wire codec of every bulk frame type: whatever encodes must decode to
+// the same entries, decoding must consume the stream fully, every key on
+// the wire is exactly Marking.Key(), and a reader expecting another
+// marking width refuses the stream.
+func FuzzFrameRoundTrip(f *testing.F) {
+	for _, spec := range []struct {
+		family string
+		size   int
+	}{{"nsdp", 4}, {"rw", 6}, {"over", 3}, {"asat", 8}} {
+		for i, m := range tableOneMarkings(f, spec.family, spec.size) {
+			f.Add([]byte(m.Key()), uint64(i)<<32|uint64(i))
 		}
-		if len(out) != len(in) {
-			t.Fatalf("round trip %d entries -> %d", len(in), len(out))
+	}
+	f.Add([]byte{}, uint64(0))
+	f.Add(make([]byte, 304), ^uint64(0))
+	f.Fuzz(func(t *testing.T, key []byte, val uint64) {
+		m, ok := petri.MarkingFromKeyBytes(string(key[:len(key)&^7]))
+		if !ok {
+			m = petri.Marking{}
 		}
-		for i := range in {
-			if out[i] != in[i] {
-				t.Fatalf("entry %d: %+v -> %+v", i, in[i], out[i])
+		in := &batch{w: len(m)}
+		in.add(m, val)
+		in.add(m, val/2)
+		for _, typ := range []byte{frameExpand, frameIntern, frameCollect, frameCommit} {
+			var buf bytes.Buffer
+			if err := encodeBatch(&buf, typ, in); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if !bytes.Contains(buf.Bytes(), []byte(m.Key())) {
+				t.Fatalf("frame type %d does not carry Marking.Key() verbatim", typ)
+			}
+			whole := append([]byte(nil), buf.Bytes()...)
+			out, err := decodeBatch(&buf, typ, in.w, MaxFrame)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			sameBatch(t, in, out)
+			if _, err := decodeBatch(bytes.NewReader(whole), typ, in.w+1, MaxFrame); err == nil {
+				t.Fatalf("frame type %d: a %d-word reader accepted %d-word keys", typ, in.w+1, in.w)
 			}
 		}
 	})
@@ -73,27 +91,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // TestFrameChunking pins that a batch larger than one chunk round-trips
 // through multiple frames in one stream.
 func TestFrameChunking(t *testing.T) {
-	keys := tableOneKeys(t)
-	in := make([]internEntry, 3*chunkEntries+17)
-	for i := range in {
-		in[i] = internEntry{key: keys[i%len(keys)], order: uint64(i)}
+	ms := tableOneMarkings(t, "asat", 8)
+	in := &batch{w: len(ms[0])}
+	for i := 0; i < 3*chunkEntries+17; i++ {
+		in.add(ms[i%len(ms)], uint64(i))
 	}
 	var buf bytes.Buffer
-	if err := encodeKeyOrders(&buf, frameIntern, in); err != nil {
+	if err := encodeBatch(&buf, frameIntern, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeKeyOrders(&buf, frameIntern, MaxFrame)
+	out, err := decodeBatch(&buf, frameIntern, in.w, MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("chunked round trip lost entries: %d -> %d", len(in), len(out))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("entry %d mismatch", i)
-		}
-	}
+	sameBatch(t, in, out)
 }
 
 // TestTornFrameRejected pins the wire-level analogue of the ledger's
@@ -101,13 +112,15 @@ func TestFrameChunking(t *testing.T) {
 // ErrTornFrame at every cut point, and a clean boundary returns io.EOF.
 func TestTornFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	in := []internEntry{{key: tableOneKeys(t)[0], order: 42}}
-	if err := encodeKeyOrders(&buf, frameIntern, in); err != nil {
+	m := tableOneMarkings(t, "nsdp", 4)[0]
+	in := &batch{w: len(m)}
+	in.add(m, 42)
+	if err := encodeBatch(&buf, frameIntern, in); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
-		_, err := decodeKeyOrders(bytes.NewReader(whole[:cut]), frameIntern, MaxFrame)
+		_, err := decodeBatch(bytes.NewReader(whole[:cut]), frameIntern, in.w, MaxFrame)
 		if cut < 5 {
 			// Cut inside the header or the frame body: torn.
 			if !errors.Is(err, ErrTornFrame) {
@@ -118,7 +131,7 @@ func TestTornFrameRejected(t *testing.T) {
 		}
 	}
 	// The full stream ends with a clean io.EOF inside the decoder loop.
-	if _, err := decodeKeyOrders(bytes.NewReader(whole), frameIntern, MaxFrame); err != nil {
+	if _, err := decodeBatch(bytes.NewReader(whole), frameIntern, in.w, MaxFrame); err != nil {
 		t.Fatalf("clean stream: %v", err)
 	}
 	// A raw readFrame on an empty stream is a clean boundary.

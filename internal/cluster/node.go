@@ -19,6 +19,7 @@ import (
 	"repro/internal/petri"
 	"repro/internal/pnio"
 	"repro/internal/reach"
+	"repro/internal/visited"
 )
 
 // Config describes one cluster member. Peers lists every member —
@@ -65,14 +66,17 @@ type Node struct {
 
 // peerJob is this node's slice of one in-flight exploration: the
 // parsed net, the bad places, and the owned portion of the visited
-// store (established ids plus the current level's pending
-// discoveries).
+// store. Markings below store id `established` were committed by earlier
+// levels; the ids from there on are the current level's pending
+// discoveries, pend[id-established] the minimal order key of each.
 type peerJob struct {
-	mu   sync.Mutex
-	net  *petri.Net
-	bad  []petri.Place
-	ids  map[string]int
-	pend map[string]uint64
+	mu          sync.Mutex
+	net         *petri.Net
+	bad         []petri.Place
+	store       visited.Store
+	established int
+	pend        []uint64
+	cut         bool // a commit left pending discoveries unassigned: the run is over
 
 	// Tracing, enabled when the coordinator propagated a run ID in
 	// startReq.TraceRun. tk is the expand/collect/commit lane — those
@@ -242,11 +246,17 @@ func (nd *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/v1/cache/release", nd.handleCacheRelease)
 }
 
-func (nd *Node) job(id string) (*peerJob, bool) {
+// job resolves the request's X-Cluster-Job header; for an unknown job it
+// answers 404 itself and returns nil.
+func (nd *Node) job(w http.ResponseWriter, r *http.Request) (*peerJob, string) {
+	id := r.Header.Get("X-Cluster-Job")
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	j, ok := nd.jobs[id]
-	return j, ok
+	j := nd.jobs[id]
+	nd.mu.Unlock()
+	if j == nil {
+		httpError(w, http.StatusNotFound, "cluster: unknown job %q", id)
+	}
+	return j, id
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -277,12 +287,7 @@ func (nd *Node) handleStart(w http.ResponseWriter, r *http.Request) {
 		}
 		bad = append(bad, p)
 	}
-	j := &peerJob{
-		net:  n,
-		bad:  bad,
-		ids:  make(map[string]int),
-		pend: make(map[string]uint64),
-	}
+	j := &peerJob{net: n, bad: bad}
 	if req.TraceRun != "" {
 		j.run = req.TraceRun
 		j.tr = trace.New(trace.Options{})
@@ -297,9 +302,9 @@ func (nd *Node) handleStart(w http.ResponseWriter, r *http.Request) {
 	}
 	// Seed the root: every peer derives the same initial key; only the
 	// owner stores it (the coordinator assigned it id 0 by construction).
-	k0, h0 := n.InitialMarking().KeyHash()
-	if nd.ownerOf(h0) == nd.self {
-		j.ids[k0] = 0
+	if m0 := n.InitialMarking(); nd.ownerOf(m0.Hash()) == nd.self {
+		j.store.Insert(m0, m0.Hash())
+		j.established = 1
 	}
 	nd.mu.Lock()
 	nd.jobs[req.Job] = j
@@ -333,14 +338,20 @@ func (nd *Node) handleFinish(w http.ResponseWriter, r *http.Request) {
 // reports verdict flags, examined orders, and the minimal unsafe
 // firing back to the coordinator.
 func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
-	jobID := r.Header.Get("X-Cluster-Job")
-	j, ok := nd.job(jobID)
-	if !ok {
-		httpError(w, http.StatusNotFound, "cluster: unknown job %q", jobID)
+	j, jobID := nd.job(w, r)
+	if j == nil {
 		return
 	}
+	j.mu.Lock()
+	cut := j.cut
+	j.mu.Unlock()
+	if cut {
+		httpError(w, http.StatusConflict, "cluster: expand after the job's state cap")
+		return
+	}
+	n := j.net
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeExpand(cr, nd.maxFrame)
+	entries, err := decodeBatch(cr, frameExpand, n.Words(), nd.maxFrame)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: expand body: %v", err)
 		return
@@ -352,25 +363,20 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 	j.tk.FrameRecv(pid, cr.n)
 	j.tk.Emit(trace.KindPhaseBegin, j.phExpand, lvl)
 
-	n := j.net
-	nt := n.NumTrans()
-	re := &expandReply{flags: make([]byte, len(entries))}
-	outbound := make(map[int][]internEntry)
-	for i, e := range entries {
-		m, ok := n.MarkingFromKey(e.key)
-		if !ok {
-			httpError(w, http.StatusBadRequest, "cluster: expand: bad state key at pos %d", e.pos)
-			return
-		}
+	nt := petri.Trans(n.NumTrans())
+	re := &expandReply{flags: make([]byte, entries.len())}
+	outbound := make([]batch, len(nd.peers))
+	next := n.EmptyMarking()
+	for i, pos := range entries.vals {
+		m := entries.marking(i)
 		enabled := 0
-		for t := petri.Trans(0); int(t) < nt; t++ {
+		for t := petri.Trans(0); t < nt; t++ {
 			if !n.Enabled(m, t) {
 				continue
 			}
 			enabled++
-			next, safe := n.Fire(m, t)
-			order := reach.OrderKey(int(e.pos), t)
-			if !safe {
+			order := reach.OrderKey(int(pos), t)
+			if !n.FireInto(next, m, t) {
 				if !re.hasVio || order < re.vioOrder {
 					re.hasVio = true
 					re.vioOrder = order
@@ -378,12 +384,11 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			re.orders = append(re.orders, order)
-			key, hash := next.KeyHash()
-			owner := nd.ownerOf(hash)
-			if owner == nd.self {
-				j.internLocal(key, order)
+			hash := next.Hash()
+			if owner := nd.ownerOf(hash); owner == nd.self {
+				j.internLocal(next, hash, order)
 			} else {
-				outbound[owner] = append(outbound[owner], internEntry{key: key, order: order})
+				outbound[owner].add(next, order)
 			}
 		}
 		if enabled == 0 {
@@ -406,13 +411,16 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j.tk.Emit(trace.KindPhaseEnd, j.phExpand, lvl)
-	j.tk.Expanded(int64(len(entries)), lvl)
+	j.tk.Expanded(int64(entries.len()), lvl)
 
 	// Route fresh successors to their owners before acking, so by the
 	// time the coordinator sees this reply every discovery from this
 	// batch is pending somewhere.
-	for owner, batch := range outbound {
-		if err := nd.postIntern(r.Context(), j, jobID, owner, lvl, batch); err != nil {
+	for owner := range outbound {
+		if outbound[owner].len() == 0 {
+			continue
+		}
+		if _, err := nd.sendBatch(r.Context(), j.tk, j.phSerialize, lvl, trace.RPCIntern, owner, "/cluster/v1/intern", jobID, frameIntern, &outbound[owner]); err != nil {
 			httpError(w, http.StatusBadGateway, "cluster: intern to %s: %v", nd.peers[owner], err)
 			return
 		}
@@ -434,26 +442,25 @@ func seqHeader(r *http.Request) int64 {
 
 // internLocal merges one discovered successor into the owned pending
 // set, min-combining order keys like the in-process shards do.
-func (j *peerJob) internLocal(key string, order uint64) {
+func (j *peerJob) internLocal(m petri.Marking, hash, order uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.ids[key]; ok {
-		return
-	}
-	if o, ok := j.pend[key]; !ok || order < o {
-		j.pend[key] = order
+	id := j.store.Lookup(m, hash)
+	if id < 0 {
+		j.store.Insert(m, hash)
+		j.pend = append(j.pend, order)
+	} else if p := id - j.established; p >= 0 && order < j.pend[p] {
+		j.pend[p] = order
 	}
 }
 
 func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
-	jobID := r.Header.Get("X-Cluster-Job")
-	j, ok := nd.job(jobID)
-	if !ok {
-		httpError(w, http.StatusNotFound, "cluster: unknown job %q", jobID)
+	j, _ := nd.job(w, r)
+	if j == nil {
 		return
 	}
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeKeyOrders(cr, frameIntern, nd.maxFrame)
+	entries, err := decodeBatch(cr, frameIntern, j.net.Words(), nd.maxFrame)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: intern body: %v", err)
 		return
@@ -462,8 +469,9 @@ func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
 	nd.reg.Counter("cluster.intern_bytes_in").Add(cr.n)
 	pid := seqHeader(r)
 	j.internRecv(pid, cr.n)
-	for _, e := range entries {
-		j.internLocal(e.key, e.order)
+	for i, order := range entries.vals {
+		m := entries.marking(i)
+		j.internLocal(m, m.Hash(), order)
 	}
 	_ = WriteFrame(w, frameAck, nil)
 	j.internSend(pid, ackFrameBytes)
@@ -473,38 +481,41 @@ func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
 // level, sorted by order key so the coordinator's global merge is a
 // cheap k-way concatenation plus one sort.
 func (nd *Node) handleCollect(w http.ResponseWriter, r *http.Request) {
-	jobID := r.Header.Get("X-Cluster-Job")
-	j, ok := nd.job(jobID)
-	if !ok {
-		httpError(w, http.StatusNotFound, "cluster: unknown job %q", jobID)
+	j, _ := nd.job(w, r)
+	if j == nil {
 		return
 	}
 	pid := seqHeader(r)
 	j.tk.FrameRecv(pid, 0)
 	j.mu.Lock()
-	out := make([]internEntry, 0, len(j.pend))
-	for key, order := range j.pend {
-		out = append(out, internEntry{key: key, order: order})
+	byOrder := make([]int, len(j.pend))
+	for p := range byOrder {
+		byOrder[p] = p
+	}
+	sort.Slice(byOrder, func(a, b int) bool { return j.pend[byOrder[a]] < j.pend[byOrder[b]] })
+	var out batch
+	for _, p := range byOrder {
+		out.add(j.store.At(j.established+p), j.pend[p])
 	}
 	j.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].order < out[b].order })
 	cw := &countingWriter{w: w}
-	_ = encodeKeyOrders(cw, frameCollect, out)
+	_ = encodeBatch(cw, frameCollect, &out)
 	j.tk.FrameSend(pid, cw.n)
 }
 
-// handleCommit installs the coordinator's id assignments and clears the
-// level's pending set — un-assigned discoveries were cut by MaxStates
-// and must be rediscoverable never (the run ends at the cap).
+// handleCommit ends the level on this peer. The peer never reads a state
+// id, so the coordinator's assignments are only checked: each must name a
+// marking pending here. Every stored marking counts as established from
+// here on — including discoveries the coordinator left unassigned, which
+// its MaxStates cap cut. Those must be rediscoverable never; the run ends
+// at the cap, and j.cut makes this peer refuse to expand past it.
 func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
-	jobID := r.Header.Get("X-Cluster-Job")
-	j, ok := nd.job(jobID)
-	if !ok {
-		httpError(w, http.StatusNotFound, "cluster: unknown job %q", jobID)
+	j, _ := nd.job(w, r)
+	if j == nil {
 		return
 	}
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeCommit(cr, nd.maxFrame)
+	entries, err := decodeBatch(cr, frameCommit, j.net.Words(), nd.maxFrame)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: commit body: %v", err)
 		return
@@ -512,10 +523,16 @@ func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
 	pid := seqHeader(r)
 	j.tk.FrameRecv(pid, cr.n)
 	j.mu.Lock()
-	for _, e := range entries {
-		j.ids[e.key] = e.id
+	for i := range entries.vals {
+		if m := entries.marking(i); j.store.Lookup(m, m.Hash()) < j.established {
+			j.mu.Unlock()
+			httpError(w, http.StatusBadRequest, "cluster: commit names a marking not pending here")
+			return
+		}
 	}
-	clear(j.pend)
+	j.cut = j.cut || entries.len() < len(j.pend)
+	j.established = j.store.Len()
+	j.pend = j.pend[:0]
 	j.mu.Unlock()
 	_ = WriteFrame(w, frameAck, nil)
 	j.tk.FrameSend(pid, ackFrameBytes)
@@ -581,33 +598,32 @@ func (nd *Node) postJSON(ctx context.Context, peer int, path string, v any) erro
 	return err
 }
 
-// postIntern routes a successor batch to its owning peer, stamping the
-// intern wire edge on the sending job's trace.
-func (nd *Node) postIntern(ctx context.Context, j *peerJob, jobID string, owner int, lvl int64, batch []internEntry) error {
-	pid := trace.PairID(lvl, trace.RPCIntern, nd.self, owner)
-	j.tk.Emit(trace.KindPhaseBegin, j.phSerialize, lvl)
-	buf, err := encodeBuf(func(w io.Writer) error { return encodeKeyOrders(w, frameIntern, batch) })
-	j.tk.Emit(trace.KindPhaseEnd, j.phSerialize, lvl)
+// sendBatch posts a batch (an intern or a commit) to a peer and waits
+// for the ack, stamping the serialize span and the wire edge on tk. It
+// returns the request body's size.
+func (nd *Node) sendBatch(ctx context.Context, tk *trace.Track, phSerialize, lvl int64, rpc, peer int, path, jobID string, typ byte, out *batch) (int64, error) {
+	pid := trace.PairID(lvl, rpc, nd.self, peer)
+	tk.Emit(trace.KindPhaseBegin, phSerialize, lvl)
+	buf := out.body(typ)
+	tk.Emit(trace.KindPhaseEnd, phSerialize, lvl)
+	sent := int64(buf.Len())
+	tk.FrameSend(pid, sent)
+	resp, cancel, err := nd.post(ctx, peer, path, jobID, pid, buf, "application/octet-stream")
 	if err != nil {
-		return err
-	}
-	j.tk.FrameSend(pid, int64(buf.Len()))
-	resp, cancel, err := nd.post(ctx, owner, "/cluster/v1/intern", jobID, pid, buf, "application/octet-stream")
-	if err != nil {
-		return err
+		return sent, err
 	}
 	defer cancel()
 	defer resp.Body.Close()
 	cr := &countingReader{r: resp.Body}
-	typ, _, err := ReadFrame(cr, nd.maxFrame)
+	typ, _, err = ReadFrame(cr, nd.maxFrame)
 	if err != nil {
-		return err
+		return sent, err
 	}
 	if typ != frameAck {
-		return errUnexpectedFrame(typ, frameAck)
+		return sent, errUnexpectedFrame(typ, frameAck)
 	}
-	j.tk.FrameRecv(pid, cr.n)
-	return nil
+	tk.FrameRecv(pid, cr.n)
+	return sent, nil
 }
 
 // PeerStatus is one member's row in the cluster status document.

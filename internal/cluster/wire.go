@@ -10,19 +10,40 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+
+	"repro/internal/petri"
 )
 
 // chunkEntries bounds how many entries one frame carries. Levels larger
 // than this simply emit several frames in one HTTP body.
 const chunkEntries = 8192
 
-// expandEntry is one level position a peer must expand: the global
-// position in the current BFS level (the high half of every order key
-// it produces) and the state key to reconstruct the marking from.
-type expandEntry struct {
-	pos uint32
-	key string
+// batch is a list of (marking, value) pairs of one net, the shape of
+// every bulk frame. The markings lie flat, w words each — decoded
+// straight from the wire and appended straight into frames, never as
+// strings — and vals[i] is the pair's level position (expand), order key
+// (intern, collect) or state id (commit).
+type batch struct {
+	w     int
+	words []uint64
+	vals  []uint64
+}
+
+func (b *batch) len() int { return len(b.vals) }
+
+// marking returns pair i's marking as a view into the batch.
+func (b *batch) marking(i int) petri.Marking {
+	lo, hi := i*b.w, (i+1)*b.w
+	return b.words[lo:hi:hi]
+}
+
+// add appends a pair; the first one fixes the batch's marking width.
+func (b *batch) add(m petri.Marking, val uint64) {
+	b.w = len(m)
+	b.words = append(b.words, m...)
+	b.vals = append(b.vals, val)
 }
 
 // posFlags carries a parent position's verdict bits back to the
@@ -42,65 +63,77 @@ type expandReply struct {
 	hasVio   bool
 }
 
-// internEntry routes one discovered successor to its owning peer.
-type internEntry struct {
-	key   string
-	order uint64
-}
-
-// commitEntry assigns the definitive state id to a pending discovery.
-type commitEntry struct {
-	key string
-	id  int
-}
-
-// encodeExpand writes the expand batch as chunked frames.
-func encodeExpand(w io.Writer, entries []expandEntry) error {
-	for lo := 0; lo < len(entries); lo += chunkEntries {
-		hi := min(lo+chunkEntries, len(entries))
+// encodeBatch writes the pairs as chunked frames of the given type. A
+// state key on the wire is its length (8·w) and the words little-endian,
+// exactly Marking.Key(); expand frames put the value before the key,
+// every other type after it.
+func encodeBatch(w io.Writer, typ byte, in *batch) error {
+	for lo := 0; lo < in.len() || lo == 0; lo += chunkEntries {
+		hi := min(lo+chunkEntries, in.len())
 		b := binary.AppendUvarint(nil, uint64(hi-lo))
-		for _, e := range entries[lo:hi] {
-			b = binary.AppendUvarint(b, uint64(e.pos))
-			b = AppendBytes(b, e.key)
+		for i := lo; i < hi; i++ {
+			if typ == frameExpand {
+				b = binary.AppendUvarint(b, in.vals[i])
+			}
+			b = binary.AppendUvarint(b, uint64(8*in.w))
+			for _, word := range in.marking(i) {
+				b = binary.LittleEndian.AppendUint64(b, word)
+			}
+			if typ != frameExpand {
+				b = binary.AppendUvarint(b, in.vals[i])
+			}
 		}
-		if err := WriteFrame(w, frameExpand, b); err != nil {
+		if err := WriteFrame(w, typ, b); err != nil {
 			return err
 		}
-	}
-	if len(entries) == 0 {
-		return WriteFrame(w, frameExpand, binary.AppendUvarint(nil, 0))
 	}
 	return nil
 }
 
-// decodeExpand reads chunked expand frames until EOF.
-func decodeExpand(r io.Reader, max int) ([]expandEntry, error) {
-	var out []expandEntry
+// decodeBatch reads chunked frames of the given type until EOF. words is
+// the marking width of the job's net: a key of any other length (a
+// different net, a torn frame) is an error.
+func decodeBatch(r io.Reader, typ byte, words, max int) (*batch, error) {
+	out := &batch{w: words}
 	for {
-		typ, payload, err := ReadFrame(r, max)
+		ft, payload, err := ReadFrame(r, max)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if typ != frameExpand {
-			return nil, errUnexpectedFrame(typ, frameExpand)
+		if ft != typ {
+			return nil, errUnexpectedFrame(ft, typ)
 		}
 		n, err := NextUvarint(&payload)
 		if err != nil {
 			return nil, err
 		}
 		for i := uint64(0); i < n; i++ {
-			pos, err := NextUvarint(&payload)
+			var val uint64
+			if typ == frameExpand {
+				if val, err = NextUvarint(&payload); err != nil {
+					return nil, err
+				}
+			}
+			klen, err := NextUvarint(&payload)
 			if err != nil {
 				return nil, err
 			}
-			key, err := NextBytes(&payload)
-			if err != nil {
-				return nil, err
+			if klen != uint64(8*words) || uint64(len(payload)) < klen {
+				return nil, fmt.Errorf("cluster: bad state key in frame payload")
 			}
-			out = append(out, expandEntry{pos: uint32(pos), key: key})
+			for ; klen > 0; klen -= 8 {
+				out.words = append(out.words, binary.LittleEndian.Uint64(payload))
+				payload = payload[8:]
+			}
+			if typ != frameExpand {
+				if val, err = NextUvarint(&payload); err != nil {
+					return nil, err
+				}
+			}
+			out.vals = append(out.vals, val)
 		}
 	}
 }
@@ -167,138 +200,14 @@ func decodeExpandReply(r io.Reader, max int) (*expandReply, error) {
 	return re, nil
 }
 
-// encodeKeyOrders writes (key, order) pairs as chunked frames of the
-// given type — the shape shared by intern batches and collect replies.
-func encodeKeyOrders(w io.Writer, typ byte, entries []internEntry) error {
-	for lo := 0; lo < len(entries); lo += chunkEntries {
-		hi := min(lo+chunkEntries, len(entries))
-		b := binary.AppendUvarint(nil, uint64(hi-lo))
-		for _, e := range entries[lo:hi] {
-			b = AppendBytes(b, e.key)
-			b = binary.AppendUvarint(b, e.order)
-		}
-		if err := WriteFrame(w, typ, b); err != nil {
-			return err
-		}
-	}
-	if len(entries) == 0 {
-		return WriteFrame(w, typ, binary.AppendUvarint(nil, 0))
-	}
-	return nil
-}
-
-func decodeKeyOrders(r io.Reader, typ byte, max int) ([]internEntry, error) {
-	var out []internEntry
-	for {
-		ft, payload, err := ReadFrame(r, max)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ft != typ {
-			return nil, errUnexpectedFrame(ft, typ)
-		}
-		n, err := NextUvarint(&payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			key, err := NextBytes(&payload)
-			if err != nil {
-				return nil, err
-			}
-			o, err := NextUvarint(&payload)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, internEntry{key: key, order: o})
-		}
-	}
-}
-
-// encodeCommit writes (key, id) assignments as chunked frames.
-func encodeCommit(w io.Writer, entries []commitEntry) error {
-	for lo := 0; lo < len(entries); lo += chunkEntries {
-		hi := min(lo+chunkEntries, len(entries))
-		b := binary.AppendUvarint(nil, uint64(hi-lo))
-		for _, e := range entries[lo:hi] {
-			b = AppendBytes(b, e.key)
-			b = binary.AppendUvarint(b, uint64(e.id))
-		}
-		if err := WriteFrame(w, frameCommit, b); err != nil {
-			return err
-		}
-	}
-	if len(entries) == 0 {
-		return WriteFrame(w, frameCommit, binary.AppendUvarint(nil, 0))
-	}
-	return nil
-}
-
-func decodeCommit(r io.Reader, max int) ([]commitEntry, error) {
-	var out []commitEntry
-	for {
-		typ, payload, err := ReadFrame(r, max)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if typ != frameCommit {
-			return nil, errUnexpectedFrame(typ, frameCommit)
-		}
-		n, err := NextUvarint(&payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
-			key, err := NextBytes(&payload)
-			if err != nil {
-				return nil, err
-			}
-			id, err := NextUvarint(&payload)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, commitEntry{key: key, id: int(id)})
-		}
-	}
-}
-
-// encodeBuf renders an encoder into a byte buffer (HTTP request
-// bodies), returning the frame bytes and their length for metrics.
-func encodeBuf(enc func(io.Writer) error) (*bytes.Buffer, error) {
+// body renders the batch as an HTTP request body of frames of the given
+// type.
+func (b *batch) body(typ byte) *bytes.Buffer {
 	var buf bytes.Buffer
-	if err := enc(&buf); err != nil {
-		return nil, err
-	}
-	return &buf, nil
+	_ = encodeBatch(&buf, typ, b) // writes to a Buffer cannot fail
+	return &buf
 }
 
 func errUnexpectedFrame(got, want byte) error {
-	return &frameTypeError{got: got, want: want}
-}
-
-type frameTypeError struct{ got, want byte }
-
-func (e *frameTypeError) Error() string {
-	return "cluster: unexpected frame type " + itoa(int(e.got)) + " (want " + itoa(int(e.want)) + ")"
-}
-
-// itoa avoids pulling strconv into the hot wire path for an error case.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return fmt.Errorf("cluster: unexpected frame type %d (want %d)", got, want)
 }

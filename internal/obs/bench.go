@@ -31,8 +31,20 @@ type BenchReport struct {
 	// engines explored the reduced nets, so States columns are not
 	// comparable against unreduced artifacts (that difference is the
 	// point — see EXPERIMENTS.md).
-	Reduce  bool         `json:"reduce,omitempty"`
+	Reduce bool `json:"reduce,omitempty"`
+	// Host stamps the machine the run was recorded on; nil on artifacts
+	// predating the field. Wall-clock columns of artifacts from different
+	// hosts are informational only.
+	Host    *BenchHost   `json:"host,omitempty"`
 	Entries []BenchEntry `json:"entries"`
+}
+
+// BenchHost is what a wall-clock number depends on besides the code.
+type BenchHost struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
 }
 
 // BenchEntry is one engine run on one model instance.

@@ -1,6 +1,7 @@
 package petri
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 )
@@ -65,26 +66,23 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// KeyHash returns Key() together with its 64-bit FNV-1a hash, computed
-// in the same pass over the words. The hash is the shard-routing key of
-// the parallel explorer's visited store and of the cluster wire
-// protocol, so computing it at key-construction time removes the
-// second walk over the just-built string.
-func (m Marking) KeyHash() (string, uint64) {
-	var b strings.Builder
-	b.Grow(len(m) * 8)
+// Hash returns the 64-bit FNV-1a hash of the marking's Key() bytes,
+// computed over the words without building the string:
+// m.Hash() == HashKey(m.Key()). It is the hash the visited store
+// (internal/visited) indexes by and the shard-routing key of the parallel
+// explorer, the cluster wire protocol and the checkpoint container.
+func (m Marking) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	for _, w := range m {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			c := byte(w >> (8 * uint(i)))
-			buf[i] = c
-			h = (h ^ uint64(c)) * fnvPrime64
+		for i := uint(0); i < 64; i += 8 {
+			h = (h ^ (w>>i)&0xff) * fnvPrime64
 		}
-		b.Write(buf[:])
 	}
-	return b.String(), h
+	return h
 }
+
+// KeyHash returns Key() together with Hash().
+func (m Marking) KeyHash() (string, uint64) { return m.Key(), m.Hash() }
 
 // HashKey returns the 64-bit FNV-1a hash of an already-built marking
 // key, for callers that receive keys over the wire rather than
@@ -98,31 +96,11 @@ func HashKey(key string) uint64 {
 	return h
 }
 
-// MarkingFromKey reconstructs the Marking a Key() byte string encodes.
-// It is the inverse of Key for markings of this net; a key of the wrong
-// length (a different net, or a torn wire frame) returns ok=false.
-func (n *Net) MarkingFromKey(key string) (Marking, bool) {
-	if len(key) != n.markWords*8 {
-		return nil, false
-	}
-	m := make(Marking, n.markWords)
-	for wi := range m {
-		var w uint64
-		for i := 0; i < 8; i++ {
-			w |= uint64(key[wi*8+i]) << (8 * uint(i))
-		}
-		m[wi] = w
-	}
-	return m, true
-}
-
 // MarkingFromKeyBytes reconstructs a Marking from a Key() byte string
 // without a Net: the width is taken from the key itself (8 bytes per
-// word). Callers that know which net the marking belongs to should use
-// Net.MarkingFromKey, which also validates the width; this form is for
-// containers (internal/ckpt) that carry markings of a derived net — a
-// monitored or structurally reduced one — whose shape is only
-// reconstructed later. A key whose length is not a multiple of 8
+// word). It serves containers (internal/ckpt) that carry markings of a
+// derived net — a monitored or structurally reduced one — whose shape is
+// only reconstructed later. A key whose length is not a multiple of 8
 // returns ok=false.
 func MarkingFromKeyBytes(key string) (Marking, bool) {
 	if len(key)%8 != 0 || len(key) == 0 {
@@ -130,11 +108,7 @@ func MarkingFromKeyBytes(key string) (Marking, bool) {
 	}
 	m := make(Marking, len(key)/8)
 	for wi := range m {
-		var w uint64
-		for i := 0; i < 8; i++ {
-			w |= uint64(key[wi*8+i]) << (8 * uint(i))
-		}
-		m[wi] = w
+		m[wi] = binary.LittleEndian.Uint64([]byte(key[8*wi : 8*wi+8]))
 	}
 	return m, true
 }
@@ -162,11 +136,19 @@ func (m Marking) String(n *Net) string {
 	return "{" + strings.Join(names, ",") + "}"
 }
 
+// masks returns the pre and post word masks of t.
+func (n *Net) masks(t Trans) (pre, post []uint64) {
+	lo, hi := int(t)*n.markWords, (int(t)+1)*n.markWords
+	return n.preMask[lo:hi:hi], n.postMask[lo:hi:hi]
+}
+
 // Enabled implements the classical enabling rule (Definition 2.3):
-// t is enabled iff every input place carries a token.
+// t is enabled iff every input place carries a token, i.e. m covers
+// t's pre mask word by word.
 func (n *Net) Enabled(m Marking, t Trans) bool {
-	for _, p := range n.pre[t] {
-		if !m.Has(p) {
+	pre, _ := n.masks(t)
+	for i, w := range pre {
+		if m[i]&w != w {
 			return false
 		}
 	}
@@ -174,14 +156,17 @@ func (n *Net) Enabled(m Marking, t Trans) bool {
 }
 
 // EnabledTrans returns all transitions enabled in m, in increasing order.
-func (n *Net) EnabledTrans(m Marking) []Trans {
-	var out []Trans
+func (n *Net) EnabledTrans(m Marking) []Trans { return n.AppendEnabled(nil, m) }
+
+// AppendEnabled appends the transitions enabled in m to dst, in
+// increasing order, and returns the extended slice.
+func (n *Net) AppendEnabled(dst []Trans, m Marking) []Trans {
 	for t := Trans(0); int(t) < n.NumTrans(); t++ {
 		if n.Enabled(m, t) {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // IsDeadlock reports whether no transition is enabled in m.
@@ -200,19 +185,26 @@ func (n *Net) IsDeadlock(m Marking) bool {
 // the net safe (i.e. no output place outside •t was already marked).
 // Fire panics if t is not enabled; callers check Enabled first.
 func (n *Net) Fire(m Marking, t Trans) (next Marking, safe bool) {
-	if !n.Enabled(m, t) {
-		panic("petri: firing disabled transition " + n.transNames[t])
-	}
-	next = m.Clone()
-	for _, p := range n.pre[t] {
-		next.Clear(p)
-	}
+	next = make(Marking, len(m))
+	return next, n.FireInto(next, m, t)
+}
+
+// FireInto is Fire into a caller-owned marking: dst = (m &^ •t) | t•,
+// with the same safety verdict and the same panic on a disabled
+// transition. dst may not alias m. The explorers fire every arc into one
+// scratch marking and copy it only when the successor turns out new.
+func (n *Net) FireInto(dst, m Marking, t Trans) (safe bool) {
+	pre, post := n.masks(t)
 	safe = true
-	for _, p := range n.post[t] {
-		if next.Has(p) {
+	for i, w := range pre {
+		if m[i]&w != w {
+			panic("petri: firing disabled transition " + n.transNames[t])
+		}
+		rest := m[i] &^ w
+		if rest&post[i] != 0 {
 			safe = false
 		}
-		next.Set(p)
+		dst[i] = rest | post[i]
 	}
-	return next, safe
+	return safe
 }

@@ -26,49 +26,49 @@ func buildWideNet(tb testing.TB, places int) (*Net, Marking) {
 	return n, m
 }
 
-// TestKeyHashMatchesKey pins that the one-pass KeyHash produces exactly
-// the Key() string plus the FNV-1a hash the old two-pass route
-// (Key, then re-hash the string) computed — the hash-once optimization
-// must not change either the interning key or the shard routing input.
-func TestKeyHashMatchesKey(t *testing.T) {
+// TestHashMatchesKey pins that Hash, computed over the words, is exactly
+// the FNV-1a hash of the Key() string (HashKey) — the shard routing of
+// the parallel explorer, the cluster and ckpt/v1 segments must not move —
+// and that KeyHash returns that pair.
+func TestHashMatchesKey(t *testing.T) {
 	for _, places := range []int{1, 7, 64, 65, 200} {
 		_, m := buildWideNet(t, places)
 		key, hash := m.KeyHash()
 		if key != m.Key() {
 			t.Errorf("places=%d: KeyHash key differs from Key()", places)
 		}
-		if hash != HashKey(m.Key()) {
-			t.Errorf("places=%d: KeyHash hash %x != HashKey(Key()) %x", places, hash, HashKey(m.Key()))
+		if hash != HashKey(m.Key()) || hash != m.Hash() {
+			t.Errorf("places=%d: KeyHash hash %x, Hash() %x, HashKey(Key()) %x", places, hash, m.Hash(), HashKey(m.Key()))
 		}
 	}
 }
 
-// TestMarkingFromKeyRoundTrip pins the wire decoding: a marking survives
-// Key → MarkingFromKey, and wrong-length keys are rejected.
+// TestMarkingFromKeyRoundTrip pins the container decoding: a marking
+// survives Key → MarkingFromKeyBytes, and keys that are not whole words
+// are rejected.
 func TestMarkingFromKeyRoundTrip(t *testing.T) {
-	n, m := buildWideNet(t, 130)
-	got, ok := n.MarkingFromKey(m.Key())
+	_, m := buildWideNet(t, 130)
+	got, ok := MarkingFromKeyBytes(m.Key())
 	if !ok {
-		t.Fatal("MarkingFromKey rejected a valid key")
+		t.Fatal("MarkingFromKeyBytes rejected a valid key")
 	}
 	if !got.Equal(m) {
-		t.Fatal("MarkingFromKey round trip lost bits")
+		t.Fatal("MarkingFromKeyBytes round trip lost bits")
 	}
-	if _, ok := n.MarkingFromKey(m.Key()[:len(m.Key())-1]); ok {
-		t.Error("MarkingFromKey accepted a torn key")
+	if _, ok := MarkingFromKeyBytes(m.Key()[:len(m.Key())-1]); ok {
+		t.Error("MarkingFromKeyBytes accepted a torn key")
 	}
-	if _, ok := n.MarkingFromKey(m.Key() + "x"); ok {
-		t.Error("MarkingFromKey accepted an oversized key")
+	if _, ok := MarkingFromKeyBytes(m.Key() + "x"); ok {
+		t.Error("MarkingFromKeyBytes accepted an oversized key")
 	}
 }
 
-// BenchmarkMarkingKeyHash measures the hash-once win on the interning
-// hot path: the old route built the key string and then re-walked it
-// with FNV-1a to pick the visited-store shard; KeyHash folds the hash
-// into key construction.
-func BenchmarkMarkingKeyHash(b *testing.B) {
+// BenchmarkMarkingHash measures what interning a marking costs before
+// the table probe: the string route every explorer used to take (build
+// the key, hash the string) against Hash over the words.
+func BenchmarkMarkingHash(b *testing.B) {
 	_, m := buildWideNet(b, 192) // 3 words, a mid-size Table 1 marking
-	b.Run("key-then-rehash", func(b *testing.B) {
+	b.Run("key-then-hash", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink uint64
 		for i := 0; i < b.N; i++ {
@@ -77,12 +77,11 @@ func BenchmarkMarkingKeyHash(b *testing.B) {
 		}
 		_ = sink
 	})
-	b.Run("keyhash-one-pass", func(b *testing.B) {
+	b.Run("hash-words", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink uint64
 		for i := 0; i < b.N; i++ {
-			_, h := m.KeyHash()
-			sink += h
+			sink += m.Hash()
 		}
 		_ = sink
 	})

@@ -37,7 +37,8 @@ type Net struct {
 	clusters   [][]Trans // connected components of the conflict graph
 	clusterOf  []int     // transition -> cluster index
 	markWords  int       // words per Marking
-	selfLoop   []bool    // selfLoop[t]: •t ∩ t• ≠ ∅
+	preMask    []uint64  // preMask[t*markWords:][:markWords]: •t as marking words
+	postMask   []uint64  // postMask likewise for t•
 	initMark   Marking
 	conflictTo []map[Trans]bool // adjacency of the conflict graph
 
@@ -64,6 +65,9 @@ func (n *Net) NumPlaces() int { return len(n.placeNames) }
 
 // NumTrans returns |T|.
 func (n *Net) NumTrans() int { return len(n.transNames) }
+
+// Words returns the number of 64-bit words in a Marking of this net.
+func (n *Net) Words() int { return n.markWords }
 
 // PlaceName returns the name of p.
 func (n *Net) PlaceName(p Place) string { return n.placeNames[p] }
@@ -314,13 +318,15 @@ func (b *Builder) Build() (*Net, error) {
 	for _, p := range n.initial {
 		n.initMark.Set(p)
 	}
-	n.selfLoop = make([]bool, len(b.trans))
+	n.preMask = make([]uint64, len(b.trans)*n.markWords)
+	n.postMask = make([]uint64, len(b.trans)*n.markWords)
 	for t := range b.trans {
+		pre, post := n.masks(Trans(t))
 		for _, p := range n.pre[t] {
-			if containsPlace(n.post[t], p) {
-				n.selfLoop[t] = true
-				break
-			}
+			Marking(pre).Set(p)
+		}
+		for _, p := range n.post[t] {
+			Marking(post).Set(p)
 		}
 	}
 	n.buildConflicts()

@@ -11,7 +11,8 @@ package reach
 // call the same hooks below, so the contract cannot drift between them.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/petri"
 )
@@ -22,7 +23,7 @@ import (
 // routes a state both to a goroutine's shard and to a network peer.
 const NumShards = 256
 
-// ShardOf maps a marking key hash (petri.Marking.KeyHash) onto a shard
+// ShardOf maps a marking hash (petri.Marking.Hash) onto a shard
 // index. This is also the wire routing function of cluster frontier
 // batches: owner(peer) = range containing ShardOf(hash).
 func ShardOf(hash uint64) uint32 {
@@ -44,22 +45,21 @@ func OrderTrans(order uint64) petri.Trans { return petri.Trans(uint32(order)) }
 // Discovery is a marking first reached during the current BFS level,
 // claimed in a visited-store shard by the first worker (or peer) to see
 // it. Order is the minimal OrderKey over all firings that reached it
-// this level; ID stays -1 until the level merge assigns the definitive
-// one.
+// this level; Shard and Local say where the claimant stored the marking
+// (the parallel explorer's shard and store id; the cluster coordinator's
+// peer and reply position).
 type Discovery struct {
-	Key   string
-	Hash  uint64
-	M     petri.Marking
 	Order uint64
-	ID    int
+	Shard uint32
+	Local int32
 }
 
 // SortDiscoveries orders a level's discoveries by merge key — the order
 // the sequential BFS first encounters them. Keys are unique within a
 // level (each pending marking is claimed in exactly one shard), so the
 // sort is total.
-func SortDiscoveries(ds []*Discovery) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Order < ds[j].Order })
+func SortDiscoveries(ds []Discovery) {
+	slices.SortFunc(ds, func(a, b Discovery) int { return cmp.Compare(a.Order, b.Order) })
 }
 
 // PlanLevel establishes a level's stop point before anything from it is
@@ -78,7 +78,7 @@ func SortDiscoveries(ds []*Discovery) {
 // This reproduces the sequential engine exactly: it stops at whichever
 // comes first in its scan order, an unsafe firing or the firing that
 // would intern state MaxStates+1.
-func PlanLevel(sorted []*Discovery, statesSoFar, maxStates int, vioOrder uint64, hasVio bool) (trigger uint64, capped, unsafeFirst bool) {
+func PlanLevel(sorted []Discovery, statesSoFar, maxStates int, vioOrder uint64, hasVio bool) (trigger uint64, capped, unsafeFirst bool) {
 	trigger = ^uint64(0)
 	if maxStates > 0 && statesSoFar+len(sorted) > maxStates {
 		capped = true

@@ -2,9 +2,10 @@ package reach
 
 // Parallel frontier-batch exploration. Each BFS level is a batch of
 // already-interned states fanned out to a pool of workers; successor
-// generation is pure (petri.Fire on value markings), so the only shared
-// mutable structure is the visited store, which is split into hash-indexed
-// shards with per-shard mutexes so interning does not serialize.
+// generation is pure (petri.FireInto a per-worker scratch marking), so the
+// only shared mutable structure is the visited store, which is split into
+// hash-indexed shards — one visited.Store and one mutex each — so
+// interning does not serialize.
 //
 // Determinism is recovered at the level boundary: workers record every
 // firing they examine under the order key (parent position in the level,
@@ -25,26 +26,42 @@ import (
 
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
+	"repro/internal/visited"
 )
 
 // numShards aliases the exported constant; see merge.go.
 const numShards = NumShards
 
-// shard is one slice of the visited store: established markings in ids,
-// markings first seen during the current level in pend.
+// shard is one slice of the visited store. Markings are interned in the
+// shard's store the moment a worker first reaches them; gid maps the
+// store's local ids to global state ids and covers only the markings
+// established by earlier level merges. Local ids from len(gid) on are
+// this level's pending discoveries, and pend[local-len(gid)] is the
+// minimal order key over the firings that reached each so far.
 type shard struct {
-	mu   sync.Mutex
-	ids  map[string]int
-	pend map[string]*Discovery
-	_    [40]byte // pad to a 64-byte cache line so shards don't false-share
+	mu    sync.Mutex
+	store visited.Store
+	gid   []int32
+	pend  []uint64
+	_     [48]byte // pad to three 64-byte cache lines so shards don't false-share
 }
 
-// succRef is one examined firing: either the target was already interned
-// (id >= 0) or it is pending and disc carries the id after the merge.
+// succRef is one examined firing: transition t led to the marking with
+// the given local id in the given shard. Whether the target was already
+// established or is pending, its global id is shards[shard].gid[local]
+// once the level is merged.
 type succRef struct {
-	t    petri.Trans
-	id   int
-	disc *Discovery
+	t     petri.Trans
+	local int32
+	shard uint8
+}
+
+// span is what a worker records per expanded level position: where the
+// position's firings lie in the worker's flat succRef list, and the
+// parent's verdicts.
+type span struct {
+	worker, off, n int32
+	dead, bad      bool
 }
 
 // violation records an unsafe firing so the merge can report the
@@ -71,11 +88,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		// plus the parallel-only worker/batch/shard metrics.
 		defer func() {
 			reg := opts.Metrics
-			reg.Counter("reach.states").Add(int64(res.States))
-			reg.Counter("reach.arcs").Add(int64(res.Arcs))
-			reg.Counter("reach.deadlocks").Add(int64(len(res.Deadlocks)))
-			reg.Counter("reach.bad_states").Add(int64(len(res.BadStates)))
-			reg.Gauge("reach.queue_peak").SetMax(int64(qPeak))
+			ExportMetrics(reg, res, qPeak)
 			reg.Gauge("reach.workers").Set(int64(opts.Workers))
 			reg.Gauge("reach.shards").Set(numShards)
 			reg.Counter("reach.batches").Add(batches)
@@ -89,18 +102,11 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	tk := opts.Trace.NewTrack("reach")
 	phExplore := opts.Trace.Intern("explore")
 	tk.Begin(phExplore)
-	var wtks []*trace.Track
+	wtks := make([]*trace.Track, opts.Workers) // nil tracks when not tracing
 	if opts.Trace != nil {
-		wtks = make([]*trace.Track, opts.Workers)
 		for wi := range wtks {
 			wtks[wi] = opts.Trace.NewTrack(fmt.Sprintf("reach-w%d", wi))
 		}
-	}
-	wtrack := func(wi int) *trace.Track {
-		if wtks == nil {
-			return nil
-		}
-		return wtks[wi]
 	}
 	var g *Graph
 	if opts.StoreGraph {
@@ -109,12 +115,20 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	}
 
 	shards := make([]shard, numShards)
-	for i := range shards {
-		shards[i].ids = make(map[string]int)
-		shards[i].pend = make(map[string]*Discovery)
+	var states []petri.Marking // global id -> arena view in the owning shard
+	// intern establishes a shard-local marking under the next global id;
+	// workers are quiesced whenever it runs.
+	intern := func(s *shard, local int) int {
+		id := len(states)
+		s.gid[local] = int32(id)
+		states = append(states, s.store.At(local))
+		if opts.StoreGraph {
+			g.Edges = append(g.Edges, nil)
+		}
+		return id
 	}
+	limit := visited.Limit(opts.MaxStates)
 
-	var states []petri.Marking
 	var level []int
 	// levels counts fully expanded BFS levels: at the top of the loop,
 	// `level` holds level number `levels`, exactly the boundary
@@ -122,6 +136,18 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	// lists mirror res.Deadlocks/res.BadStates for checkpointing.
 	levels := 0
 	var deadIDs, badIDs []int
+	record := func(id int, bad, dead bool) {
+		if bad {
+			res.BadFound = true
+			res.BadStates = append(res.BadStates, states[id])
+			badIDs = append(badIDs, id)
+		}
+		if dead {
+			res.Deadlock = true
+			res.Deadlocks = append(res.Deadlocks, states[id])
+			deadIDs = append(deadIDs, id)
+		}
+	}
 	// On resume the frontier's verdicts were restored from the snapshot,
 	// so the first level's parent-verdict pass must not re-record them;
 	// the resume point itself is the boundary the checkpoint was taken
@@ -129,19 +155,27 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	skipParentVerdicts := false
 	resumedBoundary := false
 
+	first := []petri.Marking{n.InitialMarking()}
 	if sn := opts.Resume; sn != nil {
 		if err := validateResume(n, sn); err != nil {
 			return nil, err
 		}
-		states = append(states, sn.States...)
-		for id, m := range states {
-			k, h := m.KeyHash()
-			s := &shards[ShardOf(h)]
-			if _, dup := s.ids[k]; dup {
-				return nil, fmt.Errorf("reach: resume: duplicate marking at state %d", id)
-			}
-			s.ids[k] = id
+		first = sn.States
+	}
+	for id, m := range first {
+		h := m.Hash()
+		s := &shards[ShardOf(h)]
+		if s.store.Lookup(m, h) >= 0 {
+			return nil, fmt.Errorf("reach: resume: duplicate marking at state %d", id)
 		}
+		s.gid = append(s.gid, 0)
+		intern(s, s.store.Insert(m, h))
+	}
+	opts.Progress.Tick(int64(len(states)))
+	if sn := opts.Resume; sn == nil {
+		tk.State(0, 0)
+		level = []int{0}
+	} else {
 		res.Arcs = sn.Arcs
 		restoreVerdicts(res, states, sn)
 		deadIDs = append(deadIDs, sn.DeadIDs...)
@@ -153,37 +187,35 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		levels = sn.Levels
 		skipParentVerdicts = true
 		resumedBoundary = true
-		opts.Progress.Tick(int64(len(states)))
-	} else {
-		m0 := n.InitialMarking()
-		k0, h0 := m0.KeyHash()
-		shards[ShardOf(h0)].ids[k0] = 0
-		states = append(states, m0)
-		if opts.StoreGraph {
-			g.Edges = append(g.Edges, nil)
-		}
-		opts.Progress.Tick(1)
-		tk.State(0, 0)
-		level = []int{0}
 	}
 
-	nt := n.NumTrans()
+	nt := petri.Trans(n.NumTrans())
 
 	// Per-level scratch, reused so steady-state exploration does not
-	// reallocate with every batch.
+	// reallocate with every batch: one span per level position, one flat
+	// firing list and one scratch marking per worker, and the level's
+	// discoveries.
 	var (
-		succs      [][]succRef
-		deadFlags  []bool
-		badFlags   []bool
-		discovered []*Discovery
+		spans      []span
+		discovered []Discovery
 	)
+	workerSuccs := make([][]succRef, opts.Workers)
+	workerScratch := make([]petri.Marking, opts.Workers)
+	for wi := range workerScratch {
+		workerScratch[wi] = n.EmptyMarking()
+	}
 
-	abort := func() (*Result, error) {
+	// finish fills the state count (and the stored graph's states) on
+	// every return path that hands out a Result.
+	finish := func(complete bool) {
 		res.States = len(states)
-		res.Complete = false
+		res.Complete = complete
 		if opts.StoreGraph {
 			g.States = states
 		}
+	}
+	abort := func() (*Result, error) {
+		finish(false)
 		tk.Abort(opts.Trace.Intern(opts.Ctx.Err().Error()))
 		return res, fmt.Errorf("reach: aborted: %w", opts.Ctx.Err())
 	}
@@ -201,14 +233,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		// here without touching the live Result.
 		if !resumedBoundary {
 			if act := opts.Ckpt.poll(len(states), levels); act != CkptNone {
-				sn := &Snapshot{
-					States:        append([]petri.Marking(nil), states...),
-					FrontierStart: len(states) - len(level),
-					Arcs:          res.Arcs,
-					DeadIDs:       append([]int(nil), deadIDs...),
-					BadIDs:        append([]int(nil), badIDs...),
-					Levels:        levels,
-				}
+				sn := snapshotAt(append([]petri.Marking(nil), states...), len(states)-len(level), res.Arcs, deadIDs, badIDs, levels)
 				for _, id := range level {
 					m := states[id]
 					if opts.Bad != nil && opts.Bad(m) {
@@ -224,8 +249,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 					}
 				}
 				if act == CkptStop {
-					res.States = len(states)
-					res.Complete = false
+					finish(false)
 					return res, ErrCheckpointStop
 				}
 			}
@@ -237,26 +261,12 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		}
 		hBatch.Observe(int64(len(level)))
 
-		if cap(succs) >= len(level) {
-			succs = succs[:len(level)]
-			deadFlags = deadFlags[:len(level)]
-			badFlags = badFlags[:len(level)]
-			for i := range succs {
-				succs[i] = nil
-				deadFlags[i] = false
-				badFlags[i] = false
-			}
-		} else {
-			succs = make([][]succRef, len(level))
-			deadFlags = make([]bool, len(level))
-			badFlags = make([]bool, len(level))
+		if cap(spans) < len(level) {
+			spans = make([]span, len(level))
 		}
+		spans = spans[:len(level)]
 
-		w := opts.Workers
-		if w > len(level) {
-			w = len(level)
-		}
-		workerDiscs := make([][]*Discovery, w)
+		w := min(opts.Workers, len(level))
 		workerViols := make([]*violation, w)
 		workerCont := make([]int64, w)
 
@@ -267,8 +277,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			wg.Add(1)
 			go func(wi int) {
 				defer wg.Done()
-				wt := wtrack(wi)
-				var local []*Discovery
+				wt := wtks[wi]
+				next := workerScratch[wi]
+				succs := workerSuccs[wi][:0]
 				var vio *violation
 				var cont int64
 				for {
@@ -281,68 +292,57 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 					if lo >= len(level) {
 						break
 					}
-					hi := lo + chunk
-					if hi > len(level) {
-						hi = len(level)
-					}
+					hi := min(lo+chunk, len(level))
 					for pos := lo; pos < hi; pos++ {
 						m := states[level[pos]]
 						enabled := 0
-						var out []succRef
-						for t := petri.Trans(0); int(t) < nt; t++ {
+						off := len(succs)
+						for t := petri.Trans(0); t < nt; t++ {
 							if !n.Enabled(m, t) {
 								continue
 							}
 							enabled++
-							next, safe := n.Fire(m, t)
 							order := OrderKey(pos, t)
-							if !safe {
+							if !n.FireInto(next, m, t) {
 								if vio == nil || order < vio.order {
 									vio = &violation{order: order, t: t, m: m}
 								}
 								continue
 							}
-							// The hash rides along from key construction:
-							// no re-walk of the just-built string to route
-							// the shard (and, in the cluster explorer, the
-							// owning peer).
-							key, hash := next.KeyHash()
-							s := &shards[ShardOf(hash)]
+							// One hash routes the shard (and, in the cluster
+							// explorer, the owning peer) and indexes the
+							// shard's table.
+							hash := next.Hash()
+							sh := ShardOf(hash)
+							s := &shards[sh]
 							if !s.mu.TryLock() {
 								cont++
 								s.mu.Lock()
 							}
-							if id, ok := s.ids[key]; ok {
-								s.mu.Unlock()
-								out = append(out, succRef{t: t, id: id})
-							} else if d, ok := s.pend[key]; ok {
-								if order < d.Order {
-									d.Order = order
-								}
-								s.mu.Unlock()
-								out = append(out, succRef{t: t, id: -1, disc: d})
-							} else {
-								d := &Discovery{Key: key, Hash: hash, M: next, Order: order, ID: -1}
-								s.pend[key] = d
-								s.mu.Unlock()
-								local = append(local, d)
-								out = append(out, succRef{t: t, id: -1, disc: d})
+							// Target id for the trace is -1 for markings still
+							// pending the level merge; the merge's state events
+							// carry the definitive ids.
+							id := int64(-1)
+							local := s.store.Lookup(next, hash)
+							if local < 0 {
+								local = s.store.Insert(next, hash)
+								s.pend = append(s.pend, order)
+							} else if p := local - len(s.gid); p < 0 {
+								id = int64(s.gid[local])
+							} else if order < s.pend[p] {
+								s.pend[p] = order
 							}
-							// Target id is -1 for markings still pending the
-							// level merge; the merge's state events carry the
-							// definitive ids.
-							wt.Fire(int64(t), int64(out[len(out)-1].id))
+							s.mu.Unlock()
+							succs = append(succs, succRef{t: t, local: int32(local), shard: uint8(sh)})
+							wt.Fire(int64(t), id)
 						}
-						succs[pos] = out
-						if enabled == 0 {
-							deadFlags[pos] = true
-						}
-						if opts.Bad != nil && opts.Bad(m) {
-							badFlags[pos] = true
+						spans[pos] = span{
+							worker: int32(wi), off: int32(off), n: int32(len(succs) - off),
+							dead: enabled == 0, bad: opts.Bad != nil && opts.Bad(m),
 						}
 					}
 				}
-				workerDiscs[wi] = local
+				workerSuccs[wi] = succs
 				workerViols[wi] = vio
 				workerCont[wi] = cont
 			}(wi)
@@ -367,22 +367,20 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			skipParentVerdicts = false
 		} else {
 			for pos, id := range level {
-				if badFlags[pos] {
-					res.BadFound = true
-					res.BadStates = append(res.BadStates, states[id])
-					badIDs = append(badIDs, id)
-				}
-				if deadFlags[pos] {
-					res.Deadlock = true
-					res.Deadlocks = append(res.Deadlocks, states[id])
-					deadIDs = append(deadIDs, id)
-				}
+				record(id, spans[pos].bad, spans[pos].dead)
 			}
 		}
 
+		// Gather the shards' pending discoveries and make room for their
+		// global ids.
 		discovered = discovered[:0]
-		for _, local := range workerDiscs {
-			discovered = append(discovered, local...)
+		for si := range shards {
+			s := &shards[si]
+			for p, order := range s.pend {
+				discovered = append(discovered, Discovery{Order: order, Shard: uint32(si), Local: int32(len(s.gid) + p)})
+			}
+			s.gid = append(s.gid, make([]int32, len(s.pend))...)
+			s.pend = s.pend[:0]
 		}
 		SortDiscoveries(discovered)
 
@@ -396,46 +394,40 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		if vio != nil {
 			vioOrder = vio.order
 		}
-		trigger, capped, unsafeFirst := PlanLevel(discovered, len(states), opts.MaxStates, vioOrder, vio != nil)
+		trigger, capped, unsafeFirst := PlanLevel(discovered, len(states), limit, vioOrder, vio != nil)
 		if unsafeFirst {
 			return nil, fmt.Errorf("%w: firing %s from %s double-marks a place",
 				ErrUnsafe, n.TransName(vio.t), vio.m.String(n))
 		}
 
 		// Assign ids in first-encounter order; on the capped path only the
-		// discoveries the sequential engine interned before its stop.
+		// discoveries the sequential engine interned before its stop (the
+		// rest keep global id 0, which nothing reads: the run ends here).
 		nextLevel := make([]int, 0, len(discovered))
 		for _, d := range discovered {
 			if d.Order >= trigger {
 				break
 			}
-			d.ID = len(states)
-			states = append(states, d.M)
-			shards[ShardOf(d.Hash)].ids[d.Key] = d.ID // workers are quiesced
-			if opts.StoreGraph {
-				g.Edges = append(g.Edges, nil)
-			}
+			id := intern(&shards[d.Shard], int(d.Local))
 			opts.Progress.Tick(1)
-			tk.State(int64(d.ID), 0)
-			nextLevel = append(nextLevel, d.ID)
-		}
-		for i := range shards {
-			clear(shards[i].pend)
+			tk.State(int64(id), 0)
+			nextLevel = append(nextLevel, id)
 		}
 
 		// Count arcs and store edges; on the capped path only firings the
 		// sequential scan examined strictly before the triggering one.
-		for pos, list := range succs {
-			for _, sr := range list {
+		for pos, sp := range spans {
+			if !capped && !opts.StoreGraph {
+				res.Arcs += int(sp.n)
+				continue
+			}
+			for _, sr := range workerSuccs[sp.worker][sp.off : sp.off+sp.n] {
 				if capped && OrderKey(pos, sr.t) >= trigger {
 					break // orders grow with t within a parent
 				}
 				res.Arcs++
 				if opts.StoreGraph {
-					to := sr.id
-					if sr.disc != nil {
-						to = sr.disc.ID
-					}
+					to := int(shards[sr.shard].gid[sr.local])
 					g.Edges[level[pos]] = append(g.Edges[level[pos]], Edge{T: sr.t, To: to})
 				}
 			}
@@ -446,22 +438,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			// the sequential engine before it hit the cap; reproduce that.
 			for _, id := range nextLevel {
 				m := states[id]
-				if opts.Bad != nil && opts.Bad(m) {
-					res.BadFound = true
-					res.BadStates = append(res.BadStates, m)
-					badIDs = append(badIDs, id)
-				}
-				if n.IsDeadlock(m) {
-					res.Deadlock = true
-					res.Deadlocks = append(res.Deadlocks, m)
-					deadIDs = append(deadIDs, id)
-				}
+				record(id, opts.Bad != nil && opts.Bad(m), n.IsDeadlock(m))
 			}
-			res.States = len(states)
-			res.Complete = false
-			if opts.StoreGraph {
-				g.States = states
-			}
+			finish(false)
 			return res, ErrStateLimit
 		}
 
@@ -469,10 +448,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		levels++
 	}
 
-	res.States = len(states)
-	if opts.StoreGraph {
-		g.States = states
-	}
+	finish(true)
 	tk.End(phExplore)
 	return res, nil
 }

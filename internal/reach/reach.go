@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/stop"
+	"repro/internal/visited"
 )
 
 // ErrStateLimit is returned when exploration would exceed Options.MaxStates.
@@ -136,19 +137,7 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 	defer opts.Metrics.StartSpan("reach.explore").End()
 	res := &Result{Complete: true}
 	var qPeak int
-	if opts.Metrics != nil {
-		// Exported once on the way out (every return path) rather than
-		// incremented per event: the per-state work of this engine is a
-		// hash insert, so even uncontended atomics would be measurable.
-		defer func() {
-			reg := opts.Metrics
-			reg.Counter("reach.states").Add(int64(res.States))
-			reg.Counter("reach.arcs").Add(int64(res.Arcs))
-			reg.Counter("reach.deadlocks").Add(int64(len(res.Deadlocks)))
-			reg.Counter("reach.bad_states").Add(int64(len(res.BadStates)))
-			reg.Gauge("reach.queue_peak").SetMax(int64(qPeak))
-		}()
-	}
+	defer func() { ExportMetrics(opts.Metrics, res, qPeak) }()
 	tk := opts.Trace.NewTrack("reach")
 	phExplore := opts.Trace.Intern("explore")
 	tk.Begin(phExplore)
@@ -158,36 +147,38 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 		res.Graph = g
 	}
 
-	index := make(map[string]int)
-	var states []petri.Marking
-	limited := false
+	var store visited.Store
+	scratch := n.EmptyMarking() // every firing's successor lands here first
+	limit := visited.Limit(opts.MaxStates)
 	// Verdict ids mirror res.Deadlocks/res.BadStates for the snapshot;
 	// maintained unconditionally (two appends per verdict is noise next
 	// to the per-state hash insert).
 	var deadIDs, badIDs []int
 
-	add := func(m petri.Marking) (int, bool) {
-		k := m.Key()
-		if id, ok := index[k]; ok {
-			return id, false
+	// finish fills the state count (and the stored graph's states) on
+	// every return path that hands out a Result.
+	finish := func(complete bool) {
+		res.States = store.Len()
+		res.Complete = complete
+		if opts.StoreGraph {
+			g.States = markings(&store)
 		}
-		if opts.MaxStates > 0 && len(states) >= opts.MaxStates {
-			limited = true
-			return -1, false
-		}
-		id := len(states)
-		index[k] = id
-		states = append(states, m)
+	}
+
+	// add interns m (a copy: m may be the scratch marking) under the next
+	// id, the store's length.
+	add := func(m petri.Marking, hash uint64) int {
+		id := store.Insert(m, hash)
 		if opts.StoreGraph {
 			g.Edges = append(g.Edges, nil)
 		}
 		opts.Progress.Tick(1)
 		tk.State(int64(id), 0)
-		return id, true
+		return id
 	}
 
 	checkState := func(id int) (stop bool) {
-		m := states[id]
+		m := store.At(id)
 		if opts.Bad != nil && opts.Bad(m) {
 			res.BadFound = true
 			res.BadStates = append(res.BadStates, m)
@@ -207,9 +198,12 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 		return false
 	}
 
-	var queue intQueue
+	// Ids are handed out in discovery order and expanded in id order, so
+	// the BFS queue is the id range [next, store.Len()) and needs no
+	// storage of its own.
+	next := 0
 	// levelEnd is the id at which the next level boundary fires: once
-	// the BFS is about to pop it, every state below it has been expanded
+	// the BFS is about to expand it, every state below it has been expanded
 	// and the states from it onward are exactly the unexpanded frontier.
 	// levels counts boundaries passed = fully expanded levels.
 	levelEnd := 0
@@ -219,87 +213,74 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 		if err := validateResume(n, sn); err != nil {
 			return nil, err
 		}
-		states = append(states, sn.States...)
-		for id, m := range states {
-			k := m.Key()
-			if _, dup := index[k]; dup {
+		for id, m := range sn.States {
+			h := m.Hash()
+			if store.Lookup(m, h) >= 0 {
 				return nil, fmt.Errorf("reach: resume: duplicate marking at state %d", id)
 			}
-			index[k] = id
+			store.Insert(m, h)
 		}
 		res.Arcs = sn.Arcs
-		restoreVerdicts(res, states, sn)
+		restoreVerdicts(res, sn.States, sn)
 		deadIDs = append(deadIDs, sn.DeadIDs...)
 		badIDs = append(badIDs, sn.BadIDs...)
-		for id := sn.FrontierStart; id < len(states); id++ {
-			queue.push(id)
-		}
+		next = sn.FrontierStart
 		// The restored frontier is level number sn.Levels; the next
 		// boundary — after expanding it — has sn.Levels+1 levels done.
-		levelEnd = len(states)
+		levelEnd = store.Len()
 		levels = sn.Levels + 1
-		opts.Progress.Tick(int64(len(states)))
+		opts.Progress.Tick(int64(store.Len()))
 	} else {
 		m0 := n.InitialMarking()
-		add(m0)
-		queue.push(0)
+		add(m0, m0.Hash())
 		if checkState(0) {
-			res.States = len(states)
-			res.Complete = false
-			if opts.StoreGraph {
-				g.States = states
-			}
+			finish(false)
 			return res, nil
 		}
 	}
 
+	nt := petri.Trans(n.NumTrans())
 	cancel := stop.Every(opts.Ctx, 64)
-	for queue.len() > 0 {
-		if next := queue.peek(); next >= levelEnd {
-			if act := opts.Ckpt.poll(len(states), levels); act != CkptNone {
-				sn := snapshotAt(states, next, res.Arcs, deadIDs, badIDs, levels)
+	for id := next; id < store.Len(); id++ {
+		if id >= levelEnd {
+			if act := opts.Ckpt.poll(store.Len(), levels); act != CkptNone {
+				sn := snapshotAt(markings(&store), id, res.Arcs, deadIDs, badIDs, levels)
 				if opts.Ckpt.Save != nil {
 					if err := opts.Ckpt.Save(sn); err != nil {
 						return nil, fmt.Errorf("reach: checkpoint save: %w", err)
 					}
 				}
 				if act == CkptStop {
-					res.States = len(states)
-					res.Complete = false
+					finish(false)
 					return res, ErrCheckpointStop
 				}
 			}
 			levels++
-			levelEnd = len(states)
+			levelEnd = store.Len()
 		}
 		if err := cancel.Poll(); err != nil {
-			res.States = len(states)
-			res.Complete = false
-			if opts.StoreGraph {
-				g.States = states
-			}
+			finish(false)
 			tk.Abort(opts.Trace.Intern(err.Error()))
 			return res, fmt.Errorf("reach: aborted: %w", err)
 		}
-		id := queue.pop()
-		m := states[id]
-		for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
+		m := store.At(id)
+		for t := petri.Trans(0); t < nt; t++ {
 			if !n.Enabled(m, t) {
 				continue
 			}
-			next, safe := n.Fire(m, t)
-			if !safe {
+			if !n.FireInto(scratch, m, t) {
 				return nil, fmt.Errorf("%w: firing %s from %s double-marks a place",
 					ErrUnsafe, n.TransName(t), m.String(n))
 			}
-			nid, fresh := add(next)
-			if limited {
-				res.States = len(states)
-				res.Complete = false
-				if opts.StoreGraph {
-					g.States = states
+			hash := scratch.Hash()
+			nid := store.Lookup(scratch, hash)
+			fresh := nid < 0
+			if fresh {
+				if store.Len() >= limit {
+					finish(false)
+					return res, ErrStateLimit
 				}
-				return res, ErrStateLimit
+				nid = add(scratch, hash)
 			}
 			res.Arcs++
 			tk.Fire(int64(t), int64(nid))
@@ -308,27 +289,44 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 			}
 			if fresh {
 				if checkState(nid) {
-					res.States = len(states)
-					res.Complete = false
-					if opts.StoreGraph {
-						g.States = states
-					}
+					finish(false)
 					return res, nil
 				}
-				queue.push(nid)
-				if live := queue.len(); live > qPeak {
+				if live := store.Len() - id - 1; live > qPeak {
 					qPeak = live
 				}
 			}
 		}
 	}
 
-	res.States = len(states)
-	if opts.StoreGraph {
-		g.States = states
-	}
+	finish(true)
 	tk.End(phExplore)
 	return res, nil
+}
+
+// markings lists the store's markings in id order, as arena views.
+func markings(s *visited.Store) []petri.Marking {
+	out := make([]petri.Marking, s.Len())
+	for id := range out {
+		out[id] = s.At(id)
+	}
+	return out
+}
+
+// ExportMetrics publishes an exploration's counts under the "reach."
+// prefix. The explorers (and the cluster coordinator) call it once on the
+// way out, on every return path, rather than counting per event: the
+// per-state work is a hash insert, so even uncontended atomics would be
+// measurable. A nil registry costs nothing.
+func ExportMetrics(reg *obs.Registry, res *Result, queuePeak int) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("reach.states").Add(int64(res.States))
+	reg.Counter("reach.arcs").Add(int64(res.Arcs))
+	reg.Counter("reach.deadlocks").Add(int64(len(res.Deadlocks)))
+	reg.Counter("reach.bad_states").Add(int64(len(res.BadStates)))
+	reg.Gauge("reach.queue_peak").SetMax(int64(queuePeak))
 }
 
 // CountStates is a convenience that returns just the size of the full

@@ -2,9 +2,11 @@ package reach
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/petri"
 )
 
@@ -142,5 +144,47 @@ func TestSCCs(t *testing.T) {
 	}
 	if got := len(res2.Graph.TerminalSCCs()); got != 4 {
 		t.Errorf("Fig2(2): %d terminal SCCs, want 4 (the 2x2 resolutions)", got)
+	}
+}
+
+// BenchmarkExploreSeqAllocs is the allocation gate of the sequential
+// engine (scripts/check.sh requires ≤ 0.1 allocs/state): successors are
+// fired into one scratch marking and interned as arena words, so a state
+// costs only its amortized share of arena chunks and table doublings.
+// The map-and-key-string store it replaced paid 13.9 allocs/state.
+func BenchmarkExploreSeqAllocs(b *testing.B) {
+	net := models.NSDP(7)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	states := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Explore(net, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states += res.States
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
+}
+
+// TestQueuePeakAccounting pins the reach.queue_peak gauge (the BFS queue
+// is the id range between the expansion cursor and the store's length): for Fig1(3) (the 3-cube) the BFS
+// frontier peaks at 4 pending states (the tail of level 1 plus the first
+// two level-2 discoveries), and the gauge must never exceed the state
+// count.
+func TestQueuePeakAccounting(t *testing.T) {
+	reg := obs.New()
+	res, err := Explore(models.Fig1(3), Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := reg.Gauge("reach.queue_peak").Value()
+	if peak != 4 {
+		t.Errorf("reach.queue_peak = %d, want 4", peak)
+	}
+	if peak > int64(res.States) {
+		t.Errorf("queue peak %d exceeds state count %d", peak, res.States)
 	}
 }

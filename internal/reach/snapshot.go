@@ -121,12 +121,11 @@ func validateResume(n *petri.Net, sn *Snapshot) error {
 	return nil
 }
 
-// snapshotAt assembles a Snapshot from the engine-side run state. The
-// verdict id lists are copied; the markings slice is copied shallowly
-// (markings are immutable once interned).
+// snapshotAt assembles a Snapshot from the engine-side run state: states
+// is handed over as is, the verdict id lists are copied.
 func snapshotAt(states []petri.Marking, frontierStart, arcs int, deadIDs, badIDs []int, levels int) *Snapshot {
 	return &Snapshot{
-		States:        append([]petri.Marking(nil), states...),
+		States:        states,
 		FrontierStart: frontierStart,
 		Arcs:          arcs,
 		DeadIDs:       append([]int(nil), deadIDs...),

@@ -26,9 +26,11 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/stop"
+	"repro/internal/visited"
 )
 
-// ErrStateLimit is returned when exploration exceeds Options.MaxStates.
+// ErrStateLimit is returned when exploration would exceed
+// Options.MaxStates: the search stops with exactly that many states.
 var ErrStateLimit = errors.New("stubborn: state limit exceeded")
 
 // SeedStrategy selects how the closure's starting transition is chosen.
@@ -81,31 +83,71 @@ type Result struct {
 // StubbornEnabled returns the enabled members of a stubborn set for
 // marking m, in increasing order. The result is empty iff m is a deadlock.
 func StubbornEnabled(n *petri.Net, m petri.Marking, seed SeedStrategy) []petri.Trans {
-	enabled := n.EnabledTrans(m)
-	if len(enabled) == 0 {
-		return nil
-	}
-	if seed == SeedFirst {
-		return closure(n, m, enabled[0])
-	}
-	best := closure(n, m, enabled[0])
-	for _, s := range enabled[1:] {
-		c := closure(n, m, s)
-		if len(c) < len(best) {
-			best = c
-		}
-		if len(best) == 1 {
-			break
-		}
-	}
-	return best
+	c := newCloser(n)
+	return c.stubborn(nil, m, n.EnabledTrans(m), seed)
 }
 
-// closure computes the enabled members of the stubborn set grown from seed.
-func closure(n *petri.Net, m petri.Marking, seed petri.Trans) []petri.Trans {
-	in := make(map[petri.Trans]bool)
-	work := []petri.Trans{seed}
-	in[seed] = true
+// closer computes stubborn sets with scratch that is reused from state
+// to state, so a set costs no allocation once the buffers have grown.
+type closer struct {
+	n *petri.Net
+	// stamp[t] == epoch marks t a member of the set being grown; bumping
+	// epoch (newSet) empties the set.
+	stamp []uint32
+	epoch uint32
+	work  []petri.Trans
+	cand  []petri.Trans // SeedBest: the candidate being compared with the best
+}
+
+func newCloser(n *petri.Net) *closer {
+	return &closer{n: n, stamp: make([]uint32, n.NumTrans())}
+}
+
+func (c *closer) newSet() {
+	c.epoch++
+	if c.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(c.stamp)
+		c.epoch = 1
+	}
+}
+
+// add puts t in the member set and reports whether it was new.
+func (c *closer) add(t petri.Trans) bool {
+	fresh := c.stamp[t] != c.epoch
+	c.stamp[t] = c.epoch
+	return fresh
+}
+
+// stubborn appends to dst the enabled members of a stubborn set for m,
+// whose enabled transitions are given, and returns the extended slice.
+func (c *closer) stubborn(dst []petri.Trans, m petri.Marking, enabled []petri.Trans, seed SeedStrategy) []petri.Trans {
+	if len(enabled) == 0 {
+		return dst
+	}
+	base := len(dst)
+	dst = c.closure(dst, m, enabled[0])
+	if seed == SeedFirst {
+		return dst
+	}
+	for _, s := range enabled[1:] {
+		if len(dst)-base == 1 {
+			break
+		}
+		c.cand = c.closure(c.cand[:0], m, s)
+		if len(c.cand) < len(dst)-base {
+			dst = append(dst[:base], c.cand...)
+		}
+	}
+	return dst
+}
+
+// closure appends to dst the enabled members of the stubborn set grown
+// from seed, in increasing order.
+func (c *closer) closure(dst []petri.Trans, m petri.Marking, seed petri.Trans) []petri.Trans {
+	n := c.n
+	c.newSet()
+	c.add(seed)
+	work := append(c.work[:0], seed)
 	for len(work) > 0 {
 		t := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -113,50 +155,43 @@ func closure(n *petri.Net, m petri.Marking, seed petri.Trans) []petri.Trans {
 			// D2: all competitors for t's input tokens must be in the set.
 			for _, p := range n.Pre(t) {
 				for _, u := range n.PostT(p) {
-					if !in[u] {
-						in[u] = true
+					if c.add(u) {
 						work = append(work, u)
 					}
 				}
 			}
-		} else {
-			// D1: pick one unmarked input place; only its producers can
-			// make t enabled, so they must be in the set.
-			var chosen petri.Place = -1
-			for _, p := range n.Pre(t) {
-				if !m.Has(p) {
-					chosen = p
-					break
+			continue
+		}
+		// D1: pick one unmarked input place; only its producers can make t
+		// enabled, so they must be in the set.
+		for _, p := range n.Pre(t) {
+			if !m.Has(p) {
+				for _, u := range n.PreT(p) {
+					if c.add(u) {
+						work = append(work, u)
+					}
 				}
-			}
-			if chosen < 0 {
-				// t disabled yet all inputs marked cannot happen for safe
-				// nets with the classical rule; defensive fallback.
-				continue
-			}
-			for _, u := range n.PreT(chosen) {
-				if !in[u] {
-					in[u] = true
-					work = append(work, u)
-				}
+				break
 			}
 		}
 	}
-	var out []petri.Trans
+	c.work = work
 	for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
-		if in[t] && n.Enabled(m, t) {
-			out = append(out, t)
+		if c.stamp[t] == c.epoch && n.Enabled(m, t) {
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
-// frame is a DFS stack entry.
+// frame is a DFS stack entry. Its stubborn set is fires[lo:hi] of the
+// exploration's flat firing stack, which grows and shrinks with the DFS
+// stack: the top frame's set is always the tail.
 type frame struct {
 	id      int
-	fire    []petri.Trans
-	next    int
-	reduced bool // fire is a strict subset of the enabled transitions
+	lo, hi  int
+	next    int  // index into fires of the next transition to fire
+	reduced bool // the set is a strict subset of the enabled transitions
 	full    bool // proviso already applied
 }
 
@@ -176,115 +211,121 @@ func Explore(n *petri.Net, opts Options) (*Result, error) {
 	tk := opts.Trace.NewTrack("stubborn")
 	phExplore := opts.Trace.Intern("explore")
 	tk.Begin(phExplore)
-	index := make(map[string]int)
-	var states []petri.Marking
-	onStack := make(map[int]bool)
 
-	add := func(m petri.Marking) (int, bool) {
-		k := m.Key()
-		if id, ok := index[k]; ok {
-			return id, false
-		}
-		id := len(states)
-		index[k] = id
-		states = append(states, m)
+	var (
+		store   visited.Store
+		onStack []bool // by state id
+		stack   []frame
+		fires   []petri.Trans
+		enabled []petri.Trans
+		scratch = n.EmptyMarking() // every firing's successor lands here first
+		limit   = visited.Limit(opts.MaxStates)
+		closer  = newCloser(n)
+	)
+	stopped := func() *Result {
+		res.States = store.Len()
+		res.Complete = false
+		return res
+	}
+
+	// enter interns m (a copy: m may be the scratch marking), records a
+	// deadlock and otherwise pushes the new state's frame. It reports
+	// whether the search must stop at a deadlock.
+	enter := func(m petri.Marking, hash uint64, fired petri.Trans) (stop bool) {
+		id := store.Insert(m, hash)
+		m = store.At(id)
+		onStack = append(onStack, true)
 		cStates.Inc()
 		opts.Progress.Tick(1)
 		tk.State(int64(id), 0)
-		return id, true
-	}
-
-	check := func(m petri.Marking) bool {
-		if n.IsDeadlock(m) {
+		if fired >= 0 {
+			tk.Fire(int64(fired), int64(id))
+		}
+		enabled = n.AppendEnabled(enabled[:0], m)
+		if len(enabled) == 0 {
 			res.Deadlock = true
 			res.Deadlocks = append(res.Deadlocks, m)
 			cDead.Inc()
-			return opts.StopAtDeadlock
+			if opts.StopAtDeadlock {
+				return true
+			}
 		}
-		return false
-	}
-
-	newFrame := func(id int) *frame {
-		m := states[id]
-		fire := StubbornEnabled(n, m, opts.Seed)
-		enabledCount := len(n.EnabledTrans(m))
-		tk.Stubborn(int64(len(fire)), int64(enabledCount))
-		if len(fire) > 0 {
-			hSetSize.Observe(int64(len(fire)))
-			if len(fire) == 1 {
+		lo := len(fires)
+		fires = closer.stubborn(fires, m, enabled, opts.Seed)
+		size := len(fires) - lo
+		tk.Stubborn(int64(size), int64(len(enabled)))
+		if size > 0 {
+			hSetSize.Observe(int64(size))
+			if size == 1 {
 				// A singleton stubborn set: the reducer found a "key"
 				// transition that can be fired alone.
 				cKey.Inc()
 			}
 		}
-		return &frame{id: id, fire: fire, reduced: len(fire) < enabledCount}
+		stack = append(stack, frame{id: id, lo: lo, hi: len(fires), next: lo, reduced: size < len(enabled)})
+		return false
 	}
 
-	add(n.InitialMarking())
-	if check(states[0]) {
-		res.States = 1
-		res.Complete = false
-		return res, nil
+	m0 := n.InitialMarking()
+	if enter(m0, m0.Hash(), -1) {
+		return stopped(), nil
 	}
-	stack := []*frame{newFrame(0)}
-	onStack[0] = true
 
 	cancel := stop.Every(opts.Ctx, 64)
 	for len(stack) > 0 {
 		if err := cancel.Poll(); err != nil {
-			res.States = len(states)
-			res.Complete = false
 			tk.Abort(opts.Trace.Intern(err.Error()))
-			return res, fmt.Errorf("stubborn: aborted: %w", err)
+			return stopped(), fmt.Errorf("stubborn: aborted: %w", err)
 		}
-		f := stack[len(stack)-1]
-		if f.next >= len(f.fire) {
+		f := &stack[len(stack)-1]
+		if f.next >= f.hi {
 			onStack[f.id] = false
+			fires = fires[:f.lo]
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		t := f.fire[f.next]
+		t := fires[f.next]
 		f.next++
-		m := states[f.id]
-		next, safe := n.Fire(m, t)
-		if !safe {
+		m := store.At(f.id)
+		if !n.FireInto(scratch, m, t) {
 			return nil, fmt.Errorf("stubborn: net %s is not safe (firing %s)",
 				n.Name(), n.TransName(t))
 		}
+		hash := scratch.Hash()
+		nid := store.Lookup(scratch, hash)
+		if nid < 0 && store.Len() >= limit {
+			// Like reach: exactly MaxStates states, and the firing that
+			// would have interned one more is not recorded.
+			return stopped(), ErrStateLimit
+		}
 		res.Arcs++
 		cArcs.Inc()
-		nid, fresh := add(next)
+		if nid < 0 {
+			if enter(scratch, hash, t) { // invalidates f
+				return stopped(), nil
+			}
+			continue
+		}
 		tk.Fire(int64(t), int64(nid))
-		if fresh {
-			if opts.MaxStates > 0 && len(states) > opts.MaxStates {
-				res.States = len(states)
-				res.Complete = false
-				return res, ErrStateLimit
-			}
-			if check(next) {
-				res.States = len(states)
-				res.Complete = false
-				return res, nil
-			}
-			onStack[nid] = true
-			stack = append(stack, newFrame(nid))
-		} else if opts.Proviso && onStack[nid] && f.reduced && !f.full {
+		if opts.Proviso && onStack[nid] && f.reduced && !f.full {
 			// Cycle proviso: the reduced expansion closed a DFS cycle;
 			// expand the state fully so no transition is ignored forever.
 			f.full = true
 			cProviso.Inc()
-			already := make(map[petri.Trans]bool, len(f.fire))
-			for _, u := range f.fire {
-				already[u] = true
+			closer.newSet()
+			for _, u := range fires[f.lo:f.hi] {
+				closer.add(u)
 			}
-			for _, u := range n.EnabledTrans(m) {
-				if !already[u] {
-					f.fire = append(f.fire, u)
+			enabled = n.AppendEnabled(enabled[:0], m)
+			for _, u := range enabled {
+				if closer.add(u) {
+					fires = append(fires, u)
 				}
 			}
+			f.hi = len(fires)
 		}
 	}
-	res.States = len(states)
+	res.States = store.Len()
 	tk.End(phExplore)
 	return res, nil
 }

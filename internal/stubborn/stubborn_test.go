@@ -1,6 +1,8 @@
 package stubborn
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/models"
@@ -137,4 +139,66 @@ func TestNSDPReduction(t *testing.T) {
 		}
 		t.Logf("NSDP(%d): full=%d reduced=%d", n, full, res.States)
 	}
+}
+
+// TestStateLimit pins the MaxStates contract reach documents and
+// stubborn now shares: the search stops with ErrStateLimit holding
+// exactly MaxStates states — the marking that would have been one too
+// many is neither stored nor counted as an arc — and a cap the reduced
+// state space fits in changes nothing.
+func TestStateLimit(t *testing.T) {
+	net := models.NSDP(4)
+	full, err := Explore(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		max     int
+		limited bool
+	}{
+		{1, true}, {2, true}, {10, true}, {full.States - 1, true},
+		{full.States, false}, {full.States + 1, false}, {0, false},
+	} {
+		res, err := Explore(net, Options{MaxStates: c.max})
+		if !c.limited {
+			if err != nil || !res.Complete || res.States != full.States || res.Arcs != full.Arcs {
+				t.Errorf("MaxStates=%d: got (%d states, %d arcs, complete=%v, %v), want the full run (%d, %d)",
+					c.max, res.States, res.Arcs, res.Complete, err, full.States, full.Arcs)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrStateLimit) {
+			t.Errorf("MaxStates=%d: err = %v, want ErrStateLimit", c.max, err)
+			continue
+		}
+		if res.States != c.max || res.Complete {
+			t.Errorf("MaxStates=%d: stopped with %d states (complete=%v), want exactly %d", c.max, res.States, res.Complete, c.max)
+		}
+		// The DFS interned every state but the first by one recorded firing.
+		if res.Arcs < res.States-1 || res.Arcs > full.Arcs {
+			t.Errorf("MaxStates=%d: %d arcs for %d states", c.max, res.Arcs, res.States)
+		}
+	}
+}
+
+// BenchmarkStubbornAllocs is the allocation gate of the reduced search
+// (scripts/check.sh requires ≤ 2 allocs/state): the closure's member
+// set, work list and enabled list are per-Explore scratch, frames live
+// by value on one stack and their stubborn sets on one flat stack beside
+// it, and markings are arena words of the visited store.
+func BenchmarkStubbornAllocs(b *testing.B) {
+	net := models.NSDP(7)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	states := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Explore(net, Options{Proviso: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states += res.States
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
 }

@@ -21,6 +21,19 @@ for pkg in ./internal/core ./internal/cluster ./internal/server; do
 	go test -run '^$' -bench BenchmarkDisabledTraceHotPath -benchtime=1x "$pkg" |
 		tee /dev/stderr | grep -q 'BenchmarkDisabledTraceHotPath.* 0 allocs/op'
 done
+# Explicit-engine allocation gate: the sequential explorer and the
+# stubborn-set search intern markings as arena words of the visited
+# store and fire into scratch, so a state costs only its amortized share
+# of arena chunks and table doublings (nsdp(7); the map-and-key-string
+# stores they replaced paid 13.9 allocs/state and more).
+alloc_gate() { # package, benchmark, max allocs/state
+	go test -run '^$' -bench "$2" -benchtime=1x "$1" | tee /dev/stderr |
+		awk -v bench="$2" -v max="$3" '$1 ~ "^" bench { for (i = 2; i <= NF; i++)
+			if ($i == "allocs/state") { seen = 1; if ($(i-1) + 0 > max + 0) over = 1 } }
+			END { exit !(seen && !over) }'
+}
+alloc_gate ./internal/reach BenchmarkExploreSeqAllocs 0.1
+alloc_gate ./internal/stubborn BenchmarkStubbornAllocs 2
 # Trace round-trip smoke: record a run, summarize the Chrome JSON and
 # the JSONL dump with gpotrace, and check both formats parse back.
 TRACE_TMP=$(mktemp -d)
@@ -36,12 +49,14 @@ go test -run '^$' -bench BenchmarkProgressPublishNoSubscribers -benchtime=1x ./i
 	tee /dev/stderr | grep -q 'BenchmarkProgressPublishNoSubscribers.* 0 allocs/op'
 # Fuzz smoke: 5 seconds of FuzzParse against the hardened pnio parser,
 # 5 seconds of FuzzFrameRoundTrip against the cluster frame codec
-# (the bytes every peer accepts from the network), and 5 seconds of
+# (the bytes every peer accepts from the network), 5 seconds of
 # FuzzCkptRead against the ckpt/v1 checkpoint reader (the bytes a
-# restarted daemon trusts enough to resume from).
+# restarted daemon trusts enough to resume from), and 5 seconds of
+# FuzzStoreVsMap, the visited store against a map[string]int oracle.
 go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/pnio
 go test -fuzz=FuzzFrameRoundTrip -fuzztime=5s -run '^$' ./internal/cluster
 go test -fuzz=FuzzCkptRead -fuzztime=5s -run '^$' ./internal/ckpt
+go test -fuzz=FuzzStoreVsMap -fuzztime=5s -run '^$' ./internal/visited
 # Ledger round-trip smoke: two gpoverify runs journal under the same
 # content-addressed run ID, gpostat -history reconstructs one group of
 # two runs from the journal, and repeated reads are deterministic.
