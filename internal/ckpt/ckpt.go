@@ -1,11 +1,11 @@
 // Package ckpt implements ckpt/v1, the durable on-disk checkpoint
 // container for verification jobs (DESIGN.md D11).
 //
-// A checkpoint file is a sequence of length-prefixed frames in the
-// cluster wire codec (internal/cluster): a header frame keyed by the
-// run's content address (verify.RunKey) and carrying a complete,
-// decodable encoding of the net, the check and every result-determining
-// option; for exhaustive snapshots 256 visited-store shard segments
+// A checkpoint file is an 8-byte magic and a sequence of internal/codec
+// frames: a header frame keyed by the run's content address
+// (verify.RunKey) and carrying a complete, decodable encoding of the
+// net, the check and every result-determining option; for exhaustive
+// snapshots 256 visited-store shard segments
 // (markings grouped by reach.ShardOf, the same partition the parallel
 // explorer uses) plus one engine-state frame; for GPO snapshots one
 // engine-state frame embedding the algebra's family blob; and a footer
@@ -23,14 +23,13 @@ package ckpt
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
-	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/petri"
 	"repro/internal/verify"
 )
@@ -159,26 +158,26 @@ func writeTo(w io.Writer, f *File) error {
 	}
 	digest := sha256.New()
 	hw := hashingWriter{w: w, h: digest}
-	if err := cluster.WriteFrame(hw, frameHeader, encodeHeader(f)); err != nil {
+	if err := codec.WriteFrame(hw, frameHeader, encodeHeader(f)); err != nil {
 		return err
 	}
 	if sn := f.Snap.Reach; sn != nil {
 		for _, payload := range encodeShards(sn) {
-			if err := cluster.WriteFrame(hw, frameShard, payload); err != nil {
+			if err := codec.WriteFrame(hw, frameShard, payload); err != nil {
 				return err
 			}
 		}
-		if err := cluster.WriteFrame(hw, frameReach, encodeReach(sn)); err != nil {
+		if err := codec.WriteFrame(hw, frameReach, encodeReach(sn)); err != nil {
 			return err
 		}
 	} else {
-		if err := cluster.WriteFrame(hw, frameCore, encodeCore(f.Snap.Core)); err != nil {
+		if err := codec.WriteFrame(hw, frameCore, encodeCore(f.Snap.Core)); err != nil {
 			return err
 		}
 	}
 	// The footer frame carries the digest of every frame before it and
 	// is excluded from its own hash (written to w, not hw).
-	return cluster.WriteFrame(w, frameFooter, digest.Sum(nil))
+	return codec.WriteFrame(w, frameFooter, digest.Sum(nil))
 }
 
 // Encode serializes f to the ckpt/v1 container image in memory — the
@@ -220,16 +219,18 @@ func ReadFor(path string, key verify.Key) (*File, error) {
 // Decode parses a complete container image. Every failure mode maps to
 // one of the typed errors; a checkpoint never silently degrades.
 //
-// The image is walked frame by frame from memory (the format is the
-// cluster wire codec's, but a file's truncation semantics are sharper
-// than a stream's: a length prefix promising more bytes than the file
-// holds IS the torn tail), accumulating the digest over every frame
-// before the footer.
+// The image is walked frame by frame from memory, where a file's
+// truncation semantics are sharper than a stream's: a length prefix
+// promising more bytes than the file holds IS the torn tail (and so is a
+// zero one, what a never-flushed block reads as), while a length beyond
+// maxFrame is damage. The digest accumulates over every frame before
+// the footer.
 func Decode(b []byte) (*File, error) {
 	if len(b) < len(magic) || !bytes.Equal(b[:len(magic)], magic[:]) {
 		return nil, ErrBadMagic
 	}
 	stream := b[len(magic):]
+	size := len(stream)
 	digest := sha256.New()
 
 	var f *File
@@ -239,26 +240,21 @@ func Decode(b []byte) (*File, error) {
 	var footerDigest []byte
 	var haveEngine, haveFooter bool
 
-	for off := 0; off < len(stream); {
-		if len(stream)-off < 4 {
-			return nil, fmt.Errorf("%w: file ends inside a frame header", ErrTorn)
+	for len(stream) > 0 {
+		typ, payload, rest, err := codec.SplitFrame(stream, maxFrame)
+		if errors.Is(err, codec.ErrTornFrame) {
+			return nil, fmt.Errorf("%w: %v", ErrTorn, err)
 		}
-		n := int(binary.BigEndian.Uint32(stream[off : off+4]))
-		if n == 0 || n > maxFrame {
-			return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		if n > len(stream)-off-4 {
-			return nil, fmt.Errorf("%w: frame of %d bytes, %d remain", ErrTorn, n, len(stream)-off-4)
-		}
-		typ, payload := stream[off+4], stream[off+5:off+4+n]
 		if typ != frameFooter {
-			digest.Write(stream[off : off+4+n])
+			digest.Write(stream[:len(stream)-len(rest)])
 		}
-		off += 4 + n
+		stream = rest
 		if haveFooter {
 			return nil, fmt.Errorf("%w: frames after footer", ErrCorrupt)
 		}
-		var err error
 		switch typ {
 		case frameHeader:
 			if f != nil {
@@ -272,8 +268,8 @@ func Decode(b []byte) (*File, error) {
 			// or engine frame, so a count beyond the whole stream is
 			// damage — guarded here so a fuzzed header cannot drive the
 			// shard table allocation to gigabytes.
-			if headerStates > len(stream) {
-				return nil, fmt.Errorf("%w: header claims %d states in %d bytes", ErrCorrupt, headerStates, len(stream))
+			if headerStates > size {
+				return nil, fmt.Errorf("%w: header claims %d states in %d bytes", ErrCorrupt, headerStates, size)
 			}
 		case frameShard:
 			if f == nil {
@@ -315,7 +311,7 @@ func Decode(b []byte) (*File, error) {
 			haveEngine = true
 		case frameFooter:
 			haveFooter = true
-			footerDigest = append([]byte(nil), payload...)
+			footerDigest = payload
 		default:
 			return nil, fmt.Errorf("%w: unknown frame type %q", ErrCorrupt, typ)
 		}

@@ -1,17 +1,15 @@
 package ckpt
 
-// Frame payload codecs for ckpt/v1. All integers are uvarints and all
-// byte strings are length-prefixed, in the cluster wire codec's style
-// (and using its helpers), so payloads are self-delimiting and a
-// mutation anywhere surfaces as a decode error or a digest mismatch,
-// never as a silently different run.
+// Frame payload codecs for ckpt/v1, in internal/codec's primitives:
+// payloads are self-delimiting, every decoder consumes its payload
+// exactly, and a mutation anywhere surfaces as a decode error or a
+// digest mismatch, never as a silently different run.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/petri"
 	"repro/internal/reach"
@@ -23,18 +21,6 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// nextInt reads one uvarint as an int, guarding the int range.
-func nextInt(b *[]byte) (int, error) {
-	v, err := cluster.NextUvarint(b)
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("value %d out of range", v)
-	}
-	return int(v), nil
-}
-
 // ---- header ----
 
 const (
@@ -43,14 +29,11 @@ const (
 )
 
 func encodeHeader(f *File) []byte {
-	b := binary.AppendUvarint(nil, version)
+	b := codec.AppendUvarint(nil, version)
 	b = append(b, f.Key[:]...)
-	b = cluster.AppendBytes(b, f.Check)
-	b = binary.AppendUvarint(b, uint64(len(f.Bad)))
-	for _, p := range f.Bad {
-		b = binary.AppendUvarint(b, uint64(p))
-	}
-	b = binary.AppendUvarint(b, uint64(f.Engine))
+	b = codec.AppendBytes(b, f.Check)
+	b = codec.AppendInts(b, f.Bad)
+	b = codec.AppendInt(b, f.Engine)
 	flags := uint64(0)
 	if f.StopAtFirst {
 		flags |= 1
@@ -61,197 +44,59 @@ func encodeHeader(f *File) []byte {
 	if f.Reduce {
 		flags |= 4
 	}
-	b = binary.AppendUvarint(b, flags)
-	b = binary.AppendUvarint(b, uint64(f.MaxStates))
-	b = binary.AppendUvarint(b, uint64(f.MaxNodes))
+	b = codec.AppendUvarint(b, flags)
+	b = codec.AppendInt(b, f.MaxStates)
+	b = codec.AppendInt(b, f.MaxNodes)
 	if f.Snap.Reach != nil {
 		b = append(b, kindReach)
 	} else {
 		b = append(b, kindCore)
 	}
-	b = binary.AppendUvarint(b, uint64(f.States()))
-	b = binary.AppendUvarint(b, uint64(f.Boundary()))
-	b = cluster.AppendBytes(b, string(verify.AppendNetKey(nil, f.Net)))
-	return b
+	b = codec.AppendInt(b, f.States())
+	b = codec.AppendUvarint(b, uint64(f.Boundary()))
+	return codec.AppendBytes(b, verify.AppendNetKey(nil, f.Net))
 }
 
 // decodeHeader parses the header frame; the engine kind is implied by
 // which engine frame follows, so only the state count is returned for
-// cross-checking.
+// cross-checking. The net travels as its canonical encoding
+// (verify.AppendNetKey), so the run identity and the stored net can
+// never disagree.
 func decodeHeader(b []byte) (*File, int, error) {
-	fail := func(err error, what string) (*File, int, error) {
-		return nil, 0, corrupt("header %s: %v", what, err)
-	}
-	v, err := cluster.NextUvarint(&b)
-	if err != nil {
-		return fail(err, "version")
-	}
-	if v != version {
+	d := codec.NewDec(b)
+	if v := d.Uvarint(); d.Err() == nil && v != version {
 		return nil, 0, fmt.Errorf("%w: container version %d, this build reads %d", ErrUnsupported, v, version)
 	}
 	f := &File{}
-	if len(b) < len(f.Key) {
-		return fail(fmt.Errorf("truncated"), "run key")
-	}
-	copy(f.Key[:], b[:len(f.Key)])
-	b = b[len(f.Key):]
-	if f.Check, err = cluster.NextBytes(&b); err != nil {
-		return fail(err, "check")
-	}
-	nBad, err := nextInt(&b)
-	if err != nil {
-		return fail(err, "bad count")
-	}
-	for i := 0; i < nBad; i++ {
-		p, err := nextInt(&b)
-		if err != nil {
-			return fail(err, "bad place")
-		}
-		f.Bad = append(f.Bad, petri.Place(p))
-	}
-	eng, err := nextInt(&b)
-	if err != nil {
-		return fail(err, "engine")
-	}
-	f.Engine = verify.Engine(eng)
-	flags, err := cluster.NextUvarint(&b)
-	if err != nil {
-		return fail(err, "flags")
-	}
+	copy(f.Key[:], d.Raw(len(f.Key)))
+	f.Check = d.String()
+	f.Bad = codec.Ints[petri.Place](&d)
+	f.Engine = verify.Engine(d.Int())
+	flags := d.Uvarint()
 	f.StopAtFirst = flags&1 != 0
 	f.Proviso = flags&2 != 0
 	f.Reduce = flags&4 != 0
-	if f.MaxStates, err = nextInt(&b); err != nil {
-		return fail(err, "max states")
+	f.MaxStates = d.Int()
+	f.MaxNodes = d.Int()
+	if kind := d.Byte(); kind != kindReach && kind != kindCore {
+		d.Fail("unknown engine kind %q", kind)
 	}
-	if f.MaxNodes, err = nextInt(&b); err != nil {
-		return fail(err, "max nodes")
+	states := d.Int()
+	d.Uvarint() // boundary, informational
+	netBlob := d.Bytes()
+	if err := d.Done(); err != nil {
+		return nil, 0, corrupt("header: %v", err)
 	}
-	if len(b) < 1 {
-		return fail(fmt.Errorf("truncated"), "engine kind")
-	}
-	kind := b[0]
-	b = b[1:]
-	if kind != kindReach && kind != kindCore {
-		return fail(fmt.Errorf("unknown kind %q", kind), "engine kind")
-	}
-	states, err := nextInt(&b)
-	if err != nil {
-		return fail(err, "state count")
-	}
-	if _, err = cluster.NextUvarint(&b); err != nil { // boundary, informational
-		return fail(err, "boundary")
-	}
-	netBlob, err := cluster.NextBytes(&b)
-	if err != nil {
-		return fail(err, "net")
-	}
-	if len(b) != 0 {
-		return fail(fmt.Errorf("%d trailing bytes", len(b)), "tail")
-	}
-	if f.Net, err = decodeNet(netBlob); err != nil {
-		return nil, 0, err
+	var err error
+	if f.Net, err = verify.DecodeNetKey(netBlob); err != nil {
+		return nil, 0, corrupt("header: %v", err)
 	}
 	for _, p := range f.Bad {
 		if int(p) >= f.Net.NumPlaces() {
-			return fail(fmt.Errorf("place %d out of range", p), "bad place")
+			return nil, 0, corrupt("header: bad place %d out of range", p)
 		}
 	}
 	return f, states, nil
-}
-
-// ---- net ----
-
-// decodeNet is the inverse of verify.AppendNetKey: the canonical net
-// encoding doubles as the checkpoint's net serialization, so the run
-// identity and the stored net can never disagree. The decoded net is
-// re-encoded and compared byte for byte as a structural self-check.
-func decodeNet(blob string) (*petri.Net, error) {
-	b := []byte(blob)
-	name, err := cluster.NextBytes(&b)
-	if err != nil {
-		return nil, corrupt("net name: %v", err)
-	}
-	bld := petri.NewBuilder(name)
-	np, err := nextInt(&b)
-	if err != nil {
-		return nil, corrupt("net places: %v", err)
-	}
-	// Every place contributes at least its name's length prefix, so a
-	// count beyond the remaining bytes is damage (and must not drive the
-	// up-front allocation).
-	if np > len(b) {
-		return nil, corrupt("net claims %d places in %d bytes", np, len(b))
-	}
-	places := make([]petri.Place, np)
-	for i := range places {
-		pn, err := cluster.NextBytes(&b)
-		if err != nil {
-			return nil, corrupt("net place %d: %v", i, err)
-		}
-		places[i] = bld.Place(pn)
-	}
-	nInit, err := nextInt(&b)
-	if err != nil {
-		return nil, corrupt("net initial: %v", err)
-	}
-	if nInit > len(b) {
-		return nil, corrupt("net claims %d initial places in %d bytes", nInit, len(b))
-	}
-	init := make([]petri.Place, 0, nInit)
-	for i := 0; i < nInit; i++ {
-		p, err := nextInt(&b)
-		if err != nil || p >= np {
-			return nil, corrupt("net initial place %d", i)
-		}
-		init = append(init, places[p])
-	}
-	nt, err := nextInt(&b)
-	if err != nil {
-		return nil, corrupt("net transitions: %v", err)
-	}
-	for t := 0; t < nt; t++ {
-		tn, err := cluster.NextBytes(&b)
-		if err != nil {
-			return nil, corrupt("net trans %d: %v", t, err)
-		}
-		readPlaces := func() ([]petri.Place, error) {
-			k, err := nextInt(&b)
-			if err != nil {
-				return nil, err
-			}
-			ps := make([]petri.Place, 0, k)
-			for i := 0; i < k; i++ {
-				p, err := nextInt(&b)
-				if err != nil || p >= np {
-					return nil, fmt.Errorf("place out of range")
-				}
-				ps = append(ps, places[p])
-			}
-			return ps, nil
-		}
-		pre, err := readPlaces()
-		if err != nil {
-			return nil, corrupt("net trans %d pre: %v", t, err)
-		}
-		post, err := readPlaces()
-		if err != nil {
-			return nil, corrupt("net trans %d post: %v", t, err)
-		}
-		bld.TransArcs(tn, pre, post)
-	}
-	if len(b) != 0 {
-		return nil, corrupt("net: %d trailing bytes", len(b))
-	}
-	bld.Mark(init...)
-	n, err := bld.Build()
-	if err != nil {
-		return nil, corrupt("net rebuild: %v", err)
-	}
-	if string(verify.AppendNetKey(nil, n)) != blob {
-		return nil, corrupt("net does not re-encode canonically")
-	}
-	return n, nil
 }
 
 // ---- reach snapshot ----
@@ -261,130 +106,84 @@ func decodeNet(blob string) (*petri.Net, error) {
 // hash) — one frame per shard, empty shards included, so the container
 // shape is deterministic and a dropped segment is always detected.
 func encodeShards(sn *reach.Snapshot) [][]byte {
-	type ent struct {
-		id  int
-		key string
-	}
-	buckets := make([][]ent, reach.NumShards)
+	ids := make([][]int, reach.NumShards)
 	for id, m := range sn.States {
-		k, h := m.KeyHash()
-		s := int(reach.ShardOf(h))
-		buckets[s] = append(buckets[s], ent{id, k})
+		s := reach.ShardOf(m.Hash())
+		ids[s] = append(ids[s], id)
 	}
 	out := make([][]byte, reach.NumShards)
-	for s, es := range buckets {
-		b := binary.AppendUvarint(nil, uint64(s))
-		b = binary.AppendUvarint(b, uint64(len(es)))
-		for _, e := range es {
-			b = binary.AppendUvarint(b, uint64(e.id))
-			b = cluster.AppendBytes(b, e.key)
+	for s := range out {
+		b := codec.AppendInt(nil, s)
+		b = codec.AppendInt(b, len(ids[s]))
+		for _, id := range ids[s] {
+			b = codec.AppendInt(b, id)
+			b = codec.AppendWords(b, sn.States[id])
 		}
 		out[s] = b
 	}
 	return out
 }
 
+// marking reads one marking of a derived net — a monitored or
+// structurally reduced one, whose shape is only reconstructed later — so
+// any whole number of words but zero is taken.
+func marking(d *codec.Dec) petri.Marking {
+	m := petri.Marking(d.Words(nil))
+	if len(m) == 0 {
+		d.Fail("empty marking")
+	}
+	return m
+}
+
 // decodeShard fills one shard segment's markings into states (indexed
 // by id) and returns how many it placed. Shard membership is
 // re-verified against the marking hash.
 func decodeShard(b []byte, states []petri.Marking) (int, error) {
-	shard, err := nextInt(&b)
-	if err != nil || shard >= reach.NumShards {
-		return 0, corrupt("shard index")
+	d := codec.NewDec(b)
+	shard := d.Int()
+	if shard >= reach.NumShards {
+		d.Fail("shard index %d", shard)
 	}
-	count, err := nextInt(&b)
-	if err != nil {
-		return 0, corrupt("shard %d count: %v", shard, err)
+	// A state is at least its id and its marking's length byte.
+	count := d.Count(2)
+	for i := 0; i < count && d.Err() == nil; i++ {
+		id, m := d.Int(), marking(&d)
+		switch {
+		case d.Err() != nil:
+		case id >= len(states):
+			d.Fail("state id %d out of range", id)
+		case states[id] != nil:
+			d.Fail("duplicate state %d", id)
+		case int(reach.ShardOf(m.Hash())) != shard:
+			d.Fail("state %d routed to the wrong shard", id)
+		default:
+			states[id] = m
+		}
 	}
-	for i := 0; i < count; i++ {
-		id, err := nextInt(&b)
-		if err != nil || id >= len(states) {
-			return 0, corrupt("shard %d state id", shard)
-		}
-		if states[id] != nil {
-			return 0, corrupt("shard %d: duplicate state %d", shard, id)
-		}
-		key, err := cluster.NextBytes(&b)
-		if err != nil {
-			return 0, corrupt("shard %d marking: %v", shard, err)
-		}
-		m, ok := petri.MarkingFromKeyBytes(key)
-		if !ok {
-			return 0, corrupt("shard %d: malformed marking for state %d", shard, id)
-		}
-		if int(reach.ShardOf(petri.HashKey(key))) != shard {
-			return 0, corrupt("shard %d: state %d routed to the wrong shard", shard, id)
-		}
-		states[id] = m
-	}
-	if len(b) != 0 {
-		return 0, corrupt("shard %d: %d trailing bytes", shard, len(b))
+	if err := d.Done(); err != nil {
+		return 0, corrupt("shard %d: %v", shard, err)
 	}
 	return count, nil
 }
 
-func appendInts(b []byte, xs []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(xs)))
-	for _, x := range xs {
-		b = binary.AppendUvarint(b, uint64(x))
-	}
-	return b
-}
-
-func nextInts(b *[]byte) ([]int, error) {
-	n, err := nextInt(b)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	// Each element occupies at least one byte, so a count beyond the
-	// remaining payload is damage — checked before allocating capacity,
-	// so a fuzzed count cannot demand gigabytes up front.
-	if n > len(*b) {
-		return nil, fmt.Errorf("count %d exceeds %d remaining bytes", n, len(*b))
-	}
-	xs := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		x, err := nextInt(b)
-		if err != nil {
-			return nil, err
-		}
-		xs = append(xs, x)
-	}
-	return xs, nil
-}
-
 func encodeReach(sn *reach.Snapshot) []byte {
-	b := binary.AppendUvarint(nil, uint64(sn.FrontierStart))
-	b = binary.AppendUvarint(b, uint64(sn.Arcs))
-	b = binary.AppendUvarint(b, uint64(sn.Levels))
-	b = appendInts(b, sn.DeadIDs)
-	b = appendInts(b, sn.BadIDs)
-	return b
+	b := codec.AppendInt(nil, sn.FrontierStart)
+	b = codec.AppendInt(b, sn.Arcs)
+	b = codec.AppendInt(b, sn.Levels)
+	b = codec.AppendInts(b, sn.DeadIDs)
+	return codec.AppendInts(b, sn.BadIDs)
 }
 
 func decodeReach(b []byte, states []petri.Marking) (*reach.Snapshot, error) {
+	d := codec.NewDec(b)
 	sn := &reach.Snapshot{States: states}
-	var err error
-	if sn.FrontierStart, err = nextInt(&b); err != nil {
-		return nil, corrupt("reach frontier: %v", err)
-	}
-	if sn.Arcs, err = nextInt(&b); err != nil {
-		return nil, corrupt("reach arcs: %v", err)
-	}
-	if sn.Levels, err = nextInt(&b); err != nil {
-		return nil, corrupt("reach levels: %v", err)
-	}
-	if sn.DeadIDs, err = nextInts(&b); err != nil {
-		return nil, corrupt("reach dead ids: %v", err)
-	}
-	if sn.BadIDs, err = nextInts(&b); err != nil {
-		return nil, corrupt("reach bad ids: %v", err)
-	}
-	if len(b) != 0 {
-		return nil, corrupt("reach: %d trailing bytes", len(b))
+	sn.FrontierStart = d.Int()
+	sn.Arcs = d.Int()
+	sn.Levels = d.Int()
+	sn.DeadIDs = codec.Ints[int](&d)
+	sn.BadIDs = codec.Ints[int](&d)
+	if err := d.Done(); err != nil {
+		return nil, corrupt("reach: %v", err)
 	}
 	return sn, nil
 }
@@ -392,23 +191,23 @@ func decodeReach(b []byte, states []petri.Marking) (*reach.Snapshot, error) {
 // ---- core snapshot ----
 
 func encodeCore(sn *core.Snapshot) []byte {
-	b := binary.AppendUvarint(nil, uint64(sn.NumPlaces))
-	b = binary.AppendUvarint(b, uint64(sn.NumStates))
-	b = binary.AppendUvarint(b, uint64(sn.Steps))
-	b = binary.AppendUvarint(b, uint64(sn.Arcs))
-	b = binary.AppendUvarint(b, uint64(sn.MultiFirings))
-	b = binary.AppendUvarint(b, uint64(sn.SingleFirings))
-	b = binary.AppendUvarint(b, math.Float64bits(sn.PeakValid))
-	b = appendInts(b, sn.DeadStates)
-	b = binary.AppendUvarint(b, uint64(len(sn.Witnesses)))
+	b := codec.AppendInt(nil, sn.NumPlaces)
+	b = codec.AppendInt(b, sn.NumStates)
+	b = codec.AppendUvarint(b, uint64(sn.Steps))
+	b = codec.AppendInt(b, sn.Arcs)
+	b = codec.AppendInt(b, sn.MultiFirings)
+	b = codec.AppendInt(b, sn.SingleFirings)
+	b = codec.AppendUvarint(b, math.Float64bits(sn.PeakValid))
+	b = codec.AppendInts(b, sn.DeadStates)
+	b = codec.AppendInt(b, len(sn.Witnesses))
 	for _, m := range sn.Witnesses {
-		b = cluster.AppendBytes(b, m.Key())
+		b = codec.AppendWords(b, m)
 	}
-	b = cluster.AppendBytes(b, string(sn.FamilyBlob))
-	b = binary.AppendUvarint(b, uint64(len(sn.Frames)))
+	b = codec.AppendBytes(b, sn.FamilyBlob)
+	b = codec.AppendInt(b, len(sn.Frames))
 	for _, fr := range sn.Frames {
-		b = binary.AppendUvarint(b, uint64(fr.ID))
-		b = binary.AppendUvarint(b, uint64(fr.Next))
+		b = codec.AppendInt(b, fr.ID)
+		b = codec.AppendInt(b, fr.Next)
 		flags := uint64(0)
 		if fr.Postponed {
 			flags |= 1
@@ -416,117 +215,52 @@ func encodeCore(sn *core.Snapshot) []byte {
 		if fr.FullDone {
 			flags |= 2
 		}
-		b = binary.AppendUvarint(b, flags)
-		b = binary.AppendUvarint(b, uint64(len(fr.Succs)))
+		b = codec.AppendUvarint(b, flags)
+		b = codec.AppendInt(b, len(fr.Succs))
 		for _, sc := range fr.Succs {
 			mf := uint64(0)
 			if sc.Multiple {
 				mf = 1
 			}
-			b = binary.AppendUvarint(b, mf)
-			b = binary.AppendUvarint(b, uint64(len(sc.Fired)))
-			for _, t := range sc.Fired {
-				b = binary.AppendUvarint(b, uint64(t))
-			}
+			b = codec.AppendUvarint(b, mf)
+			b = codec.AppendInts(b, sc.Fired)
 		}
 	}
 	return b
 }
 
 func decodeCore(b []byte) (*core.Snapshot, error) {
+	d := codec.NewDec(b)
 	sn := &core.Snapshot{}
-	var err error
-	if sn.NumPlaces, err = nextInt(&b); err != nil {
-		return nil, corrupt("core places: %v", err)
+	sn.NumPlaces = d.Int()
+	sn.NumStates = d.Int()
+	sn.Steps = int64(d.Uvarint())
+	sn.Arcs = d.Int()
+	sn.MultiFirings = d.Int()
+	sn.SingleFirings = d.Int()
+	sn.PeakValid = math.Float64frombits(d.Uvarint())
+	sn.DeadStates = codec.Ints[int](&d)
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		sn.Witnesses = append(sn.Witnesses, marking(&d))
 	}
-	if sn.NumStates, err = nextInt(&b); err != nil {
-		return nil, corrupt("core states: %v", err)
-	}
-	steps, err := cluster.NextUvarint(&b)
-	if err != nil {
-		return nil, corrupt("core steps: %v", err)
-	}
-	sn.Steps = int64(steps)
-	if sn.Arcs, err = nextInt(&b); err != nil {
-		return nil, corrupt("core arcs: %v", err)
-	}
-	if sn.MultiFirings, err = nextInt(&b); err != nil {
-		return nil, corrupt("core multi firings: %v", err)
-	}
-	if sn.SingleFirings, err = nextInt(&b); err != nil {
-		return nil, corrupt("core single firings: %v", err)
-	}
-	pv, err := cluster.NextUvarint(&b)
-	if err != nil {
-		return nil, corrupt("core peak valid: %v", err)
-	}
-	sn.PeakValid = math.Float64frombits(pv)
-	if sn.DeadStates, err = nextInts(&b); err != nil {
-		return nil, corrupt("core dead states: %v", err)
-	}
-	nw, err := nextInt(&b)
-	if err != nil {
-		return nil, corrupt("core witness count: %v", err)
-	}
-	for i := 0; i < nw; i++ {
-		key, err := cluster.NextBytes(&b)
-		if err != nil {
-			return nil, corrupt("core witness %d: %v", i, err)
-		}
-		m, ok := petri.MarkingFromKeyBytes(key)
-		if !ok {
-			return nil, corrupt("core witness %d malformed", i)
-		}
-		sn.Witnesses = append(sn.Witnesses, m)
-	}
-	blob, err := cluster.NextBytes(&b)
-	if err != nil {
-		return nil, corrupt("core family blob: %v", err)
-	}
-	sn.FamilyBlob = []byte(blob)
-	nf, err := nextInt(&b)
-	if err != nil {
-		return nil, corrupt("core frame count: %v", err)
-	}
-	for i := 0; i < nf; i++ {
-		var fr core.FrameSnap
-		if fr.ID, err = nextInt(&b); err != nil {
-			return nil, corrupt("core frame %d id: %v", i, err)
-		}
-		if fr.Next, err = nextInt(&b); err != nil {
-			return nil, corrupt("core frame %d next: %v", i, err)
-		}
-		flags, err := cluster.NextUvarint(&b)
-		if err != nil {
-			return nil, corrupt("core frame %d flags: %v", i, err)
-		}
+	// The blob is copied: the snapshot outlives the file image.
+	sn.FamilyBlob = append([]byte(nil), d.Bytes()...)
+	// A frame is at least id, next, flags and its successor count; a
+	// successor its multiplicity and its fired count.
+	for i := d.Count(4); i > 0 && d.Err() == nil; i-- {
+		fr := core.FrameSnap{ID: d.Int(), Next: d.Int()}
+		flags := d.Uvarint()
 		fr.Postponed = flags&1 != 0
 		fr.FullDone = flags&2 != 0
-		ns, err := nextInt(&b)
-		if err != nil {
-			return nil, corrupt("core frame %d succs: %v", i, err)
-		}
-		for j := 0; j < ns; j++ {
-			var sc core.SuccSnap
-			mf, err := cluster.NextUvarint(&b)
-			if err != nil {
-				return nil, corrupt("core frame %d succ %d: %v", i, j, err)
-			}
-			sc.Multiple = mf != 0
-			fired, err := nextInts(&b)
-			if err != nil {
-				return nil, corrupt("core frame %d succ %d fired: %v", i, j, err)
-			}
-			sc.Fired = make([]petri.Trans, len(fired))
-			for k, t := range fired {
-				sc.Fired[k] = petri.Trans(t)
-			}
+		for j := d.Count(2); j > 0 && d.Err() == nil; j-- {
+			sc := core.SuccSnap{Multiple: d.Uvarint() != 0}
+			sc.Fired = codec.Ints[petri.Trans](&d)
 			fr.Succs = append(fr.Succs, sc)
 		}
 		sn.Frames = append(sn.Frames, fr)
 	}
-	if len(b) != 0 {
-		return nil, corrupt("core: %d trailing bytes", len(b))
+	if err := d.Done(); err != nil {
+		return nil, corrupt("core: %v", err)
 	}
 	return sn, nil
 }

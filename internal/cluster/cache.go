@@ -258,7 +258,7 @@ func (nd *Node) handleCacheAcquire(w http.ResponseWriter, r *http.Request) {
 
 func (nd *Node) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	var req cachePutReq
-	if err := json.NewDecoder(io.LimitReader(r.Body, int64(nd.maxFrame))).Decode(&req); err != nil || req.Run == "" || len(req.Response) == 0 {
+	if err := json.NewDecoder(io.LimitReader(r.Body, MaxFrame)).Decode(&req); err != nil || req.Run == "" || len(req.Response) == 0 {
 		httpError(w, http.StatusBadRequest, "cluster: bad cache put body")
 		return
 	}
@@ -306,7 +306,7 @@ func (nd *Node) AcquireResult(ctx context.Context, runKey string, wait time.Dura
 	defer cancel()
 	defer resp.Body.Close()
 	var ar cacheAcquireResp
-	if err := json.NewDecoder(io.LimitReader(resp.Body, int64(nd.maxFrame))).Decode(&ar); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxFrame)).Decode(&ar); err != nil {
 		return nil, false, err
 	}
 	if ar.Status == "hit" {

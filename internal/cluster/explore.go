@@ -207,7 +207,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			defer cancel()
 			defer resp.Body.Close()
 			cr := &countingReader{r: resp.Body}
-			re, err := decodeExpandReply(cr, nd.maxFrame)
+			re, err := decodeExpandReply(cr)
 			if err != nil {
 				return err
 			}
@@ -267,7 +267,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			defer cancel()
 			defer resp.Body.Close()
 			cr := &countingReader{r: resp.Body}
-			list, err := decodeBatch(cr, frameCollect, n.Words(), nd.maxFrame)
+			list, err := decodeBatch(cr, frameCollect, n.Words())
 			if err != nil {
 				return err
 			}

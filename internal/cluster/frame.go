@@ -15,16 +15,10 @@
 // ErrUnsafe witness) to the sequential BFS. See DESIGN.md D10.
 package cluster
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
+import "repro/internal/codec"
 
-// Frame types of the cluster wire protocol. One frame = 4-byte
-// big-endian length, 1 type byte, payload. The length covers the type
-// byte and the payload, so a zero-payload frame has length 1.
+// Frame types of the cluster wire protocol; the frame itself and the
+// payload primitives are internal/codec's.
 const (
 	frameExpand   = byte(0x01) // coordinator → peer: level slice to expand
 	frameExpandRe = byte(0x02) // peer → coordinator: flags, orders, violation
@@ -39,80 +33,13 @@ const (
 // a corrupt or hostile stream, rejected before allocation.
 const MaxFrame = 64 << 20
 
-// ErrFrameTooLarge is returned for a frame whose declared length
-// exceeds the reader's limit.
-var ErrFrameTooLarge = errors.New("cluster: frame exceeds size limit")
-
-// ErrTornFrame is returned when the stream ends inside a frame header
-// or body — the wire-level analogue of the ledger's torn tail.
-var ErrTornFrame = errors.New("cluster: torn frame")
-
-// WriteFrame emits one length-prefixed frame. The codec is exported for
-// reuse by the checkpoint container (internal/ckpt), whose segments are
-// the same length-prefixed frames as the cluster wire protocol.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one frame, rejecting declared lengths above max. A
-// clean EOF at a frame boundary returns io.EOF; an EOF inside a frame
-// returns ErrTornFrame.
-func ReadFrame(r io.Reader, max int) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("%w: %v", ErrTornFrame, err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 {
-		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrTornFrame)
-	}
-	if int64(n) > int64(max) {
-		return 0, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrTornFrame, err)
-	}
-	return body[0], body[1:], nil
-}
-
-// AppendBytes appends a uvarint-length-prefixed byte string, the same
-// self-delimiting style as verify's canonical net encoding.
-func AppendBytes(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// NextUvarint reads one uvarint from *b, advancing it.
-func NextUvarint(b *[]byte) (uint64, error) {
-	v, n := binary.Uvarint(*b)
-	if n <= 0 {
-		return 0, fmt.Errorf("cluster: bad uvarint in frame payload")
-	}
-	*b = (*b)[n:]
-	return v, nil
-}
-
-// NextBytes reads one length-prefixed byte string from *b.
-func NextBytes(b *[]byte) (string, error) {
-	n, err := NextUvarint(b)
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(*b)) < n {
-		return "", fmt.Errorf("cluster: truncated byte string in frame payload")
-	}
-	s := string((*b)[:n])
-	*b = (*b)[n:]
-	return s, nil
-}
+// The wire-level failure modes are the frame reader's, under this
+// package's names.
+var (
+	// ErrFrameTooLarge is returned for a frame whose declared length
+	// exceeds MaxFrame.
+	ErrFrameTooLarge = codec.ErrFrameTooLarge
+	// ErrTornFrame is returned when the stream ends inside a frame header
+	// or body — the wire-level analogue of the ledger's torn tail.
+	ErrTornFrame = codec.ErrTornFrame
+)

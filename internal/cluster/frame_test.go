@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"io"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/models"
 	"repro/internal/petri"
 )
@@ -46,8 +48,10 @@ func sameBatch(t *testing.T, in, out *batch) {
 // FuzzFrameRoundTrip feeds arbitrary markings through the (key, value)
 // wire codec of every bulk frame type: whatever encodes must decode to
 // the same entries, decoding must consume the stream fully, every key on
-// the wire is exactly Marking.Key(), and a reader expecting another
-// marking width refuses the stream.
+// the wire is exactly Marking.Key(), a reader expecting another marking
+// width refuses the stream, and so does any reader given payload bytes
+// behind the last entry. The raw fuzz bytes are also framed under every
+// type and fed to both decoders, which must fail cleanly.
 func FuzzFrameRoundTrip(f *testing.F) {
 	for _, spec := range []struct {
 		family string
@@ -59,10 +63,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{}, uint64(0))
 	f.Add(make([]byte, 304), ^uint64(0))
+	// Real payloads, so the hostile-bytes half starts inside the formats.
+	for _, frame := range []string{goldenBatch[frameExpand], goldenBatch[frameIntern], goldenReplyVio} {
+		raw, _ := hex.DecodeString(frame)
+		f.Add(raw[5:], uint64(1))
+	}
 	f.Fuzz(func(t *testing.T, key []byte, val uint64) {
-		m, ok := petri.MarkingFromKeyBytes(string(key[:len(key)&^7]))
-		if !ok {
-			m = petri.Marking{}
+		m := petri.Marking{}
+		for k := key; len(k) >= 8; k = k[8:] {
+			m = append(m, binary.LittleEndian.Uint64(k))
 		}
 		in := &batch{w: len(m)}
 		in.add(m, val)
@@ -76,13 +85,33 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("frame type %d does not carry Marking.Key() verbatim", typ)
 			}
 			whole := append([]byte(nil), buf.Bytes()...)
-			out, err := decodeBatch(&buf, typ, in.w, MaxFrame)
+			out, err := decodeBatch(&buf, typ, in.w)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
 			sameBatch(t, in, out)
-			if _, err := decodeBatch(bytes.NewReader(whole), typ, in.w+1, MaxFrame); err == nil {
+			if _, err := decodeBatch(bytes.NewReader(whole), typ, in.w+1); err == nil {
 				t.Fatalf("frame type %d: a %d-word reader accepted %d-word keys", typ, in.w+1, in.w)
+			}
+			grown := append(append([]byte(nil), whole...), 0)
+			binary.BigEndian.PutUint32(grown, uint32(len(grown)-4)) // the frame claims the extra byte
+			if _, err := decodeBatch(bytes.NewReader(grown), typ, in.w); !errors.Is(err, codec.ErrMalformed) {
+				t.Fatalf("frame type %d: trailing payload byte: %v", typ, err)
+			}
+		}
+		// Hostile bytes: the raw input as the payload of a frame of every
+		// type. The decoders answer with a value or an error, never a
+		// panic, and never with more than the payload can account for.
+		for typ := frameExpand; typ <= frameAck; typ++ {
+			var buf bytes.Buffer
+			_ = codec.WriteFrame(&buf, typ, key)
+			for w := range 3 {
+				if out, err := decodeBatch(bytes.NewReader(buf.Bytes()), typ, w); err == nil && 8*len(out.words)+len(out.vals) > len(key) {
+					t.Fatalf("frame type %d: %d words and %d values out of %d payload bytes", typ, len(out.words), len(out.vals), len(key))
+				}
+			}
+			if re, err := decodeExpandReply(bytes.NewReader(buf.Bytes())); err == nil && len(re.flags)+len(re.orders) > len(key) {
+				t.Fatalf("expand reply: %d flags and %d orders out of %d payload bytes", len(re.flags), len(re.orders), len(key))
 			}
 		}
 	})
@@ -100,7 +129,7 @@ func TestFrameChunking(t *testing.T) {
 	if err := encodeBatch(&buf, frameIntern, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeBatch(&buf, frameIntern, in.w, MaxFrame)
+	out, err := decodeBatch(&buf, frameIntern, in.w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +149,7 @@ func TestTornFrameRejected(t *testing.T) {
 	}
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
-		_, err := decodeBatch(bytes.NewReader(whole[:cut]), frameIntern, in.w, MaxFrame)
+		_, err := decodeBatch(bytes.NewReader(whole[:cut]), frameIntern, in.w)
 		if cut < 5 {
 			// Cut inside the header or the frame body: torn.
 			if !errors.Is(err, ErrTornFrame) {
@@ -131,32 +160,45 @@ func TestTornFrameRejected(t *testing.T) {
 		}
 	}
 	// The full stream ends with a clean io.EOF inside the decoder loop.
-	if _, err := decodeBatch(bytes.NewReader(whole), frameIntern, in.w, MaxFrame); err != nil {
+	if _, err := decodeBatch(bytes.NewReader(whole), frameIntern, in.w); err != nil {
 		t.Fatalf("clean stream: %v", err)
-	}
-	// A raw readFrame on an empty stream is a clean boundary.
-	if _, _, err := ReadFrame(bytes.NewReader(nil), MaxFrame); err != io.EOF {
-		t.Fatalf("empty stream: want io.EOF, got %v", err)
 	}
 }
 
-// TestOversizedFrameRejected pins that a hostile length field is
-// rejected before any allocation happens.
-func TestOversizedFrameRejected(t *testing.T) {
-	raw := []byte{0xFF, 0xFF, 0xFF, 0xFF, frameIntern}
-	_, _, err := ReadFrame(bytes.NewReader(raw), MaxFrame)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
+// TestHostileCounts is the regression pin for the one decoder that
+// trusted a count off the wire: an expand reply claiming 2^62 (or a
+// merely huge 2^33) orders used to reach make() and panic the
+// coordinator, or ask it for 64 GiB. Every count is now checked against
+// the bytes that remain before anything is allocated.
+func TestHostileCounts(t *testing.T) {
+	for _, orders := range []uint64{1 << 62, 1 << 33} {
+		payload := codec.AppendBytes(nil, []byte{})
+		payload = codec.AppendUvarint(payload, orders)
+		var buf bytes.Buffer
+		_ = codec.WriteFrame(&buf, frameExpandRe, payload)
+		if _, err := decodeExpandReply(&buf); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("expand reply claiming %d orders: %v, want codec.ErrMalformed", orders, err)
+		}
+		buf.Reset()
+		_ = codec.WriteFrame(&buf, frameIntern, codec.AppendUvarint(nil, orders))
+		if _, err := decodeBatch(&buf, frameIntern, 1); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("batch claiming %d entries: %v, want codec.ErrMalformed", orders, err)
+		}
 	}
-	// At exactly the limit the frame is only torn (no body follows), not
-	// oversized.
-	at := []byte{0x00, 0x00, 0x00, 0x10, frameIntern}
-	if _, _, err := ReadFrame(bytes.NewReader(at), 16); !errors.Is(err, ErrTornFrame) {
-		t.Fatalf("at-limit header: want ErrTornFrame, got %v", err)
-	}
-	// A zero-length frame cannot even carry its type byte.
-	zero := []byte{0x00, 0x00, 0x00, 0x00}
-	if _, _, err := ReadFrame(bytes.NewReader(zero), 16); !errors.Is(err, ErrTornFrame) {
-		t.Fatalf("zero-length: want ErrTornFrame, got %v", err)
+}
+
+// TestStrictPayloads pins what the reply decoder refuses beyond
+// truncation: a violation marker other than 0 or 1, and payload bytes
+// behind a complete reply (FuzzFrameRoundTrip does the same to batches).
+func TestStrictPayloads(t *testing.T) {
+	good, _ := hex.DecodeString(goldenReplyVio)
+	for label, mutate := range map[string]func(b []byte) []byte{
+		"violation marker 2": func(b []byte) []byte { b[len(b)-3] = 2; return b },
+		"trailing byte":      func(b []byte) []byte { b[3]++; return append(b, 0) },
+	} {
+		raw := mutate(append([]byte(nil), good...))
+		if _, err := decodeExpandReply(bytes.NewReader(raw)); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("%s: %v, want codec.ErrMalformed", label, err)
+		}
 	}
 }

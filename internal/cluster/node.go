@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
@@ -35,7 +36,6 @@ type Config struct {
 	CacheBytes int64         // shared result tier budget, 0 = default
 	Client     *http.Client  // nil = persistent keep-alive client
 	Timeout    time.Duration // per-RPC timeout, 0 = default
-	MaxFrame   int           // wire frame limit, 0 = MaxFrame
 }
 
 const (
@@ -47,14 +47,13 @@ const (
 // key-range owner for the shared result tier, and coordinator for any
 // run it is asked to Explore.
 type Node struct {
-	self     int
-	peers    []string
-	ranges   [][2]int             // per-peer [lo, hi) shard range
-	owners   [reach.NumShards]int // shard -> peer index
-	client   *http.Client
-	timeout  time.Duration
-	maxFrame int
-	reg      *obs.Registry
+	self    int
+	peers   []string
+	ranges  [][2]int             // per-peer [lo, hi) shard range
+	owners  [reach.NumShards]int // shard -> peer index
+	client  *http.Client
+	timeout time.Duration
+	reg     *obs.Registry
 
 	mu   sync.Mutex
 	jobs map[string]*peerJob
@@ -157,13 +156,12 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", cfg.Self)
 	}
 	nd := &Node{
-		self:     self,
-		peers:    cfg.Peers,
-		client:   cfg.Client,
-		timeout:  cfg.Timeout,
-		maxFrame: cfg.MaxFrame,
-		reg:      cfg.Metrics,
-		jobs:     make(map[string]*peerJob),
+		self:    self,
+		peers:   cfg.Peers,
+		client:  cfg.Client,
+		timeout: cfg.Timeout,
+		reg:     cfg.Metrics,
+		jobs:    make(map[string]*peerJob),
 	}
 	if nd.client == nil {
 		tr := &http.Transport{MaxIdleConnsPerHost: 16, IdleConnTimeout: 90 * time.Second}
@@ -171,9 +169,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if nd.timeout <= 0 {
 		nd.timeout = defaultRPCTimeout
-	}
-	if nd.maxFrame <= 0 {
-		nd.maxFrame = MaxFrame
 	}
 	if nd.reg == nil {
 		nd.reg = obs.New()
@@ -265,7 +260,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (nd *Node) handleStart(w http.ResponseWriter, r *http.Request) {
 	var req startReq
-	if err := json.NewDecoder(io.LimitReader(r.Body, int64(nd.maxFrame))).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, MaxFrame)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: bad start body: %v", err)
 		return
 	}
@@ -351,7 +346,7 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 	}
 	n := j.net
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeBatch(cr, frameExpand, n.Words(), nd.maxFrame)
+	entries, err := decodeBatch(cr, frameExpand, n.Words())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: expand body: %v", err)
 		return
@@ -460,7 +455,7 @@ func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeBatch(cr, frameIntern, j.net.Words(), nd.maxFrame)
+	entries, err := decodeBatch(cr, frameIntern, j.net.Words())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: intern body: %v", err)
 		return
@@ -473,7 +468,7 @@ func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
 		m := entries.marking(i)
 		j.internLocal(m, m.Hash(), order)
 	}
-	_ = WriteFrame(w, frameAck, nil)
+	_ = codec.WriteFrame(w, frameAck, nil)
 	j.internSend(pid, ackFrameBytes)
 }
 
@@ -515,7 +510,7 @@ func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeBatch(cr, frameCommit, j.net.Words(), nd.maxFrame)
+	entries, err := decodeBatch(cr, frameCommit, j.net.Words())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: commit body: %v", err)
 		return
@@ -534,7 +529,7 @@ func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
 	j.established = j.store.Len()
 	j.pend = j.pend[:0]
 	j.mu.Unlock()
-	_ = WriteFrame(w, frameAck, nil)
+	_ = codec.WriteFrame(w, frameAck, nil)
 	j.tk.FrameSend(pid, ackFrameBytes)
 }
 
@@ -615,7 +610,7 @@ func (nd *Node) sendBatch(ctx context.Context, tk *trace.Track, phSerialize, lvl
 	defer cancel()
 	defer resp.Body.Close()
 	cr := &countingReader{r: resp.Body}
-	typ, _, err = ReadFrame(cr, nd.maxFrame)
+	typ, _, err = codec.ReadFrame(cr, MaxFrame)
 	if err != nil {
 		return sent, err
 	}

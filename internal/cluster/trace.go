@@ -114,7 +114,7 @@ func (nd *Node) CollectTraces(ctx context.Context, run string) []trace.BundlePee
 		defer cancel()
 		defer resp.Body.Close()
 		var tr traceResp
-		if err := json.NewDecoder(io.LimitReader(resp.Body, int64(nd.maxFrame))).Decode(&tr); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, MaxFrame)).Decode(&tr); err != nil {
 			return nil
 		}
 		t1 := time.Now()

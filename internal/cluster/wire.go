@@ -1,18 +1,17 @@
 package cluster
 
-// Binary payload encodings of the cluster protocol. All multi-byte
-// integers are uvarints; state keys are length-prefixed raw bytes (a
-// key IS the marking's binary encoding, so frontier batches carry full
-// states, not references). Requests and replies may span several
-// frames; readers loop until EOF, so a large level streams through
-// fixed-size chunks instead of one giant allocation.
+// Binary payload encodings of the cluster protocol, in internal/codec's
+// primitives. A state key IS the marking's binary encoding, so frontier
+// batches carry full states, not references. Requests and replies may
+// span several frames; readers loop until EOF, so a large level streams
+// through fixed-size chunks instead of one giant allocation.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
+	"repro/internal/codec"
 	"repro/internal/petri"
 )
 
@@ -64,39 +63,38 @@ type expandReply struct {
 }
 
 // encodeBatch writes the pairs as chunked frames of the given type. A
-// state key on the wire is its length (8·w) and the words little-endian,
-// exactly Marking.Key(); expand frames put the value before the key,
-// every other type after it.
+// state key on the wire is the codec's marking — its length (8·w) and the
+// words little-endian, exactly Marking.Key(); expand frames put the value
+// before the key, every other type after it.
 func encodeBatch(w io.Writer, typ byte, in *batch) error {
 	for lo := 0; lo < in.len() || lo == 0; lo += chunkEntries {
 		hi := min(lo+chunkEntries, in.len())
-		b := binary.AppendUvarint(nil, uint64(hi-lo))
+		b := codec.AppendInt(nil, hi-lo)
 		for i := lo; i < hi; i++ {
 			if typ == frameExpand {
-				b = binary.AppendUvarint(b, in.vals[i])
+				b = codec.AppendUvarint(b, in.vals[i])
 			}
-			b = binary.AppendUvarint(b, uint64(8*in.w))
-			for _, word := range in.marking(i) {
-				b = binary.LittleEndian.AppendUint64(b, word)
-			}
+			b = codec.AppendWords(b, in.marking(i))
 			if typ != frameExpand {
-				b = binary.AppendUvarint(b, in.vals[i])
+				b = codec.AppendUvarint(b, in.vals[i])
 			}
 		}
-		if err := WriteFrame(w, typ, b); err != nil {
+		if err := codec.WriteFrame(w, typ, b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeBatch reads chunked frames of the given type until EOF. words is
-// the marking width of the job's net: a key of any other length (a
-// different net, a torn frame) is an error.
-func decodeBatch(r io.Reader, typ byte, words, max int) (*batch, error) {
+// decodeBatch reads chunked frames of the given type until EOF, decoding
+// the keys straight into the batch's flat words. words is the marking
+// width of the job's net: a key of any other length (a different net, a
+// damaged frame) is an error, as are bytes left over behind a frame's
+// last entry.
+func decodeBatch(r io.Reader, typ byte, words int) (*batch, error) {
 	out := &batch{w: words}
 	for {
-		ft, payload, err := ReadFrame(r, max)
+		ft, payload, err := codec.ReadFrame(r, MaxFrame)
 		if err == io.EOF {
 			return out, nil
 		}
@@ -106,34 +104,26 @@ func decodeBatch(r io.Reader, typ byte, words, max int) (*batch, error) {
 		if ft != typ {
 			return nil, errUnexpectedFrame(ft, typ)
 		}
-		n, err := NextUvarint(&payload)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < n; i++ {
+		d := codec.NewDec(payload)
+		// An entry is at least its key, the key's length byte and a
+		// one-byte value.
+		for i := d.Count(8*words + 2); i > 0 && d.Err() == nil; i-- {
 			var val uint64
 			if typ == frameExpand {
-				if val, err = NextUvarint(&payload); err != nil {
-					return nil, err
-				}
+				val = d.Uvarint()
 			}
-			klen, err := NextUvarint(&payload)
-			if err != nil {
-				return nil, err
-			}
-			if klen != uint64(8*words) || uint64(len(payload)) < klen {
-				return nil, fmt.Errorf("cluster: bad state key in frame payload")
-			}
-			for ; klen > 0; klen -= 8 {
-				out.words = append(out.words, binary.LittleEndian.Uint64(payload))
-				payload = payload[8:]
+			at := len(out.words)
+			out.words = d.Words(out.words)
+			if got := len(out.words) - at; got != words {
+				d.Fail("state key of %d words, the net has %d", got, words)
 			}
 			if typ != frameExpand {
-				if val, err = NextUvarint(&payload); err != nil {
-					return nil, err
-				}
+				val = d.Uvarint()
 			}
 			out.vals = append(out.vals, val)
+		}
+		if err := d.Done(); err != nil {
+			return nil, fmt.Errorf("cluster: bad frame (type %d): %w", typ, err)
 		}
 	}
 }
@@ -141,61 +131,43 @@ func decodeBatch(r io.Reader, typ byte, words, max int) (*batch, error) {
 // encodeExpandReply writes the reply as one frame (flags and orders
 // are small relative to the batch itself).
 func encodeExpandReply(w io.Writer, re *expandReply) error {
-	b := binary.AppendUvarint(nil, uint64(len(re.flags)))
-	b = append(b, re.flags...)
-	b = binary.AppendUvarint(b, uint64(len(re.orders)))
+	b := codec.AppendBytes(nil, re.flags)
+	b = codec.AppendInt(b, len(re.orders))
 	for _, o := range re.orders {
-		b = binary.AppendUvarint(b, o)
+		b = codec.AppendUvarint(b, o)
 	}
 	if re.hasVio {
 		b = append(b, 1)
-		b = binary.AppendUvarint(b, re.vioOrder)
+		b = codec.AppendUvarint(b, re.vioOrder)
 	} else {
 		b = append(b, 0)
 	}
-	return WriteFrame(w, frameExpandRe, b)
+	return codec.WriteFrame(w, frameExpandRe, b)
 }
 
-func decodeExpandReply(r io.Reader, max int) (*expandReply, error) {
-	typ, payload, err := ReadFrame(r, max)
+func decodeExpandReply(r io.Reader) (*expandReply, error) {
+	typ, payload, err := codec.ReadFrame(r, MaxFrame)
 	if err != nil {
 		return nil, err
 	}
 	if typ != frameExpandRe {
 		return nil, errUnexpectedFrame(typ, frameExpandRe)
 	}
-	re := &expandReply{}
-	n, err := NextUvarint(&payload)
-	if err != nil {
-		return nil, err
+	d := codec.NewDec(payload)
+	re := &expandReply{flags: d.Bytes()}
+	re.orders = make([]uint64, 0, d.Count(1))
+	for range cap(re.orders) {
+		re.orders = append(re.orders, d.Uvarint())
 	}
-	if uint64(len(payload)) < n {
-		return nil, io.ErrUnexpectedEOF
+	switch d.Byte() {
+	case 0:
+	case 1:
+		re.vioOrder, re.hasVio = d.Uvarint(), true
+	default:
+		d.Fail("violation marker is neither 0 nor 1")
 	}
-	re.flags = append([]byte(nil), payload[:n]...)
-	payload = payload[n:]
-	no, err := NextUvarint(&payload)
-	if err != nil {
-		return nil, err
-	}
-	re.orders = make([]uint64, 0, no)
-	for i := uint64(0); i < no; i++ {
-		o, err := NextUvarint(&payload)
-		if err != nil {
-			return nil, err
-		}
-		re.orders = append(re.orders, o)
-	}
-	if len(payload) < 1 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	if payload[0] == 1 {
-		payload = payload[1:]
-		re.vioOrder, err = NextUvarint(&payload)
-		if err != nil {
-			return nil, err
-		}
-		re.hasVio = true
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("cluster: bad expand reply frame: %w", err)
 	}
 	return re, nil
 }

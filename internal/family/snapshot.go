@@ -6,10 +6,10 @@ package family
 // canonical key so a family shared by many states is encoded once.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/tset"
 )
 
@@ -22,114 +22,68 @@ var ErrBadSnapshot = errors.New("family: bad family snapshot")
 // reference per root.
 func (a Alg) EncodeFamilies(roots []*Family) []byte {
 	table := make([]*Family, 0, len(roots))
-	refOf := make(map[string]uint64, len(roots))
-	refs := make([]uint64, len(roots))
+	refOf := make(map[string]int, len(roots))
+	refs := make([]int, len(roots))
 	for i, f := range roots {
 		k := f.Key()
 		ref, ok := refOf[k]
 		if !ok {
-			ref = uint64(len(table))
+			ref = len(table)
 			refOf[k] = ref
 			table = append(table, f)
 		}
 		refs[i] = ref
 	}
-	b := binary.AppendUvarint(nil, uint64(a.n))
-	b = binary.AppendUvarint(b, uint64(len(table)))
+	b := codec.AppendInt(nil, a.n)
+	b = codec.AppendInt(b, len(table))
 	for _, f := range table {
-		b = binary.AppendUvarint(b, uint64(len(f.sets)))
+		b = codec.AppendInt(b, len(f.sets))
 		for _, s := range f.sets {
-			els := s.Members()
-			b = binary.AppendUvarint(b, uint64(len(els)))
-			for _, e := range els {
-				b = binary.AppendUvarint(b, uint64(e))
-			}
+			b = codec.AppendInts(b, s.Members())
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(roots)))
-	for _, r := range refs {
-		b = binary.AppendUvarint(b, r)
-	}
-	return b
+	return codec.AppendInts(b, refs)
 }
 
 // DecodeFamilies rebuilds the families of an EncodeFamilies blob and
 // returns the roots in encoding order. Malformed input — universe
-// mismatch, out-of-range elements or references, truncation — is
-// rejected with an error wrapping ErrBadSnapshot.
+// mismatch, out-of-range elements or references, truncation, trailing
+// bytes — is rejected with an error wrapping ErrBadSnapshot.
 func (a Alg) DecodeFamilies(blob []byte) ([]*Family, error) {
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(blob)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-		}
-		blob = blob[n:]
-		return v, nil
+	d := codec.NewDec(blob)
+	if u := d.Int(); u != a.n {
+		d.Fail("universe %d, algebra has %d", u, a.n)
 	}
-	u, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if int(u) != a.n {
-		return nil, fmt.Errorf("%w: universe %d, algebra has %d", ErrBadSnapshot, u, a.n)
-	}
-	nf, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if nf > uint64(len(blob)) {
-		return nil, fmt.Errorf("%w: family count %d exceeds payload", ErrBadSnapshot, nf)
-	}
-	table := make([]*Family, nf)
-	for i := range table {
-		ns, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if ns > uint64(len(blob))+1 {
-			return nil, fmt.Errorf("%w: set count %d exceeds payload", ErrBadSnapshot, ns)
-		}
-		sets := make([]tset.TSet, ns)
-		for j := range sets {
-			ne, err := next()
-			if err != nil {
-				return nil, err
-			}
-			if ne > uint64(a.n) {
-				return nil, fmt.Errorf("%w: set size %d exceeds universe", ErrBadSnapshot, ne)
+	table := make([]*Family, d.Count(1))
+	for i := 0; i < len(table) && d.Err() == nil; i++ {
+		sets := make([]tset.TSet, 0, d.Count(1))
+		for j := cap(sets); j > 0 && d.Err() == nil; j-- {
+			els := codec.Ints[int](&d)
+			if len(els) > a.n {
+				d.Fail("set size %d exceeds universe", len(els))
 			}
 			s := tset.New(a.n)
-			for k := uint64(0); k < ne; k++ {
-				e, err := next()
-				if err != nil {
-					return nil, err
+			for _, e := range els {
+				if e >= a.n {
+					d.Fail("element %d out of range", e)
+					break
 				}
-				if e >= uint64(a.n) {
-					return nil, fmt.Errorf("%w: element %d out of range", ErrBadSnapshot, e)
-				}
-				s.Add(int(e))
+				s.Add(e)
 			}
-			sets[j] = s
+			sets = append(sets, s)
 		}
 		table[i] = Of(a.n, sets...)
 	}
-	nr, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if nr > uint64(len(blob))+1 {
-		return nil, fmt.Errorf("%w: root count %d exceeds payload", ErrBadSnapshot, nr)
-	}
-	roots := make([]*Family, nr)
-	for i := range roots {
-		ref, err := next()
-		if err != nil {
-			return nil, err
+	roots := make([]*Family, d.Count(1))
+	for i := 0; i < len(roots) && d.Err() == nil; i++ {
+		if ref := d.Int(); ref < len(table) {
+			roots[i] = table[ref]
+		} else {
+			d.Fail("root %d out of range", i)
 		}
-		if ref >= nf {
-			return nil, fmt.Errorf("%w: root %d out of range", ErrBadSnapshot, i)
-		}
-		roots[i] = table[ref]
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return roots, nil
 }

@@ -1,7 +1,6 @@
 package petri
 
 import (
-	"encoding/binary"
 	"sort"
 	"strings"
 )
@@ -94,23 +93,6 @@ func HashKey(key string) uint64 {
 		h = (h ^ uint64(key[i])) * fnvPrime64
 	}
 	return h
-}
-
-// MarkingFromKeyBytes reconstructs a Marking from a Key() byte string
-// without a Net: the width is taken from the key itself (8 bytes per
-// word). It serves containers (internal/ckpt) that carry markings of a
-// derived net — a monitored or structurally reduced one — whose shape is
-// only reconstructed later. A key whose length is not a multiple of 8
-// returns ok=false.
-func MarkingFromKeyBytes(key string) (Marking, bool) {
-	if len(key)%8 != 0 || len(key) == 0 {
-		return nil, false
-	}
-	m := make(Marking, len(key)/8)
-	for wi := range m {
-		m[wi] = binary.LittleEndian.Uint64([]byte(key[8*wi : 8*wi+8]))
-	}
-	return m, true
 }
 
 // Places returns the marked places in increasing order.

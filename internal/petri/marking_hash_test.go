@@ -43,26 +43,6 @@ func TestHashMatchesKey(t *testing.T) {
 	}
 }
 
-// TestMarkingFromKeyRoundTrip pins the container decoding: a marking
-// survives Key → MarkingFromKeyBytes, and keys that are not whole words
-// are rejected.
-func TestMarkingFromKeyRoundTrip(t *testing.T) {
-	_, m := buildWideNet(t, 130)
-	got, ok := MarkingFromKeyBytes(m.Key())
-	if !ok {
-		t.Fatal("MarkingFromKeyBytes rejected a valid key")
-	}
-	if !got.Equal(m) {
-		t.Fatal("MarkingFromKeyBytes round trip lost bits")
-	}
-	if _, ok := MarkingFromKeyBytes(m.Key()[:len(m.Key())-1]); ok {
-		t.Error("MarkingFromKeyBytes accepted a torn key")
-	}
-	if _, ok := MarkingFromKeyBytes(m.Key() + "x"); ok {
-		t.Error("MarkingFromKeyBytes accepted an oversized key")
-	}
-}
-
 // BenchmarkMarkingHash measures what interning a marking costs before
 // the table probe: the string route every explorer used to take (build
 // the key, hash the string) against Hash over the words.

@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/petri"
 )
 
@@ -23,45 +26,61 @@ func (k Key) RunID() string {
 	return "r" + hex.EncodeToString(k[:12])
 }
 
-// appendString appends a length-prefixed string, the same
-// self-delimiting style as the family algebras' AppendKey, so no two
-// distinct nets can collide by concatenation.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // AppendNetKey appends the canonical encoding of the net: name, places
 // (names in index order), initial marking, and per-transition name and
 // sorted pre/post place sets. Two nets encode equal iff they describe
 // the same net the same way; structural isomorphs with different names
 // or orderings are (deliberately) distinct — witnesses speak in place
-// names, so names are part of the content.
+// names, so names are part of the content. Every string and list is
+// length-prefixed (internal/codec), so no two distinct nets can collide
+// by concatenation.
 func AppendNetKey(b []byte, n *petri.Net) []byte {
-	b = appendString(b, n.Name())
-	b = binary.AppendUvarint(b, uint64(n.NumPlaces()))
+	b = codec.AppendBytes(b, n.Name())
+	b = codec.AppendInt(b, n.NumPlaces())
 	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		b = appendString(b, n.PlaceName(p))
+		b = codec.AppendBytes(b, n.PlaceName(p))
 	}
-	init := n.InitialPlaces()
-	b = binary.AppendUvarint(b, uint64(len(init)))
-	for _, p := range init {
-		b = binary.AppendUvarint(b, uint64(p))
-	}
-	b = binary.AppendUvarint(b, uint64(n.NumTrans()))
+	b = codec.AppendInts(b, n.InitialPlaces())
+	b = codec.AppendInt(b, n.NumTrans())
 	for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
-		b = appendString(b, n.TransName(t))
-		pre, post := n.Pre(t), n.Post(t)
-		b = binary.AppendUvarint(b, uint64(len(pre)))
-		for _, p := range pre {
-			b = binary.AppendUvarint(b, uint64(p))
-		}
-		b = binary.AppendUvarint(b, uint64(len(post)))
-		for _, p := range post {
-			b = binary.AppendUvarint(b, uint64(p))
-		}
+		b = codec.AppendBytes(b, n.TransName(t))
+		b = codec.AppendInts(b, n.Pre(t))
+		b = codec.AppendInts(b, n.Post(t))
 	}
 	return b
+}
+
+// DecodeNetKey is the inverse of AppendNetKey: the canonical net
+// encoding doubles as the checkpoint container's net serialization, so
+// the run identity and the stored net can never disagree. blob must be
+// exactly one encoding. The builder rejects dangling place references
+// and duplicate names, and the rebuilt net is re-encoded and compared
+// byte for byte, so a blob that decodes is the canonical encoding of the
+// net returned.
+func DecodeNetKey(blob []byte) (*petri.Net, error) {
+	d := codec.NewDec(blob)
+	bld := petri.NewBuilder(d.String())
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		bld.Place(d.String())
+	}
+	bld.Mark(codec.Ints[petri.Place](&d)...)
+	// A transition is at least its name's length and two list counts.
+	for i := d.Count(3); i > 0 && d.Err() == nil; i-- {
+		name := d.String()
+		pre := codec.Ints[petri.Place](&d)
+		bld.TransArcs(name, pre, codec.Ints[petri.Place](&d))
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("verify: net encoding: %w", err)
+	}
+	n, err := bld.Build()
+	if err != nil {
+		return nil, fmt.Errorf("verify: net encoding: %w", err)
+	}
+	if !bytes.Equal(AppendNetKey(nil, n), blob) {
+		return nil, errors.New("verify: net encoding is not canonical")
+	}
+	return n, nil
 }
 
 // RunKeyFormat versions the RunKey encoding itself. It is folded into
@@ -85,14 +104,11 @@ const RunKeyFormat = 2
 // resolution).
 func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
 	b := make([]byte, 0, 1024)
-	b = binary.AppendUvarint(b, RunKeyFormat)
+	b = codec.AppendUvarint(b, RunKeyFormat)
 	b = AppendNetKey(b, n)
-	b = appendString(b, check)
-	b = binary.AppendUvarint(b, uint64(len(bad)))
-	for _, p := range bad {
-		b = binary.AppendUvarint(b, uint64(p))
-	}
-	b = binary.AppendUvarint(b, uint64(o.Engine))
+	b = codec.AppendBytes(b, check)
+	b = codec.AppendInts(b, bad)
+	b = codec.AppendInt(b, o.Engine)
 	flags := uint64(0)
 	if o.StopAtFirst {
 		flags |= 1
@@ -103,9 +119,9 @@ func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
 	if o.Reduce {
 		flags |= 4
 	}
-	b = binary.AppendUvarint(b, flags)
-	b = binary.AppendUvarint(b, uint64(o.MaxStates))
-	b = binary.AppendUvarint(b, uint64(o.MaxNodes))
+	b = codec.AppendUvarint(b, flags)
+	b = codec.AppendInt(b, o.MaxStates)
+	b = codec.AppendInt(b, o.MaxNodes)
 	return sha256.Sum256(b)
 }
 

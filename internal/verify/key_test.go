@@ -1,10 +1,14 @@
 package verify
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/models"
 	"repro/internal/petri"
+	"repro/internal/randnet"
 )
 
 // TestRunKeyGolden pins the RunKey encoding to golden values across the
@@ -74,5 +78,65 @@ func TestRunKeyGolden(t *testing.T) {
 		Ckpt: &Checkpointer{}, Resume: &EngineSnapshot{}})
 	if seq != ck {
 		t.Errorf("Ckpt/Resume changed the RunID (%s != %s); they must stay excluded", seq, ck)
+	}
+}
+
+// TestNetKeyRoundTrip pins DecodeNetKey as the exact inverse of
+// AppendNetKey — the checkpoint container stores the net as this
+// encoding — over the Table 1 models and 200 random nets, and that
+// damaged encodings are refused rather than decoded as another net.
+func TestNetKeyRoundTrip(t *testing.T) {
+	var nets []*petri.Net
+	for family, sizes := range map[string][]int{
+		"nsdp": {2, 4, 6, 8, 10}, "asat": {2, 4, 8}, "over": {2, 3, 4, 5}, "rw": {6, 9, 12, 15},
+	} {
+		for _, size := range sizes {
+			n, err := models.ByName(family, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets = append(nets, n)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		nets = append(nets, randnet.Generate(randnet.Default(seed)))
+	}
+	for i, n := range nets {
+		blob := AppendNetKey(nil, n)
+		got, err := DecodeNetKey(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name(), err)
+		}
+		if !bytes.Equal(AppendNetKey(nil, got), blob) {
+			t.Fatalf("%s: decoded net encodes differently", n.Name())
+		}
+		if got.Name() != n.Name() || got.NumPlaces() != n.NumPlaces() || got.NumTrans() != n.NumTrans() ||
+			!got.InitialMarking().Equal(n.InitialMarking()) {
+			t.Fatalf("%s: decoded net differs in shape", n.Name())
+		}
+		// Cut short anywhere (every tenth net: the walk is quadratic), the
+		// encoding is refused.
+		for cut := len(blob) - 1; cut >= 0; cut-- {
+			if _, err := DecodeNetKey(blob[:cut]); err == nil {
+				t.Fatalf("%s: encoding cut at %d of %d decoded", n.Name(), cut, len(blob))
+			}
+			if i%10 != 0 {
+				break
+			}
+		}
+		if _, err := DecodeNetKey(append(blob[:len(blob):len(blob)], 0)); !errors.Is(err, codec.ErrMalformed) {
+			t.Fatalf("%s: trailing byte: %v, want codec.ErrMalformed", n.Name(), err)
+		}
+	}
+	// Well-formed bytes that do not describe a net: a dangling place
+	// reference, and a non-canonical (unsorted) preset.
+	for label, blob := range map[string][]byte{
+		"dangling place":   {1, 'n', 1, 1, 'p', 1, 5, 0},
+		"unsorted preset":  {1, 'n', 2, 1, 'p', 1, 'q', 0, 1, 1, 't', 2, 1, 0, 0},
+		"duplicate places": {1, 'n', 2, 1, 'p', 1, 'p', 0, 0},
+	} {
+		if n, err := DecodeNetKey(blob); err == nil {
+			t.Errorf("%s: decoded as %s", label, n.Name())
+		}
 	}
 }

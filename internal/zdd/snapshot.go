@@ -13,10 +13,11 @@ package zdd
 // are reproduced exactly.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+
+	"repro/internal/codec"
 )
 
 // ErrBadSnapshot is wrapped by every decode failure: a truncated,
@@ -49,22 +50,22 @@ func (a *Alg) EncodeFamilies(roots []Node) []byte {
 	// Ascending old id is a topological order: mk appends nodes after
 	// their children, so lo/hi always reference smaller ids.
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	renum := make(map[Node]uint64, len(order)+2)
+	renum := make(map[Node]int, len(order)+2)
 	renum[Bot], renum[Top] = 0, 1
 	for i, n := range order {
-		renum[n] = uint64(i + 2)
+		renum[n] = i + 2
 	}
-	b := binary.AppendUvarint(nil, uint64(m.n))
-	b = binary.AppendUvarint(b, uint64(len(order)))
+	b := codec.AppendInt(nil, m.n)
+	b = codec.AppendInt(b, len(order))
 	for _, n := range order {
 		nd := m.nodes[n]
-		b = binary.AppendUvarint(b, uint64(nd.level))
-		b = binary.AppendUvarint(b, renum[nd.lo])
-		b = binary.AppendUvarint(b, renum[nd.hi])
+		b = codec.AppendInt(b, nd.level)
+		b = codec.AppendInt(b, renum[nd.lo])
+		b = codec.AppendInt(b, renum[nd.hi])
 	}
-	b = binary.AppendUvarint(b, uint64(len(roots)))
+	b = codec.AppendInt(b, len(roots))
 	for _, r := range roots {
-		b = binary.AppendUvarint(b, renum[r])
+		b = codec.AppendInt(b, renum[r])
 	}
 	return b
 }
@@ -74,75 +75,42 @@ func (a *Alg) EncodeFamilies(roots []Node) []byte {
 // nodes are replayed through the canonicalizing constructor, so decoding
 // onto a non-empty manager is sound (existing equal nodes are reused);
 // structural violations — universe mismatch, out-of-range level, forward
-// or zero-suppression-violating child references — are rejected with an
-// error wrapping ErrBadSnapshot.
+// or zero-suppression-violating child references, trailing bytes — are
+// rejected with an error wrapping ErrBadSnapshot.
 func (a *Alg) DecodeFamilies(blob []byte) ([]Node, error) {
 	m := a.m
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(blob)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated", ErrBadSnapshot)
-		}
-		blob = blob[n:]
-		return v, nil
+	d := codec.NewDec(blob)
+	if u := d.Int(); u != m.n {
+		d.Fail("universe %d, manager has %d", u, m.n)
 	}
-	u, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if int(u) != m.n {
-		return nil, fmt.Errorf("%w: universe %d, manager has %d", ErrBadSnapshot, u, m.n)
-	}
-	cnt, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if cnt > uint64(len(blob)) { // ≥1 byte per field; cheap pre-allocation guard
-		return nil, fmt.Errorf("%w: node count %d exceeds payload", ErrBadSnapshot, cnt)
-	}
-	ids := make([]Node, cnt+2)
+	// A node is three fields of at least one byte each.
+	n := d.Count(3)
+	ids := make([]Node, 2, n+2)
 	ids[0], ids[1] = Bot, Top
-	for i := uint64(0); i < cnt; i++ {
-		level, err := next()
-		if err != nil {
-			return nil, err
+	for i := 0; i < n && d.Err() == nil; i++ {
+		level, lo, hi := d.Int(), d.Int(), d.Int()
+		switch {
+		case d.Err() != nil:
+		case level >= m.n:
+			d.Fail("node %d level %d out of range", i, level)
+		case lo >= len(ids) || hi >= len(ids):
+			d.Fail("node %d references a later node", i)
+		case hi == 0:
+			d.Fail("node %d violates zero-suppression (hi = Bot)", i)
+		default:
+			ids = append(ids, m.mk(int32(level), ids[lo], ids[hi]))
 		}
-		lo, err := next()
-		if err != nil {
-			return nil, err
-		}
-		hi, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if level >= uint64(m.n) {
-			return nil, fmt.Errorf("%w: node %d level %d out of range", ErrBadSnapshot, i, level)
-		}
-		if lo >= i+2 || hi >= i+2 {
-			return nil, fmt.Errorf("%w: node %d references a later node", ErrBadSnapshot, i)
-		}
-		if hi == 0 {
-			return nil, fmt.Errorf("%w: node %d violates zero-suppression (hi = Bot)", ErrBadSnapshot, i)
-		}
-		ids[i+2] = m.mk(int32(level), ids[lo], ids[hi])
 	}
-	nr, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if nr > uint64(len(blob))+1 {
-		return nil, fmt.Errorf("%w: root count %d exceeds payload", ErrBadSnapshot, nr)
-	}
-	roots := make([]Node, nr)
-	for i := range roots {
-		ref, err := next()
-		if err != nil {
-			return nil, err
+	roots := make([]Node, d.Count(1))
+	for i := 0; i < len(roots) && d.Err() == nil; i++ {
+		if ref := d.Int(); ref < len(ids) {
+			roots[i] = ids[ref]
+		} else {
+			d.Fail("root %d out of range", i)
 		}
-		if ref >= uint64(len(ids)) {
-			return nil, fmt.Errorf("%w: root %d out of range", ErrBadSnapshot, i)
-		}
-		roots[i] = ids[ref]
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return roots, nil
 }

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
+# Layering gate: the binary codec is a leaf (stdlib only), and the
+# checkpoint container reaches it directly — not through the cluster
+# package and the HTTP stack behind it.
+test "$(go list -deps ./internal/codec | grep '^repro/')" = repro/internal/codec
+test -z "$(go list -deps ./internal/ckpt | grep -x -e repro/internal/cluster -e net/http)"
 go test -race ./...
 # Benchmark smoke: one iteration of every benchmark, so a refactor that
 # breaks a bench harness (or reintroduces per-op allocation panics) is
@@ -48,12 +53,14 @@ go run ./cmd/gpotrace "$TRACE_TMP/t.jsonl" | grep -q 'states:'
 go test -run '^$' -bench BenchmarkProgressPublishNoSubscribers -benchtime=1x ./internal/obs |
 	tee /dev/stderr | grep -q 'BenchmarkProgressPublishNoSubscribers.* 0 allocs/op'
 # Fuzz smoke: 5 seconds of FuzzParse against the hardened pnio parser,
-# 5 seconds of FuzzFrameRoundTrip against the cluster frame codec
-# (the bytes every peer accepts from the network), 5 seconds of
+# 5 seconds of FuzzDec against the bounded decoder under every binary
+# format, 5 seconds of FuzzFrameRoundTrip against the cluster batch
+# codec (the bytes every peer accepts from the network), 5 seconds of
 # FuzzCkptRead against the ckpt/v1 checkpoint reader (the bytes a
 # restarted daemon trusts enough to resume from), and 5 seconds of
 # FuzzStoreVsMap, the visited store against a map[string]int oracle.
 go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/pnio
+go test -fuzz=FuzzDec -fuzztime=5s -run '^$' ./internal/codec
 go test -fuzz=FuzzFrameRoundTrip -fuzztime=5s -run '^$' ./internal/cluster
 go test -fuzz=FuzzCkptRead -fuzztime=5s -run '^$' ./internal/ckpt
 go test -fuzz=FuzzStoreVsMap -fuzztime=5s -run '^$' ./internal/visited
