@@ -13,7 +13,8 @@
 //	gpobench -json -family rw        # machine-readable BENCH_<date>.json
 //
 // The exhaustive engine runs with -workers parallel BFS workers (default
-// GOMAXPROCS, 0 = sequential); the worker count is recorded in the JSON
+// 0 = sequential: below 100 000 to 250 000 states the parallel explorer does
+// not pay, see EXPERIMENTS.md); the worker count is recorded in the JSON
 // artifact so runs stay comparable.
 //
 // Observability flags (see OBSERVABILITY.md): -json [-out file] writes
@@ -56,7 +57,7 @@ func main() {
 		maxN       = flag.Int("max", 0, "largest size: figure sweeps default to 10; caps Table 1 rows when set")
 		doAll      = flag.Bool("all", false, "regenerate everything")
 		maxNodes   = flag.Int("max-nodes", 3_000_000, "BDD node cap for the symbolic engine")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for the exhaustive engine (0 = sequential)")
+		workers    = flag.Int("workers", 0, "parallel workers for the exhaustive engine (0 = sequential, the default; -workers N starts to pay between 100 000 and 250 000 states, see EXPERIMENTS.md)")
 		jsonOut    = flag.Bool("json", false, "run Table 1 and write the machine-readable artifact")
 		outFile    = flag.String("out", "", "artifact path for -json ('-' = stdout; default BENCH_<date>.json)")
 		metricsOut = flag.String("metrics", "", "write the program's metric registry as JSON to this file ('-' = stderr)")

@@ -68,7 +68,7 @@ func main() {
 		stop      = flag.Bool("stop", false, "stop at the first deadlock/violation")
 		maxStates = flag.Int("max-states", 0, "abort explicit searches beyond this many states")
 		maxNodes  = flag.Int("max-nodes", 0, "abort symbolic searches beyond this many BDD nodes")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for the exhaustive engine (0 = sequential)")
+		workers   = flag.Int("workers", 0, "parallel workers for the exhaustive engine (0 = sequential, the default; -workers N starts to pay between 100 000 and 250 000 states, see EXPERIMENTS.md)")
 		proviso   = flag.Bool("proviso", false, "apply the cycle proviso in the partial-order engine")
 		reduceNet = flag.Bool("reduce", false, "apply the structural reduction pre-pass before the engine (witnesses are mapped back to the original net)")
 		compare   = flag.Bool("compare", false, "run all engines and tabulate")

@@ -101,9 +101,9 @@ func decodeHeader(b []byte) (*File, int, error) {
 
 // ---- reach snapshot ----
 
-// encodeShards partitions the interned markings into the parallel
-// explorer's 256 visited-store shards (reach.ShardOf over the marking
-// hash) — one frame per shard, empty shards included, so the container
+// encodeShards partitions the interned markings into the 256 hash shards
+// the parallel explorer and the cluster hand out (reach.ShardOf over the
+// marking hash) — one frame per shard, empty shards included, so the container
 // shape is deterministic and a dropped segment is always detected.
 func encodeShards(sn *reach.Snapshot) [][]byte {
 	ids := make([][]int, reach.NumShards)

@@ -180,15 +180,12 @@ func New(cfg Config) (*Node, error) {
 	nd.cache = newSharedCache(nd.peers, cb)
 	nd.traces = newTraceStore()
 
-	// Static shard ownership: contiguous ranges, remainder spread over
-	// the leading peers.
+	// Static shard ownership: the contiguous ranges the parallel explorer
+	// gives its workers.
 	n := len(nd.peers)
-	nd.ranges = make([][2]int, n)
-	for i := 0; i < n; i++ {
-		lo := i * reach.NumShards / n
-		hi := (i + 1) * reach.NumShards / n
-		nd.ranges[i] = [2]int{lo, hi}
-		for s := lo; s < hi; s++ {
+	nd.ranges = reach.ShardRanges(n)
+	for i, r := range nd.ranges {
+		for s := r[0]; s < r[1]; s++ {
 			nd.owners[s] = i
 		}
 	}

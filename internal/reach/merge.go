@@ -17,10 +17,11 @@ import (
 	"repro/internal/petri"
 )
 
-// NumShards is the fan-out of the sharded visited store: a power of two
-// well above any sensible worker count. The cluster explorer partitions
-// these same 256 shards into per-peer ownership ranges, so one hash
-// routes a state both to a goroutine's shard and to a network peer.
+// NumShards is the granularity at which the visited store is partitioned:
+// a power of two well above any sensible worker count. The parallel
+// explorer splits these 256 hash shards among its workers and the cluster
+// explorer among its peers, both by ShardRanges, so one hash routes a
+// state both to a goroutine's store and to a network peer.
 const NumShards = 256
 
 // ShardOf maps a marking hash (petri.Marking.Hash) onto a shard
@@ -28,6 +29,17 @@ const NumShards = 256
 // batches: owner(peer) = range containing ShardOf(hash).
 func ShardOf(hash uint64) uint32 {
 	return uint32(hash) & (NumShards - 1)
+}
+
+// ShardRanges splits the shards into n contiguous ownership ranges
+// [lo, hi), owner i holding [i·256/n, (i+1)·256/n): sizes differ by at
+// most one, and an owner beyond the 256th gets an empty range.
+func ShardRanges(n int) [][2]int {
+	ranges := make([][2]int, n)
+	for i := range ranges {
+		ranges[i] = [2]int{i * NumShards / n, (i + 1) * NumShards / n}
+	}
+	return ranges
 }
 
 // OrderKey is the deterministic merge key of one examined firing: the

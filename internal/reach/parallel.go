@@ -1,67 +1,94 @@
 package reach
 
-// Parallel frontier-batch exploration. Each BFS level is a batch of
-// already-interned states fanned out to a pool of workers; successor
-// generation is pure (petri.FireInto a per-worker scratch marking), so the
-// only shared mutable structure is the visited store, which is split into
-// hash-indexed shards — one visited.Store and one mutex each — so
-// interning does not serialize.
+// Owner-computes parallel frontier-batch exploration. The 256 hash shards
+// of ShardOf are split into one contiguous range per worker (ShardRanges,
+// the partition the cluster explorer gives its peers), and every worker
+// owns exactly one visited.Store that only it touches while workers run:
+// there is no lock anywhere. A BFS level wide enough to share (levelWidth)
+// is two barrier-separated phases:
 //
-// Determinism is recovered at the level boundary: workers record every
-// firing they examine under the order key (parent position in the level,
-// transition id), first-claim newly seen markings in the shards as pending
-// discoveries, and min-combine order keys when several workers reach the
-// same new marking. After the level's barrier the discoveries are sorted
-// by order key and assigned state ids — exactly the order the sequential
-// BFS first encounters them — so States, Arcs, Deadlocks/BadStates order,
-// the stored Graph, and even the stop points of MaxStates and ErrUnsafe
-// reproduce the Workers: 0 run bit for bit. The order-key sort and the
-// stop-point arithmetic live in merge.go, shared with the distributed
-// cluster explorer (internal/cluster).
+//   - expand: workers pull chunks of level positions, fire every enabled
+//     transition into a scratch marking and hash it; a successor the
+//     worker owns is claimed in its store at once, any other is appended —
+//     order key, hash, marking words — to this worker's one flat buffer;
+//   - absorb: every owner picks its successors out of the other workers'
+//     buffers (the hash names the owner) into its store, min-combining
+//     order keys, and sorts its own discoveries.
+//
+// Determinism is recovered at the level boundary: a new marking is
+// pending under the minimal order key (parent position in the level,
+// transition id) of the firings that reached it, and the owners' sorted
+// discoveries are merged and given state ids in that order — exactly the
+// order the sequential BFS first encounters them. A narrower level is
+// scanned in that order by the calling goroutine alone, which interns a
+// new marking on the spot in the store that owns it: no buffer, no merge.
+// Either way States, Arcs, Deadlocks/BadStates order, the stored Graph,
+// and even the stop points of MaxStates and ErrUnsafe reproduce the
+// Workers: 0 run bit for bit. The order key and the stop-point arithmetic
+// live in merge.go, shared with the cluster explorer (internal/cluster).
+//
+// A worker reads another's store only through the views of a level's
+// parent markings, taken while every store is quiescent (arena chunks
+// never move), so nobody reads a store its owner is growing.
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
+	"repro/internal/stop"
 	"repro/internal/visited"
 )
 
-// numShards aliases the exported constant; see merge.go.
-const numShards = NumShards
+// levelWidth is the number of level positions that pays for one more
+// worker: a level of n positions runs on 1 + n/levelWidth workers (at most
+// Options.Workers), so one narrower than levelWidth runs inline. Fixed
+// from the crossover measurement in EXPERIMENTS.md; a variable only so the
+// tests can force the routed path on small nets.
+var levelWidth = 8192
 
-// shard is one slice of the visited store. Markings are interned in the
-// shard's store the moment a worker first reaches them; gid maps the
-// store's local ids to global state ids and covers only the markings
-// established by earlier level merges. Local ids from len(gid) on are
-// this level's pending discoveries, and pend[local-len(gid)] is the
-// minimal order key over the firings that reached each so far.
-type shard struct {
-	mu    sync.Mutex
+// worker is one owner of the partitioned visited store plus the scratch
+// it expands with. gid maps the store's local ids to global state ids (-1:
+// cut off by MaxStates). Local ids from len(gid) on are the pending
+// discoveries of a routed level: pend[local-len(gid)] carries the minimal
+// order key that reached each so far, and is sorted by it once the level
+// is absorbed.
+type worker struct {
+	id    uint32 // index in the owner list
 	store visited.Store
 	gid   []int32
-	pend  []uint64
-	_     [48]byte // pad to three 64-byte cache lines so shards don't false-share
+	pend  []Discovery
+	head  int // first of the sorted pend the level merge has not taken yet
+
+	out    []uint64      // successors routed to other owners: (order, hash, words...) each
+	next   petri.Marking // scratch successor
+	vio    *violation    // scan-order-first unsafe firing this worker saw
+	cancel *stop.Checker
+	tk     *trace.Track // nil when not tracing
 }
 
-// succRef is one examined firing: transition t led to the marking with
-// the given local id in the given shard. Whether the target was already
-// established or is pending, its global id is shards[shard].gid[local]
-// once the level is merged.
-type succRef struct {
-	t     petri.Trans
-	local int32
-	shard uint8
+// claim looks a successor up in the worker's own store: a new marking
+// becomes a pending discovery under order, a pending one keeps the
+// smaller order key.
+func (w *worker) claim(m petri.Marking, hash, order uint64) {
+	local := w.store.Lookup(m, hash)
+	if local < 0 {
+		local = w.store.Insert(m, hash)
+		w.pend = append(w.pend, Discovery{Order: order, Shard: w.id, Local: int32(local)})
+	} else if p := local - len(w.gid); p >= 0 && order < w.pend[p].Order {
+		w.pend[p].Order = order
+	}
 }
 
-// span is what a worker records per expanded level position: where the
-// position's firings lie in the worker's flat succRef list, and the
-// parent's verdicts.
+// span is what a worker records per expanded position of a routed level:
+// the parent's safe firings and its verdicts.
 type span struct {
-	worker, off, n int32
-	dead, bad      bool
+	n         int32
+	dead, bad bool
 }
 
 // violation records an unsafe firing so the merge can report the
@@ -72,88 +99,120 @@ type violation struct {
 	m     petri.Marking
 }
 
+func (v *violation) err(n *petri.Net) error {
+	return fmt.Errorf("%w: firing %s from %s double-marks a place", ErrUnsafe, n.TransName(v.t), v.m.String(n))
+}
+
 // exploreParallel is the Workers > 0 path of Explore. Early-stop options
 // are routed to the sequential engine before this is called.
 func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	defer opts.Metrics.StartSpan("reach.explore").End()
 	res := &Result{Complete: true}
 	var (
-		qPeak      int
-		batches    int64
-		contention int64
+		qPeak   int
+		batches int64
 	)
 	hBatch := opts.Metrics.Histogram("reach.batch_sizes")
 	if opts.Metrics != nil {
 		// Same export-once-on-exit discipline as the sequential engine,
-		// plus the parallel-only worker/batch/shard metrics.
+		// plus the parallel-only worker/batch metrics.
 		defer func() {
-			reg := opts.Metrics
-			ExportMetrics(reg, res, qPeak)
-			reg.Gauge("reach.workers").Set(int64(opts.Workers))
-			reg.Gauge("reach.shards").Set(numShards)
-			reg.Counter("reach.batches").Add(batches)
-			reg.Counter("reach.shard_contention").Add(contention)
+			ExportMetrics(opts.Metrics, res, qPeak)
+			opts.Metrics.Gauge("reach.workers").Set(int64(opts.Workers))
+			opts.Metrics.Counter("reach.batches").Add(batches)
 		}()
 	}
-	// The merge loop owns the "reach" track; each worker index owns its
-	// own lane, so ring writes stay single-goroutine (the WaitGroup
-	// barrier orders a worker's level-k writes before its level-k+1
-	// goroutine reuses the track).
+	// The merge loop owns the "reach" track; each worker owns its own
+	// lane, so ring writes stay single-goroutine (the phase barrier orders
+	// a worker's level-k writes before whoever runs it at level k+1).
 	tk := opts.Trace.NewTrack("reach")
 	phExplore := opts.Trace.Intern("explore")
 	tk.Begin(phExplore)
-	wtks := make([]*trace.Track, opts.Workers) // nil tracks when not tracing
-	if opts.Trace != nil {
-		for wi := range wtks {
-			wtks[wi] = opts.Trace.NewTrack(fmt.Sprintf("reach-w%d", wi))
-		}
-	}
+	graph := opts.StoreGraph
 	var g *Graph
-	if opts.StoreGraph {
+	if graph {
 		g = &Graph{Net: n}
 		res.Graph = g
 	}
+	isBad := func(m petri.Marking) bool { return opts.Bad != nil && opts.Bad(m) }
 
-	shards := make([]shard, numShards)
-	var states []petri.Marking // global id -> arena view in the owning shard
-	// intern establishes a shard-local marking under the next global id;
-	// workers are quiesced whenever it runs.
-	intern := func(s *shard, local int) int {
-		id := len(states)
-		s.gid[local] = int32(id)
-		states = append(states, s.store.At(local))
-		if opts.StoreGraph {
+	ranges := ShardRanges(min(opts.Workers, NumShards))
+	var ownerOf [NumShards]uint8
+	ws := make([]*worker, len(ranges))
+	for o, r := range ranges {
+		for sh := r[0]; sh < r[1]; sh++ {
+			ownerOf[sh] = uint8(o)
+		}
+		ws[o] = &worker{id: uint32(o), next: n.EmptyMarking(), cancel: stop.Every(opts.Ctx, 64)}
+		if opts.Trace != nil {
+			ws[o].tk = opts.Trace.NewTrack(fmt.Sprintf("reach-w%d", o))
+		}
+	}
+
+	// Per-level scratch, reused so steady-state exploration does not
+	// reallocate with every batch. views holds the level's parent markings
+	// by position — the ids [lo, lo+len(views)) — and next collects the
+	// level being discovered; spans is what routed workers record per
+	// position.
+	var (
+		views, next []petri.Marking
+		spans       []span
+		discovered  []Discovery
+		cursor      atomic.Int64
+		expanders   int // workers expanding the routed level at hand
+	)
+	// states counts the global ids handed out. markings inverts the
+	// owners' gid lists into the id-ordered arena views; like intern it is
+	// for the merge loop, with the workers quiesced.
+	states := 0
+	markings := func() []petri.Marking {
+		all := make([]petri.Marking, states)
+		for _, w := range ws {
+			for local, id := range w.gid {
+				if id >= 0 {
+					all[id] = w.store.At(local)
+				}
+			}
+		}
+		return all
+	}
+	// intern establishes an owner-local marking under the next global id
+	// and makes it a parent of the next level.
+	intern := func(w *worker, local int) {
+		w.gid[local] = int32(states)
+		next = append(next, w.store.At(local))
+		if graph {
 			g.Edges = append(g.Edges, nil)
 		}
-		return id
+		opts.Progress.Tick(1)
+		tk.State(int64(states), 0)
+		states++
 	}
 	limit := visited.Limit(opts.MaxStates)
 
-	var level []int
-	// levels counts fully expanded BFS levels: at the top of the loop,
-	// `level` holds level number `levels`, exactly the boundary
+	// levels counts fully expanded BFS levels: at the top of the loop the
+	// ids from lo on are level number `levels`, exactly the boundary
 	// coordinate of the sequential engine's snapshots. The verdict id
 	// lists mirror res.Deadlocks/res.BadStates for checkpointing.
-	levels := 0
+	lo, levels := 0, 0
 	var deadIDs, badIDs []int
-	record := func(id int, bad, dead bool) {
+	record := func(id int, m petri.Marking, bad, dead bool) {
 		if bad {
 			res.BadFound = true
-			res.BadStates = append(res.BadStates, states[id])
+			res.BadStates = append(res.BadStates, m)
 			badIDs = append(badIDs, id)
 		}
 		if dead {
 			res.Deadlock = true
-			res.Deadlocks = append(res.Deadlocks, states[id])
+			res.Deadlocks = append(res.Deadlocks, m)
 			deadIDs = append(deadIDs, id)
 		}
 	}
-	// On resume the frontier's verdicts were restored from the snapshot,
-	// so the first level's parent-verdict pass must not re-record them;
-	// the resume point itself is the boundary the checkpoint was taken
-	// at, so its poll is skipped too.
-	skipParentVerdicts := false
-	resumedBoundary := false
+	// A level's parents get their verdicts when they are expanded. On
+	// resume the frontier's were restored from the snapshot, so the first
+	// level must not record them again; the resume point itself is the
+	// boundary the checkpoint was taken at, so its poll is skipped too.
+	resumed := false
 
 	first := []petri.Marking{n.InitialMarking()}
 	if sn := opts.Resume; sn != nil {
@@ -161,86 +220,297 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			return nil, err
 		}
 		first = sn.States
+		res.Arcs = sn.Arcs
+		restoreVerdicts(res, sn.States, sn)
+		deadIDs = append(deadIDs, sn.DeadIDs...)
+		badIDs = append(badIDs, sn.BadIDs...)
+		lo, levels = sn.FrontierStart, sn.Levels
+		resumed = true
 	}
 	for id, m := range first {
 		h := m.Hash()
-		s := &shards[ShardOf(h)]
-		if s.store.Lookup(m, h) >= 0 {
+		w := ws[ownerOf[ShardOf(h)]]
+		if w.store.Lookup(m, h) >= 0 {
 			return nil, fmt.Errorf("reach: resume: duplicate marking at state %d", id)
 		}
-		s.gid = append(s.gid, 0)
-		intern(s, s.store.Insert(m, h))
-	}
-	opts.Progress.Tick(int64(len(states)))
-	if sn := opts.Resume; sn == nil {
-		tk.State(0, 0)
-		level = []int{0}
-	} else {
-		res.Arcs = sn.Arcs
-		restoreVerdicts(res, states, sn)
-		deadIDs = append(deadIDs, sn.DeadIDs...)
-		badIDs = append(badIDs, sn.BadIDs...)
-		level = make([]int, 0, len(states)-sn.FrontierStart)
-		for id := sn.FrontierStart; id < len(states); id++ {
-			level = append(level, id)
+		w.gid = append(w.gid, int32(id))
+		if local := w.store.Insert(m, h); id >= lo {
+			views = append(views, w.store.At(local))
 		}
-		levels = sn.Levels
-		skipParentVerdicts = true
-		resumedBoundary = true
+	}
+	states = len(first)
+	opts.Progress.Tick(int64(states))
+	if opts.Resume == nil {
+		tk.State(0, 0)
+		if graph {
+			g.Edges = append(g.Edges, nil)
+		}
+	}
+	nt, words := petri.Trans(n.NumTrans()), n.Words()
+
+	// inline expands a narrow level on the calling goroutine, as worker 0.
+	// Positions are scanned in order, so first-encounter order is scan
+	// order: a new marking is interned at once in the store that owns it,
+	// and the scan stops where the sequential engine would.
+	inline := func() error {
+		me := ws[0]
+		for pos, m := range views {
+			if err := me.cancel.Poll(); err != nil {
+				return err
+			}
+			enabled := 0
+			for t := petri.Trans(0); t < nt; t++ {
+				if !n.Enabled(m, t) {
+					continue
+				}
+				enabled++
+				if !n.FireInto(me.next, m, t) {
+					return (&violation{t: t, m: m}).err(n)
+				}
+				hash := me.next.Hash()
+				ow := ws[ownerOf[ShardOf(hash)]]
+				local := ow.store.Lookup(me.next, hash)
+				if local < 0 {
+					if states >= limit {
+						// The parents from here on were checked by the
+						// sequential engine when it discovered them.
+						for ; pos < len(views) && !resumed; pos++ {
+							record(lo+pos, views[pos], isBad(views[pos]), n.IsDeadlock(views[pos]))
+						}
+						return ErrStateLimit
+					}
+					local = ow.store.Insert(me.next, hash)
+					ow.gid = append(ow.gid, 0)
+					intern(ow, local)
+				}
+				res.Arcs++
+				if graph {
+					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[local])})
+				}
+				if me.tk != nil { // the id is a cache miss per arc
+					me.tk.Fire(int64(t), int64(ow.gid[local]))
+				}
+			}
+			if !resumed {
+				record(lo+pos, m, isBad(m), enabled == 0)
+			}
+		}
+		return nil
 	}
 
-	nt := petri.Trans(n.NumTrans())
+	// expand is the first phase of a routed level for worker wi. What it
+	// reads or appends to per firing is held in locals: the worker structs
+	// lie next to each other in memory, and a neighbour's inserts must not
+	// keep invalidating the line this worker's loop runs on.
+	expand := func(wi int) {
+		const chunk = 16
+		me := ws[wi]
+		next, out, cancel, wtk := me.next, me.out[:0], me.cancel, me.tk
+		me.vio = nil
+		for clo := 0; clo < len(views) && cancel.Poll() == nil; {
+			clo = int(cursor.Add(chunk)) - chunk
+			for pos := clo; pos < min(clo+chunk, len(views)); pos++ {
+				m := views[pos]
+				enabled, fired := 0, 0
+				for t := petri.Trans(0); t < nt; t++ {
+					if !n.Enabled(m, t) {
+						continue
+					}
+					enabled++
+					order := OrderKey(pos, t)
+					if !n.FireInto(next, m, t) {
+						if me.vio == nil || order < me.vio.order {
+							me.vio = &violation{order: order, t: t, m: m}
+						}
+						continue
+					}
+					fired++
+					// One hash routes the owner (and, in the cluster
+					// explorer, the owning peer) and indexes its table.
+					hash := next.Hash()
+					if int(ownerOf[ShardOf(hash)]) == wi {
+						me.claim(next, hash, order)
+					} else {
+						out = append(append(out, order, hash), next...)
+					}
+					// The target's id is not known before the level merge,
+					// whose state events carry the definitive ids.
+					wtk.Fire(int64(t), -1)
+				}
+				spans[pos] = span{n: int32(fired), dead: enabled == 0, bad: isBad(m)}
+			}
+		}
+		me.out = out
+	}
+	// absorb is the second phase, for owner o: it picks its markings out of
+	// what the expanders routed (the hash names the owner again) and sorts
+	// its pending ones into discovery order.
+	absorb := func(o int) {
+		ow := ws[o]
+		for _, src := range ws[:expanders] {
+			if src == ow {
+				continue // it claimed its own successors on the spot
+			}
+			for buf := src.out; len(buf) > 0; buf = buf[2+words:] {
+				if int(ownerOf[ShardOf(buf[1])]) == o {
+					ow.claim(buf[2:2+words], buf[1], buf[0])
+				}
+			}
+		}
+		SortDiscoveries(ow.pend)
+		for range ow.pend {
+			ow.gid = append(ow.gid, -1)
+		}
+	}
+	// fan runs one phase on k goroutines, the caller being number 0.
+	fan := func(k int, phase func(int)) {
+		var wg sync.WaitGroup
+		for i := 1; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				phase(i)
+			}()
+		}
+		phase(0)
+		wg.Wait()
+	}
+	// routed expands a level on nw workers, absorbs it on one per owner
+	// and merges what they found.
+	routed := func(nw int) error {
+		spans = slices.Grow(spans[:0], len(views))[:len(views)]
+		cursor.Store(0)
+		expanders = nw
+		fan(nw, expand)
+		// A cancelled context makes workers bail mid-level, leaving the
+		// per-position scratch only partially filled; merging it would
+		// fabricate verdicts.
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			return opts.Ctx.Err()
+		}
+		fan(len(ws), absorb)
+		// The parents were interned (and in the sequential engine, checked)
+		// in id order before any state of the next level, so appending
+		// here preserves the global id order of the verdict lists.
+		if !resumed {
+			for pos, sp := range spans {
+				record(lo+pos, views[pos], sp.bad, sp.dead)
+			}
+		}
 
-	// Per-level scratch, reused so steady-state exploration does not
-	// reallocate with every batch: one span per level position, one flat
-	// firing list and one scratch marking per worker, and the level's
-	// discoveries.
-	var (
-		spans      []span
-		discovered []Discovery
-	)
-	workerSuccs := make([][]succRef, opts.Workers)
-	workerScratch := make([]petri.Marking, opts.Workers)
-	for wi := range workerScratch {
-		workerScratch[wi] = n.EmptyMarking()
+		// Merge the owners' sorted discoveries into the level's one list.
+		discovered = discovered[:0]
+		for {
+			var best *worker
+			for _, w := range ws {
+				if w.head < len(w.pend) && (best == nil || w.pend[w.head].Order < best.pend[best.head].Order) {
+					best = w
+				}
+			}
+			if best == nil {
+				break
+			}
+			discovered = append(discovered, best.pend[best.head])
+			best.head++
+		}
+		var vio *violation
+		for _, w := range ws {
+			w.pend, w.head = w.pend[:0], 0
+			if w.vio != nil && (vio == nil || w.vio.order < vio.order) {
+				vio = w.vio
+			}
+		}
+		vioOrder := ^uint64(0)
+		if vio != nil {
+			vioOrder = vio.order
+		}
+		trigger, capped, unsafeFirst := PlanLevel(discovered, states, limit, vioOrder, vio != nil)
+		if unsafeFirst {
+			return vio.err(n)
+		}
+
+		// Assign ids in first-encounter order; on the capped path only the
+		// discoveries the sequential engine interned before its stop (the
+		// rest keep global id -1: the run ends here).
+		for _, d := range discovered {
+			if d.Order >= trigger {
+				break
+			}
+			intern(ws[d.Shard], int(d.Local))
+		}
+
+		// Count the arcs, on the capped path only the firings the sequential
+		// scan examined strictly before the triggering one. Whole parents
+		// come from the spans; the triggering parent's firings below the
+		// trigger, and for a stored graph every firing (an edge needs its
+		// target's id, which exists only now), are done over here. All of
+		// them are safe: an unsafe one would have come first.
+		whole := len(spans)
+		switch {
+		case graph:
+			whole = 0
+		case capped:
+			whole = OrderPos(trigger)
+		}
+		for _, sp := range spans[:whole] {
+			res.Arcs += int(sp.n)
+		}
+		scratch := ws[0].next
+		for pos := whole; pos < len(views) && OrderKey(pos, 0) <= trigger; pos++ {
+			for t := petri.Trans(0); t < nt && OrderKey(pos, t) < trigger; t++ {
+				if !n.Enabled(views[pos], t) {
+					continue
+				}
+				res.Arcs++
+				if graph {
+					n.FireInto(scratch, views[pos], t)
+					hash := scratch.Hash()
+					ow := ws[ownerOf[ShardOf(hash)]]
+					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[ow.store.Lookup(scratch, hash)])})
+				}
+			}
+		}
+		if capped {
+			return ErrStateLimit
+		}
+		return nil
 	}
 
 	// finish fills the state count (and the stored graph's states) on
 	// every return path that hands out a Result.
 	finish := func(complete bool) {
-		res.States = len(states)
+		res.States = states
 		res.Complete = complete
-		if opts.StoreGraph {
-			g.States = states
+		if graph {
+			g.States = markings()
 		}
 	}
-	abort := func() (*Result, error) {
+	abort := func(err error) (*Result, error) {
 		finish(false)
-		tk.Abort(opts.Trace.Intern(opts.Ctx.Err().Error()))
-		return res, fmt.Errorf("reach: aborted: %w", opts.Ctx.Err())
+		tk.Abort(opts.Trace.Intern(err.Error()))
+		return res, fmt.Errorf("reach: aborted: %w", err)
 	}
 
-	for len(level) > 0 {
+	for len(views) > 0 {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return abort()
+			return abort(opts.Ctx.Err())
 		}
 		// Level boundary: every state below the frontier is expanded and
-		// `level` is the contiguous id suffix about to be. The snapshot
+		// the level is the contiguous id suffix about to be. The snapshot
 		// must cover verdicts of ALL interned states the way the
 		// sequential engine records them at discovery, so the frontier's
 		// verdicts — which this engine only records when the states are
 		// expanded as parents — are computed into the snapshot's copies
 		// here without touching the live Result.
-		if !resumedBoundary {
-			if act := opts.Ckpt.poll(len(states), levels); act != CkptNone {
-				sn := snapshotAt(append([]petri.Marking(nil), states...), len(states)-len(level), res.Arcs, deadIDs, badIDs, levels)
-				for _, id := range level {
-					m := states[id]
-					if opts.Bad != nil && opts.Bad(m) {
-						sn.BadIDs = append(sn.BadIDs, id)
+		if !resumed {
+			if act := opts.Ckpt.poll(states, levels); act != CkptNone {
+				sn := snapshotAt(markings(), lo, res.Arcs, deadIDs, badIDs, levels)
+				for pos, m := range views {
+					if isBad(m) {
+						sn.BadIDs = append(sn.BadIDs, lo+pos)
 					}
 					if n.IsDeadlock(m) {
-						sn.DeadIDs = append(sn.DeadIDs, id)
+						sn.DeadIDs = append(sn.DeadIDs, lo+pos)
 					}
 				}
 				if opts.Ckpt.Save != nil {
@@ -254,198 +524,37 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 				}
 			}
 		}
-		resumedBoundary = false
 		batches++
-		if len(level) > qPeak {
-			qPeak = len(level)
-		}
-		hBatch.Observe(int64(len(level)))
+		qPeak = max(qPeak, len(views))
+		hBatch.Observe(int64(len(views)))
 
-		if cap(spans) < len(level) {
-			spans = make([]span, len(level))
-		}
-		spans = spans[:len(level)]
-
-		w := min(opts.Workers, len(level))
-		workerViols := make([]*violation, w)
-		workerCont := make([]int64, w)
-
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		const chunk = 16
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				wt := wtks[wi]
-				next := workerScratch[wi]
-				succs := workerSuccs[wi][:0]
-				var vio *violation
-				var cont int64
-				for {
-					// One context check per chunk bounds the abort latency
-					// of a worker to 16 states without a per-state Err call.
-					if opts.Ctx != nil && opts.Ctx.Err() != nil {
-						break
-					}
-					lo := int(cursor.Add(chunk)) - chunk
-					if lo >= len(level) {
-						break
-					}
-					hi := min(lo+chunk, len(level))
-					for pos := lo; pos < hi; pos++ {
-						m := states[level[pos]]
-						enabled := 0
-						off := len(succs)
-						for t := petri.Trans(0); t < nt; t++ {
-							if !n.Enabled(m, t) {
-								continue
-							}
-							enabled++
-							order := OrderKey(pos, t)
-							if !n.FireInto(next, m, t) {
-								if vio == nil || order < vio.order {
-									vio = &violation{order: order, t: t, m: m}
-								}
-								continue
-							}
-							// One hash routes the shard (and, in the cluster
-							// explorer, the owning peer) and indexes the
-							// shard's table.
-							hash := next.Hash()
-							sh := ShardOf(hash)
-							s := &shards[sh]
-							if !s.mu.TryLock() {
-								cont++
-								s.mu.Lock()
-							}
-							// Target id for the trace is -1 for markings still
-							// pending the level merge; the merge's state events
-							// carry the definitive ids.
-							id := int64(-1)
-							local := s.store.Lookup(next, hash)
-							if local < 0 {
-								local = s.store.Insert(next, hash)
-								s.pend = append(s.pend, order)
-							} else if p := local - len(s.gid); p < 0 {
-								id = int64(s.gid[local])
-							} else if order < s.pend[p] {
-								s.pend[p] = order
-							}
-							s.mu.Unlock()
-							succs = append(succs, succRef{t: t, local: int32(local), shard: uint8(sh)})
-							wt.Fire(int64(t), id)
-						}
-						spans[pos] = span{
-							worker: int32(wi), off: int32(off), n: int32(len(succs) - off),
-							dead: enabled == 0, bad: opts.Bad != nil && opts.Bad(m),
-						}
-					}
-				}
-				workerSuccs[wi] = succs
-				workerViols[wi] = vio
-				workerCont[wi] = cont
-			}(wi)
-		}
-		wg.Wait()
-		for _, c := range workerCont {
-			contention += c
-		}
-		// A cancelled context makes workers bail mid-level, leaving the
-		// per-position scratch only partially filled; merging it would
-		// fabricate verdicts, so abort with the states of completed levels.
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return abort()
-		}
-
-		// Verdicts of this level's parents. They were interned (and in the
-		// sequential engine, checked) in id order before any state of the
-		// next level, so appending here preserves the global id order of
-		// the Deadlocks and BadStates lists. On the first level after a
-		// resume the verdicts were already restored from the snapshot.
-		if skipParentVerdicts {
-			skipParentVerdicts = false
+		nextLo := states
+		var err error
+		if nw := min(len(ws), 1+len(views)/levelWidth); nw == 1 {
+			err = inline()
 		} else {
-			for pos, id := range level {
-				record(id, spans[pos].bad, spans[pos].dead)
-			}
+			err = routed(nw)
 		}
-
-		// Gather the shards' pending discoveries and make room for their
-		// global ids.
-		discovered = discovered[:0]
-		for si := range shards {
-			s := &shards[si]
-			for p, order := range s.pend {
-				discovered = append(discovered, Discovery{Order: order, Shard: uint32(si), Local: int32(len(s.gid) + p)})
-			}
-			s.gid = append(s.gid, make([]int32, len(s.pend))...)
-			s.pend = s.pend[:0]
-		}
-		SortDiscoveries(discovered)
-
-		var vio *violation
-		for _, v := range workerViols {
-			if v != nil && (vio == nil || v.order < vio.order) {
-				vio = v
-			}
-		}
-		vioOrder := ^uint64(0)
-		if vio != nil {
-			vioOrder = vio.order
-		}
-		trigger, capped, unsafeFirst := PlanLevel(discovered, len(states), limit, vioOrder, vio != nil)
-		if unsafeFirst {
-			return nil, fmt.Errorf("%w: firing %s from %s double-marks a place",
-				ErrUnsafe, n.TransName(vio.t), vio.m.String(n))
-		}
-
-		// Assign ids in first-encounter order; on the capped path only the
-		// discoveries the sequential engine interned before its stop (the
-		// rest keep global id 0, which nothing reads: the run ends here).
-		nextLevel := make([]int, 0, len(discovered))
-		for _, d := range discovered {
-			if d.Order >= trigger {
-				break
-			}
-			id := intern(&shards[d.Shard], int(d.Local))
-			opts.Progress.Tick(1)
-			tk.State(int64(id), 0)
-			nextLevel = append(nextLevel, id)
-		}
-
-		// Count arcs and store edges; on the capped path only firings the
-		// sequential scan examined strictly before the triggering one.
-		for pos, sp := range spans {
-			if !capped && !opts.StoreGraph {
-				res.Arcs += int(sp.n)
-				continue
-			}
-			for _, sr := range workerSuccs[sp.worker][sp.off : sp.off+sp.n] {
-				if capped && OrderKey(pos, sr.t) >= trigger {
-					break // orders grow with t within a parent
-				}
-				res.Arcs++
-				if opts.StoreGraph {
-					to := int(shards[sr.shard].gid[sr.local])
-					g.Edges[level[pos]] = append(g.Edges[level[pos]], Edge{T: sr.t, To: to})
-				}
-			}
-		}
-
-		if capped {
-			// The fresh states interned above were checked at discovery by
-			// the sequential engine before it hit the cap; reproduce that.
-			for _, id := range nextLevel {
-				m := states[id]
-				record(id, opts.Bad != nil && opts.Bad(m), n.IsDeadlock(m))
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrUnsafe):
+			return nil, err
+		case errors.Is(err, ErrStateLimit):
+			// The fresh states interned before the cap were checked at
+			// discovery by the sequential engine; reproduce that.
+			for i, m := range next {
+				record(nextLo+i, m, isBad(m), n.IsDeadlock(m))
 			}
 			finish(false)
 			return res, ErrStateLimit
+		default:
+			// Cancelled mid-level: the states interned so far are a
+			// partial Result, like the sequential engine's.
+			return abort(err)
 		}
-
-		level = nextLevel
+		lo, views, next = nextLo, next, views[:0]
 		levels++
+		resumed = false
 	}
 
 	finish(true)

@@ -2,11 +2,14 @@ package reach
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/petri"
+	"repro/internal/randnet"
 )
 
 // sameResult asserts the parallel explorer reproduced the sequential
@@ -186,9 +189,6 @@ func TestParallelMetrics(t *testing.T) {
 	if got := parReg.Gauge("reach.workers").Value(); got != 4 {
 		t.Errorf("reach.workers = %d, want 4", got)
 	}
-	if parReg.Gauge("reach.shards").Value() == 0 {
-		t.Error("reach.shards not exported")
-	}
 	if parReg.Counter("reach.batches").Value() == 0 {
 		t.Error("reach.batches not exported")
 	}
@@ -198,4 +198,166 @@ func TestParallelMetrics(t *testing.T) {
 	if parReg.Gauge("reach.queue_peak").Value() == 0 {
 		t.Error("parallel reach.queue_peak (peak level size) lost")
 	}
+}
+
+// forceWidth lowers levelWidth for one test, so nets of a few hundred
+// states take the routed two-phase path (or, at a middling width, switch
+// between it and the inline one from level to level).
+func forceWidth(t *testing.T, k int) {
+	old := levelWidth
+	levelWidth = k
+	t.Cleanup(func() { levelWidth = old })
+}
+
+// boundaries returns the state count at every BFS level boundary of net.
+func boundaries(t *testing.T, net *petri.Net) []int {
+	var at []int
+	hook := &CkptHook{Poll: func(states, _ int) CkptAction { at = append(at, states); return CkptNone }}
+	if _, err := Explore(net, Options{Ckpt: hook}); err != nil {
+		t.Fatal(err)
+	}
+	return at
+}
+
+// TestRoutedPath is the determinism contract on the path tier-1 nets are
+// too small to reach at the production levelWidth: every comparison is
+// against Workers: 0, bit for bit.
+func TestRoutedPath(t *testing.T) {
+	bad := func(m petri.Marking) bool { return m.Has(petri.Place(0)) }
+	nets := []*petri.Net{models.NSDP(6)}
+	for _, c := range []struct {
+		fam  string
+		size int
+	}{{"rw", 9}, {"over", 4}, {"asat", 4}} {
+		net, err := models.ByName(c.fam, c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+	}
+
+	t.Run("existing", func(t *testing.T) {
+		forceWidth(t, 1)
+		TestParallelMatchesSequential(t)
+		TestParallelMaxStatesMatchesSequential(t)
+		TestParallelUnsafeNet(t)
+	})
+
+	// Width 1 routes every level; width 32 also switches modes mid-run.
+	for _, width := range []int{1, 32} {
+		t.Run(fmt.Sprintf("models/width%d", width), func(t *testing.T) {
+			forceWidth(t, width)
+			for _, net := range nets {
+				seq, err := Explore(net, Options{StoreGraph: true, Bad: bad})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 2, 3, 4, 8, 300} {
+					par, err := Explore(net, Options{StoreGraph: true, Bad: bad, Workers: w})
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", net.Name(), w, err)
+					}
+					sameResult(t, fmt.Sprintf("%s workers=%d", net.Name(), w), seq, par)
+				}
+			}
+		})
+	}
+
+	// Caps on and around every level boundary and in the middle of every
+	// level, with the early levels inline and the wide ones routed.
+	t.Run("caps", func(t *testing.T) {
+		forceWidth(t, 32)
+		net := models.NSDP(6)
+		at := boundaries(t, net)
+		var caps []int
+		for i, b := range at {
+			caps = append(caps, b-1, b, b+1)
+			if i > 0 {
+				caps = append(caps, (at[i-1]+b)/2)
+			}
+		}
+		for _, cap := range caps {
+			if cap < 1 {
+				continue
+			}
+			seq, seqErr := Explore(net, Options{MaxStates: cap, StoreGraph: true, Bad: bad})
+			for _, w := range []int{2, 3} {
+				par, parErr := Explore(net, Options{MaxStates: cap, StoreGraph: true, Bad: bad, Workers: w})
+				if !errors.Is(parErr, seqErr) && !(seqErr == nil && parErr == nil) {
+					t.Fatalf("cap=%d workers=%d: err %v != %v", cap, w, parErr, seqErr)
+				}
+				sameResult(t, fmt.Sprintf("cap=%d workers=%d", cap, w), seq, par)
+			}
+		}
+	})
+
+	// Suspend at every level boundary: the snapshot is the sequential
+	// engine's, and resuming it — on either path — finishes like the
+	// uninterrupted sequential run.
+	t.Run("resume", func(t *testing.T) {
+		net := models.NSDP(6)
+		want, err := Explore(net, Options{Bad: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{1, 32} {
+			forceWidth(t, width)
+			for level := range boundaries(t, net) {
+				var snaps [2]*Snapshot
+				for i, w := range []int{0, 3} {
+					hook := &CkptHook{
+						Poll: func(_, levels int) CkptAction {
+							if levels == level {
+								return CkptStop
+							}
+							return CkptNone
+						},
+						Save: func(sn *Snapshot) error { snaps[i] = sn; return nil },
+					}
+					if _, err := Explore(net, Options{Bad: bad, Workers: w, Ckpt: hook}); !errors.Is(err, ErrCheckpointStop) {
+						t.Fatalf("level %d workers=%d: got %v, want ErrCheckpointStop", level, w, err)
+					}
+				}
+				seq, par := snaps[0], snaps[1]
+				sameMarkings(t, fmt.Sprintf("level %d snapshot", level), seq.States, par.States)
+				if seq.FrontierStart != par.FrontierStart || seq.Arcs != par.Arcs || seq.Levels != par.Levels ||
+					!slices.Equal(seq.DeadIDs, par.DeadIDs) || !slices.Equal(seq.BadIDs, par.BadIDs) {
+					t.Fatalf("level %d: parallel snapshot differs from the sequential one", level)
+				}
+				got, err := Explore(net, Options{Bad: bad, Workers: 3, Resume: par})
+				if err != nil {
+					t.Fatalf("resume at level %d: %v", level, err)
+				}
+				sameResult(t, fmt.Sprintf("resumed at level %d width %d", level, width), want, got)
+			}
+		}
+	})
+
+	t.Run("randnet", func(t *testing.T) {
+		forceWidth(t, 1)
+		for seed := int64(1); seed <= 200; seed++ {
+			net := randnet.Generate(randnet.Default(seed))
+			seq, seqErr := Explore(net, Options{StoreGraph: true, Bad: bad})
+			for _, w := range []int{2, 3} {
+				par, parErr := Explore(net, Options{StoreGraph: true, Bad: bad, Workers: w})
+				if seqErr != nil || parErr != nil {
+					if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
+						t.Fatalf("seed %d workers=%d: err %v != %v", seed, w, parErr, seqErr)
+					}
+					continue
+				}
+				sameResult(t, fmt.Sprintf("seed %d workers=%d", seed, w), seq, par)
+			}
+		}
+	})
+}
+
+// BenchmarkExploreParAllocs is the allocation gate of the parallel engine
+// (scripts/check.sh bounds allocs/state): nsdp(7) on two workers with
+// every level routed, so a routing buffer or a per-level list that stops
+// being reused shows as allocations (and bytes) per state.
+func BenchmarkExploreParAllocs(b *testing.B) {
+	defer func(old int) { levelWidth = old }(levelWidth)
+	levelWidth = 1
+	benchAllocs(b, Options{Workers: 2})
 }

@@ -6,8 +6,10 @@
 // This engine is the ground truth the reduced analyses (internal/stubborn,
 // internal/symbolic, internal/core) are validated against, and it produces
 // the "States" column of Table 1. Exploration is breadth-first; setting
-// Options.Workers > 0 switches to the parallel frontier-batch explorer
-// (parallel.go), which produces bit-identical Results.
+// Options.Workers > 0 switches to the owner-computes parallel explorer
+// (parallel.go: one visited store per worker, levels narrower than a
+// measured width run on one goroutine), which produces bit-identical
+// Results.
 package reach
 
 import (
@@ -118,9 +120,9 @@ type Result struct {
 }
 
 // Explore enumerates the reachable markings of n breadth-first. With
-// Options.Workers > 0 (and no early-stop option) each BFS level is
-// explored by a pool of workers over a sharded visited store; the Result
-// is identical to the sequential one.
+// Options.Workers > 0 (and no early-stop option) each wide BFS level is
+// explored by a pool of workers, each over the visited store it owns; the
+// Result is identical to the sequential one.
 func Explore(n *petri.Net, opts Options) (*Result, error) {
 	if err := validateCkptOptions(opts); err != nil {
 		return nil, err

@@ -152,14 +152,18 @@ func TestSCCs(t *testing.T) {
 // fired into one scratch marking and interned as arena words, so a state
 // costs only its amortized share of arena chunks and table doublings.
 // The map-and-key-string store it replaced paid 13.9 allocs/state.
-func BenchmarkExploreSeqAllocs(b *testing.B) {
+func BenchmarkExploreSeqAllocs(b *testing.B) { benchAllocs(b, Options{}) }
+
+// benchAllocs explores nsdp(7) b.N times and reports what a state costs
+// the allocator, as the allocation gates of scripts/check.sh read it.
+func benchAllocs(b *testing.B, opts Options) {
 	net := models.NSDP(7)
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	states := 0
 	for i := 0; i < b.N; i++ {
-		res, err := Explore(net, Options{})
+		res, err := Explore(net, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,6 +171,7 @@ func BenchmarkExploreSeqAllocs(b *testing.B) {
 	}
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
 }
 
 // TestQueuePeakAccounting pins the reach.queue_peak gauge (the BFS queue

@@ -125,7 +125,7 @@ func TestRuntimeMetricsDocumented(t *testing.T) {
 	ctx := context.Background()
 	for _, req := range []*server.Request{
 		{Model: "nsdp", Size: 4, Engine: "exhaustive"},             // reach.* (sequential)
-		{Model: "nsdp", Size: 4, Engine: "exhaustive", Workers: 2}, // reach.* (parallel shards)
+		{Model: "nsdp", Size: 4, Engine: "exhaustive", Workers: 2}, // reach.* (parallel explorer)
 		{Model: "nsdp", Size: 4, Engine: "exhaustive"},             // server.cache_hits
 		{Model: "nsdp", Size: 4, Engine: "gpo"},                    // zdd.* via core.StatsReporter
 		{Model: "rw", Size: 6, Engine: "gpo", Reduce: true},        // reduce.* (rw reduces hard)

@@ -34,8 +34,8 @@ func Limit(maxStates int) int {
 
 // Arena chunk c holds 1<<(firstLog+c) markings until chunks reach
 // 1<<lastLog markings; from there on every chunk has that size. An empty
-// or small store (one of 256 shards, a ten-state net) costs a few hundred
-// bytes, a large one wastes at most one 64 Ki-marking chunk.
+// or small store (a ten-state net) costs a few hundred bytes, a large one
+// wastes at most one 64 Ki-marking chunk.
 const (
 	firstLog  = 4
 	lastLog   = 16
@@ -82,8 +82,8 @@ func (s *Store) At(id int) petri.Marking {
 
 // slot is the home slot of a hash: the top bits of a Fibonacci multiply
 // (by 2^64/φ), which depend on every bit of the hash. The low bits alone
-// would not do: within one shard of the parallel explorer they are all
-// equal, reach.ShardOf having consumed them.
+// would not do: within one worker's store of the parallel explorer they
+// are nearly all equal, reach.ShardOf having consumed them.
 func (s *Store) slot(hash uint64) int { return int(hash * 0x9e3779b97f4a7c15 >> s.shift) }
 
 // Lookup returns the id of the marking, or -1 if it is not stored. hash

@@ -160,8 +160,8 @@ func TestEmptyAndZeroWidth(t *testing.T) {
 	}
 }
 
-// TestSmallFootprint pins the constraint the parallel explorer's 256
-// shards and the sub-millisecond nets of table1-reduce rely on: a store
+// TestSmallFootprint pins the constraint the sub-millisecond nets of
+// table1-reduce (and a parallel explorer of many workers) rely on: a store
 // holding a handful of markings owns a few hundred bytes, not a chunk
 // sized for a large run.
 func TestSmallFootprint(t *testing.T) {

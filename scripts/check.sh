@@ -31,14 +31,20 @@ done
 # store and fire into scratch, so a state costs only its amortized share
 # of arena chunks and table doublings (nsdp(7); the map-and-key-string
 # stores they replaced paid 13.9 allocs/state and more).
-alloc_gate() { # package, benchmark, max allocs/state
+alloc_gate() { # package, benchmark, max allocs/state [, max B/state]
 	go test -run '^$' -bench "$2" -benchtime=1x "$1" | tee /dev/stderr |
-		awk -v bench="$2" -v max="$3" '$1 ~ "^" bench { for (i = 2; i <= NF; i++)
-			if ($i == "allocs/state") { seen = 1; if ($(i-1) + 0 > max + 0) over = 1 } }
+		awk -v bench="$2" -v max="$3" -v maxb="${4:-0}" '$1 ~ "^" bench { for (i = 2; i <= NF; i++) {
+			if ($i == "allocs/state") { seen = 1; if ($(i-1) + 0 > max + 0) over = 1 }
+			if ($i == "B/state" && maxb + 0 > 0 && $(i-1) + 0 > maxb + 0) over = 1 } }
 			END { exit !(seen && !over) }'
 }
 alloc_gate ./internal/reach BenchmarkExploreSeqAllocs 0.1
 alloc_gate ./internal/stubborn BenchmarkStubbornAllocs 2
+# The parallel explorer on two workers with every level routed (nsdp(7)):
+# its routing buffers and per-level lists are reused from level to level,
+# so a state costs 0.014 allocations and 180 bytes (bounds 1.5x that); a
+# buffer that stops being reused shows in the bytes first.
+alloc_gate ./internal/reach BenchmarkExploreParAllocs 0.02 270
 # Trace round-trip smoke: record a run, summarize the Chrome JSON and
 # the JSONL dump with gpotrace, and check both formats parse back.
 TRACE_TMP=$(mktemp -d)
@@ -119,8 +125,13 @@ go run ./cmd/gpod -jobs-smoke
 # Replay smoke: suspend a run at a checkpoint, then re-execute the
 # prefix deterministically — bit-identical snapshot, same event stream,
 # and event counts matching the suspended run's own flight recorder.
-go run ./cmd/gpoverify -model nsdp -size 6 -engine exhaustive \
+# The suspended run is a parallel one (the replay is always sequential).
+# Output goes to files: piped into grep -q, gpoverify would die of
+# SIGPIPE at the first match and lose the trace it writes on exit.
+go run ./cmd/gpoverify -model nsdp -size 6 -engine exhaustive -workers 2 \
 	-ckpt "$TRACE_TMP/nsdp6.ckpt" -ckpt-states 500 \
-	-trace "$TRACE_TMP/suspend.trace.jsonl" | grep -q 'suspended'
+	-trace "$TRACE_TMP/suspend.trace.jsonl" >"$TRACE_TMP/suspend.txt"
+grep -q 'suspended' "$TRACE_TMP/suspend.txt"
 go run ./cmd/gpoverify -replay "$TRACE_TMP/nsdp6.ckpt" \
-	-trace-ref "$TRACE_TMP/suspend.trace.jsonl" | grep -q 'replay: OK'
+	-trace-ref "$TRACE_TMP/suspend.trace.jsonl" >"$TRACE_TMP/replay.txt"
+grep -q 'replay: OK' "$TRACE_TMP/replay.txt"
