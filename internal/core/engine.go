@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -228,6 +229,17 @@ func placeIn(ps []petri.Place, p petri.Place) bool {
 	return false
 }
 
+// satInt64 converts a valid-set count to the integer the metrics and
+// trace surfaces carry, saturating at math.MaxInt64: |r₀| passes 2⁶³
+// from nsdp(34) on, where a plain int64(c) is implementation-defined (on
+// amd64, −2⁶³). Result.PeakValid keeps the exact float.
+func satInt64(c float64) int64 {
+	if c >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(c)
+}
+
 // succ is a computed successor before interning.
 type succ[F any] struct {
 	fired    []petri.Trans
@@ -329,11 +341,12 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 		if c > res.PeakValid {
 			res.PeakValid = c
 		}
+		ci := satInt64(c)
 		cStates.Inc()
-		hValid.Observe(int64(c))
-		gPeakValid.SetMax(int64(c))
+		hValid.Observe(ci)
+		gPeakValid.SetMax(ci)
 		opts.Progress.Tick(1)
-		e.tk.State(int64(id), int64(c))
+		e.tk.State(int64(id), ci)
 		return id, true
 	}
 
@@ -384,7 +397,7 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 		steps = sn.Steps
 		resumedBoundary = true
 		cStates.Add(int64(len(states)))
-		gPeakValid.SetMax(int64(res.PeakValid))
+		gPeakValid.SetMax(satInt64(res.PeakValid))
 		opts.Progress.Tick(int64(len(states)))
 	} else {
 		s0 := e.InitialState()

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/zdd"
 )
@@ -110,5 +112,27 @@ func TestZDDOvertakeScale(t *testing.T) {
 			t.Errorf("OVER(%d): spurious deadlock", n)
 		}
 		t.Logf("OVER(%d): GPO states=%d", n, res.States)
+	}
+}
+
+// TestValidSetMetricsSaturate pins the integer surfaces of the valid-set
+// count where it no longer fits one: |r₀| of NSDP(40) is 7.5·10²², and
+// core.peak_valid used to read 0 and core.valid_sets −2⁶³ there.
+// Result.PeakValid stays the exact float.
+func TestValidSetMetricsSaturate(t *testing.T) {
+	reg := obs.New()
+	res := analyzeZDD(t, models.NSDP(40), Options{Metrics: reg})
+	if res.PeakValid < 7.5e22 || res.PeakValid > 7.6e22 {
+		t.Errorf("PeakValid = %g, want ≈ 7.549e22", res.PeakValid)
+	}
+	if got := reg.Gauge("core.peak_valid").Value(); got != math.MaxInt64 {
+		t.Errorf("core.peak_valid = %d, want saturation at %d", got, int64(math.MaxInt64))
+	}
+	h := reg.Histogram("core.valid_sets")
+	if h.Min() <= 0 || h.Max() != math.MaxInt64 {
+		t.Errorf("core.valid_sets min/max = %d/%d, want positive and saturated", h.Min(), h.Max())
+	}
+	if got := satInt64(1 << 40); got != 1<<40 {
+		t.Errorf("satInt64(2^40) = %d: counts below 2^63 must pass through", got)
 	}
 }

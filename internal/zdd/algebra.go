@@ -68,10 +68,12 @@ func (a *Alg) MaximalConflictFree(conflict func(i, j int) bool) Node {
 // prefix (the core engine's StatsReporter hook). Gauges, not counters, so
 // a repeated call overwrites rather than double-counts.
 //
-// Beyond the hit/miss pairs, the open-addressed tables export their
-// shapes: *_slots (capacity), *_entries (live entries), *_probes
-// (accumulated probe steps past the home slot) and *_load_pct
-// (100·entries/slots). Mean excess probe length is probes/(hits+misses).
+// Beyond the hit/miss pairs, the tables export their shapes: *_slots
+// (capacity; memo_slots stops at the cache cap) and, for the
+// open-addressed unique table, unique_entries (live entries),
+// unique_probes (accumulated probe steps past the home slot; mean excess
+// probe length is probes/(hits+misses)) and unique_load_pct
+// (100·entries/slots).
 func (a *Alg) ReportStats(r *obs.Registry) {
 	st := a.m.Stats()
 	r.Gauge("zdd.nodes").Set(int64(st.Nodes))
@@ -86,13 +88,8 @@ func (a *Alg) ReportStats(r *obs.Registry) {
 	r.Gauge("zdd.unique_entries").Set(int64(st.UniqueEntries))
 	r.Gauge("zdd.unique_probes").Set(st.UniqueProbes)
 	r.Gauge("zdd.memo_slots").Set(int64(st.MemoSlots))
-	r.Gauge("zdd.memo_entries").Set(int64(st.MemoEntries))
-	r.Gauge("zdd.memo_probes").Set(st.MemoProbes)
 	if st.UniqueSlots > 0 {
 		r.Gauge("zdd.unique_load_pct").Set(int64(100 * st.UniqueEntries / st.UniqueSlots))
-	}
-	if st.MemoSlots > 0 {
-		r.Gauge("zdd.memo_load_pct").Set(int64(100 * st.MemoEntries / st.MemoSlots))
 	}
 }
 

@@ -13,14 +13,21 @@
 // Families handled by one Manager are canonical: equal families are the
 // same node, so Equal and Key are O(1).
 //
-// The unique table and the binary-op memo are open-addressed hash tables
-// in the style of CUDD/Sylvan rather than generic Go maps: power-of-two
-// sized flat slices probed linearly, grown at 3/4 load. The unique table
+// The unique table and the binary-op cache are flat power-of-two slices
+// in the style of CUDD/Sylvan rather than generic Go maps. The unique
+// table is open-addressed, probed linearly and doubled at 3/4 load; it
 // stores only node indices and compares probes against the node fields in
-// the arena, so a slot costs 4 bytes; the memo packs its (op, a, b) key
-// into two uint64 words per entry. Lookups on the analysis hot path are
-// therefore allocation-free, and Count keeps a persistent per-node memo
-// (sound because nodes are never freed).
+// the arena, so a slot costs 4 bytes, and the arena is reallocated only
+// when the table doubles, with room for every node the new table can hold.
+// The binary-op cache is CUDD's computed cache: direct-mapped, overwritten
+// on collision, never probed, doubled only up to maxCacheSlots. It is
+// lossy, and that cannot change a node id: nodes are canonical and never
+// freed, so recomputing a forgotten result walks the same recursion and
+// every mk on the way finds the node the first computation made. Creation
+// order, and with it every key, count and snapshot byte, is the same
+// under any cache size; only hit counts and time differ. Lookups on the
+// analysis hot path are allocation-free, and Count keeps a persistent
+// per-node memo (sound because nodes are never freed).
 package zdd
 
 import (
@@ -46,16 +53,24 @@ type node struct {
 	lo, hi Node  // lo: sets without the element; hi: sets with it
 }
 
-// Initial capacities of the open-addressed tables. Power of two;
-// amortized doubling from here covers arbitrarily large analyses.
+// Table capacities, powers of two. The unique table doubles without
+// bound. The op cache doubles from initMemoSlots to maxCacheSlots (1 MB)
+// and stays there: on the benchmark's nine gpo classes no class is faster
+// with a larger cache, and at 1<<12 asat(32) thrashes (EXPERIMENTS.md
+// "GPO scaling").
 const (
 	initUniqueSlots = 1 << 10
 	initMemoSlots   = 1 << 11
+	maxCacheSlots   = 1 << 16
 )
 
-// memoEntry is one slot of the op memo. key packs the operand pair as
+// cacheCap is maxCacheSlots, lowered only by tests that show a lost
+// entry changes no node id.
+var cacheCap = maxCacheSlots
+
+// memoEntry is one slot of the op cache. key packs the operand pair as
 // a<<32|b and val packs op<<32|result. key == 0 marks an empty slot: no
-// memoized operation has a == Bot (those return before the lookup), so 0
+// cached operation has a == Bot (those return before the lookup), so 0
 // is never a real key.
 type memoEntry struct {
 	key uint64
@@ -72,10 +87,10 @@ type Manager struct {
 	// with linear probing against the arena fields.
 	unique []Node
 
-	// memo is the open-addressed binary-op cache; memoCnt tracks live
-	// entries for the growth trigger.
-	memo    []memoEntry
-	memoCnt int
+	// memo is the direct-mapped binary-op cache; memoRoom counts the
+	// stores left before it doubles, while it is below the cap.
+	memo     []memoEntry
+	memoRoom int
 
 	// count[i] memoizes the member-set count below node i (-1 = not yet
 	// computed). Nodes are immutable and never freed, so entries stay
@@ -86,29 +101,26 @@ type Manager struct {
 
 	// Plain (non-atomic) operation statistics: the manager is
 	// single-goroutine by design, and these must cost one increment on
-	// the hot path. The probe counters accumulate collision steps beyond
-	// the home slot, so probes/(hits+misses) is the mean excess probe
-	// length.
+	// the hot path. uniqueProbes accumulates collision steps beyond the
+	// home slot, so probes/(hits+misses) is the mean excess probe length.
 	uniqueHits   int64
 	uniqueMisses int64
 	uniqueProbes int64
 	memoHits     int64
 	memoMisses   int64
-	memoProbes   int64
 	countHits    int64
 	countMisses  int64
 
 	// GrowHook, if non-nil, is called after each table doubling with the
-	// table's name ("unique" or "memo") and its new slot count. Growth is
-	// amortized-rare, so the hook is off the hot path; it must not call
-	// back into the manager.
+	// table's name ("unique" or "memo") and its new slot count; "memo"
+	// stops at maxCacheSlots. Growth is amortized-rare, so the hook is
+	// off the hot path; it must not call back into the manager.
 	GrowHook func(table string, slots int)
 }
 
 // Stats is a snapshot of the manager's internal counters: unique-table
-// hits (node reuse) vs. misses (node creation), binary-op memo hits vs.
-// misses, count-memo hits vs. misses, plus the open-addressed table
-// shapes (slot capacities, live entries, accumulated probe steps).
+// hits (node reuse) vs. misses (node creation), binary-op cache hits vs.
+// misses, count-memo hits vs. misses, plus the table shapes.
 // Nodes are never garbage-collected, so Size is also the lifetime
 // allocation count.
 type Stats struct {
@@ -121,16 +133,15 @@ type Stats struct {
 	CountHits    int64
 	CountMisses  int64
 
-	// UniqueSlots/MemoSlots are the current table capacities;
-	// UniqueEntries/MemoEntries the live entry counts (their ratio is the
-	// load factor). UniqueProbes/MemoProbes count probe steps beyond the
-	// home slot across all lookups.
+	// UniqueSlots/MemoSlots are the current table capacities (MemoSlots
+	// never exceeds maxCacheSlots); UniqueEntries is the unique table's
+	// live entry count (its ratio to UniqueSlots is the load factor) and
+	// UniqueProbes its probe steps beyond the home slot across all
+	// lookups.
 	UniqueSlots   int
 	UniqueEntries int
 	MemoSlots     int
-	MemoEntries   int
 	UniqueProbes  int64
-	MemoProbes    int64
 }
 
 // Stats returns the current operation statistics.
@@ -147,9 +158,7 @@ func (m *Manager) Stats() Stats {
 		UniqueSlots:   len(m.unique),
 		UniqueEntries: len(m.nodes) - 2,
 		MemoSlots:     len(m.memo),
-		MemoEntries:   m.memoCnt,
 		UniqueProbes:  m.uniqueProbes,
-		MemoProbes:    m.memoProbes,
 	}
 }
 
@@ -168,11 +177,14 @@ func NewManager(n int) *Manager {
 	m := &Manager{
 		n:      n,
 		unique: make([]Node, initUniqueSlots),
-		memo:   make([]memoEntry, initMemoSlots),
+		memo:   make([]memoEntry, min(initMemoSlots, cacheCap)),
+		nodes:  make([]node, 2, arenaCap(initUniqueSlots)),
+		count:  make([]float64, 2, arenaCap(initUniqueSlots)),
+		peak:   2,
 	}
-	m.nodes = []node{{level: int32(n)}, {level: int32(n)}}
-	m.count = []float64{0, 1} // Bot holds no sets, Top exactly {∅}
-	m.peak = 2
+	m.memoRoom = len(m.memo)
+	m.nodes[Bot].level, m.nodes[Top].level = int32(n), int32(n)
+	m.count[Top] = 1 // Bot holds no sets, Top exactly {∅}
 	return m
 }
 
@@ -223,6 +235,7 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 	}
 	m.uniqueMisses++
 	n := Node(len(m.nodes))
+	// Within capacity by construction: see arenaCap.
 	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
 	m.count = append(m.count, -1)
 	m.unique[i] = n
@@ -236,10 +249,19 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 	return n
 }
 
-// growUnique doubles the unique table and re-homes every interned node.
+// arenaCap is the most nodes (terminals included) a unique table of the
+// given slot count holds before it doubles. The arena and the count memo
+// are allocated with exactly that capacity whenever the table is, so they
+// double with it and append never re-copies them in between.
+func arenaCap(slots int) int { return slots/4*3 + 2 }
+
+// growUnique doubles the unique table and re-homes every interned node;
+// the arena and the count memo move to slices sized for the new table.
 // Values are node indices, so rehashing reads the arena.
 func (m *Manager) growUnique() {
 	next := make([]Node, 2*len(m.unique))
+	m.nodes = append(make([]node, 0, arenaCap(len(next))), m.nodes...)
+	m.count = append(make([]float64, 0, arenaCap(len(next))), m.count...)
 	mask := uint64(len(next) - 1)
 	for idx := 2; idx < len(m.nodes); idx++ {
 		nd := &m.nodes[idx]
@@ -255,73 +277,50 @@ func (m *Manager) growUnique() {
 	}
 }
 
-// memoGet looks up a memoized binary-op result. It reports the probe
-// slot's state through ok; a false return means the op must be computed
-// (and should be stored with memoPut).
+// memoSlot returns the one slot an (op, a, b) entry can live in.
+func (m *Manager) memoSlot(key, op uint64) *memoEntry {
+	return &m.memo[mix64(key^op*0x9e3779b97f4a7c15)&uint64(len(m.memo)-1)]
+}
+
+// memoGet looks up a cached binary-op result; a false return means the
+// op must be computed (and should be stored with memoPut).
 func (m *Manager) memoGet(op uint32, a, b Node) (Node, bool) {
 	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	want := uint64(op)
-	mask := uint64(len(m.memo) - 1)
-	i := mix64(key^want*0x9e3779b97f4a7c15) & mask
-	for {
-		e := &m.memo[i]
-		if e.key == 0 {
-			m.memoMisses++
-			return 0, false
-		}
-		if e.key == key && e.val>>32 == want {
-			m.memoHits++
-			return Node(uint32(e.val)), true
-		}
-		m.memoProbes++
-		i = (i + 1) & mask
+	if e := m.memoSlot(key, uint64(op)); e.key == key && e.val>>32 == uint64(op) {
+		m.memoHits++
+		return Node(uint32(e.val)), true
 	}
+	m.memoMisses++
+	return 0, false
 }
 
-// memoPut stores a computed binary-op result, growing the table at 3/4
-// load. Recursive ops may have inserted other entries since the memoGet
-// miss, so the probe runs fresh.
+// memoPut stores a computed binary-op result over whatever its slot
+// held. Below the cap the cache doubles once it has taken as many
+// stores as it has slots.
 func (m *Manager) memoPut(op uint32, a, b, r Node) {
 	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	val := uint64(op)<<32 | uint64(uint32(r))
-	mask := uint64(len(m.memo) - 1)
-	i := mix64(key^uint64(op)*0x9e3779b97f4a7c15) & mask
-	for {
-		e := &m.memo[i]
-		if e.key == 0 {
-			e.key = key
-			e.val = val
-			m.memoCnt++
-			if m.memoCnt*4 >= len(m.memo)*3 {
-				m.growMemo()
-			}
-			return
+	*m.memoSlot(key, uint64(op)) = memoEntry{key, uint64(op)<<32 | uint64(uint32(r))}
+	if len(m.memo) < cacheCap {
+		if m.memoRoom--; m.memoRoom == 0 {
+			m.growMemo()
 		}
-		if e.key == key && e.val>>32 == uint64(op) {
-			e.val = val // same op recomputed; canonical, so identical
-			return
-		}
-		i = (i + 1) & mask
 	}
 }
 
-// growMemo doubles the memo table and re-homes every live entry.
+// growMemo doubles the cache. A slot's entries can only move to the same
+// index or to index+len, so re-homing is one store per entry and loses
+// nothing.
 func (m *Manager) growMemo() {
-	next := make([]memoEntry, 2*len(m.memo))
-	mask := uint64(len(next) - 1)
-	for _, e := range m.memo {
-		if e.key == 0 {
-			continue
+	old := m.memo
+	m.memo = make([]memoEntry, 2*len(old))
+	m.memoRoom = len(m.memo)
+	for _, e := range old {
+		if e.key != 0 {
+			*m.memoSlot(e.key, e.val>>32) = e
 		}
-		i := mix64(e.key^(e.val>>32)*0x9e3779b97f4a7c15) & mask
-		for next[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		next[i] = e
 	}
-	m.memo = next
 	if m.GrowHook != nil {
-		m.GrowHook("memo", len(next))
+		m.GrowHook("memo", len(m.memo))
 	}
 }
 
@@ -603,22 +602,33 @@ func (m *Manager) FromBDDModels(bm *bdd.Manager, f bdd.Node) Node {
 // real nets) and its models are extracted as a ZDD.
 func (m *Manager) MaximalConflictFree(conflict func(i, j int) bool) Node {
 	bm := bdd.NewManager(m.n)
+	return m.FromBDDModels(bm, conflictFreeBDD(bm, conflict))
+}
+
+// conflictFreeBDD conjoins the maximal-independent-set clauses over bm's
+// variables, from the last variable to the first. Conflicts are mostly
+// between neighbouring variables, so in that order each clause meets only
+// the top few levels of the accumulated conjunction; first to last, every
+// And walked the whole prefix to reach the levels it constrains, which is
+// quadratic on a ring like NSDP's forks.
+func conflictFreeBDD(bm *bdd.Manager, conflict func(i, j int) bool) bdd.Node {
+	n := bm.NumVars()
 	f := bdd.True
-	for i := 0; i < m.n; i++ {
+	for i := n - 1; i >= 0; i-- {
 		// Independence: ¬(x_i ∧ x_j) for each edge (i,j), i < j.
-		for j := i + 1; j < m.n; j++ {
+		for j := i + 1; j < n; j++ {
 			if conflict(i, j) {
 				f = bm.And(f, bm.Not(bm.And(bm.Var(i), bm.Var(j))))
 			}
 		}
 		// Maximality (domination): x_i ∨ ∨_{j ~ i} x_j.
 		cl := bm.Var(i)
-		for j := 0; j < m.n; j++ {
+		for j := 0; j < n; j++ {
 			if j != i && conflict(i, j) {
 				cl = bm.Or(cl, bm.Var(j))
 			}
 		}
 		f = bm.And(f, cl)
 	}
-	return m.FromBDDModels(bm, f)
+	return f
 }

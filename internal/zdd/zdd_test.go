@@ -193,13 +193,6 @@ func TestTopBot(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestCountAllocFree pins the persistent Count memo: after the first
 // Count of a family, repeated Counts (of it and of its subgraphs) must
 // not allocate. A regression here means the per-call memo map came back.
@@ -223,10 +216,19 @@ func TestCountAllocFree(t *testing.T) {
 }
 
 // TestCountMemoSurvivesGrowth checks the count memo stays aligned with
-// the node arena across unique-table growth.
+// the node arena across unique-table growth, and that the two are
+// reallocated only then: at every check both have exactly the capacity
+// the current unique table can fill, so no append in between re-copied
+// them.
 func TestCountMemoSurvivesGrowth(t *testing.T) {
 	const n = 16
 	m := NewManager(n)
+	grows := 0
+	m.GrowHook = func(table string, _ int) {
+		if table == "unique" {
+			grows++
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
 	fam := family.Empty(n)
 	f := Bot
@@ -237,6 +239,13 @@ func TestCountMemoSurvivesGrowth(t *testing.T) {
 		if got, want := m.Count(f), float64(fam.Size()); got != want {
 			t.Fatalf("round %d: Count=%v want %v", round, got, want)
 		}
+		if want := arenaCap(len(m.unique)); cap(m.nodes) != want || cap(m.count) != want || len(m.count) != len(m.nodes) {
+			t.Fatalf("round %d: arena cap %d, count memo len/cap %d/%d, want cap %d for %d unique slots",
+				round, cap(m.nodes), len(m.count), cap(m.count), want, len(m.unique))
+		}
+	}
+	if grows < 2 {
+		t.Errorf("unique table doubled %d times; the test no longer crosses a growth", grows)
 	}
 	st := m.Stats()
 	if st.UniqueEntries == 0 || st.UniqueSlots < st.UniqueEntries {

@@ -45,6 +45,14 @@ alloc_gate ./internal/stubborn BenchmarkStubbornAllocs 2
 # so a state costs 0.014 allocations and 180 bytes (bounds 1.5x that); a
 # buffer that stops being reused shows in the bytes first.
 alloc_gate ./internal/reach BenchmarkExploreParAllocs 0.02 270
+# GPO allocation gate: one nsdp(40) analysis allocates its node arena,
+# unique table and 1 MB op cache by doubling — 24 MB in all, against
+# 120 MB when r₀'s BDD was conjoined first to last, the memo was lossless
+# and the arena grew by append. The bound is 45 MB/op.
+go test -run '^$' -bench 'BenchmarkAnalyzeZDD$/nsdp\(40\)' -benchtime=1x ./internal/core |
+	tee /dev/stderr | awk '$1 ~ /^BenchmarkAnalyzeZDD\/nsdp\(40\)/ { for (i = 2; i <= NF; i++)
+		if ($i == "B/op") { seen = 1; if ($(i-1) / 1e6 > 45) over = 1 } }
+		END { exit !(seen && !over) }'
 # Trace round-trip smoke: record a run, summarize the Chrome JSON and
 # the JSONL dump with gpotrace, and check both formats parse back.
 TRACE_TMP=$(mktemp -d)
