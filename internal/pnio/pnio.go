@@ -22,10 +22,14 @@ package pnio
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/petri"
 )
@@ -39,6 +43,7 @@ const (
 	maxPlaces   = 1 << 20
 	maxTrans    = 1 << 20
 	maxArcsLine = 1 << 12 // arcs on one trans line, both sides together
+	maxLineLen  = 1 << 20 // one line, newline included
 )
 
 // checkName rejects names that could not survive a Write/Parse round
@@ -61,126 +66,201 @@ func checkName(name string) error {
 	return nil
 }
 
-// Parse reads a net in .pn format.
+// Parse reads a net in .pn format. What it allocates grows with the
+// input: the line buffer starts small and doubles up to maxLineLen, and
+// a line is split in place, so only the names the net keeps are copied.
 func Parse(r io.Reader) (*petri.Net, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var b *petri.Builder
-	places := make(map[string]petri.Place)
-	transSeen := make(map[string]bool)
-	lineNo := 0
+	sc.Buffer(nil, maxLineLen)
+	p := parser{places: make(map[string]petri.Place), transSeen: make(map[string]bool)}
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "net":
-			if b != nil {
-				return nil, fmt.Errorf("pnio: line %d: duplicate net header", lineNo)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("pnio: line %d: want 'net <name>'", lineNo)
-			}
-			if len(fields[1]) > maxNameLen {
-				return nil, fmt.Errorf("pnio: line %d: name longer than %d bytes", lineNo, maxNameLen)
-			}
-			b = petri.NewBuilder(fields[1])
-		case "place":
-			if b == nil {
-				return nil, fmt.Errorf("pnio: line %d: 'place' before 'net'", lineNo)
-			}
-			if len(fields) < 2 || len(fields) > 3 {
-				return nil, fmt.Errorf("pnio: line %d: want 'place <name> [*]'", lineNo)
-			}
-			if err := checkName(fields[1]); err != nil {
-				return nil, fmt.Errorf("pnio: line %d: %v", lineNo, err)
-			}
-			if _, dup := places[fields[1]]; dup {
-				return nil, fmt.Errorf("pnio: line %d: duplicate place %q", lineNo, fields[1])
-			}
-			if len(places) >= maxPlaces {
-				return nil, fmt.Errorf("pnio: line %d: more than %d places", lineNo, maxPlaces)
-			}
-			p := b.Place(fields[1])
-			places[fields[1]] = p
-			if len(fields) == 3 {
-				if fields[2] != "*" {
-					return nil, fmt.Errorf("pnio: line %d: unexpected %q", lineNo, fields[2])
-				}
-				b.Mark(p)
-			}
-		case "trans":
-			if b == nil {
-				return nil, fmt.Errorf("pnio: line %d: 'trans' before 'net'", lineNo)
-			}
-			// trans name : in... -> out...
-			rest := strings.TrimSpace(strings.TrimPrefix(line, "trans"))
-			colon := strings.Index(rest, ":")
-			if colon < 0 {
-				return nil, fmt.Errorf("pnio: line %d: missing ':'", lineNo)
-			}
-			name := strings.TrimSpace(rest[:colon])
-			if name == "" {
-				return nil, fmt.Errorf("pnio: line %d: empty transition name", lineNo)
-			}
-			if err := checkName(name); err != nil {
-				return nil, fmt.Errorf("pnio: line %d: %v", lineNo, err)
-			}
-			if transSeen[name] {
-				return nil, fmt.Errorf("pnio: line %d: duplicate transition %q", lineNo, name)
-			}
-			if len(transSeen) >= maxTrans {
-				return nil, fmt.Errorf("pnio: line %d: more than %d transitions", lineNo, maxTrans)
-			}
-			transSeen[name] = true
-			arrow := strings.Index(rest[colon:], "->")
-			if arrow < 0 {
-				return nil, fmt.Errorf("pnio: line %d: missing '->'", lineNo)
-			}
-			inPart := strings.Fields(rest[colon+1 : colon+arrow])
-			outPart := strings.Fields(rest[colon+arrow+2:])
-			if len(inPart)+len(outPart) > maxArcsLine {
-				return nil, fmt.Errorf("pnio: line %d: more than %d arcs on one transition", lineNo, maxArcsLine)
-			}
-			resolve := func(part []string, side string) ([]petri.Place, error) {
-				seen := make(map[string]bool, len(part))
-				ps := make([]petri.Place, 0, len(part))
-				for _, nm := range part {
-					p, ok := places[nm]
-					if !ok {
-						return nil, fmt.Errorf("pnio: line %d: unknown place %q", lineNo, nm)
-					}
-					if seen[nm] {
-						return nil, fmt.Errorf("pnio: line %d: duplicate %s arc %q", lineNo, side, nm)
-					}
-					seen[nm] = true
-					ps = append(ps, p)
-				}
-				return ps, nil
-			}
-			ins, err := resolve(inPart, "input")
-			if err != nil {
-				return nil, err
-			}
-			outs, err := resolve(outPart, "output")
-			if err != nil {
-				return nil, err
-			}
-			b.TransArcs(name, ins, outs)
-		default:
-			return nil, fmt.Errorf("pnio: line %d: unknown directive %q", lineNo, fields[0])
+		p.lineNo++
+		if err := p.line(bytes.TrimSpace(sc.Bytes())); err != nil {
+			return nil, fmt.Errorf("pnio: line %d: %w", p.lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("pnio: %w", err)
 	}
-	if b == nil {
+	if p.b == nil {
 		return nil, fmt.Errorf("pnio: empty input")
 	}
-	return b.Build()
+	return p.b.Build()
+}
+
+// parser is the state of one Parse call.
+type parser struct {
+	b         *petri.Builder // nil until the net header
+	places    map[string]petri.Place
+	transSeen map[string]bool
+	lineNo    int
+	// arcSide[p] is the serial of the last arc list that named place p
+	// and side the serial of the list being read, so a duplicate arc is
+	// one comparison; ins and outs are the lists themselves, reused
+	// from line to line (the builder copies them).
+	arcSide   []int
+	side      int
+	ins, outs []petri.Place
+}
+
+// line parses one line, already trimmed of surrounding space.
+func (p *parser) line(line []byte) error {
+	if len(line) == 0 || line[0] == '#' {
+		return nil
+	}
+	directive, rest := nextField(line)
+	switch string(directive) {
+	case "net":
+		if p.b != nil {
+			return errors.New("duplicate net header")
+		}
+		name, rest := nextField(rest)
+		if extra, _ := nextField(rest); name == nil || extra != nil {
+			return errors.New("want 'net <name>'")
+		}
+		if len(name) > maxNameLen {
+			return fmt.Errorf("name longer than %d bytes", maxNameLen)
+		}
+		p.b = petri.NewBuilder(string(name))
+	case "place":
+		if p.b == nil {
+			return errors.New("'place' before 'net'")
+		}
+		nameField, rest := nextField(rest)
+		star, rest := nextField(rest)
+		if extra, _ := nextField(rest); nameField == nil || extra != nil {
+			return errors.New("want 'place <name> [*]'")
+		}
+		name := string(nameField)
+		if err := checkName(name); err != nil {
+			return err
+		}
+		if _, dup := p.places[name]; dup {
+			return fmt.Errorf("duplicate place %q", name)
+		}
+		if len(p.places) >= maxPlaces {
+			return fmt.Errorf("more than %d places", maxPlaces)
+		}
+		pl := p.b.Place(name)
+		p.places[name] = pl
+		p.arcSide = append(p.arcSide, 0)
+		if star != nil {
+			if string(star) != "*" {
+				return fmt.Errorf("unexpected %q", star)
+			}
+			p.b.Mark(pl)
+		}
+	case "trans":
+		if p.b == nil {
+			return errors.New("'trans' before 'net'")
+		}
+		// trans name : in... -> out...
+		rest = bytes.TrimSpace(rest)
+		colon := bytes.IndexByte(rest, ':')
+		if colon < 0 {
+			return errors.New("missing ':'")
+		}
+		name := string(bytes.TrimSpace(rest[:colon]))
+		if name == "" {
+			return errors.New("empty transition name")
+		}
+		if err := checkName(name); err != nil {
+			return err
+		}
+		if p.transSeen[name] {
+			return fmt.Errorf("duplicate transition %q", name)
+		}
+		if len(p.transSeen) >= maxTrans {
+			return fmt.Errorf("more than %d transitions", maxTrans)
+		}
+		p.transSeen[name] = true
+		arrow := bytes.Index(rest[colon:], []byte("->"))
+		if arrow < 0 {
+			return errors.New("missing '->'")
+		}
+		inPart, outPart := rest[colon+1:colon+arrow], rest[colon+arrow+2:]
+		if countFields(inPart)+countFields(outPart) > maxArcsLine {
+			return fmt.Errorf("more than %d arcs on one transition", maxArcsLine)
+		}
+		var err error
+		if p.ins, err = p.resolve(p.ins[:0], inPart, "input"); err != nil {
+			return err
+		}
+		if p.outs, err = p.resolve(p.outs[:0], outPart, "output"); err != nil {
+			return err
+		}
+		p.b.TransArcs(name, p.ins, p.outs)
+	default:
+		return fmt.Errorf("unknown directive %q", directive)
+	}
+	return nil
+}
+
+// resolve appends the places named in one side of a trans line to dst.
+func (p *parser) resolve(dst []petri.Place, part []byte, side string) ([]petri.Place, error) {
+	p.side++
+	for name, rest := nextField(part); name != nil; name, rest = nextField(rest) {
+		pl, ok := p.places[string(name)]
+		if !ok {
+			return dst, fmt.Errorf("unknown place %q", name)
+		}
+		if p.arcSide[pl] == p.side {
+			return dst, fmt.Errorf("duplicate %s arc %q", side, name)
+		}
+		p.arcSide[pl] = p.side
+		dst = append(dst, pl)
+	}
+	return dst, nil
+}
+
+// nextField splits the first field off s: a maximal run of non-space
+// bytes, where space is what strings.Fields calls space (so U+00A0
+// separates fields, as it always has). field is nil when s has none.
+func nextField(s []byte) (field, rest []byte) {
+	start := 0
+	for start < len(s) {
+		n := spaceLen(s[start:])
+		if n == 0 {
+			break
+		}
+		start += n
+	}
+	end := start
+	for end < len(s) && spaceLen(s[end:]) == 0 {
+		if s[end] < utf8.RuneSelf {
+			end++
+		} else {
+			_, n := utf8.DecodeRune(s[end:])
+			end += n
+		}
+	}
+	if start == end {
+		return nil, nil
+	}
+	return s[start:end], s[end:]
+}
+
+func countFields(s []byte) int {
+	n := 0
+	for f, rest := nextField(s); f != nil; f, rest = nextField(rest) {
+		n++
+	}
+	return n
+}
+
+// spaceLen is the width of the space rune s starts with, 0 if it starts
+// with anything else. s is not empty.
+func spaceLen(s []byte) int {
+	if c := s[0]; c < utf8.RuneSelf {
+		if c == ' ' || ('\t' <= c && c <= '\r') {
+			return 1
+		}
+		return 0
+	}
+	if r, n := utf8.DecodeRune(s); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
 }
 
 // Write renders the net in .pn format. Parse(Write(n)) reproduces n;

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"sync"
 
 	"repro/internal/obs"
@@ -25,11 +26,31 @@ func requestKey(n *petri.Net, check string, bad []petri.Place, o verify.Options)
 	return verify.RunKey(n, check, bad, o)
 }
 
+// bodyDigest is the SHA-256 of a request body exactly as it arrived.
+// The result cache indexes entries under it (DESIGN.md D14) so that a
+// repeated body is answered without being decoded. The hash must stay
+// cryptographic: a body built to collide with another's digest would be
+// served that other request's verdict.
+type bodyDigest [sha256.Size]byte
+
+const (
+	// maxBodies caps the digests indexed per entry, so respelling one
+	// request (whitespace, field order) cannot grow the index; past it
+	// the oldest spelling gives way and goes back to the parsed path.
+	maxBodies = 4
+	// bodySize is one indexed digest's charge against the byte budget:
+	// the digest in the entry's list and its slot in the index map.
+	bodySize = 96
+)
+
 // cacheEntry is one cached result with its budget charge.
 type cacheEntry struct {
 	key  cacheKey
 	resp Response
-	size int64
+	size int64 // entrySize(resp) + bodySize per indexed body
+	// bodies are the request bodies known to resolve to key, oldest
+	// first; each is also a key of resultCache.byBody.
+	bodies []bodyDigest
 }
 
 // entrySize estimates an entry's memory footprint against the byte
@@ -45,16 +66,19 @@ func entrySize(r *Response) int64 {
 
 // resultCache is the content-addressed LRU result cache: complete,
 // uncancelled verification results keyed by requestKey, evicted least-
-// recently-used when the byte budget is exceeded.
+// recently-used when the byte budget is exceeded. byBody is a second
+// index of the same entries, under the digests of the request bodies
+// that were resolved to them.
 type resultCache struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
 	ll     *list.List // front = most recently used; values are *cacheEntry
 	items  map[cacheKey]*list.Element
+	byBody map[bodyDigest]*list.Element
 
-	hits, misses, evictions *obs.Counter
-	bytes, entries          *obs.Gauge
+	hits, bodyHits, misses, evictions *obs.Counter
+	bytes, entries                    *obs.Gauge
 }
 
 func newResultCache(budget int64, reg *obs.Registry) *resultCache {
@@ -62,7 +86,9 @@ func newResultCache(budget int64, reg *obs.Registry) *resultCache {
 		budget:    budget,
 		ll:        list.New(),
 		items:     make(map[cacheKey]*list.Element),
+		byBody:    make(map[bodyDigest]*list.Element),
 		hits:      reg.Counter("server.cache_hits"),
+		bodyHits:  reg.Counter("server.cache_body_hits"),
 		misses:    reg.Counter("server.cache_misses"),
 		evictions: reg.Counter("server.cache_evictions"),
 		bytes:     reg.Gauge("server.cache_bytes"),
@@ -83,12 +109,64 @@ func (c *resultCache) get(key cacheKey) (*Response, bool) {
 		c.misses.Inc()
 		return nil, false
 	}
+	return c.serve(el), true
+}
+
+// getByBody is get for a request body that has not been decoded. Not
+// finding it says nothing about the result, only that this spelling is
+// new, so it is not a miss: the caller resolves the body and asks get.
+func (c *resultCache) getByBody(d bodyDigest) (*Response, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byBody[d]
+	if !ok {
+		return nil, false
+	}
+	c.bodyHits.Inc()
+	return c.serve(el), true
+}
+
+// serve counts a hit on el and returns the copy to answer with.
+func (c *resultCache) serve(el *list.Element) *Response {
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
 	resp := el.Value.(*cacheEntry).resp
 	resp.Witness = cloneWitness(resp.Witness)
 	resp.Cached = true
-	return &resp, true
+	return &resp
+}
+
+// indexBody records that the request body with digest d resolves to
+// key, so getByBody(d) finds key's entry for as long as it is cached.
+// The caller has validated the body and derived key from it; nothing
+// else may be indexed, because a digest hit is served unexamined.
+func (c *resultCache) indexBody(key cacheKey, d bodyDigest) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	if _, known := c.byBody[d]; known {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if len(e.bodies) == maxBodies {
+		delete(c.byBody, e.bodies[0])
+		e.bodies = append(e.bodies[:0], e.bodies[1:]...)
+	} else {
+		e.size += bodySize
+		c.used += bodySize
+	}
+	e.bodies = append(e.bodies, d)
+	c.byBody[d] = el
+	c.trim()
 }
 
 // cloneWitness deep-copies a witness slice. Both put and get copy: a
@@ -126,6 +204,12 @@ func (c *resultCache) put(key cacheKey, resp *Response) {
 	}
 	c.items[key] = c.ll.PushFront(e)
 	c.used += e.size
+	c.trim()
+}
+
+// trim evicts from the cold end, each entry with its indexed bodies,
+// until the budget holds, then publishes the occupancy gauges.
+func (c *resultCache) trim() {
 	for c.used > c.budget {
 		cold := c.ll.Back()
 		if cold == nil {
@@ -134,6 +218,9 @@ func (c *resultCache) put(key cacheKey, resp *Response) {
 		ce := cold.Value.(*cacheEntry)
 		c.ll.Remove(cold)
 		delete(c.items, ce.key)
+		for _, d := range ce.bodies {
+			delete(c.byBody, d)
+		}
 		c.used -= ce.size
 		c.evictions.Inc()
 	}
@@ -149,4 +236,11 @@ func (c *resultCache) stats() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.used
+}
+
+// indexedBodies returns the size of the body-digest index (tests).
+func (c *resultCache) indexedBodies() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.byBody)
 }

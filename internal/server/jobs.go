@@ -15,10 +15,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sync/atomic"
@@ -70,26 +70,19 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	refuse := func(err error) {
+		code, _, msg := requestFailure(err)
+		writeJSON(w, code, errorBody{Error: msg})
+	}
+	body, digest, err := readBody(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		refuse(err)
 		return
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	pr, err := s.parseRequest(&req)
+	defer releaseBody(body)
+	pr, err := s.decodeRequest(body.Bytes(), digest)
 	if err != nil {
-		var bre *badRequestError
-		if errors.As(err, &bre) {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: bre.msg})
-		} else {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		}
+		refuse(err)
 		return
 	}
 	if pr.cluster {
@@ -107,7 +100,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := jobs.Record{
 		ID:      id,
-		Request: json.RawMessage(body),
+		Request: bytes.Clone(body.Bytes()), // the record outlives the pooled buffer
 		Net:     pr.net.Name(),
 		Engine:  pr.opts.Engine.String(),
 		Check:   pr.check,
@@ -300,13 +293,7 @@ func (s *Server) resumeRecord(rec jobs.Record) (jobs.Record, error) {
 // longer be what the checkpoint describes, and resuming under a stale
 // identity is exactly the silent corruption ckpt/v1 exists to prevent.
 func (s *Server) prepareResume(rec jobs.Record) (*parsedRequest, *verify.EngineSnapshot, error) {
-	dec := json.NewDecoder(bytes.NewReader(rec.Request))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("stored request does not decode: %w", err)
-	}
-	pr, err := s.parseRequest(&req)
+	pr, err := s.decodeRequest(rec.Request, sha256.Sum256(rec.Request))
 	if err != nil {
 		return nil, nil, fmt.Errorf("stored request does not resolve: %w", err)
 	}
@@ -380,6 +367,7 @@ func (s *Server) runAsyncJob(j *job) {
 	release := func() {
 		s.deregisterRun(lr)
 		lr.pub.Close()
+		s.runSettled()
 	}
 	rec, ok := s.cfg.Jobs.Get(id)
 	if !ok || rec.State != jobs.Queued || ar.cancel.Load() {
@@ -510,6 +498,9 @@ func (s *Server) runAsyncJob(j *job) {
 		rep, err = verify.CheckDeadlock(j.req.net, opts)
 	}
 	endNS := nowUnixNS()
+	// Before the record below settles: a client polls it to learn the
+	// job is over, and reads the metrics next.
+	s.runSettled()
 
 	var resp *Response
 	tracePath := ""
@@ -562,7 +553,7 @@ func (s *Server) runAsyncJob(j *job) {
 			s.jobsDone.Inc()
 			jt.emit("done", int64(resp.States))
 			if resp.Complete {
-				s.cache.put(j.req.key, resp)
+				s.cacheResult(j.req, resp)
 			}
 			b, merr := json.Marshal(resp)
 			if merr != nil {

@@ -1,10 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/models"
@@ -156,11 +163,14 @@ type jobResult struct {
 
 // parsedRequest is a Request after resolution and validation.
 type parsedRequest struct {
-	net     *petri.Net
-	check   string
-	bad     []petri.Place
-	opts    verify.Options // Ctx and Metrics filled in by the worker
-	key     cacheKey
+	net   *petri.Net
+	check string
+	bad   []petri.Place
+	opts  verify.Options // Ctx and Metrics filled in by the worker
+	key   cacheKey
+	// digest is the body the request was decoded from; the result cache
+	// indexes the run's entry under it.
+	digest  bodyDigest
 	timeout time.Duration
 	// cluster routes the run to the distributed explorer; lease marks
 	// that the handler holds the shared tier's single-flight lease for
@@ -177,6 +187,63 @@ func (e *badRequestError) Error() string { return e.msg }
 
 func badRequestf(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
+}
+
+// bodyPool recycles request-body buffers between requests.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer releaseBody keeps: one multi-
+// megabyte request must not pin its buffer in the pool afterwards.
+const maxPooledBody = 64 << 10
+
+// readBody reads r's body, at most maxRequestBytes of it, into a pooled
+// buffer and digests it. The caller hands the buffer to releaseBody
+// once nothing refers to its bytes any more.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bodyDigest, error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
+		releaseBody(buf)
+		return nil, bodyDigest{}, badRequestf("bad request body: %v", err)
+	}
+	return buf, sha256.Sum256(buf.Bytes()), nil
+}
+
+func releaseBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodyPool.Put(buf)
+	}
+}
+
+// decodeRequest is the one way a request body becomes a parsedRequest:
+// a single JSON value with no unknown field and nothing but white space
+// after it, resolved by parseRequest. digest is the body's.
+func (s *Server) decodeRequest(body []byte, digest bodyDigest) (*parsedRequest, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return nil, badRequestf("bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, badRequestf("bad request body: data after the JSON value")
+	}
+	pr, err := s.parseRequest(&req)
+	if err != nil {
+		return nil, err
+	}
+	pr.digest = digest
+	return pr, nil
+}
+
+// requestFailure maps an error of readBody or decodeRequest to the HTTP
+// status, access-log outcome and message that answer it.
+func requestFailure(err error) (code int, outcome, msg string) {
+	var bre *badRequestError
+	if errors.As(err, &bre) {
+		return http.StatusBadRequest, "bad_request", bre.msg
+	}
+	return http.StatusInternalServerError, "error", err.Error()
 }
 
 // parseRequest resolves a wire Request against the server's limits:

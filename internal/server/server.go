@@ -13,7 +13,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"runtime"
@@ -318,9 +317,23 @@ func (s *Server) worker() {
 		} else {
 			s.runJob(j)
 		}
-		s.inflight.Add(-1)
-		s.completed.Inc()
 	}
+}
+
+// runSettled closes the worker's books on one dequeued job. Each run
+// calls it before the outcome becomes visible to a client (the handler
+// waking, the job record settling), so whoever has seen a run's result
+// also sees it counted in server.done and gone from server.inflight.
+func (s *Server) runSettled() {
+	s.inflight.Add(-1)
+	s.completed.Inc()
+}
+
+// cacheResult caches a result of the request pr and indexes the entry
+// under the body pr was decoded from.
+func (s *Server) cacheResult(pr *parsedRequest, resp *Response) {
+	s.cache.put(pr.key, resp)
+	s.cache.indexBody(pr.key, pr.digest)
 }
 
 func (s *Server) runJob(j *job) {
@@ -385,7 +398,7 @@ func (s *Server) runJob(j *job) {
 		} else if resp.Complete {
 			// Only complete, uncancelled results are cacheable: partial
 			// statistics depend on where the deadline happened to land.
-			s.cache.put(j.req.key, resp)
+			s.cacheResult(j.req, resp)
 		}
 	}
 	// Settle the shared tier's single-flight lease: publish a complete
@@ -415,9 +428,9 @@ func (s *Server) runJob(j *job) {
 	// Introspection epilogue, strictly ordered: final response stored
 	// (so the SSE terminal event has a verdict), final progress update
 	// published, stream closed, journal appended, per-run metrics folded
-	// into the process registry, live registration dropped — all before
-	// the handler wakes, so a client that saw the response also sees the
-	// run's history.
+	// into the process registry, live registration dropped, the worker's
+	// own counters settled — all before the handler wakes, so a client
+	// that saw the response also sees the run's history.
 	lr.finish(resp, err)
 	prog.Done()
 	lr.pub.Close()
@@ -426,11 +439,8 @@ func (s *Server) runJob(j *job) {
 	}
 	s.reg.Merge(lr.reg)
 	s.deregisterRun(lr)
-	if err != nil {
-		j.done <- jobResult{err: err}
-		return
-	}
-	j.done <- jobResult{resp: resp}
+	s.runSettled()
+	j.done <- jobResult{resp: resp, err: err} // resp is nil when err is not
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -456,21 +466,31 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusServiceUnavailable, "draining", "draining")
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+	// served answers with a cached result; what the access log says of
+	// it comes from the result, all a digest hit has.
+	served := func(resp *Response) {
+		entry.Engine, entry.Net, entry.Check, entry.RunID = resp.Engine, resp.Net, resp.Check, resp.RunID
+		entry.Code, entry.Outcome = http.StatusOK, "cached"
+		entry.CacheHit = true
+		entry.States = resp.States
+		writeJSON(w, http.StatusOK, resp)
+	}
+	body, digest, err := readBody(w, r)
+	if err != nil {
+		fail(requestFailure(err))
 		return
 	}
-	pr, err := s.parseRequest(&req)
+	defer releaseBody(body)
+	// A body seen before is answered on its digest alone: the bytes were
+	// validated and keyed when they were indexed, and nothing else that
+	// feeds the key can change while this Server lives (DESIGN.md D14).
+	if resp, ok := s.cache.getByBody(digest); ok {
+		served(resp)
+		return
+	}
+	pr, err := s.decodeRequest(body.Bytes(), digest)
 	if err != nil {
-		var bre *badRequestError
-		if errors.As(err, &bre) {
-			fail(http.StatusBadRequest, "bad_request", bre.msg)
-		} else {
-			fail(http.StatusInternalServerError, "error", err.Error())
-		}
+		fail(requestFailure(err))
 		return
 	}
 	entry.Engine = pr.opts.Engine.String()
@@ -481,10 +501,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// joins them without any extra bookkeeping.
 	entry.RunID = pr.key.RunID()
 	if resp, ok := s.cache.get(pr.key); ok {
-		entry.Code, entry.Outcome = http.StatusOK, "cached"
-		entry.CacheHit = true
-		entry.States = resp.States
-		writeJSON(w, http.StatusOK, resp)
+		// A new spelling of known work: the next one like it is a digest hit.
+		s.cache.indexBody(pr.key, digest)
+		served(resp)
 		return
 	}
 	// Local miss: consult the cluster's shared result tier. A hit is a
@@ -496,12 +515,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			if hit {
 				var resp Response
 				if jerr := json.Unmarshal(data, &resp); jerr == nil {
-					s.cache.put(pr.key, &resp)
+					s.cacheResult(pr, &resp)
 					resp.Cached = true
-					entry.Code, entry.Outcome = http.StatusOK, "cached"
-					entry.CacheHit = true
-					entry.States = resp.States
-					writeJSON(w, http.StatusOK, &resp)
+					served(&resp)
 					return
 				}
 			} else {

@@ -53,6 +53,20 @@ go test -run '^$' -bench 'BenchmarkAnalyzeZDD$/nsdp\(40\)' -benchtime=1x ./inter
 	tee /dev/stderr | awk '$1 ~ /^BenchmarkAnalyzeZDD\/nsdp\(40\)/ { for (i = 2; i <= NF; i++)
 		if ($i == "B/op") { seen = 1; if ($(i-1) / 1e6 > 45) over = 1 } }
 		END { exit !(seen && !over) }'
+# Service hot-path allocation gates. pnio.Parse allocates in proportion
+# to its input: 56 KB for the 2.6 KB text of nsdp(8), against 1.1 MB
+# when every call opened with a 1 MiB line buffer; the bound is 80 000
+# B/op. A cache hit through the handler (read, digest, lookup, reply;
+# recorder and request included) is 7 KB; the bound is 16 KB/op, and a
+# hit that decodes or parses its body again does not fit under it.
+bytes_gate() { # package, benchmark, max B/op
+	go test -run '^$' -bench "$2\$" -benchtime=100x "$1" | tee /dev/stderr |
+		awk -v bench="$2" -v max="$3" '$1 ~ "^" bench { for (i = 2; i <= NF; i++)
+			if ($i == "B/op") { seen = 1; if ($(i-1) + 0 > max + 0) over = 1 } }
+			END { exit !(seen && !over) }'
+}
+bytes_gate ./internal/pnio BenchmarkParse 80000
+bytes_gate ./internal/server BenchmarkVerifyHit 16384
 # Trace round-trip smoke: record a run, summarize the Chrome JSON and
 # the JSONL dump with gpotrace, and check both formats parse back.
 TRACE_TMP=$(mktemp -d)
