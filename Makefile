@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the tier-1+ gate (see ROADMAP.md).
 
-.PHONY: check test serve watch cluster-smoke jobs-smoke trace-smoke bench-micro bench-artifact benchdiff
+.PHONY: check test serve watch bench-micro bench-artifact benchdiff
 
 check:
 	./scripts/check.sh
@@ -19,26 +19,6 @@ serve:
 # Repeat -addr to watch a whole cluster (per-peer shard/steal table).
 watch:
 	go run ./cmd/gpostat -follow -addr http://localhost:8722 -ledger runs.jsonl
-
-# Boot a 3-peer loopback cluster and check the distributed explorer is
-# bit-identical to sequential BFS plus the shared result tier end to end
-# (same check runs inside `make check`).
-cluster-smoke:
-	go run ./cmd/gpod -cluster-smoke
-
-# Durable-jobs self-check: submit an async job, kill the daemon after
-# its first checkpoint, restart over the same directory, auto-resume,
-# and compare the resumed verdict against a fresh uninterrupted run
-# (same check runs inside `make check`; see DESIGN.md D11).
-jobs-smoke:
-	go run ./cmd/gpod -jobs-smoke
-
-# Distributed-tracing self-check: a traced 3-peer loopback cluster run,
-# fleet bundle fetched from GET /v1/runs/{id}/trace, merged timeline
-# reconstructing exactly the fleet-wide state count, attribution table
-# rendered (same check runs inside `make check`).
-trace-smoke:
-	go run ./cmd/gpod -trace-smoke
 
 # Microbenchmarks of the GPO hot path: ZDD primitive ops and full
 # Analyze runs, with allocation counts (b.ReportAllocs).

@@ -6,11 +6,8 @@
 //
 //	gpod -addr :8722                     # serve until SIGINT/SIGTERM
 //	gpod -addr :8722 -workers 4 -queue 16
-//	gpod -smoke                          # start, self-check, exit
 //	gpod -addr :8722 -peers URL,URL,URL -self URL   # cluster member
-//	gpod -cluster-smoke                  # 3-peer loopback self-check, exit
 //	gpod -addr :8722 -jobs /var/lib/gpod/jobs       # durable async jobs
-//	gpod -jobs-smoke                     # crash/resume self-check, exit
 //
 // Endpoints: POST /v1/verify, GET /healthz, GET /metrics (JSON dump of
 // the metric registry, or Prometheus text with ?format=prom; see
@@ -50,13 +47,15 @@
 // finish (bounded by their own deadlines), running durable jobs
 // checkpoint and suspend, queued ones stay journaled for the next
 // start, then the process exits.
+//
+// The binary carries no self-test. main_test.go runs it as a child
+// process through listen, verify, SIGKILL, restart, resume and SIGTERM;
+// the end-to-end tests of every surface above are internal/server's
+// *_e2e_test.go, over internal/server/servertest.
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -74,7 +73,6 @@ import (
 	"repro/internal/obs/ledger"
 	"repro/internal/obs/trace"
 	"repro/internal/server"
-	"repro/internal/server/client"
 )
 
 func main() {
@@ -91,18 +89,12 @@ func main() {
 		traceDump  = flag.String("trace-dump", "", "write aborted requests' flight-recorder tails to <dir>/<request-id>.trace.jsonl")
 		traceCap   = flag.Int("trace-events", 0, "per-track ring capacity of per-request traces (0 = default)")
 		traceRuns  = flag.Int("trace-runs", 0, "retain the last N runs' flight-recorder dumps in memory and serve them on GET /v1/runs/{id}/trace (0 disables)")
-		smoke      = flag.Bool("smoke", false, "start on a random port, run one self-check request, shut down")
 		jobsDir    = flag.String("jobs", "", "enable durable jobs (POST /v1/jobs): journal and checkpoints live in this directory")
 		ckptEvery  = flag.Duration("ckpt-interval", 0, "auto-checkpoint running jobs this often (0 = 30s default, negative disables)")
 		ckptStates = flag.Int("ckpt-states", 0, "also auto-checkpoint every N newly explored states (0 disables)")
-		jobsSmk    = flag.Bool("jobs-smoke", false, "run the durable-jobs self-check: submit, kill the daemon mid-run, restart, resume, compare against a fresh run, exit")
 		reduceNet  = flag.Bool("reduce", false, "force the structural reduction pre-pass on every request")
 		peersList  = flag.String("peers", "", "comma-separated base URLs of every cluster member (enables cluster mode)")
 		selfURL    = flag.String("self", "", "this node's own base URL, one of -peers")
-		clusterSmk = flag.Bool("cluster-smoke", false, "boot a 3-peer loopback cluster, check bit-identical distributed results and the shared result tier, exit")
-		clusterOut = flag.String("cluster-smoke-out", "", "write the cluster smoke's JSON artifact to this file ('-' = stdout)")
-		traceSmk   = flag.Bool("trace-smoke", false, "boot a 3-peer loopback cluster with tracing on, fetch and merge the fleet trace bundle, check it reconstructs the run, exit")
-		traceOut   = flag.String("trace-smoke-out", "", "write the trace smoke's bundle artifact to this file ('-' = stdout)")
 	)
 	flag.Parse()
 
@@ -118,13 +110,6 @@ func main() {
 		TraceRuns:       *traceRuns,
 		CkptInterval:    *ckptEvery,
 		CkptEveryStates: *ckptStates,
-	}
-	if *jobsSmk {
-		if err := runJobsSmoke(cfg); err != nil {
-			fatal(err)
-		}
-		fmt.Println("gpod: jobs smoke ok")
-		return
 	}
 	if *jobsDir != "" {
 		st, err := jobs.Open(*jobsDir)
@@ -166,20 +151,6 @@ func main() {
 		}
 	}
 
-	if *clusterSmk {
-		if err := runClusterSmoke(cfg, *clusterOut); err != nil {
-			fatal(err)
-		}
-		fmt.Println("gpod: cluster smoke ok")
-		return
-	}
-	if *traceSmk {
-		if err := runTraceSmoke(cfg, *traceOut); err != nil {
-			fatal(err)
-		}
-		fmt.Println("gpod: trace smoke ok")
-		return
-	}
 	if *peersList != "" || *selfURL != "" {
 		peers := strings.Split(*peersList, ",")
 		for i := range peers {
@@ -195,20 +166,18 @@ func main() {
 		cfg.Cluster = nd
 	}
 
-	if *smoke {
-		if err := runSmoke(cfg); err != nil {
-			fatal(err)
-		}
-		fmt.Println("gpod: smoke ok")
-		return
-	}
 	if err := serve(cfg, *addr); err != nil {
 		fatal(err)
 	}
 }
 
 // serve runs the daemon until SIGINT/SIGTERM, then drains gracefully.
+// It announces the address it bound, so -addr 127.0.0.1:0 is usable.
 func serve(cfg server.Config, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	svc := server.New(cfg)
 	if cfg.Jobs != nil {
 		if n := svc.ResumeJobs(); n > 0 {
@@ -216,16 +185,13 @@ func serve(cfg server.Config, addr string) error {
 		}
 	}
 	httpSrv := &http.Server{
-		Addr:              addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	fmt.Printf("gpod: listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("gpod: listening on %s\n", addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	go func() { errc <- httpSrv.Serve(ln) }()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
@@ -242,155 +208,12 @@ func serve(cfg server.Config, addr string) error {
 	svc.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxTimeout+5*time.Second)
 	defer cancel()
-	err := httpSrv.Shutdown(ctx)
+	err = httpSrv.Shutdown(ctx)
 	svc.Close()
 	if err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	fmt.Println("gpod: drained, bye")
-	return nil
-}
-
-// runSmoke boots the full daemon on a random loopback port, pushes one
-// verification through the wire with the client package, and tears the
-// whole thing down — the CI end-to-end liveness check.
-func runSmoke(cfg server.Config) error {
-	svc := server.New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	c := client.New("http://"+ln.Addr().String(), nil)
-
-	if status, err := c.Healthz(ctx); err != nil || status != "ok" {
-		return fmt.Errorf("healthz: status=%q err=%v", status, err)
-	}
-	resp, err := c.Verify(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "gpo"})
-	if err != nil {
-		return fmt.Errorf("verify: %w", err)
-	}
-	// NSDP(4) deadlocks (every philosopher holding their left fork).
-	if resp.Status != server.StatusOK || !resp.Complete || !resp.Deadlock || len(resp.Witness) == 0 {
-		return fmt.Errorf("verify: unexpected result %+v", resp)
-	}
-	snap, err := c.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	if snap.Counters["server.done"] != 1 {
-		return fmt.Errorf("metrics: server.done = %d, want 1", snap.Counters["server.done"])
-	}
-	// The completed run must be charged to the result cache, and the
-	// charge is worth seeing in CI output: accounting drift here once hid
-	// a Witness-aliasing bug.
-	if cfg.CacheBytes >= 0 && snap.Gauges["server.cache_bytes"] <= 0 {
-		return fmt.Errorf("metrics: server.cache_bytes = %d after a completed run, want > 0", snap.Gauges["server.cache_bytes"])
-	}
-	fmt.Printf("gpod: server.cache_bytes=%d server.cache_entries=%d\n",
-		snap.Gauges["server.cache_bytes"], snap.Gauges["server.cache_entries"])
-	if cfg.Ledger != nil {
-		if err := smokeRuns(ctx, "http://"+ln.Addr().String(), resp); err != nil {
-			return err
-		}
-	}
-
-	svc.Drain()
-	if status, err := c.Healthz(ctx); err != nil || status != "draining" {
-		return fmt.Errorf("healthz after drain: status=%q err=%v", status, err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	svc.Close()
-	return nil
-}
-
-// smokeRuns checks the run-introspection surface against the smoke
-// run's known result: the ledger-backed GET /v1/runs history lists the
-// run, GET /v1/runs/{id} reconstructs it, and the SSE event stream
-// terminates with a "done" event whose state count matches the
-// response that came back over /v1/verify.
-func smokeRuns(ctx context.Context, base string, resp *server.Response) error {
-	get := func(path string) (*http.Response, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		return http.DefaultClient.Do(req)
-	}
-
-	hr, err := get("/v1/runs")
-	if err != nil {
-		return fmt.Errorf("runs: %w", err)
-	}
-	var list struct {
-		Completed []ledger.Entry `json:"completed"`
-	}
-	err = json.NewDecoder(hr.Body).Decode(&list)
-	hr.Body.Close()
-	if err != nil || hr.StatusCode != http.StatusOK {
-		return fmt.Errorf("runs: code=%d err=%v", hr.StatusCode, err)
-	}
-	var e *ledger.Entry
-	for i := range list.Completed {
-		if list.Completed[i].Net == resp.Net {
-			e = &list.Completed[i]
-			break
-		}
-	}
-	if e == nil {
-		return fmt.Errorf("runs: %s missing from completed history", resp.Net)
-	}
-	if e.Verdict() != "deadlock" || e.States != int64(resp.States) {
-		return fmt.Errorf("runs: ledger entry verdict=%s states=%d, want deadlock/%d",
-			e.Verdict(), e.States, resp.States)
-	}
-
-	hr, err = get("/v1/runs/" + e.RunID)
-	if err != nil {
-		return fmt.Errorf("run %s: %w", e.RunID, err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusOK {
-		return fmt.Errorf("run %s: code=%d", e.RunID, hr.StatusCode)
-	}
-
-	hr, err = get("/v1/runs/" + e.RunID + "/events")
-	if err != nil {
-		return fmt.Errorf("run events: %w", err)
-	}
-	defer hr.Body.Close()
-	var event string
-	var done struct {
-		States   int64 `json:"states"`
-		Deadlock bool  `json:"deadlock"`
-	}
-	sawDone := false
-	sc := bufio.NewScanner(hr.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: ") && event == "done":
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &done); err != nil {
-				return fmt.Errorf("run events: bad done payload: %w", err)
-			}
-			sawDone = true
-		}
-	}
-	if !sawDone {
-		return fmt.Errorf("run events: stream ended without a done event")
-	}
-	if done.States != int64(resp.States) || !done.Deadlock {
-		return fmt.Errorf("run events: done states=%d deadlock=%v, want %d/true",
-			done.States, done.Deadlock, resp.States)
-	}
 	return nil
 }
 

@@ -28,76 +28,82 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs/trace"
 )
 
 func main() {
-	var (
-		top     = flag.Int("top", 10, "rows in the top-transitions table")
-		asJSON  = flag.Bool("json", false, "print the summary as JSON instead of text")
-		summary = flag.Bool("summary", true, "print the summary (disable to just validate the file)")
-		merge   = flag.Bool("merge", false, "input is a fleet trace bundle (GET /v1/runs/{id}/trace): align peer clocks and print the attribution table")
-		outPath = flag.String("o", "", "with -merge: also write the aligned timeline as one Chrome/Perfetto JSON file")
-	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gpotrace [flags] <trace-file>")
-		flag.PrintDefaults()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "gpotrace:", err)
+		os.Exit(1)
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+}
+
+// run is the whole command: args are the command line without the
+// program name, and everything the command prints goes to stdout. A
+// malformed command line exits 2 with the usage, like flag does.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gpotrace", flag.ExitOnError)
+	var (
+		top     = fs.Int("top", 10, "rows in the top-transitions table")
+		asJSON  = fs.Bool("json", false, "print the summary as JSON instead of text")
+		summary = fs.Bool("summary", true, "print the summary (disable to just validate the file)")
+		merge   = fs.Bool("merge", false, "input is a fleet trace bundle (GET /v1/runs/{id}/trace): align peer clocks and print the attribution table")
+		outPath = fs.String("o", "", "with -merge: also write the aligned timeline as one Chrome/Perfetto JSON file")
+	)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: gpotrace [flags] <trace-file>")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fs.Usage()
 		os.Exit(2)
 	}
 
 	if *merge {
-		b, err := trace.ReadBundleFile(flag.Arg(0))
+		b, err := trace.ReadBundleFile(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		m, err := trace.Merge(b)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		m.WriteText(os.Stdout)
+		m.WriteText(stdout)
 		if *outPath != "" {
 			f, err := os.Create(*outPath)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if err := trace.WriteChromeMerged(f, b, m); err != nil {
 				f.Close()
-				fatal(err)
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("merged timeline: %s (%d peers, %d wire edges)\n", *outPath, len(m.Peers), len(m.Edges))
+			fmt.Fprintf(stdout, "merged timeline: %s (%d peers, %d wire edges)\n", *outPath, len(m.Peers), len(m.Edges))
 		}
-		return
+		return nil
 	}
 
-	d, err := trace.ReadFile(flag.Arg(0))
+	d, err := trace.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	s := trace.Summarize(d, *top)
 	switch {
 	case *asJSON:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s); err != nil {
-			fatal(err)
-		}
+		return enc.Encode(s)
 	case *summary:
-		s.WriteText(os.Stdout)
+		s.WriteText(stdout)
 	default:
-		fmt.Printf("gpotrace: %s: valid (%d tracks, %d events)\n", flag.Arg(0), s.Tracks, s.Events)
+		fmt.Fprintf(stdout, "gpotrace: %s: valid (%d tracks, %d events)\n", fs.Arg(0), s.Tracks, s.Events)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gpotrace:", err)
-	os.Exit(1)
+	return nil
 }

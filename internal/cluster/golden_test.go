@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/petri"
 )
 
@@ -67,7 +68,7 @@ func TestWireGoldenExpandReply(t *testing.T) {
 		{expandReply{flags: []byte{0, flagDead, flagBad, flagDead | flagBad}, orders: []uint64{0, 127, 128, 1 << 40}}, goldenReplyNoVio},
 	} {
 		var buf bytes.Buffer
-		if err := encodeExpandReply(&buf, &tc.re); err != nil {
+		if err := codec.WriteFrame(&buf, frameExpandRe, tc.re.payload()); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(buf.Bytes()); got != tc.want {

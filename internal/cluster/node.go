@@ -417,11 +417,12 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cw := &countingWriter{w: w}
-	if err := encodeExpandReply(cw, re); err != nil {
-		return // client gone; nothing to salvage
-	}
-	j.tk.FrameSend(pid, cw.n)
+	// Every reply is stamped before it is written: once the bytes are out
+	// the coordinator may stamp its receive and send the next RPC, whose
+	// handler writes this same track.
+	payload := re.payload()
+	j.tk.FrameSend(pid, frameHeaderBytes+int64(len(payload)))
+	_ = codec.WriteFrame(w, frameExpandRe, payload) // an error means the client is gone
 }
 
 // seqHeader reads the wire-edge pair id the coordinator stamped on the
@@ -465,8 +466,8 @@ func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
 		m := entries.marking(i)
 		j.internLocal(m, m.Hash(), order)
 	}
+	j.internSend(pid, frameHeaderBytes)
 	_ = codec.WriteFrame(w, frameAck, nil)
-	j.internSend(pid, ackFrameBytes)
 }
 
 // handleCollect returns the owned pending discoveries of the current
@@ -490,9 +491,15 @@ func (nd *Node) handleCollect(w http.ResponseWriter, r *http.Request) {
 		out.add(j.store.At(j.established+p), j.pend[p])
 	}
 	j.mu.Unlock()
-	cw := &countingWriter{w: w}
-	_ = encodeBatch(cw, frameCollect, &out)
-	j.tk.FrameSend(pid, cw.n)
+	if j.tk == nil {
+		_ = encodeBatch(w, frameCollect, &out)
+		return
+	}
+	// The stamp needs the reply's size, so a traced job encodes it whole
+	// first; an untraced one streams it frame by frame.
+	buf := out.body(frameCollect)
+	j.tk.FrameSend(pid, int64(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // handleCommit ends the level on this peer. The peer never reads a state
@@ -526,8 +533,8 @@ func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
 	j.established = j.store.Len()
 	j.pend = j.pend[:0]
 	j.mu.Unlock()
+	j.tk.FrameSend(pid, frameHeaderBytes)
 	_ = codec.WriteFrame(w, frameAck, nil)
-	j.tk.FrameSend(pid, ackFrameBytes)
 }
 
 // countingReader tallies bytes for the frontier byte metrics.

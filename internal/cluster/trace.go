@@ -24,9 +24,9 @@ import (
 // traceStoreCap bounds how many finished runs each node retains.
 const traceStoreCap = 8
 
-// ackFrameBytes is the wire size of an empty ack frame (4-byte length
-// prefix plus the type byte), stamped on ack-direction wire edges.
-const ackFrameBytes = 5
+// frameHeaderBytes is what a frame adds to its payload on the wire (the
+// 4-byte length prefix plus the type byte) — the whole of an ack.
+const frameHeaderBytes = 5
 
 // traceStore retains the node-side dumps of the last few traced runs,
 // oldest evicted first.
@@ -150,17 +150,4 @@ func (nd *Node) LocalTrace(run string) *trace.Dump {
 // Peers returns the cluster membership as base URLs (a copy).
 func (nd *Node) Peers() []string {
 	return append([]string(nil), nd.peers...)
-}
-
-// countingWriter tallies bytes written, for frame_send byte counts on
-// streamed replies.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

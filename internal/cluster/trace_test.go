@@ -124,6 +124,6 @@ func BenchmarkDisabledTraceHotPath(b *testing.B) {
 		tk.Level(int64(i&0xff), 17)
 		tk.Expanded(12, int64(i&0xff))
 		j.internRecv(pid, 64)
-		j.internSend(pid, ackFrameBytes)
+		j.internSend(pid, frameHeaderBytes)
 	}
 }

@@ -128,9 +128,9 @@ func decodeBatch(r io.Reader, typ byte, words int) (*batch, error) {
 	}
 }
 
-// encodeExpandReply writes the reply as one frame (flags and orders
-// are small relative to the batch itself).
-func encodeExpandReply(w io.Writer, re *expandReply) error {
+// payload renders the reply as the payload of its one frameExpandRe
+// frame (flags and orders are small relative to the batch itself).
+func (re *expandReply) payload() []byte {
 	b := codec.AppendBytes(nil, re.flags)
 	b = codec.AppendInt(b, len(re.orders))
 	for _, o := range re.orders {
@@ -142,7 +142,7 @@ func encodeExpandReply(w io.Writer, re *expandReply) error {
 	} else {
 		b = append(b, 0)
 	}
-	return codec.WriteFrame(w, frameExpandRe, b)
+	return b
 }
 
 func decodeExpandReply(r io.Reader) (*expandReply, error) {

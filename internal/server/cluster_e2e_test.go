@@ -3,164 +3,130 @@ package server_test
 import (
 	"context"
 	"encoding/json"
-	"net"
-	"net/http"
+	"fmt"
+	"slices"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/obs"
+	"repro/internal/models"
 	"repro/internal/server"
-	"repro/internal/server/client"
+	"repro/internal/server/servertest"
+	"repro/internal/verify"
 )
 
-// clusterFleet is a set of full gpod servers, each a cluster member.
-type clusterFleet struct {
-	urls    []string
-	svcs    []*server.Server
-	regs    []*obs.Registry
-	clients []*client.Client
-}
-
-// startFleet boots n complete gpod servers on loopback listeners, each
-// with its own cluster.Node over the shared membership list. Listeners
-// come first: the membership URLs must exist before any Node does.
-func startFleet(t *testing.T, n int) *clusterFleet {
+// startFleet boots n complete gpod servers as one loopback cluster and
+// closes them when the test ends.
+func startFleet(t *testing.T, n int, cfg server.Config) *servertest.Fleet {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	f := &clusterFleet{
-		urls:    make([]string, n),
-		svcs:    make([]*server.Server, n),
-		regs:    make([]*obs.Registry, n),
-		clients: make([]*client.Client, n),
-	}
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = l
-		f.urls[i] = "http://" + l.Addr().String()
-	}
-	for i := range listeners {
-		f.regs[i] = obs.New()
-		nd, err := cluster.New(cluster.Config{Self: f.urls[i], Peers: f.urls, Metrics: f.regs[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.svcs[i] = server.New(server.Config{Workers: 2, Metrics: f.regs[i], Cluster: nd})
-		hs := &http.Server{Handler: f.svcs[i].Handler()}
-		go hs.Serve(listeners[i]) //nolint:errcheck
-		t.Cleanup(func() { hs.Close() })
-		f.clients[i] = client.New(f.urls[i], http.DefaultClient)
+	f, err := servertest.StartFleet(n, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		for _, svc := range f.svcs {
-			svc.Close()
+		if err := f.Close(); err != nil {
+			t.Errorf("close fleet: %v", err)
 		}
 	})
 	return f
 }
 
-// reachStates reads a fleet member's process-total reach.states counter.
-func (f *clusterFleet) reachStates(i int) int64 {
-	return f.regs[i].Snapshot().Counters["reach.states"]
-}
-
-// TestE2ESharedTierNoRecompute pins the cluster's shared result cache:
-// a verification computed on peer A answers the identical request on
-// peer B from the shared tier — Cached, same verdict, and without B (or
-// anyone) exploring a single state again.
+// TestE2ESharedTierNoRecompute pins both cluster contracts over real
+// HTTP. A "cluster": true verification on one peer is the in-process
+// sequential result exactly — status, completeness, verdict, state count
+// and witness. The identical request on a peer that neither coordinated
+// it nor asked before is then answered from the shared result tier:
+// Cached, the same bytes, and without anyone exploring a single state.
 func TestE2ESharedTierNoRecompute(t *testing.T) {
-	f := startFleet(t, 3)
+	f := startFleet(t, 3, server.Config{Workers: 2})
 	ctx := context.Background()
-	req := &server.Request{Model: "nsdp", Size: 6, Engine: "exhaustive", Cluster: true}
+	for i, inst := range []struct {
+		model string
+		size  int
+	}{{"nsdp", 8}, {"rw", 12}} {
+		t.Run(fmt.Sprintf("%s%d", inst.model, inst.size), func(t *testing.T) {
+			n, err := models.ByName(inst.model, inst.size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := verify.CheckDeadlock(n, verify.Options{Engine: verify.Exhaustive})
+			if err != nil {
+				t.Fatalf("in-process run: %v", err)
+			}
+			var witness []string
+			if want.Witness != nil {
+				for _, p := range want.Witness.Places() {
+					witness = append(witness, n.PlaceName(p))
+				}
+			}
+			req := &server.Request{
+				Model: inst.model, Size: inst.size,
+				Engine: "exhaustive", Cluster: true, TimeoutMS: 60_000,
+			}
 
-	first, err := f.clients[0].Verify(ctx, req)
-	if err != nil {
-		t.Fatalf("verify on peer 0: %v", err)
-	}
-	if first.Cached {
-		t.Fatal("first request reported Cached")
-	}
-	if !first.Complete || first.States != 5778 {
-		t.Fatalf("nsdp(6) = %d states (complete=%v), want 5778", first.States, first.Complete)
-	}
-	if first.Peers != 3 {
-		t.Fatalf("first.Peers = %d, want 3", first.Peers)
-	}
+			first, err := f.Peers[i].Client.Verify(ctx, req)
+			if err != nil {
+				t.Fatalf("verify on peer %d: %v", i, err)
+			}
+			if first.Cached {
+				t.Fatal("first request reported Cached")
+			}
+			if first.Peers != 3 {
+				t.Fatalf("first.Peers = %d, want 3", first.Peers)
+			}
+			if first.Status != server.StatusOK || first.Complete != want.Complete ||
+				first.Deadlock != want.Deadlock || first.States != want.States ||
+				!slices.Equal(first.Witness, witness) {
+				t.Fatalf("cluster run diverged from the in-process one:\n got %+v\nwant states=%d deadlock=%v complete=%v witness=%v",
+					first, want.States, want.Deadlock, want.Complete, witness)
+			}
 
-	before := make([]int64, 3)
-	for i := range before {
-		before[i] = f.reachStates(i)
-	}
+			explored := f.Counter("reach.states")
+			remoteHits := f.Counter("cluster.remote_cache_hits")
+			asker := (i + 2) % 3
+			second, err := f.Peers[asker].Client.Verify(ctx, req)
+			if err != nil {
+				t.Fatalf("verify on peer %d: %v", asker, err)
+			}
+			if !second.Cached {
+				t.Fatal("identical request on another peer was not served from the shared tier")
+			}
+			if d := f.Counter("reach.states") - explored; d != 0 {
+				t.Errorf("the fleet explored %d states answering a shared-tier hit", d)
+			}
 
-	second, err := f.clients[1].Verify(ctx, req)
-	if err != nil {
-		t.Fatalf("verify on peer 1: %v", err)
-	}
-	if !second.Cached {
-		t.Fatal("identical request on another peer was not served from the shared tier")
-	}
-	for i := range before {
-		if after := f.reachStates(i); after != before[i] {
-			t.Errorf("peer %d explored %d states answering a shared-tier hit", i, after-before[i])
-		}
-	}
+			// The served copy must be the computed result byte-for-byte, modulo
+			// the serving-time decorations (Cached; Peers is original-run-only).
+			a, b := *first, *second
+			a.Cached, b.Cached = false, false
+			a.Peers, b.Peers = 0, 0
+			aj, _ := json.Marshal(a)
+			bj, _ := json.Marshal(b)
+			if string(aj) != string(bj) {
+				t.Errorf("shared-tier copy differs from the computed result:\n  computed: %s\n  served:   %s", aj, bj)
+			}
+			if second.Peers != 0 {
+				t.Errorf("cached copy carries Peers=%d; the stamp is original-run-only", second.Peers)
+			}
 
-	// The served copy must be the computed result byte-for-byte, modulo
-	// the serving-time decorations (Cached; Peers is original-run-only).
-	a, b := *first, *second
-	a.Cached, b.Cached = false, false
-	a.Peers, b.Peers = 0, 0
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Errorf("shared-tier copy differs from the computed result:\n  computed: %s\n  served:   %s", aj, bj)
-	}
-	if second.Peers != 0 {
-		t.Errorf("cached copy carries Peers=%d; the stamp is original-run-only", second.Peers)
-	}
-
-	// The hit is visible in the tier's instrumentation on the peer that
-	// asked (remote hit) — wherever the key's owner is.
-	var remoteHits int64
-	for _, reg := range f.regs {
-		remoteHits += reg.Snapshot().Counters["cluster.remote_cache_hits"]
-	}
-	if remoteHits < 1 {
-		t.Errorf("cluster.remote_cache_hits = %d across the fleet, want >= 1", remoteHits)
+			// The hit is visible in the tier's instrumentation on the peer that
+			// asked (remote hit) — wherever the key's owner is.
+			if d := f.Counter("cluster.remote_cache_hits") - remoteHits; d < 1 {
+				t.Errorf("cluster.remote_cache_hits rose by %d across the fleet, want >= 1", d)
+			}
+		})
 	}
 }
 
 // TestE2EClusterRejectsBadRequests pins the admission rules: cluster
 // execution needs a clustered server and the exhaustive engine.
 func TestE2EClusterRejectsBadRequests(t *testing.T) {
-	f := startFleet(t, 2)
+	f := startFleet(t, 2, server.Config{Workers: 2})
 	ctx := context.Background()
-	if _, err := f.clients[0].Verify(ctx, &server.Request{Model: "rw", Size: 4, Engine: "gpo", Cluster: true}); err == nil {
+	if _, err := f.Peers[0].Client.Verify(ctx, &server.Request{Model: "rw", Size: 4, Engine: "gpo", Cluster: true}); err == nil {
 		t.Error("cluster + gpo engine was accepted; want 400")
 	}
 
-	plain := server.New(server.Config{Workers: 1})
-	defer plain.Close()
-	// No listener needed — parseRequest rejects before any work happens,
-	// so exercise it through the handler via a recorded request.
-	hs := startHTTP(t, plain)
-	if _, err := client.New(hs, http.DefaultClient).Verify(ctx, &server.Request{Model: "rw", Size: 4, Engine: "exhaustive", Cluster: true}); err == nil {
+	plain, _ := startService(t, server.Config{Workers: 1})
+	if _, err := plain.Verify(ctx, &server.Request{Model: "rw", Size: 4, Engine: "exhaustive", Cluster: true}); err == nil {
 		t.Error("cluster request on a peerless server was accepted; want 400")
 	}
-}
-
-// startHTTP serves a Server's handler on a loopback listener and
-// returns its base URL.
-func startHTTP(t *testing.T, svc *server.Server) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: svc.Handler()}
-	go hs.Serve(l) //nolint:errcheck
-	t.Cleanup(func() { hs.Close() })
-	return "http://" + l.Addr().String()
 }

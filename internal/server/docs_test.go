@@ -2,18 +2,13 @@ package server_test
 
 import (
 	"context"
-	"net"
-	"net/http"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/server/client"
 )
 
 // metricToken matches a documented metric name after brace expansion:
@@ -62,9 +57,9 @@ func documentedMetricNames(doc string) map[string]bool {
 // doc cannot silently rot as instrumentation grows. The workload covers
 // the sequential and parallel explicit engines, the ZDD-backed GPO
 // engine, the result cache (hit + miss), a reduced run on a net every
-// reduction rule fires on, and a 3-peer cluster run (which also sweeps
-// the shared result tier), which together register every metric in
-// those namespaces.
+// reduction rule fires on, a 3-peer cluster run (which also sweeps the
+// shared result tier) and a durable job, which together register every
+// metric in those namespaces.
 func TestRuntimeMetricsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("../../OBSERVABILITY.md")
 	if err != nil {
@@ -75,53 +70,8 @@ func TestRuntimeMetricsDocumented(t *testing.T) {
 		t.Fatalf("only %d documented metric names parsed — extraction broken?", len(documented))
 	}
 
-	// Peers need routable URLs before their Nodes exist, so bind the
-	// listeners first and build the membership list from their ports.
-	const nPeers = 3
-	listeners := make([]net.Listener, nPeers)
-	peers := make([]string, nPeers)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = l
-		peers[i] = "http://" + l.Addr().String()
-	}
-
-	reg := obs.New()
-	node0, err := cluster.New(cluster.Config{Self: peers[0], Peers: peers, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := jobs.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	svc := server.New(server.Config{Workers: 1, Metrics: reg, Cluster: node0, Jobs: st})
-	httpSrvs := make([]*http.Server, nPeers)
-	httpSrvs[0] = &http.Server{Handler: svc.Handler()}
-	for i := 1; i < nPeers; i++ {
-		nd, err := cluster.New(cluster.Config{Self: peers[i], Peers: peers, Metrics: obs.New()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mux := http.NewServeMux()
-		nd.Register(mux)
-		httpSrvs[i] = &http.Server{Handler: mux}
-	}
-	for i, hs := range httpSrvs {
-		go hs.Serve(listeners[i]) //nolint:errcheck
-	}
-	defer func() {
-		for _, hs := range httpSrvs {
-			hs.Close()
-		}
-		svc.Close()
-	}()
-
-	c := client.New(peers[0], http.DefaultClient)
+	f := startFleet(t, 3, server.Config{Workers: 1})
+	c := f.Peers[0].Client
 	ctx := context.Background()
 	for _, req := range []*server.Request{
 		{Model: "nsdp", Size: 4, Engine: "exhaustive"},             // reach.* (sequential)
@@ -138,12 +88,16 @@ func TestRuntimeMetricsDocumented(t *testing.T) {
 		}
 	}
 
-	// jobs.* and ckpt.* — one durable job through submit → done.
-	jb, err := c.SubmitJob(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "gpo", Check: "deadlock", StopAtFirst: true})
+	// jobs.* and ckpt.* — one durable job through submit → done, on a
+	// server of its own (a fleet's peers share one Config, so they cannot
+	// have a store each) that reports into the same registry.
+	reg := f.Peers[0].Metrics
+	jc, _, _ := jobsService(t, t.TempDir(), server.Config{Workers: 1, Metrics: reg})
+	jb, err := jc.SubmitJob(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "gpo", Check: "deadlock", StopAtFirst: true})
 	if err != nil {
 		t.Fatalf("submit job: %v", err)
 	}
-	waitJob(t, c, jb.ID, jobs.Done)
+	waitJob(t, jc, jb.ID, jobs.Done)
 
 	snap := reg.Snapshot()
 	var runtimeNames []string

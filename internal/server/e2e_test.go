@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,23 +13,22 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/server/servertest"
 )
 
-// startService boots a Server on a random loopback port and returns a
-// client for it plus the registry, tearing everything down (and
-// checking for leaked goroutines) when the test ends.
-func startService(t *testing.T, cfg server.Config) (*client.Client, *obs.Registry) {
+// start boots a server on a random loopback port and, when the test
+// ends, closes it gracefully and checks that it leaked no goroutine.
+func start(t *testing.T, cfg server.Config) *servertest.Server {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.New()
-	}
 	before := runtime.NumGoroutine()
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
+	s, err := servertest.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
-		svc.Drain()
-		ts.Close() // waits for in-flight handlers, closes idle conns
-		svc.Close()
+		if err := s.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
@@ -39,7 +37,15 @@ func startService(t *testing.T, cfg server.Config) (*client.Client, *obs.Registr
 			t.Errorf("goroutine leak: %d before, %d after shutdown", before, after)
 		}
 	})
-	return client.New(ts.URL, ts.Client()), cfg.Metrics
+	return s
+}
+
+// startService is start for the tests that need only the client and the
+// registry.
+func startService(t *testing.T, cfg server.Config) (*client.Client, *obs.Registry) {
+	t.Helper()
+	s := start(t, cfg)
+	return s.Client, s.Metrics
 }
 
 // TestE2ECacheServesRepeatedRequest is the acceptance pairing from the
@@ -184,14 +190,8 @@ func TestE2ESheddingUnderLoad(t *testing.T) {
 // TestE2EDrainRefusesNewWork covers the shutdown surface: after Drain,
 // health reports draining and verification requests answer 503.
 func TestE2EDrainRefusesNewWork(t *testing.T) {
-	cfg := server.Config{Workers: 1, Metrics: obs.New()}
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
-	c := client.New(ts.URL, ts.Client())
+	s := start(t, server.Config{Workers: 1})
+	c := s.Client
 	ctx := context.Background()
 
 	if status, err := c.Healthz(ctx); err != nil || status != "ok" {
@@ -201,7 +201,7 @@ func TestE2EDrainRefusesNewWork(t *testing.T) {
 		t.Fatalf("verify before drain: %v", err)
 	}
 
-	svc.Drain()
+	s.Service.Drain()
 	if status, err := c.Healthz(ctx); err != nil || status != "draining" {
 		t.Fatalf("healthz after drain: %q, %v", status, err)
 	}

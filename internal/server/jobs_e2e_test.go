@@ -10,15 +10,14 @@ package server_test
 import (
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/client"
+	"repro/internal/server/servertest"
 )
 
 // jobsService boots a jobs-enabled server over dir and returns the
@@ -29,18 +28,10 @@ func jobsService(t *testing.T, dir string, cfg server.Config) (*client.Client, *
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { st.Close() }) // after the server, which start closes
 	cfg.Jobs = st
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.New()
-	}
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		svc.Close()
-		st.Close()
-	})
-	return client.New(ts.URL, ts.Client()), svc, st
+	s := start(t, cfg)
+	return s.Client, s.Service, st
 }
 
 // waitJob polls until the job reaches one of the wanted states.
@@ -182,41 +173,36 @@ func TestE2EJobRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcA := server.New(server.Config{Workers: 2, Jobs: stA})
-	tsA := httptest.NewServer(svcA.Handler())
-	cA := client.New(tsA.URL, tsA.Client())
-	ctx := context.Background()
-
-	req := &server.Request{Model: "nsdp", Size: 8, Engine: "exhaustive", TimeoutMS: 1}
-	j, err := cA.SubmitJob(ctx, req)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	sus := waitJob(t, cA, j.ID, jobs.Checkpointed)
-	tsA.Close()
-	svcA.Close()
-	stA.Close()
-
-	// Server B: same directory, generous slices. ResumeJobs re-admits
-	// the suspended job without any client involvement.
-	stB, err := jobs.Open(dir)
+	a, err := servertest.Start(server.Config{Workers: 2, Jobs: stA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcB := server.New(server.Config{Workers: 2, Jobs: stB})
-	tsB := httptest.NewServer(svcB.Handler())
-	cB := client.New(tsB.URL, tsB.Client())
-	t.Cleanup(func() {
-		tsB.Close()
-		svcB.Close()
-		stB.Close()
-	})
-	// The stored request's 1ms slice would just re-suspend; a restart
-	// keeps the stored request verbatim, so step it with resumes like a
-	// client would. First, the automatic re-admission:
+	t.Cleanup(a.Kill) // should the test fail before it kills A itself
+	ctx := context.Background()
+
+	req := &server.Request{Model: "nsdp", Size: 8, Engine: "exhaustive", TimeoutMS: 1}
+	j, err := a.Client.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	sus := waitJob(t, a.Client, j.ID, jobs.Checkpointed)
+	a.Kill()
+	stA.Close()
+	if _, err := os.Stat(sus.CkptPath); err != nil {
+		t.Fatalf("checkpoint file after server A died: %v", err)
+	}
+
+	// Server B: same directory. ResumeJobs re-admits the suspended job
+	// without any client involvement.
+	cB, svcB, _ := jobsService(t, dir, server.Config{Workers: 2})
 	if n := svcB.ResumeJobs(); n != 1 {
 		t.Fatalf("ResumeJobs = %d, want 1", n)
 	}
+	if list, err := cB.Jobs(ctx); err != nil || len(list) != 1 || list[0].ID != j.ID {
+		t.Fatalf("job list after restart: %+v, %v", list, err)
+	}
+	// A restart keeps the stored request verbatim, and its 1ms slice just
+	// suspends again: step it with resumes like a client would.
 	fin := waitJob(t, cB, j.ID, jobs.Checkpointed, jobs.Done)
 	if fin.States < sus.States {
 		t.Fatalf("restart went backwards: %d -> %d states", sus.States, fin.States)
@@ -226,6 +212,9 @@ func TestE2EJobRestartResume(t *testing.T) {
 			t.Fatalf("resume: %v", err)
 		}
 		fin = waitJob(t, cB, j.ID, jobs.Checkpointed, jobs.Done)
+	}
+	if fin.Resumes == 0 {
+		t.Fatalf("job finished without ever resuming from its checkpoint: %+v", fin.Record)
 	}
 	var res server.Response
 	if err := json.Unmarshal(fin.Result, &res); err != nil {

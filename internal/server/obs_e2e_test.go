@@ -7,16 +7,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/server"
-	"repro/internal/server/client"
 )
 
 // syncBuffer is an access-log writer the test can read while handlers
@@ -106,18 +103,11 @@ func waitForLogLine(t *testing.T, buf *syncBuffer, id string) accessLine {
 func TestE2EAbortDumpJoinsAccessLog(t *testing.T) {
 	logBuf := &syncBuffer{}
 	dumps := newDumpCollector()
-	cfg := server.Config{
+	ts := start(t, server.Config{
 		Workers:   1,
-		Metrics:   obs.New(),
 		AccessLog: logBuf,
 		TraceSink: dumps.sink,
-	}
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
+	})
 
 	const id = "abort-join-1"
 	body := `{"model":"nsdp","size":10,"engine":"exhaustive","timeout_ms":50}`
@@ -126,7 +116,7 @@ func TestE2EAbortDumpJoinsAccessLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("X-Request-ID", id)
-	hr, err := ts.Client().Do(req)
+	hr, err := ts.HTTP.Do(req)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -217,14 +207,8 @@ func TestE2EAbortDumpJoinsAccessLog(t *testing.T) {
 // the client names none (or an unusable one).
 func TestE2EAccessLogOutcomes(t *testing.T) {
 	logBuf := &syncBuffer{}
-	cfg := server.Config{Workers: 1, Metrics: obs.New(), AccessLog: logBuf}
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
-	c := client.New(ts.URL, ts.Client())
+	ts := start(t, server.Config{Workers: 1, AccessLog: logBuf})
+	c := ts.Client
 	ctx := context.Background()
 
 	post := func(id, body string) (string, *http.Response) {
@@ -236,7 +220,7 @@ func TestE2EAccessLogOutcomes(t *testing.T) {
 		if id != "" {
 			req.Header.Set("X-Request-ID", id)
 		}
-		hr, err := ts.Client().Do(req)
+		hr, err := ts.HTTP.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,13 +279,8 @@ func TestE2EAccessLogOutcomes(t *testing.T) {
 // Prometheus text exposition with the content type scrapers expect,
 // carrying the same server.* counters as the JSON snapshot.
 func TestE2EMetricsPromFormat(t *testing.T) {
-	svc := server.New(server.Config{Workers: 1, Metrics: obs.New()})
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
-	c := client.New(ts.URL, ts.Client())
+	ts := start(t, server.Config{Workers: 1})
+	c := ts.Client
 	ctx := context.Background()
 	if _, err := c.Verify(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"}); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -315,7 +294,7 @@ func TestE2EMetricsPromFormat(t *testing.T) {
 		t.Fatalf("JSON snapshot: %+v", snap.Counters)
 	}
 
-	hr, err := ts.Client().Get(ts.URL + "/metrics?format=prom")
+	hr, err := ts.HTTP.Get(ts.URL + "/metrics?format=prom")
 	if err != nil {
 		t.Fatalf("prom metrics: %v", err)
 	}

@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/obs/trace"
 	"repro/internal/server"
@@ -102,12 +100,11 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ldg.Close()
+	t.Cleanup(func() { ldg.Close() }) // after the server, which start closes
 	logBuf := &syncBuffer{}
 	tracePath := func(id string) string { return filepath.Join(dir, id+".trace.jsonl") }
-	cfg := server.Config{
+	ts := start(t, server.Config{
 		Workers:   1,
-		Metrics:   obs.New(),
 		AccessLog: logBuf,
 		Ledger:    ldg,
 		TraceSink: func(id string, d *trace.Dump) {
@@ -122,13 +119,7 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 			}
 		},
 		TracePath: tracePath,
-	}
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
+	})
 
 	const id = "recon-1"
 	body := `{"model":"nsdp","size":10,"engine":"exhaustive","timeout_ms":50}`
@@ -137,7 +128,7 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("X-Request-ID", id)
-	hr, err := ts.Client().Do(req)
+	hr, err := ts.HTTP.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +207,7 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 	}
 	get := func(path string, v any) int {
 		t.Helper()
-		hr, err := ts.Client().Get(ts.URL + path)
+		hr, err := ts.HTTP.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +237,7 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 		t.Fatalf("GET unknown run: %d, want 404", code)
 	}
 
-	hr, err = ts.Client().Get(ts.URL + "/v1/runs/" + e.RunID + "/events")
+	hr, err = ts.HTTP.Get(ts.URL + "/v1/runs/" + e.RunID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,17 +268,12 @@ func TestE2ERunEventsStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ldg.Close()
-	reg := obs.New()
-	svc := server.New(server.Config{Workers: 1, Metrics: reg, Ledger: ldg, ProgressEvery: 1})
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
+	t.Cleanup(func() { ldg.Close() }) // after the server, which start closes
+	ts := start(t, server.Config{Workers: 1, Ledger: ldg, ProgressEvery: 1})
+	reg := ts.Metrics
 
 	body := `{"model":"nsdp","size":4,"engine":"exhaustive"}`
-	hr, err := ts.Client().Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
+	hr, err := ts.HTTP.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +303,31 @@ func TestE2ERunEventsStates(t *testing.T) {
 		t.Fatalf("ledger outcome: %+v", e)
 	}
 
-	hr, err = ts.Client().Get(ts.URL + "/v1/runs/" + e.RunID + "/events")
+	// The run surface serves the same entry, listed and by ID.
+	for _, path := range []string{"/v1/runs", "/v1/runs/" + e.RunID} {
+		hr, err := ts.HTTP.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			ledger.Entry
+			Completed []ledger.Entry `json:"completed"`
+		}
+		err = json.NewDecoder(hr.Body).Decode(&got)
+		hr.Body.Close()
+		if err != nil || hr.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: code=%d err=%v", path, hr.StatusCode, err)
+		}
+		served := got.Entry
+		if len(got.Completed) == 1 {
+			served = got.Completed[0]
+		}
+		if served.RunID != e.RunID || served.Verdict() != "deadlock" || served.States != int64(resp.States) {
+			t.Fatalf("GET %s serves %+v, want run %s deadlock/%d", path, served, e.RunID, resp.States)
+		}
+	}
+
+	hr, err = ts.HTTP.Get(ts.URL + "/v1/runs/" + e.RunID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func TestE2ERunEventsStates(t *testing.T) {
 
 	// A cache hit is not a run: repeating the request adds no ledger
 	// entry but its access-joinable run ID is the same content address.
-	hr, err = ts.Client().Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
+	hr, err = ts.HTTP.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,21 +372,15 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ldg.Close()
+	t.Cleanup(func() { ldg.Close() }) // after the server, which start closes
 	logBuf := &syncBuffer{}
-	svc := server.New(server.Config{
+	ts := start(t, server.Config{
 		Workers:          1,
-		Metrics:          obs.New(),
 		Ledger:           ldg,
 		AccessLog:        logBuf,
 		ProgressEvery:    1024,
 		ProgressInterval: time.Millisecond,
 	})
-	ts := httptest.NewServer(svc.Handler())
-	defer func() {
-		ts.Close()
-		svc.Close()
-	}()
 
 	// Kick off a run long enough to observe live: nsdp(10) either takes
 	// a while or aborts at 5s — both produce progress and a verdict.
@@ -387,7 +391,7 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 	resCh := make(chan result, 1)
 	go func() {
 		body := `{"model":"nsdp","size":10,"engine":"exhaustive","timeout_ms":5000}`
-		hr, err := ts.Client().Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
+		hr, err := ts.HTTP.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
 		if err != nil {
 			resCh <- result{err: err}
 			return
@@ -409,7 +413,7 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 				Net   string `json:"net"`
 			} `json:"running"`
 		}
-		hr, err := ts.Client().Get(ts.URL + "/v1/runs")
+		hr, err := ts.HTTP.Get(ts.URL + "/v1/runs")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +440,7 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 		body := `{"model":"nsdp","size":4,"engine":"gpo"}`
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/verify", strings.NewReader(body))
 		req.Header.Set("X-Request-ID", "queued-1")
-		hr, err := ts.Client().Do(req)
+		hr, err := ts.HTTP.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, hr.Body)
 			hr.Body.Close()
@@ -446,7 +450,7 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 
 	// Two concurrent subscribers on the same live run.
 	stream := func() ([]sseEvent, error) {
-		hr, err := ts.Client().Get(ts.URL + "/v1/runs/" + runID + "/events")
+		hr, err := ts.HTTP.Get(ts.URL + "/v1/runs/" + runID + "/events")
 		if err != nil {
 			return nil, err
 		}

@@ -1,42 +1,25 @@
 package server_test
 
-// End-to-end tests of the distributed-tracing surface on a single-node
-// server: GET /v1/runs/{id}/trace serves a one-peer bundle for a
-// retained run, the merged view reconstructs the exact state count,
-// durable jobs stamp lifecycle events onto the run's "job" track, and
-// retention-off servers answer 404 rather than empty bundles.
+// End-to-end tests of the distributed-tracing surface: on a single-node
+// server GET /v1/runs/{id}/trace serves a one-peer bundle for a retained
+// run and the merged view reconstructs the exact state count; on a
+// 3-peer fleet the bundle carries every peer's slice and merges into a
+// causal, attributed timeline; durable jobs stamp lifecycle events onto
+// the run's "job" track; and retention-off servers answer 404 rather
+// than empty bundles.
 
 import (
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/server"
-	"repro/internal/server/client"
 )
-
-// traceService boots a server and returns its base URL alongside the
-// client — trace fetches go over raw HTTP, not the typed client.
-func traceService(t *testing.T, cfg server.Config) (*client.Client, string, *obs.Registry) {
-	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.New()
-	}
-	svc := server.New(cfg)
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(func() {
-		svc.Drain()
-		ts.Close()
-		svc.Close()
-	})
-	return client.New(ts.URL, ts.Client()), ts.URL, cfg.Metrics
-}
 
 // fetchBundle GETs /v1/runs/{id}/trace and parses the bundle.
 func fetchBundle(t *testing.T, base, id string) *trace.Bundle {
@@ -58,10 +41,11 @@ func fetchBundle(t *testing.T, base, id string) *trace.Bundle {
 }
 
 func TestE2ERunTraceEndpoint(t *testing.T) {
-	c, base, reg := traceService(t, server.Config{Workers: 2, TraceRuns: 2})
+	ts := start(t, server.Config{Workers: 2, TraceRuns: 2})
+	base, reg := ts.URL, ts.Metrics
 	ctx := context.Background()
 
-	resp, err := c.Verify(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"})
+	resp, err := ts.Client.Verify(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -105,9 +89,71 @@ func TestE2ERunTraceEndpoint(t *testing.T) {
 	}
 }
 
+// TestE2ERunTraceFleet is the distributed-tracing contract end to end: a
+// traced cluster run's bundle carries the coordinator's recorder plus
+// every peer's node-side slice, the merged timeline reconstructs exactly
+// the states the response reports and the fleet's engines counted, no
+// wire edge the coordinator is an end of runs backwards after clock
+// alignment, and the per-level attribution table renders.
+func TestE2ERunTraceFleet(t *testing.T) {
+	f := startFleet(t, 3, server.Config{Workers: 2, TraceRuns: 4})
+	coord := f.Peers[0]
+
+	resp, err := coord.Client.Verify(context.Background(), &server.Request{
+		Model: "nsdp", Size: 6, Engine: "exhaustive", Cluster: true,
+	})
+	if err != nil {
+		t.Fatalf("traced cluster run: %v", err)
+	}
+	if resp.Status != server.StatusOK || !resp.Complete {
+		t.Fatalf("traced cluster run: %+v", resp)
+	}
+	if resp.RunID == "" {
+		t.Fatal("response carries no run_id to fetch the trace by")
+	}
+	if explored := f.Counter("reach.states"); explored != int64(resp.States) {
+		t.Fatalf("fleet reach.states = %d, response says %d", explored, resp.States)
+	}
+
+	// The coordinating process worked its own shard too, so its node-side
+	// dump is an entry of its own beside the coordinator's recorder.
+	b := fetchBundle(t, coord.URL, resp.RunID)
+	if len(b.Peers) != len(f.Peers)+1 {
+		t.Fatalf("bundle has %d entries, want the coordinator + %d peers", len(b.Peers), len(f.Peers))
+	}
+	m, err := trace.Merge(b)
+	if err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	if m.States != int64(resp.States) {
+		t.Fatalf("merged timeline reconstructs %d states, response says %d", m.States, resp.States)
+	}
+	ci := 0
+	for i := range m.Peers {
+		if m.Peers[i].Coordinator {
+			ci = i
+		}
+	}
+	for _, e := range m.Edges {
+		if (e.From == ci || e.To == ci) && e.EndNS < e.StartNS {
+			t.Errorf("coordinator wire edge %d→%d (rpc %d level %d) runs backwards: %dns",
+				e.From, e.To, e.RPC, e.Level, e.EndNS-e.StartNS)
+		}
+	}
+	if len(m.Levels) == 0 {
+		t.Fatal("merged timeline has no level attribution")
+	}
+	var table strings.Builder
+	m.WriteText(&table)
+	if !strings.Contains(table.String(), "slowest") {
+		t.Fatalf("attribution table did not render:\n%s", table.String())
+	}
+}
+
 func TestE2ERunTraceDisabled(t *testing.T) {
-	c, base, _ := traceService(t, server.Config{Workers: 2})
-	resp, err := c.Verify(context.Background(), &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"})
+	ts := start(t, server.Config{Workers: 2})
+	base := ts.URL
+	resp, err := ts.Client.Verify(context.Background(), &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -130,7 +176,8 @@ func TestE2EJobTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	c, base, reg := traceService(t, server.Config{Workers: 2, TraceRuns: 2, Jobs: st})
+	ts := start(t, server.Config{Workers: 2, TraceRuns: 2, Jobs: st})
+	c, base, reg := ts.Client, ts.URL, ts.Metrics
 	ctx := context.Background()
 
 	j, err := c.SubmitJob(ctx, &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"})

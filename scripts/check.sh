@@ -12,6 +12,15 @@ go build ./...
 # package and the HTTP stack behind it.
 test "$(go list -deps ./internal/codec | grep '^repro/')" = repro/internal/codec
 test -z "$(go list -deps ./internal/ckpt | grep -x -e repro/internal/cluster -e net/http)"
+# The daemon binary ships daemon code only: no client, no test harness,
+# no self-test flag, and main itself names neither a model nor an engine
+# (the server resolves both). Its end-to-end checks are tests — the
+# binary itself in cmd/gpod/main_test.go, every surface on loopback
+# servers (internal/server/servertest) in internal/server/*_e2e_test.go
+# and cmd/gpotrace — so `go test -race ./...` below is that gate.
+test -z "$(go list -deps ./cmd/gpod | grep -x -e repro/internal/server/client -e repro/internal/server/servertest)"
+test -z "$(go list -f '{{join .Imports "\n"}}' ./cmd/gpod | grep -x -e repro/internal/models -e repro/internal/verify)"
+test "$(go run ./cmd/gpod -h 2>&1 | grep -c smoke)" = 0
 go test -race ./...
 # Benchmark smoke: one iteration of every benchmark, so a refactor that
 # breaks a bench harness (or reintroduces per-op allocation panics) is
@@ -117,33 +126,6 @@ for spec in 'nsdp 6' 'rw 9'; do
 	red_verdict=$(awk '$1 == "gpo" { print $2 }' "$TRACE_TMP/red.txt")
 	test -n "$base_verdict" && test "$base_verdict" = "$red_verdict"
 done
-# Service smoke: boot gpod on a random port, push one verification over
-# the wire with the client package, drain, shut down. With -ledger the
-# smoke also walks the /v1/runs surface (history listing, by-id lookup,
-# SSE stream terminating in a verdict matching the response).
-go run ./cmd/gpod -smoke -ledger "$TRACE_TMP/gpod-runs.jsonl"
-go run ./cmd/gpostat -history -ledger "$TRACE_TMP/gpod-runs.jsonl" | grep -q 'NSDP(4)'
-# Cluster smoke: three full gpod servers on loopback ports as one
-# cluster — distributed nsdp(8)/rw(12) runs checked bit-identical
-# against in-process sequential BFS, then the repeated request answered
-# from the shared result tier with zero re-exploration anywhere.
-go run ./cmd/gpod -cluster-smoke -cluster-smoke-out "$TRACE_TMP/cluster.json"
-grep -q '"recomputed_states": 0' "$TRACE_TMP/cluster.json"
-# Trace-merge smoke: a 3-peer loopback cluster run with tracing on —
-# the merged timeline must reconstruct exactly the fleet-wide
-# reach.states count and render the per-level attribution table (both
-# asserted inside -trace-smoke), and the raw bundle it writes must
-# merge again through the gpotrace CLI.
-go run ./cmd/gpod -trace-smoke -trace-smoke-out "$TRACE_TMP/bundle.json"
-go run ./cmd/gpotrace -merge -o "$TRACE_TMP/merged.json" "$TRACE_TMP/bundle.json" \
-	>"$TRACE_TMP/attrib.txt"
-grep -q 'slowest' "$TRACE_TMP/attrib.txt"
-grep -q 'gpotrace-merged/v1' "$TRACE_TMP/merged.json"
-# Durable-jobs smoke: submit an async job, kill the daemon after its
-# first checkpoint, restart over the same directory, auto-resume, and
-# require the resumed verdict to be identical to a fresh uninterrupted
-# run (DESIGN.md D11).
-go run ./cmd/gpod -jobs-smoke
 # Replay smoke: suspend a run at a checkpoint, then re-execute the
 # prefix deterministically — bit-identical snapshot, same event stream,
 # and event counts matching the suspended run's own flight recorder.
