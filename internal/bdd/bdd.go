@@ -8,11 +8,21 @@
 // Nodes are interned in a manager-wide unique table, so structural
 // equality is pointer (id) equality, and the manager records its peak node
 // count — the "Peak BDD-size" statistic of the paper's Table 1.
+//
+// The tables are those of internal/zdd (DESIGN.md D7): a node arena, an
+// open-addressed unique table of node indices probed linearly and doubled
+// at 3/4 load, and one direct-mapped computed cache shared by every
+// recursive operator, overwritten on collision and doubled only up to
+// maxCacheSlots. The cache is lossy and that cannot change a node id:
+// nodes are canonical and never freed, so recomputing a forgotten result
+// repeats the recursion that produced it and every mk on the way finds
+// the node the first computation made.
 package bdd
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Node is a BDD node reference. The constants False and True are the
@@ -30,47 +40,112 @@ type node struct {
 	low, high Node
 }
 
+// VarSet names a set of variables registered with Manager.VarSet: the
+// quantification operand of Exists and AndExists.
+type VarSet int32
+
+// Renaming names a variable map registered with Manager.Renaming.
+type Renaming int32
+
+// Table capacities, powers of two. Both tables start small because most
+// managers stay small: every GPO run builds one for r₀ and every reduced
+// Table 1 net fits a few hundred nodes, so a large fixed table is paid in
+// allocation and clearing by runs that never fill it (DESIGN.md D7). The
+// unique table doubles without bound; the computed cache doubles up to
+// maxCacheSlots and stays there (EXPERIMENTS.md "Symbolic kernel": the
+// sweep on nsdp(8), over(5), rw(15)).
+const (
+	initUniqueSlots = 1 << 8
+	initCacheSlots  = 1 << 8
+	maxCacheSlots   = 1 << 17
+)
+
+// cacheCap is maxCacheSlots, lowered only by tests that show a lost
+// entry changes no node id.
+var cacheCap = maxCacheSlots
+
+// Operator tags of the computed cache; 0 marks an empty slot.
+const (
+	opITE       uint32 = iota + 1 // (f, g, h)
+	opAnd                         // (f, g, 0), f < g
+	opExists                      // (f, VarSet, 0)
+	opAndExists                   // (f, g, VarSet), f ≤ g
+	opRename                      // (f, Renaming, 0)
+)
+
+// cacheEntry is one slot of the computed cache: an operator, its up to
+// three operands and the result. The quantified set and the renaming are
+// operands — registered ids whose content cannot change — so a result
+// computed in one image step answers the next, and one computed under a
+// different set or map is never mistaken for it.
+type cacheEntry struct {
+	op      uint32
+	a, b, c int32
+	r       Node
+}
+
 // Manager owns a BDD forest over a fixed number of ordered variables.
 // Variable i is at level i: smaller levels are tested first.
 type Manager struct {
-	nvars  int
-	nodes  []node
-	unique map[[3]int32]Node
-	ite    map[[3]Node]Node
-	and2   map[[2]Node]Node
-	peak   int
+	nvars int
+	nodes []node
+
+	// unique is the open-addressed unique table: slots hold node indices
+	// (0 = empty; terminals are never interned), hashed by
+	// (level,low,high) with linear probing against the arena fields.
+	unique []Node
+
+	// cache is the direct-mapped computed cache; cacheRoom counts the
+	// stores left before it doubles, while it is below the cap.
+	cache     []cacheEntry
+	cacheRoom int
+
+	sets  [][]bool // registered quantification sets, by VarSet
+	perms [][]int  // registered renamings, by Renaming
+
+	// Scratch of the whole-DAG walks (SatCount, NodeCount, Support),
+	// allocated by the first walk and re-sized with the arena: node i
+	// was visited by the current walk iff stamp[i] == gen, and in
+	// SatCount sat[i] then holds its model count.
+	stamp []uint32
+	sat   []float64
+	gen   uint32
 
 	// Plain (non-atomic) operation statistics: the manager is
 	// single-goroutine by design, and these must cost one increment on
 	// the hot path.
 	uniqueHits   int64
 	uniqueMisses int64
-	cacheHits    int64 // ite + and2 memo hits
+	cacheHits    int64
 	cacheMisses  int64
 }
 
 // Stats is a snapshot of the manager's internal counters: unique-table
-// hits (node reuse) vs. misses (node creation), and computed-table (ITE
-// and And memo) hits vs. misses. Nodes are never garbage-collected, so
-// Size is also the lifetime allocation count.
+// hits (node reuse) vs. misses (node creation), computed-cache hits vs.
+// misses over all five cached operators (ITE, And, Exists, AndExists,
+// Rename), and the current table capacities. Nodes are never
+// garbage-collected, so Nodes is also the peak and the lifetime
+// allocation count.
 type Stats struct {
 	Nodes        int
-	Peak         int
 	UniqueHits   int64
 	UniqueMisses int64
 	CacheHits    int64
 	CacheMisses  int64
+	UniqueSlots  int
+	CacheSlots   int
 }
 
 // Stats returns the current operation statistics.
 func (m *Manager) Stats() Stats {
 	return Stats{
 		Nodes:        len(m.nodes),
-		Peak:         m.peak,
 		UniqueHits:   m.uniqueHits,
 		UniqueMisses: m.uniqueMisses,
 		CacheHits:    m.cacheHits,
 		CacheMisses:  m.cacheMisses,
+		UniqueSlots:  len(m.unique),
+		CacheSlots:   len(m.cache),
 	}
 }
 
@@ -78,25 +153,24 @@ func (m *Manager) Stats() Stats {
 func NewManager(nvars int) *Manager {
 	m := &Manager{
 		nvars:  nvars,
-		unique: make(map[[3]int32]Node),
-		ite:    make(map[[3]Node]Node),
-		and2:   make(map[[2]Node]Node),
+		nodes:  make([]node, 2, arenaCap(initUniqueSlots)),
+		unique: make([]Node, initUniqueSlots),
+		cache:  make([]cacheEntry, min(initCacheSlots, cacheCap)),
 	}
-	term := int32(nvars)
-	m.nodes = []node{{level: term}, {level: term}} // False, True
-	m.peak = 2
+	m.cacheRoom = len(m.cache)
+	m.nodes[False].level, m.nodes[True].level = int32(nvars), int32(nvars)
 	return m
 }
 
 // NumVars returns the number of variables.
 func (m *Manager) NumVars() int { return m.nvars }
 
-// Size returns the number of currently allocated nodes (terminals
-// included). Nodes are never freed, so this is also the peak.
+// Size returns the number of allocated nodes (terminals included).
 func (m *Manager) Size() int { return len(m.nodes) }
 
-// Peak returns the largest node count observed.
-func (m *Manager) Peak() int { return m.peak }
+// Peak returns the largest node count observed. Nodes are never freed,
+// so it is Size.
+func (m *Manager) Peak() int { return len(m.nodes) }
 
 // Level returns the variable level tested by n (nvars for terminals).
 func (m *Manager) Level(n Node) int { return int(m.nodes[n].level) }
@@ -105,25 +179,120 @@ func (m *Manager) Level(n Node) int { return int(m.nodes[n].level) }
 func (m *Manager) Low(n Node) Node  { return m.nodes[n].low }
 func (m *Manager) High(n Node) Node { return m.nodes[n].high }
 
+// mix64 is the splitmix64 finalizer; a full-avalanche 64-bit mix.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+func hashTriple(level int32, low, high Node) uint64 {
+	h := uint64(uint32(low))<<32 | uint64(uint32(high))
+	return mix64(h ^ uint64(uint32(level))*0x9e3779b97f4a7c15)
+}
+
 // mk returns the canonical node (level, low, high), applying the
-// redundant-test reduction rule.
+// redundant-test reduction rule. It may move the arena: no pointer into
+// m.nodes survives a call.
 func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {
 		return low
 	}
-	key := [3]int32{level, int32(low), int32(high)}
-	if n, ok := m.unique[key]; ok {
-		m.uniqueHits++
-		return n
+	mask := uint64(len(m.unique) - 1)
+	i := hashTriple(level, low, high) & mask
+	for {
+		slot := m.unique[i]
+		if slot == 0 {
+			break
+		}
+		nd := &m.nodes[slot]
+		if nd.level == level && nd.low == low && nd.high == high {
+			m.uniqueHits++
+			return slot
+		}
+		i = (i + 1) & mask
 	}
 	m.uniqueMisses++
 	n := Node(len(m.nodes))
+	// Within capacity by construction: see arenaCap.
 	m.nodes = append(m.nodes, node{level: level, low: low, high: high})
-	m.unique[key] = n
-	if len(m.nodes) > m.peak {
-		m.peak = len(m.nodes)
+	m.unique[i] = n
+	// Grow at 3/4 load ((nodes-2) live entries ≥ 3/4 of the slots).
+	if (len(m.nodes)-2)*4 >= len(m.unique)*3 {
+		m.growUnique()
 	}
 	return n
+}
+
+// arenaCap is the most nodes (terminals included) a unique table of the
+// given slot count holds before it doubles. The arena is allocated with
+// exactly that capacity whenever the table is, so it doubles with the
+// table and append never re-copies it in between.
+func arenaCap(slots int) int { return slots/4*3 + 2 }
+
+// growUnique doubles the unique table and re-homes every interned node;
+// the arena moves to a slice sized for the new table. Values are node
+// indices, so rehashing reads the arena.
+func (m *Manager) growUnique() {
+	next := make([]Node, 2*len(m.unique))
+	m.nodes = append(make([]node, 0, arenaCap(len(next))), m.nodes...)
+	mask := uint64(len(next) - 1)
+	for idx := 2; idx < len(m.nodes); idx++ {
+		nd := &m.nodes[idx]
+		i := hashTriple(nd.level, nd.low, nd.high) & mask
+		for next[i] != 0 {
+			i = (i + 1) & mask
+		}
+		next[i] = Node(idx)
+	}
+	m.unique = next
+}
+
+// cacheSlot returns the one slot an (op, a, b, c) entry can live in.
+func (m *Manager) cacheSlot(op uint32, a, b, c int32) *cacheEntry {
+	h := uint64(uint32(a))<<32 | uint64(uint32(b))
+	h ^= (uint64(uint32(c))<<32 | uint64(op)) * 0x9e3779b97f4a7c15
+	return &m.cache[mix64(h)&uint64(len(m.cache)-1)]
+}
+
+// cacheGet looks up a cached result; a false return means the operation
+// must be computed (and should be stored with cachePut).
+func (m *Manager) cacheGet(op uint32, a, b, c int32) (Node, bool) {
+	if e := m.cacheSlot(op, a, b, c); e.op == op && e.a == a && e.b == b && e.c == c {
+		m.cacheHits++
+		return e.r, true
+	}
+	m.cacheMisses++
+	return 0, false
+}
+
+// cachePut stores a computed result over whatever its slot held. Below
+// the cap the cache doubles once it has taken as many stores as it has
+// slots.
+func (m *Manager) cachePut(op uint32, a, b, c int32, r Node) {
+	*m.cacheSlot(op, a, b, c) = cacheEntry{op, a, b, c, r}
+	if len(m.cache) < cacheCap {
+		if m.cacheRoom--; m.cacheRoom == 0 {
+			m.growCache()
+		}
+	}
+}
+
+// growCache doubles the cache. A slot's entry can only move to the same
+// index or to index+len, so re-homing is one store per entry and loses
+// nothing.
+func (m *Manager) growCache() {
+	old := m.cache
+	m.cache = make([]cacheEntry, 2*len(old))
+	m.cacheRoom = len(m.cache)
+	for _, e := range old {
+		if e.op != 0 {
+			*m.cacheSlot(e.op, e.a, e.b, e.c) = e
+		}
+	}
 }
 
 // Var returns the function of variable v.
@@ -150,12 +319,9 @@ func (m *Manager) ITE(f, g, h Node) Node {
 	case g == True && h == False:
 		return f
 	}
-	key := [3]Node{f, g, h}
-	if r, ok := m.ite[key]; ok {
-		m.cacheHits++
+	if r, ok := m.cacheGet(opITE, int32(f), int32(g), int32(h)); ok {
 		return r
 	}
-	m.cacheMisses++
 	top := m.nodes[f].level
 	if l := m.nodes[g].level; l < top {
 		top = l
@@ -167,13 +333,13 @@ func (m *Manager) ITE(f, g, h Node) Node {
 	g0, g1 := m.cofactors(g, top)
 	h0, h1 := m.cofactors(h, top)
 	r := m.mk(top, m.ITE(f0, g0, h0), m.ITE(f1, g1, h1))
-	m.ite[key] = r
+	m.cachePut(opITE, int32(f), int32(g), int32(h), r)
 	return r
 }
 
 func (m *Manager) cofactors(f Node, level int32) (lo, hi Node) {
-	if m.nodes[f].level == level {
-		return m.nodes[f].low, m.nodes[f].high
+	if nd := &m.nodes[f]; nd.level == level {
+		return nd.low, nd.high
 	}
 	return f, f
 }
@@ -191,20 +357,14 @@ func (m *Manager) And(f, g Node) Node {
 	case f == g:
 		return f
 	}
-	key := [2]Node{f, g}
-	if r, ok := m.and2[key]; ok {
-		m.cacheHits++
+	if r, ok := m.cacheGet(opAnd, int32(f), int32(g), 0); ok {
 		return r
 	}
-	m.cacheMisses++
-	top := m.nodes[f].level
-	if l := m.nodes[g].level; l < top {
-		top = l
-	}
+	top := min(m.nodes[f].level, m.nodes[g].level)
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	r := m.mk(top, m.And(f0, g0), m.And(f1, g1))
-	m.and2[key] = r
+	m.cachePut(opAnd, int32(f), int32(g), 0, r)
 	return r
 }
 
@@ -241,129 +401,156 @@ func (m *Manager) OrN(fs ...Node) Node {
 	return r
 }
 
-// Exists existentially quantifies the variables for which vars[v] is true.
-func (m *Manager) Exists(f Node, vars []bool) Node {
-	memo := make(map[Node]Node)
-	var rec func(Node) Node
-	rec = func(f Node) Node {
-		lvl := m.nodes[f].level
-		if int(lvl) >= m.nvars {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		lo, hi := rec(m.nodes[f].low), rec(m.nodes[f].high)
-		var r Node
-		if vars[lvl] {
-			r = m.Or(lo, hi)
-		} else {
-			r = m.mk(lvl, lo, hi)
-		}
-		memo[f] = r
-		return r
+// VarSet registers the set of variables v with vars[v] true and returns
+// its name. The manager keeps a copy, and equal sets get the same name:
+// a VarSet is identified by its content, which is what lets the computed
+// cache key quantifications on it.
+func (m *Manager) VarSet(vars []bool) VarSet {
+	if len(vars) != m.nvars {
+		panic(fmt.Sprintf("bdd: variable set over %d variables, manager has %d", len(vars), m.nvars))
 	}
-	return rec(f)
+	for i, s := range m.sets {
+		if slices.Equal(s, vars) {
+			return VarSet(i)
+		}
+	}
+	m.sets = append(m.sets, slices.Clone(vars))
+	return VarSet(len(m.sets) - 1)
 }
 
-// AndExists computes ∃vars. f ∧ g without building the full conjunction —
+// Renaming registers the map of each variable v to perm[v] and returns
+// its name, by content like VarSet. The map must be monotone on the
+// support of every function it is applied to (the use here — shifting
+// primed variables onto unprimed ones — is): Rename rebuilds top-down
+// and relies on the image order matching the level order.
+func (m *Manager) Renaming(perm []int) Renaming {
+	if len(perm) != m.nvars {
+		panic(fmt.Sprintf("bdd: renaming over %d variables, manager has %d", len(perm), m.nvars))
+	}
+	for i, p := range m.perms {
+		if slices.Equal(p, perm) {
+			return Renaming(i)
+		}
+	}
+	m.perms = append(m.perms, slices.Clone(perm))
+	return Renaming(len(m.perms) - 1)
+}
+
+// Exists existentially quantifies the variables of s.
+func (m *Manager) Exists(f Node, s VarSet) Node {
+	lvl := m.nodes[f].level
+	if int(lvl) >= m.nvars {
+		return f
+	}
+	if r, ok := m.cacheGet(opExists, int32(f), int32(s), 0); ok {
+		return r
+	}
+	lo, hi := m.Exists(m.nodes[f].low, s), m.Exists(m.nodes[f].high, s)
+	var r Node
+	if m.sets[s][lvl] {
+		r = m.Or(lo, hi)
+	} else {
+		r = m.mk(lvl, lo, hi)
+	}
+	m.cachePut(opExists, int32(f), int32(s), 0, r)
+	return r
+}
+
+// AndExists computes ∃s. f ∧ g without building the full conjunction —
 // the relational product at the heart of symbolic image computation.
-func (m *Manager) AndExists(f, g Node, vars []bool) Node {
-	type key struct{ f, g Node }
-	memo := make(map[key]Node)
-	var rec func(f, g Node) Node
-	rec = func(f, g Node) Node {
-		if f == False || g == False {
-			return False
-		}
-		if f == True && g == True {
-			return True
-		}
-		if f > g {
-			f, g = g, f
-		}
-		k := key{f, g}
-		if r, ok := memo[k]; ok {
-			return r
-		}
-		top := m.nodes[f].level
-		if l := m.nodes[g].level; l < top {
-			top = l
-		}
-		if int(top) >= m.nvars {
-			return m.And(f, g)
-		}
-		f0, f1 := m.cofactors(f, top)
-		g0, g1 := m.cofactors(g, top)
-		var r Node
-		if vars[top] {
-			lo := rec(f0, g0)
-			if lo == True {
-				r = True
-			} else {
-				r = m.Or(lo, rec(f1, g1))
-			}
-		} else {
-			r = m.mk(top, rec(f0, g0), rec(f1, g1))
-		}
-		memo[k] = r
+func (m *Manager) AndExists(f, g Node, s VarSet) Node {
+	if f == False || g == False {
+		return False
+	}
+	if f == True && g == True {
+		return True
+	}
+	if f > g {
+		f, g = g, f
+	}
+	if r, ok := m.cacheGet(opAndExists, int32(f), int32(g), int32(s)); ok {
 		return r
 	}
-	return rec(f, g)
+	top := min(m.nodes[f].level, m.nodes[g].level)
+	f0, f1 := m.cofactors(f, top)
+	g0, g1 := m.cofactors(g, top)
+	var r Node
+	if m.sets[s][top] {
+		if lo := m.AndExists(f0, g0, s); lo == True {
+			r = True
+		} else {
+			r = m.Or(lo, m.AndExists(f1, g1, s))
+		}
+	} else {
+		r = m.mk(top, m.AndExists(f0, g0, s), m.AndExists(f1, g1, s))
+	}
+	m.cachePut(opAndExists, int32(f), int32(g), int32(s), r)
+	return r
 }
 
-// Rename maps each variable v to perm[v] (a level-respecting permutation is
-// not required, but the common use here — shifting primed variables onto
-// unprimed ones in an interleaved order — is monotone, which keeps the
-// recursion sound; callers must only use monotone renamings).
-func (m *Manager) Rename(f Node, perm []int) Node {
-	memo := make(map[Node]Node)
-	var rec func(Node) Node
-	rec = func(f Node) Node {
-		lvl := m.nodes[f].level
-		if int(lvl) >= m.nvars {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		v := m.Var(perm[lvl])
-		r := m.ITE(v, rec(m.nodes[f].high), rec(m.nodes[f].low))
-		memo[f] = r
+// Rename maps each variable of f through the registered renaming p.
+func (m *Manager) Rename(f Node, p Renaming) Node {
+	lvl := m.nodes[f].level
+	if int(lvl) >= m.nvars {
+		return f
+	}
+	if r, ok := m.cacheGet(opRename, int32(f), int32(p), 0); ok {
 		return r
 	}
-	return rec(f)
+	v := m.Var(m.perms[p][lvl])
+	r := m.ITE(v, m.Rename(m.nodes[f].high, p), m.Rename(m.nodes[f].low, p))
+	m.cachePut(opRename, int32(f), int32(p), 0, r)
+	return r
+}
+
+// walk starts a whole-DAG walk: it sizes the stamps to the arena and
+// opens a fresh generation, so every stamp of an earlier walk reads as
+// unvisited without being cleared.
+func (m *Manager) walk() {
+	if len(m.stamp) < len(m.nodes) {
+		m.stamp = make([]uint32, cap(m.nodes)) // all zero: no generation is 0
+	}
+	if m.gen++; m.gen == 0 { // wrapped: stamps of 2³² walks ago would alias
+		clear(m.stamp)
+		m.gen = 1
+	}
+}
+
+// visit marks f as seen by the current walk and reports whether it
+// already was; terminals always were.
+func (m *Manager) visit(f Node) (seen bool) {
+	if f <= True || m.stamp[f] == m.gen {
+		return true
+	}
+	m.stamp[f] = m.gen
+	return false
 }
 
 // SatCount returns the number of satisfying assignments of f over all
 // variables of the manager.
 func (m *Manager) SatCount(f Node) float64 {
-	memo := make(map[Node]float64)
-	var rec func(Node) float64
-	rec = func(f Node) float64 {
-		if f == False {
-			return 0
-		}
-		lvl := int(m.nodes[f].level)
-		if f == True {
-			return math.Exp2(float64(m.nvars - lvl))
-		}
-		if c, ok := memo[f]; ok {
-			return c
-		}
-		lo, hi := m.nodes[f].low, m.nodes[f].high
-		c := rec(lo)*math.Exp2(float64(int(m.nodes[lo].level)-lvl-1)) +
-			rec(hi)*math.Exp2(float64(int(m.nodes[hi].level)-lvl-1))
-		memo[f] = c
-		return c
+	m.walk()
+	if len(m.sat) < len(m.stamp) {
+		m.sat = make([]float64, len(m.stamp))
 	}
-	if f == True {
-		return math.Exp2(float64(m.nvars))
-	}
-	if f == False {
+	return m.satBelow(f) * math.Exp2(float64(m.nodes[f].level))
+}
+
+// satBelow counts the models of f over the variables from f's level down.
+func (m *Manager) satBelow(f Node) float64 {
+	switch {
+	case f == False:
 		return 0
+	case f == True:
+		return 1
+	case m.visit(f):
+		return m.sat[f]
 	}
-	return rec(f) * math.Exp2(float64(m.nodes[f].level))
+	nd := m.nodes[f]
+	c := m.satBelow(nd.low)*math.Exp2(float64(m.nodes[nd.low].level-nd.level-1)) +
+		m.satBelow(nd.high)*math.Exp2(float64(m.nodes[nd.high].level-nd.level-1))
+	m.sat[f] = c
+	return c
 }
 
 // AnySat returns one satisfying assignment of f (value per variable;
@@ -388,36 +575,32 @@ func (m *Manager) AnySat(f Node) (assign []bool, ok bool) {
 // NodeCount returns the number of distinct nodes reachable from f
 // (terminals excluded).
 func (m *Manager) NodeCount(f Node) int {
-	seen := make(map[Node]bool)
-	var rec func(Node)
-	rec = func(f Node) {
-		if f <= True || seen[f] {
-			return
-		}
-		seen[f] = true
-		rec(m.nodes[f].low)
-		rec(m.nodes[f].high)
+	m.walk()
+	return m.countFrom(f)
+}
+
+func (m *Manager) countFrom(f Node) int {
+	if m.visit(f) {
+		return 0
 	}
-	rec(f)
-	return len(seen)
+	return 1 + m.countFrom(m.nodes[f].low) + m.countFrom(m.nodes[f].high)
 }
 
 // Support reports which variables f depends on.
 func (m *Manager) Support(f Node) []bool {
+	m.walk()
 	out := make([]bool, m.nvars)
-	seen := make(map[Node]bool)
-	var rec func(Node)
-	rec = func(f Node) {
-		if f <= True || seen[f] {
-			return
-		}
-		seen[f] = true
-		out[m.nodes[f].level] = true
-		rec(m.nodes[f].low)
-		rec(m.nodes[f].high)
-	}
-	rec(f)
+	m.supportFrom(f, out)
 	return out
+}
+
+func (m *Manager) supportFrom(f Node, out []bool) {
+	if m.visit(f) {
+		return
+	}
+	out[m.nodes[f].level] = true
+	m.supportFrom(m.nodes[f].low, out)
+	m.supportFrom(m.nodes[f].high, out)
 }
 
 // Eval evaluates f under a complete assignment.

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -99,7 +100,7 @@ func TestExists(t *testing.T) {
 	m := NewManager(3)
 	a, b := m.Var(0), m.Var(1)
 	f := m.And(a, b)
-	vars := []bool{true, false, false}
+	vars := m.VarSet([]bool{true, false, false})
 	// ∃a. a∧b = b
 	if got := m.Exists(f, vars); got != b {
 		t.Errorf("∃a.(a∧b) != b")
@@ -138,8 +139,9 @@ func TestAndExistsMatchesComposition(t *testing.T) {
 		for v := range vars {
 			vars[v] = rng.Intn(2) == 0
 		}
-		want := m.Exists(m.And(f, g), vars)
-		got := m.AndExists(f, g, vars)
+		s := m.VarSet(vars)
+		want := m.Exists(m.And(f, g), s)
+		got := m.AndExists(f, g, s)
 		if got != want {
 			t.Fatalf("trial %d: AndExists != Exists∘And", trial)
 		}
@@ -150,8 +152,7 @@ func TestRename(t *testing.T) {
 	m := NewManager(4)
 	// f = x0 ∧ ¬x1, rename 0→2, 1→3.
 	f := m.And(m.Var(0), m.NVar(1))
-	perm := []int{2, 3, 2, 3}
-	g := m.Rename(f, perm)
+	g := m.Rename(f, m.Renaming([]int{2, 3, 2, 3}))
 	want := m.And(m.Var(2), m.NVar(3))
 	if g != want {
 		t.Error("rename mismatch")
@@ -213,5 +214,216 @@ func TestPeakGrows(t *testing.T) {
 	}
 	if m.NodeCount(f) == 0 {
 		t.Error("node count of non-terminal is zero")
+	}
+}
+
+// truthTable evaluates f on every assignment of the manager's variables.
+func truthTable(m *Manager, f Node) []bool {
+	nv := m.NumVars()
+	tt := make([]bool, 1<<nv)
+	assign := make([]bool, nv)
+	for bits := range tt {
+		for v := range assign {
+			assign[v] = bits&(1<<v) != 0
+		}
+		tt[bits] = m.Eval(f, assign)
+	}
+	return tt
+}
+
+// TestQuantifyRenameInterleaved alternates two quantification sets and
+// two renamings on the same operands through one manager and checks
+// every answer against the truth table: a computed-cache key that left
+// out the set or the map would hand one's result to the other.
+func TestQuantifyRenameInterleaved(t *testing.T) {
+	const nv = 8
+	rng := rand.New(rand.NewSource(11))
+	m := NewManager(nv)
+	randForm := func() Node {
+		f := True
+		for i := 0; i < 4; i++ {
+			cl := False
+			for j := 0; j < 3; j++ {
+				if v := rng.Intn(nv); rng.Intn(2) == 0 {
+					cl = m.Or(cl, m.Var(v))
+				} else {
+					cl = m.Or(cl, m.NVar(v))
+				}
+			}
+			f = m.And(f, cl)
+		}
+		return f
+	}
+	// Two sets over the even variables, two shifts of the odd ones.
+	setVars := [2][]bool{
+		{true, false, true, false, false, false, false, false},
+		{false, false, false, false, true, false, true, false},
+	}
+	perms := [2][]int{
+		{0, 0, 2, 2, 4, 4, 6, 6}, // odd v → v-1
+		{0, 1, 2, 1, 4, 3, 6, 5}, // odd v → v-2 (1 stays)
+	}
+	sets := [2]VarSet{m.VarSet(setVars[0]), m.VarSet(setVars[1])}
+	maps := [2]Renaming{m.Renaming(perms[0]), m.Renaming(perms[1])}
+	even := make([]bool, nv)
+	for v := 0; v < nv; v += 2 {
+		even[v] = true
+	}
+	evens := m.VarSet(even)
+
+	// quantified reports ∃vars.tt at the given assignment.
+	quantified := func(tt []bool, vars []bool, bits int) bool {
+		var free []int
+		for v, q := range vars {
+			if q {
+				free = append(free, v)
+				bits &^= 1 << v
+			}
+		}
+		for sub := 0; sub < 1<<len(free); sub++ {
+			b := bits
+			for i, v := range free {
+				if sub&(1<<i) != 0 {
+					b |= 1 << v
+				}
+			}
+			if tt[b] {
+				return true
+			}
+		}
+		return false
+	}
+	for trial := 0; trial < 20; trial++ {
+		f, g := randForm(), randForm()
+		ttF, ttFG := truthTable(m, f), truthTable(m, m.And(f, g))
+		odd := m.Exists(f, evens) // support on odd variables: both maps are injective on it
+		ttOdd := truthTable(m, odd)
+		for round := 0; round < 2; round++ { // second round: answered from the cache
+			for k := 0; k < 2; k++ {
+				ex, ae, rn := truthTable(m, m.Exists(f, sets[k])), truthTable(m, m.AndExists(f, g, sets[k])), truthTable(m, m.Rename(odd, maps[k]))
+				for bits := 0; bits < 1<<nv; bits++ {
+					if want := quantified(ttF, setVars[k], bits); ex[bits] != want {
+						t.Fatalf("trial %d set %d: Exists wrong at %08b", trial, k, bits)
+					}
+					if want := quantified(ttFG, setVars[k], bits); ae[bits] != want {
+						t.Fatalf("trial %d set %d: AndExists wrong at %08b", trial, k, bits)
+					}
+					// Rename(odd, p)(x) = odd(y) with y[v] = x[p[v]] for odd v.
+					src := 0
+					for v := 1; v < nv; v += 2 {
+						if bits&(1<<perms[k][v]) != 0 {
+							src |= 1 << v
+						}
+					}
+					if rn[bits] != ttOdd[src] {
+						t.Fatalf("trial %d map %d: Rename wrong at %08b", trial, k, bits)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegisteredOperandsAreCopies mutates the caller's slices after
+// registering them: the registered set and map, and the cached results
+// keyed on them, must not follow.
+func TestRegisteredOperandsAreCopies(t *testing.T) {
+	m := NewManager(4)
+	vars := []bool{true, false, false, false}
+	perm := []int{0, 0, 2, 2}
+	s, p := m.VarSet(vars), m.Renaming(perm)
+	f := m.And(m.Var(0), m.Var(1))
+	if m.Exists(f, s) != m.Var(1) || m.Rename(m.Var(1), p) != m.Var(0) {
+		t.Fatal("wrong before the mutation")
+	}
+	vars[0], vars[1] = false, true
+	perm[1] = 2
+	if m.Exists(f, s) != m.Var(1) || m.Rename(m.Var(1), p) != m.Var(0) {
+		t.Error("a registered operand changed with the caller's slice")
+	}
+	if s2, p2 := m.VarSet(vars), m.Renaming(perm); s2 == s || p2 == p {
+		t.Error("different content registered under an existing name")
+	}
+	if m.VarSet([]bool{true, false, false, false}) != s || m.Renaming([]int{0, 0, 2, 2}) != p {
+		t.Error("equal content registered under a new name")
+	}
+	if m.Exists(f, m.VarSet(vars)) != m.Var(0) {
+		t.Error("the second set was answered with the first one's result")
+	}
+}
+
+// TestGrowthInsideAndExists pads the arena to just below the unique
+// table's doubling point, so that the table doubles and the arena moves
+// in the middle of one deep relational product, and checks the result
+// against Exists∘And in an unpadded manager: a pointer into the arena
+// held across a mk would read a stale node.
+func TestGrowthInsideAndExists(t *testing.T) {
+	const nv = 16
+	build := func(m *Manager) (f, g Node, s VarSet) {
+		f, g = True, True
+		for v := 0; v < nv/2; v++ {
+			f = m.And(f, m.Or(m.Var(2*v), m.Var(2*v+1)))
+			g = m.And(g, m.Or(m.NVar(v), m.Var(v+nv/2)))
+		}
+		vars := make([]bool, nv)
+		for v := 0; v < nv; v += 3 {
+			vars[v] = true
+		}
+		return f, g, m.VarSet(vars)
+	}
+	m := NewManager(nv)
+	f, g, s := build(m)
+	// x₀ ∧ k for existing nodes k below level 0: one new node each.
+	room := func() int { return arenaCap(len(m.unique)) - len(m.nodes) }
+	for k := Node(2); room() > 10; k++ {
+		if int(k) >= len(m.nodes) {
+			t.Fatalf("ran out of padding with room for %d nodes left", room())
+		}
+		if m.nodes[k].level > 0 {
+			m.mk(0, False, k)
+		}
+	}
+	before := m.Stats()
+	got := m.AndExists(f, g, s)
+	if after := m.Stats(); after.UniqueSlots == before.UniqueSlots {
+		t.Fatalf("AndExists created %d nodes and the unique table stayed at %d slots; the test needs a doubling",
+			after.Nodes-before.Nodes, after.UniqueSlots)
+	}
+	ref := NewManager(nv)
+	rf, rg, rs := build(ref)
+	want := ref.Exists(ref.And(rf, rg), rs)
+	if !slices.Equal(truthTable(m, got), truthTable(ref, want)) {
+		t.Fatal("AndExists across a table doubling differs from Exists∘And")
+	}
+	if m.NodeCount(got) != ref.NodeCount(want) {
+		t.Fatalf("AndExists across a table doubling: %d nodes, want %d", m.NodeCount(got), ref.NodeCount(want))
+	}
+}
+
+// TestWalksAcrossGrowth interleaves the whole-DAG walks with arena growth
+// and with each other: the stamps of one walk must not leak into the next.
+func TestWalksAcrossGrowth(t *testing.T) {
+	const nv = 16
+	m := NewManager(nv)
+	f := True
+	for v := 0; v+1 < nv; v += 2 {
+		f = m.And(f, m.Xor(m.Var(v), m.Var(v+1)))
+		pairs := v/2 + 1
+		if got, want := m.SatCount(f), float64(uint64(1)<<(nv-pairs)); got != want {
+			t.Fatalf("%d pairs: SatCount %v, want %v", pairs, got, want)
+		}
+		if got, want := m.NodeCount(f), 3*pairs; got != want {
+			t.Fatalf("%d pairs: NodeCount %d, want %d", pairs, got, want)
+		}
+		sup := m.Support(f)
+		for u := range sup {
+			if sup[u] != (u <= v+1) {
+				t.Fatalf("%d pairs: support[%d] = %v", pairs, u, sup[u])
+			}
+		}
+		// Grow the arena between walks.
+		for i := 0; i < 300; i++ {
+			m.Xor(f, m.Var((v+i)%nv))
+		}
 	}
 }

@@ -78,10 +78,10 @@ type Result struct {
 type analyzer struct {
 	net  *petri.Net
 	m    *bdd.Manager
-	cur  []int  // variable of place p (current state)
-	nxt  []int  // variable of place p (next state)
-	shed []bool // quantification cube: current-state variables
-	perm []int  // renaming next → current
+	cur  []int        // variable of place p (current state)
+	nxt  []int        // variable of place p (next state)
+	shed bdd.VarSet   // quantified in an image step: current-state variables
+	perm bdd.Renaming // next → current
 }
 
 func newAnalyzer(n *petri.Net, order Order) *analyzer {
@@ -100,13 +100,14 @@ func newAnalyzer(n *petri.Net, order Order) *analyzer {
 			a.cur[p], a.nxt[p] = p, np+p
 		}
 	}
-	a.shed = make([]bool, 2*np)
-	a.perm = make([]int, 2*np)
+	shed := make([]bool, 2*np)
+	perm := make([]int, 2*np)
 	for p := 0; p < np; p++ {
-		a.shed[a.cur[p]] = true
-		a.perm[a.cur[p]] = a.cur[p]
-		a.perm[a.nxt[p]] = a.cur[p]
+		shed[a.cur[p]] = true
+		perm[a.cur[p]] = a.cur[p]
+		perm[a.nxt[p]] = a.cur[p]
 	}
+	a.shed, a.perm = a.m.VarSet(shed), a.m.Renaming(perm)
 	return a
 }
 
@@ -157,7 +158,7 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 		defer func() {
 			st := m.Stats()
 			reg := opts.Metrics
-			reg.Gauge("symbolic.peak_nodes").Set(int64(st.Peak))
+			reg.Gauge("symbolic.peak_nodes").Set(int64(st.Nodes)) // never freed: size is peak
 			reg.Gauge("bdd.nodes").Set(int64(st.Nodes))
 			reg.Gauge("bdd.unique_hits").Set(st.UniqueHits)
 			reg.Gauge("bdd.unique_misses").Set(st.UniqueMisses)

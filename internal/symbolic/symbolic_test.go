@@ -122,3 +122,51 @@ func TestOrderingAblation(t *testing.T) {
 		t.Errorf("orders disagree on state count: %v vs %v", inter.States, seq.States)
 	}
 }
+
+// TestPinnedBDDPeaks pins the symbolic column of the paper's Table 1
+// (EXPERIMENTS.md E1–E4) as exact counts. States, Iterations and
+// FinalNodes are properties of the net and the variable order; PeakNodes
+// is every node the manager ever created, so it moves with the order in
+// which conjunctions are built and with nothing else — not with the
+// computed cache's size (bdd's TestBDDCacheLossIsInvisible).
+func TestPinnedBDDPeaks(t *testing.T) {
+	for _, row := range []struct {
+		family                        string
+		size                          int
+		states                        float64
+		iterations, finalNodes, peakN int
+	}{
+		{"nsdp", 2, 18, 5, 40, 2_270},
+		{"nsdp", 4, 322, 9, 132, 21_536},
+		{"nsdp", 6, 5_778, 13, 224, 85_583},
+		{"nsdp", 8, 103_682, 17, 316, 225_357},
+		{"asat", 2, 36, 11, 144, 6_264},
+		{"asat", 4, 768, 18, 2_823, 103_268},
+		{"over", 2, 62, 9, 80, 8_220},
+		{"over", 3, 488, 13, 210, 34_160},
+		{"over", 4, 3_842, 17, 484, 113_000},
+		{"over", 5, 30_248, 21, 1_046, 345_361},
+		{"rw", 6, 65, 7, 330, 9_623},
+		{"rw", 9, 513, 10, 2_576, 49_697},
+		{"rw", 12, 4_097, 13, 20_502, 292_686},
+		{"rw", 15, 32_769, 16, 163_868, 2_081_442},
+	} {
+		if testing.Short() && row.peakN > 1_000_000 {
+			continue
+		}
+		net, err := models.ByName(row.family, row.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(net, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", net.Name(), err)
+		}
+		if res.States != row.states || res.Iterations != row.iterations ||
+			res.FinalNodes != row.finalNodes || res.PeakNodes != row.peakN {
+			t.Errorf("%s(%d): states %v, iterations %d, final %d, peak %d; want %v, %d, %d, %d",
+				row.family, row.size, res.States, res.Iterations, res.FinalNodes, res.PeakNodes,
+				row.states, row.iterations, row.finalNodes, row.peakN)
+		}
+	}
+}

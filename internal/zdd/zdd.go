@@ -562,33 +562,28 @@ func (m *Manager) FromBDDModels(bm *bdd.Manager, f bdd.Node) Node {
 	if bm.NumVars() != m.n {
 		panic("zdd: BDD universe mismatch")
 	}
-	type key struct {
-		f     bdd.Node
-		level int
-	}
-	memo := make(map[key]Node)
+	// memo[f] is the family of f's models over the variables from f's own
+	// level down, by BDD node id; Bot means not built yet, which no
+	// satisfiable f converts to.
+	memo := make([]Node, bm.Size())
 	var rec func(f bdd.Node, level int) Node
 	rec = func(f bdd.Node, level int) Node {
 		if f == bdd.False {
 			return Bot
 		}
-		if level == m.n {
-			return Top // f must be True here
+		own := bm.Level(f) // m.n for True
+		r := Top
+		if f != bdd.True {
+			if r = memo[f]; r == Bot {
+				r = m.mk(int32(own), rec(bm.Low(f), own+1), rec(bm.High(f), own+1))
+				memo[f] = r
+			}
 		}
-		k := key{f, level}
-		if r, ok := memo[k]; ok {
-			return r
+		// Variables f skips between level and its own are don't-cares:
+		// both outcomes. On a revisit these are unique-table hits.
+		for l := own - 1; l >= level; l-- {
+			r = m.mk(int32(l), r, r)
 		}
-		var lo, hi Node
-		if bm.Level(f) == level {
-			lo = rec(bm.Low(f), level+1)
-			hi = rec(bm.High(f), level+1)
-		} else {
-			sub := rec(f, level+1)
-			lo, hi = sub, sub
-		}
-		r := m.mk(int32(level), lo, hi)
-		memo[k] = r
 		return r
 	}
 	return rec(f, 0)
