@@ -429,6 +429,11 @@ func (s *Server) runAsyncJob(j *job) {
 	}
 
 	deadline := time.Now().Add(slice)
+	// The deadline suspends only past the boundary the slice entered on,
+	// so every slice advances at least one boundary however short it is
+	// or however late the worker got the CPU: a job resumed often enough
+	// completes. Cancel and drain stop at once.
+	entry := max(ar.resume.Boundary(), 0) // 0 for a fresh start
 	lastSave := time.Now()
 	lastStates := ar.resume.States() // 0 for a fresh start
 	stopReason := ""
@@ -441,7 +446,7 @@ func (s *Server) runAsyncJob(j *job) {
 			case s.draining.Load():
 				stopReason = "drain"
 				return verify.CkptStop
-			case time.Now().After(deadline):
+			case boundary > entry && time.Now().After(deadline):
 				stopReason = "deadline"
 				return verify.CkptStop
 			}
