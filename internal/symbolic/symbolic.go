@@ -82,15 +82,17 @@ type analyzer struct {
 	nxt  []int        // variable of place p (next state)
 	shed bdd.VarSet   // quantified in an image step: current-state variables
 	perm bdd.Renaming // next → current
+	role []uint8      // transitionRelation scratch, all zero between calls
 }
 
 func newAnalyzer(n *petri.Net, order Order) *analyzer {
 	np := n.NumPlaces()
 	a := &analyzer{
-		net: n,
-		m:   bdd.NewManager(2 * np),
-		cur: make([]int, np),
-		nxt: make([]int, np),
+		net:  n,
+		m:    bdd.NewManager(2 * np),
+		cur:  make([]int, np),
+		nxt:  make([]int, np),
+		role: make([]uint8, np),
 	}
 	for p := 0; p < np; p++ {
 		switch order {
@@ -111,37 +113,42 @@ func newAnalyzer(n *petri.Net, order Order) *analyzer {
 	return a
 }
 
+// Roles of a place in the transition whose relation is being built.
+const (
+	inPre uint8 = 1 << iota
+	inPost
+)
+
 // transitionRelation builds T_t(x, x′): t enabled in x, tokens moved, and
-// every untouched place unchanged.
+// every untouched place unchanged — one conjunct per place, conjoined from
+// the last place to the first. A place's conjunct tests only its own two
+// variables, so in that order each And meets just the top of the
+// accumulated relation; conjoined as the clauses come (enabledness, then
+// effects, then frame), every And walked the relation down to the levels
+// it constrains and left a copy of the path behind.
 func (a *analyzer) transitionRelation(t petri.Trans) bdd.Node {
 	n, m := a.net, a.m
-	touched := make(map[petri.Place]bool)
+	for _, p := range n.Pre(t) {
+		a.role[p] |= inPre
+	}
+	for _, p := range n.Post(t) {
+		a.role[p] |= inPost
+	}
 	rel := bdd.True
-	for _, p := range n.Pre(t) {
-		touched[p] = true
-		rel = m.And(rel, m.Var(a.cur[p])) // enabledness
-	}
-	for _, p := range n.Post(t) {
-		touched[p] = true
-	}
-	inPost := make(map[petri.Place]bool)
-	for _, p := range n.Post(t) {
-		inPost[p] = true
-	}
-	for _, p := range n.Pre(t) {
-		if !inPost[p] {
-			rel = m.And(rel, m.NVar(a.nxt[p])) // token removed
-		} else {
-			rel = m.And(rel, m.Var(a.nxt[p])) // self-loop keeps token
+	for p := n.NumPlaces() - 1; p >= 0; p-- {
+		var c bdd.Node
+		switch a.role[p] {
+		case inPre: // enabledness, token removed
+			c = m.And(m.Var(a.cur[p]), m.NVar(a.nxt[p]))
+		case inPre | inPost: // enabledness, self-loop keeps the token
+			c = m.And(m.Var(a.cur[p]), m.Var(a.nxt[p]))
+		case inPost: // token added
+			c = m.Var(a.nxt[p])
+		default: // untouched
+			c = m.Equiv(m.Var(a.cur[p]), m.Var(a.nxt[p]))
 		}
-	}
-	for _, p := range n.Post(t) {
-		rel = m.And(rel, m.Var(a.nxt[p])) // token added
-	}
-	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		if !touched[p] {
-			rel = m.And(rel, m.Equiv(m.Var(a.cur[p]), m.Var(a.nxt[p])))
-		}
+		rel = m.And(c, rel)
+		a.role[p] = 0
 	}
 	return rel
 }

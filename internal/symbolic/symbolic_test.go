@@ -136,20 +136,20 @@ func TestPinnedBDDPeaks(t *testing.T) {
 		states                        float64
 		iterations, finalNodes, peakN int
 	}{
-		{"nsdp", 2, 18, 5, 40, 2_270},
-		{"nsdp", 4, 322, 9, 132, 21_536},
-		{"nsdp", 6, 5_778, 13, 224, 85_583},
-		{"nsdp", 8, 103_682, 17, 316, 225_357},
-		{"asat", 2, 36, 11, 144, 6_264},
-		{"asat", 4, 768, 18, 2_823, 103_268},
-		{"over", 2, 62, 9, 80, 8_220},
-		{"over", 3, 488, 13, 210, 34_160},
-		{"over", 4, 3_842, 17, 484, 113_000},
-		{"over", 5, 30_248, 21, 1_046, 345_361},
-		{"rw", 6, 65, 7, 330, 9_623},
-		{"rw", 9, 513, 10, 2_576, 49_697},
-		{"rw", 12, 4_097, 13, 20_502, 292_686},
-		{"rw", 15, 32_769, 16, 163_868, 2_081_442},
+		{"nsdp", 2, 18, 5, 40, 948},
+		{"nsdp", 4, 322, 9, 132, 8_860},
+		{"nsdp", 6, 5_778, 13, 224, 41_081},
+		{"nsdp", 8, 103_682, 17, 316, 118_189},
+		{"asat", 2, 36, 11, 144, 2_169},
+		{"asat", 4, 768, 18, 2_823, 45_796},
+		{"over", 2, 62, 9, 80, 2_884},
+		{"over", 3, 488, 13, 210, 14_905},
+		{"over", 4, 3_842, 17, 484, 65_876},
+		{"over", 5, 30_248, 21, 1_046, 251_585},
+		{"rw", 6, 65, 7, 330, 4_372},
+		{"rw", 9, 513, 10, 2_576, 32_317},
+		{"rw", 12, 4_097, 13, 20_502, 251_873},
+		{"rw", 15, 32_769, 16, 163_868, 2_002_166},
 	} {
 		if testing.Short() && row.peakN > 1_000_000 {
 			continue
