@@ -123,7 +123,7 @@ type Manager struct {
 // Stats is a snapshot of the manager's internal counters: unique-table
 // hits (node reuse) vs. misses (node creation), computed-cache hits vs.
 // misses over all five cached operators (ITE, And, Exists, AndExists,
-// Rename), and the current table capacities. Nodes are never
+// Rename), and the computed cache's current capacity. Nodes are never
 // garbage-collected, so Nodes is also the peak and the lifetime
 // allocation count.
 type Stats struct {
@@ -132,7 +132,6 @@ type Stats struct {
 	UniqueMisses int64
 	CacheHits    int64
 	CacheMisses  int64
-	UniqueSlots  int
 	CacheSlots   int
 }
 
@@ -144,7 +143,6 @@ func (m *Manager) Stats() Stats {
 		UniqueMisses: m.uniqueMisses,
 		CacheHits:    m.cacheHits,
 		CacheMisses:  m.cacheMisses,
-		UniqueSlots:  len(m.unique),
 		CacheSlots:   len(m.cache),
 	}
 }

@@ -111,28 +111,31 @@ func TestExists(t *testing.T) {
 	}
 }
 
+// randCNF returns a random conjunction of three-literal clauses over all
+// of m's variables.
+func randCNF(m *Manager, rng *rand.Rand, clauses int) Node {
+	f := True
+	for i := 0; i < clauses; i++ {
+		cl := False
+		for j := 0; j < 3; j++ {
+			if v := rng.Intn(m.NumVars()); rng.Intn(2) == 0 {
+				cl = m.Or(cl, m.Var(v))
+			} else {
+				cl = m.Or(cl, m.NVar(v))
+			}
+		}
+		f = m.And(f, cl)
+	}
+	return f
+}
+
 // TestAndExistsMatchesComposition checks the relational product against
 // And followed by Exists on random formulas.
 func TestAndExistsMatchesComposition(t *testing.T) {
 	const nv = 8
 	rng := rand.New(rand.NewSource(7))
 	m := NewManager(nv)
-	randForm := func() Node {
-		f := True
-		for i := 0; i < 5; i++ {
-			cl := False
-			for j := 0; j < 3; j++ {
-				v := rng.Intn(nv)
-				if rng.Intn(2) == 0 {
-					cl = m.Or(cl, m.Var(v))
-				} else {
-					cl = m.Or(cl, m.NVar(v))
-				}
-			}
-			f = m.And(f, cl)
-		}
-		return f
-	}
+	randForm := func() Node { return randCNF(m, rng, 5) }
 	for trial := 0; trial < 30; trial++ {
 		f, g := randForm(), randForm()
 		vars := make([]bool, nv)
@@ -164,23 +167,7 @@ func TestRename(t *testing.T) {
 func TestSatCountProperty(t *testing.T) {
 	const nv = 10
 	m := NewManager(nv)
-	mk := func(seed int64) Node {
-		rng := rand.New(rand.NewSource(seed))
-		f := True
-		for i := 0; i < 4; i++ {
-			cl := False
-			for j := 0; j < 3; j++ {
-				v := rng.Intn(nv)
-				if rng.Intn(2) == 0 {
-					cl = m.Or(cl, m.Var(v))
-				} else {
-					cl = m.Or(cl, m.NVar(v))
-				}
-			}
-			f = m.And(f, cl)
-		}
-		return f
-	}
+	mk := func(seed int64) Node { return randCNF(m, rand.New(rand.NewSource(seed)), 4) }
 	prop := func(s1, s2 int64) bool {
 		f, g := mk(s1), mk(s2)
 		return m.SatCount(m.Or(f, g))+m.SatCount(m.And(f, g)) ==
@@ -239,21 +226,7 @@ func TestQuantifyRenameInterleaved(t *testing.T) {
 	const nv = 8
 	rng := rand.New(rand.NewSource(11))
 	m := NewManager(nv)
-	randForm := func() Node {
-		f := True
-		for i := 0; i < 4; i++ {
-			cl := False
-			for j := 0; j < 3; j++ {
-				if v := rng.Intn(nv); rng.Intn(2) == 0 {
-					cl = m.Or(cl, m.Var(v))
-				} else {
-					cl = m.Or(cl, m.NVar(v))
-				}
-			}
-			f = m.And(f, cl)
-		}
-		return f
-	}
+	randForm := func() Node { return randCNF(m, rng, 4) }
 	// Two sets over the even variables, two shifts of the odd ones.
 	setVars := [2][]bool{
 		{true, false, true, false, false, false, false, false},
@@ -383,11 +356,11 @@ func TestGrowthInsideAndExists(t *testing.T) {
 			m.mk(0, False, k)
 		}
 	}
-	before := m.Stats()
+	slots, nodes := len(m.unique), len(m.nodes)
 	got := m.AndExists(f, g, s)
-	if after := m.Stats(); after.UniqueSlots == before.UniqueSlots {
+	if len(m.unique) == slots {
 		t.Fatalf("AndExists created %d nodes and the unique table stayed at %d slots; the test needs a doubling",
-			after.Nodes-before.Nodes, after.UniqueSlots)
+			len(m.nodes)-nodes, slots)
 	}
 	ref := NewManager(nv)
 	rf, rg, rs := build(ref)

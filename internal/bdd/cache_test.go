@@ -56,6 +56,11 @@ func randomOps(seed int64) (ids []bdd.Node, size int) {
 		shift[v] = v &^ 1
 	}
 	up := m.Renaming(shift)
+	even := make([]bool, nv)
+	for v := 0; v < nv; v += 2 {
+		even[v] = true
+	}
+	evens := m.VarSet(even)
 	pool := []bdd.Node{bdd.True}
 	for v := 0; v < nv; v++ {
 		pool = append(pool, m.Var(v), m.NVar(v))
@@ -77,11 +82,7 @@ func randomOps(seed int64) (ids []bdd.Node, size int) {
 		default:
 			// Quantifying the even variables away first leaves a support
 			// the shift is injective on.
-			even := make([]bool, nv)
-			for v := 0; v < nv; v += 2 {
-				even[v] = true
-			}
-			r = m.Rename(m.Exists(pick(), m.VarSet(even)), up)
+			r = m.Rename(m.Exists(pick(), evens), up)
 		}
 		pool = append(pool, r)
 		ids = append(ids, r)

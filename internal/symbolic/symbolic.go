@@ -123,9 +123,9 @@ const (
 // every untouched place unchanged — one conjunct per place, conjoined from
 // the last place to the first. A place's conjunct tests only its own two
 // variables, so in that order each And meets just the top of the
-// accumulated relation; conjoined as the clauses come (enabledness, then
-// effects, then frame), every And walked the relation down to the levels
-// it constrains and left a copy of the path behind.
+// accumulated relation; a conjunct about a place above the top would
+// walk the relation down to its levels and leave a copy of the path
+// behind (the lesson of zdd's conflictFreeBDD).
 func (a *analyzer) transitionRelation(t petri.Trans) bdd.Node {
 	n, m := a.net, a.m
 	for _, p := range n.Pre(t) {

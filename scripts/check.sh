@@ -62,6 +62,14 @@ go test -run '^$' -bench 'BenchmarkAnalyzeZDD$/nsdp\(40\)' -benchtime=1x ./inter
 	tee /dev/stderr | awk '$1 ~ /^BenchmarkAnalyzeZDD\/nsdp\(40\)/ { for (i = 2; i <= NF; i++)
 		if ($i == "B/op") { seen = 1; if ($(i-1) / 1e6 > 45) over = 1 } }
 		END { exit !(seen && !over) }'
+# Symbolic allocation gate: one nsdp(8) analysis allocates its BDD node
+# arena, unique table and computed cache by doubling — 14.5 MB in all,
+# against 98 MB when the manager ran on Go maps and Exists, AndExists and
+# Rename made a fresh one per call. The bound is 22 MB/op.
+go test -run '^$' -bench 'BenchmarkAnalyze$/nsdp\(8\)' -benchtime=1x ./internal/symbolic |
+	tee /dev/stderr | awk '$1 ~ /^BenchmarkAnalyze\/nsdp\(8\)/ { for (i = 2; i <= NF; i++)
+		if ($i == "B/op") { seen = 1; if ($(i-1) / 1e6 > 22) over = 1 } }
+		END { exit !(seen && !over) }'
 # Service hot-path allocation gates. pnio.Parse allocates in proportion
 # to its input: 56 KB for the 2.6 KB text of nsdp(8), against 1.1 MB
 # when every call opened with a 1 MiB line buffer; the bound is 80 000
