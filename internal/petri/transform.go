@@ -19,83 +19,6 @@ func CloneBuilder(n *Net) *Builder {
 	return b
 }
 
-// Surgery describes a structural rewrite of a net: places and transitions
-// to drop, and transitions whose postset is replaced wholesale. It is the
-// mutation primitive under the structural reduction rules
-// (internal/structural/reduce), built on the CloneBuilder idiom: the
-// original net is never touched, Apply assembles a fresh immutable Net.
-type Surgery struct {
-	DropPlaces []Place
-	DropTrans  []Trans
-	// ReplacePost maps a kept transition to its new postset. Entries may
-	// mention dropped places (the arcs are elided) and may repeat a place
-	// (duplicates are collapsed) — agglomeration unions postsets, so the
-	// caller should not have to pre-clean them.
-	ReplacePost map[Trans][]Place
-}
-
-// Apply performs the surgery and returns the rewritten net together with
-// the identity maps back into the operated-on net: placeOf[i] (resp.
-// transOf[i]) is the old index of the new net's place (transition) i.
-// Presets are never edited, only elided when their place is dropped; a
-// kept transition whose whole preset was dropped fails Build's no-empty-
-// preset rule, which is exactly the guard the reduction rules rely on.
-func (s Surgery) Apply(n *Net) (*Net, []Place, []Trans, error) {
-	dropP := make([]bool, n.NumPlaces())
-	for _, p := range s.DropPlaces {
-		dropP[p] = true
-	}
-	dropT := make([]bool, n.NumTrans())
-	for _, t := range s.DropTrans {
-		dropT[t] = true
-	}
-	b := NewBuilder(n.name)
-	newOf := make([]Place, n.NumPlaces())
-	placeOf := make([]Place, 0, n.NumPlaces())
-	for p := 0; p < n.NumPlaces(); p++ {
-		newOf[p] = -1
-		if !dropP[p] {
-			newOf[p] = b.Place(n.placeNames[p])
-			placeOf = append(placeOf, Place(p))
-		}
-	}
-	transOf := make([]Trans, 0, n.NumTrans())
-	for t := 0; t < n.NumTrans(); t++ {
-		if dropT[t] {
-			continue
-		}
-		nt := b.Trans(n.transNames[t])
-		transOf = append(transOf, Trans(t))
-		for _, p := range n.pre[t] {
-			if !dropP[p] {
-				b.In(nt, newOf[p])
-			}
-		}
-		post := n.post[t]
-		if rp, ok := s.ReplacePost[Trans(t)]; ok {
-			post = rp
-		}
-		var added []Place
-		for _, p := range post {
-			if dropP[p] || containsPlace(added, newOf[p]) {
-				continue
-			}
-			added = append(added, newOf[p])
-			b.Out(nt, newOf[p])
-		}
-	}
-	for _, p := range n.initial {
-		if !dropP[p] {
-			b.Mark(newOf[p])
-		}
-	}
-	net, err := b.Build()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("petri: surgery: %w", err)
-	}
-	return net, placeOf, transOf, nil
-}
-
 // WithSafetyMonitor implements the classical reduction of a safety check
 // to a deadlock check (Section 4 of the paper, citing Godefroid–Wolper):
 // it returns a net extended with

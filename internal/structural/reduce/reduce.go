@@ -25,10 +25,18 @@
 //     and the dead markings (all of which have p empty — t would be
 //     enabled otherwise) coincide.
 //
-// Reduce returns a Certificate that carries the reduced net and the
+// Run returns a Certificate that carries the reduced net and the
 // mapping back: PlaceIndex translates original places into the reduced
 // net, ExpandMarking reconstructs a full original marking (witnesses,
 // dead markings) from a reduced one by replaying the removals in reverse.
+//
+// The rules do not build nets. They edit one working copy of the
+// adjacency lists, kept in the input net's indices, and a petri.Net — which
+// stays immutable — is assembled once, from what is left when no rule
+// applies any more (and once more per implicit-place attempt, which needs
+// the invariants of the net as it then stands). The pre-pass therefore
+// costs about one Build, not one per removed place, and nothing but a
+// scan when no rule applies.
 //
 // Like the engines, the pipeline assumes its input net is safe; protected
 // places (a safety check's bad places) are never removed, so property
@@ -36,7 +44,10 @@
 package reduce
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/petri"
@@ -201,80 +212,133 @@ func (c *Certificate) ExpandMarking(m petri.Marking) petri.Marking {
 	return out
 }
 
-// reducer is the mutable fixpoint state: the current net plus the index
-// maps back to the original.
+// reducer is the mutable fixpoint state: one working copy of the net, in
+// the input net's indices, that the rules edit in place. pre/post and
+// preT/postT mirror petri.Net's adjacency (sorted, and holding alive
+// nodes only); a removed place or transition keeps its index and loses
+// its arcs. The lists start out as the input net's own, which are
+// read-only: an edit replaces a list (with, without), it never writes
+// into one. Nothing here is a petri.Net: one is assembled by materialize
+// only when somebody needs one — the Farkas call behind the implicit-
+// place rule, and the certificate at the end.
 type reducer struct {
-	cur     *petri.Net
-	toOrig  []petri.Place // current place -> original place
+	orig    *petri.Net
 	opts    Options
-	protect map[petri.Place]bool // original indices
-	cert    *Certificate
+	protect []bool // by place
+	marked  []bool // by place: the initial marking
+
+	pre, post   [][]petri.Place // by transition
+	preT, postT [][]petri.Trans // by place
+	aliveP      []bool
+	aliveT      []bool
+
+	// cur is a net equal to the working copy, or nil once an edit has
+	// outdated it; curOrig maps its places back to the input net's. It
+	// starts as the input net itself, so a run in which no rule applies
+	// builds nothing.
+	cur     *petri.Net
+	curOrig []petri.Place
+	builds  int // nets materialize has assembled
+
+	cert *Certificate
+}
+
+func newReducer(n *petri.Net, o Options) *reducer {
+	nP, nT := n.NumPlaces(), n.NumTrans()
+	r := &reducer{
+		orig:    n,
+		opts:    o,
+		protect: make([]bool, nP),
+		marked:  make([]bool, nP),
+		pre:     make([][]petri.Place, nT),
+		post:    make([][]petri.Place, nT),
+		preT:    make([][]petri.Trans, nP),
+		postT:   make([][]petri.Trans, nP),
+		aliveP:  make([]bool, nP),
+		aliveT:  make([]bool, nT),
+		cur:     n,
+		curOrig: make([]petri.Place, nP),
+		cert:    &Certificate{orig: n, reduced: n, rules: make(map[string]int)},
+	}
+	for _, p := range o.Protect {
+		if p >= 0 && int(p) < nP { // an unknown place protects nothing
+			r.protect[p] = true
+		}
+	}
+	for _, p := range n.InitialPlaces() {
+		r.marked[p] = true
+	}
+	for t := petri.Trans(0); int(t) < nT; t++ {
+		r.aliveT[t], r.pre[t], r.post[t] = true, n.Pre(t), n.Post(t)
+	}
+	for p := petri.Place(0); int(p) < nP; p++ {
+		r.aliveP[p], r.preT[p], r.postT[p] = true, n.PreT(p), n.PostT(p)
+		r.curOrig[p] = p
+	}
+	return r
+}
+
+// without returns the list s with v removed, as a fresh list.
+func without[E comparable](s []E, v E) []E {
+	i := slices.Index(s, v)
+	if i < 0 {
+		return s
+	}
+	out := make([]E, 0, len(s)-1)
+	return append(append(out, s[:i]...), s[i+1:]...)
+}
+
+// with returns the sorted list s with v in it — a fresh list if v had to
+// be added, which added reports.
+func with[E cmp.Ordered](s []E, v E) (out []E, added bool) {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s, false
+	}
+	return slices.Insert(slices.Clip(s), i, v), true
 }
 
 // Run applies the reduction rules to a fixpoint and returns the
 // certificate. The pipeline is deterministic: identical inputs yield
 // identical reduced nets, which is what lets reduced runs share content-
-// addressed run identities.
+// addressed run identities. The order of application is therefore part of
+// the contract (TestReducedNetGolden): each rule fires on the first alive
+// place, in index order, that matches, and scans again from the start.
 func Run(n *petri.Net, o Options) (*Certificate, error) {
 	sp := o.Metrics.StartSpan("reduce.prepass")
 	defer sp.End()
 
-	maxRounds := o.MaxRounds
+	r := newReducer(n, o)
+	if err := r.run(); err != nil {
+		return nil, err
+	}
+	r.emitMetrics()
+	return r.cert, nil
+}
+
+// run iterates the rules to the fixpoint and completes the certificate.
+func (r *reducer) run() error {
+	maxRounds := r.opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 64
 	}
-	r := &reducer{
-		cur:     n,
-		toOrig:  identityPlaces(n.NumPlaces()),
-		opts:    o,
-		protect: make(map[petri.Place]bool, len(o.Protect)),
-		cert: &Certificate{
-			orig:    n,
-			reduced: n,
-			toRed:   identityPlaces(n.NumPlaces()),
-			rules:   make(map[string]int),
-		},
-	}
-	for _, p := range o.Protect {
-		r.protect[p] = true
-	}
-
+	rules := []func() (bool, error){r.dropConstantPlace, r.dropImplicitPlace, r.agglomerate}
 	for round := 1; round <= maxRounds; round++ {
-		changed := false
-		ok, err := r.pruneDead()
+		changed, err := r.pruneDead()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		changed = changed || ok
-		for {
-			ok, err := r.dropConstantPlace()
-			if err != nil {
-				return nil, err
+		for _, rule := range rules {
+			for {
+				ok, err := rule()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break
+				}
+				changed = true
 			}
-			if !ok {
-				break
-			}
-			changed = true
-		}
-		for {
-			ok, err := r.dropImplicitPlace()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			changed = true
-		}
-		for {
-			ok, err := r.agglomerate()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			changed = true
 		}
 		r.cert.rounds = round
 		if !changed {
@@ -282,24 +346,18 @@ func Run(n *petri.Net, o Options) (*Certificate, error) {
 		}
 	}
 
+	if err := r.materialize(); err != nil {
+		return err
+	}
 	r.cert.reduced = r.cur
-	r.cert.toRed = make([]petri.Place, n.NumPlaces())
+	r.cert.toRed = make([]petri.Place, r.orig.NumPlaces())
 	for i := range r.cert.toRed {
 		r.cert.toRed[i] = -1
 	}
-	for cp, op := range r.toOrig {
+	for cp, op := range r.curOrig {
 		r.cert.toRed[op] = petri.Place(cp)
 	}
-	r.emitMetrics()
-	return r.cert, nil
-}
-
-func identityPlaces(n int) []petri.Place {
-	out := make([]petri.Place, n)
-	for i := range out {
-		out[i] = petri.Place(i)
-	}
-	return out
+	return nil
 }
 
 func (r *reducer) emitMetrics() {
@@ -319,28 +377,90 @@ func (r *reducer) emitMetrics() {
 	reg.Counter("reduce.applications").Add(total)
 }
 
-// apply performs one surgery on the current net, composing the identity
-// maps and recording the removed places' reconstructions.
-func (r *reducer) apply(s petri.Surgery, recs []recon) error {
-	next, placeOf, transOf, err := s.Apply(r.cur)
+// materialize makes r.cur the working copy as a petri.Net, through the
+// ordinary Builder: alive places and transitions in index order, so the
+// compaction keeps relative order and Build's sorting does the rest.
+func (r *reducer) materialize() error {
+	if r.cur != nil {
+		return nil
+	}
+	n := r.orig
+	b := petri.NewBuilder(n.Name())
+	toCur := make([]petri.Place, n.NumPlaces())
+	r.curOrig = r.curOrig[:0]
+	for p, alive := range r.aliveP {
+		if !alive {
+			continue
+		}
+		toCur[p] = b.Place(n.PlaceName(petri.Place(p)))
+		r.curOrig = append(r.curOrig, petri.Place(p))
+		if r.marked[p] {
+			b.Mark(toCur[p])
+		}
+	}
+	for t, alive := range r.aliveT {
+		if !alive {
+			continue
+		}
+		nt := b.Trans(n.TransName(petri.Trans(t)))
+		for _, p := range r.pre[t] {
+			b.In(nt, toCur[p])
+		}
+		for _, p := range r.post[t] {
+			b.Out(nt, toCur[p])
+		}
+	}
+	cur, err := b.Build()
 	if err != nil {
-		return err
+		return fmt.Errorf("reduce: %w", err)
 	}
-	toOrig := make([]petri.Place, len(placeOf))
-	for i, old := range placeOf {
-		toOrig[i] = r.toOrig[old]
-	}
-	r.cert.transRemoved += r.cur.NumTrans() - len(transOf)
-	r.cur = next
-	r.toOrig = toOrig
-	r.cert.recons = append(r.cert.recons, recs...)
+	r.cur = cur
+	r.builds++
 	return nil
 }
 
-// origOf translates a current-net place to its original index.
-func (r *reducer) origOf(p petri.Place) petri.Place { return r.toOrig[p] }
+// errEmptyPreset is the one way an edit can make the working copy stop
+// being a net the Builder accepts. Every rule's guard rules it out; it is
+// checked where the edit happens so that a rule which loses its guard
+// fails by name instead of at the final build.
+var errEmptyPreset = errors.New("reduce: removal would leave a kept transition without input places")
 
-func (r *reducer) isProtected(p petri.Place) bool { return r.protect[r.origOf(p)] }
+// dropPlace removes p and its arcs, recording how its marking is
+// reconstructed. Transitions that die with it must be dropped first.
+func (r *reducer) dropPlace(p petri.Place, rec recon) error {
+	for _, t := range r.postT[p] {
+		if len(r.pre[t]) == 1 {
+			return fmt.Errorf("%w: place %s, transition %s",
+				errEmptyPreset, r.orig.PlaceName(p), r.orig.TransName(t))
+		}
+	}
+	for _, t := range r.postT[p] {
+		r.pre[t] = without(r.pre[t], p)
+	}
+	for _, t := range r.preT[p] {
+		r.post[t] = without(r.post[t], p)
+	}
+	r.preT[p], r.postT[p] = nil, nil
+	r.aliveP[p] = false
+	r.cur = nil
+	rec.place = p
+	r.cert.recons = append(r.cert.recons, rec)
+	return nil
+}
+
+// dropTrans removes t and its arcs.
+func (r *reducer) dropTrans(t petri.Trans) {
+	for _, p := range r.pre[t] {
+		r.postT[p] = without(r.postT[p], t)
+	}
+	for _, p := range r.post[t] {
+		r.preT[p] = without(r.preT[p], t)
+	}
+	r.pre[t], r.post[t] = nil, nil
+	r.aliveT[t] = false
+	r.cur = nil
+	r.cert.transRemoved++
+}
 
 // pruneDead removes every transition whose preset intersects the maximal
 // provably-unmarkable siphon (the largest siphon among the initially
@@ -349,46 +469,35 @@ func (r *reducer) isProtected(p petri.Place) bool { return r.protect[r.origOf(p)
 // (constant 0 — their producers, putting tokens into S, are themselves
 // in S• and thus dead too, so no kept transition touches them).
 func (r *reducer) pruneDead() (bool, error) {
-	n := r.cur
-	init := n.InitialMarking()
-	var unmarked []petri.Place
-	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		if !init.Has(p) {
-			unmarked = append(unmarked, p)
-		}
+	siphon := make([]bool, len(r.aliveP))
+	for p, alive := range r.aliveP {
+		siphon[p] = alive && !r.marked[p]
 	}
-	siphon := structural.MaxSiphonWithin(n, unmarked)
-	if len(siphon) == 0 {
-		return false, nil
-	}
-	inSiphon := make(map[petri.Place]bool, len(siphon))
-	for _, p := range siphon {
-		inSiphon[p] = true
-	}
-	var dead []petri.Trans
-	for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
-		for _, p := range n.Pre(t) {
-			if inSiphon[p] {
-				dead = append(dead, t)
-				break
-			}
-		}
-	}
-	var drop []petri.Place
-	var recs []recon
-	for _, p := range siphon {
-		if r.isProtected(p) {
+	structural.ShrinkToSiphon(siphon,
+		func(p petri.Place) []petri.Trans { return r.preT[p] },
+		func(t petri.Trans) []petri.Place { return r.pre[t] })
+	changed := false
+	for p, in := range siphon {
+		if !in {
 			continue
 		}
-		drop = append(drop, p)
-		recs = append(recs, recon{place: r.origOf(p), kind: reconConst, value: 0})
+		for len(r.postT[p]) > 0 {
+			r.dropTrans(r.postT[p][0])
+			r.cert.rules[RuleDeadTransition]++
+			changed = true
+		}
 	}
-	if len(dead) == 0 && len(drop) == 0 {
-		return false, nil
+	for p, in := range siphon {
+		if !in || r.protect[p] {
+			continue
+		}
+		if err := r.dropPlace(petri.Place(p), recon{kind: reconConst, value: 0}); err != nil {
+			return false, err
+		}
+		r.cert.rules[RuleEmptySiphonPlace]++
+		changed = true
 	}
-	r.cert.rules[RuleDeadTransition] += len(dead)
-	r.cert.rules[RuleEmptySiphonPlace] += len(drop)
-	return true, r.apply(petri.Surgery{DropPlaces: drop, DropTrans: dead}, recs)
+	return changed, nil
 }
 
 // dropConstantPlace removes one place whose incidence row is zero (every
@@ -398,32 +507,28 @@ func (r *reducer) pruneDead() (bool, error) {
 // to condition on. One place per call, so the ≥2-inputs guard is checked
 // against the net the removal actually operates on.
 func (r *reducer) dropConstantPlace() (bool, error) {
-	n := r.cur
-	init := n.InitialMarking()
 scan:
-	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		if !init.Has(p) || r.isProtected(p) {
+	for i, alive := range r.aliveP {
+		p := petri.Place(i)
+		if !alive || !r.marked[p] || r.protect[p] {
 			continue
 		}
 		// Row zero: consumers and producers coincide as self-loops.
-		for _, t := range n.PostT(p) {
-			if !containsPlace(n.Post(t), p) {
+		for _, t := range r.postT[p] {
+			if !slices.Contains(r.post[t], p) {
 				continue scan
 			}
-			if len(n.Pre(t)) < 2 {
+			if len(r.pre[t]) < 2 {
 				continue scan // would strip t's last input
 			}
 		}
-		for _, t := range n.PreT(p) {
-			if !containsPlace(n.Pre(t), p) {
+		for _, t := range r.preT[p] {
+			if !slices.Contains(r.pre[t], p) {
 				continue scan
 			}
 		}
 		r.cert.rules[RuleConstantPlace]++
-		err := r.apply(
-			petri.Surgery{DropPlaces: []petri.Place{p}},
-			[]recon{{place: r.origOf(p), kind: reconConst, value: 1}},
-		)
+		err := r.dropPlace(p, recon{kind: reconConst, value: 1})
 		return err == nil, err
 	}
 	return false, nil
@@ -433,42 +538,49 @@ scan:
 // enabledness depends on it) whose marking is implied by a P-invariant
 // over the remaining places: y with y(p) ≥ 1 gives
 // m(p) = (y·m₀ − Σ_{q≠p} y(q)·m(q)) / y(p) in every reachable marking.
-// Invariants are only computed when a sink candidate exists; a Farkas
-// row-cap overflow skips the rule rather than failing the reduction.
+// Only when a sink candidate exists is the working copy materialized and
+// its invariants computed; a Farkas row-cap overflow skips the rule
+// rather than failing the reduction.
 func (r *reducer) dropImplicitPlace() (bool, error) {
-	n := r.cur
-	var sinks []petri.Place
-	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		if len(n.PostT(p)) == 0 && !r.isProtected(p) {
-			sinks = append(sinks, p)
+	hasSink := false
+	for p, alive := range r.aliveP {
+		if alive && len(r.postT[p]) == 0 && !r.protect[p] {
+			hasSink = true
+			break
 		}
 	}
-	if len(sinks) == 0 {
+	if !hasSink {
 		return false, nil
 	}
+	if err := r.materialize(); err != nil {
+		return false, err
+	}
+	n := r.cur
 	invariants, err := structural.PInvariants(n, r.opts.MaxInvariantRows)
 	if err != nil {
 		return false, nil // cap exceeded: skip the rule, soundly
 	}
 	m0 := n.InitialMarking()
-	for _, p := range sinks {
+	for cp, p := range r.curOrig {
+		if len(r.postT[p]) != 0 || r.protect[p] {
+			continue
+		}
 		for _, y := range invariants {
-			if y[p] < 1 {
+			if y[cp] < 1 {
 				continue
 			}
 			rec := recon{
-				place:  r.origOf(p),
 				kind:   reconInvariant,
 				target: structural.Weight(y, m0),
-				selfW:  y[p],
+				selfW:  y[cp],
 			}
 			for q, w := range y {
-				if petri.Place(q) != p && w != 0 {
-					rec.coeff = append(rec.coeff, placeWeight{place: r.origOf(petri.Place(q)), weight: w})
+				if q != cp && w != 0 {
+					rec.coeff = append(rec.coeff, placeWeight{place: r.curOrig[q], weight: w})
 				}
 			}
 			r.cert.rules[RuleImplicitPlace]++
-			err := r.apply(petri.Surgery{DropPlaces: []petri.Place{p}}, []recon{rec})
+			err := r.dropPlace(p, rec)
 			return err == nil, err
 		}
 	}
@@ -485,54 +597,33 @@ func (r *reducer) dropImplicitPlace() (bool, error) {
 // has p empty (t would be enabled otherwise), the dead markings — and
 // the deadlock verdict and witness — are preserved exactly.
 func (r *reducer) agglomerate() (bool, error) {
-	n := r.cur
-	init := n.InitialMarking()
-	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		if init.Has(p) || r.isProtected(p) {
+	for i, alive := range r.aliveP {
+		p := petri.Place(i)
+		if !alive || r.marked[p] || r.protect[p] {
 			continue
 		}
-		cons := n.PostT(p)
-		if len(cons) != 1 {
+		if len(r.postT[p]) != 1 {
 			continue
 		}
-		t := cons[0]
-		if len(n.Pre(t)) != 1 || containsPlace(n.Post(t), p) {
+		t := r.postT[p][0]
+		if len(r.pre[t]) != 1 || slices.Contains(r.post[t], p) {
 			continue
 		}
-		prods := n.PreT(p)
-		if len(prods) == 0 {
+		if len(r.preT[p]) == 0 {
 			continue // unmarkable; pruneDead's siphon handles it
 		}
-		replace := make(map[petri.Trans][]petri.Place, len(prods))
-		for _, u := range prods {
-			var post []petri.Place
-			for _, q := range n.Post(u) {
-				if q != p {
-					post = append(post, q)
+		for _, u := range r.preT[p] {
+			for _, q := range r.post[t] {
+				var added bool
+				if r.post[u], added = with(r.post[u], q); added {
+					r.preT[q], _ = with(r.preT[q], u)
 				}
 			}
-			post = append(post, n.Post(t)...)
-			replace[u] = post
 		}
 		r.cert.rules[RulePostAgglomeration]++
-		err := r.apply(
-			petri.Surgery{
-				DropPlaces:  []petri.Place{p},
-				DropTrans:   []petri.Trans{t},
-				ReplacePost: replace,
-			},
-			[]recon{{place: r.origOf(p), kind: reconConst, value: 0}},
-		)
+		r.dropTrans(t)
+		err := r.dropPlace(p, recon{kind: reconConst, value: 0})
 		return err == nil, err
 	}
 	return false, nil
-}
-
-func containsPlace(ps []petri.Place, p petri.Place) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }

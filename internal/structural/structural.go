@@ -220,36 +220,47 @@ func ProveSafe(n *petri.Net, invariants [][]int) []petri.Place {
 // takes a token from S). Once a siphon is empty it stays empty forever.
 // The empty set is (trivially) returned when no nonempty siphon exists.
 func MaxSiphonWithin(n *petri.Net, candidate []petri.Place) []petri.Place {
-	in := make(map[petri.Place]bool, len(candidate))
+	in := make([]bool, n.NumPlaces())
 	for _, p := range candidate {
 		in[p] = true
 	}
+	ShrinkToSiphon(in, n.PreT, n.Pre)
+	out := make([]petri.Place, 0, len(candidate))
+	for p, ok := range in {
+		if ok {
+			out = append(out, petri.Place(p))
+		}
+	}
+	return out
+}
+
+// ShrinkToSiphon is the fixpoint under MaxSiphonWithin for a net given
+// by its adjacency alone — producers(p) is •p, preset(t) is •t — so that
+// the reduction pre-pass can run it on its working copy without
+// assembling a petri.Net. in, indexed by place, holds the candidate set
+// on entry and the largest siphon inside it on return.
+func ShrinkToSiphon(in []bool, producers func(petri.Place) []petri.Trans, preset func(petri.Trans) []petri.Place) {
 	for changed := true; changed; {
 		changed = false
-		for p := range in {
+	places:
+		for p, ok := range in {
+			if !ok {
+				continue
+			}
 			// p must go if some producer of p does not consume from S.
-			for _, t := range n.PreT(p) {
-				consumes := false
-				for _, q := range n.Pre(t) {
+		producers:
+			for _, t := range producers(petri.Place(p)) {
+				for _, q := range preset(t) {
 					if in[q] {
-						consumes = true
-						break
+						continue producers
 					}
 				}
-				if !consumes {
-					delete(in, p)
-					changed = true
-					break
-				}
+				in[p] = false
+				changed = true
+				continue places
 			}
 		}
 	}
-	out := make([]petri.Place, 0, len(in))
-	for p := range in {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // MaxTrapWithin returns the largest trap contained in the set: S• ⊆ •S

@@ -70,6 +70,16 @@ go test -run '^$' -bench 'BenchmarkAnalyze$/nsdp\(8\)' -benchtime=1x ./internal/
 	tee /dev/stderr | awk '$1 ~ /^BenchmarkAnalyze\/nsdp\(8\)/ { for (i = 2; i <= NF; i++)
 		if ($i == "B/op") { seen = 1; if ($(i-1) / 1e6 > 22) over = 1 } }
 		END { exit !(seen && !over) }'
+# Reduction pre-pass allocation gate: the rules edit one working copy and
+# a run assembles one petri.Net, at the end — 360 KB and 4 500 allocations
+# on asat(32), against 32 MB and 423 000 when each of its 127
+# agglomerations rebuilt the net. The bounds are 1 MB/op and 10 000
+# allocs/op.
+go test -run '^$' -bench 'BenchmarkReduce$/asat\(32\)' -benchtime=10x ./internal/structural/reduce |
+	tee /dev/stderr | awk '$1 ~ /^BenchmarkReduce\/asat\(32\)/ { for (i = 2; i <= NF; i++) {
+		if ($i == "B/op") { seen = 1; if ($(i-1) + 0 > 1e6) over = 1 }
+		if ($i == "allocs/op" && $(i-1) + 0 > 10000) over = 1 } }
+		END { exit !(seen && !over) }'
 # Service hot-path allocation gates. pnio.Parse allocates in proportion
 # to its input: 56 KB for the 2.6 KB text of nsdp(8), against 1.1 MB
 # when every call opened with a 1 MiB line buffer; the bound is 80 000
