@@ -36,17 +36,9 @@ func runGPN[F any](t *testing.T, n *petri.Net, alg Algebra[F]) (*Result, []strin
 	return res, ws
 }
 
-// TestDifferentialFamilyVsZDD pins the two family algebras against each
-// other on seeded random safe nets: the explicit reference representation
-// and the ZDD one must agree on the entire observable outcome of the
-// generalized partial-order analysis — state/arc/firing counts, the
-// deadlock verdict, the dead-state ids and the extracted witness
-// markings. The engines share every exploration decision, so any
-// divergence is an algebra bug (canonicity, op correctness, or key
-// collisions), which is exactly what this test exists to catch after
-// hot-path rewrites. Runs under the race gate of `make check`; configs
-// are sized to finish in well under a second each even with -race.
-func TestDifferentialFamilyVsZDD(t *testing.T) {
+// differentialConfigs is the seeded random corpus the two family algebras
+// are compared on.
+func differentialConfigs() []randnet.Config {
 	configs := []randnet.Config{}
 	for seed := int64(1); seed <= 12; seed++ {
 		configs = append(configs, randnet.Default(seed))
@@ -62,6 +54,21 @@ func TestDifferentialFamilyVsZDD(t *testing.T) {
 	if testing.Short() {
 		configs = configs[:4]
 	}
+	return configs
+}
+
+// TestDifferentialFamilyVsZDD pins the two family algebras against each
+// other on seeded random safe nets: the explicit reference representation
+// and the ZDD one must agree on the entire observable outcome of the
+// generalized partial-order analysis — state/arc/firing counts, the
+// deadlock verdict, the dead-state ids and the extracted witness
+// markings. The engines share every exploration decision, so any
+// divergence is an algebra bug (canonicity, op correctness, or key
+// collisions), which is exactly what this test exists to catch after
+// hot-path rewrites. Runs under the race gate of `make check`; configs
+// are sized to finish in well under a second each even with -race.
+func TestDifferentialFamilyVsZDD(t *testing.T) {
+	configs := differentialConfigs()
 	sawDeadlock := false
 	for _, cfg := range configs {
 		cfg := cfg

@@ -551,13 +551,14 @@ func (e *Engine[F]) tryMultiple(s *State[F], comps [][]petri.Trans, isSingle []b
 	// enabled; the po-safety condition is then iterated to a fixpoint since
 	// it references the union of all remaining candidates. mEn is the
 	// engine's transition-indexed scratch vector; entries are meaningful
-	// only for members of tentative components.
+	// only for members of tentative components. m_enabled(t) is the
+	// t-containing part of ∩_{p∈•t} m(p), which sEn[t] already is.
 	mEn := e.mEnBuf
 	tentative := e.tentBuf[:0]
 	for _, comp := range comps {
 		ok := true
 		for _, t := range comp {
-			f := e.MEnabled(s, t)
+			f := e.Alg.OnSet(sEn[t], int(t))
 			if e.Alg.IsEmpty(f) {
 				ok = false
 				break

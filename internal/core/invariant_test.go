@@ -1,0 +1,67 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/family"
+	"repro/internal/models"
+	"repro/internal/petri"
+	"repro/internal/randnet"
+	"repro/internal/zdd"
+)
+
+// checkMarkingsWithinValid asserts m(p) ⊆ r for every place of every
+// state the analysis interned (DESIGN.md D2a). SEnabled, tryMultiple and
+// multiFire leave out the intersections with r that this makes no-ops.
+func checkMarkingsWithinValid[F any](t *testing.T, n *petri.Net, alg Algebra[F]) {
+	t.Helper()
+	e, err := NewEngine[F](n, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g, err := e.Analyze(Options{StoreGraph: true, MaxStates: diffMaxStates})
+	if err != nil && err != ErrStateLimit {
+		t.Fatal(err)
+	}
+	for id, s := range g.States {
+		for p, f := range s.M {
+			if !alg.Equal(alg.Intersect(f, s.R), f) {
+				t.Fatalf("%s: state %d: m(%s) ⊄ r", n.Name(), id, n.PlaceName(petri.Place(p)))
+			}
+		}
+	}
+}
+
+// TestMarkingsWithinValidSets runs the check over the TestPinnedTable1
+// rows and the TestDifferentialFamilyVsZDD corpus, for both algebras.
+func TestMarkingsWithinValidSets(t *testing.T) {
+	const familyPeakMax = 5000 // as in TestPinnedTable1
+	var nets []*petri.Net
+	peak := map[*petri.Net]float64{}
+	for _, row := range pinnedTable1() {
+		if testing.Short() && row.peakValid > 50_000 {
+			continue
+		}
+		net, err := models.ByName(row.family, row.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, net)
+		peak[net] = row.peakValid
+	}
+	for _, cfg := range differentialConfigs() {
+		nets = append(nets, randnet.Generate(cfg))
+	}
+	for _, net := range nets {
+		net := net
+		t.Run(fmt.Sprintf("%s/zdd", net.Name()), func(t *testing.T) {
+			checkMarkingsWithinValid[zdd.Node](t, net, zdd.NewAlgebra(net.NumTrans()))
+		})
+		if peak[net] <= familyPeakMax {
+			t.Run(fmt.Sprintf("%s/family", net.Name()), func(t *testing.T) {
+				checkMarkingsWithinValid[*family.Family](t, net, family.NewAlgebra(net.NumTrans()))
+			})
+		}
+	}
+}

@@ -48,7 +48,10 @@ func (e *Engine[F]) InitialState() *State[F] {
 }
 
 // SEnabled computes s_enabled(t, ⟨m,r⟩) = ∩_{p∈•t} m(p) ∩ r
-// (Definition 3.2).
+// (Definition 3.2). Every state the engine builds has m(p) ⊆ r for all p
+// (InitialState, SingleFire and multiFire each keep it; DESIGN.md D2a,
+// TestMarkingsWithinValidSets), so the final ∩ r is the identity and is
+// not computed.
 func (e *Engine[F]) SEnabled(s *State[F], t petri.Trans) F {
 	pre := e.Net.Pre(t)
 	acc := s.M[pre[0]]
@@ -58,7 +61,7 @@ func (e *Engine[F]) SEnabled(s *State[F], t petri.Trans) F {
 		}
 		acc = e.Alg.Intersect(acc, s.M[p])
 	}
-	return e.Alg.Intersect(acc, s.R)
+	return acc
 }
 
 // sEnabledAll fills the engine's per-state enabled-family cache:
@@ -152,6 +155,9 @@ func (e *Engine[F]) multiFire(s *State[F], tPrime []petri.Trans, mEn []F, sEn []
 
 	// removed[p] = ∪_{t ∈ T′ ∩ p•} m_enabled(t,s)
 	// added[p]   = ∪_{t ∈ T′ ∩ •p} m_enabled(t,s)
+	// Both are ⊆ r, as is m(p): when the firing leaves r as it was, the
+	// conditioning by ∩ r′ has nothing to prune.
+	sameR := e.Alg.Equal(rNew, s.R)
 	next := &State[F]{M: make([]F, n.NumPlaces()), R: rNew}
 	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
 		f := s.M[p]
@@ -165,7 +171,10 @@ func (e *Engine[F]) multiFire(s *State[F], tPrime []petri.Trans, mEn []F, sEn []
 				f = e.Alg.Union(f, mEn[t])
 			}
 		}
-		next.M[p] = e.Alg.Intersect(f, rNew)
+		if !sameR {
+			f = e.Alg.Intersect(f, rNew)
+		}
+		next.M[p] = f
 	}
 	for _, t := range tPrime {
 		inT[t] = false
