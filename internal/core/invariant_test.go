@@ -37,8 +37,11 @@ func checkMarkingsWithinValid[F any](t *testing.T, n *petri.Net, alg Algebra[F])
 // rows and the TestDifferentialFamilyVsZDD corpus, for both algebras.
 func TestMarkingsWithinValidSets(t *testing.T) {
 	const familyPeakMax = 5000 // as in TestPinnedTable1
-	var nets []*petri.Net
-	peak := map[*petri.Net]float64{}
+	type instance struct {
+		net      *petri.Net
+		explicit bool // small enough for the explicit algebra
+	}
+	var corpus []instance
 	for _, row := range pinnedTable1() {
 		if testing.Short() && row.peakValid > 50_000 {
 			continue
@@ -47,18 +50,17 @@ func TestMarkingsWithinValidSets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nets = append(nets, net)
-		peak[net] = row.peakValid
+		corpus = append(corpus, instance{net, row.peakValid <= familyPeakMax})
 	}
 	for _, cfg := range differentialConfigs() {
-		nets = append(nets, randnet.Generate(cfg))
+		corpus = append(corpus, instance{randnet.Generate(cfg), true})
 	}
-	for _, net := range nets {
-		net := net
+	for _, c := range corpus {
+		net := c.net
 		t.Run(fmt.Sprintf("%s/zdd", net.Name()), func(t *testing.T) {
 			checkMarkingsWithinValid[zdd.Node](t, net, zdd.NewAlgebra(net.NumTrans()))
 		})
-		if peak[net] <= familyPeakMax {
+		if c.explicit {
 			t.Run(fmt.Sprintf("%s/family", net.Name()), func(t *testing.T) {
 				checkMarkingsWithinValid[*family.Family](t, net, family.NewAlgebra(net.NumTrans()))
 			})

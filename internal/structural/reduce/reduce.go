@@ -278,7 +278,8 @@ func newReducer(n *petri.Net, o Options) *reducer {
 	return r
 }
 
-// without returns the list s with v removed, as a fresh list.
+// without returns the list s with v removed — a fresh list, unless v was
+// not in it.
 func without[E comparable](s []E, v E) []E {
 	i := slices.Index(s, v)
 	if i < 0 {
