@@ -9,36 +9,28 @@
 // equality is pointer (id) equality, and the manager records its peak node
 // count — the "Peak BDD-size" statistic of the paper's Table 1.
 //
-// The tables are those of internal/zdd (DESIGN.md D7): a node arena, an
-// open-addressed unique table of node indices probed linearly and doubled
-// at 3/4 load, and one direct-mapped computed cache shared by every
-// recursive operator, overwritten on collision and doubled only up to
-// maxCacheSlots. The cache is lossy and that cannot change a node id:
-// nodes are canonical and never freed, so recomputing a forgotten result
-// repeats the recursion that produced it and every mk on the way finds
-// the node the first computation made.
+// The node arena and the unique table are internal/dd's. This package
+// keeps the reduction rule, the operators and their computed cache, which
+// is lossy without that changing a node id (DESIGN.md D7).
 package bdd
 
 import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/dd"
 )
 
 // Node is a BDD node reference. The constants False and True are the
 // terminals; all other values index the manager's node arena.
-type Node int32
+type Node = dd.Node
 
 // Terminal nodes.
 const (
 	False Node = 0
 	True  Node = 1
 )
-
-type node struct {
-	level     int32 // variable index; terminals use level = maxLevel
-	low, high Node
-}
 
 // VarSet names a set of variables registered with Manager.VarSet: the
 // quantification operand of Exists and AndExists.
@@ -88,12 +80,10 @@ type cacheEntry struct {
 // Variable i is at level i: smaller levels are tested first.
 type Manager struct {
 	nvars int
-	nodes []node
 
-	// unique is the open-addressed unique table: slots hold node indices
-	// (0 = empty; terminals are never interned), hashed by
-	// (level,low,high) with linear probing against the arena fields.
-	unique []Node
+	// nodes is the arena and unique table. An entry's Level is the
+	// variable index (nvars for the terminals), Lo and Hi its cofactors.
+	nodes dd.Table
 
 	// cache is the direct-mapped computed cache; cacheRoom counts the
 	// stores left before it doubles, while it is below the cap.
@@ -103,21 +93,16 @@ type Manager struct {
 	sets  [][]bool // registered quantification sets, by VarSet
 	perms [][]int  // registered renamings, by Renaming
 
-	// Scratch of the whole-DAG walks (SatCount, NodeCount, Support),
-	// allocated by the first walk and re-sized with the arena: node i
-	// was visited by the current walk iff stamp[i] == gen, and in
-	// SatCount sat[i] then holds its model count.
-	stamp []uint32
-	sat   []float64
-	gen   uint32
+	// sat[i] holds the model count of node i once the current SatCount
+	// walk has visited it; allocated by the first SatCount and re-sized
+	// with the arena.
+	sat []float64
 
 	// Plain (non-atomic) operation statistics: the manager is
 	// single-goroutine by design, and these must cost one increment on
 	// the hot path.
-	uniqueHits   int64
-	uniqueMisses int64
-	cacheHits    int64
-	cacheMisses  int64
+	cacheHits   int64
+	cacheMisses int64
 }
 
 // Stats is a snapshot of the manager's internal counters: unique-table
@@ -137,10 +122,11 @@ type Stats struct {
 
 // Stats returns the current operation statistics.
 func (m *Manager) Stats() Stats {
+	hits, misses, _ := m.nodes.Counts()
 	return Stats{
-		Nodes:        len(m.nodes),
-		UniqueHits:   m.uniqueHits,
-		UniqueMisses: m.uniqueMisses,
+		Nodes:        m.nodes.Len(),
+		UniqueHits:   hits,
+		UniqueMisses: misses,
 		CacheHits:    m.cacheHits,
 		CacheMisses:  m.cacheMisses,
 		CacheSlots:   len(m.cache),
@@ -150,13 +136,11 @@ func (m *Manager) Stats() Stats {
 // NewManager returns a manager over nvars ordered variables.
 func NewManager(nvars int) *Manager {
 	m := &Manager{
-		nvars:  nvars,
-		nodes:  make([]node, 2, arenaCap(initUniqueSlots)),
-		unique: make([]Node, initUniqueSlots),
-		cache:  make([]cacheEntry, min(initCacheSlots, cacheCap)),
+		nvars: nvars,
+		cache: make([]cacheEntry, min(initCacheSlots, cacheCap)),
 	}
+	m.nodes.Init(nvars, initUniqueSlots)
 	m.cacheRoom = len(m.cache)
-	m.nodes[False].level, m.nodes[True].level = int32(nvars), int32(nvars)
 	return m
 }
 
@@ -164,96 +148,33 @@ func NewManager(nvars int) *Manager {
 func (m *Manager) NumVars() int { return m.nvars }
 
 // Size returns the number of allocated nodes (terminals included).
-func (m *Manager) Size() int { return len(m.nodes) }
+func (m *Manager) Size() int { return m.nodes.Len() }
 
 // Peak returns the largest node count observed. Nodes are never freed,
 // so it is Size.
-func (m *Manager) Peak() int { return len(m.nodes) }
+func (m *Manager) Peak() int { return m.nodes.Len() }
 
 // Level returns the variable level tested by n (nvars for terminals).
-func (m *Manager) Level(n Node) int { return int(m.nodes[n].level) }
+func (m *Manager) Level(n Node) int { return int(m.nodes.At(n).Level) }
 
 // Low and High return the cofactors of an internal node.
-func (m *Manager) Low(n Node) Node  { return m.nodes[n].low }
-func (m *Manager) High(n Node) Node { return m.nodes[n].high }
-
-// mix64 is the splitmix64 finalizer; a full-avalanche 64-bit mix.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func hashTriple(level int32, low, high Node) uint64 {
-	h := uint64(uint32(low))<<32 | uint64(uint32(high))
-	return mix64(h ^ uint64(uint32(level))*0x9e3779b97f4a7c15)
-}
+func (m *Manager) Low(n Node) Node  { return m.nodes.At(n).Lo }
+func (m *Manager) High(n Node) Node { return m.nodes.At(n).Hi }
 
 // mk returns the canonical node (level, low, high), applying the
-// redundant-test reduction rule. It may move the arena: no pointer into
-// m.nodes survives a call.
+// redundant-test reduction rule.
 func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {
 		return low
 	}
-	mask := uint64(len(m.unique) - 1)
-	i := hashTriple(level, low, high) & mask
-	for {
-		slot := m.unique[i]
-		if slot == 0 {
-			break
-		}
-		nd := &m.nodes[slot]
-		if nd.level == level && nd.low == low && nd.high == high {
-			m.uniqueHits++
-			return slot
-		}
-		i = (i + 1) & mask
-	}
-	m.uniqueMisses++
-	n := Node(len(m.nodes))
-	// Within capacity by construction: see arenaCap.
-	m.nodes = append(m.nodes, node{level: level, low: low, high: high})
-	m.unique[i] = n
-	// Grow at 3/4 load ((nodes-2) live entries ≥ 3/4 of the slots).
-	if (len(m.nodes)-2)*4 >= len(m.unique)*3 {
-		m.growUnique()
-	}
-	return n
-}
-
-// arenaCap is the most nodes (terminals included) a unique table of the
-// given slot count holds before it doubles. The arena is allocated with
-// exactly that capacity whenever the table is, so it doubles with the
-// table and append never re-copies it in between.
-func arenaCap(slots int) int { return slots/4*3 + 2 }
-
-// growUnique doubles the unique table and re-homes every interned node;
-// the arena moves to a slice sized for the new table. Values are node
-// indices, so rehashing reads the arena.
-func (m *Manager) growUnique() {
-	next := make([]Node, 2*len(m.unique))
-	m.nodes = append(make([]node, 0, arenaCap(len(next))), m.nodes...)
-	mask := uint64(len(next) - 1)
-	for idx := 2; idx < len(m.nodes); idx++ {
-		nd := &m.nodes[idx]
-		i := hashTriple(nd.level, nd.low, nd.high) & mask
-		for next[i] != 0 {
-			i = (i + 1) & mask
-		}
-		next[i] = Node(idx)
-	}
-	m.unique = next
+	return m.nodes.Intern(level, low, high)
 }
 
 // cacheSlot returns the one slot an (op, a, b, c) entry can live in.
 func (m *Manager) cacheSlot(op uint32, a, b, c int32) *cacheEntry {
 	h := uint64(uint32(a))<<32 | uint64(uint32(b))
 	h ^= (uint64(uint32(c))<<32 | uint64(op)) * 0x9e3779b97f4a7c15
-	return &m.cache[mix64(h)&uint64(len(m.cache)-1)]
+	return &m.cache[dd.Mix64(h)&uint64(len(m.cache)-1)]
 }
 
 // cacheGet looks up a cached result; a false return means the operation
@@ -320,11 +241,11 @@ func (m *Manager) ITE(f, g, h Node) Node {
 	if r, ok := m.cacheGet(opITE, int32(f), int32(g), int32(h)); ok {
 		return r
 	}
-	top := m.nodes[f].level
-	if l := m.nodes[g].level; l < top {
+	top := m.nodes.At(f).Level
+	if l := m.nodes.At(g).Level; l < top {
 		top = l
 	}
-	if l := m.nodes[h].level; l < top {
+	if l := m.nodes.At(h).Level; l < top {
 		top = l
 	}
 	f0, f1 := m.cofactors(f, top)
@@ -336,8 +257,8 @@ func (m *Manager) ITE(f, g, h Node) Node {
 }
 
 func (m *Manager) cofactors(f Node, level int32) (lo, hi Node) {
-	if nd := &m.nodes[f]; nd.level == level {
-		return nd.low, nd.high
+	if nd := m.nodes.At(f); nd.Level == level {
+		return nd.Lo, nd.Hi
 	}
 	return f, f
 }
@@ -358,7 +279,7 @@ func (m *Manager) And(f, g Node) Node {
 	if r, ok := m.cacheGet(opAnd, int32(f), int32(g), 0); ok {
 		return r
 	}
-	top := min(m.nodes[f].level, m.nodes[g].level)
+	top := min(m.nodes.At(f).Level, m.nodes.At(g).Level)
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	r := m.mk(top, m.And(f0, g0), m.And(f1, g1))
@@ -436,14 +357,14 @@ func (m *Manager) Renaming(perm []int) Renaming {
 
 // Exists existentially quantifies the variables of s.
 func (m *Manager) Exists(f Node, s VarSet) Node {
-	lvl := m.nodes[f].level
+	lvl := m.nodes.At(f).Level
 	if int(lvl) >= m.nvars {
 		return f
 	}
 	if r, ok := m.cacheGet(opExists, int32(f), int32(s), 0); ok {
 		return r
 	}
-	lo, hi := m.Exists(m.nodes[f].low, s), m.Exists(m.nodes[f].high, s)
+	lo, hi := m.Exists(m.nodes.At(f).Lo, s), m.Exists(m.nodes.At(f).Hi, s)
 	var r Node
 	if m.sets[s][lvl] {
 		r = m.Or(lo, hi)
@@ -469,7 +390,7 @@ func (m *Manager) AndExists(f, g Node, s VarSet) Node {
 	if r, ok := m.cacheGet(opAndExists, int32(f), int32(g), int32(s)); ok {
 		return r
 	}
-	top := min(m.nodes[f].level, m.nodes[g].level)
+	top := min(m.nodes.At(f).Level, m.nodes.At(g).Level)
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	var r Node
@@ -488,7 +409,7 @@ func (m *Manager) AndExists(f, g Node, s VarSet) Node {
 
 // Rename maps each variable of f through the registered renaming p.
 func (m *Manager) Rename(f Node, p Renaming) Node {
-	lvl := m.nodes[f].level
+	lvl := m.nodes.At(f).Level
 	if int(lvl) >= m.nvars {
 		return f
 	}
@@ -496,42 +417,19 @@ func (m *Manager) Rename(f Node, p Renaming) Node {
 		return r
 	}
 	v := m.Var(m.perms[p][lvl])
-	r := m.ITE(v, m.Rename(m.nodes[f].high, p), m.Rename(m.nodes[f].low, p))
+	r := m.ITE(v, m.Rename(m.nodes.At(f).Hi, p), m.Rename(m.nodes.At(f).Lo, p))
 	m.cachePut(opRename, int32(f), int32(p), 0, r)
 	return r
-}
-
-// walk starts a whole-DAG walk: it sizes the stamps to the arena and
-// opens a fresh generation, so every stamp of an earlier walk reads as
-// unvisited without being cleared.
-func (m *Manager) walk() {
-	if len(m.stamp) < len(m.nodes) {
-		m.stamp = make([]uint32, cap(m.nodes)) // all zero: no generation is 0
-	}
-	if m.gen++; m.gen == 0 { // wrapped: stamps of 2³² walks ago would alias
-		clear(m.stamp)
-		m.gen = 1
-	}
-}
-
-// visit marks f as seen by the current walk and reports whether it
-// already was; terminals always were.
-func (m *Manager) visit(f Node) (seen bool) {
-	if f <= True || m.stamp[f] == m.gen {
-		return true
-	}
-	m.stamp[f] = m.gen
-	return false
 }
 
 // SatCount returns the number of satisfying assignments of f over all
 // variables of the manager.
 func (m *Manager) SatCount(f Node) float64 {
-	m.walk()
-	if len(m.sat) < len(m.stamp) {
-		m.sat = make([]float64, len(m.stamp))
+	m.nodes.Walk()
+	if len(m.sat) < m.nodes.Len() {
+		m.sat = make([]float64, m.nodes.Cap())
 	}
-	return m.satBelow(f) * math.Exp2(float64(m.nodes[f].level))
+	return m.satBelow(f) * math.Exp2(float64(m.nodes.At(f).Level))
 }
 
 // satBelow counts the models of f over the variables from f's level down.
@@ -541,12 +439,12 @@ func (m *Manager) satBelow(f Node) float64 {
 		return 0
 	case f == True:
 		return 1
-	case m.visit(f):
+	case m.nodes.Visit(f):
 		return m.sat[f]
 	}
-	nd := m.nodes[f]
-	c := m.satBelow(nd.low)*math.Exp2(float64(m.nodes[nd.low].level-nd.level-1)) +
-		m.satBelow(nd.high)*math.Exp2(float64(m.nodes[nd.high].level-nd.level-1))
+	nd := m.nodes.At(f)
+	c := m.satBelow(nd.Lo)*math.Exp2(float64(m.nodes.At(nd.Lo).Level-nd.Level-1)) +
+		m.satBelow(nd.Hi)*math.Exp2(float64(m.nodes.At(nd.Hi).Level-nd.Level-1))
 	m.sat[f] = c
 	return c
 }
@@ -559,12 +457,12 @@ func (m *Manager) AnySat(f Node) (assign []bool, ok bool) {
 	}
 	assign = make([]bool, m.nvars)
 	for f != True {
-		n := m.nodes[f]
-		if n.low != False {
-			f = n.low
+		n := m.nodes.At(f)
+		if n.Lo != False {
+			f = n.Lo
 		} else {
-			assign[n.level] = true
-			f = n.high
+			assign[n.Level] = true
+			f = n.Hi
 		}
 	}
 	return assign, true
@@ -573,42 +471,42 @@ func (m *Manager) AnySat(f Node) (assign []bool, ok bool) {
 // NodeCount returns the number of distinct nodes reachable from f
 // (terminals excluded).
 func (m *Manager) NodeCount(f Node) int {
-	m.walk()
+	m.nodes.Walk()
 	return m.countFrom(f)
 }
 
 func (m *Manager) countFrom(f Node) int {
-	if m.visit(f) {
+	if m.nodes.Visit(f) {
 		return 0
 	}
-	return 1 + m.countFrom(m.nodes[f].low) + m.countFrom(m.nodes[f].high)
+	return 1 + m.countFrom(m.nodes.At(f).Lo) + m.countFrom(m.nodes.At(f).Hi)
 }
 
 // Support reports which variables f depends on.
 func (m *Manager) Support(f Node) []bool {
-	m.walk()
+	m.nodes.Walk()
 	out := make([]bool, m.nvars)
 	m.supportFrom(f, out)
 	return out
 }
 
 func (m *Manager) supportFrom(f Node, out []bool) {
-	if m.visit(f) {
+	if m.nodes.Visit(f) {
 		return
 	}
-	out[m.nodes[f].level] = true
-	m.supportFrom(m.nodes[f].low, out)
-	m.supportFrom(m.nodes[f].high, out)
+	out[m.nodes.At(f).Level] = true
+	m.supportFrom(m.nodes.At(f).Lo, out)
+	m.supportFrom(m.nodes.At(f).Hi, out)
 }
 
 // Eval evaluates f under a complete assignment.
 func (m *Manager) Eval(f Node, assign []bool) bool {
 	for f > True {
-		n := m.nodes[f]
-		if assign[n.level] {
-			f = n.high
+		n := m.nodes.At(f)
+		if assign[n.Level] {
+			f = n.Hi
 		} else {
-			f = n.low
+			f = n.Lo
 		}
 	}
 	return f == True

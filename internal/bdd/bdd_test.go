@@ -347,20 +347,20 @@ func TestGrowthInsideAndExists(t *testing.T) {
 	m := NewManager(nv)
 	f, g, s := build(m)
 	// x₀ ∧ k for existing nodes k below level 0: one new node each.
-	room := func() int { return arenaCap(len(m.unique)) - len(m.nodes) }
+	room := func() int { return m.nodes.Cap() - m.nodes.Len() }
 	for k := Node(2); room() > 10; k++ {
-		if int(k) >= len(m.nodes) {
+		if int(k) >= m.nodes.Len() {
 			t.Fatalf("ran out of padding with room for %d nodes left", room())
 		}
-		if m.nodes[k].level > 0 {
+		if m.Level(k) > 0 {
 			m.mk(0, False, k)
 		}
 	}
-	slots, nodes := len(m.unique), len(m.nodes)
+	slots, nodes := m.nodes.Slots(), m.nodes.Len()
 	got := m.AndExists(f, g, s)
-	if len(m.unique) == slots {
+	if m.nodes.Slots() == slots {
 		t.Fatalf("AndExists created %d nodes and the unique table stayed at %d slots; the test needs a doubling",
-			len(m.nodes)-nodes, slots)
+			m.nodes.Len()-nodes, slots)
 	}
 	ref := NewManager(nv)
 	rf, rg, rs := build(ref)

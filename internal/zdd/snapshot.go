@@ -15,7 +15,6 @@ package zdd
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
 )
@@ -30,38 +29,29 @@ var ErrBadSnapshot = errors.New("zdd: bad family snapshot")
 // Duplicate roots cost one reference each, not a re-encoding.
 func (a *Alg) EncodeFamilies(roots []Node) []byte {
 	m := a.m
-	reach := make(map[Node]bool)
-	var mark func(Node)
-	mark = func(n Node) {
-		if n <= Top || reach[n] {
-			return
-		}
-		reach[n] = true
-		mark(m.nodes[n].lo)
-		mark(m.nodes[n].hi)
-	}
+	m.nodes.Walk()
+	reach := 0
 	for _, r := range roots {
-		mark(r)
-	}
-	order := make([]Node, 0, len(reach))
-	for n := range reach {
-		order = append(order, n)
-	}
-	// Ascending old id is a topological order: mk appends nodes after
-	// their children, so lo/hi always reference smaller ids.
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	renum := make(map[Node]int, len(order)+2)
-	renum[Bot], renum[Top] = 0, 1
-	for i, n := range order {
-		renum[n] = i + 2
+		reach += m.mark(r)
 	}
 	b := codec.AppendInt(nil, m.n)
-	b = codec.AppendInt(b, len(order))
-	for _, n := range order {
-		nd := m.nodes[n]
-		b = codec.AppendInt(b, nd.level)
-		b = codec.AppendInt(b, renum[nd.lo])
-		b = codec.AppendInt(b, renum[nd.hi])
+	b = codec.AppendInt(b, reach)
+	// Ascending old id is a topological order: mk appends nodes after
+	// their children, so Lo/Hi always reference smaller ids, which the
+	// scan has renumbered by the time it meets the parent.
+	renum := make([]Node, m.nodes.Len())
+	renum[Top] = 1
+	next := Node(2)
+	for n := Node(2); int(n) < len(renum); n++ {
+		if !m.nodes.Seen(n) {
+			continue
+		}
+		renum[n] = next
+		next++
+		nd := m.nodes.At(n)
+		b = codec.AppendInt(b, nd.Level)
+		b = codec.AppendInt(b, renum[nd.Lo])
+		b = codec.AppendInt(b, renum[nd.Hi])
 	}
 	b = codec.AppendInt(b, len(roots))
 	for _, r := range roots {
@@ -75,8 +65,9 @@ func (a *Alg) EncodeFamilies(roots []Node) []byte {
 // nodes are replayed through the canonicalizing constructor, so decoding
 // onto a non-empty manager is sound (existing equal nodes are reused);
 // structural violations — universe mismatch, out-of-range level, forward
-// or zero-suppression-violating child references, trailing bytes — are
-// rejected with an error wrapping ErrBadSnapshot.
+// or zero-suppression-violating child references, a child that tests an
+// element at or above its parent's, trailing bytes — are rejected with an
+// error wrapping ErrBadSnapshot.
 func (a *Alg) DecodeFamilies(blob []byte) ([]Node, error) {
 	m := a.m
 	d := codec.NewDec(blob)
@@ -97,6 +88,8 @@ func (a *Alg) DecodeFamilies(blob []byte) ([]Node, error) {
 			d.Fail("node %d references a later node", i)
 		case hi == 0:
 			d.Fail("node %d violates zero-suppression (hi = Bot)", i)
+		case level >= int(m.nodes.At(ids[lo]).Level) || level >= int(m.nodes.At(ids[hi]).Level):
+			d.Fail("node %d at level %d does not test above its children", i, level)
 		default:
 			ids = append(ids, m.mk(int32(level), ids[lo], ids[hi]))
 		}

@@ -68,4 +68,11 @@ func TestDecodeFamiliesHostile(t *testing.T) {
 	if _, err := a.DecodeFamilies(append(blob, 0)); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("trailing byte: %v, want ErrBadSnapshot", err)
 	}
+	// Universe 4, nodes #2 = (1,⊥,⊤) and #3 = (3,⊥,#2), root #3: every
+	// reference points backwards, but the child tests an element above
+	// its parent's. Decoded, Count says one set and Contains({1,3}) false.
+	outOfOrder := []byte{4, 2, 1, 0, 1, 3, 0, 2, 1, 3}
+	if _, err := NewAlgebra(4).DecodeFamilies(outOfOrder); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("child above its parent: %v, want ErrBadSnapshot", err)
+	}
 }

@@ -13,21 +13,10 @@
 // Families handled by one Manager are canonical: equal families are the
 // same node, so Equal and Key are O(1).
 //
-// The unique table and the binary-op cache are flat power-of-two slices
-// in the style of CUDD/Sylvan rather than generic Go maps. The unique
-// table is open-addressed, probed linearly and doubled at 3/4 load; it
-// stores only node indices and compares probes against the node fields in
-// the arena, so a slot costs 4 bytes, and the arena is reallocated only
-// when the table doubles, with room for every node the new table can hold.
-// The binary-op cache is CUDD's computed cache: direct-mapped, overwritten
-// on collision, never probed, doubled only up to maxCacheSlots. It is
-// lossy, and that cannot change a node id: nodes are canonical and never
-// freed, so recomputing a forgotten result walks the same recursion and
-// every mk on the way finds the node the first computation made. Creation
-// order, and with it every key, count and snapshot byte, is the same
-// under any cache size; only hit counts and time differ. Lookups on the
-// analysis hot path are allocation-free, and Count keeps a persistent
-// per-node memo (sound because nodes are never freed).
+// The node arena and the unique table are internal/dd's. This package
+// keeps the zero-suppression rule, the operators, a persistent per-node
+// Count memo and the binary-op cache, which is lossy without that
+// changing a node id, count or snapshot byte (DESIGN.md D7).
 package zdd
 
 import (
@@ -35,11 +24,12 @@ import (
 	"sort"
 
 	"repro/internal/bdd"
+	"repro/internal/dd"
 	"repro/internal/tset"
 )
 
 // Node references a ZDD node of a Manager.
-type Node int32
+type Node = dd.Node
 
 // Terminals: Bot is the empty family ∅; Top is {∅}, the family holding
 // exactly the empty set.
@@ -47,11 +37,6 @@ const (
 	Bot Node = 0
 	Top Node = 1
 )
-
-type node struct {
-	level  int32 // element tested; terminals use level = universe
-	lo, hi Node  // lo: sets without the element; hi: sets with it
-}
 
 // Table capacities, powers of two. The unique table doubles without
 // bound. The op cache doubles from initMemoSlots to maxCacheSlots (1 MB)
@@ -79,13 +64,12 @@ type memoEntry struct {
 
 // Manager owns a ZDD forest over a fixed element universe {0,…,n-1}.
 type Manager struct {
-	n     int
-	nodes []node
+	n int
 
-	// unique is the open-addressed unique table: slots hold node indices
-	// (0 = empty; terminals are never interned), hashed by (level,lo,hi)
-	// with linear probing against the arena fields.
-	unique []Node
+	// nodes is the arena and unique table. An entry's Level is the
+	// element tested (the universe size for the terminals), Lo the sets
+	// without the element and Hi the sets with it.
+	nodes dd.Table
 
 	// memo is the direct-mapped binary-op cache; memoRoom counts the
 	// stores left before it doubles, while it is below the cap.
@@ -94,22 +78,17 @@ type Manager struct {
 
 	// count[i] memoizes the member-set count below node i (-1 = not yet
 	// computed). Nodes are immutable and never freed, so entries stay
-	// valid for the manager's lifetime.
+	// valid for the manager's lifetime. It has the arena's capacity and
+	// is re-sized with it, so mk never touches it.
 	count []float64
-
-	peak int
 
 	// Plain (non-atomic) operation statistics: the manager is
 	// single-goroutine by design, and these must cost one increment on
-	// the hot path. uniqueProbes accumulates collision steps beyond the
-	// home slot, so probes/(hits+misses) is the mean excess probe length.
-	uniqueHits   int64
-	uniqueMisses int64
-	uniqueProbes int64
-	memoHits     int64
-	memoMisses   int64
-	countHits    int64
-	countMisses  int64
+	// the hot path.
+	memoHits    int64
+	memoMisses  int64
+	countHits   int64
+	countMisses int64
 
 	// GrowHook, if non-nil, is called after each table doubling with the
 	// table's name ("unique" or "memo") and its new slot count; "memo"
@@ -121,8 +100,8 @@ type Manager struct {
 // Stats is a snapshot of the manager's internal counters: unique-table
 // hits (node reuse) vs. misses (node creation), binary-op cache hits vs.
 // misses, count-memo hits vs. misses, plus the table shapes.
-// Nodes are never garbage-collected, so Size is also the lifetime
-// allocation count.
+// Nodes are never garbage-collected, so Nodes is also the peak and the
+// lifetime allocation count.
 type Stats struct {
 	Nodes        int
 	Peak         int
@@ -146,19 +125,20 @@ type Stats struct {
 
 // Stats returns the current operation statistics.
 func (m *Manager) Stats() Stats {
+	hits, misses, probes := m.nodes.Counts()
 	return Stats{
-		Nodes:         len(m.nodes),
-		Peak:          m.peak,
-		UniqueHits:    m.uniqueHits,
-		UniqueMisses:  m.uniqueMisses,
+		Nodes:         m.nodes.Len(),
+		Peak:          m.nodes.Len(),
+		UniqueHits:    hits,
+		UniqueMisses:  misses,
 		MemoHits:      m.memoHits,
 		MemoMisses:    m.memoMisses,
 		CountHits:     m.countHits,
 		CountMisses:   m.countMisses,
-		UniqueSlots:   len(m.unique),
-		UniqueEntries: len(m.nodes) - 2,
+		UniqueSlots:   m.nodes.Slots(),
+		UniqueEntries: m.nodes.Len() - 2,
 		MemoSlots:     len(m.memo),
-		UniqueProbes:  m.uniqueProbes,
+		UniqueProbes:  probes,
 	}
 }
 
@@ -175,16 +155,14 @@ const (
 // NewManager returns a manager over an n-element universe.
 func NewManager(n int) *Manager {
 	m := &Manager{
-		n:      n,
-		unique: make([]Node, initUniqueSlots),
-		memo:   make([]memoEntry, min(initMemoSlots, cacheCap)),
-		nodes:  make([]node, 2, arenaCap(initUniqueSlots)),
-		count:  make([]float64, 2, arenaCap(initUniqueSlots)),
-		peak:   2,
+		n:    n,
+		memo: make([]memoEntry, min(initMemoSlots, cacheCap)),
+		// Bot holds no sets, Top exactly {∅}.
+		count: growCount([]float64{Bot: 0, Top: 1}, dd.ArenaCap(initUniqueSlots)),
 	}
+	m.nodes.Init(n, initUniqueSlots)
+	m.nodes.Grown = m.uniqueGrown
 	m.memoRoom = len(m.memo)
-	m.nodes[Bot].level, m.nodes[Top].level = int32(n), int32(n)
-	m.count[Top] = 1 // Bot holds no sets, Top exactly {∅}
 	return m
 }
 
@@ -192,25 +170,11 @@ func NewManager(n int) *Manager {
 func (m *Manager) Universe() int { return m.n }
 
 // Size returns the number of allocated nodes.
-func (m *Manager) Size() int { return len(m.nodes) }
+func (m *Manager) Size() int { return m.nodes.Len() }
 
-// Peak returns the largest node count observed.
-func (m *Manager) Peak() int { return m.peak }
-
-// mix64 is the splitmix64 finalizer; a full-avalanche 64-bit mix.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func hashTriple(level int32, lo, hi Node) uint64 {
-	h := uint64(uint32(lo))<<32 | uint64(uint32(hi))
-	return mix64(h ^ uint64(uint32(level))*0x9e3779b97f4a7c15)
-}
+// Peak returns the largest node count observed. Nodes are never freed,
+// so it is Size.
+func (m *Manager) Peak() int { return m.nodes.Len() }
 
 // mk returns the canonical node, applying the zero-suppression rule
 // (hi = Bot ⇒ the node is redundant).
@@ -218,68 +182,30 @@ func (m *Manager) mk(level int32, lo, hi Node) Node {
 	if hi == Bot {
 		return lo
 	}
-	mask := uint64(len(m.unique) - 1)
-	i := hashTriple(level, lo, hi) & mask
-	for {
-		slot := m.unique[i]
-		if slot == 0 {
-			break
-		}
-		nd := &m.nodes[slot]
-		if nd.level == level && nd.lo == lo && nd.hi == hi {
-			m.uniqueHits++
-			return slot
-		}
-		m.uniqueProbes++
-		i = (i + 1) & mask
-	}
-	m.uniqueMisses++
-	n := Node(len(m.nodes))
-	// Within capacity by construction: see arenaCap.
-	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
-	m.count = append(m.count, -1)
-	m.unique[i] = n
-	if len(m.nodes) > m.peak {
-		m.peak = len(m.nodes)
-	}
-	// Grow at 3/4 load ((nodes-2) live entries ≥ 3/4 of the slots).
-	if (len(m.nodes)-2)*4 >= len(m.unique)*3 {
-		m.growUnique()
-	}
-	return n
+	return m.nodes.Intern(level, lo, hi)
 }
 
-// arenaCap is the most nodes (terminals included) a unique table of the
-// given slot count holds before it doubles. The arena and the count memo
-// are allocated with exactly that capacity whenever the table is, so they
-// double with it and append never re-copies them in between.
-func arenaCap(slots int) int { return slots/4*3 + 2 }
-
-// growUnique doubles the unique table and re-homes every interned node;
-// the arena and the count memo move to slices sized for the new table.
-// Values are node indices, so rehashing reads the arena.
-func (m *Manager) growUnique() {
-	next := make([]Node, 2*len(m.unique))
-	m.nodes = append(make([]node, 0, arenaCap(len(next))), m.nodes...)
-	m.count = append(make([]float64, 0, arenaCap(len(next))), m.count...)
-	mask := uint64(len(next) - 1)
-	for idx := 2; idx < len(m.nodes); idx++ {
-		nd := &m.nodes[idx]
-		i := hashTriple(nd.level, nd.lo, nd.hi) & mask
-		for next[i] != 0 {
-			i = (i + 1) & mask
-		}
-		next[i] = Node(idx)
+// growCount returns the count memo old extended to n entries, the new
+// ones unknown.
+func growCount(old []float64, n int) []float64 {
+	c := make([]float64, n)
+	for i := copy(c, old); i < n; i++ {
+		c[i] = -1
 	}
-	m.unique = next
+	return c
+}
+
+// uniqueGrown re-sizes the count memo with the arena.
+func (m *Manager) uniqueGrown(slots int) {
+	m.count = growCount(m.count, dd.ArenaCap(slots))
 	if m.GrowHook != nil {
-		m.GrowHook("unique", len(next))
+		m.GrowHook("unique", slots)
 	}
 }
 
 // memoSlot returns the one slot an (op, a, b) entry can live in.
 func (m *Manager) memoSlot(key, op uint64) *memoEntry {
-	return &m.memo[mix64(key^op*0x9e3779b97f4a7c15)&uint64(len(m.memo)-1)]
+	return &m.memo[dd.Mix64(key^op*0x9e3779b97f4a7c15)&uint64(len(m.memo)-1)]
 }
 
 // memoGet looks up a cached binary-op result; a false return means the
@@ -360,15 +286,15 @@ func (m *Manager) Union(a, b Node) Node {
 	if r, ok := m.memoGet(opUnion, a, b); ok {
 		return r
 	}
-	na, nb := m.nodes[a], m.nodes[b]
+	na, nb := m.nodes.At(a), m.nodes.At(b)
 	var r Node
 	switch {
-	case na.level < nb.level:
-		r = m.mk(na.level, m.Union(na.lo, b), na.hi)
-	case na.level > nb.level:
-		r = m.mk(nb.level, m.Union(a, nb.lo), nb.hi)
+	case na.Level < nb.Level:
+		r = m.mk(na.Level, m.Union(na.Lo, b), na.Hi)
+	case na.Level > nb.Level:
+		r = m.mk(nb.Level, m.Union(a, nb.Lo), nb.Hi)
 	default:
-		r = m.mk(na.level, m.Union(na.lo, nb.lo), m.Union(na.hi, nb.hi))
+		r = m.mk(na.Level, m.Union(na.Lo, nb.Lo), m.Union(na.Hi, nb.Hi))
 	}
 	m.memoPut(opUnion, a, b, r)
 	return r
@@ -388,15 +314,15 @@ func (m *Manager) Intersect(a, b Node) Node {
 	if r, ok := m.memoGet(opIntersect, a, b); ok {
 		return r
 	}
-	na, nb := m.nodes[a], m.nodes[b]
+	na, nb := m.nodes.At(a), m.nodes.At(b)
 	var r Node
 	switch {
-	case na.level < nb.level:
-		r = m.Intersect(na.lo, b)
-	case na.level > nb.level:
-		r = m.Intersect(a, nb.lo)
+	case na.Level < nb.Level:
+		r = m.Intersect(na.Lo, b)
+	case na.Level > nb.Level:
+		r = m.Intersect(a, nb.Lo)
 	default:
-		r = m.mk(na.level, m.Intersect(na.lo, nb.lo), m.Intersect(na.hi, nb.hi))
+		r = m.mk(na.Level, m.Intersect(na.Lo, nb.Lo), m.Intersect(na.Hi, nb.Hi))
 	}
 	m.memoPut(opIntersect, a, b, r)
 	return r
@@ -413,15 +339,15 @@ func (m *Manager) Diff(a, b Node) Node {
 	if r, ok := m.memoGet(opDiff, a, b); ok {
 		return r
 	}
-	na, nb := m.nodes[a], m.nodes[b]
+	na, nb := m.nodes.At(a), m.nodes.At(b)
 	var r Node
 	switch {
-	case na.level < nb.level:
-		r = m.mk(na.level, m.Diff(na.lo, b), na.hi)
-	case na.level > nb.level:
-		r = m.Diff(a, nb.lo)
+	case na.Level < nb.Level:
+		r = m.mk(na.Level, m.Diff(na.Lo, b), na.Hi)
+	case na.Level > nb.Level:
+		r = m.Diff(a, nb.Lo)
 	default:
-		r = m.mk(na.level, m.Diff(na.lo, nb.lo), m.Diff(na.hi, nb.hi))
+		r = m.mk(na.Level, m.Diff(na.Lo, nb.Lo), m.Diff(na.Hi, nb.Hi))
 	}
 	m.memoPut(opDiff, a, b, r)
 	return r
@@ -430,12 +356,12 @@ func (m *Manager) Diff(a, b Node) Node {
 // OnSet returns {s ∈ a | v ∈ s}: the member sets containing element v,
 // with v still present in them.
 func (m *Manager) OnSet(a Node, v int) Node {
-	na := m.nodes[a]
+	na := m.nodes.At(a)
 	switch {
-	case int(na.level) > v: // v below every tested element: absent from all
+	case int(na.Level) > v: // v below every tested element: absent from all
 		return Bot
-	case int(na.level) == v:
-		return m.mk(na.level, Bot, na.hi)
+	case int(na.Level) == v:
+		return m.mk(na.Level, Bot, na.Hi)
 	}
 	// The op cache tags the entry with the element; without it the
 	// recursion revisits shared nodes once per path, which is exponential.
@@ -443,7 +369,7 @@ func (m *Manager) OnSet(a Node, v int) Node {
 	if r, ok := m.memoGet(op, a, 0); ok {
 		return r
 	}
-	r := m.mk(na.level, m.OnSet(na.lo, v), m.OnSet(na.hi, v))
+	r := m.mk(na.Level, m.OnSet(na.Lo, v), m.OnSet(na.Hi, v))
 	m.memoPut(op, a, 0, r)
 	return r
 }
@@ -453,17 +379,17 @@ func (m *Manager) Contains(a Node, s tset.TSet) bool {
 	els := s.Members()
 	i := 0
 	for a != Bot {
-		na := m.nodes[a]
-		if int(na.level) >= m.n {
+		na := m.nodes.At(a)
+		if int(na.Level) >= m.n {
 			return i == len(els) // reached Top
 		}
-		if i < len(els) && els[i] == int(na.level) {
-			a = na.hi
+		if i < len(els) && els[i] == int(na.Level) {
+			a = na.Hi
 			i++
-		} else if i < len(els) && els[i] < int(na.level) {
+		} else if i < len(els) && els[i] < int(na.Level) {
 			return false // required element cannot appear anymore
 		} else {
-			a = na.lo
+			a = na.Lo
 		}
 	}
 	return false
@@ -486,7 +412,7 @@ func (m *Manager) countSlow(a Node) float64 {
 		return c
 	}
 	m.countMisses++
-	c := m.countSlow(m.nodes[a].lo) + m.countSlow(m.nodes[a].hi)
+	c := m.countSlow(m.nodes.At(a).Lo) + m.countSlow(m.nodes.At(a).Hi)
 	m.count[a] = c
 	return c
 }
@@ -524,14 +450,14 @@ func (m *Manager) Enumerate(a Node, limit int) []tset.TSet {
 			out = append(out, s)
 			return !(limit > 0 && len(out) >= limit)
 		}
-		na := m.nodes[a]
-		cur = append(cur, int(na.level))
-		if !rec(na.hi) {
+		na := m.nodes.At(a)
+		cur = append(cur, int(na.Level))
+		if !rec(na.Hi) {
 			cur = cur[:len(cur)-1]
 			return false
 		}
 		cur = cur[:len(cur)-1]
-		return rec(na.lo)
+		return rec(na.Lo)
 	}
 	rec(a)
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -540,18 +466,17 @@ func (m *Manager) Enumerate(a Node, limit int) []tset.TSet {
 
 // NodeCount returns the number of distinct internal nodes reachable from a.
 func (m *Manager) NodeCount(a Node) int {
-	seen := make(map[Node]bool)
-	var rec func(Node)
-	rec = func(a Node) {
-		if a <= Top || seen[a] {
-			return
-		}
-		seen[a] = true
-		rec(m.nodes[a].lo)
-		rec(m.nodes[a].hi)
+	m.nodes.Walk()
+	return m.mark(a)
+}
+
+// mark visits every node below a that the current walk has not seen and
+// returns how many there were.
+func (m *Manager) mark(a Node) int {
+	if m.nodes.Visit(a) {
+		return 0
 	}
-	rec(a)
-	return len(seen)
+	return 1 + m.mark(m.nodes.At(a).Lo) + m.mark(m.nodes.At(a).Hi)
 }
 
 // FromBDDModels converts the model set of a BDD predicate over the same

@@ -12,6 +12,10 @@ go build ./...
 # package and the HTTP stack behind it.
 test "$(go list -deps ./internal/codec | grep '^repro/')" = repro/internal/codec
 test -z "$(go list -deps ./internal/ckpt | grep -x -e repro/internal/cluster -e net/http)"
+# The decision-diagram node store is a leaf too, and the only one: bdd
+# and zdd keep no unique table of their own.
+test "$(go list -deps ./internal/dd | grep '^repro/')" = repro/internal/dd
+test -z "$(grep -l -e 'func hashTriple' -e 'growUnique' internal/bdd/*.go internal/zdd/*.go)"
 # The daemon binary ships daemon code only: no client, no test harness,
 # no self-test flag, and main itself names neither a model nor an engine
 # (the server resolves both). Its end-to-end checks are tests — the
