@@ -276,6 +276,27 @@ trans ac : a -> c
 	if safe.Net != "toy" || safe.Check != server.CheckSafety {
 		t.Fatalf("response metadata: %+v", safe)
 	}
+	// A reachable bad marking: every engine names the same witness in
+	// the net's own places, monitoring engines included.
+	const pair = `net pair
+place a *
+place b *
+place c
+place d
+trans ac : a -> c
+trans bd : b -> d
+`
+	for _, eng := range []string{"exhaustive", "partial-order", "symbolic", "gpo", "gpo-explicit", "unfolding"} {
+		got, err := c.Verify(ctx, &server.Request{
+			Net: pair, Engine: eng, Check: server.CheckSafety, Bad: []string{"c", "d"},
+		})
+		if err != nil {
+			t.Fatalf("%s: safety check: %v", eng, err)
+		}
+		if !got.Deadlock || strings.Join(got.Witness, " ") != "c d" {
+			t.Errorf("%s: reachable=%v witness=%v, want reachable with witness [c d]", eng, got.Deadlock, got.Witness)
+		}
+	}
 }
 
 // TestE2EMaxStatesClamp checks the server-side admission cap: a request

@@ -89,28 +89,17 @@ func (c *Checkpointer) save(sn *EngineSnapshot) error {
 	return c.Save(sn)
 }
 
-// reachHook adapts the Checkpointer to the exhaustive engine.
+// reachHook adapts the Checkpointer to the exhaustive engine. The
+// CkptAction enums of verify, reach and core share one numbering.
 func (c *Checkpointer) reachHook() *reach.CkptHook {
 	if c == nil {
 		return nil
 	}
-	return &reach.CkptHook{
-		Poll: func(states, levels int) reach.CkptAction {
-			if c.Poll == nil {
-				return reach.CkptNone
-			}
-			switch c.Poll(states, int64(levels)) {
-			case CkptSave:
-				return reach.CkptSave
-			case CkptStop:
-				return reach.CkptStop
-			}
-			return reach.CkptNone
-		},
-		Save: func(sn *reach.Snapshot) error {
-			return c.save(&EngineSnapshot{Reach: sn})
-		},
+	h := &reach.CkptHook{Save: func(sn *reach.Snapshot) error { return c.save(&EngineSnapshot{Reach: sn}) }}
+	if c.Poll != nil {
+		h.Poll = func(states, levels int) reach.CkptAction { return reach.CkptAction(c.Poll(states, int64(levels))) }
 	}
+	return h
 }
 
 // coreHook adapts the Checkpointer to the GPO engines.
@@ -118,23 +107,11 @@ func (c *Checkpointer) coreHook() *core.CkptHook {
 	if c == nil {
 		return nil
 	}
-	return &core.CkptHook{
-		Poll: func(states int, steps int64) core.CkptAction {
-			if c.Poll == nil {
-				return core.CkptNone
-			}
-			switch c.Poll(states, steps) {
-			case CkptSave:
-				return core.CkptSave
-			case CkptStop:
-				return core.CkptStop
-			}
-			return core.CkptNone
-		},
-		Save: func(sn *core.Snapshot) error {
-			return c.save(&EngineSnapshot{Core: sn})
-		},
+	h := &core.CkptHook{Save: func(sn *core.Snapshot) error { return c.save(&EngineSnapshot{Core: sn}) }}
+	if c.Poll != nil {
+		h.Poll = func(states int, steps int64) core.CkptAction { return core.CkptAction(c.Poll(states, steps)) }
 	}
+	return h
 }
 
 // validateCkpt gates checkpoint/resume to the configurations whose
@@ -144,9 +121,7 @@ func (o Options) validateCkpt() error {
 	if o.Ckpt == nil && o.Resume == nil {
 		return nil
 	}
-	switch o.Engine {
-	case Exhaustive, GPO, GPOExplicit:
-	default:
+	if !o.Engine.valid() || !engines[o.Engine].ckpt {
 		return fmt.Errorf("%w: %s", ErrCkptUnsupported, o.Engine)
 	}
 	if o.Explorer != nil {

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/petri"
+	"repro/internal/randnet"
 	"repro/internal/reach"
 )
 
@@ -143,5 +145,42 @@ func TestCkptUnsupportedEngines(t *testing.T) {
 	// A resume snapshot must match the engine that will consume it.
 	if _, err := CheckDeadlock(n, Options{Engine: GPO, Resume: &EngineSnapshot{}}); !errors.Is(err, ErrCkptUnsupported) {
 		t.Errorf("GPO+empty snapshot: err = %v, want ErrCkptUnsupported", err)
+	}
+}
+
+// TestCkptActionNumbering pins what the hook adapters convert by: the
+// CkptAction enums of verify, reach and core share one numbering.
+func TestCkptActionNumbering(t *testing.T) {
+	r := []reach.CkptAction{reach.CkptNone, reach.CkptSave, reach.CkptStop}
+	c := []core.CkptAction{core.CkptNone, core.CkptSave, core.CkptStop}
+	for i, a := range []CkptAction{CkptNone, CkptSave, CkptStop} {
+		if reach.CkptAction(a) != r[i] || core.CkptAction(a) != c[i] {
+			t.Errorf("CkptAction %d converts to a different action in reach or core", a)
+		}
+	}
+}
+
+// TestCheckpointedReducedWitness pins that a suspended reduced run maps
+// its witness back to the input net: a deadlock found before the stop is
+// a genuine deadlock of the net the caller passed.
+func TestCheckpointedReducedWitness(t *testing.T) {
+	stopAt8 := &Checkpointer{Poll: func(states int, _ int64) CkptAction {
+		if states >= 8 {
+			return CkptStop
+		}
+		return CkptNone
+	}}
+	for _, seed := range []int64{12, 21} {
+		net := randnet.Generate(randnet.Default(seed))
+		rep, err := CheckDeadlock(net, Options{Engine: GPO, Reduce: true, Ckpt: stopAt8})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !rep.Checkpointed || rep.Witness == nil {
+			t.Fatalf("seed %d: want a suspended run with a witness, got %+v", seed, rep)
+		}
+		if !net.IsDeadlock(rep.Witness) {
+			t.Errorf("seed %d: witness %s is not a deadlock of the input net", seed, rep.Witness.String(net))
+		}
 	}
 }

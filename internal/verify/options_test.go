@@ -71,4 +71,14 @@ func TestChecksRejectInvalidOptions(t *testing.T) {
 			t.Errorf("CheckSafety(%+v) = %v, want *OptionError", opts, err)
 		}
 	}
+	// A bad list no engine can check is refused before any engine runs,
+	// with the same error from every engine.
+	for _, bad := range [][]petri.Place{nil, {200}} {
+		for _, eng := range allEngines {
+			var oe *OptionError
+			if _, err := CheckSafety(net, bad, Options{Engine: eng}); !errors.As(err, &oe) || oe.Field != "bad" {
+				t.Errorf("%v: CheckSafety(bad=%v) = %v, want *OptionError on bad", eng, bad, err)
+			}
+		}
+	}
 }

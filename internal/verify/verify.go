@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/reach"
+	"repro/internal/structural/reduce"
 	"repro/internal/stubborn"
 	"repro/internal/symbolic"
 	"repro/internal/unfold"
@@ -48,30 +49,47 @@ const (
 	Unfolding
 )
 
+// engine is one row of the engine table: what check needs to know about
+// an engine, and the adapter that runs it.
+type engine struct {
+	name string
+	// native engines evaluate the bad-marking predicate themselves; the
+	// others check safety as deadlock on petri.WithSafetyMonitor's net.
+	native bool
+	// ckpt engines have deterministic boundaries and take Options.Ckpt
+	// and Options.Resume.
+	ckpt bool
+	// run translates Options into the engine's own options and its result
+	// into a Report. It returns the partial Report alongside the engine's
+	// error whenever the engine has one; check classifies the error.
+	run func(n *petri.Net, g goal, o Options) (*Report, error)
+}
+
+// engines is the engine table, indexed by Engine.
+var engines = [...]engine{
+	Exhaustive:   {"exhaustive", true, true, runReach},
+	PartialOrder: {"partial-order", false, false, runStubborn},
+	Symbolic:     {"symbolic", true, false, runSymbolic},
+	GPO:          {"gpo", false, true, runCore[zdd.Node](zdd.NewAlgebra)},
+	GPOExplicit:  {"gpo-explicit", false, true, runCore[*family.Family](family.NewAlgebra)},
+	Unfolding:    {"unfolding", false, false, runUnfold},
+}
+
+func (e Engine) valid() bool { return e >= 0 && int(e) < len(engines) }
+
 // String returns the engine's short display name.
 func (e Engine) String() string {
-	switch e {
-	case Exhaustive:
-		return "exhaustive"
-	case PartialOrder:
-		return "partial-order"
-	case Symbolic:
-		return "symbolic"
-	case GPO:
-		return "gpo"
-	case GPOExplicit:
-		return "gpo-explicit"
-	case Unfolding:
-		return "unfolding"
+	if !e.valid() {
+		return fmt.Sprintf("Engine(%d)", int(e))
 	}
-	return fmt.Sprintf("Engine(%d)", int(e))
+	return engines[e].name
 }
 
 // ParseEngine maps a name (as printed by String) back to an Engine.
 func ParseEngine(s string) (Engine, error) {
-	for _, e := range []Engine{Exhaustive, PartialOrder, Symbolic, GPO, GPOExplicit, Unfolding} {
-		if e.String() == s {
-			return e, nil
+	for e := range engines {
+		if engines[e].name == s {
+			return Engine(e), nil
 		}
 	}
 	return 0, fmt.Errorf("verify: unknown engine %q", s)
@@ -188,7 +206,7 @@ func (e *OptionError) Error() string {
 // can distinguish caller mistakes (reject the request) from analysis
 // failures (report them).
 func (o Options) Validate() error {
-	if o.Engine < Exhaustive || o.Engine > Unfolding {
+	if !o.Engine.valid() {
 		return &OptionError{Field: "Engine", Value: int(o.Engine), Reason: "unknown engine"}
 	}
 	if o.MaxStates < 0 {
@@ -209,344 +227,248 @@ func aborted(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// CheckDeadlock analyses the net for reachable deadlocks.
-func CheckDeadlock(n *petri.Net, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateCkpt(); err != nil {
-		return nil, err
-	}
-	if opts.Reduce {
-		return checkDeadlockReduced(n, opts)
-	}
-	start := time.Now()
-	rep := &Report{Net: n.Name(), Engine: opts.Engine}
-	switch opts.Engine {
-	case Exhaustive:
-		ro := reach.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			Workers:        opts.Workers,
-			StopAtDeadlock: opts.StopAtFirst,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.reachHook(),
-			Resume:         opts.resumeReach(),
-		}
-		explore := reach.Explore
-		if opts.Explorer != nil {
-			explore = func(n *petri.Net, o reach.Options) (*reach.Result, error) {
-				return opts.Explorer(n, nil, o)
-			}
-		}
-		res, err := explore(n, ro)
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
-		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		rep.Deadlock = res.Deadlock
-		rep.States = res.States
-		rep.Complete = res.Complete
-		if len(res.Deadlocks) > 0 {
-			rep.Witness = res.Deadlocks[0]
-		}
-	case PartialOrder:
-		res, err := stubborn.Explore(n, stubborn.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			Proviso:        opts.Proviso,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.Deadlock = res.Deadlock
-		rep.States = res.States
-		rep.Complete = res.Complete
-		if len(res.Deadlocks) > 0 {
-			rep.Witness = res.Deadlocks[0]
-		}
-	case Symbolic:
-		res, err := symbolic.Analyze(n, symbolic.Options{
-			Ctx:      opts.Ctx,
-			MaxNodes: opts.MaxNodes,
-			Metrics:  opts.Metrics,
-			Progress: opts.Progress,
-			Trace:    opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.Deadlock = res.Deadlock
-		rep.States = int(res.States)
-		rep.PeakBDD = res.PeakNodes
-		rep.Witness = res.Witness
-		rep.Complete = res.Complete
-	case GPO:
-		e, err := core.NewEngine[zdd.Node](n, zdd.NewAlgebra(n.NumTrans()))
-		if err != nil {
-			return nil, err
-		}
-		res, _, err := e.Analyze(core.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.coreHook(),
-			Resume:         opts.resumeCore(),
-		})
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
-		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		fillGPO(rep, res)
-	case GPOExplicit:
-		e, err := core.NewEngine[*family.Family](n, family.NewAlgebra(n.NumTrans()))
-		if err != nil {
-			return nil, err
-		}
-		res, _, err := e.Analyze(core.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.coreHook(),
-			Resume:         opts.resumeCore(),
-		})
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
-		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		fillGPO(rep, res)
-	case Unfolding:
-		px, err := unfold.Build(n, unfold.Options{
-			Ctx:       opts.Ctx,
-			MaxEvents: opts.MaxStates,
-			Metrics:   opts.Metrics,
-			Progress:  opts.Progress,
-			Trace:     opts.Trace,
-		})
-		if err != nil && !(aborted(err) && px != nil) {
-			return nil, err
-		}
-		rep.States = len(px.Events)
-		if err != nil {
-			// Deadlock checking on a truncated prefix would report phantom
-			// deadlocks (events whose successors were never inserted), so an
-			// aborted build carries only the size statistics.
-			rep.Aborted = true
-		} else {
-			rep.Complete = true
-			if w, dead := px.FindDeadlock(); dead {
-				rep.Deadlock = true
-				rep.Witness = w
-			}
-		}
-	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+// goal is what an adapter searches for: a deadlock (the zero goal), a
+// marking with every place of bad marked (native engines), or, on a
+// monitored net, a deadlock with trap marked.
+type goal struct {
+	bad     []petri.Place
+	trap    petri.Place
+	monitor bool
 }
 
-func fillGPO(rep *Report, res *core.Result) {
-	rep.Deadlock = res.Deadlock
-	rep.States = res.States
-	rep.PeakSets = res.PeakValid
-	rep.Complete = res.Complete
-	if len(res.Witnesses) > 0 {
-		rep.Witness = res.Witnesses[0]
-	}
+// counts reports whether the dead marking m meets the goal.
+func (g goal) counts(m petri.Marking) bool { return !g.monitor || m.Has(g.trap) }
+
+// CheckDeadlock analyses the net for reachable deadlocks.
+func CheckDeadlock(n *petri.Net, opts Options) (*Report, error) {
+	return check(n, nil, false, opts)
 }
 
 // CheckSafety checks whether a marking with all places of bad
-// simultaneously marked is reachable. For the explicit and symbolic
-// engines the predicate is checked directly; for the partial-order and
-// generalized engines the check is reduced to deadlock detection on a
-// monitored net (Section 4 of the paper: "the verification of a safety
-// property can always be reduced to a check for deadlock").
+// simultaneously marked is reachable; bad must name at least one place
+// of n. The explicit and symbolic engines check the predicate directly;
+// the others check deadlock on a monitored net (Section 4 of the paper:
+// "the verification of a safety property can always be reduced to a
+// check for deadlock"). Whichever engine found it, the witness is a
+// reachable marking of n with every place of bad marked.
 func CheckSafety(n *petri.Net, bad []petri.Place, opts Options) (*Report, error) {
+	return check(n, bad, true, opts)
+}
+
+// check runs either check with any engine. It is the one place that
+// applies the reduction pre-pass and the safety monitor, classifies the
+// engine's error and maps the witness back to n.
+func check(n *petri.Net, bad []petri.Place, safety bool, opts Options) (*Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
+	}
+	if safety && len(bad) == 0 {
+		return nil, &OptionError{Field: "bad", Value: bad, Reason: "a safety check needs at least one place"}
+	}
+	for _, p := range bad {
+		if p < 0 || int(p) >= n.NumPlaces() {
+			return nil, &OptionError{Field: "bad", Value: p, Reason: "not a place of the net"}
+		}
 	}
 	if err := opts.validateCkpt(); err != nil {
 		return nil, err
 	}
-	if opts.Reduce {
-		return checkSafetyReduced(n, bad, opts)
-	}
 	start := time.Now()
-	rep := &Report{Net: n.Name(), Engine: opts.Engine}
-	predicate := func(m petri.Marking) bool {
+	e := engines[opts.Engine]
+	net := n
+	var cert *reduce.Certificate
+	if opts.Reduce {
+		// The bad places are protected, so the property survives into the
+		// reduced net; the rules preserve dead markings exactly.
+		var err error
+		if cert, err = reduce.Run(n, reduce.Options{Protect: bad, Metrics: opts.Metrics}); err != nil {
+			return nil, err
+		}
+		if bad, err = cert.MapPlaces(bad); err != nil {
+			return nil, err
+		}
+		net = cert.Net()
+	}
+	g, explored := goal{}, net
+	if safety && e.native {
+		g.bad = bad
+	} else if safety {
+		mon, trap, err := petri.WithSafetyMonitor(net, bad)
+		if err != nil {
+			return nil, err
+		}
+		g, explored = goal{trap: trap, monitor: true}, mon
+	}
+	rep, err := e.run(explored, g, opts)
+	switch {
+	case err == nil:
+	case rep != nil && ckptStopped(err):
+		rep.Checkpointed = true
+	case rep != nil && aborted(err):
+		rep.Aborted = true
+	default:
+		return nil, err
+	}
+	if g.monitor && rep.Witness != nil {
+		// A monitored witness is M − bad + trap, where M is the marking
+		// at which the monitor fired. M is the witness.
+		w := net.EmptyMarking()
+		for _, p := range rep.Witness.Places() {
+			if int(p) < net.NumPlaces() {
+				w.Set(p)
+			}
+		}
 		for _, p := range bad {
-			if !m.Has(p) {
-				return false
-			}
+			w.Set(p)
 		}
-		return true
+		rep.Witness = w
 	}
-	switch opts.Engine {
-	case Exhaustive:
-		ro := reach.Options{
-			Ctx:       opts.Ctx,
-			MaxStates: opts.MaxStates,
-			Workers:   opts.Workers,
-			Bad:       predicate,
-			StopAtBad: opts.StopAtFirst,
-			Metrics:   opts.Metrics,
-			Progress:  opts.Progress,
-			Trace:     opts.Trace,
-			Ckpt:      opts.Ckpt.reachHook(),
-			Resume:    opts.resumeReach(),
-		}
-		explore := reach.Explore
-		if opts.Explorer != nil {
-			explore = func(n *petri.Net, o reach.Options) (*reach.Result, error) {
-				return opts.Explorer(n, bad, o)
-			}
-		}
-		res, err := explore(n, ro)
-		if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-			return nil, err
-		}
-		rep.Checkpointed = ckptStopped(err)
-		rep.Aborted = err != nil && !rep.Checkpointed
-		rep.Deadlock = res.BadFound
-		rep.States = res.States
-		rep.Complete = res.Complete
-		if len(res.BadStates) > 0 {
-			rep.Witness = res.BadStates[0]
-		}
-	case Symbolic:
-		res, err := symbolic.Analyze(n, symbolic.Options{
-			Ctx:      opts.Ctx,
-			MaxNodes: opts.MaxNodes,
-			Bad:      bad,
-			Metrics:  opts.Metrics,
-			Progress: opts.Progress,
-			Trace:    opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.Deadlock = res.BadFound
-		rep.Witness = res.BadWitness
-		rep.States = int(res.States)
-		rep.PeakBDD = res.PeakNodes
-		rep.Complete = res.Complete
-	case PartialOrder:
-		// Reduction to deadlock on the monitored net: the bad combination
-		// is reachable iff the monitor can fire, after which the run token
-		// is gone and the whole net deadlocks with the trap marked.
-		mon, trap, err := petri.WithSafetyMonitor(n, bad)
-		if err != nil {
-			return nil, err
-		}
-		res, err := stubborn.Explore(mon, stubborn.Options{
-			Ctx:       opts.Ctx,
-			MaxStates: opts.MaxStates,
-			Proviso:   opts.Proviso,
-			Metrics:   opts.Metrics,
-			Progress:  opts.Progress,
-			Trace:     opts.Trace,
-		})
-		if err != nil && !(aborted(err) && res != nil) {
-			return nil, err
-		}
-		rep.Aborted = err != nil
-		rep.States = res.States
-		rep.Complete = res.Complete
-		for _, m := range res.Deadlocks {
-			if m.Has(trap) {
-				rep.Deadlock = true
-				rep.Witness = m
-				break
-			}
-		}
-	case Unfolding:
-		mon, trap, err := petri.WithSafetyMonitor(n, bad)
-		if err != nil {
-			return nil, err
-		}
-		px, err := unfold.Build(mon, unfold.Options{
-			Ctx:       opts.Ctx,
-			MaxEvents: opts.MaxStates,
-			Metrics:   opts.Metrics,
-			Progress:  opts.Progress,
-			Trace:     opts.Trace,
-		})
-		if err != nil && !(aborted(err) && px != nil) {
-			return nil, err
-		}
-		rep.States = len(px.Events)
-		if err != nil {
-			rep.Aborted = true
-		} else {
-			rep.Complete = true
-			if w, dead := px.FindDeadlockWhere(func(m petri.Marking) bool {
-				return m.Has(trap)
-			}); dead {
-				rep.Deadlock = true
-				rep.Witness = w
-			}
-		}
-	case GPO, GPOExplicit:
-		mon, trap, err := petri.WithSafetyMonitor(n, bad)
-		if err != nil {
-			return nil, err
-		}
-		copts := core.Options{
-			Ctx:            opts.Ctx,
-			MaxStates:      opts.MaxStates,
-			StopAtDeadlock: opts.StopAtFirst,
-			ExpandDead:     true, // original deadlocks must not cut exploration
-			TrapFilter:     true,
-			TrapPlace:      trap,
-			Metrics:        opts.Metrics,
-			Progress:       opts.Progress,
-			Trace:          opts.Trace,
-			Ckpt:           opts.Ckpt.coreHook(),
-			Resume:         opts.resumeCore(),
-		}
-		var res *core.Result
-		if opts.Engine == GPO {
-			e, err := core.NewEngine[zdd.Node](mon, zdd.NewAlgebra(mon.NumTrans()))
-			if err != nil {
-				return nil, err
-			}
-			res, _, err = e.Analyze(copts)
-			if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-				return nil, err
-			}
-			rep.Checkpointed = ckptStopped(err)
-			rep.Aborted = err != nil && !rep.Checkpointed
-		} else {
-			e, err := core.NewEngine[*family.Family](mon, family.NewAlgebra(mon.NumTrans()))
-			if err != nil {
-				return nil, err
-			}
-			res, _, err = e.Analyze(copts)
-			if err != nil && !((aborted(err) || ckptStopped(err)) && res != nil) {
-				return nil, err
-			}
-			rep.Checkpointed = ckptStopped(err)
-			rep.Aborted = err != nil && !rep.Checkpointed
-		}
-		fillGPO(rep, res)
+	if cert != nil {
+		rep.Witness = cert.ExpandMarking(rep.Witness)
+		rep.PlacesRemoved, rep.TransRemoved = cert.PlacesRemoved(), cert.TransRemoved()
 	}
-	rep.Elapsed = time.Since(start)
+	rep.Net, rep.Engine, rep.Elapsed = n.Name(), opts.Engine, time.Since(start)
 	return rep, nil
+}
+
+// runReach adapts the exhaustive engine, or Options.Explorer in its place.
+func runReach(n *petri.Net, g goal, o Options) (*Report, error) {
+	ro := reach.Options{
+		Ctx:            o.Ctx,
+		MaxStates:      o.MaxStates,
+		Workers:        o.Workers,
+		StopAtDeadlock: o.StopAtFirst && g.bad == nil,
+		StopAtBad:      o.StopAtFirst && g.bad != nil,
+		Metrics:        o.Metrics,
+		Progress:       o.Progress,
+		Trace:          o.Trace,
+		Ckpt:           o.Ckpt.reachHook(),
+		Resume:         o.resumeReach(),
+	}
+	if g.bad != nil {
+		ro.Bad = func(m petri.Marking) bool {
+			for _, p := range g.bad {
+				if !m.Has(p) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	explore := reach.Explore
+	if o.Explorer != nil {
+		explore = func(n *petri.Net, ro reach.Options) (*reach.Result, error) { return o.Explorer(n, g.bad, ro) }
+	}
+	res, err := explore(n, ro)
+	if res == nil {
+		return nil, err
+	}
+	rep := &Report{Deadlock: res.Deadlock, States: res.States, Complete: res.Complete}
+	found := res.Deadlocks
+	if g.bad != nil {
+		rep.Deadlock, found = res.BadFound, res.BadStates
+	}
+	if len(found) > 0 {
+		rep.Witness = found[0]
+	}
+	return rep, err
+}
+
+// runStubborn adapts the partial-order engine.
+func runStubborn(n *petri.Net, g goal, o Options) (*Report, error) {
+	res, err := stubborn.Explore(n, stubborn.Options{
+		Ctx:       o.Ctx,
+		MaxStates: o.MaxStates,
+		// On a monitored net the first deadlock may be one of n's own.
+		StopAtDeadlock: o.StopAtFirst && !g.monitor,
+		Proviso:        o.Proviso,
+		Metrics:        o.Metrics,
+		Progress:       o.Progress,
+		Trace:          o.Trace,
+	})
+	if res == nil {
+		return nil, err
+	}
+	rep := &Report{States: res.States, Complete: res.Complete}
+	for _, m := range res.Deadlocks {
+		if g.counts(m) {
+			rep.Deadlock, rep.Witness = true, m
+			break
+		}
+	}
+	return rep, err
+}
+
+// runSymbolic adapts the OBDD engine.
+func runSymbolic(n *petri.Net, g goal, o Options) (*Report, error) {
+	res, err := symbolic.Analyze(n, symbolic.Options{
+		Ctx:      o.Ctx,
+		MaxNodes: o.MaxNodes,
+		Bad:      g.bad,
+		Metrics:  o.Metrics,
+		Progress: o.Progress,
+		Trace:    o.Trace,
+	})
+	if res == nil {
+		return nil, err
+	}
+	rep := &Report{Deadlock: res.Deadlock, Witness: res.Witness, States: int(res.States),
+		PeakBDD: res.PeakNodes, Complete: res.Complete}
+	if g.bad != nil {
+		rep.Deadlock, rep.Witness = res.BadFound, res.BadWitness
+	}
+	return rep, err
+}
+
+// runCore adapts the GPO engine over the family representation newAlg
+// builds.
+func runCore[F any, A core.Algebra[F]](newAlg func(int) A) func(*petri.Net, goal, Options) (*Report, error) {
+	return func(n *petri.Net, g goal, o Options) (*Report, error) {
+		e, err := core.NewEngine[F](n, newAlg(n.NumTrans()))
+		if err != nil {
+			return nil, err
+		}
+		res, _, err := e.Analyze(core.Options{
+			Ctx:            o.Ctx,
+			MaxStates:      o.MaxStates,
+			StopAtDeadlock: o.StopAtFirst,
+			ExpandDead:     g.monitor, // n's own deadlocks must not cut exploration
+			TrapFilter:     g.monitor,
+			TrapPlace:      g.trap,
+			Metrics:        o.Metrics,
+			Progress:       o.Progress,
+			Trace:          o.Trace,
+			Ckpt:           o.Ckpt.coreHook(),
+			Resume:         o.resumeCore(),
+		})
+		if res == nil {
+			return nil, err
+		}
+		rep := &Report{Deadlock: res.Deadlock, States: res.States, PeakSets: res.PeakValid, Complete: res.Complete}
+		if len(res.Witnesses) > 0 {
+			rep.Witness = res.Witnesses[0]
+		}
+		return rep, err
+	}
+}
+
+// runUnfold adapts the unfolding engine. A truncated prefix would report
+// phantom deadlocks (events whose successors were never inserted), so a
+// prefix is searched only when its build completed.
+func runUnfold(n *petri.Net, g goal, o Options) (*Report, error) {
+	px, err := unfold.Build(n, unfold.Options{
+		Ctx:       o.Ctx,
+		MaxEvents: o.MaxStates,
+		Metrics:   o.Metrics,
+		Progress:  o.Progress,
+		Trace:     o.Trace,
+	})
+	if px == nil {
+		return nil, err
+	}
+	rep := &Report{States: len(px.Events), Complete: err == nil}
+	if err == nil {
+		rep.Witness, rep.Deadlock = px.FindDeadlockWhere(g.counts)
+	}
+	return rep, err
 }

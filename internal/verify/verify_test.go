@@ -141,7 +141,31 @@ func TestSafetyAgreement(t *testing.T) {
 				t.Errorf("%s: engine %v says reachable=%v, want %v",
 					tc.name, eng, rep.Deadlock, tc.want)
 			}
+			checkSafetyWitness(t, net, tc.bad, rep)
 		}
+	}
+}
+
+// checkSafetyWitness asserts CheckSafety's witness contract on a
+// reachable verdict: the witness marks every bad place and is a
+// reachable marking of the input net, whichever engine found it.
+func checkSafetyWitness(t *testing.T, n *petri.Net, bad []petri.Place, rep *Report) {
+	t.Helper()
+	if !rep.Deadlock {
+		return
+	}
+	w := rep.Witness
+	if w == nil {
+		t.Errorf("%s/%v: reachable verdict without a witness", n.Name(), rep.Engine)
+		return
+	}
+	for _, p := range bad {
+		if !w.Has(p) {
+			t.Errorf("%s/%v: witness misses bad place %s", n.Name(), rep.Engine, n.PlaceName(p))
+		}
+	}
+	if res, err := reach.Explore(n, reach.Options{Bad: w.Equal, StopAtBad: true}); err != nil || !res.BadFound {
+		t.Errorf("%s/%v: witness is not a reachable marking of the input net (err %v)", n.Name(), rep.Engine, err)
 	}
 }
 
@@ -171,7 +195,9 @@ func TestSafetyOnRandomNets(t *testing.T) {
 				t.Errorf("seed %d: engine %v says reachable=%v, exhaustive says %v",
 					seed, eng, got.Deadlock, want.Deadlock)
 			}
+			checkSafetyWitness(t, net, bad, got)
 		}
+		checkSafetyWitness(t, net, bad, want)
 	}
 }
 

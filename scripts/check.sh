@@ -16,6 +16,14 @@ test -z "$(go list -deps ./internal/ckpt | grep -x -e repro/internal/cluster -e 
 # and zdd keep no unique table of their own.
 test "$(go list -deps ./internal/dd | grep '^repro/')" = repro/internal/dd
 test -z "$(grep -l -e 'func hashTriple' -e 'growUnique' internal/bdd/*.go internal/zdd/*.go)"
+# verify runs every engine through one table and one check: the safety
+# monitor and the reduction pre-pass are applied in one place each, and
+# no engine has a switch case of its own.
+VERIFY_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/verify)
+test "$(grep -ho 'petri\.WithSafetyMonitor(' $VERIFY_SRC | grep -c .)" = 1
+test "$(grep -ho 'reduce\.Run(' $VERIFY_SRC | grep -c .)" = 1
+test -z "$(grep -l 'case GPOExplicit' $VERIFY_SRC)"
+test ! -e internal/verify/reduce.go
 # The daemon binary ships daemon code only: no client, no test harness,
 # no self-test flag, and main itself names neither a model nor an engine
 # (the server resolves both). Its end-to-end checks are tests — the
