@@ -5,18 +5,23 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/pnio"
+	"repro/internal/randnet"
 	"repro/internal/reach"
 )
 
@@ -182,12 +187,125 @@ func TestClusterBitIdentical(t *testing.T) {
 			t.Errorf("error message differs:\n  seq: %s\n  clu: %s", seqErr, cluErr)
 		}
 	})
+
+	// The sweep, at three local widths: every level over the wire, local
+	// and distributed levels mixed within one run, and the default.
+	for _, width := range []int{0, 60, localWidth} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			forceLocalWidth(t, width)
+			for _, spec := range []struct {
+				family string
+				size   int
+			}{{"nsdp", 7}, {"rw", 12}, {"over", 4}, {"asat", 4}} {
+				n, err := models.ByName(spec.family, spec.size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cap := range []int{0, 1, 37, 500, 5000} {
+					sameRun(t, nodes[cap%3], fmt.Sprintf("%s(%d)/cap=%d", spec.family, spec.size, cap), n, nil, reach.Options{MaxStates: cap})
+				}
+			}
+			bad := []petri.Place{0, 1}
+			pred := func(m petri.Marking) bool { return m.Has(bad[0]) && m.Has(bad[1]) }
+			sameRun(t, nodes[1], "rw12-safety", rw12, bad, reach.Options{Bad: pred})
+			for _, cap := range []int{0, 1, 5} {
+				sameRun(t, nodes[2], fmt.Sprintf("unsafe-deep/cap=%d", cap), deepUnsafeNet(t), nil, reach.Options{MaxStates: cap})
+			}
+			for _, cap := range []int{0, 2, 3, 4, 5, 6, 7} {
+				sameRun(t, nodes[cap%3], fmt.Sprintf("ladder/cap=%d", cap), ladderNet(t), nil, reach.Options{MaxStates: cap})
+			}
+			for seed := int64(1); seed <= 40; seed++ {
+				n := randnet.Generate(randnet.Default(seed))
+				for _, cap := range []int{0, 4, 9} {
+					sameRun(t, nodes[seed%3], fmt.Sprintf("%s/cap=%d", n.Name(), cap), n, nil, reach.Options{MaxStates: cap})
+				}
+			}
+		})
+	}
+}
+
+// forceLocalWidth sets localWidth for one test.
+func forceLocalWidth(t *testing.T, width int) {
+	old := localWidth
+	localWidth = width
+	t.Cleanup(func() { localWidth = old })
+}
+
+// sameRun explores n sequentially and on the cluster and compares the
+// Results, the errors, and the states each interned on the way (its
+// progress ticks), which a failed run reports nowhere else.
+func sameRun(t *testing.T, nd *Node, name string, n *petri.Net, bad []petri.Place, o reach.Options) {
+	t.Helper()
+	seqTicks, cluTicks := &obs.Progress{}, &obs.Progress{}
+	o.Progress = seqTicks
+	seq, seqErr := reach.Explore(n, o)
+	o.Progress = cluTicks
+	clu, cluErr := nd.Explore(n, bad, o)
+	if fmt.Sprint(seqErr) != fmt.Sprint(cluErr) {
+		t.Errorf("%s: error %v, sequential %v", name, cluErr, seqErr)
+	}
+	if seqTicks.Count() != cluTicks.Count() {
+		t.Errorf("%s: %d states interned, sequential %d", name, cluTicks.Count(), seqTicks.Count())
+	}
+	if (seq == nil) != (clu == nil) {
+		t.Errorf("%s: Result %v, sequential %v", name, clu, seq)
+	} else if seq != nil {
+		sameResult(t, name, seq, clu)
+	}
+}
+
+// deepUnsafeNet reaches its first unsafe firings (c→r or d→r with r
+// marked) on the fifth level, where the e/f toggle still finds new
+// markings behind them in scan order.
+func deepUnsafeNet(t *testing.T) *petri.Net {
+	b := petri.NewBuilder("unsafe-deep")
+	a, bb, c, d, r, e, f := b.Place("a"), b.Place("b"), b.Place("c"), b.Place("d"), b.Place("r"), b.Place("e"), b.Place("f")
+	b.TransArcs("t1", []petri.Place{a}, []petri.Place{c})
+	b.TransArcs("t2", []petri.Place{bb}, []petri.Place{d})
+	b.TransArcs("t3", []petri.Place{c}, []petri.Place{r})
+	b.TransArcs("t4", []petri.Place{d}, []petri.Place{r})
+	b.TransArcs("t5", []petri.Place{e}, []petri.Place{f})
+	b.TransArcs("t6", []petri.Place{f}, []petri.Place{e})
+	b.Mark(a, bb, e)
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// ladderNet is a chain p0 → … → p6 that may leave each rung for a dead
+// end x_i, tried before the next rung on even rungs and after it on odd
+// ones: every level holds a deadlock, and a cap leaves one among the
+// states it interns last or among the parents it does not expand.
+func ladderNet(t *testing.T) *petri.Net {
+	b := petri.NewBuilder("ladder")
+	p := b.Place("p0")
+	b.Mark(p)
+	for i := range 6 {
+		x, next := b.Place(fmt.Sprintf("x%d", i)), b.Place(fmt.Sprintf("p%d", i+1))
+		if i%2 == 1 {
+			b.TransArcs(fmt.Sprintf("s%d", i), []petri.Place{p}, []petri.Place{next})
+		}
+		b.TransArcs(fmt.Sprintf("d%d", i), []petri.Place{p}, []petri.Place{x})
+		if i%2 == 0 {
+			b.TransArcs(fmt.Sprintf("s%d", i), []petri.Place{p}, []petri.Place{next})
+		}
+		p = next
+	}
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestClusterMetrics checks the coordinator exports the per-run
 // cluster.* metrics and the same reach.* counters as the in-process
-// engines, so reach.states deltas work for cluster runs too.
+// engines, so reach.states deltas work for cluster runs too. Every
+// level goes over the wire.
 func TestClusterMetrics(t *testing.T) {
+	forceLocalWidth(t, 0)
 	nodes, regs := startCluster(t, 3)
 	n := models.NSDP(5)
 	reg := obs.New()
@@ -205,6 +323,9 @@ func TestClusterMetrics(t *testing.T) {
 	if snap.Counters["cluster.levels"] == 0 {
 		t.Error("cluster.levels not recorded")
 	}
+	if got, ok := snap.Counters["cluster.local_levels"]; !ok || got != 0 {
+		t.Errorf("cluster.local_levels = %d (recorded %v), want 0 at width 0", got, ok)
+	}
 	if snap.Counters["cluster.frontier_bytes_out"] == 0 || snap.Counters["cluster.frontier_bytes_in"] == 0 {
 		t.Error("frontier byte counters not recorded")
 	}
@@ -218,6 +339,42 @@ func TestClusterMetrics(t *testing.T) {
 	}
 	if batches == 0 {
 		t.Error("no expand batches recorded on any peer")
+	}
+}
+
+// TestLocalWidthRouting pins where the default localWidth sends two
+// Table 1 instances: nsdp(8), whose widest level has 17 744 positions,
+// expands its wide levels on the peers; over(5), whose widest has 3 955,
+// never leaves the coordinator.
+func TestLocalWidthRouting(t *testing.T) {
+	nodes, regs := startCluster(t, 3)
+	batches := func() (sum int64) {
+		for _, r := range regs {
+			sum += r.Snapshot().Counters["cluster.expand_batches_in"]
+		}
+		return sum
+	}
+	for _, tc := range []struct {
+		family string
+		size   int
+		remote bool
+	}{{"nsdp", 8, true}, {"over", 5, false}} {
+		n, err := models.ByName(tc.family, tc.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		before := batches()
+		if _, err := nodes[0].Explore(n, nil, reach.Options{Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		sent := batches() - before
+		snap := reg.Snapshot()
+		levels, local := snap.Counters["cluster.levels"], snap.Counters["cluster.local_levels"]
+		if (sent > 0) != tc.remote || (local < levels) != tc.remote {
+			t.Errorf("%s(%d): %d expand batches, %d of %d levels local; want remote levels %v",
+				tc.family, tc.size, sent, local, levels, tc.remote)
+		}
 	}
 }
 
@@ -395,64 +552,166 @@ func TestClusterSingleNodeFallback(t *testing.T) {
 	sameResult(t, "single-node", seq, clu)
 }
 
-// TestCommitChecksPending pins the peer's end of the commit contract: a
-// commit may only name markings pending on this peer, and once one leaves
-// discoveries unassigned (the coordinator's MaxStates cut) the peer
-// refuses to expand further — it holds the cut markings as established.
-func TestCommitChecksPending(t *testing.T) {
-	nd, err := New(Config{Self: "http://127.0.0.1:1", Peers: []string{"http://127.0.0.1:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	nd.Register(mux)
-	post := func(path string, body *bytes.Buffer) int {
-		req := httptest.NewRequest("POST", "/cluster/v1/"+path, body)
-		req.Header.Set("X-Cluster-Job", "j1")
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, req)
-		return rec.Code
-	}
+// TestMalformedExpandReply pins both ends of the expand contract. The
+// coordinator gets one malformed reply shape per case, from fake peers
+// that forward to real nodes and mutate their replies, and must fail the
+// run with codec.ErrMalformed rather than panic (a violation outside the
+// level used to index past the level). A peer answers 400 to an expand
+// whose positions do not ascend.
+func TestMalformedExpandReply(t *testing.T) {
+	forceLocalWidth(t, 0)
 	n := models.NSDP(4)
-	var netText strings.Builder
-	if err := pnio.Write(&netText, n); err != nil {
-		t.Fatal(err)
-	}
-	start, _ := json.Marshal(startReq{Job: "j1", Net: netText.String()})
-	if code := post("start", bytes.NewBuffer(start)); code != http.StatusOK {
-		t.Fatalf("start: %d", code)
-	}
 	m0 := n.InitialMarking()
-	var level, succs batch
-	level.add(m0, 0)
-	for _, tr := range n.EnabledTrans(m0) {
-		next, _ := n.Fire(m0, tr)
-		succs.add(next, 0)
-	}
-	if succs.len() < 2 {
-		t.Fatal("want a root with two successors")
-	}
-	if code := post("expand", level.body(frameExpand)); code != http.StatusOK {
-		t.Fatalf("expand: %d", code)
+	nt := petri.Trans(n.NumTrans())
+	// mutate edits one honest reply to the batch of positions pos, or
+	// reports that this batch does not lend itself to the case.
+	for name, mutate := range map[string]func(pos []uint64, re *expandReply, news *batch) bool{
+		"flag count": func(pos []uint64, re *expandReply, news *batch) bool {
+			re.flags = append(re.flags, 0)
+			return true
+		},
+		"violation outside the level": func(pos []uint64, re *expandReply, news *batch) bool {
+			re.hasVio, re.vioOrder = true, reach.OrderKey(1<<20, 0)
+			return true
+		},
+		"violation transition": func(pos []uint64, re *expandReply, news *batch) bool {
+			re.hasVio, re.vioOrder = true, reach.OrderKey(int(pos[0]), nt)
+			return true
+		},
+		"report outside the level": func(pos []uint64, re *expandReply, news *batch) bool {
+			*news = batch{}
+			news.add(m0, reach.OrderKey(1<<20, 0))
+			return true
+		},
+		"report on another peer's position": func(pos []uint64, re *expandReply, news *batch) bool {
+			// A position below this batch's last that is not in it lies in
+			// the level and was sent to the other peer.
+			for i, p := range pos[1:] {
+				if gap := pos[i] + 1; gap < p {
+					*news = batch{}
+					news.add(m0, reach.OrderKey(int(gap), 0))
+					return true
+				}
+			}
+			return false
+		},
+		"report transition": func(pos []uint64, re *expandReply, news *batch) bool {
+			*news = batch{}
+			news.add(m0, reach.OrderKey(int(pos[0]), nt))
+			return true
+		},
+		"reports not ascending": func(pos []uint64, re *expandReply, news *batch) bool {
+			*news = batch{}
+			news.add(m0, reach.OrderKey(int(pos[0]), 1))
+			news.add(m0, reach.OrderKey(int(pos[0]), 0))
+			return true
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mutated atomic.Bool
+			coord := startMutatingPair(t, n, func(pos []uint64, re *expandReply, news *batch) {
+				if mutate(pos, re, news) {
+					mutated.Store(true)
+				}
+			})
+			_, err := coord.Explore(n, nil, reach.Options{})
+			if !mutated.Load() {
+				t.Fatalf("no batch of the run fit the case (run error %v)", err)
+			}
+			if !errors.Is(err, codec.ErrMalformed) {
+				t.Errorf("run error %v, want codec.ErrMalformed", err)
+			}
+		})
 	}
 
-	var stranger batch
-	stranger.add(n.EmptyMarking(), 1)
-	if code := post("commit", stranger.body(frameCommit)); code != http.StatusBadRequest {
-		t.Errorf("commit of a marking never discovered: %d, want 400", code)
-	}
-	var root batch
-	root.add(m0, 1)
-	if code := post("commit", root.body(frameCommit)); code != http.StatusBadRequest {
-		t.Errorf("commit of an established marking: %d, want 400", code)
-	}
+	t.Run("peer refuses descending positions", func(t *testing.T) {
+		nd, err := New(Config{Self: "http://127.0.0.1:1", Peers: []string{"http://127.0.0.1:1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		nd.Register(mux)
+		post := func(path string, body *bytes.Buffer) int {
+			req := httptest.NewRequest("POST", "/cluster/v1/"+path, body)
+			req.Header.Set("X-Cluster-Job", "j1")
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			return rec.Code
+		}
+		var netText strings.Builder
+		if err := pnio.Write(&netText, n); err != nil {
+			t.Fatal(err)
+		}
+		start, _ := json.Marshal(startReq{Job: "j1", Net: netText.String()})
+		if code := post("start", bytes.NewBuffer(start)); code != http.StatusOK {
+			t.Fatalf("start: %d", code)
+		}
+		for _, positions := range [][]uint64{{1, 0}, {3, 3}} {
+			var parents batch
+			for _, p := range positions {
+				parents.add(m0, p)
+			}
+			if code := post("expand", parents.body(frameExpand)); code != http.StatusBadRequest {
+				t.Errorf("expand of positions %v: %d, want 400", positions, code)
+			}
+		}
+		var ascending batch
+		ascending.add(m0, 0)
+		ascending.add(m0, 7)
+		if code := post("expand", ascending.body(frameExpand)); code != http.StatusOK {
+			t.Errorf("expand of positions [0 7]: %d, want 200", code)
+		}
+	})
+}
 
-	var first batch
-	first.add(succs.marking(0), 1)
-	if code := post("commit", first.body(frameCommit)); code != http.StatusOK {
-		t.Fatalf("partial commit: %d", code)
+// startMutatingPair boots two real nodes behind fake peers: each fake
+// forwards every request to its node and hands every expand reply, with
+// the positions of the batch it answers, to mutate before passing it on.
+// It returns the node that coordinates.
+func startMutatingPair(t *testing.T, n *petri.Net, mutate func(pos []uint64, re *expandReply, news *batch)) *Node {
+	srvs := make([]*httptest.Server, 2)
+	urls := make([]string, 2)
+	for i := range srvs {
+		srvs[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + srvs[i].Listener.Addr().String()
 	}
-	if code := post("expand", first.body(frameExpand)); code != http.StatusConflict {
-		t.Errorf("expand after a cut commit: %d, want 409", code)
+	nodes := make([]*Node, 2)
+	for i, srv := range srvs {
+		nd, err := New(Config{Self: urls[i], Peers: append([]string(nil), urls...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		nd.Register(mux)
+		srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/cluster/v1/expand" {
+				mux.ServeHTTP(w, r)
+				return
+			}
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			parents, err := decodeBatch(bytes.NewReader(body), frameExpand, n.Words())
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, r)
+			re, news, err := decodeExpandBody(rec.Body, n.Words())
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			mutate(parents.vals, re, news)
+			_, _ = w.Write(re.body(news).Bytes())
+		})
+		srv.Start()
+		t.Cleanup(srv.Close)
+		nodes[i] = nd
 	}
+	return nodes[0]
 }

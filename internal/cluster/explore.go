@@ -1,37 +1,38 @@
 package cluster
 
 // Coordinator side of a distributed exploration. The node driving
-// Explore owns the authoritative state table (id -> marking) and the
-// level loop; peers own the visited store, partitioned at the same
-// 256-shard boundary the in-process parallel explorer uses. Each level:
+// Explore holds the run's only visited store: the state table (id ->
+// marking), into which every reachable marking is interned in the order
+// the sequential BFS first meets it. Each level goes one of two ways:
 //
-//  1. assign: group the level's positions by their parent state's
-//     shard, give each bucket to the shard's owner, then rebalance by
-//     stealing whole buckets from the most-loaded peer for any peer
-//     below the watermark — assignment moves work, never ownership, and
-//     order keys carry the global level position, so stealing cannot
-//     perturb the merge order;
-//  2. expand: peers fire every enabled transition of their slice,
-//     route fresh successors to owning peers as intern batches, and
-//     reply with verdict flags, examined order keys, and the minimal
-//     unsafe firing;
-//  3. collect: owners return their pending discoveries;
-//  4. merge: reach.SortDiscoveries + reach.PlanLevel — the exact hooks
-//     of the in-process explorer — fix the level's stop point, then ids
-//     are assigned in first-encounter order and committed back.
+//   - narrower than localWidth: the coordinator scans it alone and
+//     interns every new marking on the spot, as reach's sequential engine
+//     does — on such a level one round trip costs more than the scan;
+//   - otherwise one expand RPC per peer. The level's positions are
+//     bucketed by their parent's shard, each bucket goes to the shard's
+//     owner, and whole buckets are stolen for peers below the watermark
+//     (assignLevel) — placement moves work, never the merge order. A peer
+//     fires every enabled transition of its positions and replies with
+//     verdict flags, the examined order keys, the minimal unsafe firing,
+//     and, in ascending order key, the successors it had not seen before.
+//     The coordinator merges those lists on order key and interns the
+//     first report of every unknown marking: the sequential scan order.
+//     The merge stops where the sequential engine would, at the
+//     MaxStates cap or at an unsafe firing that comes first.
 //
-// The Result is therefore bit-identical to reach.Explore on the same
-// net and options.
+// Why a peer may drop a successor it has seen is DESIGN.md D10. The
+// Result is bit-identical to reach.Explore on the same net and options.
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/pnio"
@@ -39,12 +40,18 @@ import (
 	"repro/internal/visited"
 )
 
+// localWidth is the level width from which a level is sent to the peers;
+// a narrower one is scanned by the coordinator alone. Fixed from the
+// sweep in EXPERIMENTS.md "Cluster level protocol"; a variable only so
+// that the tests can force either path.
+var localWidth = 8192
+
 // Explore runs one exhaustive reachability analysis across the
 // cluster. bad lists the safety-predicate places (nil for deadlock-only
-// runs); it must agree with o.Bad, which the coordinator still uses for
-// the capped path's fresh-state checks. Options the cluster cannot
-// distribute (StoreGraph, early stops) fall back to the in-process
-// engine, which is bit-identical anyway.
+// runs) the peers check; it must agree with o.Bad, which the coordinator
+// checks on the levels it scans itself and on the states of a capped
+// level. Options the cluster cannot distribute (StoreGraph, early stops)
+// fall back to the in-process engine, which is bit-identical anyway.
 func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reach.Result, error) {
 	if o.StoreGraph || o.StopAtDeadlock || o.StopAtBad || len(nd.peers) == 1 {
 		return reach.Explore(n, o)
@@ -95,17 +102,19 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 
 	res := &reach.Result{Complete: true}
 	var (
-		qPeak    int
-		levels   int64
-		steals   int64
-		bytesOut int64
-		bytesIn  int64
+		qPeak       int
+		levels      int64
+		localLevels int64
+		steals      int64
+		bytesOut    int64
+		bytesIn     int64
 	)
 	if o.Metrics != nil {
 		defer func() {
 			reg := o.Metrics
 			reach.ExportMetrics(reg, res, qPeak)
 			reg.Counter("cluster.levels").Add(levels)
+			reg.Counter("cluster.local_levels").Add(localLevels)
 			reg.Counter("cluster.steals").Add(steals)
 			reg.Counter("cluster.frontier_bytes_out").Add(bytesOut)
 			reg.Counter("cluster.frontier_bytes_in").Add(bytesIn)
@@ -115,13 +124,14 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 	tk := o.Trace.NewTrack("cluster")
 	phExplore := o.Trace.Intern("explore")
 	phAssign := o.Trace.Intern("assign")
+	phExpand := o.Trace.Intern("expand")
 	phSerialize := o.Trace.Intern("serialize")
 	phWait := o.Trace.Intern("expand_wait")
 	phMerge := o.Trace.Intern("merge")
 	tk.Begin(phExplore)
 	// One wire lane per peer: each broadcast goroutine records its own
 	// serialize spans and frame edges, so the single-writer contract of
-	// Track holds (phases within a level are sequential per peer).
+	// Track holds.
 	wire := make([]*trace.Track, len(nd.peers))
 	if o.Trace != nil {
 		for i := range wire {
@@ -143,59 +153,92 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 	m0 := n.InitialMarking()
 	intern(m0, m0.Hash())
 	limit := visited.Limit(o.MaxStates)
+	nt := petri.Trans(n.NumTrans())
 
-	level := []int{0}
-
-	abort := func() (*reach.Result, error) {
-		res.States = states.Len()
-		res.Complete = false
-		tk.Abort(o.Trace.Intern(ctx.Err().Error()))
-		return res, fmt.Errorf("reach: aborted: %w", ctx.Err())
+	isBad := func(m petri.Marking) bool { return o.Bad != nil && o.Bad(m) }
+	record := func(m petri.Marking, bad, dead bool) {
+		if bad {
+			res.BadFound = true
+			res.BadStates = append(res.BadStates, m)
+		}
+		if dead {
+			res.Deadlock = true
+			res.Deadlocks = append(res.Deadlocks, m)
+		}
+	}
+	// check records the verdicts of states the sequential engine checked
+	// on discovering them but this run never expands: the rest of a
+	// capped level and what it interned.
+	check := func(ids []int) {
+		for _, id := range ids {
+			m := states.At(id)
+			record(m, isBad(m), n.IsDeadlock(m))
+		}
+	}
+	unsafe := func(t petri.Trans, m petri.Marking) error {
+		return fmt.Errorf("%w: firing %s from %s double-marks a place", reach.ErrUnsafe, n.TransName(t), m.String(n))
 	}
 
-	for len(level) > 0 {
-		if ctx.Err() != nil {
-			return abort()
+	// scan expands a narrow level on the coordinator in scan order, so
+	// first encounter is scan order and a new marking is interned at once.
+	scratch := n.EmptyMarking()
+	scan := func(level []int) ([]int, error) {
+		var next []int
+		for pos, id := range level {
+			m := states.At(id)
+			enabled := 0
+			for t := petri.Trans(0); t < nt; t++ {
+				if !n.Enabled(m, t) {
+					continue
+				}
+				enabled++
+				if !n.FireInto(scratch, m, t) {
+					return nil, unsafe(t, m)
+				}
+				if hash := scratch.Hash(); states.Lookup(scratch, hash) < 0 {
+					if states.Len() >= limit {
+						check(level[pos:])
+						check(next)
+						return nil, reach.ErrStateLimit
+					}
+					next = append(next, intern(scratch, hash))
+				}
+				res.Arcs++
+			}
+			record(m, isBad(m), enabled == 0)
 		}
-		lvl := levels
-		levels++
-		if len(level) > qPeak {
-			qPeak = len(level)
-		}
-		tk.Level(lvl, int64(len(level)))
+		return next, nil
+	}
 
-		// Assign: bucket positions by parent shard, owner first, then
-		// steal whole buckets for starving peers.
+	// distribute sends a wide level to the peers, one expand RPC each,
+	// and merges their replies.
+	distribute := func(lvl int64, level []int) ([]int, error) {
 		tk.Emit(trace.KindPhaseBegin, phAssign, lvl)
 		assign, nSteals := nd.assignLevel(level, stateShard, tk, lvl)
 		tk.Emit(trace.KindPhaseEnd, phAssign, lvl)
 		steals += nSteals
-
-		// Expand all peers in parallel.
-		type peerBatch struct {
-			entries batch // vals are level positions
-			reply   *expandReply
-		}
-		batches := make([]*peerBatch, len(nd.peers))
+		expander := make([]int32, len(level))
 		for peer, positions := range assign {
-			if len(positions) == 0 {
-				continue
-			}
-			pb := &peerBatch{}
 			for _, pos := range positions {
-				pb.entries.add(states.At(level[pos]), uint64(pos))
+				expander[pos] = int32(peer)
 			}
-			batches[peer] = pb
 		}
+
+		replies := make([]*expandReply, len(nd.peers))
+		news := make([]*batch, len(nd.peers)) // vals are order keys
 		tk.Emit(trace.KindPhaseBegin, phWait, lvl)
 		err := nd.broadcast(func(peer int) error {
-			pb := batches[peer]
-			if pb == nil {
+			positions := assign[peer]
+			if len(positions) == 0 {
 				return nil
 			}
 			wt := wire[peer]
 			wt.Emit(trace.KindPhaseBegin, phSerialize, lvl)
-			buf := pb.entries.body(frameExpand)
+			var parents batch // vals are level positions
+			for _, pos := range positions {
+				parents.add(states.At(level[pos]), uint64(pos))
+			}
+			buf := parents.body(frameExpand)
 			wt.Emit(trace.KindPhaseEnd, phSerialize, lvl)
 			nd.addBytes(&bytesOut, int64(buf.Len()))
 			pid := trace.PairID(lvl, trace.RPCExpand, nd.self, peer)
@@ -207,164 +250,140 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 			defer cancel()
 			defer resp.Body.Close()
 			cr := &countingReader{r: resp.Body}
-			re, err := decodeExpandReply(cr)
+			re, list, err := decodeExpandBody(cr, n.Words())
 			if err != nil {
 				return err
 			}
 			nd.addBytes(&bytesIn, cr.n)
 			wt.FrameRecv(pid, cr.n)
-			if len(re.flags) != pb.entries.len() {
-				return fmt.Errorf("expand reply flag count %d != batch size %d", len(re.flags), pb.entries.len())
+			expands := func(order uint64) bool {
+				pos := reach.OrderPos(order)
+				return pos < len(level) && expander[pos] == int32(peer) && reach.OrderTrans(order) < nt
 			}
-			pb.reply = re
+			if err := checkReply(re, list, len(positions), expands); err != nil {
+				return fmt.Errorf("%s: %w", nd.peers[peer], err)
+			}
+			replies[peer], news[peer] = re, list
 			return nil
 		})
 		tk.Emit(trace.KindPhaseEnd, phWait, lvl)
 		if err != nil {
-			if ctx.Err() != nil {
-				return abort()
-			}
 			return nil, fmt.Errorf("cluster: expand: %w", err)
 		}
 
-		// Merge verdict flags back into global position order, and take
-		// the scan-order-minimal violation across peers.
+		// Verdict flags back into position order, and the scan-order-first
+		// unsafe firing across peers (^0: none).
 		flags := make([]byte, len(level))
 		vioOrder := ^uint64(0)
-		hasVio := false
-		for _, pb := range batches {
-			if pb == nil || pb.reply == nil {
+		for peer, re := range replies {
+			if re == nil {
 				continue
 			}
-			for i, pos := range pb.entries.vals {
-				flags[pos] = pb.reply.flags[i]
+			for i, pos := range assign[peer] {
+				flags[pos] = re.flags[i]
 			}
-			if pb.reply.hasVio && (!hasVio || pb.reply.vioOrder < vioOrder) {
-				hasVio = true
-				vioOrder = pb.reply.vioOrder
+			if re.hasVio {
+				vioOrder = min(vioOrder, re.vioOrder)
 			}
 		}
 		for pos, id := range level {
-			if flags[pos]&flagBad != 0 {
-				res.BadFound = true
-				res.BadStates = append(res.BadStates, states.At(id))
-			}
-			if flags[pos]&flagDead != 0 {
-				res.Deadlock = true
-				res.Deadlocks = append(res.Deadlocks, states.At(id))
-			}
+			record(states.At(id), flags[pos]&flagBad != 0, flags[pos]&flagDead != 0)
 		}
 
-		// Collect pending discoveries from every owner.
-		collected := make([]*batch, len(nd.peers)) // vals are order keys
-		err = nd.broadcast(func(peer int) error {
-			pid := trace.PairID(lvl, trace.RPCCollect, nd.self, peer)
-			wire[peer].FrameSend(pid, 0)
-			resp, cancel, err := nd.post(ctx, peer, "/cluster/v1/collect", jobID, pid, bytes.NewBuffer(nil), "application/octet-stream")
-			if err != nil {
-				return err
-			}
-			defer cancel()
-			defer resp.Body.Close()
-			cr := &countingReader{r: resp.Body}
-			list, err := decodeBatch(cr, frameCollect, n.Words())
-			if err != nil {
-				return err
-			}
-			nd.addBytes(&bytesIn, cr.n)
-			wire[peer].FrameRecv(pid, cr.n)
-			collected[peer] = list
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return abort()
-			}
-			return nil, fmt.Errorf("cluster: collect: %w", err)
-		}
+		// k-way merge on order key. trigger is the order of the firing
+		// that would intern state MaxStates+1 (^0: the cap is not reached).
 		tk.Emit(trace.KindPhaseBegin, phMerge, lvl)
-		var discovered []reach.Discovery
-		for peer, list := range collected {
-			for i, order := range list.vals {
-				discovered = append(discovered, reach.Discovery{Order: order, Shard: uint32(peer), Local: int32(i)})
+		var next []int
+		trigger := ^uint64(0)
+		heads := make([]int, len(news))
+		for {
+			best := -1
+			for p, list := range news {
+				if list != nil && heads[p] < list.len() && (best < 0 || list.vals[heads[p]] < news[best].vals[heads[best]]) {
+					best = p
+				}
 			}
-		}
-		reach.SortDiscoveries(discovered)
-
-		trigger, capped, unsafeFirst := reach.PlanLevel(discovered, states.Len(), limit, vioOrder, hasVio)
-		if unsafeFirst {
-			pos := reach.OrderPos(vioOrder)
-			t := reach.OrderTrans(vioOrder)
-			return nil, fmt.Errorf("%w: firing %s from %s double-marks a place",
-				reach.ErrUnsafe, n.TransName(t), states.At(level[pos]).String(n))
-		}
-
-		// Assign ids in first-encounter order and commit them back.
-		nextLevel := make([]int, 0, len(discovered))
-		commitByOwner := make([]batch, len(nd.peers)) // vals are state ids
-		for _, d := range discovered {
-			if d.Order >= trigger {
+			if best < 0 {
 				break
 			}
-			m := collected[d.Shard].marking(int(d.Local))
+			order, m := news[best].vals[heads[best]], news[best].marking(heads[best])
+			heads[best]++
+			if order > vioOrder {
+				break
+			}
 			hash := m.Hash()
 			if states.Lookup(m, hash) >= 0 {
-				return nil, fmt.Errorf("cluster: collect: %s returned an already interned state", nd.peers[d.Shard])
+				continue
 			}
-			id := intern(m, hash)
-			commitByOwner[nd.ownerOf(hash)].add(m, uint64(id))
-			nextLevel = append(nextLevel, id)
+			if states.Len() >= limit {
+				trigger = order
+				break
+			}
+			next = append(next, intern(m, hash))
 		}
 		tk.Emit(trace.KindPhaseEnd, phMerge, lvl)
-		// Every peer gets a commit — an empty one still clears the
-		// level's pending set.
-		err = nd.broadcast(func(peer int) error {
-			sent, err := nd.sendBatch(ctx, wire[peer], phSerialize, lvl, trace.RPCCommit, peer, "/cluster/v1/commit", jobID, frameCommit, &commitByOwner[peer])
-			nd.addBytes(&bytesOut, sent)
-			return err
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return abort()
-			}
-			return nil, fmt.Errorf("cluster: commit: %w", err)
+		if vioOrder < trigger {
+			return nil, unsafe(reach.OrderTrans(vioOrder), states.At(level[reach.OrderPos(vioOrder)]))
 		}
 
-		// Count arcs from the examined orders; on the capped path only
+		// Count arcs from the examined orders; on a capped level only the
 		// firings the sequential scan reached before the trigger.
-		for _, pb := range batches {
-			if pb == nil || pb.reply == nil {
+		for _, re := range replies {
+			if re == nil {
 				continue
 			}
-			if !capped {
-				res.Arcs += len(pb.reply.orders)
-				continue
-			}
-			for _, ord := range pb.reply.orders {
+			for _, ord := range re.orders {
 				if ord < trigger {
 					res.Arcs++
 				}
 			}
 		}
+		if trigger != ^uint64(0) {
+			check(next)
+			return nil, reach.ErrStateLimit
+		}
+		return next, nil
+	}
 
-		if capped {
-			for _, id := range nextLevel {
-				m := states.At(id)
-				if o.Bad != nil && o.Bad(m) {
-					res.BadFound = true
-					res.BadStates = append(res.BadStates, m)
-				}
-				if n.IsDeadlock(m) {
-					res.Deadlock = true
-					res.Deadlocks = append(res.Deadlocks, m)
-				}
-			}
+	abort := func() (*reach.Result, error) {
+		res.States = states.Len()
+		res.Complete = false
+		tk.Abort(o.Trace.Intern(ctx.Err().Error()))
+		return res, fmt.Errorf("reach: aborted: %w", ctx.Err())
+	}
+
+	level := []int{0}
+	for len(level) > 0 {
+		if ctx.Err() != nil {
+			return abort()
+		}
+		lvl := levels
+		levels++
+		qPeak = max(qPeak, len(level))
+		tk.Level(lvl, int64(len(level)))
+
+		var next []int
+		var err error
+		if len(level) < localWidth {
+			localLevels++
+			tk.Emit(trace.KindPhaseBegin, phExpand, lvl)
+			next, err = scan(level)
+			tk.Emit(trace.KindPhaseEnd, phExpand, lvl)
+			tk.Expanded(int64(len(level)), lvl)
+		} else {
+			next, err = distribute(lvl, level)
+		}
+		switch {
+		case errors.Is(err, reach.ErrStateLimit):
 			res.States = states.Len()
 			res.Complete = false
-			return res, reach.ErrStateLimit
+			return res, err
+		case err != nil && ctx.Err() != nil:
+			return abort()
+		case err != nil:
+			return nil, err
 		}
-
-		level = nextLevel
+		level = next
 	}
 
 	res.States = states.Len()
@@ -372,24 +391,43 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 	return res, nil
 }
 
+// checkReply refuses an expand reply that does not fit the batch its
+// peer was sent: it must carry one flag per position, and every report
+// and the violation must name a firing the peer expanded (expands), the
+// reports in strictly ascending order.
+func checkReply(re *expandReply, news *batch, positions int, expands func(order uint64) bool) error {
+	if len(re.flags) != positions {
+		return fmt.Errorf("%w: expand reply flag count %d != batch size %d", codec.ErrMalformed, len(re.flags), positions)
+	}
+	if re.hasVio && !expands(re.vioOrder) {
+		return fmt.Errorf("%w: expand reply violation %#x names no firing of the batch", codec.ErrMalformed, re.vioOrder)
+	}
+	for i, order := range news.vals {
+		if !expands(order) || i > 0 && order <= news.vals[i-1] {
+			return fmt.Errorf("%w: expand reply report %d (order %#x) is out of order or names no firing of the batch", codec.ErrMalformed, i, order)
+		}
+	}
+	return nil
+}
+
 // assignLevel buckets the level's positions by parent shard, assigns
 // each bucket to the shard's owner, then steals whole buckets from the
 // most-loaded peer for any peer under the watermark
-// max(1, len(level)/(4*peers)). Returns positions per peer and the
-// steal count. Each steal is stamped on tk (nil for untraced runs)
-// with the positions moved.
+// max(1, len(level)/(4*peers)). Returns each peer's positions in
+// ascending order, which the peers' seen filter relies on, and the steal
+// count. Each steal is stamped on tk (nil for untraced runs) with the
+// positions moved.
 func (nd *Node) assignLevel(level []int, stateShard []uint32, tk *trace.Track, lvl int64) ([][]int, int64) {
 	nPeers := len(nd.peers)
-	buckets := make([][]int, reach.NumShards)
-	for pos, id := range level {
-		sh := stateShard[id]
-		buckets[sh] = append(buckets[sh], pos)
+	var sizes [reach.NumShards]int
+	for _, id := range level {
+		sizes[stateShard[id]]++
 	}
-	bucketOwner := make([]int, reach.NumShards)
+	var bucketOwner [reach.NumShards]int
 	loads := make([]int, nPeers)
-	for sh := range buckets {
+	for sh, size := range sizes {
 		bucketOwner[sh] = nd.owners[sh]
-		loads[nd.owners[sh]] += len(buckets[sh])
+		loads[nd.owners[sh]] += size
 	}
 
 	watermark := len(level) / (4 * nPeers)
@@ -414,9 +452,9 @@ func (nd *Node) assignLevel(level []int, stateShard []uint32, tk *trace.Track, l
 		// at least as loaded as the recipient becomes — otherwise a
 		// single bucket would ping-pong between starving peers.
 		best, bestSz := -1, 0
-		for sh := range buckets {
-			if bucketOwner[sh] == donor && len(buckets[sh]) > bestSz {
-				best, bestSz = sh, len(buckets[sh])
+		for sh, size := range sizes {
+			if bucketOwner[sh] == donor && size > bestSz {
+				best, bestSz = sh, size
 			}
 		}
 		if best < 0 || loads[donor]-bestSz < loads[starving]+bestSz {
@@ -430,10 +468,9 @@ func (nd *Node) assignLevel(level []int, stateShard []uint32, tk *trace.Track, l
 	}
 
 	assign := make([][]int, nPeers)
-	for sh, positions := range buckets {
-		if len(positions) > 0 {
-			assign[bucketOwner[sh]] = append(assign[bucketOwner[sh]], positions...)
-		}
+	for pos, id := range level {
+		p := bucketOwner[stateShard[id]]
+		assign[p] = append(assign[p], pos)
 	}
 	return assign, steals
 }

@@ -1,16 +1,16 @@
-// Package cluster implements distributed sharded exploration: a
-// coordinator/worker mode where one exhaustive reachability run is
-// partitioned across gpod peers at the visited-store shard boundary,
-// plus a consistent-hash shared result-cache tier so any peer answers a
-// repeat query once one of them has computed it.
+// Package cluster implements distributed exploration: a
+// coordinator/worker mode where the wide levels of one exhaustive
+// reachability run are expanded across gpod peers, plus a
+// consistent-hash shared result-cache tier so any peer answers a repeat
+// query once one of them has computed it.
 //
-// The 256 visited-store shards of internal/reach are split into static
-// per-peer ranges by state-key hash (reach.ShardOf). The coordinator
-// drives classical BFS levels; peers expand their slice of each level,
-// exchange frontier batches (binary state keys plus provenance order
-// keys, length-prefixed frames over persistent HTTP/1.1), and the
-// coordinator performs the same (parent, transition)-ordered level
-// merge as the in-process parallel explorer — so a multi-peer run
+// The coordinator holds the run's one visited store and drives classical
+// BFS levels. It scans a narrow level itself; a wide one it splits among
+// the peers by parent shard (the 256 shards of reach.ShardOf in static
+// per-peer ranges), one expand RPC each. A peer replies with the
+// successors new to it as binary state keys plus provenance order keys,
+// length-prefixed frames over persistent HTTP/1.1, and the coordinator
+// merges them in (parent, transition) order — so a multi-peer run
 // produces bit-identical Results (states, MaxStates stop point,
 // ErrUnsafe witness) to the sequential BFS. See DESIGN.md D10.
 package cluster
@@ -18,14 +18,12 @@ package cluster
 import "repro/internal/codec"
 
 // Frame types of the cluster wire protocol; the frame itself and the
-// payload primitives are internal/codec's.
+// payload primitives are internal/codec's. Types 0x03, 0x05 and 0x06
+// belonged to a retired protocol and are not reused.
 const (
 	frameExpand   = byte(0x01) // coordinator → peer: level slice to expand
 	frameExpandRe = byte(0x02) // peer → coordinator: flags, orders, violation
-	frameIntern   = byte(0x03) // peer → peer: routed successor batch
-	frameCollect  = byte(0x04) // peer → coordinator: pending discoveries
-	frameCommit   = byte(0x05) // coordinator → peer: id assignments
-	frameAck      = byte(0x06) // empty acknowledgement
+	frameCollect  = byte(0x04) // peer → coordinator: new successors, after frameExpandRe
 )
 
 // MaxFrame bounds a single frame's length field: a frontier batch of a

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -50,8 +51,10 @@ func sameBatch(t *testing.T, in, out *batch) {
 // the same entries, decoding must consume the stream fully, every key on
 // the wire is exactly Marking.Key(), a reader expecting another marking
 // width refuses the stream, and so does any reader given payload bytes
-// behind the last entry. The raw fuzz bytes are also framed under every
-// type and fed to both decoders, which must fail cleanly.
+// behind the last entry. The whole expand reply — reply frame, then the
+// batch as collect frames — round-trips too. The raw fuzz bytes are also
+// framed under every type and fed to every decoder, alone and behind a
+// reply frame, which must fail cleanly.
 func FuzzFrameRoundTrip(f *testing.F) {
 	for _, spec := range []struct {
 		family string
@@ -64,7 +67,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add(make([]byte, 304), ^uint64(0))
 	// Real payloads, so the hostile-bytes half starts inside the formats.
-	for _, frame := range []string{goldenBatch[frameExpand], goldenBatch[frameIntern], goldenReplyVio} {
+	for _, frame := range []string{goldenBatch[frameExpand], goldenBatch[frameCollect], goldenReplyVio} {
 		raw, _ := hex.DecodeString(frame)
 		f.Add(raw[5:], uint64(1))
 	}
@@ -76,7 +79,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		in := &batch{w: len(m)}
 		in.add(m, val)
 		in.add(m, val/2)
-		for _, typ := range []byte{frameExpand, frameIntern, frameCollect, frameCommit} {
+		for _, typ := range []byte{frameExpand, frameCollect} {
 			var buf bytes.Buffer
 			if err := encodeBatch(&buf, typ, in); err != nil {
 				t.Fatalf("encode: %v", err)
@@ -99,10 +102,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("frame type %d: trailing payload byte: %v", typ, err)
 			}
 		}
+		re := &expandReply{flags: key, orders: []uint64{val / 2, val}, vioOrder: val, hasVio: val&1 == 1}
+		gotRe, gotNews, err := decodeExpandBody(re.body(in), in.w)
+		if err != nil {
+			t.Fatalf("expand body: %v", err)
+		}
+		if !bytes.Equal(gotRe.flags, re.flags) || !slices.Equal(gotRe.orders, re.orders) || gotRe.hasVio != re.hasVio || re.hasVio && gotRe.vioOrder != re.vioOrder {
+			t.Fatalf("expand reply %+v -> %+v", *re, *gotRe)
+		}
+		sameBatch(t, in, gotNews)
+		replyFrame, _ := hex.DecodeString(goldenReplyVio)
 		// Hostile bytes: the raw input as the payload of a frame of every
 		// type. The decoders answer with a value or an error, never a
 		// panic, and never with more than the payload can account for.
-		for typ := frameExpand; typ <= frameAck; typ++ {
+		for typ := frameExpand; typ <= frameCollect; typ++ {
 			var buf bytes.Buffer
 			_ = codec.WriteFrame(&buf, typ, key)
 			for w := range 3 {
@@ -112,6 +125,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			if re, err := decodeExpandReply(bytes.NewReader(buf.Bytes())); err == nil && len(re.flags)+len(re.orders) > len(key) {
 				t.Fatalf("expand reply: %d flags and %d orders out of %d payload bytes", len(re.flags), len(re.orders), len(key))
+			}
+			behind := append(append([]byte(nil), replyFrame...), buf.Bytes()...)
+			if _, news, err := decodeExpandBody(bytes.NewReader(behind), 1); err == nil && 8*len(news.words)+len(news.vals) > len(key) {
+				t.Fatalf("expand body: %d words and %d values out of %d payload bytes", len(news.words), len(news.vals), len(key))
 			}
 		}
 	})
@@ -126,10 +143,10 @@ func TestFrameChunking(t *testing.T) {
 		in.add(ms[i%len(ms)], uint64(i))
 	}
 	var buf bytes.Buffer
-	if err := encodeBatch(&buf, frameIntern, in); err != nil {
+	if err := encodeBatch(&buf, frameCollect, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeBatch(&buf, frameIntern, in.w)
+	out, err := decodeBatch(&buf, frameCollect, in.w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +161,12 @@ func TestTornFrameRejected(t *testing.T) {
 	m := tableOneMarkings(t, "nsdp", 4)[0]
 	in := &batch{w: len(m)}
 	in.add(m, 42)
-	if err := encodeBatch(&buf, frameIntern, in); err != nil {
+	if err := encodeBatch(&buf, frameCollect, in); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := 1; cut < len(whole); cut++ {
-		_, err := decodeBatch(bytes.NewReader(whole[:cut]), frameIntern, in.w)
+		_, err := decodeBatch(bytes.NewReader(whole[:cut]), frameCollect, in.w)
 		if cut < 5 {
 			// Cut inside the header or the frame body: torn.
 			if !errors.Is(err, ErrTornFrame) {
@@ -160,7 +177,7 @@ func TestTornFrameRejected(t *testing.T) {
 		}
 	}
 	// The full stream ends with a clean io.EOF inside the decoder loop.
-	if _, err := decodeBatch(bytes.NewReader(whole), frameIntern, in.w); err != nil {
+	if _, err := decodeBatch(bytes.NewReader(whole), frameCollect, in.w); err != nil {
 		t.Fatalf("clean stream: %v", err)
 	}
 }
@@ -180,16 +197,17 @@ func TestHostileCounts(t *testing.T) {
 			t.Errorf("expand reply claiming %d orders: %v, want codec.ErrMalformed", orders, err)
 		}
 		buf.Reset()
-		_ = codec.WriteFrame(&buf, frameIntern, codec.AppendUvarint(nil, orders))
-		if _, err := decodeBatch(&buf, frameIntern, 1); !errors.Is(err, codec.ErrMalformed) {
+		_ = codec.WriteFrame(&buf, frameCollect, codec.AppendUvarint(nil, orders))
+		if _, err := decodeBatch(&buf, frameCollect, 1); !errors.Is(err, codec.ErrMalformed) {
 			t.Errorf("batch claiming %d entries: %v, want codec.ErrMalformed", orders, err)
 		}
 	}
 }
 
 // TestStrictPayloads pins what the reply decoder refuses beyond
-// truncation: a violation marker other than 0 or 1, and payload bytes
-// behind a complete reply (FuzzFrameRoundTrip does the same to batches).
+// truncation: a violation marker other than 0 or 1, payload bytes behind
+// a complete reply (FuzzFrameRoundTrip does the same to batches), and a
+// frame other than frameCollect behind the reply frame.
 func TestStrictPayloads(t *testing.T) {
 	good, _ := hex.DecodeString(goldenReplyVio)
 	for label, mutate := range map[string]func(b []byte) []byte{
@@ -200,5 +218,11 @@ func TestStrictPayloads(t *testing.T) {
 		if _, err := decodeExpandReply(bytes.NewReader(raw)); !errors.Is(err, codec.ErrMalformed) {
 			t.Errorf("%s: %v, want codec.ErrMalformed", label, err)
 		}
+	}
+	// Behind the reply frame of a whole expand reply, only collect frames.
+	body := bytes.NewBuffer(append([]byte(nil), good...))
+	_ = encodeBatch(body, frameExpand, goldenPairs())
+	if _, _, err := decodeExpandBody(body, 2); err == nil {
+		t.Error("an expand body with an expand frame behind its reply decoded")
 	}
 }

@@ -17,9 +17,7 @@ import (
 // a test to update.
 var goldenBatch = map[byte]string{
 	frameExpand:  "000000270102" + "05" + goldenKey1 + "ac02" + goldenKey2,
-	frameIntern:  "000000270302" + goldenKey1 + "05" + goldenKey2 + "ac02",
 	frameCollect: "000000270402" + goldenKey1 + "05" + goldenKey2 + "ac02",
-	frameCommit:  "000000270502" + goldenKey1 + "05" + goldenKey2 + "ac02",
 }
 
 const (
@@ -40,7 +38,7 @@ func goldenPairs() *batch {
 // bulk frame type, and that those bytes decode back to the entries.
 func TestWireGoldenBatch(t *testing.T) {
 	in := goldenPairs()
-	for _, typ := range []byte{frameExpand, frameIntern, frameCollect, frameCommit} {
+	for _, typ := range []byte{frameExpand, frameCollect} {
 		var buf bytes.Buffer
 		if err := encodeBatch(&buf, typ, in); err != nil {
 			t.Fatal(err)

@@ -8,13 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
@@ -25,10 +23,9 @@ import (
 
 // Config describes one cluster member. Peers lists every member —
 // including this node — as base URLs; Self must match one of them
-// exactly. The topology is uniform: a coordinator is also a shard
-// owner and talks to itself over the same HTTP loopback as to anyone
-// else, so there is no special-cased local path to drift from the
-// remote one.
+// exactly. The topology is uniform: a coordinator also expands its share
+// of every wide level, and asks itself over the same HTTP loopback as
+// anyone else.
 type Config struct {
 	Self       string   // this node's base URL, e.g. http://127.0.0.1:7700
 	Peers      []string // all member base URLs, order defines shard ranges
@@ -43,9 +40,9 @@ const (
 	defaultRPCTimeout = 60 * time.Second
 )
 
-// Node is one cluster member: shard owner for exploration jobs,
-// key-range owner for the shared result tier, and coordinator for any
-// run it is asked to Explore.
+// Node is one cluster member: expander of its shards' share of the wide
+// levels of exploration jobs, key-range owner for the shared result
+// tier, and coordinator for any run it is asked to Explore.
 type Node struct {
 	self    int
 	peers   []string
@@ -63,53 +60,25 @@ type Node struct {
 	traces *traceStore
 }
 
-// peerJob is this node's slice of one in-flight exploration: the
-// parsed net, the bad places, and the owned portion of the visited
-// store. Markings below store id `established` were committed by earlier
-// levels; the ids from there on are the current level's pending
-// discoveries, pend[id-established] the minimal order key of each.
+// peerJob is this node's part of one in-flight exploration: the parsed
+// net, the bad places, and seen — every parent this peer was sent and
+// every successor it reported. Each of those is interned at the
+// coordinator by the end of the level that put it here, so an expand
+// reply leaves them out.
 type peerJob struct {
-	mu          sync.Mutex
-	net         *petri.Net
-	bad         []petri.Place
-	store       visited.Store
-	established int
-	pend        []uint64
-	cut         bool // a commit left pending discoveries unassigned: the run is over
+	mu   sync.Mutex // serializes expands, which the level loop already does
+	net  *petri.Net
+	bad  []petri.Place
+	seen visited.Store
 
 	// Tracing, enabled when the coordinator propagated a run ID in
-	// startReq.TraceRun. tk is the expand/collect/commit lane — those
-	// handlers are serialized by the coordinator's level protocol —
-	// while inbound intern batches arrive concurrently from sibling
-	// peers and land on tkIntern under internMu. All fields stay zero
-	// for untraced jobs; every emit is a nil-track no-op then.
+	// startReq.TraceRun; tk is the expand lane. All fields stay zero for
+	// untraced jobs; every emit is a nil-track no-op then.
 	run         string
 	tr          *trace.Tracer
 	tk          *trace.Track
 	phExpand    int64
 	phSerialize int64
-	internMu    sync.Mutex
-	tkIntern    *trace.Track
-}
-
-// internRecv/internSend record inbound-intern wire halves under the
-// mutex, since sibling peers post interns concurrently.
-func (j *peerJob) internRecv(pid, bytes int64) {
-	if j.tkIntern == nil {
-		return
-	}
-	j.internMu.Lock()
-	j.tkIntern.FrameRecv(pid, bytes)
-	j.internMu.Unlock()
-}
-
-func (j *peerJob) internSend(pid, bytes int64) {
-	if j.tkIntern == nil {
-		return
-	}
-	j.internMu.Lock()
-	j.tkIntern.FrameSend(pid, bytes)
-	j.internMu.Unlock()
 }
 
 // startReq is the JSON body of /cluster/v1/start. The net travels in
@@ -195,8 +164,6 @@ func New(cfg Config) (*Node, error) {
 	for _, name := range []string{
 		"cluster.expand_batches_in",
 		"cluster.expand_bytes_in",
-		"cluster.intern_batches_in",
-		"cluster.intern_bytes_in",
 		"cluster.remote_cache_hits",
 		"cluster.cache_store_hits",
 		"cluster.cache_store_misses",
@@ -219,18 +186,10 @@ func (nd *Node) NumPeers() int { return len(nd.peers) }
 // Self returns this node's base URL.
 func (nd *Node) Self() string { return nd.peers[nd.self] }
 
-// ownerOf maps a state-key hash to the owning peer index.
-func (nd *Node) ownerOf(hash uint64) int {
-	return nd.owners[reach.ShardOf(hash)]
-}
-
 // Register mounts the cluster protocol endpoints on mux.
 func (nd *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/v1/start", nd.handleStart)
 	mux.HandleFunc("POST /cluster/v1/expand", nd.handleExpand)
-	mux.HandleFunc("POST /cluster/v1/intern", nd.handleIntern)
-	mux.HandleFunc("POST /cluster/v1/collect", nd.handleCollect)
-	mux.HandleFunc("POST /cluster/v1/commit", nd.handleCommit)
 	mux.HandleFunc("POST /cluster/v1/finish", nd.handleFinish)
 	mux.HandleFunc("POST /cluster/v1/trace", nd.handleTrace)
 	mux.HandleFunc("POST /cluster/v1/cache/acquire", nd.handleCacheAcquire)
@@ -288,15 +247,8 @@ func (nd *Node) handleStart(w http.ResponseWriter, r *http.Request) {
 		j.tr.SetMeta("role", "peer")
 		j.tr.SetMeta("base_unix_ns", strconv.FormatInt(j.tr.Base().UnixNano(), 10))
 		j.tk = j.tr.NewTrack("peer")
-		j.tkIntern = j.tr.NewTrack("peer-intern")
 		j.phExpand = j.tr.Intern("expand")
 		j.phSerialize = j.tr.Intern("serialize")
-	}
-	// Seed the root: every peer derives the same initial key; only the
-	// owner stores it (the coordinator assigned it id 0 by construction).
-	if m0 := n.InitialMarking(); nd.ownerOf(m0.Hash()) == nd.self {
-		j.store.Insert(m0, m0.Hash())
-		j.established = 1
 	}
 	nd.mu.Lock()
 	nd.jobs[req.Job] = j
@@ -325,42 +277,60 @@ func (nd *Node) handleFinish(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// handleExpand fires every enabled transition of each assigned parent,
-// routes fresh successors to their owning peers as intern batches, and
-// reports verdict flags, examined orders, and the minimal unsafe
-// firing back to the coordinator.
+// handleExpand fires every enabled transition of each parent it is sent
+// and replies with verdict flags, examined orders, the minimal unsafe
+// firing, and the successors not in the job's seen store.
 func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
-	j, jobID := nd.job(w, r)
+	j, _ := nd.job(w, r)
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	cut := j.cut
-	j.mu.Unlock()
-	if cut {
-		httpError(w, http.StatusConflict, "cluster: expand after the job's state cap")
-		return
-	}
-	n := j.net
 	cr := &countingReader{r: r.Body}
-	entries, err := decodeBatch(cr, frameExpand, n.Words())
+	parents, err := decodeBatch(cr, frameExpand, j.net.Words())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "cluster: expand body: %v", err)
 		return
 	}
+	for i := 1; i < parents.len(); i++ {
+		if parents.vals[i] <= parents.vals[i-1] {
+			httpError(w, http.StatusBadRequest, "cluster: expand positions are not strictly ascending at entry %d", i)
+			return
+		}
+	}
 	nd.reg.Counter("cluster.expand_batches_in").Inc()
 	nd.reg.Counter("cluster.expand_bytes_in").Add(cr.n)
 	pid := seqHeader(r)
-	lvl := trace.PairLevel(pid)
+	j.mu.Lock()
 	j.tk.FrameRecv(pid, cr.n)
-	j.tk.Emit(trace.KindPhaseBegin, j.phExpand, lvl)
+	body := j.expand(parents, trace.PairLevel(pid))
+	// Every reply is stamped before it is written: once the bytes are out
+	// the coordinator may stamp its receive and send the next RPC, whose
+	// handler writes this same track.
+	j.tk.FrameSend(pid, int64(body.Len()))
+	j.mu.Unlock()
+	_, _ = w.Write(body.Bytes()) // an error means the client is gone
+}
 
+// expand computes the reply to one expand batch. Positions ascend, and
+// transitions ascend within a position, so every successor is met here
+// in ascending order key: a seen one is already interned at the
+// coordinator, or was reported earlier in this reply under a smaller
+// key, and is left out.
+func (j *peerJob) expand(parents *batch, lvl int64) *bytes.Buffer {
+	n := j.net
+	j.tk.Emit(trace.KindPhaseBegin, j.phExpand, lvl)
+	for i := range parents.vals {
+		m := parents.marking(i)
+		if hash := m.Hash(); j.seen.Lookup(m, hash) < 0 {
+			j.seen.Insert(m, hash)
+		}
+	}
 	nt := petri.Trans(n.NumTrans())
-	re := &expandReply{flags: make([]byte, entries.len())}
-	outbound := make([]batch, len(nd.peers))
+	re := &expandReply{flags: make([]byte, parents.len())}
+	news := &batch{w: n.Words()}
 	next := n.EmptyMarking()
-	for i, pos := range entries.vals {
-		m := entries.marking(i)
+	for i, pos := range parents.vals {
+		m := parents.marking(i)
 		enabled := 0
 		for t := petri.Trans(0); t < nt; t++ {
 			if !n.Enabled(m, t) {
@@ -369,18 +339,15 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 			enabled++
 			order := reach.OrderKey(int(pos), t)
 			if !n.FireInto(next, m, t) {
-				if !re.hasVio || order < re.vioOrder {
-					re.hasVio = true
-					re.vioOrder = order
+				if !re.hasVio {
+					re.hasVio, re.vioOrder = true, order
 				}
 				continue
 			}
 			re.orders = append(re.orders, order)
-			hash := next.Hash()
-			if owner := nd.ownerOf(hash); owner == nd.self {
-				j.internLocal(next, hash, order)
-			} else {
-				outbound[owner].add(next, order)
+			if hash := next.Hash(); j.seen.Lookup(next, hash) < 0 {
+				j.seen.Insert(next, hash)
+				news.add(next, order)
 			}
 		}
 		if enabled == 0 {
@@ -401,28 +368,12 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-
 	j.tk.Emit(trace.KindPhaseEnd, j.phExpand, lvl)
-	j.tk.Expanded(int64(entries.len()), lvl)
-
-	// Route fresh successors to their owners before acking, so by the
-	// time the coordinator sees this reply every discovery from this
-	// batch is pending somewhere.
-	for owner := range outbound {
-		if outbound[owner].len() == 0 {
-			continue
-		}
-		if _, err := nd.sendBatch(r.Context(), j.tk, j.phSerialize, lvl, trace.RPCIntern, owner, "/cluster/v1/intern", jobID, frameIntern, &outbound[owner]); err != nil {
-			httpError(w, http.StatusBadGateway, "cluster: intern to %s: %v", nd.peers[owner], err)
-			return
-		}
-	}
-	// Every reply is stamped before it is written: once the bytes are out
-	// the coordinator may stamp its receive and send the next RPC, whose
-	// handler writes this same track.
-	payload := re.payload()
-	j.tk.FrameSend(pid, frameHeaderBytes+int64(len(payload)))
-	_ = codec.WriteFrame(w, frameExpandRe, payload) // an error means the client is gone
+	j.tk.Expanded(int64(parents.len()), lvl)
+	j.tk.Emit(trace.KindPhaseBegin, j.phSerialize, lvl)
+	body := re.body(news)
+	j.tk.Emit(trace.KindPhaseEnd, j.phSerialize, lvl)
+	return body
 }
 
 // seqHeader reads the wire-edge pair id the coordinator stamped on the
@@ -431,110 +382,6 @@ func (nd *Node) handleExpand(w http.ResponseWriter, r *http.Request) {
 func seqHeader(r *http.Request) int64 {
 	v, _ := strconv.ParseInt(r.Header.Get("X-Cluster-Seq"), 10, 64)
 	return v
-}
-
-// internLocal merges one discovered successor into the owned pending
-// set, min-combining order keys like the in-process shards do.
-func (j *peerJob) internLocal(m petri.Marking, hash, order uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	id := j.store.Lookup(m, hash)
-	if id < 0 {
-		j.store.Insert(m, hash)
-		j.pend = append(j.pend, order)
-	} else if p := id - j.established; p >= 0 && order < j.pend[p] {
-		j.pend[p] = order
-	}
-}
-
-func (nd *Node) handleIntern(w http.ResponseWriter, r *http.Request) {
-	j, _ := nd.job(w, r)
-	if j == nil {
-		return
-	}
-	cr := &countingReader{r: r.Body}
-	entries, err := decodeBatch(cr, frameIntern, j.net.Words())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "cluster: intern body: %v", err)
-		return
-	}
-	nd.reg.Counter("cluster.intern_batches_in").Inc()
-	nd.reg.Counter("cluster.intern_bytes_in").Add(cr.n)
-	pid := seqHeader(r)
-	j.internRecv(pid, cr.n)
-	for i, order := range entries.vals {
-		m := entries.marking(i)
-		j.internLocal(m, m.Hash(), order)
-	}
-	j.internSend(pid, frameHeaderBytes)
-	_ = codec.WriteFrame(w, frameAck, nil)
-}
-
-// handleCollect returns the owned pending discoveries of the current
-// level, sorted by order key so the coordinator's global merge is a
-// cheap k-way concatenation plus one sort.
-func (nd *Node) handleCollect(w http.ResponseWriter, r *http.Request) {
-	j, _ := nd.job(w, r)
-	if j == nil {
-		return
-	}
-	pid := seqHeader(r)
-	j.tk.FrameRecv(pid, 0)
-	j.mu.Lock()
-	byOrder := make([]int, len(j.pend))
-	for p := range byOrder {
-		byOrder[p] = p
-	}
-	sort.Slice(byOrder, func(a, b int) bool { return j.pend[byOrder[a]] < j.pend[byOrder[b]] })
-	var out batch
-	for _, p := range byOrder {
-		out.add(j.store.At(j.established+p), j.pend[p])
-	}
-	j.mu.Unlock()
-	if j.tk == nil {
-		_ = encodeBatch(w, frameCollect, &out)
-		return
-	}
-	// The stamp needs the reply's size, so a traced job encodes it whole
-	// first; an untraced one streams it frame by frame.
-	buf := out.body(frameCollect)
-	j.tk.FrameSend(pid, int64(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
-}
-
-// handleCommit ends the level on this peer. The peer never reads a state
-// id, so the coordinator's assignments are only checked: each must name a
-// marking pending here. Every stored marking counts as established from
-// here on — including discoveries the coordinator left unassigned, which
-// its MaxStates cap cut. Those must be rediscoverable never; the run ends
-// at the cap, and j.cut makes this peer refuse to expand past it.
-func (nd *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
-	j, _ := nd.job(w, r)
-	if j == nil {
-		return
-	}
-	cr := &countingReader{r: r.Body}
-	entries, err := decodeBatch(cr, frameCommit, j.net.Words())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "cluster: commit body: %v", err)
-		return
-	}
-	pid := seqHeader(r)
-	j.tk.FrameRecv(pid, cr.n)
-	j.mu.Lock()
-	for i := range entries.vals {
-		if m := entries.marking(i); j.store.Lookup(m, m.Hash()) < j.established {
-			j.mu.Unlock()
-			httpError(w, http.StatusBadRequest, "cluster: commit names a marking not pending here")
-			return
-		}
-	}
-	j.cut = j.cut || entries.len() < len(j.pend)
-	j.established = j.store.Len()
-	j.pend = j.pend[:0]
-	j.mu.Unlock()
-	j.tk.FrameSend(pid, frameHeaderBytes)
-	_ = codec.WriteFrame(w, frameAck, nil)
 }
 
 // countingReader tallies bytes for the frontier byte metrics.
@@ -595,34 +442,6 @@ func (nd *Node) postJSON(ctx context.Context, peer int, path string, v any) erro
 	defer resp.Body.Close()
 	_, err = io.Copy(io.Discard, resp.Body)
 	return err
-}
-
-// sendBatch posts a batch (an intern or a commit) to a peer and waits
-// for the ack, stamping the serialize span and the wire edge on tk. It
-// returns the request body's size.
-func (nd *Node) sendBatch(ctx context.Context, tk *trace.Track, phSerialize, lvl int64, rpc, peer int, path, jobID string, typ byte, out *batch) (int64, error) {
-	pid := trace.PairID(lvl, rpc, nd.self, peer)
-	tk.Emit(trace.KindPhaseBegin, phSerialize, lvl)
-	buf := out.body(typ)
-	tk.Emit(trace.KindPhaseEnd, phSerialize, lvl)
-	sent := int64(buf.Len())
-	tk.FrameSend(pid, sent)
-	resp, cancel, err := nd.post(ctx, peer, path, jobID, pid, buf, "application/octet-stream")
-	if err != nil {
-		return sent, err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	cr := &countingReader{r: resp.Body}
-	typ, _, err = codec.ReadFrame(cr, MaxFrame)
-	if err != nil {
-		return sent, err
-	}
-	if typ != frameAck {
-		return sent, errUnexpectedFrame(typ, frameAck)
-	}
-	tk.FrameRecv(pid, cr.n)
-	return sent, nil
 }
 
 // PeerStatus is one member's row in the cluster status document.

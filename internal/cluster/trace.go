@@ -24,10 +24,6 @@ import (
 // traceStoreCap bounds how many finished runs each node retains.
 const traceStoreCap = 8
 
-// frameHeaderBytes is what a frame adds to its payload on the wire (the
-// 4-byte length prefix plus the type byte) — the whole of an ack.
-const frameHeaderBytes = 5
-
 // traceStore retains the node-side dumps of the last few traced runs,
 // oldest evicted first.
 type traceStore struct {

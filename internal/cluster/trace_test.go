@@ -104,16 +104,11 @@ func TestClusterTracingPassive(t *testing.T) {
 	}
 }
 
-// benchJob is an untraced peerJob (tk and tkIntern stay nil), held at
-// package level so the benchmark body measures only the emit calls.
-var benchJob peerJob
-
 // BenchmarkDisabledTraceHotPath pins the disabled-tracing cost of the
-// cluster wire-edge call sites: every emit on a nil track and every
-// intern wire half on an untraced peerJob must stay allocation-free
-// (the zero-alloc gate in scripts/check.sh greps for 0 allocs/op).
+// cluster wire-edge call sites: every emit on a nil track must stay
+// allocation-free (the zero-alloc gate in scripts/check.sh greps for 0
+// allocs/op).
 func BenchmarkDisabledTraceHotPath(b *testing.B) {
-	j := &benchJob
 	var tk *trace.Track
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -123,7 +118,5 @@ func BenchmarkDisabledTraceHotPath(b *testing.B) {
 		tk.Steal(int64(i&0xff), 4)
 		tk.Level(int64(i&0xff), 17)
 		tk.Expanded(12, int64(i&0xff))
-		j.internRecv(pid, 64)
-		j.internSend(pid, frameHeaderBytes)
 	}
 }

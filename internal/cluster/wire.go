@@ -22,8 +22,8 @@ const chunkEntries = 8192
 // batch is a list of (marking, value) pairs of one net, the shape of
 // every bulk frame. The markings lie flat, w words each — decoded
 // straight from the wire and appended straight into frames, never as
-// strings — and vals[i] is the pair's level position (expand), order key
-// (intern, collect) or state id (commit).
+// strings — and vals[i] is the pair's level position (expand) or order
+// key (collect).
 type batch struct {
 	w     int
 	words []uint64
@@ -54,7 +54,9 @@ const (
 
 // expandReply is a peer's account of one expand batch: verdict flags in
 // request-entry order, the order keys of every safe firing examined
-// (the arcs), and the minimal unsafe-firing order, if any.
+// (the arcs), and the minimal unsafe-firing order, if any. On the wire
+// it is one frameExpandRe frame, followed by the batch's new successors
+// as frameCollect frames.
 type expandReply struct {
 	flags    []byte
 	orders   []uint64
@@ -170,6 +172,29 @@ func decodeExpandReply(r io.Reader) (*expandReply, error) {
 		return nil, fmt.Errorf("cluster: bad expand reply frame: %w", err)
 	}
 	return re, nil
+}
+
+// body renders a whole expand reply: the reply frame, then the new
+// successors (vals are order keys) as frameCollect frames.
+func (re *expandReply) body(news *batch) *bytes.Buffer {
+	var buf bytes.Buffer
+	_ = codec.WriteFrame(&buf, frameExpandRe, re.payload()) // writes to a Buffer cannot fail
+	_ = encodeBatch(&buf, frameCollect, news)
+	return &buf
+}
+
+// decodeExpandBody reads a whole expand reply, as body writes it, up to
+// EOF; words is the marking width of the job's net.
+func decodeExpandBody(r io.Reader, words int) (*expandReply, *batch, error) {
+	re, err := decodeExpandReply(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	news, err := decodeBatch(r, frameCollect, words)
+	if err != nil {
+		return nil, nil, err
+	}
+	return re, news, nil
 }
 
 // body renders the batch as an HTTP request body of frames of the given

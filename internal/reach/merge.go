@@ -7,8 +7,10 @@ package reach
 // whichever comes first of an unsafe firing or the MaxStates+1'th
 // intern — is the correctness contract that makes both the in-process
 // parallel explorer (parallel.go) and the distributed cluster explorer
-// (internal/cluster) bit-identical to the sequential BFS. Both engines
-// call the same hooks below, so the contract cannot drift between them.
+// (internal/cluster) bit-identical to the sequential BFS. Both key and
+// route their firings with the functions below; the cluster coordinator
+// cuts its level in the same merge that interns it, so Discovery and
+// the two merge hooks are the parallel explorer's.
 
 import (
 	"cmp"
@@ -21,12 +23,12 @@ import (
 // a power of two well above any sensible worker count. The parallel
 // explorer splits these 256 hash shards among its workers and the cluster
 // explorer among its peers, both by ShardRanges, so one hash routes a
-// state both to a goroutine's store and to a network peer.
+// state both to a goroutine's store and to the peer that expands it.
 const NumShards = 256
 
 // ShardOf maps a marking hash (petri.Marking.Hash) onto a shard
-// index. This is also the wire routing function of cluster frontier
-// batches: owner(peer) = range containing ShardOf(hash).
+// index. This also assigns a wide cluster level's parents: a parent goes
+// to the peer whose range contains ShardOf(hash), unless stolen.
 func ShardOf(hash uint64) uint32 {
 	return uint32(hash) & (NumShards - 1)
 }
@@ -55,11 +57,10 @@ func OrderPos(order uint64) int           { return int(order >> 32) }
 func OrderTrans(order uint64) petri.Trans { return petri.Trans(uint32(order)) }
 
 // Discovery is a marking first reached during the current BFS level,
-// claimed in a visited-store shard by the first worker (or peer) to see
-// it. Order is the minimal OrderKey over all firings that reached it
-// this level; Shard and Local say where the claimant stored the marking
-// (the parallel explorer's shard and store id; the cluster coordinator's
-// peer and reply position).
+// claimed in a visited-store shard by the first worker to see it. Order
+// is the minimal OrderKey over all firings that reached it this level;
+// Shard and Local say where the claimant stored the marking (the
+// worker and its store id).
 type Discovery struct {
 	Order uint64
 	Shard uint32

@@ -25,7 +25,8 @@ package reach
 // Either way States, Arcs, Deadlocks/BadStates order, the stored Graph,
 // and even the stop points of MaxStates and ErrUnsafe reproduce the
 // Workers: 0 run bit for bit. The order key and the stop-point arithmetic
-// live in merge.go, shared with the cluster explorer (internal/cluster).
+// live in merge.go; the key is shared with the cluster explorer
+// (internal/cluster).
 //
 // A worker reads another's store only through the views of a level's
 // parent markings, taken while every store is quiescent (arena chunks

@@ -24,6 +24,12 @@ test "$(grep -ho 'petri\.WithSafetyMonitor(' $VERIFY_SRC | grep -c .)" = 1
 test "$(grep -ho 'reduce\.Run(' $VERIFY_SRC | grep -c .)" = 1
 test -z "$(grep -l 'case GPOExplicit' $VERIFY_SRC)"
 test ! -e internal/verify/reduce.go
+# A cluster level is one expand RPC per peer: the coordinator's table is
+# the only visited store, so no intern, collect or commit route is
+# registered and the frame types of that protocol stay retired.
+CLUSTER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/cluster)
+test -z "$(grep -E '/cluster/v1/(intern|collect|commit)' $CLUSTER_SRC)"
+test -z "$(grep -E '\bframe(Intern|Commit|Ack)\b' $CLUSTER_SRC)"
 # The daemon binary ships daemon code only: no client, no test harness,
 # no self-test flag, and main itself names neither a model nor an engine
 # (the server resolves both). Its end-to-end checks are tests — the
