@@ -83,7 +83,7 @@ func main() {
 		maxStates  = flag.Int("max-states", 0, "clamp every request's explicit state bound (0 = no cap)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-request wall-clock budget")
 		maxTimeout = flag.Duration("max-timeout", 60*time.Second, "largest per-request budget a client may ask for")
-		cacheBytes = flag.Int64("cache-bytes", 16<<20, "result cache budget in bytes (negative disables)")
+		cacheBytes = flag.Int64("cache-bytes", 16<<20, "result cache budget in bytes, including the results a cluster member owns for its peers (negative disables)")
 		accessLog  = flag.String("access-log", "", "append JSON-lines access logs to this file ('-' = stderr)")
 		ledgerPath = flag.String("ledger", "", "append one ledger/v1 JSONL entry per executed verification to this file (backs GET /v1/runs history)")
 		traceDump  = flag.String("trace-dump", "", "write aborted requests' flight-recorder tails to <dir>/<request-id>.trace.jsonl")

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/models"
@@ -425,65 +423,6 @@ func TestAssignLevelStealing(t *testing.T) {
 	}
 }
 
-// TestSharedCacheTier exercises the consistent-hash result tier over
-// real HTTP: a put on one node is a hit from every node, single-flight
-// blocks a concurrent acquirer until the put lands, and a release lets
-// waiters claim the compute lease themselves.
-func TestSharedCacheTier(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
-	ctx := context.Background()
-	key := "run-abc123"
-	payload := []byte(`{"deadlock":true,"states":42}`)
-
-	// First acquire: miss, lease held.
-	data, hit, err := nodes[0].AcquireResult(ctx, key, 0)
-	if err != nil || hit {
-		t.Fatalf("first acquire: hit=%v err=%v data=%q", hit, err, data)
-	}
-
-	// A concurrent acquirer from another node blocks, then gets the put.
-	type res struct {
-		data []byte
-		hit  bool
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		d, h, e := nodes[1].AcquireResult(ctx, key, 5*time.Second)
-		ch <- res{d, h, e}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the waiter park on the flight
-	if err := nodes[0].PutResult(key, payload); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	r := <-ch
-	if r.err != nil || !r.hit || string(r.data) != string(payload) {
-		t.Fatalf("waiter: hit=%v err=%v data=%q", r.hit, r.err, r.data)
-	}
-
-	// Every node now sees the hit, wherever the owner lives.
-	for i, nd := range nodes {
-		d, h, err := nd.AcquireResult(ctx, key, 0)
-		if err != nil || !h || string(d) != string(payload) {
-			t.Fatalf("node %d: hit=%v err=%v data=%q", i, h, err, d)
-		}
-	}
-
-	// Release without a result wakes waiters into computing themselves.
-	key2 := "run-def456"
-	if _, hit, _ := nodes[0].AcquireResult(ctx, key2, 0); hit {
-		t.Fatal("acquire of unknown key hit")
-	}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		nodes[0].ReleaseResult(key2)
-	}()
-	d, h, err := nodes[2].AcquireResult(ctx, key2, 5*time.Second)
-	if err != nil || h || d != nil {
-		t.Fatalf("post-release acquire: hit=%v err=%v", h, err)
-	}
-}
-
 // TestRingDistribution pins that the consistent-hash ring is identical
 // on every node and spreads keys across all members.
 func TestRingDistribution(t *testing.T) {
@@ -491,9 +430,9 @@ func TestRingDistribution(t *testing.T) {
 	counts := make([]int, 3)
 	for i := 0; i < 1000; i++ {
 		key := "run-" + strconv.Itoa(i)
-		owner := nodes[0].cache.owner(key)
+		owner := nodes[0].Owner(key)
 		for _, nd := range nodes[1:] {
-			if got := nd.cache.owner(key); got != owner {
+			if got := nd.Owner(key); got != owner {
 				t.Fatalf("ring disagrees for %q: %d vs %d", key, got, owner)
 			}
 		}
@@ -503,33 +442,6 @@ func TestRingDistribution(t *testing.T) {
 		if c == 0 {
 			t.Errorf("peer %d owns no keys of 1000", p)
 		}
-	}
-}
-
-// TestSharedCacheEviction pins the byte-budget LRU of the owner store.
-func TestSharedCacheEviction(t *testing.T) {
-	c := newSharedCache([]string{"a"}, 100)
-	big := make([]byte, 40)
-	c.put("k1", big)
-	c.put("k2", big)
-	if _, ok := c.get("k1"); !ok {
-		t.Fatal("k1 evicted below budget")
-	}
-	c.put("k3", big) // 3*(2+40) > 100: least-recent (k2) goes
-	if _, ok := c.get("k2"); ok {
-		t.Fatal("LRU entry survived over budget")
-	}
-	if _, ok := c.get("k1"); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	bytes, evicts, entries := c.stats()
-	if evicts != 1 || entries != 2 || bytes > 100 {
-		t.Fatalf("stats bytes=%d evicts=%d entries=%d", bytes, evicts, entries)
-	}
-	// An entry above the whole budget is not admitted.
-	c.put("huge", make([]byte, 200))
-	if _, ok := c.get("huge"); ok {
-		t.Fatal("over-budget entry admitted")
 	}
 }
 

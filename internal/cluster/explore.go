@@ -92,12 +92,12 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 		ctx = context.Background()
 	}
 	if err := nd.broadcast(func(peer int) error {
-		return nd.postJSON(ctx, peer, "/cluster/v1/start", startReq{Job: jobID, Net: netText.String(), Bad: badNames, TraceRun: runID})
+		return nd.PostJSON(ctx, peer, "/cluster/v1/start", startReq{Job: jobID, Net: netText.String(), Bad: badNames, TraceRun: runID}, nil)
 	}); err != nil {
 		return nil, fmt.Errorf("cluster: start broadcast: %w", err)
 	}
 	defer nd.broadcast(func(peer int) error {
-		return nd.postJSON(context.Background(), peer, "/cluster/v1/finish", finishReq{Job: jobID})
+		return nd.PostJSON(context.Background(), peer, "/cluster/v1/finish", finishReq{Job: jobID}, nil)
 	})
 
 	res := &reach.Result{Complete: true}

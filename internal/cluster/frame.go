@@ -1,8 +1,9 @@
 // Package cluster implements distributed exploration: a
 // coordinator/worker mode where the wide levels of one exhaustive
-// reachability run are expanded across gpod peers, plus a
-// consistent-hash shared result-cache tier so any peer answers a repeat
-// query once one of them has computed it.
+// reachability run are expanded across gpod peers, plus the
+// consistent-hash ring that places every run's result on one member, so
+// the servers' caches form a shared tier in which any peer answers a
+// repeat query once one of them has computed it.
 //
 // The coordinator holds the run's one visited store and drives classical
 // BFS levels. It scans a narrow level itself; a wide one it splits among

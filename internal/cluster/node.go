@@ -27,22 +27,19 @@ import (
 // of every wide level, and asks itself over the same HTTP loopback as
 // anyone else.
 type Config struct {
-	Self       string   // this node's base URL, e.g. http://127.0.0.1:7700
-	Peers      []string // all member base URLs, order defines shard ranges
-	Metrics    *obs.Registry
-	CacheBytes int64         // shared result tier budget, 0 = default
-	Client     *http.Client  // nil = persistent keep-alive client
-	Timeout    time.Duration // per-RPC timeout, 0 = default
+	Self    string   // this node's base URL, e.g. http://127.0.0.1:7700
+	Peers   []string // all member base URLs, order defines shard ranges
+	Metrics *obs.Registry
+	Client  *http.Client  // nil = persistent keep-alive client
+	Timeout time.Duration // per-RPC timeout, 0 = default
 }
 
-const (
-	defaultCacheBytes = 16 << 20
-	defaultRPCTimeout = 60 * time.Second
-)
+const defaultRPCTimeout = 60 * time.Second
 
 // Node is one cluster member: expander of its shards' share of the wide
-// levels of exploration jobs, key-range owner for the shared result
-// tier, and coordinator for any run it is asked to Explore.
+// levels of exploration jobs, the ring that places every run's result
+// on one member (Owner), and coordinator for any run it is asked to
+// Explore.
 type Node struct {
 	self    int
 	peers   []string
@@ -56,7 +53,7 @@ type Node struct {
 	jobs map[string]*peerJob
 	seq  int64
 
-	cache  *sharedCache
+	ring   []ringEntry
 	traces *traceStore
 }
 
@@ -142,11 +139,7 @@ func New(cfg Config) (*Node, error) {
 	if nd.reg == nil {
 		nd.reg = obs.New()
 	}
-	cb := cfg.CacheBytes
-	if cb <= 0 {
-		cb = defaultCacheBytes
-	}
-	nd.cache = newSharedCache(nd.peers, cb)
+	nd.ring = newRing(nd.peers)
 	nd.traces = newTraceStore()
 
 	// Static shard ownership: the contiguous ranges the parallel explorer
@@ -164,17 +157,10 @@ func New(cfg Config) (*Node, error) {
 	for _, name := range []string{
 		"cluster.expand_batches_in",
 		"cluster.expand_bytes_in",
-		"cluster.remote_cache_hits",
-		"cluster.cache_store_hits",
-		"cluster.cache_store_misses",
-		"cluster.cache_store_puts",
-		"cluster.cache_store_evictions",
-		"cluster.singleflight_waits",
 		"cluster.trace_collects",
 	} {
 		nd.reg.Counter(name)
 	}
-	nd.reg.Gauge("cluster.cache_store_bytes").Set(0)
 	nd.reg.Gauge("cluster.jobs").Set(0)
 	nd.reg.Gauge("cluster.trace_dumps").Set(0)
 	return nd, nil
@@ -186,15 +172,15 @@ func (nd *Node) NumPeers() int { return len(nd.peers) }
 // Self returns this node's base URL.
 func (nd *Node) Self() string { return nd.peers[nd.self] }
 
+// Index returns this node's position in the peer list.
+func (nd *Node) Index() int { return nd.self }
+
 // Register mounts the cluster protocol endpoints on mux.
 func (nd *Node) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/v1/start", nd.handleStart)
 	mux.HandleFunc("POST /cluster/v1/expand", nd.handleExpand)
 	mux.HandleFunc("POST /cluster/v1/finish", nd.handleFinish)
 	mux.HandleFunc("POST /cluster/v1/trace", nd.handleTrace)
-	mux.HandleFunc("POST /cluster/v1/cache/acquire", nd.handleCacheAcquire)
-	mux.HandleFunc("POST /cluster/v1/cache/put", nd.handleCachePut)
-	mux.HandleFunc("POST /cluster/v1/cache/release", nd.handleCacheRelease)
 }
 
 // job resolves the request's X-Cluster-Job header; for an unknown job it
@@ -428,9 +414,10 @@ func (nd *Node) post(ctx context.Context, peer int, path, jobID string, seq int6
 	return resp, cancel, nil
 }
 
-// postJSON runs one JSON-bodied RPC, discarding the response body.
-func (nd *Node) postJSON(ctx context.Context, peer int, path string, v any) error {
-	b, err := json.Marshal(v)
+// PostJSON runs one JSON-bodied RPC against a peer and decodes the
+// JSON reply into reply, or discards it when reply is nil.
+func (nd *Node) PostJSON(ctx context.Context, peer int, path string, req, reply any) error {
+	b, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
@@ -440,8 +427,11 @@ func (nd *Node) postJSON(ctx context.Context, peer int, path string, v any) erro
 	}
 	defer cancel()
 	defer resp.Body.Close()
-	_, err = io.Copy(io.Discard, resp.Body)
-	return err
+	if reply == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, MaxFrame)).Decode(reply)
 }
 
 // PeerStatus is one member's row in the cluster status document.

@@ -2,8 +2,10 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/petri"
@@ -51,6 +53,9 @@ type cacheEntry struct {
 	// bodies are the request bodies known to resolve to key, oldest
 	// first; each is also a key of resultCache.byBody.
 	bodies []bodyDigest
+	// peer marks a result that arrived over the wire from the shared
+	// tier: serving it counts as cluster.remote_cache_hits.
+	peer bool
 }
 
 // entrySize estimates an entry's memory footprint against the byte
@@ -68,17 +73,22 @@ func entrySize(r *Response) int64 {
 // uncancelled verification results keyed by requestKey, evicted least-
 // recently-used when the byte budget is exceeded. byBody is a second
 // index of the same entries, under the digests of the request bodies
-// that were resolved to them.
+// that were resolved to them. On a cluster member the same store is
+// this node's share of the shared tier (tier.go), and inflight holds
+// the tier's single-flight leases.
 type resultCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	ll     *list.List // front = most recently used; values are *cacheEntry
-	items  map[cacheKey]*list.Element
-	byBody map[bodyDigest]*list.Element
+	mu       sync.Mutex
+	budget   int64
+	used     int64
+	ll       *list.List // front = most recently used; values are *cacheEntry
+	items    map[cacheKey]*list.Element
+	byBody   map[bodyDigest]*list.Element
+	inflight map[cacheKey]chan struct{} // closed when the lease is settled
 
 	hits, bodyHits, misses, evictions *obs.Counter
 	bytes, entries                    *obs.Gauge
+	// remoteHits and waits are the tier's counters, nil without peers.
+	remoteHits, waits *obs.Counter
 }
 
 func newResultCache(budget int64, reg *obs.Registry) *resultCache {
@@ -87,6 +97,7 @@ func newResultCache(budget int64, reg *obs.Registry) *resultCache {
 		ll:        list.New(),
 		items:     make(map[cacheKey]*list.Element),
 		byBody:    make(map[bodyDigest]*list.Element),
+		inflight:  make(map[cacheKey]chan struct{}),
 		hits:      reg.Counter("server.cache_hits"),
 		bodyHits:  reg.Counter("server.cache_body_hits"),
 		misses:    reg.Counter("server.cache_misses"),
@@ -133,7 +144,17 @@ func (c *resultCache) getByBody(d bodyDigest) (*Response, bool) {
 func (c *resultCache) serve(el *list.Element) *Response {
 	c.ll.MoveToFront(el)
 	c.hits.Inc()
-	resp := el.Value.(*cacheEntry).resp
+	return c.answer(el.Value.(*cacheEntry))
+}
+
+// answer returns the copy of e a request is answered with, Cached set,
+// and counts a remote hit if a peer computed e. An entry's resp and peer
+// never change once stored, so they may be read without the lock.
+func (c *resultCache) answer(e *cacheEntry) *Response {
+	if e.peer {
+		c.remoteHits.Inc()
+	}
+	resp := e.resp
 	resp.Witness = cloneWitness(resp.Witness)
 	resp.Cached = true
 	return &resp
@@ -182,20 +203,26 @@ func cloneWitness(w []string) []string {
 	return out
 }
 
-// put inserts a response, evicting from the cold end until the budget
-// holds. Responses larger than the whole budget are not cached.
-func (c *resultCache) put(key cacheKey, resp *Response) {
+// put inserts a response this node computed.
+func (c *resultCache) put(key cacheKey, resp *Response) { c.store(key, resp, false) }
+
+// store inserts a response, evicting from the cold end until the budget
+// holds, and settles key's lease, so its waiters wake and find the
+// entry. Responses larger than the whole budget are not cached; their
+// waiters wake to compute. peer marks a response from the shared tier.
+func (c *resultCache) store(key cacheKey, resp *Response, peer bool) {
 	if c == nil {
 		return
 	}
-	e := &cacheEntry{key: key, resp: *resp, size: entrySize(resp)}
+	e := &cacheEntry{key: key, resp: *resp, size: entrySize(resp), peer: peer}
 	e.resp.Witness = cloneWitness(resp.Witness)
 	e.resp.Cached = false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.settle(key)
 	if e.size > c.budget {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		// Identical request raced through two workers; keep the first
 		// result (they are equal) and just refresh recency.
@@ -205,6 +232,68 @@ func (c *resultCache) put(key cacheKey, resp *Response) {
 	c.items[key] = c.ll.PushFront(e)
 	c.used += e.size
 	c.trim()
+}
+
+// Outcomes of a shared-tier acquire.
+type tierOutcome int
+
+const (
+	tierCompute tierOutcome = iota // compute without a lease
+	tierLease                      // compute, then put or release
+	tierHit
+)
+
+// acquire is the owner's side of a shared-tier lookup. It returns the
+// entry on a hit; otherwise key's single-flight lease, the caller
+// computing and then putting or releasing; or tierCompute when another
+// requester's lease outlasts wait (or ctx): the caller computes without
+// the lease and publishes with put, which is idempotent because results
+// are content-addressed. A disabled cache leases nothing.
+func (c *resultCache) acquire(ctx context.Context, key cacheKey, wait time.Duration) (*cacheEntry, tierOutcome) {
+	if c == nil {
+		return nil, tierCompute
+	}
+	ctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			c.mu.Unlock()
+			return el.Value.(*cacheEntry), tierHit
+		}
+		done, held := c.inflight[key]
+		if !held {
+			c.inflight[key] = make(chan struct{})
+			c.mu.Unlock()
+			return nil, tierLease
+		}
+		c.mu.Unlock()
+		c.waits.Inc()
+		select {
+		case <-done: // put or released: look again
+		case <-ctx.Done():
+			return nil, tierCompute
+		}
+	}
+}
+
+// release settles key's lease without a result: its waiters wake and
+// one of them takes the lease.
+func (c *resultCache) release(key cacheKey) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.settle(key)
+}
+
+func (c *resultCache) settle(key cacheKey) {
+	if done, ok := c.inflight[key]; ok {
+		delete(c.inflight, key)
+		close(done)
+	}
 }
 
 // trim evicts from the cold end, each entry with its indexed bodies,

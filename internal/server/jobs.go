@@ -63,7 +63,8 @@ func (s *Server) jobView(rec jobs.Record) jobBody {
 // handleJobSubmit answers POST /v1/jobs: admit a durable verification
 // job. The body is the same Request as /v1/verify; the response is the
 // job record (202 on fresh admission, 200 when the content-addressed ID
-// already exists — resubmission is a lookup, not a second run).
+// already exists — resubmission is a lookup, not a second run — and 409
+// when the job under that ID is other work whose key shares its prefix).
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	if s.draining.Load() {
@@ -94,8 +95,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := pr.key.RunID()
+	existing := func(rec jobs.Record) {
+		if s.sameWork(rec, pr.key) {
+			writeJSON(w, http.StatusOK, s.jobView(rec))
+		} else {
+			writeJSON(w, http.StatusConflict, errorBody{Error: "job " + id + " is other work under the same run ID"})
+		}
+	}
 	if rec, ok := s.cfg.Jobs.Get(id); ok {
-		writeJSON(w, http.StatusOK, s.jobView(rec))
+		existing(rec)
 		return
 	}
 	rec := jobs.Record{
@@ -107,9 +115,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.cfg.Jobs.Create(rec); err != nil {
 		// Raced resubmission: someone created the same ID between our
-		// lookup and Create. Content addressing makes that the same job.
+		// lookup and Create.
 		if cur, ok := s.cfg.Jobs.Get(id); ok {
-			writeJSON(w, http.StatusOK, s.jobView(cur))
+			existing(cur)
 			return
 		}
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
@@ -127,6 +135,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	cur, _ := s.cfg.Jobs.Get(id)
 	writeJSON(w, http.StatusAccepted, s.jobView(cur))
+}
+
+// sameWork reports whether a stored job's request resolves to key. A
+// job ID is the 96-bit run ID, so an ID match alone does not make two
+// requests the same work.
+func (s *Server) sameWork(rec jobs.Record, key cacheKey) bool {
+	pr, err := s.decodeRequest(rec.Request, bodyDigest{})
+	return err == nil && pr.key == key
 }
 
 // handleJobsList answers GET /v1/jobs with every job, oldest first.

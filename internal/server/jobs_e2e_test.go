@@ -332,3 +332,23 @@ func TestE2EJobValidation(t *testing.T) {
 		t.Error("resume of unknown job succeeded")
 	}
 }
+
+// TestE2EJobIDCollision: a job ID is the 96-bit run ID, so a job found
+// under it is the submitted work only if its request resolves to the
+// same full key. Other work under the ID is a conflict, not a lookup.
+func TestE2EJobIDCollision(t *testing.T) {
+	c, _, st := jobsService(t, t.TempDir(), server.Config{Workers: 1})
+	x := &server.Request{Model: "nsdp", Size: 4, Engine: "exhaustive"}
+	y, err := json.Marshal(&server.Request{Model: "nsdp", Size: 5, Engine: "exhaustive"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := runKey(t, x).RunID()
+	if err := st.Create(jobs.Record{ID: id, Request: y, Net: "NSDP(5)", Engine: "exhaustive", Check: server.CheckDeadlock}); err != nil {
+		t.Fatal(err)
+	}
+	j, err := c.SubmitJob(context.Background(), x)
+	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != 409 {
+		t.Fatalf("submit under another job's ID: %+v, %v; want 409", j, err)
+	}
+}

@@ -174,7 +174,7 @@ type parsedRequest struct {
 	timeout time.Duration
 	// cluster routes the run to the distributed explorer; lease marks
 	// that the handler holds the shared tier's single-flight lease for
-	// this key and the worker must put or release it.
+	// this key, which the worker settles (tierSettle).
 	cluster bool
 	lease   bool
 }

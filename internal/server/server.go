@@ -53,7 +53,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// CacheBytes is the result cache budget (default 16 MiB; negative
-	// disables caching).
+	// disables caching). On a cluster member it is the node's whole
+	// budget, including the results it owns for the shared tier.
 	CacheBytes int64
 	// Metrics receives the server.* and engine metrics (default: a
 	// fresh registry, available via Metrics()).
@@ -113,8 +114,10 @@ type Config struct {
 	// cluster protocol endpoints (/cluster/v1/*) are mounted on the
 	// handler, GET /v1/cluster reports membership and shard ranges,
 	// requests with "cluster": true execute on the distributed sharded
-	// explorer, and every request's result-cache lookup consults the
-	// consistent-hash shared tier after missing locally.
+	// explorer, and the result cache becomes this node's share of the
+	// consistent-hash shared tier (tier.go), consulted after a local
+	// miss. The node should report to Metrics, so that GET /v1/cluster
+	// shows the tier's cluster.* counters.
 	Cluster *cluster.Node
 }
 
@@ -176,6 +179,7 @@ type Server struct {
 
 	requests, shed, aborts, failures, completed *obs.Counter
 	ledgerErrors                                *obs.Counter
+	remoteHits                                  *obs.Counter // nil without peers
 	queueDepth, inflight                        *obs.Gauge
 	reqWall, queueWait                          *obs.Histogram
 
@@ -228,6 +232,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	if cfg.Cluster != nil {
 		cfg.Cluster.Register(s.mux)
+		s.registerTier()
 	}
 	if cfg.TraceRuns > 0 {
 		s.traces = newRunTraceStore(cfg.TraceRuns)
@@ -401,23 +406,10 @@ func (s *Server) runJob(j *job) {
 			s.cacheResult(j.req, resp)
 		}
 	}
-	// Settle the shared tier's single-flight lease: publish a complete
-	// result so blocked peers wake with it, or release so they compute
-	// themselves. Peers is stamped after the puts — the cached bytes are
-	// identical however the run was computed.
-	if j.req.lease {
-		runID := j.req.key.RunID()
-		if err == nil && resp != nil && resp.Status == StatusOK && resp.Complete {
-			if b, merr := json.Marshal(resp); merr == nil {
-				if perr := s.cfg.Cluster.PutResult(runID, b); perr != nil {
-					s.cfg.Cluster.ReleaseResult(runID)
-				}
-			} else {
-				s.cfg.Cluster.ReleaseResult(runID)
-			}
-		} else {
-			s.cfg.Cluster.ReleaseResult(runID)
-		}
+	// Peers is stamped after the tier has the result: the cached bytes
+	// are identical however the run was computed.
+	if s.cfg.Cluster != nil {
+		s.tierSettle(j.req, resp)
 	}
 	if j.req.cluster && resp != nil {
 		j.peers = s.cfg.Cluster.NumPeers()
@@ -506,24 +498,15 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		served(resp)
 		return
 	}
-	// Local miss: consult the cluster's shared result tier. A hit is a
-	// result some peer already computed; "compute" hands this request
-	// the owner's single-flight lease (settled by the worker). Transport
-	// errors degrade to an ordinary local computation without a lease.
+	// Local miss: consult the cluster's shared result tier. A lease is
+	// settled by the worker (tierSettle).
 	if s.cfg.Cluster != nil {
-		if data, hit, err := s.cfg.Cluster.AcquireResult(r.Context(), pr.key.RunID(), pr.timeout); err == nil {
-			if hit {
-				var resp Response
-				if jerr := json.Unmarshal(data, &resp); jerr == nil {
-					s.cacheResult(pr, &resp)
-					resp.Cached = true
-					served(&resp)
-					return
-				}
-			} else {
-				pr.lease = true
-			}
+		resp, out := s.tierAcquire(r.Context(), pr)
+		if out == tierHit {
+			served(resp)
+			return
 		}
+		pr.lease = out == tierLease
 	}
 	j := &job{ctx: r.Context(), id: id, req: pr, done: make(chan jobResult, 1), enqNS: nowUnixNS()}
 	j.lr = &liveRun{
@@ -541,7 +524,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.deregisterRun(j.lr)
 		j.lr.pub.Close()
 		if pr.lease {
-			s.cfg.Cluster.ReleaseResult(pr.key.RunID())
+			s.tierRelease(pr)
 		}
 		s.shed.Inc()
 		w.Header().Set("Retry-After", "1")

@@ -24,6 +24,7 @@ type Server struct {
 	Metrics *obs.Registry  // the registry the service reports to
 	Client  *client.Client // typed client, over HTTP
 	HTTP    *http.Client   // for raw requests; its connections close with the server
+	Node    *cluster.Node  // the server's cluster membership; nil outside a fleet
 
 	srv *http.Server
 }
@@ -51,6 +52,7 @@ func serve(ln net.Listener, cfg server.Config) *Server {
 		Service: svc,
 		Metrics: cfg.Metrics,
 		HTTP:    &http.Client{Transport: &http.Transport{}},
+		Node:    cfg.Cluster,
 		srv:     &http.Server{Handler: svc.Handler()},
 	}
 	s.Client = client.New(s.URL, s.HTTP)

@@ -30,6 +30,13 @@ test ! -e internal/verify/reduce.go
 CLUSTER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/cluster)
 test -z "$(grep -E '/cluster/v1/(intern|collect|commit)' $CLUSTER_SRC)"
 test -z "$(grep -E '\bframe(Intern|Commit|Ack)\b' $CLUSTER_SRC)"
+# One result cache per process: the cluster package only places runs on
+# its ring, with no store and no shared-tier route of its own; the
+# server's resultCache is the one LRU, and the tier's owner side.
+test -z "$(grep -l '"container/list"' $CLUSTER_SRC)"
+test -z "$(grep '/cluster/v1/cache/' $CLUSTER_SRC)"
+SERVER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/server)
+test "$(grep -ho 'list\.New()' $SERVER_SRC | grep -c .)" = 1
 # The daemon binary ships daemon code only: no client, no test harness,
 # no self-test flag, and main itself names neither a model nor an engine
 # (the server resolves both). Its end-to-end checks are tests — the
