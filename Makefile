@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the tier-1+ gate (see ROADMAP.md).
 
-.PHONY: check test serve watch bench-micro bench-artifact benchdiff
+.PHONY: check test serve watch bench-micro bench-artifact
 
 check:
 	./scripts/check.sh
@@ -25,13 +25,8 @@ watch:
 bench-micro:
 	go test -run '^$$' -bench . -benchtime 100x ./internal/zdd/ ./internal/core/
 
-# Regenerate the machine-readable benchmark artifact (BENCH_<date>.json).
+# Regenerate the Table 1 count artifact that TestTable1Artifact and
+# scripts/check.sh compare against (only after a change that is meant to
+# move a count).
 bench-artifact:
-	go run ./cmd/gpobench -json
-
-# Diff two benchmark artifacts and flag >10% wall-clock regressions:
-#   make benchdiff BASE=BENCH_old.json NEW=BENCH_new.json
-benchdiff:
-	@test -n "$(BASE)" -a -n "$(NEW)" || \
-		{ echo "usage: make benchdiff BASE=<old.json> NEW=<new.json>"; exit 2; }
-	go run ./cmd/benchdiff $(BASE) $(NEW)
+	go run ./cmd/gpobench -json > TABLE1.json

@@ -43,7 +43,7 @@ import (
 
 func main() {
 	var (
-		ledgerPath = flag.String("ledger", "", "run-ledger JSONL file (ledger/v1), as written by gpod/gpoverify/gpobench -ledger")
+		ledgerPath = flag.String("ledger", "", "run-ledger JSONL file (ledger/v1), as written by gpod/gpoverify -ledger")
 		history    = flag.Bool("history", false, "summarize per-configuration history from -ledger")
 		family     = flag.String("family", "", "restrict -history/-follow to nets matching this regexp (case-insensitive)")
 		follow     = flag.Bool("follow", false, "poll the daemons' /v1/runs and report running and newly completed runs")

@@ -52,6 +52,6 @@
 // BDD/ZDD cache hit rates, peak |r| — without changing what the engine
 // explores. OBSERVABILITY.md documents every metric name, the CLI
 // flags (-metrics, -progress, -cpuprofile, -memprofile, -pprof) and
-// the machine-readable BENCH_<date>.json artifact that `gpobench
-// -json` emits.
+// TABLE1.json, the Table 1 count artifact that `gpobench -json` emits
+// and the test suite checks.
 package repro

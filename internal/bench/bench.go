@@ -1,24 +1,25 @@
 // Package bench drives the paper's benchmark instances (the rows of
-// Table 1) through the verification engines and produces structured,
-// machine-readable measurements. Command gpobench renders these either as
-// the paper-style text table or as the BENCH_<date>.json artifact; tests
-// use them to pin the exploration numbers.
+// Table 1) through the verification engines and records what each run
+// found: states explored and peak decision-diagram nodes. Command
+// gpobench renders these either as the paper-style text table or as the
+// Table 1 count artifact, TABLE1.json at the repository root, which
+// TestTable1Artifact regenerates and compares. Wall-clock judgement is
+// benchmark/'s job, not this package's.
 //
-// Every engine run gets a fresh obs.Registry, so the per-run counters in
-// a BenchEntry are exactly that run's and never bleed across engines.
+// Every engine run gets a fresh obs.Registry, so the peak-node gauges an
+// Entry reads are exactly that run's and never bleed across engines.
 package bench
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"regexp"
-	"runtime"
 	"time"
 
 	"repro/internal/models"
 	"repro/internal/obs"
-	"repro/internal/obs/ledger"
-	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/structural/reduce"
@@ -27,7 +28,7 @@ import (
 	"repro/internal/verify"
 )
 
-// Engine name strings used in BenchEntry.Engine. The stubborn engine is
+// Engine name strings used in Entry.Engine. The stubborn engine is
 // measured twice — with and without the cycle proviso — because the
 // proviso is what removes all reduction on RW (the paper's SPIN+PO
 // observation).
@@ -37,6 +38,17 @@ const (
 	EnginePOProviso  = "partial-order+proviso"
 	EngineSymbolic   = "symbolic"
 	EngineGPO        = "gpo"
+)
+
+// engines is the fixed order in which RunRow measures one instance.
+var engines = []string{EngineExhaustive, EnginePO, EnginePOProviso, EngineSymbolic, EngineGPO}
+
+// The caps every run is held to: explicit searches stop at maxStates
+// states, the symbolic engine at maxNodes BDD nodes. No Table 1 row
+// reaches either.
+const (
+	maxStates = 20_000_000
+	maxNodes  = 3_000_000
 )
 
 // Row is one Table 1 line: a model instance plus the paper's published
@@ -75,70 +87,19 @@ func Table1() []Row {
 	}
 }
 
-// Config selects the instances and caps of a benchmark run.
+// Config selects the instances of a benchmark run.
 type Config struct {
-	// Family restricts the run to one family; "" or "all" runs every
-	// family.
-	Family string
 	// Only restricts the run to instances whose "family(size)" name
-	// matches this regular expression ("" = all); it composes with Family
-	// and MaxSize. An invalid pattern fails the run. The pattern is
-	// recorded in the JSON artifact so filtered runs stay identifiable.
+	// matches this regular expression ("" = all); it composes with
+	// MaxSize. An invalid pattern fails the run. The pattern is recorded
+	// in the artifact so a filtered run is never mistaken for a full one.
 	Only string
 	// MaxSize skips rows above this size (0 = no cap).
 	MaxSize int
-	// MaxStates caps explicit searches (0 = the 20M default).
-	MaxStates int
-	// MaxNodes caps the symbolic engine's BDD (0 = the 3M default).
-	MaxNodes int
-	// Workers runs the exhaustive engine's BFS with that many parallel
-	// workers (0 = sequential); recorded in the JSON artifact so runs
-	// stay comparable.
-	Workers int
 	// Reduce applies the structural reduction pre-pass once per instance
-	// and hands every engine the reduced net. The pre-pass runs inside
-	// the measured bench.run span (its cost is part of the run), run IDs
-	// are computed on the original net with the Reduce flag set (the same
-	// address the daemon gives the request), and the artifact records the
+	// and hands every engine the reduced net; the artifact records the
 	// original and reduced net sizes per entry.
 	Reduce bool
-	// Progress, if true, prints periodic per-run progress to stderr.
-	Progress bool
-	// Trace, if non-nil, receives flight-recorder events from every engine
-	// run (see OBSERVABILITY.md "Trace events"). One tracer spans the whole
-	// benchmark; the exporter's track names distinguish engines only by
-	// their per-engine track labels, so tracing is most useful with a
-	// single-instance Only filter. Nil costs nothing.
-	Trace *trace.Tracer
-	// Ledger, if non-nil, journals every measured engine run as one
-	// ledger/v1 entry under the same content-addressed run ID the daemon
-	// would give the equivalent request, so benchmark history joins CLI
-	// and daemon history (gpostat -history). Nil costs nothing.
-	Ledger *ledger.Log
-}
-
-func (c Config) maxStates() int {
-	if c.MaxStates > 0 {
-		return c.MaxStates
-	}
-	return 20_000_000
-}
-
-func (c Config) maxNodes() int {
-	if c.MaxNodes > 0 {
-		return c.MaxNodes
-	}
-	return 3_000_000
-}
-
-func (c Config) selects(r Row, only *regexp.Regexp) bool {
-	if c.Family != "" && c.Family != "all" && c.Family != r.Family {
-		return false
-	}
-	if c.MaxSize > 0 && r.Size > c.MaxSize {
-		return false
-	}
-	return only == nil || only.MatchString(InstanceName(r.Family, r.Size))
 }
 
 // InstanceName is the canonical "family(size)" instance name the Only
@@ -159,35 +120,97 @@ func (c Config) Rows() ([]Row, error) {
 	}
 	var out []Row
 	for _, r := range Table1() {
-		if c.selects(r, only) {
+		if c.MaxSize > 0 && r.Size > c.MaxSize {
+			continue
+		}
+		if only == nil || only.MatchString(InstanceName(r.Family, r.Size)) {
 			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-// Run measures every selected row with every engine and assembles the
-// machine-readable report.
-func Run(c Config) (*obs.BenchReport, error) {
-	rep := &obs.BenchReport{
-		Schema:    obs.BenchSchema,
-		Date:      time.Now().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Workers:   c.Workers,
-		Only:      c.Only,
-		Reduce:    c.Reduce,
-		Host: &obs.BenchHost{
-			NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-			GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		},
+// Schema identifies the Table 1 count artifact. Bump the version suffix
+// on any incompatible change; Parse refuses every other value.
+const Schema = "gpobench/v2"
+
+// Report is the Table 1 count artifact that `gpobench -json` writes: one
+// entry per (instance, engine) pair, in RunRow order. It holds result
+// fields only, so regenerating it on an unchanged tree is byte-identical.
+type Report struct {
+	Schema string `json:"schema"`
+	// Only is the instance-name filter the run was restricted to ("" =
+	// every instance).
+	Only string `json:"only,omitempty"`
+	// Reduce marks a run with the structural reduction pre-pass: engines
+	// explored the reduced nets, so its counts are not comparable with an
+	// unreduced artifact's.
+	Reduce  bool    `json:"reduce,omitempty"`
+	Entries []Entry `json:"entries"`
+}
+
+// Entry is one engine run on one model instance.
+type Entry struct {
+	Family string `json:"family"`
+	Size   int    `json:"size"`
+	Engine string `json:"engine"`
+	// States is states explored (GPN states for gpo, |reachable| for
+	// symbolic).
+	States int64 `json:"states"`
+	// PeakNodes is the peak decision-diagram node count (BDD nodes for
+	// symbolic, ZDD nodes for gpo; 0 for the explicit engines).
+	PeakNodes int64 `json:"peak_nodes"`
+	// Capped marks a run aborted at a state/node cap; States/PeakNodes
+	// then hold the value reached.
+	Capped bool `json:"capped,omitempty"`
+	// Skipped marks an instance/engine pair that was not run (e.g. full
+	// enumeration of a 10^6-state family).
+	Skipped bool `json:"skipped,omitempty"`
+	// Error holds a failure message; the numeric fields are then invalid.
+	Error string `json:"error,omitempty"`
+	// OrigPlaces/OrigTrans and ReducedPlaces/ReducedTrans record the net
+	// sizes before and after the structural reduction pre-pass. Only set
+	// on reduced runs (Report.Reduce).
+	OrigPlaces    int `json:"orig_places,omitempty"`
+	OrigTrans     int `json:"orig_trans,omitempty"`
+	ReducedPlaces int `json:"reduced_places,omitempty"`
+	ReducedTrans  int `json:"reduced_trans,omitempty"`
+	// Wall is the run's wall-clock time, pre-pass included. It feeds the
+	// -table1 text table only and is never serialised.
+	Wall time.Duration `json:"-"`
+}
+
+// WriteJSON writes the report as indented JSON.
+func (r *Report) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
+// Parse decodes a report written by WriteJSON and refuses any schema but
+// Schema.
+func Parse(data []byte) (*Report, error) {
+	var r Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("bench: invalid report: %w", err)
 	}
+	if r.Schema != Schema {
+		return nil, fmt.Errorf("bench: report schema %q, want %q", r.Schema, Schema)
+	}
+	return &r, nil
+}
+
+// Run measures every selected row with every engine and assembles the
+// artifact.
+func Run(c Config) (*Report, error) {
 	rows, err := c.Rows()
 	if err != nil {
 		return nil, err
 	}
 	if len(rows) == 0 {
-		return nil, fmt.Errorf("bench: no Table 1 rows match family=%q only=%q max=%d", c.Family, c.Only, c.MaxSize)
+		return nil, fmt.Errorf("bench: no Table 1 rows match only=%q max=%d", c.Only, c.MaxSize)
 	}
+	rep := &Report{Schema: Schema, Only: c.Only, Reduce: c.Reduce}
 	for _, r := range rows {
 		net, err := models.ByName(r.Family, r.Size)
 		if err != nil {
@@ -200,55 +223,49 @@ func Run(c Config) (*obs.BenchReport, error) {
 
 // RunRow measures one model instance with every engine, in the fixed
 // order exhaustive, partial-order, partial-order+proviso, symbolic, gpo.
-func RunRow(net *petri.Net, r Row, c Config) []obs.BenchEntry {
-	return []obs.BenchEntry{
-		c.measure(net, r, EngineExhaustive, r.SkipFull, runExhaustive),
-		c.measure(net, r, EnginePO, false, runPO(false)),
-		c.measure(net, r, EnginePOProviso, false, runPO(true)),
-		c.measure(net, r, EngineSymbolic, r.SkipBDD, runSymbolic),
-		c.measure(net, r, EngineGPO, false, runGPO),
+func RunRow(net *petri.Net, r Row, c Config) []Entry {
+	out := make([]Entry, len(engines))
+	for i, engine := range engines {
+		out[i] = c.measure(net, r, engine)
 	}
+	return out
 }
 
 // outcome is what one engine run reports back to measure.
 type outcome struct {
-	states   int64
-	peak     int64 // peak decision-diagram nodes, 0 for explicit engines
-	deadlock bool  // a reachable marking enables no transition
-	capped   bool  // aborted at a state/node cap
-	err      error
+	states int64
+	peak   int64 // peak decision-diagram nodes, 0 for explicit engines
+	capped bool  // aborted at a state/node cap
+	err    error
 }
 
-type runner func(net *petri.Net, c Config, reg *obs.Registry, prog *obs.Progress) outcome
+type runner func(net *petri.Net, reg *obs.Registry) outcome
 
-// measure runs one engine on one instance inside a fresh registry and a
-// "bench.run" span, and folds span timing, memory deltas and the
-// registry's counters and gauges into the entry.
-func (c Config) measure(net *petri.Net, r Row, engine string, skip bool, run runner) obs.BenchEntry {
-	e := obs.BenchEntry{Family: r.Family, Size: r.Size, Engine: engine}
-	if skip {
-		e.Skipped = true
+// measure runs one engine on one instance inside a fresh registry.
+func (c Config) measure(net *petri.Net, r Row, engine string) Entry {
+	e := Entry{Family: r.Family, Size: r.Size, Engine: engine}
+	var run runner
+	switch engine {
+	case EngineExhaustive:
+		e.Skipped, run = r.SkipFull, runExhaustive
+	case EnginePO:
+		run = runPO(false)
+	case EnginePOProviso:
+		run = runPO(true)
+	case EngineSymbolic:
+		e.Skipped, run = r.SkipBDD, runSymbolic
+	default:
+		run = runGPO
+	}
+	if e.Skipped {
 		return e
 	}
-	opts := c.engineOptions(engine)
-	e.RunID = verify.RunID(net, "deadlock", nil, opts)
-	reg := obs.New()
-	var prog *obs.Progress
-	if c.Progress {
-		prog = &obs.Progress{
-			Label:    fmt.Sprintf("%s(%d)/%s", r.Family, r.Size, engine),
-			Every:    250_000,
-			Interval: 2 * time.Second,
-		}
-		defer prog.Done()
-	}
-	startNS := time.Now().UnixNano()
-	sp := reg.StartSpan("bench.run")
+	start := time.Now()
 	runNet, out := net, outcome{}
 	if c.Reduce {
-		cert, rerr := reduce.Run(net, reduce.Options{Metrics: reg})
-		if rerr != nil {
-			out.err = rerr
+		cert, err := reduce.Run(net, reduce.Options{})
+		if err != nil {
+			out.err = err
 		} else {
 			runNet = cert.Net()
 			e.OrigPlaces, e.OrigTrans = net.NumPlaces(), net.NumTrans()
@@ -256,151 +273,49 @@ func (c Config) measure(net *petri.Net, r Row, engine string, skip bool, run run
 		}
 	}
 	if out.err == nil {
-		out = run(runNet, c, reg, prog)
+		out = run(runNet, obs.New())
 	}
-	sp.End()
-	endNS := time.Now().UnixNano()
-
-	snap := reg.Snapshot()
-	for _, rec := range snap.Spans {
-		if rec.Name == "bench.run" {
-			e.WallNS = rec.WallNS
-			e.Allocs = rec.Mallocs
-			e.AllocBytes = rec.AllocBytes
-		}
-	}
-	if len(snap.Counters)+len(snap.Gauges) > 0 {
-		e.Counters = make(map[string]int64, len(snap.Counters)+len(snap.Gauges))
-		for k, v := range snap.Counters {
-			e.Counters[k] = v
-		}
-		for k, v := range snap.Gauges {
-			e.Counters[k] = v
-		}
-	}
+	e.Wall = time.Since(start)
 	e.States = out.states
 	e.PeakNodes = out.peak
 	e.Capped = out.capped
 	if out.err != nil && !out.capped {
 		e.Error = out.err.Error()
 	}
-	c.journal(net, e, opts, out, startNS, endNS)
 	return e
 }
 
-// engineOptions reconstructs the verify.Options the measured run is
-// equivalent to, for content addressing: the mapping mirrors the
-// runners below (the stubborn engine is verify.PartialOrder with or
-// without the proviso; explicit engines share the MaxStates cap).
-func (c Config) engineOptions(engine string) verify.Options {
-	var o verify.Options
-	switch engine {
-	case EngineExhaustive:
-		o = verify.Options{Engine: verify.Exhaustive, MaxStates: c.maxStates(), Workers: c.Workers}
-	case EnginePO:
-		o = verify.Options{Engine: verify.PartialOrder, MaxStates: c.maxStates()}
-	case EnginePOProviso:
-		o = verify.Options{Engine: verify.PartialOrder, Proviso: true, MaxStates: c.maxStates()}
-	case EngineSymbolic:
-		o = verify.Options{Engine: verify.Symbolic, MaxNodes: c.maxNodes()}
-	default:
-		o = verify.Options{Engine: verify.GPO, MaxStates: c.maxStates()}
-	}
-	o.Reduce = c.Reduce
-	return o
-}
+// The runners call the engines directly rather than through verify: the
+// partial-order columns run stubborn.SeedBest, the paper-comparable seed
+// no verify engine offers.
 
-// journal appends the run's ledger entry (no-op without a Ledger). The
-// entry keeps the bench engine label (so "partial-order+proviso" stays
-// distinguishable in history listings) but shares the daemon's content
-// address, options and verdict encoding.
-func (c Config) journal(net *petri.Net, e obs.BenchEntry, opts verify.Options, out outcome, startNS, endNS int64) {
-	if c.Ledger == nil {
-		return
-	}
-	le := ledger.Entry{
-		RunID:       e.RunID,
-		Source:      "gpobench",
-		Net:         net.Name(),
-		Engine:      e.Engine,
-		Check:       "deadlock",
-		Proviso:     opts.Proviso,
-		Reduce:      opts.Reduce,
-		MaxStates:   opts.MaxStates,
-		MaxNodes:    opts.MaxNodes,
-		Workers:     opts.Workers,
-		StartUnixNS: startNS,
-		EndUnixNS:   endNS,
-		WallNS:      endNS - startNS,
-	}
-	switch {
-	case e.Error != "":
-		le.Status = "error"
-		le.AbortReason = e.Error
-	case e.Capped:
-		le.Status = "aborted"
-		le.AbortReason = "capped"
-		le.States = e.States
-		le.PeakBDD = e.PeakNodes
-	default:
-		le.Status = "ok"
-		le.Deadlock = out.deadlock
-		le.States = e.States
-		le.PeakBDD = e.PeakNodes
-		le.Complete = true
-	}
-	le.Metrics = e.Counters
-	_ = c.Ledger.Append(le) // best-effort: a full disk must not fail the benchmark
-}
-
-func runExhaustive(net *petri.Net, c Config, reg *obs.Registry, prog *obs.Progress) outcome {
-	res, err := reach.Explore(net, reach.Options{
-		MaxStates: c.maxStates(),
-		Workers:   c.Workers,
-		Metrics:   reg,
-		Progress:  prog,
-		Trace:     c.Trace,
-	})
-	o := outcome{err: err}
-	if errors.Is(err, reach.ErrStateLimit) {
-		o.capped = true
-	}
+func runExhaustive(net *petri.Net, reg *obs.Registry) outcome {
+	res, err := reach.Explore(net, reach.Options{MaxStates: maxStates, Metrics: reg})
+	o := outcome{err: err, capped: errors.Is(err, reach.ErrStateLimit)}
 	if res != nil {
 		o.states = int64(res.States)
-		o.deadlock = res.Deadlock
 	}
 	return o
 }
 
 func runPO(proviso bool) runner {
-	return func(net *petri.Net, c Config, reg *obs.Registry, prog *obs.Progress) outcome {
+	return func(net *petri.Net, reg *obs.Registry) outcome {
 		res, err := stubborn.Explore(net, stubborn.Options{
-			MaxStates: c.maxStates(),
+			MaxStates: maxStates,
 			Seed:      stubborn.SeedBest,
 			Proviso:   proviso,
 			Metrics:   reg,
-			Progress:  prog,
-			Trace:     c.Trace,
 		})
-		o := outcome{err: err}
-		if errors.Is(err, stubborn.ErrStateLimit) {
-			o.capped = true
-		}
+		o := outcome{err: err, capped: errors.Is(err, stubborn.ErrStateLimit)}
 		if res != nil {
 			o.states = int64(res.States)
-			o.deadlock = res.Deadlock
 		}
 		return o
 	}
 }
 
-func runSymbolic(net *petri.Net, c Config, reg *obs.Registry, prog *obs.Progress) outcome {
-	res, err := symbolic.Analyze(net, symbolic.Options{
-		MaxNodes: c.maxNodes(),
-		Metrics:  reg,
-		Progress: prog,
-		Trace:    c.Trace,
-	})
+func runSymbolic(net *petri.Net, reg *obs.Registry) outcome {
+	res, err := symbolic.Analyze(net, symbolic.Options{MaxNodes: maxNodes, Metrics: reg})
 	o := outcome{err: err}
 	if errors.Is(err, symbolic.ErrNodeLimit) {
 		o.capped = true
@@ -410,24 +325,20 @@ func runSymbolic(net *petri.Net, c Config, reg *obs.Registry, prog *obs.Progress
 	if res != nil {
 		o.states = int64(res.States)
 		o.peak = int64(res.PeakNodes)
-		o.deadlock = res.Deadlock
 	}
 	return o
 }
 
-func runGPO(net *petri.Net, c Config, reg *obs.Registry, prog *obs.Progress) outcome {
+func runGPO(net *petri.Net, reg *obs.Registry) outcome {
 	rep, err := verify.CheckDeadlock(net, verify.Options{
 		Engine:    verify.GPO,
-		MaxStates: c.maxStates(),
+		MaxStates: maxStates,
 		Metrics:   reg,
-		Progress:  prog,
-		Trace:     c.Trace,
 	})
 	o := outcome{err: err}
 	if rep != nil {
 		o.states = int64(rep.States)
 		o.peak = reg.Gauge("zdd.peak_nodes").Value()
-		o.deadlock = rep.Deadlock
 	}
 	return o
 }

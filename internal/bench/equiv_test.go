@@ -12,8 +12,9 @@ import (
 // the Workers: 8 run must reproduce the Workers: 0 Result exactly —
 // States, Arcs, Deadlocks in order, and the stored Graph. The two
 // largest instances (≈1.6–1.9M states) are skipped to keep the race-
-// enabled run of scripts/check.sh within budget; the full-size runs are
-// exercised by `gpobench -json` when regenerating the BENCH artifact.
+// enabled run of scripts/check.sh within budget; check.sh runs them full
+// size with `gpoverify -only 'nsdp\(10\)|asat\(8\)' -engine exhaustive
+// -workers 2` and compares the states against TABLE1.json.
 func TestParallelReachMatchesSequentialTable1(t *testing.T) {
 	const maxFull = 150_000 // states; excludes nsdp(10) and asat(8)
 	for _, r := range Table1() {

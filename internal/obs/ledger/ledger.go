@@ -52,7 +52,7 @@ type Entry struct {
 	// RequestID is the daemon's per-HTTP-request ID (empty for CLI
 	// runs): it distinguishes individual executions that share a RunID.
 	RequestID string `json:"request_id,omitempty"`
-	Source    string `json:"source"` // "gpod", "gpoverify", "gpobench"
+	Source    string `json:"source"` // "gpod" or "gpoverify"
 	Net       string `json:"net"`    // net name, e.g. "nsdp(10)"
 	Engine    string `json:"engine"`
 	Check     string `json:"check"` // "deadlock" or "safety"

@@ -84,41 +84,3 @@ func TestNopSink(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBenchReportRoundTrip(t *testing.T) {
-	rep := &BenchReport{
-		Schema:    BenchSchema,
-		Date:      "2026-08-06T00:00:00Z",
-		GoVersion: "go1.22",
-		Entries: []BenchEntry{
-			{Family: "rw", Size: 9, Engine: "gpo", States: 2, WallNS: 12345,
-				Allocs: 10, Counters: map[string]int64{"core.multi_firings": 3}},
-			{Family: "asat", Size: 8, Engine: "symbolic", Skipped: true},
-		},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseBenchReport(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rep) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, rep)
-	}
-
-	if _, err := ParseBenchReport([]byte(`{"schema":"other/v9"}`)); err == nil {
-		t.Error("wrong schema should be rejected")
-	}
-	if _, err := ParseBenchReport([]byte(`not json`)); err == nil {
-		t.Error("garbage should be rejected")
-	}
-}
-
-func TestBenchFileName(t *testing.T) {
-	d := time.Date(2026, 8, 6, 15, 4, 5, 0, time.UTC)
-	if got := BenchFileName(d); got != "BENCH_2026-08-06.json" {
-		t.Errorf("BenchFileName = %q", got)
-	}
-}

@@ -46,7 +46,30 @@ test "$(grep -ho 'list\.New()' $SERVER_SRC | grep -c .)" = 1
 test -z "$(go list -deps ./cmd/gpod | grep -x -e repro/internal/server/client -e repro/internal/server/servertest)"
 test -z "$(go list -f '{{join .Imports "\n"}}' ./cmd/gpod | grep -x -e repro/internal/models -e repro/internal/verify)"
 test "$(go run ./cmd/gpod -h 2>&1 | grep -c smoke)" = 0
-go test -race ./...
+# One perf instrument per job: Table 1's counts are one artifact,
+# TABLE1.json, which gpobench regenerates and TestTable1Artifact checks;
+# wall clock is judged by benchmark/ alone. So there is no artifact diff
+# command and no dated artifact, the observability package owns no
+# benchmark schema, and neither gpobench nor internal/bench journals or
+# traces (gpoverify -only does both on the same instances).
+test ! -e cmd/benchdiff
+test -z "$(ls BENCH_*.json 2>/dev/null)"
+OBS_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/obs)
+test -z "$(grep -E '^(type|func) (\([^)]*\) )?Bench' $OBS_SRC)"
+test -z "$(go list -f '{{join .Imports "\n"}}' ./cmd/gpobench ./internal/bench | grep -x -e repro/internal/obs/ledger -e repro/internal/obs/trace)"
+# Docs size gate: README, DESIGN, EXPERIMENTS, OBSERVABILITY and ROADMAP
+# may not grow past their total after the last cut. A change that needs
+# more room raises the bound here, in the same commit, and says why in
+# CHANGES.md; one that frees room lowers it.
+test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 198018
+# internal/verify alone takes about 12 minutes under -race on 2 vCPUs,
+# past go test's 10-minute default timeout.
+go test -race -timeout 30m ./...
+# Table 1 counts, every row: the full regeneration must reproduce
+# TABLE1.json byte for byte, including the rows TestTable1Artifact leaves
+# out to keep the race run cheap (the explicit engines on nsdp(10) and
+# asat(8), rw(15)/symbolic).
+go run ./cmd/gpobench -json | cmp - TABLE1.json
 # Benchmark smoke: one iteration of every benchmark, so a refactor that
 # breaks a bench harness (or reintroduces per-op allocation panics) is
 # caught here and not at artifact-regeneration time.
@@ -182,3 +205,14 @@ grep -q 'suspended' "$TRACE_TMP/suspend.txt"
 go run ./cmd/gpoverify -replay "$TRACE_TMP/nsdp6.ckpt" \
 	-trace-ref "$TRACE_TMP/suspend.trace.jsonl" >"$TRACE_TMP/replay.txt"
 grep -q 'replay: OK' "$TRACE_TMP/replay.txt"
+# Parallel equals sequential at full size: the two instances
+# TestParallelReachMatchesSequentialTable1 skips, explored on two workers,
+# must count the exhaustive states TABLE1.json records (sequential).
+table1_states() { # family, size, engine
+	awk -v f="\"$1\"," -v s="$2," -v e="\"$3\"," '$1 == "\"family\":" { fam = $2 }
+		$1 == "\"size\":" { sz = $2 } $1 == "\"engine\":" { eng = $2 }
+		$1 == "\"states\":" && fam == f && sz == s && eng == e { sub(",", "", $2); print $2 }' TABLE1.json
+}
+go run ./cmd/gpoverify -only 'nsdp\(10\)|asat\(8\)' -engine exhaustive -workers 2 >"$TRACE_TMP/par.txt"
+test "$(awk '$1 == "exhaustive" { print $3 }' "$TRACE_TMP/par.txt" | paste -sd ' ')" = \
+	"$(table1_states nsdp 10 exhaustive) $(table1_states asat 8 exhaustive)"
