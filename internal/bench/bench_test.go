@@ -10,23 +10,12 @@ import (
 	"repro/internal/verify"
 )
 
-// TestTable1Artifact is the Table 1 reproduction check: TABLE1.json at
-// the repository root, written by `gpobench -json`, must parse, cover
-// every Table 1 instance with all five engines in RunRow order, and hold
-// exactly the counts this tree regenerates. The explicit engines on the
-// two >150k-state instances and rw(15)/symbolic take 12 of the 13 s a
-// full regeneration costs on 2 vCPUs, so they are left to scripts/check.sh's
-// `gpobench -json | cmp - TABLE1.json`, the same carve-outs as
-// TestReduceEquivalentOnTable1; -short keeps the ≤10 000-state rows.
-func TestTable1Artifact(t *testing.T) {
-	data, err := os.ReadFile("../../TABLE1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestJSONArtifactGolden checks TABLE1.json's format: the file at the
+// repository root, written by `gpobench -json`, parses as an unfiltered
+// run, round-trips byte for byte through Parse and WriteJSON, and Parse
+// refuses it under any other schema.
+func TestJSONArtifactGolden(t *testing.T) {
+	data, rep := readTable1(t)
 	if rep.Only != "" || rep.Reduce {
 		t.Fatalf("TABLE1.json is a filtered run: only=%q reduce=%v", rep.Only, rep.Reduce)
 	}
@@ -40,7 +29,17 @@ func TestTable1Artifact(t *testing.T) {
 	if _, err := Parse(bytes.Replace(data, []byte(Schema), []byte("gpobench/v1"), 1)); err == nil {
 		t.Error("Parse accepted another schema")
 	}
+}
 
+// TestTable1Artifact is the Table 1 reproduction check: TABLE1.json must
+// cover every Table 1 instance with all five engines in RunRow order and
+// hold exactly the counts this tree regenerates. The explicit engines on
+// the two >150k-state instances and rw(15)/symbolic take 12 of the 13 s a
+// full regeneration costs on 2 vCPUs, so they are left to scripts/check.sh's
+// `gpobench -json | cmp - TABLE1.json`, the same carve-outs as
+// TestReduceEquivalentOnTable1; -short keeps the ≤10 000-state rows.
+func TestTable1Artifact(t *testing.T) {
+	_, rep := readTable1(t)
 	rows := Table1()
 	if len(rep.Entries) != len(rows)*len(engines) {
 		t.Fatalf("TABLE1.json holds %d entries, want %d instances × %d engines",
@@ -76,6 +75,20 @@ func TestTable1Artifact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// readTable1 reads and parses TABLE1.json at the repository root.
+func readTable1(t *testing.T) ([]byte, *Report) {
+	t.Helper()
+	data, err := os.ReadFile("../../TABLE1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, rep
 }
 
 // TestRunUnknownSelection checks the empty-selection error.
