@@ -221,3 +221,23 @@ func TestPrefixStats(t *testing.T) {
 	}
 	t.Logf("RW(3): %d events, %d conditions, %d cutoffs", s.Events, s.Conditions, s.Cutoffs)
 }
+
+// TestSelfLoopCutoff checks that Size counts e itself: the one event of
+// t: p → p has |[t]| = 1 and reaches the initial marking, whose empty
+// configuration has size 0, so it is a cutoff and the prefix ends there.
+func TestSelfLoopCutoff(t *testing.T) {
+	b := petri.NewBuilder("selfloop")
+	p := b.Place("p")
+	b.Mark(p)
+	b.TransArcs("t", []petri.Place{p}, []petri.Place{p})
+	px, err := Build(b.MustBuild(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(px.Events) != 1 || px.CutoffCnt != 1 {
+		t.Fatalf("%d events, %d cutoffs, want 1 and 1", len(px.Events), px.CutoffCnt)
+	}
+	if got := px.Events[0].Size(); got != 1 {
+		t.Errorf("Size() = %d, want |[t]| = 1", got)
+	}
+}
