@@ -182,16 +182,13 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 	// scan expands a narrow level on the coordinator in scan order, so
 	// first encounter is scan order and a new marking is interned at once.
 	scratch := n.EmptyMarking()
+	var en []petri.Trans
 	scan := func(level []int) ([]int, error) {
 		var next []int
 		for pos, id := range level {
 			m := states.At(id)
-			enabled := 0
-			for t := petri.Trans(0); t < nt; t++ {
-				if !n.Enabled(m, t) {
-					continue
-				}
-				enabled++
+			en = n.AppendEnabled(en[:0], m)
+			for _, t := range en {
 				if !n.FireInto(scratch, m, t) {
 					return nil, unsafe(t, m)
 				}
@@ -205,7 +202,7 @@ func (nd *Node) Explore(n *petri.Net, bad []petri.Place, o reach.Options) (*reac
 				}
 				res.Arcs++
 			}
-			record(m, isBad(m), enabled == 0)
+			record(m, isBad(m), len(en) == 0)
 		}
 		return next, nil
 	}

@@ -311,18 +311,14 @@ func (j *peerJob) expand(parents *batch, lvl int64) *bytes.Buffer {
 			j.seen.Insert(m, hash)
 		}
 	}
-	nt := petri.Trans(n.NumTrans())
 	re := &expandReply{flags: make([]byte, parents.len())}
 	news := &batch{w: n.Words()}
 	next := n.EmptyMarking()
+	var en []petri.Trans
 	for i, pos := range parents.vals {
 		m := parents.marking(i)
-		enabled := 0
-		for t := petri.Trans(0); t < nt; t++ {
-			if !n.Enabled(m, t) {
-				continue
-			}
-			enabled++
+		en = n.AppendEnabled(en[:0], m)
+		for _, t := range en {
 			order := reach.OrderKey(int(pos), t)
 			if !n.FireInto(next, m, t) {
 				if !re.hasVio {
@@ -336,7 +332,7 @@ func (j *peerJob) expand(parents *batch, lvl int64) *bytes.Buffer {
 				news.add(next, order)
 			}
 		}
-		if enabled == 0 {
+		if len(en) == 0 {
 			re.flags[i] |= flagDead
 		}
 		// Same predicate as verify.CheckSafety: ALL bad places marked

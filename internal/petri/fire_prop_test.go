@@ -2,6 +2,7 @@ package petri_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/models"
@@ -79,26 +80,41 @@ func checkKernels(t *testing.T, n *petri.Net, m petri.Marking, scratch petri.Mar
 		}
 	}
 	got := n.EnabledTrans(m)
-	if len(got) != len(enabled) || n.IsDeadlock(m) != (len(enabled) == 0) {
+	if !slices.Equal(got, enabled) || n.IsDeadlock(m) != (len(enabled) == 0) {
 		t.Fatalf("%s: EnabledTrans(%s) = %v, definition says %v", n.Name(), m.String(n), got, enabled)
 	}
-	for i := range got {
-		if got[i] != enabled[i] {
-			t.Fatalf("%s: EnabledTrans(%s) = %v, definition says %v", n.Name(), m.String(n), got, enabled)
+	// AppendEnabled keeps what dst holds and orders only what it appends:
+	// the prefix here is out of order on purpose.
+	prefix := []petri.Trans{5, 2}
+	got = n.AppendEnabled(slices.Clip(prefix), m)
+	if !slices.Equal(got[:2], []petri.Trans{5, 2}) || !slices.Equal(got[2:], enabled) {
+		t.Fatalf("%s: AppendEnabled(%v, %s) = %v, want the prefix then %v", n.Name(), prefix, m.String(n), got, enabled)
+	}
+	for i := 3; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("%s: AppendEnabled(%s) = %v: not strictly increasing", n.Name(), m.String(n), got[2:])
 		}
 	}
 	return unsafe
 }
 
-// TestMaskKernelsMatchDefinitions is the property test of the word-mask
-// firing kernels: on every (marking, transition) pair over the reachable
-// markings (first 1 000 in BFS order) of the Table 1 families and of
-// randnet seeds 1–200, Enabled, EnabledTrans, IsDeadlock, Fire and
-// FireInto agree with Definitions 2.3/2.4 evaluated place by place.
-// Reachable markings of these nets are all safe, so each net is also
-// probed with random markings, where output places are often occupied:
-// the unsafe verdict must agree there too (and must occur).
-func TestMaskKernelsMatchDefinitions(t *testing.T) {
+// reversed returns n with its transitions declared last to first, so the
+// transitions indexed under one place come out of the enabled-set walk in
+// decreasing order.
+func reversed(n *petri.Net) *petri.Net {
+	b := petri.NewBuilder(n.Name() + "/reversed")
+	for p := 0; p < n.NumPlaces(); p++ {
+		b.Place(n.PlaceName(petri.Place(p)))
+	}
+	for t := petri.Trans(n.NumTrans() - 1); t >= 0; t-- {
+		b.TransArcs(n.TransName(t), n.Pre(t), n.Post(t))
+	}
+	b.Mark(n.InitialPlaces()...)
+	return b.MustBuild()
+}
+
+// table1Nets returns the Table 1 families at small to middling sizes.
+func table1Nets(t *testing.T) []*petri.Net {
 	var nets []*petri.Net
 	for _, spec := range []struct {
 		family string
@@ -113,6 +129,29 @@ func TestMaskKernelsMatchDefinitions(t *testing.T) {
 			}
 			nets = append(nets, n)
 		}
+	}
+	return nets
+}
+
+// TestMaskKernelsMatchDefinitions is the property test of the word-mask
+// firing kernels: on every (marking, transition) pair over the reachable
+// markings (first 1 000 in BFS order) of the Table 1 families and of
+// randnet seeds 1–200, Enabled, EnabledTrans, AppendEnabled, IsDeadlock,
+// Fire and FireInto agree with Definitions 2.3/2.4 evaluated place by
+// place. The Table 1 nets also run with a safety monitor, whose run place
+// is in every preset, and declared in reverse, so the enabled-set walk
+// meets its candidates out of order. Reachable markings of these nets are
+// all safe, so each net is also probed with random markings, where output
+// places are often occupied: the unsafe verdict must agree there too (and
+// must occur).
+func TestMaskKernelsMatchDefinitions(t *testing.T) {
+	var nets []*petri.Net
+	for _, n := range table1Nets(t) {
+		mon, _, err := petri.WithSafetyMonitor(n, []petri.Place{0, petri.Place(n.NumPlaces() - 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n, mon, reversed(n))
 	}
 	for seed := int64(1); seed <= 200; seed++ {
 		cfg := randnet.Default(seed)
@@ -155,10 +194,12 @@ func TestMaskKernelsMatchDefinitions(t *testing.T) {
 	}
 }
 
-// TestKernelsRejectNarrowMarking pins that both kernels address the masks
+// TestKernelsRejectNarrowMarking pins that the kernels address the masks
 // by the net's own width: a marking of fewer words (one of a reduced or
 // derived net, say) fails a bounds check in Enabled as in FireInto
-// instead of being tested against another transition's mask words.
+// instead of being tested against another transition's mask words, and
+// the enabled-set walks refuse any marking of another width — walked, an
+// all-zero narrow one would pass for a deadlock.
 func TestKernelsRejectNarrowMarking(t *testing.T) {
 	n := models.NSDP(16)
 	if n.Words() < 2 {
@@ -168,18 +209,117 @@ func TestKernelsRejectNarrowMarking(t *testing.T) {
 	for i := range narrow {
 		narrow[i] = ^uint64(0) // covers every pre mask: no early "disabled"
 	}
+	zero := make(petri.Marking, n.Words()-1)
+	wide := append(n.InitialMarking(), 0)
 	last := petri.Trans(n.NumTrans() - 1)
 	for name, kernel := range map[string]func(){
-		"Enabled":  func() { n.Enabled(narrow, last) },
-		"FireInto": func() { n.FireInto(n.EmptyMarking(), narrow, last) },
+		"Enabled":            func() { n.Enabled(narrow, last) },
+		"FireInto":           func() { n.FireInto(n.EmptyMarking(), narrow, last) },
+		"AppendEnabled":      func() { n.AppendEnabled(nil, narrow) },
+		"AppendEnabled/zero": func() { n.AppendEnabled(nil, zero) },
+		"AppendEnabled/wide": func() { n.AppendEnabled(nil, wide) },
+		"IsDeadlock":         func() { n.IsDeadlock(narrow) },
+		"IsDeadlock/zero":    func() { n.IsDeadlock(zero) },
+		"IsDeadlock/wide":    func() { n.IsDeadlock(wide) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s accepted a %d-word marking on a %d-word net", name, len(narrow), n.Words())
+					t.Errorf("%s accepted a marking of another width on a %d-word net", name, n.Words())
 				}
 			}()
 			kernel()
 		}()
+	}
+}
+
+// TestConflictMatchesDefinition pins Build's conflict relation and
+// maximal conflict sets against Definition 2.2 read off the presets: t
+// and u conflict iff t ≠ u and •t ∩ •u ≠ ∅, and the clusters are the
+// components of that relation, each sorted, ordered by smallest member.
+// It runs on the Table 1 nets, with and without a safety monitor, on
+// randnet seeds 1–50, and on nsdp(683), whose 4 098 transitions are past
+// the dense bitset and take the preset intersection.
+func TestConflictMatchesDefinition(t *testing.T) {
+	var nets []*petri.Net
+	for _, n := range table1Nets(t) {
+		mon, _, err := petri.WithSafetyMonitor(n, []petri.Place{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, n, mon)
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		nets = append(nets, randnet.Generate(randnet.Default(seed)))
+	}
+	big := models.NSDP(683)
+	if big.NumTrans() <= 4096 {
+		t.Fatalf("nsdp(683) has %d transitions; want more than 4096", big.NumTrans())
+	}
+	nets = append(nets, big)
+
+	for _, n := range nets {
+		nt := n.NumTrans()
+		mark := make([]int, n.NumPlaces()) // mark[p] == t+1: p ∈ •t
+		comp := make([]int, nt)            // component label, -1 = unvisited
+		for i := range comp {
+			comp[i] = -1
+		}
+		conflicts := func(t, u petri.Trans) bool {
+			if t == u {
+				return false
+			}
+			for _, p := range n.Pre(u) {
+				if mark[p] == int(t)+1 {
+					return true
+				}
+			}
+			return false
+		}
+		var want [][]petri.Trans
+		for tr := petri.Trans(0); int(tr) < nt; tr++ {
+			for _, p := range n.Pre(tr) {
+				mark[p] = int(tr) + 1
+			}
+			var set []petri.Trans
+			for u := petri.Trans(0); int(u) < nt; u++ {
+				want := conflicts(tr, u)
+				if got := n.Conflict(tr, u); got != want {
+					t.Fatalf("%s: Conflict(%s, %s) = %v, definition says %v", n.Name(), n.TransName(tr), n.TransName(u), got, want)
+				}
+				if want {
+					set = append(set, u)
+				}
+			}
+			if got := n.ConflictSet(tr); !slices.Equal(got, set) {
+				t.Fatalf("%s: ConflictSet(%s) = %v, definition says %v", n.Name(), n.TransName(tr), got, set)
+			}
+			if comp[tr] >= 0 {
+				continue
+			}
+			// A new component: flood it through the shared input places.
+			comp[tr] = len(want)
+			members := []petri.Trans{tr}
+			for i := 0; i < len(members); i++ {
+				for _, p := range n.Pre(members[i]) {
+					for _, u := range n.PostT(p) {
+						if comp[u] < 0 {
+							comp[u] = comp[tr]
+							members = append(members, u)
+						}
+					}
+				}
+			}
+			slices.Sort(members)
+			want = append(want, members)
+		}
+		if got := n.Clusters(); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("%s: Clusters() = %v, definition says %v", n.Name(), got, want)
+		}
+		for tr := petri.Trans(0); int(tr) < nt; tr++ {
+			if n.ClusterOf(tr) != comp[tr] {
+				t.Fatalf("%s: ClusterOf(%s) = %d, want %d", n.Name(), n.TransName(tr), n.ClusterOf(tr), comp[tr])
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package petri
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -141,24 +144,55 @@ func (n *Net) Enabled(m Marking, t Trans) bool {
 func (n *Net) EnabledTrans(m Marking) []Trans { return n.AppendEnabled(nil, m) }
 
 // AppendEnabled appends the transitions enabled in m to dst, in
-// increasing order, and returns the extended slice.
+// increasing order, and returns the extended slice. Only the transitions
+// indexed under m's marked places are tested; they come out in place
+// order, so the appended run is sorted only if one came out below its
+// predecessor. It panics if m is not a marking of n's width.
 func (n *Net) AppendEnabled(dst []Trans, m Marking) []Trans {
-	for t := Trans(0); int(t) < n.NumTrans(); t++ {
-		if n.Enabled(m, t) {
-			dst = append(dst, t)
+	n.checkWidth(m)
+	base, sorted := len(dst), true
+	for wi, w := range m {
+		for w &= n.indexed[wi]; w != 0; w &= w - 1 {
+			p := wi<<6 | bits.TrailingZeros64(w)
+			for _, t := range n.byPlace[n.byPlaceAt[p]:n.byPlaceAt[p+1]] {
+				if n.Enabled(m, t) {
+					sorted = sorted && (len(dst) == base || dst[len(dst)-1] < t)
+					dst = append(dst, t)
+				}
+			}
 		}
+	}
+	if !sorted {
+		slices.Sort(dst[base:])
 	}
 	return dst
 }
 
-// IsDeadlock reports whether no transition is enabled in m.
+// IsDeadlock reports whether no transition is enabled in m. Like
+// AppendEnabled it tests only the transitions of m's marked places, and
+// it panics if m is not a marking of n's width.
 func (n *Net) IsDeadlock(m Marking) bool {
-	for t := Trans(0); int(t) < n.NumTrans(); t++ {
-		if n.Enabled(m, t) {
-			return false
+	n.checkWidth(m)
+	for wi, w := range m {
+		for w &= n.indexed[wi]; w != 0; w &= w - 1 {
+			p := wi<<6 | bits.TrailingZeros64(w)
+			for _, t := range n.byPlace[n.byPlaceAt[p]:n.byPlaceAt[p+1]] {
+				if n.Enabled(m, t) {
+					return false
+				}
+			}
 		}
 	}
 	return true
+}
+
+// checkWidth panics unless m has the net's word count: a walk over a
+// narrower marking would miss the places of its absent words and call a
+// state dead that is not.
+func (n *Net) checkWidth(m Marking) {
+	if len(m) != n.markWords {
+		panic(fmt.Sprintf("petri: %d-word marking on %d-word net %s", len(m), n.markWords, n.name))
+	}
 }
 
 // Fire implements the classical firing rule (Definition 2.4) for safe nets:

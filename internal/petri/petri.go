@@ -34,20 +34,29 @@ type Net struct {
 
 	initial []Place // initially marked places, sorted
 
-	clusters   [][]Trans // connected components of the conflict graph
-	clusterOf  []int     // transition -> cluster index
-	markWords  int       // words per Marking
-	preMask    []uint64  // preMask[t*markWords:][:markWords]: •t as marking words
-	postMask   []uint64  // postMask likewise for t•
-	initMark   Marking
-	conflictTo []map[Trans]bool // adjacency of the conflict graph
+	clusters  [][]Trans // connected components of the conflict graph
+	clusterOf []int     // transition -> cluster index
+	markWords int       // words per Marking
+	preMask   []uint64  // preMask[t*markWords:][:markWords]: •t as marking words
+	postMask  []uint64  // postMask likewise for t•
+	initMark  Marking
+
+	// byPlace[byPlaceAt[p]:byPlaceAt[p+1]] lists, in increasing order,
+	// the transitions indexed under p: each transition once, under the
+	// input place with the fewest consumers (the smallest such place on a
+	// tie; Build refuses empty presets). A transition enabled in m is
+	// listed under one of m's marked places, so AppendEnabled and
+	// IsDeadlock test only those; indexed masks the places whose list is
+	// not empty, so a marked place without one costs nothing.
+	byPlaceAt []int32
+	byPlace   []Trans
+	indexed   Marking
 
 	// conflictBits is a dense |T|×|T| adjacency bitset (conflictStride
-	// words per transition) that serves Conflict() with one bit test
-	// instead of a map lookup; the analysis engines probe the conflict
-	// relation O(|enabled|²) per state. Built only while |T| ≤
-	// conflictBitsMax keeps it within a few MB; beyond that Conflict
-	// falls back to the map adjacency.
+	// words per transition) that serves Conflict() with one bit test; the
+	// analysis engines probe the conflict relation O(|enabled|²) per
+	// state. Built only while |T| ≤ conflictBitsMax keeps it within a few
+	// MB; beyond that Conflict intersects the two presets.
 	conflictBits   []uint64
 	conflictStride int
 }
@@ -120,17 +129,29 @@ func (n *Net) Conflict(t, u Trans) bool {
 	if t == u {
 		return false
 	}
-	return n.conflictTo[t][u]
+	a, b := n.pre[t], n.pre[u]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // ConflictSet returns the transitions in structural conflict with t,
 // excluding t itself, in increasing order.
 func (n *Net) ConflictSet(t Trans) []Trans {
-	out := make([]Trans, 0, len(n.conflictTo[t]))
-	for u := range n.conflictTo[t] {
-		out = append(out, u)
+	var out []Trans
+	for u := Trans(0); int(u) < n.NumTrans(); u++ {
+		if n.Conflict(t, u) {
+			out = append(out, u)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -329,6 +350,31 @@ func (b *Builder) Build() (*Net, error) {
 			Marking(post).Set(p)
 		}
 	}
+	// A place with few consumers is rarely a shared resource that stays
+	// marked (a fork, a mutex, the safety monitor's run place, which is in
+	// every preset), so its list is seldom walked in vain. It also keeps
+	// the candidates of Table 1's nets in or near transition order.
+	key := make([]Place, len(b.trans))
+	n.byPlaceAt = make([]int32, len(b.places)+1)
+	n.indexed = n.EmptyMarking()
+	for t, pre := range n.pre {
+		key[t] = pre[0]
+		for _, p := range pre[1:] {
+			if len(n.postT[p]) < len(n.postT[key[t]]) {
+				key[t] = p
+			}
+		}
+		n.byPlaceAt[key[t]]++
+		n.indexed.Set(key[t])
+	}
+	for p := range b.places {
+		n.byPlaceAt[p+1] += n.byPlaceAt[p] // now the end of p's list
+	}
+	n.byPlace = make([]Trans, len(b.trans))
+	for t := len(b.trans) - 1; t >= 0; t-- { // each list filled from its end
+		n.byPlaceAt[key[t]]--
+		n.byPlace[n.byPlaceAt[key[t]]] = Trans(t)
+	}
 	n.buildConflicts()
 	return n, nil
 }
@@ -360,30 +406,23 @@ func joinErrors(errs []error) error {
 	return fmt.Errorf("%s", msg)
 }
 
-// buildConflicts computes the conflict adjacency and the maximal conflict
-// sets (connected components of the conflict graph).
+// buildConflicts computes the conflict bitset and the maximal conflict
+// sets, both straight from the consumer lists: t and u conflict iff they
+// share a place p with t, u ∈ p•, and a cluster is a component of the
+// union of the p•.
 func (n *Net) buildConflicts() {
 	nt := n.NumTrans()
-	n.conflictTo = make([]map[Trans]bool, nt)
-	for t := 0; t < nt; t++ {
-		n.conflictTo[t] = make(map[Trans]bool)
-	}
-	for p := 0; p < n.NumPlaces(); p++ {
-		out := n.postT[Place(p)]
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				n.conflictTo[out[i]][out[j]] = true
-				n.conflictTo[out[j]][out[i]] = true
-			}
-		}
-	}
 	if nt > 0 && nt <= conflictBitsMax {
 		n.conflictStride = (nt + 63) / 64
 		n.conflictBits = make([]uint64, nt*n.conflictStride)
-		for t := 0; t < nt; t++ {
-			row := n.conflictBits[t*n.conflictStride : (t+1)*n.conflictStride]
-			for u := range n.conflictTo[t] {
-				row[u>>6] |= 1 << (uint(u) & 63)
+		for _, out := range n.postT {
+			for _, t := range out {
+				row := n.conflictBits[int(t)*n.conflictStride:]
+				for _, u := range out {
+					if u != t {
+						row[u>>6] |= 1 << (uint(u) & 63)
+					}
+				}
 			}
 		}
 	}
@@ -392,39 +431,32 @@ func (n *Net) buildConflicts() {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	for _, out := range n.postT {
+		for _, u := range out[min(1, len(out)):] {
+			if ra, rb := find(int(out[0])), find(int(u)); ra != rb {
+				parent[ra] = rb
+			}
 		}
 	}
-	for t := 0; t < nt; t++ {
-		for u := range n.conflictTo[t] {
-			union(t, int(u))
-		}
-	}
-	rootIndex := make(map[int]int)
+	// Transitions ascend, so each component is met at its smallest
+	// member first and filled in increasing order.
+	index := make([]int, nt) // root -> cluster index + 1
 	n.clusterOf = make([]int, nt)
 	for t := 0; t < nt; t++ {
 		r := find(t)
-		ci, ok := rootIndex[r]
-		if !ok {
-			ci = len(n.clusters)
-			rootIndex[r] = ci
+		if index[r] == 0 {
 			n.clusters = append(n.clusters, nil)
+			index[r] = len(n.clusters)
 		}
+		ci := index[r] - 1
 		n.clusters[ci] = append(n.clusters[ci], Trans(t))
 		n.clusterOf[t] = ci
-	}
-	for _, c := range n.clusters {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 	}
 }

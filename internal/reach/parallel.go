@@ -67,6 +67,7 @@ type worker struct {
 
 	out    []uint64      // successors routed to other owners: (order, hash, words...) each
 	next   petri.Marking // scratch successor
+	en     []petri.Trans // scratch: the enabled transitions of the parent at hand
 	vio    *violation    // scan-order-first unsafe firing this worker saw
 	cancel *stop.Checker
 	tk     *trace.Track // nil when not tracing
@@ -247,7 +248,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			g.Edges = append(g.Edges, nil)
 		}
 	}
-	nt, words := petri.Trans(n.NumTrans()), n.Words()
+	words := n.Words()
 
 	// inline expands a narrow level on the calling goroutine, as worker 0.
 	// Positions are scanned in order, so first-encounter order is scan
@@ -259,12 +260,8 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			if err := me.cancel.Poll(); err != nil {
 				return err
 			}
-			enabled := 0
-			for t := petri.Trans(0); t < nt; t++ {
-				if !n.Enabled(m, t) {
-					continue
-				}
-				enabled++
+			me.en = n.AppendEnabled(me.en[:0], m)
+			for _, t := range me.en {
 				if !n.FireInto(me.next, m, t) {
 					return (&violation{t: t, m: m}).err(n)
 				}
@@ -293,7 +290,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 				}
 			}
 			if !resumed {
-				record(lo+pos, m, isBad(m), enabled == 0)
+				record(lo+pos, m, isBad(m), len(me.en) == 0)
 			}
 		}
 		return nil
@@ -306,18 +303,15 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	expand := func(wi int) {
 		const chunk = 16
 		me := ws[wi]
-		next, out, cancel, wtk := me.next, me.out[:0], me.cancel, me.tk
+		next, en, out, cancel, wtk := me.next, me.en, me.out[:0], me.cancel, me.tk
 		me.vio = nil
 		for clo := 0; clo < len(views) && cancel.Poll() == nil; {
 			clo = int(cursor.Add(chunk)) - chunk
 			for pos := clo; pos < min(clo+chunk, len(views)); pos++ {
 				m := views[pos]
-				enabled, fired := 0, 0
-				for t := petri.Trans(0); t < nt; t++ {
-					if !n.Enabled(m, t) {
-						continue
-					}
-					enabled++
+				fired := 0
+				en = n.AppendEnabled(en[:0], m)
+				for _, t := range en {
 					order := OrderKey(pos, t)
 					if !n.FireInto(next, m, t) {
 						if me.vio == nil || order < me.vio.order {
@@ -338,10 +332,10 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 					// whose state events carry the definitive ids.
 					wtk.Fire(int64(t), -1)
 				}
-				spans[pos] = span{n: int32(fired), dead: enabled == 0, bad: isBad(m)}
+				spans[pos] = span{n: int32(fired), dead: len(en) == 0, bad: isBad(m)}
 			}
 		}
-		me.out = out
+		me.en, me.out = en, out
 	}
 	// absorb is the second phase, for owner o: it picks its markings out of
 	// what the expanders routed (the hash names the owner again) and sorts
@@ -456,18 +450,19 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		for _, sp := range spans[:whole] {
 			res.Arcs += int(sp.n)
 		}
-		scratch := ws[0].next
+		w0 := ws[0]
 		for pos := whole; pos < len(views) && OrderKey(pos, 0) <= trigger; pos++ {
-			for t := petri.Trans(0); t < nt && OrderKey(pos, t) < trigger; t++ {
-				if !n.Enabled(views[pos], t) {
-					continue
+			w0.en = n.AppendEnabled(w0.en[:0], views[pos])
+			for _, t := range w0.en {
+				if OrderKey(pos, t) >= trigger {
+					break
 				}
 				res.Arcs++
 				if graph {
-					n.FireInto(scratch, views[pos], t)
-					hash := scratch.Hash()
+					n.FireInto(w0.next, views[pos], t)
+					hash := w0.next.Hash()
 					ow := ws[ownerOf[ShardOf(hash)]]
-					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[ow.store.Lookup(scratch, hash)])})
+					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[ow.store.Lookup(w0.next, hash)])})
 				}
 			}
 		}

@@ -151,6 +151,7 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 
 	var store visited.Store
 	scratch := n.EmptyMarking() // every firing's successor lands here first
+	var en []petri.Trans        // the expanded state's enabled transitions
 	limit := visited.Limit(opts.MaxStates)
 	// Verdict ids mirror res.Deadlocks/res.BadStates for the snapshot;
 	// maintained unconditionally (two appends per verdict is noise next
@@ -241,7 +242,6 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 		}
 	}
 
-	nt := petri.Trans(n.NumTrans())
 	cancel := stop.Every(opts.Ctx, 64)
 	for id := next; id < store.Len(); id++ {
 		if id >= levelEnd {
@@ -266,10 +266,8 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 			return res, fmt.Errorf("reach: aborted: %w", err)
 		}
 		m := store.At(id)
-		for t := petri.Trans(0); t < nt; t++ {
-			if !n.Enabled(m, t) {
-				continue
-			}
+		en = n.AppendEnabled(en[:0], m)
+		for _, t := range en {
 			if !n.FireInto(scratch, m, t) {
 				return nil, fmt.Errorf("%w: firing %s from %s double-marks a place",
 					ErrUnsafe, n.TransName(t), m.String(n))

@@ -125,7 +125,7 @@ func (c *closer) stubborn(dst []petri.Trans, m petri.Marking, enabled []petri.Tr
 		return dst
 	}
 	base := len(dst)
-	dst = c.closure(dst, m, enabled[0])
+	dst = c.closure(dst, m, enabled, enabled[0])
 	if seed == SeedFirst {
 		return dst
 	}
@@ -133,7 +133,7 @@ func (c *closer) stubborn(dst []petri.Trans, m petri.Marking, enabled []petri.Tr
 		if len(dst)-base == 1 {
 			break
 		}
-		c.cand = c.closure(c.cand[:0], m, s)
+		c.cand = c.closure(c.cand[:0], m, enabled, s)
 		if len(c.cand) < len(dst)-base {
 			dst = append(dst[:base], c.cand...)
 		}
@@ -142,8 +142,9 @@ func (c *closer) stubborn(dst []petri.Trans, m petri.Marking, enabled []petri.Tr
 }
 
 // closure appends to dst the enabled members of the stubborn set grown
-// from seed, in increasing order.
-func (c *closer) closure(dst []petri.Trans, m petri.Marking, seed petri.Trans) []petri.Trans {
+// from seed, in increasing order; enabled lists m's enabled transitions,
+// increasing.
+func (c *closer) closure(dst []petri.Trans, m petri.Marking, enabled []petri.Trans, seed petri.Trans) []petri.Trans {
 	n := c.n
 	c.newSet()
 	c.add(seed)
@@ -176,8 +177,8 @@ func (c *closer) closure(dst []petri.Trans, m petri.Marking, seed petri.Trans) [
 		}
 	}
 	c.work = work
-	for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
-		if c.stamp[t] == c.epoch && n.Enabled(m, t) {
+	for _, t := range enabled {
+		if c.stamp[t] == c.epoch {
 			dst = append(dst, t)
 		}
 	}

@@ -6,10 +6,12 @@
 // Markings live as raw words in a chunked arena — an id is an arena
 // position, and a chunk never moves once allocated, so the views At hands
 // out stay valid for the life of the store. Membership is an
-// open-addressed, linear-probing table of int32 ids over the marking's
-// 64-bit hash (petri.Marking.Hash), doubled at ¾ load: the layout of the
-// ZDD unique table (internal/zdd). No key string is built, and looking up
-// a stored marking allocates nothing.
+// open-addressed, linear-probing table of 32-bit entries over the
+// marking's 64-bit hash (petri.Marking.Hash), doubled at ¾ load: the
+// layout of the ZDD unique table (internal/zdd). An entry holds an id and,
+// in the bits the id leaves free, a tag of the hash, so a probe passes
+// most other markings without reading the arena. No key string is built,
+// and looking up a stored marking allocates nothing.
 package visited
 
 import (
@@ -18,8 +20,8 @@ import (
 	"repro/internal/petri"
 )
 
-// MaxLen is the largest number of markings a Store holds: table entries
-// are int32 ids (stored +1, zero marks an empty slot).
+// MaxLen is the largest number of markings a Store holds: ids are stored
+// +1 below the tag of a 32-bit table entry (zero marks an empty slot).
 const MaxLen = 1<<31 - 1
 
 // Limit returns the state count at which an explorer stops with its
@@ -51,8 +53,8 @@ type Store struct {
 	w      int        // words per marking
 	n      int        // markings stored
 	chunks [][]uint64 // arena
-	table  []int32    // id+1 per slot, 0 = empty
-	shift  uint       // 64 - log2(len(table))
+	table  []uint32   // tag<<k | id+1 per slot, k = log2(len(table)); 0 = empty
+	shift  uint       // 64 - k
 }
 
 // rehash re-derives a stored marking's hash when a table grows. The tests
@@ -80,11 +82,17 @@ func (s *Store) At(id int) petri.Marking {
 	return s.chunks[c][lo:hi:hi]
 }
 
-// slot is the home slot of a hash: the top bits of a Fibonacci multiply
-// (by 2^64/φ), which depend on every bit of the hash. The low bits alone
-// would not do: within one worker's store of the parallel explorer they
-// are nearly all equal, reach.ShardOf having consumed them.
-func (s *Store) slot(hash uint64) int { return int(hash * 0x9e3779b97f4a7c15 >> s.shift) }
+// slot is the home slot of a hash: the top k bits of a Fibonacci
+// multiply (by 2^64/φ), which depend on every bit of the hash. The low
+// bits alone would not do: within one worker's store of the parallel
+// explorer they are nearly all equal, reach.ShardOf having consumed them.
+// tag is the next 32−k product bits, shifted above the id: since
+// id+1 ≤ Len ≤ ¾·2^k, an id fits in the low k bits of an entry, and the
+// entry of a stored marking is its tag | id+1.
+func (s *Store) slot(hash uint64) (i int, tag uint32) {
+	top := hash * 0x9e3779b97f4a7c15 >> 32
+	return int(top >> (s.shift - 32)), uint32(top << (64 - s.shift))
+}
 
 // Lookup returns the id of the marking, or -1 if it is not stored. hash
 // must be its petri.Marking.Hash.
@@ -93,13 +101,14 @@ func (s *Store) Lookup(m petri.Marking, hash uint64) int {
 		return -1
 	}
 	mask := len(s.table) - 1
-	for i := s.slot(hash); ; i = (i + 1) & mask {
+	i, tag := s.slot(hash)
+	for ; ; i = (i + 1) & mask {
 		e := s.table[i]
 		if e == 0 {
 			return -1
 		}
-		if s.At(int(e - 1)).Equal(m) {
-			return int(e - 1)
+		if id := int(e&uint32(mask)) - 1; e&^uint32(mask) == tag && s.At(id).Equal(m) {
+			return id
 		}
 	}
 }
@@ -110,7 +119,7 @@ func (s *Store) Insert(m petri.Marking, hash uint64) int {
 	switch {
 	case s.table == nil:
 		s.w = len(m)
-		s.table = make([]int32, minTable)
+		s.table = make([]uint32, minTable)
 		s.shift = uint(64 - bits.TrailingZeros(minTable))
 	case len(m) != s.w:
 		panic("visited: marking width changed")
@@ -133,17 +142,17 @@ func (s *Store) Insert(m petri.Marking, hash uint64) int {
 // place enters id at the first free slot of its probe sequence.
 func (s *Store) place(id int, hash uint64) {
 	mask := len(s.table) - 1
-	i := s.slot(hash)
+	i, tag := s.slot(hash)
 	for s.table[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.table[i] = int32(id + 1)
+	s.table[i] = tag | uint32(id+1)
 }
 
-// grow doubles the id table and re-homes every stored marking; entries
-// are ids, so rehashing reads the arena.
+// grow doubles the id table and re-homes every stored marking; an entry
+// keeps no hash, only a tag of it, so rehashing reads the arena.
 func (s *Store) grow() {
-	s.table = make([]int32, 2*len(s.table))
+	s.table = make([]uint32, 2*len(s.table))
 	s.shift--
 	for id := 0; id < s.n; id++ {
 		s.place(id, rehash(s.At(id)))

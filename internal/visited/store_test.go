@@ -2,6 +2,7 @@ package visited
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -135,6 +136,58 @@ func TestStoreVsMap(t *testing.T) {
 			cfg := randnet.Default(seed)
 			cfg.Machines, cfg.PlacesPer = 2+int(seed%5), 3+int(seed%23) // 1 to 2 words
 			checkAgainst(t, reachable(randnet.Generate(cfg), count/10), hash)
+		}
+	}
+}
+
+// phiInv is the inverse of slot's Fibonacci multiplier modulo 2^64
+// (Newton's iteration, each step doubling the correct low bits), so a
+// stand-in hash x·phiInv multiplies back to exactly x: the test picks the
+// product bits slot reads, home slot and tag alike.
+var phiInv = func() uint64 {
+	const phi = 0x9e3779b97f4a7c15
+	x := uint64(phi) // phi·phi ≡ 1 mod 8: three bits right
+	for range 5 {
+		x *= 2 - phi*x
+	}
+	return x
+}()
+
+// TestTaggedSlots drives the tag in the id's spare bits through the
+// rehash hook with two hashes whose products share the top 20 bits, so
+// every marking has one home slot at every table size up to 2^20 and
+// each probe walks one chain: under "tags differ" the next 12 bits vary,
+// so the tag decides most probes without the arena; under "tags equal"
+// the top 32 bits are all the same, so every probe reaches Equal. 7 000
+// distinct markings take the table from 16 slots through ten doublings.
+func TestTaggedSlots(t *testing.T) {
+	const distinct = 7000
+	var stream []petri.Marking
+	for i := uint64(0); i < distinct; i++ {
+		stream = append(stream, petri.Marking{i * 0x2545f4914f6cdd1d})
+		if i%7 == 0 {
+			stream = append(stream, stream[len(stream)/2]) // a repeat
+		}
+	}
+	for name, c := range map[string]struct {
+		hash             func(petri.Marking) uint64
+		minTags, maxTags int // distinct tags the final table holds
+	}{
+		"tags differ": {func(m petri.Marking) uint64 { return (0xabcde<<44 | m.Hash()&(1<<44-1)) * phiInv }, 1000, 1 << 12},
+		"tags equal":  {func(m petri.Marking) uint64 { return (0xabcde123<<32 | m.Hash()&(1<<32-1)) * phiInv }, 1, 1},
+	} {
+		s := checkAgainst(t, stream, c.hash)
+		if k := bits.TrailingZeros(uint(len(s.table))); k < firstLog+10 {
+			t.Fatalf("%s: %d-slot table: fewer than ten doublings", name, len(s.table))
+		}
+		tags := make(map[uint32]bool)
+		for _, e := range s.table {
+			if e != 0 {
+				tags[e&^uint32(len(s.table)-1)] = true
+			}
+		}
+		if len(tags) < c.minTags || len(tags) > c.maxTags {
+			t.Errorf("%s: %d distinct tags in the table", name, len(tags))
 		}
 	}
 }
