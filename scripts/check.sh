@@ -57,11 +57,18 @@ test -z "$(ls BENCH_*.json 2>/dev/null)"
 OBS_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/obs)
 test -z "$(grep -E '^(type|func) (\([^)]*\) )?Bench' $OBS_SRC)"
 test -z "$(go list -f '{{join .Imports "\n"}}' ./cmd/gpobench ./internal/bench | grep -x -e repro/internal/obs/ledger -e repro/internal/obs/trace)"
+# One enabled kernel: every explicit explorer fires the list
+# Net.AppendEnabled walks from the marked places, so outside petri no
+# non-test code tests transitions one by one, except stubborn's closure,
+# which asks it of the set members it grows.
+MODULE_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./...)
+test "$(grep -l '\.Enabled(' $MODULE_SRC | grep -v /internal/petri/)" = "$PWD/internal/stubborn/stubborn.go"
+test "$(grep -c '\.Enabled(' internal/stubborn/stubborn.go)" = 1
 # Docs size gate: README, DESIGN, EXPERIMENTS, OBSERVABILITY and ROADMAP
 # may not grow past their total after the last cut. A change that needs
 # more room raises the bound here, in the same commit, and says why in
 # CHANGES.md; one that frees room lowers it.
-test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 190475
+test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 190423
 go test -race ./...
 # Table 1 counts, every row: the full regeneration must reproduce
 # TABLE1.json byte for byte, including the rows TestTable1Artifact leaves
