@@ -14,7 +14,7 @@
 // unfolding. With -compare, all engines run and their statistics are
 // tabulated.
 //
-// With -replay, the checkpointed prefix in a ckpt/v1 file (written by
+// With -replay, the checkpointed prefix in a ckpt/v2 file (written by
 // gpod's durable jobs, DESIGN.md D11) is re-executed from scratch and
 // must reproduce the stored snapshot bit for bit and the same flight-
 // recorder event stream across independent re-executions; -trace-ref
@@ -52,6 +52,7 @@ import (
 	"repro/internal/petri"
 	"repro/internal/pnio"
 	"repro/internal/proc"
+	"repro/internal/stop"
 	"repro/internal/structural"
 	"repro/internal/verify"
 )
@@ -74,9 +75,9 @@ func main() {
 		compare   = flag.Bool("compare", false, "run all engines and tabulate")
 		explain   = flag.Bool("explain", true, "explain deadlock witnesses structurally (empty siphon)")
 
-		replayCkpt = flag.String("replay", "", "re-execute the checkpointed prefix in this ckpt/v1 file deterministically and verify snapshot + event-stream equality")
+		replayCkpt = flag.String("replay", "", "re-execute the checkpointed prefix in this ckpt/v2 file deterministically and verify snapshot + event-stream equality")
 		traceRef   = flag.String("trace-ref", "", "with -replay: reference flight-recorder trace to compare event counts against")
-		ckptOut    = flag.String("ckpt", "", "suspend the run at a checkpoint: stop at the first engine boundary with at least -ckpt-states interned states and write a ckpt/v1 file here (re-execute with -replay)")
+		ckptOut    = flag.String("ckpt", "", "suspend the run at a checkpoint: stop at the first engine boundary with at least -ckpt-states interned states and write a ckpt/v2 file here (re-execute with -replay)")
 		ckptStates = flag.Int("ckpt-states", 1000, "with -ckpt: minimum interned states before suspending")
 
 		metricsOut = flag.String("metrics", "", "write the engine's metric registry as JSON to this file ('-' = stderr)")
@@ -142,10 +143,6 @@ func main() {
 		nets = append(nets, net)
 	}
 
-	if *ckptOut != "" && *compare {
-		fatal(fmt.Errorf("-ckpt suspends a single run; drop -compare"))
-	}
-
 	engines := []verify.Engine{}
 	if *compare {
 		engines = []verify.Engine{verify.Exhaustive, verify.PartialOrder,
@@ -156,6 +153,9 @@ func main() {
 			fatal(err)
 		}
 		engines = append(engines, e)
+	}
+	if err := ckptSingleRun(*ckptOut, len(nets), len(engines)); err != nil {
+		fatal(err)
 	}
 
 	var reg *obs.Registry
@@ -234,6 +234,15 @@ func main() {
 	}
 }
 
+// ckptSingleRun refuses -ckpt unless exactly one run is selected: each
+// run would suspend and write the file, the last overwriting the rest.
+func ckptSingleRun(ckptOut string, nets, engines int) error {
+	if ckptOut != "" && nets*engines > 1 {
+		return fmt.Errorf("-ckpt suspends a single run, not %d nets × %d engines; select one net and drop -compare", nets, engines)
+	}
+	return nil
+}
+
 // runOpts carries the flag-derived knobs of one engine table.
 type runOpts struct {
 	stop      bool
@@ -247,7 +256,7 @@ type runOpts struct {
 	tracer    *trace.Tracer
 	ledger    *ledger.Log
 	// ckptOut, when set, suspends the run at the first boundary with at
-	// least ckptStates interned states and writes a ckpt/v1 file there.
+	// least ckptStates interned states and writes a ckpt/v2 file there.
 	ckptOut    string
 	ckptStates int
 }
@@ -277,11 +286,11 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 		var ckptSnap *verify.EngineSnapshot
 		if ro.ckptOut != "" {
 			opts.Ckpt = &verify.Checkpointer{
-				Poll: func(states int, boundary int64) verify.CkptAction {
+				Poll: func(states int, boundary int64) stop.Action {
 					if states >= ro.ckptStates {
-						return verify.CkptStop
+						return stop.Suspend
 					}
-					return verify.CkptNone
+					return stop.Continue
 				},
 				Save: func(sn *verify.EngineSnapshot) error {
 					ckptSnap = sn
@@ -311,19 +320,7 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 			if len(bad) > 0 {
 				check = "safety"
 			}
-			f := &ckpt.File{
-				Key:         verify.RunKey(net, check, bad, opts),
-				Check:       check,
-				Bad:         bad,
-				Net:         net,
-				Engine:      opts.Engine,
-				StopAtFirst: opts.StopAtFirst,
-				Proviso:     opts.Proviso,
-				Reduce:      opts.Reduce,
-				MaxStates:   opts.MaxStates,
-				MaxNodes:    opts.MaxNodes,
-				Snap:        ckptSnap,
-			}
+			f := &ckpt.File{Net: net, Check: check, Bad: bad, Opts: opts, Snap: ckptSnap}
 			if err := ckpt.Write(ro.ckptOut, f); err != nil {
 				fatal(err)
 			}

@@ -1,7 +1,7 @@
 package main
 
 // Deterministic checkpoint replay (-replay): re-execute the prefix a
-// ckpt/v1 file describes — same net, same check, same result-determining
+// ckpt/v2 file describes — same net, same check, same result-determining
 // options, stopping at the same engine boundary — and prove the run is
 // reproducible three ways:
 //
@@ -26,6 +26,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
+	"repro/internal/stop"
 	"repro/internal/verify"
 )
 
@@ -36,9 +37,9 @@ func runReplay(path, traceRef, traceOut string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay %s: run %s\n", path, f.Key.RunID())
+	fmt.Printf("replay %s: run %s\n", path, f.Key().RunID())
 	fmt.Printf("  net %s (%d places, %d transitions), check %s, engine %s\n",
-		f.Net.Name(), f.Net.NumPlaces(), f.Net.NumTrans(), f.Check, f.Engine)
+		f.Net.Name(), f.Net.NumPlaces(), f.Net.NumTrans(), f.Check, f.Opts.Engine)
 	fmt.Printf("  checkpoint: boundary %d, %d states\n", f.Boundary(), f.States())
 
 	snap1, dump1, err := replayPrefix(f)
@@ -116,14 +117,14 @@ func replayPrefix(f *ckpt.File) (*verify.EngineSnapshot, *trace.Dump, error) {
 
 	target := f.Boundary()
 	var snap *verify.EngineSnapshot
-	opts := f.Options()
+	opts := f.Opts
 	opts.Trace = tracer
 	opts.Ckpt = &verify.Checkpointer{
-		Poll: func(states int, boundary int64) verify.CkptAction {
+		Poll: func(states int, boundary int64) stop.Action {
 			if boundary >= target {
-				return verify.CkptStop
+				return stop.Suspend
 			}
-			return verify.CkptNone
+			return stop.Continue
 		},
 		Save: func(sn *verify.EngineSnapshot) error {
 			snap = sn

@@ -10,6 +10,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
+	"repro/internal/stop"
 	"repro/internal/verify"
 )
 
@@ -31,11 +32,11 @@ func suspendRun(t *testing.T, net *petri.Net, eng verify.Engine, stopAt func(sta
 		Engine: eng,
 		Trace:  tracer,
 		Ckpt: &verify.Checkpointer{
-			Poll: func(states int, boundary int64) verify.CkptAction {
+			Poll: func(states int, boundary int64) stop.Action {
 				if stopAt(states, boundary) {
-					return verify.CkptStop
+					return stop.Suspend
 				}
-				return verify.CkptNone
+				return stop.Continue
 			},
 			Save: func(sn *verify.EngineSnapshot) error { snap = sn; return nil },
 		},
@@ -48,13 +49,7 @@ func suspendRun(t *testing.T, net *petri.Net, eng verify.Engine, stopAt func(sta
 		t.Fatalf("run did not suspend: %+v", rep)
 	}
 	path := filepath.Join(t.TempDir(), "replay-test.ckpt")
-	f := &ckpt.File{
-		Key:    verify.RunKey(net, "deadlock", nil, opts),
-		Check:  "deadlock",
-		Net:    net,
-		Engine: eng,
-		Snap:   snap,
-	}
+	f := &ckpt.File{Net: net, Check: "deadlock", Opts: opts, Snap: snap}
 	if err := ckpt.Write(path, f); err != nil {
 		t.Fatalf("write ckpt: %v", err)
 	}

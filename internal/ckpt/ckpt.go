@@ -1,23 +1,24 @@
-// Package ckpt implements ckpt/v1, the durable on-disk checkpoint
+// Package ckpt implements ckpt/v2, the durable on-disk checkpoint
 // container for verification jobs (DESIGN.md D11).
 //
 // A checkpoint file is an 8-byte magic and a sequence of internal/codec
-// frames: a header frame keyed by the run's content address
-// (verify.RunKey) and carrying a complete, decodable encoding of the
-// net, the check and every result-determining option; for exhaustive
-// snapshots 256 visited-store shard segments
-// (markings grouped by reach.ShardOf, the same partition the parallel
-// explorer uses) plus one engine-state frame; for GPO snapshots one
-// engine-state frame embedding the algebra's family blob; and a footer
-// frame with the SHA-256 digest of everything before it.
+// frames: a header frame carrying the format version, the interned state
+// count and the run's RunKey pre-image (verify.AppendRunKey: the net,
+// the check and every result-determining option, the exact bytes the
+// run's content address hashes); for exhaustive snapshots one
+// engine-state frame stating the marking width once, then the markings
+// in id order as consecutive segments of raw words; for GPO snapshots
+// one engine-state frame embedding the algebra's family blob; and a
+// footer frame with the SHA-256 digest of everything before it.
 //
 // The format is torn-tail-safe and refuses silent resume: a truncated
 // tail surfaces as ErrTorn (the footer never arrived or a frame is
-// cut), any bit flip surfaces as ErrCorrupt (digest mismatch, or the
-// decoded content no longer hashes to the header's RunKey), a wrong
-// file as ErrBadMagic, and a future format as ErrUnsupported. Files
-// are written to a temp name and renamed into place, so a crash during
-// Write never leaves a partial file under the final name.
+// cut), any bit flip surfaces as ErrCorrupt (digest mismatch, or a
+// frame that does not decode canonically), a wrong file as ErrBadMagic,
+// and another format version — ckpt/v1, or a RunKey pre-image of
+// another verify.RunKeyFormat — as ErrUnsupported. Files are written to
+// a temp name and renamed into place, so a crash during Write never
+// leaves a partial file under the final name.
 package ckpt
 
 import (
@@ -25,7 +26,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -37,72 +37,58 @@ import (
 // Typed failure modes. Callers gate on these; none of them is ever a
 // silent fallback to a fresh run.
 var (
-	// ErrBadMagic reports a file that is not a ckpt/v1 container.
+	// ErrBadMagic reports a file that is not a checkpoint container.
 	ErrBadMagic = errors.New("ckpt: not a checkpoint file")
 	// ErrUnsupported reports a container version this build cannot read.
 	ErrUnsupported = errors.New("ckpt: unsupported checkpoint format version")
 	// ErrTorn reports a truncated tail: the file ends mid-frame or
 	// before the footer. The checkpoint was cut by a crash mid-write.
 	ErrTorn = errors.New("ckpt: torn checkpoint (truncated tail)")
-	// ErrCorrupt reports content damage: a digest mismatch, a frame
-	// that does not decode, or content that no longer matches the
-	// header's RunKey.
+	// ErrCorrupt reports content damage: a digest mismatch, or a frame
+	// that does not decode.
 	ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
 	// ErrKeyMismatch reports a structurally valid checkpoint for a
 	// different run than the caller asked to resume.
 	ErrKeyMismatch = errors.New("ckpt: checkpoint is for a different run")
 )
 
-// magic is the 8-byte file preamble, outside the frame stream.
+// magic is the 8-byte file preamble, outside the frame stream. It names
+// the container; the version is the header frame's first field.
 var magic = [8]byte{'G', 'P', 'O', 'C', 'K', 'P', 'T', '1'}
 
 // version is the container format version in the header frame.
-const version = 1
+const version = 2
 
 // Frame types.
 const (
 	frameHeader byte = 'H'
-	frameShard  byte = 'S'
+	frameStates byte = 'S'
 	frameReach  byte = 'R'
 	frameCore   byte = 'C'
 	frameFooter byte = 'Z'
 )
 
-// maxFrame caps a single checkpoint frame; the shard partition keeps
-// exhaustive snapshots well under it, and GPO family blobs are
-// dominated by the deduplicated node table.
+// maxFrame caps a single checkpoint frame; exhaustive markings travel in
+// segments of about segmentBytes, and GPO family blobs are dominated by
+// the deduplicated node table.
 const maxFrame = 1 << 30
 
-// File is one decoded checkpoint: the run's identity (everything
-// verify.RunKey hashes) plus the engine snapshot at the boundary.
+// File is one checkpoint: the run's identity and the engine snapshot at
+// the boundary.
 type File struct {
-	Key   verify.Key
+	Net   *petri.Net
 	Check string // "deadlock" or "safety"
 	Bad   []petri.Place
-	Net   *petri.Net
-	// Result-determining options, the RunKey subset.
-	Engine      verify.Engine
-	StopAtFirst bool
-	Proviso     bool
-	Reduce      bool
-	MaxStates   int
-	MaxNodes    int
+	// Opts holds the result-determining options (the RunKey subset); a
+	// decoded File sets nothing else, runtime knobs (Ctx, Workers,
+	// observers) are the caller's to add.
+	Opts verify.Options
 	// Snap is the engine snapshot (exactly one member set).
 	Snap *verify.EngineSnapshot
 }
 
-// Options reassembles the verify.Options subset the checkpoint pins.
-// Runtime knobs (Ctx, Workers, observers) are the caller's to add.
-func (f *File) Options() verify.Options {
-	return verify.Options{
-		Engine:      f.Engine,
-		StopAtFirst: f.StopAtFirst,
-		Proviso:     f.Proviso,
-		Reduce:      f.Reduce,
-		MaxStates:   f.MaxStates,
-		MaxNodes:    f.MaxNodes,
-	}
-}
+// Key returns the run's content address, verify.RunKey.
+func (f *File) Key() verify.Key { return verify.RunKey(f.Net, f.Check, f.Bad, f.Opts) }
 
 // Boundary returns the snapshot's deterministic resume coordinate.
 func (f *File) Boundary() int64 { return f.Snap.Boundary() }
@@ -110,26 +96,14 @@ func (f *File) Boundary() int64 { return f.Snap.Boundary() }
 // States returns the snapshot's interned state count.
 func (f *File) States() int { return f.Snap.States() }
 
-// hashingWriter feeds every written byte into the running digest too.
-type hashingWriter struct {
-	w io.Writer
-	h io.Writer
-}
-
-func (hw hashingWriter) Write(p []byte) (int, error) {
-	n, err := hw.w.Write(p)
-	hw.h.Write(p[:n])
-	return n, err
-}
-
 // Write serializes f into path atomically: the container is assembled
 // next to the target and renamed over it only after a successful sync.
 func Write(path string, f *File) (err error) {
-	if f.Snap == nil || (f.Snap.Reach == nil) == (f.Snap.Core == nil) {
-		return fmt.Errorf("ckpt: exactly one engine snapshot must be set")
+	img, err := Encode(f)
+	if err != nil {
+		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
 	if err != nil {
 		return err
 	}
@@ -139,7 +113,7 @@ func Write(path string, f *File) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	if err = writeTo(tmp, f); err != nil {
+	if _, err = tmp.Write(img); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -151,46 +125,31 @@ func Write(path string, f *File) (err error) {
 	return os.Rename(tmp.Name(), path)
 }
 
-// writeTo emits the full container to w.
-func writeTo(w io.Writer, f *File) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	digest := sha256.New()
-	hw := hashingWriter{w: w, h: digest}
-	if err := codec.WriteFrame(hw, frameHeader, encodeHeader(f)); err != nil {
-		return err
-	}
-	if sn := f.Snap.Reach; sn != nil {
-		for _, payload := range encodeShards(sn) {
-			if err := codec.WriteFrame(hw, frameShard, payload); err != nil {
-				return err
-			}
-		}
-		if err := codec.WriteFrame(hw, frameReach, encodeReach(sn)); err != nil {
-			return err
-		}
-	} else {
-		if err := codec.WriteFrame(hw, frameCore, encodeCore(f.Snap.Core)); err != nil {
-			return err
-		}
-	}
-	// The footer frame carries the digest of every frame before it and
-	// is excluded from its own hash (written to w, not hw).
-	return codec.WriteFrame(w, frameFooter, digest.Sum(nil))
-}
-
-// Encode serializes f to the ckpt/v1 container image in memory — the
-// exact bytes Write would place on disk. Replay uses it to compare a
+// Encode serializes f to the ckpt/v2 container image in memory — the
+// exact bytes Write places on disk. Replay uses it to compare a
 // re-executed prefix against a stored checkpoint bit for bit.
 func Encode(f *File) ([]byte, error) {
 	if f.Snap == nil || (f.Snap.Reach == nil) == (f.Snap.Core == nil) {
 		return nil, fmt.Errorf("ckpt: exactly one engine snapshot must be set")
 	}
 	var buf bytes.Buffer
-	if err := writeTo(&buf, f); err != nil {
-		return nil, err
+	buf.Write(magic[:])
+	codec.WriteFrame(&buf, frameHeader, encodeHeader(f))
+	if sn := f.Snap.Reach; sn != nil {
+		if len(sn.States) == 0 {
+			return nil, fmt.Errorf("ckpt: exhaustive snapshot has no states")
+		}
+		words := len(sn.States[0])
+		codec.WriteFrame(&buf, frameReach, encodeReach(sn, words))
+		if err := writeStates(&buf, sn.States, words); err != nil {
+			return nil, err
+		}
+	} else {
+		codec.WriteFrame(&buf, frameCore, encodeCore(f.Snap.Core))
 	}
+	// The footer frame carries the digest of every frame before it.
+	digest := sha256.Sum256(buf.Bytes()[len(magic):])
+	codec.WriteFrame(&buf, frameFooter, digest[:])
 	return buf.Bytes(), nil
 }
 
@@ -210,8 +169,8 @@ func ReadFor(path string, key verify.Key) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if f.Key != key {
-		return nil, fmt.Errorf("%w: file has %s, want %s", ErrKeyMismatch, f.Key.RunID(), key.RunID())
+	if got := f.Key(); got != key {
+		return nil, fmt.Errorf("%w: file has %s, want %s", ErrKeyMismatch, got.RunID(), key.RunID())
 	}
 	return f, nil
 }
@@ -230,15 +189,12 @@ func Decode(b []byte) (*File, error) {
 		return nil, ErrBadMagic
 	}
 	stream := b[len(magic):]
-	size := len(stream)
 	digest := sha256.New()
 
 	var f *File
-	var headerStates int
-	var shardStates []petri.Marking
-	var shardSeen int
+	var states, words int // header state count; marking width of a reach snapshot
 	var footerDigest []byte
-	var haveEngine, haveFooter bool
+	var haveFooter bool
 
 	for len(stream) > 0 {
 		typ, payload, rest, err := codec.SplitFrame(stream, maxFrame)
@@ -255,86 +211,53 @@ func Decode(b []byte) (*File, error) {
 		if haveFooter {
 			return nil, fmt.Errorf("%w: frames after footer", ErrCorrupt)
 		}
-		switch typ {
-		case frameHeader:
-			if f != nil {
-				return nil, fmt.Errorf("%w: duplicate header", ErrCorrupt)
+		switch {
+		case typ == frameHeader && f == nil:
+			if f, states, err = decodeHeader(payload); err != nil {
+				return nil, err
 			}
-			f, headerStates, err = decodeHeader(payload)
+		case typ == frameReach && f != nil && f.Snap == nil:
+			sn, w, err := decodeReach(payload)
 			if err != nil {
 				return nil, err
 			}
-			// Each interned state occupies at least one byte in its shard
-			// or engine frame, so a count beyond the whole stream is
-			// damage — guarded here so a fuzzed header cannot drive the
-			// shard table allocation to gigabytes.
-			if headerStates > size {
-				return nil, fmt.Errorf("%w: header claims %d states in %d bytes", ErrCorrupt, headerStates, size)
-			}
-		case frameShard:
-			if f == nil {
-				return nil, fmt.Errorf("%w: shard before header", ErrCorrupt)
-			}
-			if shardStates == nil {
-				shardStates = make([]petri.Marking, headerStates)
-			}
-			n, err := decodeShard(payload, shardStates)
-			if err != nil {
-				return nil, err
-			}
-			shardSeen += n
-		case frameReach:
-			if f == nil || haveEngine {
-				return nil, fmt.Errorf("%w: misplaced engine frame", ErrCorrupt)
-			}
-			if shardSeen != headerStates || shardSeen != len(shardStates) {
-				return nil, fmt.Errorf("%w: %d shard states, header says %d", ErrCorrupt, shardSeen, headerStates)
-			}
-			sn, err := decodeReach(payload, shardStates)
-			if err != nil {
-				return nil, err
-			}
+			words = w
+			// D13's count guard: every state is words·8 bytes of the
+			// segments still to come, so the table is sized by what the
+			// stream can hold, never by what a damaged header claims.
+			sn.States = make([]petri.Marking, 0, min(states, len(stream)/(8*words)))
 			f.Snap = &verify.EngineSnapshot{Reach: sn}
-			haveEngine = true
-		case frameCore:
-			if f == nil || haveEngine {
-				return nil, fmt.Errorf("%w: misplaced engine frame", ErrCorrupt)
+		case typ == frameStates && f != nil && f.Snap != nil && f.Snap.Reach != nil:
+			sn := f.Snap.Reach
+			if sn.States, err = decodeStates(payload, words, sn.States, states); err != nil {
+				return nil, err
 			}
+		case typ == frameCore && f != nil && f.Snap == nil:
 			sn, err := decodeCore(payload)
 			if err != nil {
 				return nil, err
 			}
-			if sn.NumStates != headerStates {
-				return nil, fmt.Errorf("%w: engine has %d states, header says %d", ErrCorrupt, sn.NumStates, headerStates)
-			}
 			f.Snap = &verify.EngineSnapshot{Core: sn}
-			haveEngine = true
-		case frameFooter:
+		case typ == frameFooter:
 			haveFooter = true
 			footerDigest = payload
 		default:
-			return nil, fmt.Errorf("%w: unknown frame type %q", ErrCorrupt, typ)
+			return nil, fmt.Errorf("%w: unexpected frame type %q", ErrCorrupt, typ)
 		}
 	}
 	if !haveFooter {
 		return nil, fmt.Errorf("%w: footer missing", ErrTorn)
 	}
-	if f == nil || !haveEngine {
+	if f == nil || f.Snap == nil {
 		return nil, fmt.Errorf("%w: incomplete container", ErrCorrupt)
+	}
+	if got := f.States(); got != states {
+		return nil, fmt.Errorf("%w: engine has %d states, header says %d", ErrCorrupt, got, states)
 	}
 	// Digest check: the hash was accumulated over every frame before the
 	// footer exactly as written.
 	if !bytes.Equal(digest.Sum(nil), footerDigest) {
 		return nil, fmt.Errorf("%w: digest mismatch", ErrCorrupt)
-	}
-	// Content self-check: the decoded net + check + options must hash
-	// back to the header's RunKey. This catches damage in any frame the
-	// digest covers only probabilistically and, more importantly, any
-	// format skew in RunKey itself (RunKeyFormat bump): a checkpoint
-	// written under an older key scheme refuses to resume instead of
-	// resuming under a wrong identity.
-	if got := verify.RunKey(f.Net, f.Check, f.Bad, f.Options()); got != f.Key {
-		return nil, fmt.Errorf("%w: content hashes to %s, header says %s", ErrCorrupt, got.RunID(), f.Key.RunID())
 	}
 	return f, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/petri"
+	"repro/internal/stop"
 	"repro/internal/verify"
 )
 
@@ -39,11 +40,11 @@ func capture(t testing.TB, n *petri.Net, check string, bad []petri.Place, opts v
 	var snap *verify.EngineSnapshot
 	o := opts
 	o.Ckpt = &verify.Checkpointer{
-		Poll: func(states int, boundary int64) verify.CkptAction {
+		Poll: func(states int, boundary int64) stop.Action {
 			if boundary == at {
-				return verify.CkptStop
+				return stop.Suspend
 			}
-			return verify.CkptNone
+			return stop.Continue
 		},
 		Save: func(sn *verify.EngineSnapshot) error { snap = sn; return nil },
 	}
@@ -51,19 +52,7 @@ func capture(t testing.TB, n *petri.Net, check string, bad []petri.Place, opts v
 	if !rep.Checkpointed || snap == nil {
 		t.Fatalf("%s/%s: run finished before boundary %d; pick a smaller one", n.Name(), check, at)
 	}
-	return &File{
-		Key:         verify.RunKey(n, check, bad, opts),
-		Check:       check,
-		Bad:         bad,
-		Net:         n,
-		Engine:      opts.Engine,
-		StopAtFirst: opts.StopAtFirst,
-		Proviso:     opts.Proviso,
-		Reduce:      opts.Reduce,
-		MaxStates:   opts.MaxStates,
-		MaxNodes:    opts.MaxNodes,
-		Snap:        snap,
-	}
+	return &File{Net: n, Check: check, Bad: bad, Opts: opts, Snap: snap}
 }
 
 // reportEqual compares every Report field a resumed run must reproduce
@@ -120,14 +109,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Key != f.Key {
-				t.Errorf("key: %s != %s", got.Key.RunID(), f.Key.RunID())
+			if got.Key() != f.Key() {
+				t.Errorf("key: %s != %s", got.Key().RunID(), f.Key().RunID())
 			}
 			if got.Check != f.Check || !reflect.DeepEqual(got.Bad, f.Bad) {
 				t.Errorf("check/bad: %q/%v != %q/%v", got.Check, got.Bad, f.Check, f.Bad)
 			}
-			if !reflect.DeepEqual(got.Options(), f.Options()) {
-				t.Errorf("options: %+v != %+v", got.Options(), f.Options())
+			if !reflect.DeepEqual(got.Opts, f.Opts) {
+				t.Errorf("options: %+v != %+v", got.Opts, f.Opts)
 			}
 			if got.Boundary() != f.Boundary() || got.States() != f.States() {
 				t.Errorf("boundary/states: %d/%d != %d/%d",
@@ -176,11 +165,11 @@ func TestResumeFromFile(t *testing.T) {
 			if err := Write(path, f); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadFor(path, f.Key)
+			got, err := ReadFor(path, f.Key())
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := got.Options()
+			o := got.Opts
 			o.Resume = got.Snap
 			rep := runCheck(t, got.Net, got.Check, got.Bad, o)
 			if !reportEqual(want, rep) {
@@ -290,12 +279,12 @@ func TestReadForKeyMismatch(t *testing.T) {
 	if err := Write(path, f); err != nil {
 		t.Fatal(err)
 	}
-	other := f.Key
+	other := f.Key()
 	other[0] ^= 0xFF
 	if _, err := ReadFor(path, other); !errors.Is(err, ErrKeyMismatch) {
 		t.Fatalf("wrong key: %v, want ErrKeyMismatch", err)
 	}
-	if _, err := ReadFor(path, f.Key); err != nil {
+	if _, err := ReadFor(path, f.Key()); err != nil {
 		t.Fatalf("right key: %v", err)
 	}
 }

@@ -1,11 +1,14 @@
 package ckpt
 
-// Frame payload codecs for ckpt/v1, in internal/codec's primitives:
+// Frame payload codecs for ckpt/v2, in internal/codec's primitives:
 // payloads are self-delimiting, every decoder consumes its payload
 // exactly, and a mutation anywhere surfaces as a decode error or a
 // digest mismatch, never as a silently different run.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -23,169 +26,116 @@ func corrupt(format string, args ...any) error {
 
 // ---- header ----
 
-const (
-	kindReach byte = 'R'
-	kindCore  byte = 'C'
-)
-
 func encodeHeader(f *File) []byte {
 	b := codec.AppendUvarint(nil, version)
-	b = append(b, f.Key[:]...)
-	b = codec.AppendBytes(b, f.Check)
-	b = codec.AppendInts(b, f.Bad)
-	b = codec.AppendInt(b, f.Engine)
-	flags := uint64(0)
-	if f.StopAtFirst {
-		flags |= 1
-	}
-	if f.Proviso {
-		flags |= 2
-	}
-	if f.Reduce {
-		flags |= 4
-	}
-	b = codec.AppendUvarint(b, flags)
-	b = codec.AppendInt(b, f.MaxStates)
-	b = codec.AppendInt(b, f.MaxNodes)
-	if f.Snap.Reach != nil {
-		b = append(b, kindReach)
-	} else {
-		b = append(b, kindCore)
-	}
 	b = codec.AppendInt(b, f.States())
-	b = codec.AppendUvarint(b, uint64(f.Boundary()))
-	return codec.AppendBytes(b, verify.AppendNetKey(nil, f.Net))
+	return codec.AppendBytes(b, verify.AppendRunKey(nil, f.Net, f.Check, f.Bad, f.Opts))
 }
 
-// decodeHeader parses the header frame; the engine kind is implied by
-// which engine frame follows, so only the state count is returned for
-// cross-checking. The net travels as its canonical encoding
-// (verify.AppendNetKey), so the run identity and the stored net can
-// never disagree.
+// decodeHeader parses the header frame and returns the File it names
+// plus the state count the engine frames are checked against. The run
+// travels as its RunKey pre-image, so the stored run and its identity
+// can never disagree.
 func decodeHeader(b []byte) (*File, int, error) {
 	d := codec.NewDec(b)
 	if v := d.Uvarint(); d.Err() == nil && v != version {
 		return nil, 0, fmt.Errorf("%w: container version %d, this build reads %d", ErrUnsupported, v, version)
 	}
-	f := &File{}
-	copy(f.Key[:], d.Raw(len(f.Key)))
-	f.Check = d.String()
-	f.Bad = codec.Ints[petri.Place](&d)
-	f.Engine = verify.Engine(d.Int())
-	flags := d.Uvarint()
-	f.StopAtFirst = flags&1 != 0
-	f.Proviso = flags&2 != 0
-	f.Reduce = flags&4 != 0
-	f.MaxStates = d.Int()
-	f.MaxNodes = d.Int()
-	if kind := d.Byte(); kind != kindReach && kind != kindCore {
-		d.Fail("unknown engine kind %q", kind)
-	}
 	states := d.Int()
-	d.Uvarint() // boundary, informational
-	netBlob := d.Bytes()
+	if d.Err() == nil && states == 0 {
+		d.Fail("no states")
+	}
+	key := d.Bytes()
 	if err := d.Done(); err != nil {
 		return nil, 0, corrupt("header: %v", err)
 	}
+	f := &File{}
 	var err error
-	if f.Net, err = verify.DecodeNetKey(netBlob); err != nil {
+	f.Net, f.Check, f.Bad, f.Opts, err = verify.DecodeRunKey(key)
+	switch {
+	case errors.Is(err, verify.ErrRunKeyFormat):
+		return nil, 0, fmt.Errorf("%w: %v", ErrUnsupported, err)
+	case err != nil:
 		return nil, 0, corrupt("header: %v", err)
-	}
-	for _, p := range f.Bad {
-		if int(p) >= f.Net.NumPlaces() {
-			return nil, 0, corrupt("header: bad place %d out of range", p)
-		}
 	}
 	return f, states, nil
 }
 
 // ---- reach snapshot ----
 
-// encodeShards partitions the interned markings into the 256 hash shards
-// the parallel explorer and the cluster hand out (reach.ShardOf over the
-// marking hash) — one frame per shard, empty shards included, so the container
-// shape is deterministic and a dropped segment is always detected.
-func encodeShards(sn *reach.Snapshot) [][]byte {
-	ids := make([][]int, reach.NumShards)
-	for id, m := range sn.States {
-		s := reach.ShardOf(m.Hash())
-		ids[s] = append(ids[s], id)
-	}
-	out := make([][]byte, reach.NumShards)
-	for s := range out {
-		b := codec.AppendInt(nil, s)
-		b = codec.AppendInt(b, len(ids[s]))
-		for _, id := range ids[s] {
-			b = codec.AppendInt(b, id)
-			b = codec.AppendWords(b, sn.States[id])
+// segmentBytes is the size a states segment is cut at: markings go in
+// id order, as many whole ones per segment as fit.
+const segmentBytes = 1 << 20
+
+// writeStates writes the markings, all words wide, as consecutive
+// frames of raw little-endian words — no ids, no lengths.
+func writeStates(buf *bytes.Buffer, states []petri.Marking, words int) error {
+	per := max(1, segmentBytes/(8*words))
+	var seg []byte
+	for lo := 0; lo < len(states); lo += per {
+		seg = seg[:0]
+		for _, m := range states[lo:min(lo+per, len(states))] {
+			if len(m) != words {
+				return fmt.Errorf("ckpt: marking widths differ (%d and %d words)", len(m), words)
+			}
+			for _, w := range m {
+				seg = binary.LittleEndian.AppendUint64(seg, w)
+			}
 		}
-		out[s] = b
+		codec.WriteFrame(buf, frameStates, seg)
 	}
-	return out
+	return nil
 }
 
-// marking reads one marking of a derived net — a monitored or
-// structurally reduced one, whose shape is only reconstructed later — so
-// any whole number of words but zero is taken.
-func marking(d *codec.Dec) petri.Marking {
-	m := petri.Marking(d.Words(nil))
-	if len(m) == 0 {
-		d.Fail("empty marking")
+// decodeStates appends one segment's markings to states, all of them
+// views into one backing slice. The segment must be whole markings, and
+// no more than the header's count of them in all.
+func decodeStates(b []byte, words int, states []petri.Marking, count int) ([]petri.Marking, error) {
+	n := len(b) / (8 * words)
+	if n == 0 || len(b)%(8*words) != 0 {
+		return nil, corrupt("states segment of %d bytes is not whole %d-word markings", len(b), words)
 	}
-	return m
+	if n > count-len(states) {
+		return nil, corrupt("states segment overruns the header's %d states", count)
+	}
+	backing := make([]uint64, n*words)
+	for i := range backing {
+		backing[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	for i := 0; i < n; i++ {
+		states = append(states, petri.Marking(backing[i*words:(i+1)*words:(i+1)*words]))
+	}
+	return states, nil
 }
 
-// decodeShard fills one shard segment's markings into states (indexed
-// by id) and returns how many it placed. Shard membership is
-// re-verified against the marking hash.
-func decodeShard(b []byte, states []petri.Marking) (int, error) {
-	d := codec.NewDec(b)
-	shard := d.Int()
-	if shard >= reach.NumShards {
-		d.Fail("shard index %d", shard)
-	}
-	// A state is at least its id and its marking's length byte.
-	count := d.Count(2)
-	for i := 0; i < count && d.Err() == nil; i++ {
-		id, m := d.Int(), marking(&d)
-		switch {
-		case d.Err() != nil:
-		case id >= len(states):
-			d.Fail("state id %d out of range", id)
-		case states[id] != nil:
-			d.Fail("duplicate state %d", id)
-		case int(reach.ShardOf(m.Hash())) != shard:
-			d.Fail("state %d routed to the wrong shard", id)
-		default:
-			states[id] = m
-		}
-	}
-	if err := d.Done(); err != nil {
-		return 0, corrupt("shard %d: %v", shard, err)
-	}
-	return count, nil
-}
-
-func encodeReach(sn *reach.Snapshot) []byte {
-	b := codec.AppendInt(nil, sn.FrontierStart)
+func encodeReach(sn *reach.Snapshot, words int) []byte {
+	b := codec.AppendInt(nil, words)
+	b = codec.AppendInt(b, sn.FrontierStart)
 	b = codec.AppendInt(b, sn.Arcs)
 	b = codec.AppendInt(b, sn.Levels)
 	b = codec.AppendInts(b, sn.DeadIDs)
 	return codec.AppendInts(b, sn.BadIDs)
 }
 
-func decodeReach(b []byte, states []petri.Marking) (*reach.Snapshot, error) {
+// decodeReach parses the exhaustive engine frame: the marking width the
+// states segments that follow are cut by, and the snapshot's counters
+// and verdict ids (its States are filled from the segments).
+func decodeReach(b []byte) (*reach.Snapshot, int, error) {
 	d := codec.NewDec(b)
-	sn := &reach.Snapshot{States: states}
+	words := d.Int()
+	if d.Err() == nil && words == 0 {
+		d.Fail("zero-word markings")
+	}
+	sn := &reach.Snapshot{}
 	sn.FrontierStart = d.Int()
 	sn.Arcs = d.Int()
 	sn.Levels = d.Int()
 	sn.DeadIDs = codec.Ints[int](&d)
 	sn.BadIDs = codec.Ints[int](&d)
 	if err := d.Done(); err != nil {
-		return nil, corrupt("reach: %v", err)
+		return nil, 0, corrupt("reach: %v", err)
 	}
-	return sn, nil
+	return sn, words, nil
 }
 
 // ---- core snapshot ----
@@ -241,7 +191,11 @@ func decodeCore(b []byte) (*core.Snapshot, error) {
 	sn.PeakValid = math.Float64frombits(d.Uvarint())
 	sn.DeadStates = codec.Ints[int](&d)
 	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
-		sn.Witnesses = append(sn.Witnesses, marking(&d))
+		m := petri.Marking(d.Words(nil))
+		if len(m) == 0 {
+			d.Fail("empty witness")
+		}
+		sn.Witnesses = append(sn.Witnesses, m)
 	}
 	// The blob is copied: the snapshot outlives the file image.
 	sn.FamilyBlob = append([]byte(nil), d.Bytes()...)

@@ -66,13 +66,14 @@ type Options struct {
 	// TestAnalyzeDisabledTracerZeroAlloc).
 	Trace *trace.Tracer
 	// Ckpt, if non-nil, enables checkpointing: the hook is polled at the
-	// top of every DFS iteration and can save a Snapshot (CkptSave) or
-	// save one and suspend the run (CkptStop, returning the partial
-	// Result with ErrCheckpointStop). Requires the algebra to implement
+	// top of every DFS iteration (the boundary coordinate is the count of
+	// completed steps) and can save a Snapshot (stop.Save) or save one
+	// and suspend the run (stop.Suspend, returning the partial Result
+	// with stop.ErrSuspended). Requires the algebra to implement
 	// SnapshotCodec; incompatible with StoreGraph. Like Metrics and
 	// Trace, the hook only observes and suspends — it never changes
 	// which states an uninterrupted run explores.
-	Ckpt *CkptHook
+	Ckpt *stop.Hook[*Snapshot]
 	// Resume, if non-nil, restores the analysis from a Snapshot instead
 	// of starting at the initial state, re-entering the DFS at the saved
 	// step boundary with Results bit-identical to the uninterrupted run.
@@ -413,18 +414,12 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 
 	for len(stack) > 0 && !stop {
 		if !resumedBoundary {
-			if act := opts.Ckpt.poll(len(states), steps); act != CkptNone {
-				snp := e.snapshotAt(states, stack, res, steps, codec)
-				if opts.Ckpt.Save != nil {
-					if err := opts.Ckpt.Save(snp); err != nil {
-						return nil, nil, fmt.Errorf("core: checkpoint save: %w", err)
-					}
-				}
-				if act == CkptStop {
-					res.States = len(states)
-					res.Complete = false
-					return res, g, ErrCheckpointStop
-				}
+			if err := opts.Ckpt.At(len(states), steps, func() *Snapshot {
+				return e.snapshotAt(states, stack, res, steps, codec)
+			}); err != nil {
+				res.States = len(states)
+				res.Complete = false
+				return res, g, err
 			}
 		}
 		resumedBoundary = false

@@ -26,11 +26,6 @@ import (
 	"repro/internal/petri"
 )
 
-// ErrCheckpointStop is returned (with the partial Result so far) when a
-// checkpoint hook answers CkptStop at a DFS step boundary: the run was
-// suspended cleanly after saving a Snapshot, not aborted.
-var ErrCheckpointStop = errors.New("core: stopped at checkpoint")
-
 // ErrCkptUnsupported is returned when checkpointing is requested but the
 // engine's family algebra does not implement SnapshotCodec.
 var ErrCkptUnsupported = errors.New("core: algebra does not support checkpointing")
@@ -90,36 +85,6 @@ type Snapshot struct {
 	// Steps counts completed DFS loop iterations: the deterministic
 	// boundary coordinate used by replay.
 	Steps int64
-}
-
-// CkptAction is a checkpoint hook's verdict at a step boundary.
-type CkptAction int
-
-const (
-	// CkptNone continues without checkpointing.
-	CkptNone CkptAction = iota
-	// CkptSave saves a Snapshot and continues.
-	CkptSave
-	// CkptStop saves a Snapshot and suspends the run: Analyze returns
-	// the partial Result with ErrCheckpointStop.
-	CkptStop
-)
-
-// CkptHook enables checkpointing: Poll is consulted at the top of every
-// DFS iteration with the interned state count and completed step count,
-// and Save receives the Snapshot when Poll answers CkptSave or
-// CkptStop. A Save error fails the analysis.
-type CkptHook struct {
-	Poll func(states int, steps int64) CkptAction
-	Save func(*Snapshot) error
-}
-
-// poll is the nil-safe hook invocation.
-func (h *CkptHook) poll(states int, steps int64) CkptAction {
-	if h == nil || h.Poll == nil {
-		return CkptNone
-	}
-	return h.Poll(states, steps)
 }
 
 // validateCkptOptions rejects option combinations the checkpoint layer

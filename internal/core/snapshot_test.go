@@ -9,6 +9,7 @@ import (
 	"repro/internal/family"
 	"repro/internal/models"
 	"repro/internal/petri"
+	"repro/internal/stop"
 	"repro/internal/zdd"
 )
 
@@ -34,12 +35,12 @@ func killResumeZDD(t *testing.T, n *petri.Net, opts Options, at int64) (*Result,
 		t.Fatal(err)
 	}
 	o := opts
-	o.Ckpt = &CkptHook{
-		Poll: func(states int, steps int64) CkptAction {
+	o.Ckpt = &stop.Hook[*Snapshot]{
+		Poll: func(states int, steps int64) stop.Action {
 			if steps == at {
-				return CkptStop
+				return stop.Suspend
 			}
-			return CkptNone
+			return stop.Continue
 		},
 		Save: func(sn *Snapshot) error { snap = sn; return nil },
 	}
@@ -47,11 +48,11 @@ func killResumeZDD(t *testing.T, n *petri.Net, opts Options, at int64) (*Result,
 	if err == nil {
 		return res, false // finished before the kill point
 	}
-	if !errors.Is(err, ErrCheckpointStop) {
+	if !errors.Is(err, stop.ErrSuspended) {
 		t.Fatalf("%s: kill at step %d: %v", n.Name(), at, err)
 	}
 	if snap == nil {
-		t.Fatalf("%s: CkptStop without a saved snapshot", n.Name())
+		t.Fatalf("%s: stop.Suspend without a saved snapshot", n.Name())
 	}
 	e2, err := NewEngine[zdd.Node](n, zdd.NewAlgebra(n.NumTrans()))
 	if err != nil {
@@ -111,16 +112,16 @@ func TestEngineResumeExplicitAlgebra(t *testing.T) {
 	}
 	var snap *Snapshot
 	e1, _ := NewEngine[*family.Family](n, family.NewAlgebra(n.NumTrans()))
-	_, _, err = e1.Analyze(Options{Ckpt: &CkptHook{
-		Poll: func(states int, steps int64) CkptAction {
+	_, _, err = e1.Analyze(Options{Ckpt: &stop.Hook[*Snapshot]{
+		Poll: func(states int, steps int64) stop.Action {
 			if steps == 2 {
-				return CkptStop
+				return stop.Suspend
 			}
-			return CkptNone
+			return stop.Continue
 		},
 		Save: func(sn *Snapshot) error { snap = sn; return nil },
 	}})
-	if !errors.Is(err, ErrCheckpointStop) {
+	if !errors.Is(err, stop.ErrSuspended) {
 		t.Fatalf("kill: %v", err)
 	}
 	e2, _ := NewEngine[*family.Family](n, family.NewAlgebra(n.NumTrans()))
@@ -139,16 +140,16 @@ func TestEngineSnapshotValidation(t *testing.T) {
 	n := models.Fig7()
 	var snap *Snapshot
 	e, _ := NewEngine[zdd.Node](n, zdd.NewAlgebra(n.NumTrans()))
-	_, _, err := e.Analyze(Options{Ckpt: &CkptHook{
-		Poll: func(states int, steps int64) CkptAction {
+	_, _, err := e.Analyze(Options{Ckpt: &stop.Hook[*Snapshot]{
+		Poll: func(states int, steps int64) stop.Action {
 			if steps == 1 {
-				return CkptStop
+				return stop.Suspend
 			}
-			return CkptNone
+			return stop.Continue
 		},
 		Save: func(sn *Snapshot) error { snap = sn; return nil },
 	}})
-	if !errors.Is(err, ErrCheckpointStop) {
+	if !errors.Is(err, stop.ErrSuspended) {
 		t.Fatalf("kill: %v", err)
 	}
 	mut := []struct {
@@ -185,7 +186,7 @@ func TestEngineCkptUnsupportedAlgebra(t *testing.T) {
 	}
 	// The explicit algebra DOES support checkpointing; simulate an
 	// unsupported one by checking validateCkptOptions + StoreGraph too.
-	if _, _, err := e.Analyze(Options{StoreGraph: true, Ckpt: &CkptHook{}}); err == nil {
+	if _, _, err := e.Analyze(Options{StoreGraph: true, Ckpt: &stop.Hook[*Snapshot]{}}); err == nil {
 		t.Error("StoreGraph+Ckpt accepted")
 	}
 	_ = fmt.Sprint(ErrCkptUnsupported) // keep the sentinel referenced

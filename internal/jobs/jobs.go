@@ -1,6 +1,6 @@
 // Package jobs is the durable half of asynchronous verification jobs
 // (DESIGN.md D11): an append-only jobs/v1 journal of job state
-// transitions plus the per-job ckpt/v1 checkpoint files, both living in
+// transitions plus the per-job ckpt/v2 checkpoint files, both living in
 // one directory. The server layers the HTTP surface and the execution
 // loop on top; this package owns only what must survive a crash.
 //

@@ -72,7 +72,7 @@ const (
 // computed over the words without building the string:
 // m.Hash() == HashKey(m.Key()). It is the hash the visited store
 // (internal/visited) indexes by and the shard-routing key of the parallel
-// explorer, the cluster wire protocol and the checkpoint container.
+// explorer and the cluster wire protocol; no stored byte depends on it.
 func (m Marking) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	for _, w := range m {

@@ -27,9 +27,8 @@ func buildWideNet(tb testing.TB, places int) (*Net, Marking) {
 }
 
 // TestHashMatchesKey pins that Hash, computed over the words, is exactly
-// the FNV-1a hash of the Key() string (HashKey) — the shard routing of
-// the parallel explorer, the cluster and ckpt/v1 segments must not move —
-// and that KeyHash returns that pair.
+// the FNV-1a hash of the Key() string (HashKey, for keys that arrive
+// over the cluster wire), and that KeyHash returns that pair.
 func TestHashMatchesKey(t *testing.T) {
 	for _, places := range []int{1, 7, 64, 65, 200} {
 		_, m := buildWideNet(t, places)

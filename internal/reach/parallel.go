@@ -499,7 +499,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		// expanded as parents — are computed into the snapshot's copies
 		// here without touching the live Result.
 		if !resumed {
-			if act := opts.Ckpt.poll(states, levels); act != CkptNone {
+			if err := opts.Ckpt.At(states, int64(levels), func() *Snapshot {
 				sn := snapshotAt(markings(), lo, res.Arcs, deadIDs, badIDs, levels)
 				for pos, m := range views {
 					if isBad(m) {
@@ -509,15 +509,10 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 						sn.DeadIDs = append(sn.DeadIDs, lo+pos)
 					}
 				}
-				if opts.Ckpt.Save != nil {
-					if err := opts.Ckpt.Save(sn); err != nil {
-						return nil, fmt.Errorf("reach: checkpoint save: %w", err)
-					}
-				}
-				if act == CkptStop {
-					finish(false)
-					return res, ErrCheckpointStop
-				}
+				return sn
+			}); err != nil {
+				finish(false)
+				return res, err
 			}
 		}
 		batches++

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/randnet"
+	"repro/internal/stop"
 )
 
 // sameResult asserts the parallel explorer reproduced the sequential
@@ -212,7 +213,7 @@ func forceWidth(t *testing.T, k int) {
 // boundaries returns the state count at every BFS level boundary of net.
 func boundaries(t *testing.T, net *petri.Net) []int {
 	var at []int
-	hook := &CkptHook{Poll: func(states, _ int) CkptAction { at = append(at, states); return CkptNone }}
+	hook := &stop.Hook[*Snapshot]{Poll: func(states int, _ int64) stop.Action { at = append(at, states); return stop.Continue }}
 	if _, err := Explore(net, Options{Ckpt: hook}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,17 +306,17 @@ func TestRoutedPath(t *testing.T) {
 			for level := range boundaries(t, net) {
 				var snaps [2]*Snapshot
 				for i, w := range []int{0, 3} {
-					hook := &CkptHook{
-						Poll: func(_, levels int) CkptAction {
-							if levels == level {
-								return CkptStop
+					hook := &stop.Hook[*Snapshot]{
+						Poll: func(_ int, levels int64) stop.Action {
+							if levels == int64(level) {
+								return stop.Suspend
 							}
-							return CkptNone
+							return stop.Continue
 						},
 						Save: func(sn *Snapshot) error { snaps[i] = sn; return nil },
 					}
-					if _, err := Explore(net, Options{Bad: bad, Workers: w, Ckpt: hook}); !errors.Is(err, ErrCheckpointStop) {
-						t.Fatalf("level %d workers=%d: got %v, want ErrCheckpointStop", level, w, err)
+					if _, err := Explore(net, Options{Bad: bad, Workers: w, Ckpt: hook}); !errors.Is(err, stop.ErrSuspended) {
+						t.Fatalf("level %d workers=%d: got %v, want stop.ErrSuspended", level, w, err)
 					}
 				}
 				seq, par := snaps[0], snaps[1]

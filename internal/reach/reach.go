@@ -78,12 +78,13 @@ type Options struct {
 	// branch per event.
 	Trace *trace.Tracer
 	// Ckpt, if non-nil, enables checkpointing: the hook is polled at
-	// every BFS level boundary and can save a Snapshot (CkptSave) or
-	// save one and suspend the run (CkptStop, returning the partial
-	// Result with ErrCheckpointStop). Incompatible with StoreGraph.
+	// every BFS level boundary (the boundary coordinate is the count of
+	// expanded levels) and can save a Snapshot (stop.Save) or save one
+	// and suspend the run (stop.Suspend, returning the partial Result
+	// with stop.ErrSuspended). Incompatible with StoreGraph.
 	// Like Metrics and Trace, the hook only observes and suspends — it
 	// never changes which states an uninterrupted run explores.
-	Ckpt *CkptHook
+	Ckpt *stop.Hook[*Snapshot]
 	// Resume, if non-nil, restores the exploration from a Snapshot
 	// instead of starting at the initial marking; both the sequential
 	// and the parallel engine re-enter at the saved level boundary and
@@ -245,17 +246,11 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 	cancel := stop.Every(opts.Ctx, 64)
 	for id := next; id < store.Len(); id++ {
 		if id >= levelEnd {
-			if act := opts.Ckpt.poll(store.Len(), levels); act != CkptNone {
-				sn := snapshotAt(markings(&store), id, res.Arcs, deadIDs, badIDs, levels)
-				if opts.Ckpt.Save != nil {
-					if err := opts.Ckpt.Save(sn); err != nil {
-						return nil, fmt.Errorf("reach: checkpoint save: %w", err)
-					}
-				}
-				if act == CkptStop {
-					finish(false)
-					return res, ErrCheckpointStop
-				}
+			if err := opts.Ckpt.At(store.Len(), int64(levels), func() *Snapshot {
+				return snapshotAt(markings(&store), id, res.Arcs, deadIDs, badIDs, levels)
+			}); err != nil {
+				finish(false)
+				return res, err
 			}
 			levels++
 			levelEnd = store.Len()

@@ -14,16 +14,10 @@ package reach
 // (TestResumeBitIdentical) and deterministic prefix replay sound.
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/petri"
 )
-
-// ErrCheckpointStop is returned (with the partial Result so far) when a
-// checkpoint hook answers CkptStop at a level boundary: the run was
-// suspended cleanly after saving a Snapshot, not aborted mid-level.
-var ErrCheckpointStop = errors.New("reach: stopped at checkpoint")
 
 // Snapshot is the canonical state of an exploration at a BFS level
 // boundary. States holds every interned marking in id order; the
@@ -42,37 +36,6 @@ type Snapshot struct {
 	// snapshot was taken at sits before expanding level number Levels.
 	// It is the deterministic stop coordinate used by replay.
 	Levels int
-}
-
-// CkptAction is a checkpoint hook's verdict at a level boundary.
-type CkptAction int
-
-const (
-	// CkptNone continues without checkpointing.
-	CkptNone CkptAction = iota
-	// CkptSave saves a Snapshot and continues.
-	CkptSave
-	// CkptStop saves a Snapshot and suspends the run: Explore returns
-	// the partial Result with ErrCheckpointStop.
-	CkptStop
-)
-
-// CkptHook enables checkpointing: Poll is consulted at every BFS level
-// boundary with the interned state count and expanded level count, and
-// Save receives the Snapshot when Poll answers CkptSave or CkptStop.
-// The Snapshot's slices are fresh copies; Save may retain them. A Save
-// error fails the exploration.
-type CkptHook struct {
-	Poll func(states, levels int) CkptAction
-	Save func(*Snapshot) error
-}
-
-// poll is the nil-safe hook invocation shared by both engines.
-func (h *CkptHook) poll(states, levels int) CkptAction {
-	if h == nil || h.Poll == nil {
-		return CkptNone
-	}
-	return h.Poll(states, levels)
 }
 
 // validateCkptOptions rejects option combinations the checkpoint layer

@@ -9,7 +9,7 @@ package server
 // submission is idempotent, the checkpoint file can never be resumed
 // under the wrong work, and the job joins the result cache, the ledger
 // and /v1/runs on one identity. The durable state (jobs/v1 journal +
-// ckpt/v1 files) lives in internal/jobs and internal/ckpt; this file
+// ckpt/v2 files) lives in internal/jobs and internal/ckpt; this file
 // owns the HTTP handlers and the worker-side execution loop.
 
 import (
@@ -27,6 +27,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/stop"
 	"repro/internal/verify"
 )
 
@@ -254,9 +255,7 @@ func (s *Server) ResumeJobs() int {
 	}
 	n := 0
 	for _, rec := range s.cfg.Jobs.Resumable() {
-		if _, err := s.resumeRecord(rec); err != nil {
-			s.cfg.Jobs.Update(rec.ID, func(r *jobs.Record) { r.Error = "auto-resume: " + err.Error() })
-		} else {
+		if _, err := s.resumeRecord(rec); err == nil {
 			n++
 		}
 	}
@@ -265,7 +264,8 @@ func (s *Server) ResumeJobs() int {
 
 // resumeRecord re-resolves a stored job, loads its checkpoint (if any,
 // with full integrity + key validation — a damaged checkpoint is a
-// typed refusal, never a silent fresh start), and re-admits it.
+// typed refusal, never a silent fresh start), and re-admits it. A job it
+// refuses keeps its state, with the reason recorded.
 func (s *Server) resumeRecord(rec jobs.Record) (jobs.Record, error) {
 	s.jobsMu.Lock()
 	_, active := s.jobRuns[rec.ID]
@@ -275,7 +275,8 @@ func (s *Server) resumeRecord(rec jobs.Record) (jobs.Record, error) {
 	}
 	pr, snap, err := s.prepareResume(rec)
 	if err != nil {
-		return rec, err
+		upd, _ := s.cfg.Jobs.Update(rec.ID, func(r *jobs.Record) { r.Error = "resume: " + err.Error() })
+		return upd, err
 	}
 	prev := rec.State
 	upd, err := s.cfg.Jobs.Update(rec.ID, func(r *jobs.Record) {
@@ -307,7 +308,8 @@ func (s *Server) resumeRecord(rec jobs.Record) (jobs.Record, error) {
 // to the job's ID: if the server's result-determining configuration
 // changed across a restart (-reduce, -max-states), the work would no
 // longer be what the checkpoint describes, and resuming under a stale
-// identity is exactly the silent corruption ckpt/v1 exists to prevent.
+// identity is exactly the silent corruption the checkpoint container
+// exists to prevent.
 func (s *Server) prepareResume(rec jobs.Record) (*parsedRequest, *verify.EngineSnapshot, error) {
 	pr, err := s.decodeRequest(rec.Request, sha256.Sum256(rec.Request))
 	if err != nil {
@@ -454,41 +456,29 @@ func (s *Server) runAsyncJob(j *job) {
 	lastStates := ar.resume.States() // 0 for a fresh start
 	stopReason := ""
 	opts.Ckpt = &verify.Checkpointer{
-		Poll: func(states int, boundary int64) verify.CkptAction {
+		Poll: func(states int, boundary int64) stop.Action {
 			switch {
 			case ar.cancel.Load():
 				stopReason = "cancel"
-				return verify.CkptStop
+				return stop.Suspend
 			case s.draining.Load():
 				stopReason = "drain"
-				return verify.CkptStop
+				return stop.Suspend
 			case boundary > entry && time.Now().After(deadline):
 				stopReason = "deadline"
-				return verify.CkptStop
+				return stop.Suspend
 			}
 			if s.cfg.CkptEveryStates > 0 && states-lastStates >= s.cfg.CkptEveryStates {
-				return verify.CkptSave
+				return stop.Save
 			}
 			if s.cfg.CkptInterval > 0 && time.Since(lastSave) >= s.cfg.CkptInterval {
-				return verify.CkptSave
+				return stop.Save
 			}
-			return verify.CkptNone
+			return stop.Continue
 		},
 		Save: func(snap *verify.EngineSnapshot) error {
 			path := s.cfg.Jobs.CkptPath(id)
-			f := &ckpt.File{
-				Key:         j.req.key,
-				Check:       j.req.check,
-				Bad:         j.req.bad,
-				Net:         j.req.net,
-				Engine:      opts.Engine,
-				StopAtFirst: opts.StopAtFirst,
-				Proviso:     opts.Proviso,
-				Reduce:      opts.Reduce,
-				MaxStates:   opts.MaxStates,
-				MaxNodes:    opts.MaxNodes,
-				Snap:        snap,
-			}
+			f := &ckpt.File{Net: j.req.net, Check: j.req.check, Bad: j.req.bad, Opts: opts, Snap: snap}
 			if err := ckpt.Write(path, f); err != nil {
 				s.ckptSaveErrors.Inc()
 				return err

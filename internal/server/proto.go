@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -301,7 +300,6 @@ func (s *Server) parseRequest(req *Request) (*parsedRequest, error) {
 			}
 			bad = append(bad, p)
 		}
-		sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 	default:
 		return nil, badRequestf("bad check %q (want %q or %q)", check, CheckDeadlock, CheckSafety)
 	}

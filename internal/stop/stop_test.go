@@ -60,3 +60,49 @@ func TestZeroPeriodMeansEveryCall(t *testing.T) {
 		t.Fatalf("after cancel: got %v", err)
 	}
 }
+
+// TestHookAt pins the boundary protocol every checkpointing engine runs
+// through Hook.At: Continue builds nothing, Save saves and goes on,
+// Suspend saves and returns ErrSuspended, a Save failure is returned,
+// and a nil Hook or one without Save never builds a snapshot.
+func TestHookAt(t *testing.T) {
+	var saved []int
+	built := 0
+	snapshot := func() int { built++; return built }
+	var act Action
+	saveErr := errors.New("disk full")
+	h := &Hook[int]{
+		Poll: func(states int, boundary int64) Action { return act },
+		Save: func(sn int) error {
+			saved = append(saved, sn)
+			if sn == 3 {
+				return saveErr
+			}
+			return nil
+		},
+	}
+	for _, tc := range []struct {
+		act  Action
+		want error
+	}{{Continue, nil}, {Save, nil}, {Suspend, ErrSuspended}, {Save, saveErr}} {
+		act = tc.act
+		if err := h.At(1, 0, snapshot); !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+			t.Errorf("action %d: err = %v, want %v", tc.act, err, tc.want)
+		}
+	}
+	if built != 3 || len(saved) != 3 {
+		t.Errorf("built %d snapshots and saved %v, want 3 of each", built, saved)
+	}
+
+	var nilHook *Hook[int]
+	pollOnly := &Hook[int]{Poll: func(int, int64) Action { return Suspend }}
+	if err := nilHook.At(1, 0, snapshot); err != nil {
+		t.Errorf("nil hook: %v", err)
+	}
+	if err := pollOnly.At(1, 0, snapshot); err != ErrSuspended {
+		t.Errorf("poll-only hook: %v, want ErrSuspended", err)
+	}
+	if built != 3 {
+		t.Errorf("a hook without Save built a snapshot")
+	}
+}

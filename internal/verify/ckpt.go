@@ -1,11 +1,11 @@
 package verify
 
-// Engine-agnostic checkpoint/resume plumbing: one Checkpointer bridges
-// the per-engine hooks (reach.CkptHook at BFS level boundaries,
-// core.CkptHook at DFS step boundaries) and one EngineSnapshot union
+// Engine-agnostic checkpoint/resume plumbing: one Checkpointer serves
+// the engines' hooks (reach's at BFS level boundaries, core's at DFS
+// step boundaries, all of them stop.Hook) and one EngineSnapshot union
 // carries whichever snapshot the selected engine produced. The durable
 // on-disk format lives in internal/ckpt; this layer only decides which
-// engine speaks and translates verdicts.
+// engine speaks and wraps its snapshot.
 
 import (
 	"errors"
@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/reach"
+	"repro/internal/stop"
 )
 
 // ErrCkptUnsupported is returned when Options.Ckpt or Options.Resume is
@@ -22,29 +23,14 @@ import (
 // does a custom cluster Explorer.
 var ErrCkptUnsupported = errors.New("verify: engine does not support checkpoint/resume")
 
-// CkptAction is a Checkpointer's verdict at an engine boundary.
-type CkptAction int
-
-const (
-	// CkptNone continues without checkpointing.
-	CkptNone CkptAction = iota
-	// CkptSave saves a snapshot and continues.
-	CkptSave
-	// CkptStop saves a snapshot and suspends the run: the check returns
-	// a partial Report with Checkpointed set (and no error), the way
-	// cooperative aborts return Aborted.
-	CkptStop
-)
-
 // Checkpointer enables checkpointing for checkpoint-capable engines.
 // Poll is consulted at every engine boundary — a BFS level boundary for
 // Exhaustive, a DFS step for the GPO engines — with the states-explored
 // count and the boundary coordinate; Save receives the snapshot when
-// Poll answers CkptSave or CkptStop. A Save error fails the check.
-type Checkpointer struct {
-	Poll func(states int, boundary int64) CkptAction
-	Save func(*EngineSnapshot) error
-}
+// Poll answers stop.Save or stop.Suspend. On stop.Suspend the check
+// returns a partial Report with Checkpointed set (and no error), the
+// way cooperative aborts return Aborted. A Save error fails the check.
+type Checkpointer = stop.Hook[*EngineSnapshot]
 
 // EngineSnapshot is the union of the engines' snapshot types; exactly
 // one field is non-nil, matching the engine that produced it. Boundary
@@ -81,35 +67,15 @@ func (s *EngineSnapshot) States() int {
 	return 0
 }
 
-// save is the nil-safe Save invocation.
-func (c *Checkpointer) save(sn *EngineSnapshot) error {
-	if c == nil || c.Save == nil {
-		return nil
-	}
-	return c.Save(sn)
-}
-
-// reachHook adapts the Checkpointer to the exhaustive engine. The
-// CkptAction enums of verify, reach and core share one numbering.
-func (c *Checkpointer) reachHook() *reach.CkptHook {
+// engineHook adapts the Checkpointer to an engine whose snapshots have
+// type S: Poll is shared as is and Save wraps the snapshot in the union.
+func engineHook[S any](c *Checkpointer, wrap func(S) *EngineSnapshot) *stop.Hook[S] {
 	if c == nil {
 		return nil
 	}
-	h := &reach.CkptHook{Save: func(sn *reach.Snapshot) error { return c.save(&EngineSnapshot{Reach: sn}) }}
-	if c.Poll != nil {
-		h.Poll = func(states, levels int) reach.CkptAction { return reach.CkptAction(c.Poll(states, int64(levels))) }
-	}
-	return h
-}
-
-// coreHook adapts the Checkpointer to the GPO engines.
-func (c *Checkpointer) coreHook() *core.CkptHook {
-	if c == nil {
-		return nil
-	}
-	h := &core.CkptHook{Save: func(sn *core.Snapshot) error { return c.save(&EngineSnapshot{Core: sn}) }}
-	if c.Poll != nil {
-		h.Poll = func(states int, steps int64) core.CkptAction { return core.CkptAction(c.Poll(states, steps)) }
+	h := &stop.Hook[S]{Poll: c.Poll}
+	if c.Save != nil {
+		h.Save = func(sn S) error { return c.Save(wrap(sn)) }
 	}
 	return h
 }
@@ -162,10 +128,4 @@ func (o Options) resumeCore() *core.Snapshot {
 		return nil
 	}
 	return o.Resume.Core
-}
-
-// ckptStopped reports whether an engine error is a clean checkpoint
-// suspension rather than a failure.
-func ckptStopped(err error) bool {
-	return errors.Is(err, reach.ErrCheckpointStop) || errors.Is(err, core.ErrCheckpointStop)
 }

@@ -5,11 +5,11 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/petri"
 	"repro/internal/randnet"
 	"repro/internal/reach"
+	"repro/internal/stop"
 )
 
 // reportEqual compares every Report field a resumed run must reproduce
@@ -39,11 +39,11 @@ func killAndResume(t *testing.T, n *petri.Net, bad []petri.Place, opts Options, 
 	var snap *EngineSnapshot
 	o := opts
 	o.Ckpt = &Checkpointer{
-		Poll: func(states int, boundary int64) CkptAction {
+		Poll: func(states int, boundary int64) stop.Action {
 			if boundary == at {
-				return CkptStop
+				return stop.Suspend
 			}
-			return CkptNone
+			return stop.Continue
 		},
 		Save: func(sn *EngineSnapshot) error { snap = sn; return nil },
 	}
@@ -148,27 +148,15 @@ func TestCkptUnsupportedEngines(t *testing.T) {
 	}
 }
 
-// TestCkptActionNumbering pins what the hook adapters convert by: the
-// CkptAction enums of verify, reach and core share one numbering.
-func TestCkptActionNumbering(t *testing.T) {
-	r := []reach.CkptAction{reach.CkptNone, reach.CkptSave, reach.CkptStop}
-	c := []core.CkptAction{core.CkptNone, core.CkptSave, core.CkptStop}
-	for i, a := range []CkptAction{CkptNone, CkptSave, CkptStop} {
-		if reach.CkptAction(a) != r[i] || core.CkptAction(a) != c[i] {
-			t.Errorf("CkptAction %d converts to a different action in reach or core", a)
-		}
-	}
-}
-
 // TestCheckpointedReducedWitness pins that a suspended reduced run maps
 // its witness back to the input net: a deadlock found before the stop is
 // a genuine deadlock of the net the caller passed.
 func TestCheckpointedReducedWitness(t *testing.T) {
-	stopAt8 := &Checkpointer{Poll: func(states int, _ int64) CkptAction {
+	stopAt8 := &Checkpointer{Poll: func(states int, _ int64) stop.Action {
 		if states >= 8 {
-			return CkptStop
+			return stop.Suspend
 		}
-		return CkptNone
+		return stop.Continue
 	}}
 	for _, seed := range []int64{12, 21} {
 		net := randnet.Generate(randnet.Default(seed))

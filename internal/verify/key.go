@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/petri"
@@ -50,39 +51,6 @@ func AppendNetKey(b []byte, n *petri.Net) []byte {
 	return b
 }
 
-// DecodeNetKey is the inverse of AppendNetKey: the canonical net
-// encoding doubles as the checkpoint container's net serialization, so
-// the run identity and the stored net can never disagree. blob must be
-// exactly one encoding. The builder rejects dangling place references
-// and duplicate names, and the rebuilt net is re-encoded and compared
-// byte for byte, so a blob that decodes is the canonical encoding of the
-// net returned.
-func DecodeNetKey(blob []byte) (*petri.Net, error) {
-	d := codec.NewDec(blob)
-	bld := petri.NewBuilder(d.String())
-	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
-		bld.Place(d.String())
-	}
-	bld.Mark(codec.Ints[petri.Place](&d)...)
-	// A transition is at least its name's length and two list counts.
-	for i := d.Count(3); i > 0 && d.Err() == nil; i-- {
-		name := d.String()
-		pre := codec.Ints[petri.Place](&d)
-		bld.TransArcs(name, pre, codec.Ints[petri.Place](&d))
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("verify: net encoding: %w", err)
-	}
-	n, err := bld.Build()
-	if err != nil {
-		return nil, fmt.Errorf("verify: net encoding: %w", err)
-	}
-	if !bytes.Equal(AppendNetKey(nil, n), blob) {
-		return nil, errors.New("verify: net encoding is not canonical")
-	}
-	return n, nil
-}
-
 // RunKeyFormat versions the RunKey encoding itself. It is folded into
 // every hash, so a deliberate change to how keys are computed (new
 // result-determining option, reordered encoding) is made by bumping
@@ -92,18 +60,28 @@ func DecodeNetKey(blob []byte) (*petri.Net, error) {
 // the bump procedure in its failure message.
 const RunKeyFormat = 2
 
-// RunKey hashes the net, the check, and the options that determine the
-// result. Workers is excluded: the parallel exhaustive explorer is
-// bit-identical to the sequential one (DESIGN.md D6), so both share one
-// content address. Timeouts and contexts are excluded because aborted
-// results are never cached and a run's identity should not depend on
-// where a deadline happened to land. Ckpt and Resume are excluded
-// because a resumed run computes exactly what the uninterrupted run
-// would have — the checkpoint is keyed by the same RunKey it resumes.
-// bad must be sorted by the caller (the server sorts during request
-// resolution).
-func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
-	b := make([]byte, 0, 1024)
+// ErrRunKeyFormat is returned by DecodeRunKey for a pre-image written
+// under another RunKeyFormat: its run exists under another identity
+// scheme, so it is refused rather than decoded as this scheme's run.
+var ErrRunKeyFormat = errors.New("verify: run key of another RunKeyFormat")
+
+// AppendRunKey appends the RunKey pre-image, the exact bytes RunKey
+// hashes: RunKeyFormat, the net (AppendNetKey), the check, the bad
+// places in ascending order whatever order the caller lists them in,
+// and the options that determine the result. Workers is excluded: the
+// parallel exhaustive explorer is bit-identical to the sequential one
+// (DESIGN.md D6), so both share one content address. Timeouts and
+// contexts are excluded because aborted results are never cached and a
+// run's identity should not depend on where a deadline happened to
+// land. Ckpt and Resume are excluded because a resumed run computes
+// exactly what the uninterrupted run would have — the checkpoint is
+// keyed by the same RunKey it resumes, and carries this pre-image as
+// its header (internal/ckpt).
+func AppendRunKey(b []byte, n *petri.Net, check string, bad []petri.Place, o Options) []byte {
+	if !slices.IsSorted(bad) {
+		bad = slices.Clone(bad)
+		slices.Sort(bad)
+	}
 	b = codec.AppendUvarint(b, RunKeyFormat)
 	b = AppendNetKey(b, n)
 	b = codec.AppendBytes(b, check)
@@ -121,8 +99,60 @@ func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
 	}
 	b = codec.AppendUvarint(b, flags)
 	b = codec.AppendInt(b, o.MaxStates)
-	b = codec.AppendInt(b, o.MaxNodes)
-	return sha256.Sum256(b)
+	return codec.AppendInt(b, o.MaxNodes)
+}
+
+// DecodeRunKey is the inverse of AppendRunKey: it returns the net, the
+// check, the bad places and the result-determining options of a
+// pre-image. blob must be exactly one pre-image of the current
+// RunKeyFormat (another format is ErrRunKeyFormat), and it is rebuilt
+// and re-encoded and compared byte for byte, so a blob that decodes is
+// the canonical pre-image of what is returned: its RunKey is the SHA-256
+// of blob.
+func DecodeRunKey(blob []byte) (n *petri.Net, check string, bad []petri.Place, o Options, err error) {
+	d := codec.NewDec(blob)
+	if v := d.Uvarint(); d.Err() == nil && v != RunKeyFormat {
+		return nil, "", nil, Options{}, fmt.Errorf("%w: format %d, this build keys runs by %d", ErrRunKeyFormat, v, RunKeyFormat)
+	}
+	bld := petri.NewBuilder(d.String())
+	for i := d.Count(1); i > 0 && d.Err() == nil; i-- {
+		bld.Place(d.String())
+	}
+	bld.Mark(codec.Ints[petri.Place](&d)...)
+	// A transition is at least its name's length and two list counts.
+	for i := d.Count(3); i > 0 && d.Err() == nil; i-- {
+		name := d.String()
+		pre := codec.Ints[petri.Place](&d)
+		bld.TransArcs(name, pre, codec.Ints[petri.Place](&d))
+	}
+	check = d.String()
+	bad = codec.Ints[petri.Place](&d)
+	o.Engine = Engine(d.Int())
+	flags := d.Uvarint()
+	o.StopAtFirst, o.Proviso, o.Reduce = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	o.MaxStates = d.Int()
+	o.MaxNodes = d.Int()
+	if err = d.Done(); err == nil {
+		n, err = bld.Build()
+	}
+	if err != nil {
+		return nil, "", nil, Options{}, fmt.Errorf("verify: run key: %w", err)
+	}
+	for _, p := range bad {
+		if int(p) >= n.NumPlaces() {
+			return nil, "", nil, Options{}, fmt.Errorf("verify: run key: bad place %d out of range", p)
+		}
+	}
+	if !bytes.Equal(AppendRunKey(nil, n, check, bad, o), blob) {
+		return nil, "", nil, Options{}, errors.New("verify: run key is not canonical")
+	}
+	return n, check, bad, o, nil
+}
+
+// RunKey is the content address of a run: the SHA-256 of its
+// AppendRunKey pre-image.
+func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
+	return sha256.Sum256(AppendRunKey(make([]byte, 0, 1024), n, check, bad, o))
 }
 
 // RunID is the one-call convenience over RunKey for callers that only

@@ -2,7 +2,10 @@ package verify
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -81,10 +84,24 @@ func TestRunKeyGolden(t *testing.T) {
 	}
 }
 
-// TestNetKeyRoundTrip pins DecodeNetKey as the exact inverse of
-// AppendNetKey — the checkpoint container stores the net as this
-// encoding — over the Table 1 models and 200 random nets, and that
-// damaged encodings are refused rather than decoded as another net.
+// rawRunKey assembles a run-key pre-image field by field, with none of
+// AppendRunKey's normalisation, so tests can write non-canonical ones.
+func rawRunKey(format uint64, net []byte, check string, bad []petri.Place, flags uint64) []byte {
+	b := codec.AppendUvarint(nil, format)
+	b = append(b, net...)
+	b = codec.AppendBytes(b, check)
+	b = codec.AppendInts(b, bad)
+	b = codec.AppendInt(b, 0) // engine
+	b = codec.AppendUvarint(b, flags)
+	b = codec.AppendInt(b, 0)    // max states
+	return codec.AppendInt(b, 0) // max nodes
+}
+
+// TestNetKeyRoundTrip pins DecodeRunKey as the exact inverse of
+// AppendNetKey inside the run-key pre-image — the checkpoint container
+// stores the net as this encoding — over the Table 1 models and 200
+// random nets, and that damaged encodings are refused rather than
+// decoded as another net.
 func TestNetKeyRoundTrip(t *testing.T) {
 	var nets []*petri.Net
 	for family, sizes := range map[string][]int{
@@ -102,12 +119,12 @@ func TestNetKeyRoundTrip(t *testing.T) {
 		nets = append(nets, randnet.Generate(randnet.Default(seed)))
 	}
 	for i, n := range nets {
-		blob := AppendNetKey(nil, n)
-		got, err := DecodeNetKey(blob)
+		blob := AppendRunKey(nil, n, "deadlock", nil, Options{})
+		got, _, _, _, err := DecodeRunKey(blob)
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name(), err)
 		}
-		if !bytes.Equal(AppendNetKey(nil, got), blob) {
+		if !bytes.Equal(AppendNetKey(nil, got), AppendNetKey(nil, n)) {
 			t.Fatalf("%s: decoded net encodes differently", n.Name())
 		}
 		if got.Name() != n.Name() || got.NumPlaces() != n.NumPlaces() || got.NumTrans() != n.NumTrans() ||
@@ -117,26 +134,80 @@ func TestNetKeyRoundTrip(t *testing.T) {
 		// Cut short anywhere (every tenth net: the walk is quadratic), the
 		// encoding is refused.
 		for cut := len(blob) - 1; cut >= 0; cut-- {
-			if _, err := DecodeNetKey(blob[:cut]); err == nil {
+			if _, _, _, _, err := DecodeRunKey(blob[:cut]); err == nil {
 				t.Fatalf("%s: encoding cut at %d of %d decoded", n.Name(), cut, len(blob))
 			}
 			if i%10 != 0 {
 				break
 			}
 		}
-		if _, err := DecodeNetKey(append(blob[:len(blob):len(blob)], 0)); !errors.Is(err, codec.ErrMalformed) {
+		if _, _, _, _, err := DecodeRunKey(append(blob[:len(blob):len(blob)], 0)); !errors.Is(err, codec.ErrMalformed) {
 			t.Fatalf("%s: trailing byte: %v, want codec.ErrMalformed", n.Name(), err)
 		}
 	}
 	// Well-formed bytes that do not describe a net: a dangling place
 	// reference, and a non-canonical (unsorted) preset.
-	for label, blob := range map[string][]byte{
+	for label, net := range map[string][]byte{
 		"dangling place":   {1, 'n', 1, 1, 'p', 1, 5, 0},
 		"unsorted preset":  {1, 'n', 2, 1, 'p', 1, 'q', 0, 1, 1, 't', 2, 1, 0, 0},
 		"duplicate places": {1, 'n', 2, 1, 'p', 1, 'p', 0, 0},
 	} {
-		if n, err := DecodeNetKey(blob); err == nil {
+		if n, _, _, _, err := DecodeRunKey(rawRunKey(RunKeyFormat, net, "deadlock", nil, 0)); err == nil {
 			t.Errorf("%s: decoded as %s", label, n.Name())
+		}
+	}
+}
+
+// TestRunKeyPreimage pins the pre-image as one identity per run: the
+// order the caller lists bad places in does not change the key (the
+// CLI passes them as typed, gpod resolves them from JSON), DecodeRunKey
+// returns every result-determining option, and a pre-image that is not
+// canonical or not of this RunKeyFormat is refused.
+func TestRunKeyPreimage(t *testing.T) {
+	nsdp := models.NSDP(3)
+	eat0, _ := nsdp.PlaceByName("eat0")
+	eat1, _ := nsdp.PlaceByName("eat1")
+	typed := []petri.Place{eat1, eat0}
+	if RunKey(nsdp, "safety", typed, Options{}) != RunKey(nsdp, "safety", []petri.Place{eat0, eat1}, Options{}) {
+		t.Error("the order of the bad places changed the RunKey")
+	}
+	if typed[0] != eat1 {
+		t.Error("RunKey reordered the caller's bad places")
+	}
+
+	opts := Options{Engine: PartialOrder, StopAtFirst: true, Proviso: true, Reduce: true, MaxStates: 1000, MaxNodes: 4096}
+	blob := AppendRunKey(nil, nsdp, "safety", typed, opts)
+	if RunKey(nsdp, "safety", typed, opts) != sha256.Sum256(blob) {
+		t.Error("RunKey is not the SHA-256 of the pre-image")
+	}
+	n, check, bad, o, err := DecodeRunKey(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(AppendNetKey(nil, n), AppendNetKey(nil, nsdp)) || check != "safety" ||
+		!slices.Equal(bad, []petri.Place{eat0, eat1}) || !reflect.DeepEqual(o, opts) {
+		t.Errorf("decoded %s/%s/%v/%+v", n.Name(), check, bad, o)
+	}
+
+	net := AppendNetKey(nil, nsdp)
+	if _, _, _, _, err := DecodeRunKey(rawRunKey(RunKeyFormat, net, "deadlock", nil, 0)); err != nil {
+		t.Fatalf("canonical control: %v", err)
+	}
+	for label, tc := range map[string]struct {
+		blob []byte
+		want error // nil: any refusal
+	}{
+		"unsorted bad":     {rawRunKey(RunKeyFormat, net, "safety", typed, 0), nil},
+		"unknown flag":     {rawRunKey(RunKeyFormat, net, "deadlock", nil, 8), nil},
+		"bad out of range": {rawRunKey(RunKeyFormat, net, "safety", []petri.Place{99}, 0), nil},
+		"older format":     {rawRunKey(RunKeyFormat-1, net, "deadlock", nil, 0), ErrRunKeyFormat},
+		"newer format":     {rawRunKey(RunKeyFormat+1, net, "deadlock", nil, 0), ErrRunKeyFormat},
+	} {
+		_, _, _, _, err := DecodeRunKey(tc.blob)
+		if err == nil {
+			t.Errorf("%s: decoded", label)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", label, err, tc.want)
 		}
 	}
 }

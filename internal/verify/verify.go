@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/reach"
+	"repro/internal/stop"
 	"repro/internal/structural/reduce"
 	"repro/internal/stubborn"
 	"repro/internal/symbolic"
@@ -176,7 +178,7 @@ type Report struct {
 	// the verdict fields (Deadlock, Witness) are not meaningful.
 	Aborted bool
 	// Checkpointed marks a check suspended cleanly by Options.Ckpt
-	// (CkptStop): a snapshot was saved at the stop boundary and the
+	// (stop.Suspend): a snapshot was saved at the stop boundary and the
 	// statistics are a partial account up to it. Like Aborted, the
 	// verdict fields are not final.
 	Checkpointed bool
@@ -270,6 +272,12 @@ func check(n *petri.Net, bad []petri.Place, safety bool, opts Options) (*Report,
 			return nil, &OptionError{Field: "bad", Value: p, Reason: "not a place of the net"}
 		}
 	}
+	// The bad places are a set: RunKey orders them, and so the engines
+	// see them in that order, whatever order the caller listed.
+	if !slices.IsSorted(bad) {
+		bad = slices.Clone(bad)
+		slices.Sort(bad)
+	}
 	if err := opts.validateCkpt(); err != nil {
 		return nil, err
 	}
@@ -302,7 +310,7 @@ func check(n *petri.Net, bad []petri.Place, safety bool, opts Options) (*Report,
 	rep, err := e.run(explored, g, opts)
 	switch {
 	case err == nil:
-	case rep != nil && ckptStopped(err):
+	case rep != nil && errors.Is(err, stop.ErrSuspended):
 		rep.Checkpointed = true
 	case rep != nil && aborted(err):
 		rep.Aborted = true
@@ -342,7 +350,7 @@ func runReach(n *petri.Net, g goal, o Options) (*Report, error) {
 		Metrics:        o.Metrics,
 		Progress:       o.Progress,
 		Trace:          o.Trace,
-		Ckpt:           o.Ckpt.reachHook(),
+		Ckpt:           engineHook(o.Ckpt, func(sn *reach.Snapshot) *EngineSnapshot { return &EngineSnapshot{Reach: sn} }),
 		Resume:         o.resumeReach(),
 	}
 	if g.bad != nil {
@@ -438,7 +446,7 @@ func runCore[F any, A core.Algebra[F]](newAlg func(int) A) func(*petri.Net, goal
 			Metrics:        o.Metrics,
 			Progress:       o.Progress,
 			Trace:          o.Trace,
-			Ckpt:           o.Ckpt.coreHook(),
+			Ckpt:           engineHook(o.Ckpt, func(sn *core.Snapshot) *EngineSnapshot { return &EngineSnapshot{Core: sn} }),
 			Resume:         o.resumeCore(),
 		})
 		if res == nil {
