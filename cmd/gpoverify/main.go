@@ -264,6 +264,10 @@ type runOpts struct {
 // runEngines verifies one net with each selected engine and prints the
 // result table rows.
 func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg *obs.Registry, ro runOpts) {
+	check := "deadlock"
+	if len(bad) > 0 {
+		check = "safety"
+	}
 	for _, eng := range engines {
 		opts := verify.Options{
 			Engine:      eng,
@@ -306,7 +310,15 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 		} else {
 			rep, err = verify.CheckDeadlock(net, opts)
 		}
-		journal(ro.ledger, net, bad, opts, rep, err, startNS, time.Now().UnixNano())
+		if ro.ledger != nil {
+			// Under the run ID the daemon gives the identical request, so
+			// CLI and daemon history of one configuration line up.
+			e := verify.LedgerEntry(verify.RunKey(net, check, bad, opts), net, check, opts, rep, err, startNS, time.Now().UnixNano())
+			e.Source = "gpoverify"
+			if lerr := ro.ledger.Append(e); lerr != nil {
+				fmt.Fprintln(os.Stderr, "gpoverify: ledger:", lerr)
+			}
+		}
 		if err != nil {
 			fmt.Printf("%-14s error: %v\n", eng, err)
 			continue
@@ -315,10 +327,6 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 			if ckptSnap == nil {
 				fmt.Printf("%-14s error: checkpoint suspension without a snapshot\n", eng)
 				continue
-			}
-			check := "deadlock"
-			if len(bad) > 0 {
-				check = "safety"
 			}
 			f := &ckpt.File{Net: net, Check: check, Bad: bad, Opts: opts, Snap: ckptSnap}
 			if err := ckpt.Write(ro.ckptOut, f); err != nil {
@@ -357,60 +365,6 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 		if opts.Progress != nil {
 			opts.Progress.Done()
 		}
-	}
-}
-
-// journal appends one ledger entry for a finished engine run, under the
-// same content-addressed run ID the daemon would give the identical
-// request — so CLI and daemon history of one configuration line up.
-func journal(l *ledger.Log, net *petri.Net, bad []petri.Place, opts verify.Options, rep *verify.Report, runErr error, startNS, endNS int64) {
-	if l == nil {
-		return
-	}
-	check := "deadlock"
-	if len(bad) > 0 {
-		check = "safety"
-	}
-	e := ledger.Entry{
-		RunID:       verify.RunID(net, check, bad, opts),
-		Source:      "gpoverify",
-		Net:         net.Name(),
-		Engine:      opts.Engine.String(),
-		Check:       check,
-		StopAtFirst: opts.StopAtFirst,
-		Proviso:     opts.Proviso,
-		Reduce:      opts.Reduce,
-		MaxStates:   opts.MaxStates,
-		MaxNodes:    opts.MaxNodes,
-		Workers:     opts.Workers,
-		StartUnixNS: startNS,
-		EndUnixNS:   endNS,
-		WallNS:      endNS - startNS,
-	}
-	switch {
-	case runErr != nil:
-		e.Status = "error"
-		e.AbortReason = runErr.Error()
-	case rep.Checkpointed:
-		e.Status = "checkpointed"
-		e.States = int64(rep.States)
-		e.PeakBDD = int64(rep.PeakBDD)
-		e.PeakSets = int64(rep.PeakSets)
-	case rep.Aborted:
-		e.Status = "aborted"
-		e.States = int64(rep.States)
-		e.PeakBDD = int64(rep.PeakBDD)
-		e.PeakSets = int64(rep.PeakSets)
-	default:
-		e.Status = "ok"
-		e.Deadlock = rep.Deadlock
-		e.States = int64(rep.States)
-		e.PeakBDD = int64(rep.PeakBDD)
-		e.PeakSets = int64(rep.PeakSets)
-		e.Complete = rep.Complete
-	}
-	if err := l.Append(e); err != nil {
-		fmt.Fprintln(os.Stderr, "gpoverify: ledger:", err)
 	}
 }
 

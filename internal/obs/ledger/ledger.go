@@ -73,7 +73,7 @@ type Entry struct {
 	EndUnixNS   int64 `json:"end_unix_ns"`
 	WallNS      int64 `json:"wall_ns"`
 
-	Status      string `json:"status"` // "ok", "aborted", "error"
+	Status      string `json:"status"` // "ok", "aborted", "checkpointed", "error"
 	AbortReason string `json:"abort_reason,omitempty"`
 	Deadlock    bool   `json:"deadlock,omitempty"`
 	States      int64  `json:"states"`

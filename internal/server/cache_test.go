@@ -122,7 +122,7 @@ func TestCacheWitnessIsolation(t *testing.T) {
 	_, bytesAtPut := c.stats()
 
 	// Mutate the caller's Response after put — the lease-settle path in
-	// runJob does exactly this kind of post-put decoration.
+	// Server.run does exactly this kind of post-put decoration.
 	orig.Witness[0] = "CLOBBERED-BY-CALLER-WITH-A-MUCH-LONGER-STRING"
 	got, ok := c.get(cacheKey{7})
 	if !ok {

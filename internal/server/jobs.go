@@ -10,7 +10,9 @@ package server
 // under the wrong work, and the job joins the result cache, the ledger
 // and /v1/runs on one identity. The durable state (jobs/v1 journal +
 // ckpt/v2 files) lives in internal/jobs and internal/ckpt; this file
-// owns the HTTP handlers and the worker-side execution loop.
+// owns the HTTP handlers and what a job's slice adds to the one worker
+// body (Server.run): the claim, the Checkpointer and the record's
+// terminal transition.
 
 import (
 	"bytes"
@@ -21,25 +23,14 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/jobs"
-	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/stop"
 	"repro/internal/verify"
 )
-
-// asyncRun is the in-memory half of one queued-or-running async job:
-// the cancel flag DELETE sets (observed at the next engine boundary)
-// and the snapshot a resume re-enters from. The durable half is the
-// job's record in the store.
-type asyncRun struct {
-	id     string // job ID = run ID
-	cancel atomic.Bool
-	resume *verify.EngineSnapshot // nil = fresh start
-}
 
 // errOverCapacity marks an admission failure (queue full / closing) so
 // handlers can shed with 429 + Retry-After.
@@ -54,8 +45,8 @@ type jobBody struct {
 
 func (s *Server) jobView(rec jobs.Record) jobBody {
 	b := jobBody{Record: rec}
-	if lr := s.liveRunByID(rec.ID); lr != nil {
-		st := lr.status()
+	if j := s.liveJob(rec.ID); j != nil {
+		st := j.status()
 		b.Run = &st
 	}
 	return b
@@ -125,7 +116,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobsSubmitted.Inc()
-	if err := s.startAsync(id, pr, nil); err != nil {
+	if err := s.startAsync(pr, nil); err != nil {
 		// The record stays queued and durable: a restart (or an explicit
 		// resume) picks it up once there is capacity.
 		s.cfg.Jobs.Update(id, func(r *jobs.Record) { r.Error = "admission: " + err.Error() })
@@ -174,42 +165,37 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // resumable). Queued jobs cancel immediately; settled jobs are a no-op.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	code := http.StatusOK
+	// Record and worker are read together under jobsMu, which a worker
+	// holds to claim a job and to settle it.
+	s.jobsMu.Lock()
 	rec, ok := s.cfg.Jobs.Get(id)
+	j := s.jobRuns[id]
+	switch {
+	case !ok:
+	case rec.State == jobs.Running && j != nil:
+		// 202: the worker checkpoints at the next boundary and settles the
+		// record to canceled; poll GET /v1/jobs/{id} for the transition.
+		j.cancel.Store(true)
+		code = http.StatusAccepted
+	case rec.State == jobs.Queued || rec.State == jobs.Running:
+		// Queued (the worker that dequeues it finds it gone from jobRuns
+		// and skips it), or running with no worker — stale state from an
+		// earlier crash this process never repaired: settle it.
+		if j != nil {
+			delete(s.jobRuns, id)
+			s.deregisterRun(j)
+		}
+		rec, _ = s.cfg.Jobs.Update(id, func(r *jobs.Record) { r.State = jobs.Canceled })
+		s.jobsCanceled.Inc()
+	}
+	// Done, Failed, Canceled, Checkpointed: already settled.
+	s.jobsMu.Unlock()
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job " + id})
 		return
 	}
-	switch rec.State {
-	case jobs.Queued:
-		// Flag any in-flight admission too: if a worker picked the job up
-		// between our read and the update, it stops at the next boundary.
-		s.jobsMu.Lock()
-		if ar := s.jobRuns[id]; ar != nil {
-			ar.cancel.Store(true)
-		}
-		s.jobsMu.Unlock()
-		rec, _ = s.cfg.Jobs.Update(id, func(r *jobs.Record) { r.State = jobs.Canceled })
-		s.jobsCanceled.Inc()
-		writeJSON(w, http.StatusOK, s.jobView(rec))
-	case jobs.Running:
-		s.jobsMu.Lock()
-		ar := s.jobRuns[id]
-		s.jobsMu.Unlock()
-		if ar == nil {
-			// Journal says running but no worker owns it (stale state from
-			// an earlier crash this process never repaired): settle it.
-			rec, _ = s.cfg.Jobs.Update(id, func(r *jobs.Record) { r.State = jobs.Canceled })
-			s.jobsCanceled.Inc()
-			writeJSON(w, http.StatusOK, s.jobView(rec))
-			return
-		}
-		ar.cancel.Store(true)
-		// 202: the worker checkpoints at the next boundary and settles the
-		// record to canceled; poll GET /v1/jobs/{id} for the transition.
-		writeJSON(w, http.StatusAccepted, s.jobView(rec))
-	default: // Done, Failed, Canceled, Checkpointed: already settled
-		writeJSON(w, http.StatusOK, s.jobView(rec))
-	}
+	writeJSON(w, code, s.jobView(rec))
 }
 
 // handleJobResume answers POST /v1/jobs/{id}/resume: re-admit a
@@ -289,7 +275,7 @@ func (s *Server) resumeRecord(rec jobs.Record) (jobs.Record, error) {
 	if err != nil {
 		return rec, err
 	}
-	if err := s.startAsync(rec.ID, pr, snap); err != nil {
+	if err := s.startAsync(pr, snap); err != nil {
 		upd, _ = s.cfg.Jobs.Update(rec.ID, func(r *jobs.Record) {
 			r.State = prev
 			if snap != nil {
@@ -331,141 +317,75 @@ func (s *Server) prepareResume(rec jobs.Record) (*parsedRequest, *verify.EngineS
 	return pr, snap, nil
 }
 
-// startAsync registers and enqueues one async execution of job id.
-func (s *Server) startAsync(id string, pr *parsedRequest, resume *verify.EngineSnapshot) error {
-	ar := &asyncRun{id: id, resume: resume}
-	j := &job{
-		ctx:   context.Background(), // jobs outlive the submitting request
-		id:    s.requestID(""),
-		req:   pr,
-		enqNS: nowUnixNS(),
-		jr:    ar,
-	}
-	j.lr = &liveRun{
-		runID:  id,
-		reqID:  j.id,
-		net:    pr.net.Name(),
-		engine: pr.opts.Engine.String(),
-		check:  pr.check,
-		enqNS:  j.enqNS,
-		pub:    obs.NewPublisher(),
-		reg:    obs.New(),
-	}
-	s.jobsMu.Lock()
-	s.jobRuns[id] = ar
-	s.jobsMu.Unlock()
-	s.registerRun(j.lr)
-	if !s.enqueue(j) {
-		s.deregisterRun(j.lr)
-		j.lr.pub.Close()
-		s.jobsMu.Lock()
-		if s.jobRuns[id] == ar {
-			delete(s.jobRuns, id)
-		}
-		s.jobsMu.Unlock()
+// startAsync admits one execution of the job of pr, re-entering resume
+// (nil = fresh start).
+func (s *Server) startAsync(pr *parsedRequest, resume *verify.EngineSnapshot) error {
+	j := newJob(context.Background(), s.requestID(""), pr) // jobs outlive the submitting request
+	j.resume = resume
+	if !s.admit(j) {
 		return errOverCapacity
 	}
 	return nil
 }
 
-// runAsyncJob executes one async job on a worker: the engine runs under
-// a Checkpointer that auto-saves on the configured cadence and suspends
-// on cancel, drain, or the job's soft deadline; the outcome settles the
-// durable record. Unlike runJob there is no done channel — nobody is
-// waiting — and the "deadline" is not an abort but a clean suspension.
-func (s *Server) runAsyncJob(j *job) {
-	ar, lr, id := j.jr, j.lr, j.jr.id
-	defer func() {
-		s.jobsMu.Lock()
-		if s.jobRuns[id] == ar {
-			delete(s.jobRuns, id)
-		}
-		s.jobsMu.Unlock()
-	}()
-	release := func() {
-		s.deregisterRun(lr)
-		lr.pub.Close()
-		s.runSettled()
+// claim moves a dequeued job's record from queued to running. False
+// leaves the record as it is: the job was canceled or settled while it
+// waited, or the server is draining — then it stays queued and durable
+// instead of burning, and the restarted server's ResumeJobs re-admits it.
+func (s *Server) claim(j *job) bool {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	rec, ok := s.cfg.Jobs.Get(j.runID)
+	if !ok || rec.State != jobs.Queued || s.jobRuns[j.runID] != j || s.draining.Load() {
+		return false
 	}
-	rec, ok := s.cfg.Jobs.Get(id)
-	if !ok || rec.State != jobs.Queued || ar.cancel.Load() {
-		// Canceled (or otherwise settled) while waiting in the queue.
-		release()
-		return
-	}
-	if s.draining.Load() {
-		// Graceful drain: leave the job queued and durable instead of
-		// burning it — the restarted server's ResumeJobs re-admits it.
-		release()
-		return
-	}
-	if _, err := s.cfg.Jobs.Update(id, func(r *jobs.Record) { r.State = jobs.Running }); err != nil {
-		release()
-		return
-	}
+	_, err := s.cfg.Jobs.Update(j.runID, func(r *jobs.Record) { r.State = jobs.Running })
+	return err == nil
+}
+
+// slice is one execution of a durable job. The request timeout is its
+// budget, and at its end the job suspends with a checkpoint (resumable)
+// rather than aborts; reason is why the Checkpointer suspended it.
+type slice struct {
+	jt     *jobTraceEmitter
+	reason string // "cancel", "drain" or "deadline"
+}
+
+// startSlice arms opts for one slice of j: the snapshot it re-enters
+// from, and a Checkpointer that auto-saves on the configured cadence and
+// suspends on cancel, drain or the end of the slice.
+func (s *Server) startSlice(j *job, tr *trace.Tracer, opts *verify.Options) *slice {
 	s.jobsActive.Add(1)
-	defer s.jobsActive.Add(-1)
-
-	startNS := nowUnixNS()
-	lr.startNS.Store(startNS)
-	// The request timeout is the job's per-execution slice: at its end
-	// the job suspends with a checkpoint (resumable) rather than aborts.
-	// The context deadline sits beyond it as a hard backstop for an
-	// engine stuck inside one boundary-free stretch.
-	slice := j.req.timeout
-	grace := slice / 2
-	if grace < 2*time.Second {
-		grace = 2 * time.Second
-	}
-	if grace > 30*time.Second {
-		grace = 30 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), slice+grace)
-	defer cancel()
-	opts := j.req.opts
-	opts.Ctx = ctx
-	opts.Metrics = lr.reg
-	prog := &obs.Progress{
-		Label:    lr.runID,
-		Every:    s.cfg.ProgressEvery,
-		Interval: s.cfg.ProgressInterval,
-		Report:   lr.pub.Publish,
-	}
-	opts.Progress = prog
-	tr := s.newRunTracer(j, lr, &opts)
-	opts.Resume = ar.resume
-
+	sl := &slice{jt: s.newJobTraceEmitter(tr)}
+	opts.Resume = j.resume
 	// Job lifecycle events on their own track: each execution slice
 	// opens with slice_begin (Arg1 = states already explored), notes
 	// whether it re-entered from a checkpoint, stamps every checkpoint
 	// save, and closes with its outcome — so a merged timeline shows
 	// where a durable run's wall time went across suspensions.
-	jt := s.newJobTraceEmitter(tr)
-	jt.emit("slice_begin", int64(ar.resume.States()))
-	if ar.resume != nil {
-		jt.emit("resume", int64(ar.resume.States()))
+	sl.jt.emit("slice_begin", int64(j.resume.States()))
+	if j.resume != nil {
+		sl.jt.emit("resume", int64(j.resume.States()))
 	}
-
-	deadline := time.Now().Add(slice)
+	deadline := time.Now().Add(j.req.timeout)
 	// The deadline suspends only past the boundary the slice entered on,
 	// so every slice advances at least one boundary however short it is
 	// or however late the worker got the CPU: a job resumed often enough
 	// completes. Cancel and drain stop at once.
-	entry := max(ar.resume.Boundary(), 0) // 0 for a fresh start
+	entry := max(j.resume.Boundary(), 0) // 0 for a fresh start
 	lastSave := time.Now()
-	lastStates := ar.resume.States() // 0 for a fresh start
-	stopReason := ""
+	lastStates := j.resume.States() // 0 for a fresh start
 	opts.Ckpt = &verify.Checkpointer{
 		Poll: func(states int, boundary int64) stop.Action {
 			switch {
-			case ar.cancel.Load():
-				stopReason = "cancel"
+			case j.cancel.Load():
+				sl.reason = "cancel"
 				return stop.Suspend
 			case s.draining.Load():
-				stopReason = "drain"
+				sl.reason = "drain"
 				return stop.Suspend
 			case boundary > entry && time.Now().After(deadline):
-				stopReason = "deadline"
+				sl.reason = "deadline"
 				return stop.Suspend
 			}
 			if s.cfg.CkptEveryStates > 0 && states-lastStates >= s.cfg.CkptEveryStates {
@@ -477,8 +397,8 @@ func (s *Server) runAsyncJob(j *job) {
 			return stop.Continue
 		},
 		Save: func(snap *verify.EngineSnapshot) error {
-			path := s.cfg.Jobs.CkptPath(id)
-			f := &ckpt.File{Net: j.req.net, Check: j.req.check, Bad: j.req.bad, Opts: opts, Snap: snap}
+			path := s.cfg.Jobs.CkptPath(j.runID)
+			f := &ckpt.File{Net: j.req.net, Check: j.req.check, Bad: j.req.bad, Opts: *opts, Snap: snap}
 			if err := ckpt.Write(path, f); err != nil {
 				s.ckptSaveErrors.Inc()
 				return err
@@ -489,8 +409,8 @@ func (s *Server) runAsyncJob(j *job) {
 			}
 			lastSave = time.Now()
 			lastStates = snap.States()
-			jt.emit("ckpt_save", int64(snap.States()))
-			s.cfg.Jobs.Update(id, func(r *jobs.Record) {
+			sl.jt.emit("ckpt_save", int64(snap.States()))
+			s.cfg.Jobs.Update(j.runID, func(r *jobs.Record) {
 				r.States = snap.States()
 				r.Boundary = snap.Boundary()
 				r.CkptPath = path
@@ -498,96 +418,56 @@ func (s *Server) runAsyncJob(j *job) {
 			return nil
 		},
 	}
+	return sl
+}
 
-	var (
-		rep *verify.Report
-		err error
-	)
-	if j.req.check == CheckSafety {
-		rep, err = verify.CheckSafety(j.req.net, j.req.bad, opts)
-	} else {
-		rep, err = verify.CheckDeadlock(j.req.net, opts)
-	}
-	endNS := nowUnixNS()
-	// Before the record below settles: a client polls it to learn the
-	// job is over, and reads the metrics next.
-	s.runSettled()
-
-	var resp *Response
-	tracePath := ""
+// endSlice counts a finished slice, closes it on the job track, and
+// returns the terminal transition of the job's record.
+func (s *Server) endSlice(sl *slice, resp *Response, err error) func(*jobs.Record) {
+	s.jobsActive.Add(-1)
 	switch {
 	case err != nil:
-		s.failures.Inc()
 		s.jobsFailed.Inc()
-		jt.emit("slice_end:error", 0)
-		s.cfg.Jobs.Update(id, func(r *jobs.Record) {
+		sl.jt.emit("slice_end:error", 0)
+		return func(r *jobs.Record) {
 			r.State = jobs.Failed
 			r.Error = err.Error()
-		})
-	default:
-		resp = responseOf(j.req, rep)
-		switch resp.Status {
-		case StatusCheckpointed:
-			// Suspended cleanly; Save already stamped the checkpoint
-			// coordinates on the record.
-			final := jobs.Checkpointed
-			if stopReason == "cancel" {
-				final = jobs.Canceled
-				s.jobsCanceled.Inc()
-			} else {
-				s.jobsCheckpointed.Inc()
-			}
-			jt.emit("slice_end:"+stopReason, int64(resp.States))
-			s.cfg.Jobs.Update(id, func(r *jobs.Record) { r.State = final })
-		case StatusAborted:
-			// The hard backstop killed the run between boundaries: no
-			// checkpoint was cut at stop time. If an auto-checkpoint
-			// exists the job resumes from it; otherwise it re-queues.
-			s.aborts.Inc()
-			jt.emit("slice_end:abort", int64(resp.States))
-			if tr != nil && s.cfg.TraceSink != nil {
-				s.cfg.TraceSink(j.id, tr.Dump())
-				if s.cfg.TracePath != nil {
-					tracePath = s.cfg.TracePath(j.id)
-				}
-			}
+		}
+	case resp.Status == StatusCheckpointed:
+		// Suspended cleanly; Save already stamped the checkpoint
+		// coordinates on the record.
+		final := jobs.Checkpointed
+		if sl.reason == "cancel" {
+			final = jobs.Canceled
+			s.jobsCanceled.Inc()
+		} else {
 			s.jobsCheckpointed.Inc()
-			s.cfg.Jobs.Update(id, func(r *jobs.Record) {
-				if r.CkptPath != "" {
-					r.State = jobs.Checkpointed
-				} else {
-					r.State = jobs.Queued
-				}
-				r.Error = "aborted between checkpoint boundaries"
-			})
-		default:
-			s.jobsDone.Inc()
-			jt.emit("done", int64(resp.States))
-			if resp.Complete {
-				s.cacheResult(j.req, resp)
+		}
+		sl.jt.emit("slice_end:"+sl.reason, int64(resp.States))
+		return func(r *jobs.Record) { r.State = final }
+	case resp.Status == StatusAborted:
+		// The hard backstop killed the run between boundaries: no
+		// checkpoint was cut at stop time. If an auto-checkpoint exists
+		// the job resumes from it; otherwise it re-queues.
+		s.jobsCheckpointed.Inc()
+		sl.jt.emit("slice_end:abort", int64(resp.States))
+		return func(r *jobs.Record) {
+			if r.CkptPath != "" {
+				r.State = jobs.Checkpointed
+			} else {
+				r.State = jobs.Queued
 			}
-			b, merr := json.Marshal(resp)
-			if merr != nil {
-				b = nil
-			}
-			s.cfg.Jobs.Update(id, func(r *jobs.Record) {
-				r.State = jobs.Done
-				r.Result = b
-				r.States = resp.States
-				r.Error = ""
-			})
+			r.Error = "aborted between checkpoint boundaries"
+		}
+	default:
+		s.jobsDone.Inc()
+		sl.jt.emit("done", int64(resp.States))
+		b, _ := json.Marshal(resp) // a Response has no type Marshal refuses
+		return func(r *jobs.Record) {
+			r.State = jobs.Done
+			r.Result = b
+			r.States = resp.States
+			r.Error = ""
 		}
 	}
-
-	// Same introspection epilogue as runJob: verdict stored, stream
-	// closed, ledger appended, metrics folded, registration dropped.
-	tracePeers := s.retainTrace(j, lr, tr)
-	lr.finish(resp, err)
-	prog.Done()
-	lr.pub.Close()
-	if lerr := s.cfg.Ledger.Append(ledgerEntryOf(j, lr, resp, err, startNS, endNS, tracePath, tracePeers)); lerr != nil {
-		s.ledgerErrors.Inc()
-	}
-	s.reg.Merge(lr.reg)
-	s.deregisterRun(lr)
 }

@@ -10,12 +10,15 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs/ledger"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/servertest"
@@ -162,6 +165,85 @@ func TestE2EJobSuspendResume(t *testing.T) {
 	// The acceptance bar: identical to an uninterrupted run.
 	if res.States != 103682 || !res.Deadlock || !res.Complete || res.Status != server.StatusOK {
 		t.Fatalf("resumed result differs from a fresh run: %+v", res)
+	}
+}
+
+// TestE2EJobResumeAfterSettle: a job's record takes its terminal state
+// only after its worker's bookkeeping is done, so a client may act on a
+// state the moment it reads it. Resuming right after every checkpointed
+// or canceled slice is never a 409 "already queued or running", and
+// /v1/runs/{id} already answers with the slice's ledger entry, never a
+// run that is still live — after done, with the completed run's.
+func TestE2EJobResumeAfterSettle(t *testing.T) {
+	dir := t.TempDir()
+	l, err := ledger.Open(filepath.Join(dir, "runs.jsonl"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	st, err := jobs.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s := start(t, server.Config{Workers: 2, Jobs: st, Ledger: l})
+	c, ctx := s.Client, context.Background()
+	ledgerEntry := func(id string) ledger.Entry {
+		t.Helper()
+		hr, err := s.HTTP.Get(s.URL + "/v1/runs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		var raw json.RawMessage
+		if err := json.NewDecoder(hr.Body).Decode(&raw); err != nil || hr.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/runs/%s: %d, %v", id, hr.StatusCode, err)
+		}
+		var e ledger.Entry
+		if err := json.Unmarshal(raw, &e); err != nil || e.Schema != ledger.Schema {
+			t.Fatalf("GET /v1/runs/%s right after the job settled is not its ledger entry: %s", id, raw)
+		}
+		return e
+	}
+
+	// Each job is resumed right after every slice until it is done: in
+	// 1 ms slices, each of which ends checkpointed past one more of
+	// NSDP(8)'s 83 levels, and in 10 s slices canceled as soon as they
+	// are admitted, each of which ends canceled.
+	for _, tc := range []struct {
+		timeoutMS int64
+		cancel    bool
+		settled   jobs.State
+	}{{1, false, jobs.Checkpointed}, {0, true, jobs.Canceled}} {
+		submit := func() (*client.Job, error) {
+			return c.SubmitJob(ctx, &server.Request{Model: "nsdp", Size: 8, Engine: "exhaustive", TimeoutMS: tc.timeoutMS})
+		}
+		for i := 0; ; i++ {
+			j, err := submit()
+			if err != nil {
+				t.Fatalf("%s: slice %d: %v", tc.settled, i, err)
+			}
+			if tc.cancel {
+				if _, err := c.CancelJob(ctx, j.ID); err != nil {
+					t.Fatalf("cancel: %v", err)
+				}
+			}
+			got := waitJob(t, c, j.ID, tc.settled, jobs.Done)
+			e := ledgerEntry(j.ID)
+			if got.State == jobs.Done {
+				if e.Status != "ok" || !e.Complete || e.States != 103682 || !e.Deadlock {
+					t.Fatalf("ledger entry after done: %+v", e)
+				}
+				break
+			}
+			if i == 200 {
+				t.Fatalf("job never completed: %+v", got.Record)
+			}
+			submit = func() (*client.Job, error) { return c.ResumeJob(ctx, j.ID) }
+			if i == 5 {
+				tc.cancel = false // let the canceled job run to done
+			}
+		}
 	}
 }
 

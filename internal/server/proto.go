@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -120,31 +119,6 @@ const (
 // arbitrarily large untrusted bodies in the first place.
 const maxRequestBytes = 8 << 20
 
-// job is one admitted verification: the resolved request, the HTTP
-// request's context (so client disconnects cancel the engine), and the
-// channel its worker answers on.
-type job struct {
-	ctx  context.Context
-	id   string // request ID (echoed header, access log, trace meta)
-	req  *parsedRequest
-	done chan jobResult
-	// lr is the job's live-run registration: per-run metrics, progress
-	// publisher, and the /v1/runs surface entry.
-	lr *liveRun
-	// enqNS is when the handler admitted the job; the worker stamps
-	// queueWaitNS at dequeue (before the handler reads it back — the
-	// done channel orders the accesses).
-	enqNS       int64
-	queueWaitNS int64
-	// peers is the cluster size for cluster-executed jobs (0 otherwise),
-	// journaled in the run's ledger entry.
-	peers int
-	// jr marks an asynchronous durable job (POST /v1/jobs): the worker
-	// routes it through runAsyncJob, which answers no done channel and
-	// settles the jobs store instead. Nil for synchronous /v1/verify.
-	jr *asyncRun
-}
-
 // transNames lists a net's transition names in index order, the table a
 // per-request tracer needs to render fire events readably.
 func transNames(n *petri.Net) []string {
@@ -153,11 +127,6 @@ func transNames(n *petri.Net) []string {
 		names[t] = n.TransName(petri.Trans(t))
 	}
 	return names
-}
-
-type jobResult struct {
-	resp *Response
-	err  error // engine/analysis error (not cancellation)
 }
 
 // parsedRequest is a Request after resolution and validation.

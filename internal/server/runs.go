@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,23 +11,43 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
+	"repro/internal/verify"
 )
 
-// liveRun is one admitted verification's introspection state: the
-// content-addressed run ID, a per-run metrics registry (so /v1/runs/{id}
-// reports this run's numbers, not process totals), and the Publisher
-// fanning throttled progress updates out to SSE subscribers. The engine
-// never sees any of this directly — it only ticks the obs.Progress it
-// is handed, exactly as it would uninstrumented.
-type liveRun struct {
-	runID  string
-	reqID  string
-	net    string
-	engine string
-	check  string
+// job is one admitted verification and the one record of its run: the
+// resolved request, a per-run metrics registry (so /v1/runs/{id}
+// reports this run's numbers, not process totals), the Publisher
+// fanning throttled progress updates out to SSE subscribers, and the
+// outcome once the worker has it. The engine never sees any of this
+// directly — it only ticks the obs.Progress it is handed, exactly as it
+// would uninstrumented.
+//
+// A durable job (POST /v1/jobs) differs from a /v1/verify request in
+// three things, all data here: ctx (the request's, or none — a job
+// outlives its submitter), its slice (budget, resume, cancel) and
+// Checkpointer (startSlice), and where the outcome goes (done, or the
+// job's record in the store when done is nil).
+type job struct {
+	ctx   context.Context
+	id    string // request ID (echoed header, access log, trace meta)
+	runID string // req.key.RunID(): /v1/runs, the ledger, the job ID
+	req   *parsedRequest
+	done  chan jobResult // nil for a durable job
+	// resume is the snapshot a durable job re-enters from (nil = fresh
+	// start); cancel is the flag DELETE sets, observed at the next
+	// engine boundary.
+	resume *verify.EngineSnapshot
+	cancel atomic.Bool
 
-	startNS atomic.Int64 // 0 while queued; set when a worker picks it up
-	enqNS   int64
+	// enqNS is when the job was admitted; the worker stamps startNS and
+	// queueWaitNS at dequeue (before the handler reads queueWaitNS back
+	// — the done channel orders the accesses).
+	enqNS       int64
+	startNS     atomic.Int64 // 0 while queued
+	queueWaitNS int64
+	// peers is the cluster size for cluster-executed jobs (0 otherwise),
+	// journaled in the run's ledger entry.
+	peers int
 
 	pub *obs.Publisher
 	reg *obs.Registry
@@ -36,19 +57,32 @@ type liveRun struct {
 	err  string
 }
 
-func (lr *liveRun) finish(resp *Response, err error) {
-	lr.mu.Lock()
-	lr.resp = resp
-	if err != nil {
-		lr.err = err.Error()
-	}
-	lr.mu.Unlock()
+type jobResult struct {
+	resp *Response
+	err  error // engine/analysis error (not cancellation)
 }
 
-func (lr *liveRun) final() (*Response, string) {
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	return lr.resp, lr.err
+func newJob(ctx context.Context, id string, pr *parsedRequest) *job {
+	return &job{ctx: ctx, id: id, runID: pr.key.RunID(), req: pr, enqNS: nowUnixNS(),
+		pub: obs.NewPublisher(), reg: obs.New()}
+}
+
+// durable reports whether j is a POST /v1/jobs job.
+func (j *job) durable() bool { return j.done == nil }
+
+func (j *job) finish(resp *Response, err error) {
+	j.mu.Lock()
+	j.resp = resp
+	if err != nil {
+		j.err = err.Error()
+	}
+	j.mu.Unlock()
+}
+
+func (j *job) final() (*Response, string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.resp, j.err
 }
 
 // runStatus is the wire shape of one in-flight run on /v1/runs.
@@ -71,23 +105,23 @@ type runStatus struct {
 	Subscribers int   `json:"subscribers"`
 }
 
-func (lr *liveRun) status() runStatus {
+func (j *job) status() runStatus {
 	st := runStatus{
-		RunID:       lr.runID,
-		RequestID:   lr.reqID,
+		RunID:       j.runID,
+		RequestID:   j.id,
 		State:       "queued",
-		Net:         lr.net,
-		Engine:      lr.engine,
-		Check:       lr.check,
-		StartUnixNS: lr.startNS.Load(),
-		Frontier:    lr.reg.Gauge("reach.queue_peak").Value(),
-		ZddNodes:    lr.reg.Gauge("zdd.nodes").Value(),
-		Subscribers: lr.pub.Subscribers(),
+		Net:         j.req.net.Name(),
+		Engine:      j.req.opts.Engine.String(),
+		Check:       j.req.check,
+		StartUnixNS: j.startNS.Load(),
+		Frontier:    j.reg.Gauge("reach.queue_peak").Value(),
+		ZddNodes:    j.reg.Gauge("zdd.nodes").Value(),
+		Subscribers: j.pub.Subscribers(),
 	}
 	if st.StartUnixNS != 0 {
 		st.State = "running"
 	}
-	if u, ok := lr.pub.Last(); ok {
+	if u, ok := j.pub.Last(); ok {
 		st.States = u.Count
 		st.ElapsedNS = int64(u.Elapsed)
 		st.Rate = u.Rate
@@ -95,24 +129,24 @@ func (lr *liveRun) status() runStatus {
 	return st
 }
 
-// registerRun publishes lr on the live-run surface. Content addressing
+// registerRun publishes j on the live-run surface. Content addressing
 // means two concurrent identical requests share a run ID; the registry
 // keeps the latest, and deregisterRun only removes the entry it owns.
-func (s *Server) registerRun(lr *liveRun) {
+func (s *Server) registerRun(j *job) {
 	s.runsMu.Lock()
-	s.runs[lr.runID] = lr
+	s.runs[j.runID] = j
 	s.runsMu.Unlock()
 }
 
-func (s *Server) deregisterRun(lr *liveRun) {
+func (s *Server) deregisterRun(j *job) {
 	s.runsMu.Lock()
-	if s.runs[lr.runID] == lr {
-		delete(s.runs, lr.runID)
+	if s.runs[j.runID] == j {
+		delete(s.runs, j.runID)
 	}
 	s.runsMu.Unlock()
 }
 
-func (s *Server) liveRunByID(id string) *liveRun {
+func (s *Server) liveJob(id string) *job {
 	s.runsMu.Lock()
 	defer s.runsMu.Unlock()
 	return s.runs[id]
@@ -123,8 +157,8 @@ func (s *Server) liveRunByID(id string) *liveRun {
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	s.runsMu.Lock()
 	running := make([]runStatus, 0, len(s.runs))
-	for _, lr := range s.runs {
-		running = append(running, lr.status())
+	for _, j := range s.runs {
+		running = append(running, j.status())
 	}
 	s.runsMu.Unlock()
 	completed := s.cfg.Ledger.Recent()
@@ -141,11 +175,11 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // metrics snapshot, or the ledger entry of a completed run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if lr := s.liveRunByID(id); lr != nil {
+	if j := s.liveJob(id); j != nil {
 		writeJSON(w, http.StatusOK, struct {
 			runStatus
 			Metrics *obs.Snapshot `json:"metrics"`
-		}{lr.status(), lr.reg.Snapshot()})
+		}{j.status(), j.reg.Snapshot()})
 		return
 	}
 	if e, ok := s.ledgerEntry(id); ok {
@@ -158,7 +192,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // ledgerEntry finds the newest ledger entry for id, first in the
 // in-memory tail, then (for history beyond the tail) in the journal
 // itself.
-func (s *Server) ledgerEntry(id string) (ledger.Entry, bool) {
+func (s *Server) ledgerEntry(id string) (e ledger.Entry, ok bool) {
 	recent := s.cfg.Ledger.Recent()
 	for i := len(recent) - 1; i >= 0; i-- {
 		if recent[i].RunID == id {
@@ -175,7 +209,7 @@ func (s *Server) ledgerEntry(id string) (ledger.Entry, bool) {
 			}
 		}
 	}
-	return ledger.Entry{}, false
+	return e, false
 }
 
 // progressEvent is the SSE "progress" payload: one throttled snapshot
@@ -226,8 +260,8 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
 		return
 	}
-	lr := s.liveRunByID(id)
-	if lr == nil {
+	j := s.liveJob(id)
+	if j == nil {
 		e, found := s.ledgerEntry(id)
 		if !found {
 			writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown run " + id})
@@ -246,7 +280,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ch, cancel := lr.pub.Subscribe(16)
+	ch, cancel := j.pub.Subscribe(16)
 	defer cancel()
 	sseHeaders(w)
 	for {
@@ -255,8 +289,8 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				// Publisher closed: the run is over and its final
 				// response was stored before the close.
-				resp, errMsg := lr.final()
-				done := doneEvent{RunID: lr.runID, Status: "error", Error: errMsg}
+				resp, errMsg := j.final()
+				done := doneEvent{RunID: j.runID, Status: "error", Error: errMsg}
 				if resp != nil {
 					done.Status = resp.Status
 					done.Deadlock = resp.Deadlock
@@ -268,12 +302,12 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			writeSSE(w, flusher, "progress", progressEvent{
-				RunID:     lr.runID,
+				RunID:     j.runID,
 				States:    u.Count,
 				ElapsedNS: int64(u.Elapsed),
 				Rate:      u.Rate,
-				Frontier:  lr.reg.Gauge("reach.queue_peak").Value(),
-				ZddNodes:  lr.reg.Gauge("zdd.nodes").Value(),
+				Frontier:  j.reg.Gauge("reach.queue_peak").Value(),
+				ZddNodes:  j.reg.Gauge("zdd.nodes").Value(),
 				Final:     u.Final,
 			})
 		case <-r.Context().Done():
@@ -290,66 +324,21 @@ func sseHeaders(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// ledgerEntryOf assembles the journal record for a finished job from
-// the per-run registry and the outcome. Counters and gauges land in the
-// Metrics map under their documented names.
-func ledgerEntryOf(j *job, lr *liveRun, resp *Response, runErr error, startNS, endNS int64, tracePath string, tracePeers []string) ledger.Entry {
-	e := ledger.Entry{
-		RunID:       lr.runID,
-		RequestID:   j.id,
-		Source:      "gpod",
-		Net:         lr.net,
-		Engine:      lr.engine,
-		Check:       lr.check,
-		StopAtFirst: j.req.opts.StopAtFirst,
-		Proviso:     j.req.opts.Proviso,
-		Reduce:      j.req.opts.Reduce,
-		MaxStates:   j.req.opts.MaxStates,
-		MaxNodes:    j.req.opts.MaxNodes,
-		Workers:     j.req.opts.Workers,
-		Peers:       j.peers,
-		StartUnixNS: startNS,
-		EndUnixNS:   endNS,
-		WallNS:      endNS - startNS,
-		TracePath:   tracePath,
-		TracePeers:  tracePeers,
+// metricsOf is a run's final counter and gauge snapshot, the ledger
+// entry's metrics, under their documented names.
+func metricsOf(reg *obs.Registry) map[string]int64 {
+	snap := reg.Snapshot()
+	if len(snap.Counters)+len(snap.Gauges) == 0 {
+		return nil
 	}
-	switch {
-	case runErr != nil:
-		e.Status = "error"
-		e.AbortReason = runErr.Error()
-	case resp.Status == StatusAborted:
-		e.Status = "aborted"
-		e.AbortReason = abortReason(j)
-		e.States = int64(resp.States)
-		e.PeakBDD = int64(resp.PeakBDD)
-		e.PeakSets = int64(resp.PeakSets)
-	case resp.Status == StatusCheckpointed:
-		// A job suspended at a boundary: partial statistics like an
-		// abort, but resumable — no abort reason, no verdict.
-		e.Status = "checkpointed"
-		e.States = int64(resp.States)
-		e.PeakBDD = int64(resp.PeakBDD)
-		e.PeakSets = int64(resp.PeakSets)
-	default:
-		e.Status = "ok"
-		e.Deadlock = resp.Deadlock
-		e.States = int64(resp.States)
-		e.PeakBDD = int64(resp.PeakBDD)
-		e.PeakSets = int64(resp.PeakSets)
-		e.Complete = resp.Complete
+	m := make(map[string]int64, len(snap.Counters)+len(snap.Gauges))
+	for k, v := range snap.Counters {
+		m[k] = v
 	}
-	snap := lr.reg.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges) > 0 {
-		e.Metrics = make(map[string]int64, len(snap.Counters)+len(snap.Gauges))
-		for k, v := range snap.Counters {
-			e.Metrics[k] = v
-		}
-		for k, v := range snap.Gauges {
-			e.Metrics[k] = v
-		}
+	for k, v := range snap.Gauges {
+		m[k] = v
 	}
-	return e
+	return m
 }
 
 // abortReason distinguishes the two ways a run dies mid-flight.

@@ -171,11 +171,14 @@ type Server struct {
 	idBase string // per-process prefix of generated request IDs
 	idSeq  atomic.Uint64
 
-	runsMu sync.Mutex          // guards runs
-	runs   map[string]*liveRun // queued + running verifications by run ID
+	runsMu sync.Mutex      // guards runs
+	runs   map[string]*job // queued + running verifications by run ID
 
-	jobsMu  sync.Mutex           // guards jobRuns
-	jobRuns map[string]*asyncRun // queued + running async jobs by job ID
+	// jobsMu guards jobRuns, and orders a durable job's record
+	// transitions against the handlers that read record and worker
+	// together (claim, release, DELETE).
+	jobsMu  sync.Mutex
+	jobRuns map[string]*job // queued + running durable jobs by job ID
 
 	requests, shed, aborts, failures, completed *obs.Counter
 	ledgerErrors                                *obs.Counter
@@ -206,7 +209,7 @@ func New(cfg Config) *Server {
 		queue:        make(chan *job, cfg.QueueDepth),
 		alog:         newAccessLogger(cfg.AccessLog),
 		idBase:       strconv.FormatInt(time.Now().UnixNano(), 36),
-		runs:         make(map[string]*liveRun),
+		runs:         make(map[string]*job),
 		requests:     cfg.Metrics.Counter("server.requests"),
 		shed:         cfg.Metrics.Counter("server.shed"),
 		aborts:       cfg.Metrics.Counter("server.aborted"),
@@ -239,7 +242,7 @@ func New(cfg Config) *Server {
 		s.traceRuns = cfg.Metrics.Gauge("server.trace_runs")
 	}
 	if cfg.Jobs != nil {
-		s.jobRuns = make(map[string]*asyncRun)
+		s.jobRuns = make(map[string]*job)
 		s.jobsSubmitted = cfg.Metrics.Counter("jobs.submitted")
 		s.jobsResumed = cfg.Metrics.Counter("jobs.resumed")
 		s.jobsDone = cfg.Metrics.Counter("jobs.done")
@@ -307,9 +310,29 @@ func (s *Server) enqueue(j *job) bool {
 	}
 }
 
-// worker runs admitted verifications until the queue closes. The
-// request deadline and the client's disconnect both flow into the
-// engine through one derived context.
+// admit puts j on the live-run surface (a durable job in jobRuns too)
+// and enqueues it. False means the queue is full or the service is
+// closing: every registration is undone, a held tier lease is given
+// back, and the caller sheds.
+func (s *Server) admit(j *job) bool {
+	if j.durable() {
+		s.jobsMu.Lock()
+		s.jobRuns[j.runID] = j
+		s.jobsMu.Unlock()
+	}
+	s.registerRun(j)
+	if s.enqueue(j) {
+		return true
+	}
+	j.pub.Close()
+	if j.req.lease {
+		s.tierRelease(j.req)
+	}
+	s.release(j, nil)
+	return false
+}
+
+// worker runs admitted verifications until the queue closes.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
@@ -317,11 +340,125 @@ func (s *Server) worker() {
 		j.queueWaitNS = nowUnixNS() - j.enqNS
 		s.queueWait.Observe(j.queueWaitNS)
 		s.inflight.Add(1)
-		if j.jr != nil {
-			s.runAsyncJob(j)
-		} else {
-			s.runJob(j)
+		s.run(j)
+	}
+}
+
+// run is the one worker body: every admitted verification, a
+// /v1/verify request or one slice of a durable job, runs its engine
+// here, and its bookkeeping ends before its outcome becomes visible.
+func (s *Server) run(j *job) {
+	if j.durable() && !s.claim(j) {
+		j.pub.Close()
+		s.runSettled()
+		s.release(j, nil)
+		return
+	}
+	startNS := nowUnixNS()
+	j.startNS.Store(startNS)
+	ctx, cancel := context.WithTimeout(j.ctx, j.budget())
+	defer cancel()
+	opts := j.req.opts
+	opts.Ctx = ctx
+	// The engine reports into the run's own registry so the ledger entry
+	// and /v1/runs/{id} carry this run's numbers; the epilogue folds them
+	// into the process registry that /metrics serves.
+	opts.Metrics = j.reg
+	// Progress feeds the run's SSE publisher. Engines tick this once per
+	// unit of work already; the throttle bounds the event rate and the
+	// publisher's no-subscriber fast path keeps an unwatched run free.
+	prog := &obs.Progress{
+		Label:    j.runID,
+		Every:    s.cfg.ProgressEvery,
+		Interval: s.cfg.ProgressInterval,
+		Report:   j.pub.Publish,
+	}
+	opts.Progress = prog
+	tr := s.newRunTracer(j, &opts)
+	// Cluster-flagged runs swap reach.Explore for the distributed
+	// sharded explorer; results are bit-identical, so nothing downstream
+	// (cache key, ledger verdict) changes with the execution mode.
+	if j.req.cluster && s.cfg.Cluster != nil {
+		opts.Explorer = s.cfg.Cluster.Explore
+	}
+	var sl *slice
+	if j.durable() {
+		sl = s.startSlice(j, tr, &opts)
+	}
+
+	var (
+		rep *verify.Report
+		err error
+	)
+	if j.req.check == CheckSafety {
+		rep, err = verify.CheckSafety(j.req.net, j.req.bad, opts)
+	} else {
+		rep, err = verify.CheckDeadlock(j.req.net, opts)
+	}
+	endNS := nowUnixNS()
+
+	var resp *Response
+	if err == nil {
+		resp = responseOf(j.req, rep)
+	}
+	var settle func(*jobs.Record)
+	if sl != nil {
+		settle = s.endSlice(sl, resp, err)
+	}
+	tracePath := ""
+	switch {
+	case err != nil:
+		s.failures.Inc()
+	case resp.Status == StatusAborted:
+		s.aborts.Inc()
+		// A deadline or disconnect killed the run mid-flight: dump the
+		// flight recorder so the abort is diagnosable after the fact,
+		// and point the ledger entry at the dump.
+		if tr != nil && s.cfg.TraceSink != nil {
+			s.cfg.TraceSink(j.id, tr.Dump())
+			if s.cfg.TracePath != nil {
+				tracePath = s.cfg.TracePath(j.id)
+			}
 		}
+	case resp.Status == StatusOK && resp.Complete:
+		// Only complete, uncancelled results are cacheable: partial
+		// statistics depend on where the deadline happened to land.
+		s.cacheResult(j.req, resp)
+	}
+	// Peers is stamped after the tier has the result: the cached bytes
+	// are identical however the run was computed.
+	if s.cfg.Cluster != nil {
+		s.tierSettle(j.req, resp)
+	}
+	if j.req.cluster && resp != nil {
+		j.peers = s.cfg.Cluster.NumPeers()
+		resp.Peers = j.peers
+	}
+
+	// The epilogue, strictly ordered: trace retained, final response
+	// stored (so the SSE terminal event has a verdict), final progress
+	// update published, stream closed, journal appended, per-run metrics
+	// folded into the process registry, the worker's counters settled,
+	// live registration dropped — all before the outcome is visible, so
+	// a client that saw it also sees the run's history.
+	tracePeers := s.retainTrace(j, tr)
+	j.finish(resp, err)
+	prog.Done()
+	j.pub.Close()
+	e := verify.LedgerEntry(j.req.key, j.req.net, j.req.check, j.req.opts, rep, err, startNS, endNS)
+	e.Source, e.RequestID, e.Peers = "gpod", j.id, j.peers
+	e.TracePath, e.TracePeers, e.Metrics = tracePath, tracePeers, metricsOf(j.reg)
+	if e.Status == StatusAborted {
+		e.AbortReason = abortReason(j)
+	}
+	if lerr := s.cfg.Ledger.Append(e); lerr != nil {
+		s.ledgerErrors.Inc()
+	}
+	s.reg.Merge(j.reg)
+	s.runSettled()
+	s.release(j, settle)
+	if j.done != nil {
+		j.done <- jobResult{resp: resp, err: err} // resp is nil when err is not
 	}
 }
 
@@ -341,98 +478,35 @@ func (s *Server) cacheResult(pr *parsedRequest, resp *Response) {
 	s.cache.indexBody(pr.key, pr.digest)
 }
 
-func (s *Server) runJob(j *job) {
-	lr := j.lr
-	startNS := nowUnixNS()
-	lr.startNS.Store(startNS)
-	ctx, cancel := context.WithTimeout(j.ctx, j.req.timeout)
-	defer cancel()
-	opts := j.req.opts
-	opts.Ctx = ctx
-	// The engine reports into the run's own registry so the ledger entry
-	// and /v1/runs/{id} carry this run's numbers; the epilogue folds them
-	// into the process registry that /metrics serves.
-	opts.Metrics = lr.reg
-	// Progress feeds the run's SSE publisher. Engines tick this once per
-	// unit of work already; the throttle bounds the event rate and the
-	// publisher's no-subscriber fast path keeps an unwatched run free.
-	prog := &obs.Progress{
-		Label:    lr.runID,
-		Every:    s.cfg.ProgressEvery,
-		Interval: s.cfg.ProgressInterval,
-		Report:   lr.pub.Publish,
+// budget is the run's hard wall-clock limit: the request timeout, or,
+// for a durable job, whose timeout is a slice that ends in a clean
+// suspension, a backstop beyond it for an engine stuck inside one
+// boundary-free stretch.
+func (j *job) budget() time.Duration {
+	t := j.req.timeout
+	if j.durable() {
+		t += min(max(t/2, 2*time.Second), 30*time.Second)
 	}
-	opts.Progress = prog
-	tr := s.newRunTracer(j, lr, &opts)
+	return t
+}
 
-	// Cluster-flagged runs swap reach.Explore for the distributed
-	// sharded explorer; results are bit-identical, so nothing downstream
-	// (cache key, ledger verdict) changes with the execution mode.
-	if j.req.cluster && s.cfg.Cluster != nil {
-		opts.Explorer = s.cfg.Cluster.Explore
+// release takes a job off the live-run surface. A durable job's record
+// takes its terminal transition (settle; nil leaves the record alone)
+// in the same jobsMu section that drops the job from jobRuns, so no
+// resume and no DELETE sees one without the other.
+func (s *Server) release(j *job, settle func(*jobs.Record)) {
+	s.deregisterRun(j)
+	if !j.durable() {
+		return
 	}
-
-	var (
-		rep *verify.Report
-		err error
-	)
-	if j.req.check == CheckSafety {
-		rep, err = verify.CheckSafety(j.req.net, j.req.bad, opts)
-	} else {
-		rep, err = verify.CheckDeadlock(j.req.net, opts)
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	if settle != nil {
+		s.cfg.Jobs.Update(j.runID, settle)
 	}
-	endNS := nowUnixNS()
-
-	var resp *Response
-	tracePath := ""
-	if err != nil {
-		s.failures.Inc()
-	} else {
-		resp = responseOf(j.req, rep)
-		if resp.Status == StatusAborted {
-			s.aborts.Inc()
-			// A deadline or disconnect killed the run mid-flight: dump
-			// the flight recorder so the abort is diagnosable after the
-			// fact, and point the ledger entry at the dump.
-			if tr != nil && s.cfg.TraceSink != nil {
-				s.cfg.TraceSink(j.id, tr.Dump())
-				if s.cfg.TracePath != nil {
-					tracePath = s.cfg.TracePath(j.id)
-				}
-			}
-		} else if resp.Complete {
-			// Only complete, uncancelled results are cacheable: partial
-			// statistics depend on where the deadline happened to land.
-			s.cacheResult(j.req, resp)
-		}
+	if s.jobRuns[j.runID] == j {
+		delete(s.jobRuns, j.runID)
 	}
-	// Peers is stamped after the tier has the result: the cached bytes
-	// are identical however the run was computed.
-	if s.cfg.Cluster != nil {
-		s.tierSettle(j.req, resp)
-	}
-	if j.req.cluster && resp != nil {
-		j.peers = s.cfg.Cluster.NumPeers()
-		resp.Peers = j.peers
-	}
-	tracePeers := s.retainTrace(j, lr, tr)
-
-	// Introspection epilogue, strictly ordered: final response stored
-	// (so the SSE terminal event has a verdict), final progress update
-	// published, stream closed, journal appended, per-run metrics folded
-	// into the process registry, live registration dropped, the worker's
-	// own counters settled — all before the handler wakes, so a client
-	// that saw the response also sees the run's history.
-	lr.finish(resp, err)
-	prog.Done()
-	lr.pub.Close()
-	if lerr := s.cfg.Ledger.Append(ledgerEntryOf(j, lr, resp, err, startNS, endNS, tracePath, tracePeers)); lerr != nil {
-		s.ledgerErrors.Inc()
-	}
-	s.reg.Merge(lr.reg)
-	s.deregisterRun(lr)
-	s.runSettled()
-	j.done <- jobResult{resp: resp, err: err} // resp is nil when err is not
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -508,24 +582,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		}
 		pr.lease = out == tierLease
 	}
-	j := &job{ctx: r.Context(), id: id, req: pr, done: make(chan jobResult, 1), enqNS: nowUnixNS()}
-	j.lr = &liveRun{
-		runID:  pr.key.RunID(),
-		reqID:  id,
-		net:    pr.net.Name(),
-		engine: pr.opts.Engine.String(),
-		check:  pr.check,
-		enqNS:  j.enqNS,
-		pub:    obs.NewPublisher(),
-		reg:    obs.New(),
-	}
-	s.registerRun(j.lr)
-	if !s.enqueue(j) {
-		s.deregisterRun(j.lr)
-		j.lr.pub.Close()
-		if pr.lease {
-			s.tierRelease(pr)
-		}
+	j := newJob(r.Context(), id, pr)
+	j.done = make(chan jobResult, 1)
+	if !s.admit(j) {
 		s.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		fail(http.StatusTooManyRequests, "shed", "over capacity, retry later")

@@ -62,13 +62,13 @@ func (s *runTraceStore) len() int {
 // (a TraceSink to dump aborts into, or TraceRuns retention) and hooks
 // it into the engine options. Returns nil — and leaves opts.Trace nil,
 // the zero-cost disabled path — otherwise.
-func (s *Server) newRunTracer(j *job, lr *liveRun, opts *verify.Options) *trace.Tracer {
+func (s *Server) newRunTracer(j *job, opts *verify.Options) *trace.Tracer {
 	if s.cfg.TraceSink == nil && s.traces == nil {
 		return nil
 	}
 	tr := trace.New(trace.Options{Cap: s.cfg.TraceEvents})
 	tr.SetMeta("request_id", j.id)
-	tr.SetMeta("run_id", lr.runID)
+	tr.SetMeta("run_id", j.runID)
 	tr.SetMeta("engine", opts.Engine.String())
 	tr.SetMeta("net", j.req.net.Name())
 	tr.SetMeta("check", j.req.check)
@@ -79,11 +79,11 @@ func (s *Server) newRunTracer(j *job, lr *liveRun, opts *verify.Options) *trace.
 
 // retainTrace stores a finished run's dump for /v1/runs/{id}/trace and
 // returns the per-peer trace endpoints to journal for cluster runs.
-func (s *Server) retainTrace(j *job, lr *liveRun, tr *trace.Tracer) []string {
+func (s *Server) retainTrace(j *job, tr *trace.Tracer) []string {
 	if tr == nil || s.traces == nil {
 		return nil
 	}
-	s.traces.put(lr.runID, tr.Dump())
+	s.traces.put(j.runID, tr.Dump())
 	s.traceRuns.Set(int64(s.traces.len()))
 	if !j.req.cluster || s.cfg.Cluster == nil {
 		return nil
@@ -91,7 +91,7 @@ func (s *Server) retainTrace(j *job, lr *liveRun, tr *trace.Tracer) []string {
 	peers := s.cfg.Cluster.Peers()
 	out := make([]string, 0, len(peers))
 	for _, p := range peers {
-		out = append(out, p+"/v1/runs/"+lr.runID+"/trace")
+		out = append(out, p+"/v1/runs/"+j.runID+"/trace")
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"repro/internal/codec"
+	"repro/internal/obs/ledger"
 	"repro/internal/petri"
 )
 
@@ -159,4 +160,43 @@ func RunKey(n *petri.Net, check string, bad []petri.Place, o Options) Key {
 // need the identifier (the CLIs' ledger entries).
 func RunID(n *petri.Net, check string, bad []petri.Place, o Options) string {
 	return RunKey(n, check, bad, o).RunID()
+}
+
+// LedgerEntry is the one mapping of a finished run to its ledger/v1
+// entry, for the CLI and the daemon alike: the run's identity and
+// options, its start and end, and the status switch over its outcome
+// (runErr, else rep). A writer stamps only what it alone knows: source,
+// request ID, abort reason, peers, traces and metrics.
+func LedgerEntry(k Key, n *petri.Net, check string, o Options, rep *Report, runErr error, startNS, endNS int64) ledger.Entry {
+	e := ledger.Entry{
+		RunID:       k.RunID(),
+		Net:         n.Name(),
+		Engine:      o.Engine.String(),
+		Check:       check,
+		StopAtFirst: o.StopAtFirst,
+		Proviso:     o.Proviso,
+		Reduce:      o.Reduce,
+		MaxStates:   o.MaxStates,
+		MaxNodes:    o.MaxNodes,
+		Workers:     o.Workers,
+		StartUnixNS: startNS,
+		EndUnixNS:   endNS,
+		WallNS:      endNS - startNS,
+	}
+	if runErr != nil {
+		e.Status, e.AbortReason = "error", runErr.Error()
+		return e
+	}
+	e.States, e.PeakBDD, e.PeakSets = int64(rep.States), int64(rep.PeakBDD), int64(rep.PeakSets)
+	switch {
+	case rep.Checkpointed:
+		// Suspended at a boundary: partial statistics like an abort's,
+		// but resumable — no abort reason, no verdict.
+		e.Status = "checkpointed"
+	case rep.Aborted:
+		e.Status = "aborted"
+	default:
+		e.Status, e.Deadlock, e.Complete = "ok", rep.Deadlock, rep.Complete
+	}
+	return e
 }

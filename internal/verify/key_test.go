@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/models"
+	"repro/internal/obs/ledger"
 	"repro/internal/petri"
 	"repro/internal/randnet"
 )
@@ -208,6 +209,42 @@ func TestRunKeyPreimage(t *testing.T) {
 			t.Errorf("%s: decoded", label)
 		} else if tc.want != nil && !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v, want %v", label, err, tc.want)
+		}
+	}
+}
+
+// TestLedgerEntry pins the one report-to-ledger mapping the CLI and the
+// daemon share: identity and options from the run, times from the
+// writer, and per outcome the status and which result fields it keeps.
+// A checkpointed or aborted run keeps its partial statistics but no
+// verdict; an error keeps only its message.
+func TestLedgerEntry(t *testing.T) {
+	n := models.NSDP(3)
+	eat0, _ := n.PlaceByName("eat0")
+	bad := []petri.Place{eat0}
+	opts := Options{Engine: Exhaustive, StopAtFirst: true, Proviso: true, Reduce: true, MaxStates: 9, MaxNodes: 8, Workers: 2}
+	key := RunKey(n, "safety", bad, opts)
+	partial := Report{Deadlock: true, States: 7, PeakBDD: 5, PeakSets: 4.5, Complete: true}
+	for _, tc := range []struct {
+		status string
+		rep    *Report
+		err    error
+		want   ledger.Entry // the outcome fields
+	}{
+		{"ok", &partial, nil, ledger.Entry{Status: "ok", Deadlock: true, States: 7, PeakBDD: 5, PeakSets: 4, Complete: true}},
+		{"aborted", &Report{Aborted: true, Deadlock: true, States: 7, PeakBDD: 5, PeakSets: 4.5}, nil,
+			ledger.Entry{Status: "aborted", States: 7, PeakBDD: 5, PeakSets: 4}},
+		{"checkpointed", &Report{Checkpointed: true, Aborted: true, Deadlock: true, States: 7, PeakBDD: 5, PeakSets: 4.5}, nil,
+			ledger.Entry{Status: "checkpointed", States: 7, PeakBDD: 5, PeakSets: 4}},
+		{"error", nil, errors.New("state limit"), ledger.Entry{Status: "error", AbortReason: "state limit"}},
+	} {
+		want := tc.want
+		want.RunID, want.Net, want.Engine, want.Check = key.RunID(), "NSDP(3)", "exhaustive", "safety"
+		want.StopAtFirst, want.Proviso, want.Reduce = true, true, true
+		want.MaxStates, want.MaxNodes, want.Workers = 9, 8, 2
+		want.StartUnixNS, want.EndUnixNS, want.WallNS = 100, 350, 250
+		if got := LedgerEntry(key, n, "safety", opts, tc.rep, tc.err, 100, 350); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.status, got, want)
 		}
 	}
 }

@@ -37,6 +37,12 @@ test -z "$(grep -l '"container/list"' $CLUSTER_SRC)"
 test -z "$(grep '/cluster/v1/cache/' $CLUSTER_SRC)"
 SERVER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/server)
 test "$(grep -ho 'list\.New()' $SERVER_SRC | grep -c .)" = 1
+# gpod runs a /v1/verify request and a durable job's slice through one
+# worker body, which calls each check once, and the job is the one
+# record of a run: no liveRun shadows it.
+test "$(grep -ho 'verify\.CheckSafety(' $SERVER_SRC | grep -c .)" = 1
+test "$(grep -ho 'verify\.CheckDeadlock(' $SERVER_SRC | grep -c .)" = 1
+test -z "$(grep -w liveRun $SERVER_SRC)"
 # The daemon binary ships daemon code only: no client, no test harness,
 # no self-test flag, and main itself names neither a model nor an engine
 # (the server resolves both). Its end-to-end checks are tests — the
@@ -64,6 +70,11 @@ test -z "$(go list -f '{{join .Imports "\n"}}' ./cmd/gpobench ./internal/bench |
 MODULE_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./...)
 test "$(grep -l '\.Enabled(' $MODULE_SRC | grep -v /internal/petri/)" = "$PWD/internal/stubborn/stubborn.go"
 test "$(grep -c '\.Enabled(' internal/stubborn/stubborn.go)" = 1
+# One ledger builder: verify.LedgerEntry writes the module's only
+# ledger.Entry literal, for gpoverify and gpod alike, and the ledger
+# itself stays a leaf.
+test "$(grep -ho 'ledger\.Entry{' $MODULE_SRC | grep -c .)" = 1
+test "$(go list -deps ./internal/obs/ledger | grep '^repro/')" = repro/internal/obs/ledger
 # One checkpoint protocol: the engines and verify share one action enum
 # and one suspension sentinel (stop.Action, stop.ErrSuspended), so no
 # adapter converts between enums of its own. ckpt/v2 stores the run as
@@ -78,7 +89,7 @@ test -z "$(grep -E '\b(StopAtFirst|Proviso|Reduce|MaxStates|MaxNodes|ShardOf)\b|
 # may not grow past their total after the last cut. A change that needs
 # more room raises the bound here, in the same commit, and says why in
 # CHANGES.md; one that frees room lowers it.
-test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 190219
+test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 190122
 go test -race ./...
 # Table 1 counts, every row: the full regeneration must reproduce
 # TABLE1.json byte for byte, including the rows TestTable1Artifact leaves
