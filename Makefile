@@ -16,7 +16,7 @@ serve:
 
 # Live fleet view of the daemon started by `make serve`: in-flight runs,
 # completed runs with verdicts, outlier flags against ledger history.
-# Repeat -addr to watch a whole cluster (per-peer shard/steal table).
+# Repeat -addr to watch a whole cluster (per-peer shared-tier table).
 watch:
 	go run ./cmd/gpostat -follow -addr http://localhost:8722 -ledger runs.jsonl
 

@@ -14,15 +14,14 @@
 // OBSERVABILITY.md for the server.* names), GET /v1/runs (live and
 // recently completed runs), GET /v1/runs/{id}, GET /v1/runs/{id}/events
 // (SSE progress stream; watch with gpostat), and GET /v1/cluster
-// (membership, shard ranges and cluster.* counters; {"enabled": false}
-// without -peers).
+// (membership and cluster.* counters; {"enabled": false} without
+// -peers).
 //
-// With -peers/-self the node joins a cluster (DESIGN.md D10): it owns a
-// static range of the visited store's 256 state-hash shards, serves the
-// /cluster/v1/* protocol to its peers, coordinates "cluster": true
-// requests as distributed level-synchronous BFS (bit-identical to a
-// single-machine run), and consults the fleet's consistent-hash shared
-// result tier on every local cache miss.
+// With -peers/-self the node joins a cluster (DESIGN.md D10): its result
+// cache becomes its share of the fleet's consistent-hash shared result
+// tier, which it consults on every local cache miss and serves to its
+// peers. A "cluster": true request runs on the node that received it,
+// like any other, and its reply names the cluster size.
 //
 // Every /v1/verify response carries an X-Request-ID header (echoing the
 // client's, if it sent a well-formed one). With -access-log each request

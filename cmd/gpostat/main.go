@@ -14,7 +14,7 @@
 //
 // -addr repeats: with several, -follow watches the whole fleet — each
 // tick starts with one row per peer from its GET /v1/cluster document
-// (shard range, active distributed jobs, steal/level/remote-hit
+// (cluster size and the shared tier's remote-hit and single-flight
 // counters) and the run lines are prefixed with the peer that reported
 // them. Peers without cluster mode just show their runs.
 //
@@ -118,12 +118,12 @@ func printHistory(path string, pat *regexp.Regexp) error {
 		fmt.Println("gpostat: no matching ledger entries")
 		return nil
 	}
-	// Configurations with at least one retained flight-recorder dump
-	// (single-node TracePath or cluster TracePeers) get a trace marker,
-	// so history answers "can I pull a timeline for this?" at a glance.
+	// Configurations with at least one flight-recorder dump on disk
+	// (TracePath) get a trace marker, so history answers "can I pull a
+	// timeline for this?" at a glance.
 	traced := make(map[string]bool)
 	for _, e := range entries {
-		if e.TracePath != "" || len(e.TracePeers) > 0 {
+		if e.TracePath != "" {
 			traced[groupKey(e.Net, e.Engine, e.Check)] = true
 		}
 	}
@@ -180,20 +180,15 @@ type runsWire struct {
 // clusterStatusWire mirrors the daemon's GET /v1/cluster document (see
 // internal/server.clusterStatusBody and internal/cluster.Status).
 type clusterStatusWire struct {
-	Enabled bool   `json:"enabled"`
-	Self    string `json:"self"`
+	Enabled bool `json:"enabled"`
 	Peers   []struct {
-		Addr    string `json:"addr"`
-		ShardLo int    `json:"shard_lo"`
-		ShardHi int    `json:"shard_hi"`
-		Self    bool   `json:"self"`
+		Addr string `json:"addr"`
 	} `json:"peers"`
-	Jobs    int              `json:"jobs"`
 	Metrics map[string]int64 `json:"metrics"`
 }
 
 // printFleet renders the per-peer cluster table: each polled address's
-// own shard range and its cluster counters. Peers that are down or not
+// cluster size and its shared-tier counters. Peers that are down or not
 // in cluster mode get a one-word row instead of killing the view.
 func printFleet(addrs []string, now string) {
 	printed := false
@@ -208,20 +203,11 @@ func printFleet(addrs []string, now string) {
 			continue
 		}
 		if !printed {
-			fmt.Printf("%s PEER %-28s %9s %4s %7s %7s %8s %11s\n",
-				now, "addr", "shards", "jobs", "levels", "steals", "remote", "expand_in")
+			fmt.Printf("%s PEER %-28s %5s %8s %8s\n", now, "addr", "peers", "remote", "sf_waits")
 			printed = true
 		}
-		lo, hi := -1, -1
-		for _, p := range st.Peers {
-			if p.Self {
-				lo, hi = p.ShardLo, p.ShardHi
-			}
-		}
-		fmt.Printf("%s PEER %-28s %4d-%-4d %4d %7d %7d %8d %11d\n",
-			now, peerLabel(addr), lo, hi-1, st.Jobs,
-			st.Metrics["cluster.levels"], st.Metrics["cluster.steals"],
-			st.Metrics["cluster.remote_cache_hits"], st.Metrics["cluster.expand_batches_in"])
+		fmt.Printf("%s PEER %-28s %5d %8d %8d\n", now, peerLabel(addr), len(st.Peers),
+			st.Metrics["cluster.remote_cache_hits"], st.Metrics["cluster.singleflight_waits"])
 	}
 }
 

@@ -72,8 +72,8 @@ func TestFollowOnceSemantics(t *testing.T) {
 }
 
 // TestHistoryTraceMarker: configurations with at least one traced run
-// (cluster TracePeers or a single-node TracePath) carry the trace=yes
-// marker in -history output; untraced configurations stay unmarked.
+// (a TracePath) carry the trace=yes marker in -history output; untraced
+// configurations stay unmarked.
 func TestHistoryTraceMarker(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "runs.jsonl")
@@ -88,7 +88,7 @@ func TestHistoryTraceMarker(t *testing.T) {
 	}
 	traced := base
 	traced.RunID, traced.Net, traced.Engine = "r1", "NSDP(4)", "exhaustive"
-	traced.TracePeers = []string{"http://p0/v1/runs/r1/trace", "http://p1/v1/runs/r1/trace"}
+	traced.TracePath = "traces/r1.trace.jsonl"
 	plain := base
 	plain.RunID, plain.Net, plain.Engine = "r2", "RW(6)", "gpo"
 	for _, e := range []ledger.Entry{traced, plain} {

@@ -9,19 +9,9 @@
 //	gpotrace trace.json                # Chrome/Perfetto trace
 //	gpotrace -top 20 dump.trace.jsonl  # JSONL dump, longer table
 //	gpotrace -json trace.json          # machine-readable summary
-//	gpotrace -merge bundle.json        # fleet bundle: aligned timeline
-//	gpotrace -merge -o merged.json b.json  # + one Perfetto file, one
-//	                                       # track group per peer
 //
-// Both single-dump formats are auto-detected. -merge consumes the
-// bundle GET /v1/runs/{id}/trace serves for a traced cluster run:
-// peer clocks are aligned against the coordinator (RPC-midpoint offset
-// estimates, causally clamped against the matched frame send/recv
-// edges), and the output is the peer roster with applied offsets and
-// per-peer throughput followed by the per-level attribution table
-// (compute / serialize / wire / steal / stall shares of each level's
-// wall clock, with the slowest peer named). The same files open
-// visually in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// Both formats are auto-detected. The same files open visually in
+// Perfetto (ui.perfetto.dev) or chrome://tracing.
 package main
 
 import (
@@ -50,8 +40,6 @@ func run(args []string, stdout io.Writer) error {
 		top     = fs.Int("top", 10, "rows in the top-transitions table")
 		asJSON  = fs.Bool("json", false, "print the summary as JSON instead of text")
 		summary = fs.Bool("summary", true, "print the summary (disable to just validate the file)")
-		merge   = fs.Bool("merge", false, "input is a fleet trace bundle (GET /v1/runs/{id}/trace): align peer clocks and print the attribution table")
-		outPath = fs.String("o", "", "with -merge: also write the aligned timeline as one Chrome/Perfetto JSON file")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: gpotrace [flags] <trace-file>")
@@ -61,33 +49,6 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() != 1 {
 		fs.Usage()
 		os.Exit(2)
-	}
-
-	if *merge {
-		b, err := trace.ReadBundleFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		m, err := trace.Merge(b)
-		if err != nil {
-			return err
-		}
-		m.WriteText(stdout)
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return err
-			}
-			if err := trace.WriteChromeMerged(f, b, m); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "merged timeline: %s (%d peers, %d wire edges)\n", *outPath, len(m.Peers), len(m.Edges))
-		}
-		return nil
 	}
 
 	d, err := trace.ReadFile(fs.Arg(0))

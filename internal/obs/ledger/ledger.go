@@ -64,9 +64,9 @@ type Entry struct {
 	MaxStates   int  `json:"max_states,omitempty"`
 	MaxNodes    int  `json:"max_nodes,omitempty"`
 	Workers     int  `json:"workers,omitempty"` // informational; not part of RunID
-	// Peers is the cluster size when the run executed on the distributed
-	// explorer (0 = in-process). Informational like Workers: cluster
-	// results are bit-identical, so Peers is not part of RunID.
+	// Peers is the cluster size when the request asked for cluster
+	// execution (0 otherwise). Informational like Workers: the run
+	// executes in process either way, so Peers is not part of RunID.
 	Peers int `json:"peers,omitempty"`
 
 	StartUnixNS int64 `json:"start_unix_ns"`
@@ -84,11 +84,6 @@ type Entry struct {
 	// TracePath points at the flight-recorder dump for this run, when
 	// one was written (aborted daemon runs with a trace sink).
 	TracePath string `json:"trace_path,omitempty"`
-	// TracePeers lists the per-peer trace endpoints of a traced cluster
-	// run — "<peerURL>/v1/runs/<id>/trace" joined under the run ID, the
-	// way TracePath joins single-node dumps. Empty for untraced and
-	// in-process runs.
-	TracePeers []string `json:"trace_peers,omitempty"`
 	// Metrics is the run's final counter/gauge snapshot (per-run
 	// registry), keyed by the dot-separated names OBSERVABILITY.md
 	// documents.

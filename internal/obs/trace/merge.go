@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 )
@@ -15,14 +14,16 @@ import (
 // peer, and Merge aligns them onto the coordinator's clock, pairs the
 // frame_send/frame_recv wire edges stamped under shared PairIDs, and
 // attributes each BFS level's wall time to compute / serialize / wire /
-// steal / stall buckets.
+// steal / stall buckets. gpod runs every request on one server and so
+// serves one-entry bundles; nothing in the module writes wire edges any
+// more, and the multi-peer alignment is kept only for its readers.
 
 // BundleSchema identifies the bundle JSON envelope.
 const BundleSchema = "gpotrace-bundle/v1"
 
-// Bundle is the collected trace of one distributed run: one entry per
-// recorder that observed it. Served by gpod's GET /v1/runs/{id}/trace
-// and consumed by `gpotrace -merge`.
+// Bundle is the collected trace of one run: one entry per recorder that
+// observed it. Served by gpod's GET /v1/runs/{id}/trace, whose bundles
+// hold the executing server's dump alone.
 type Bundle struct {
 	Schema string       `json:"schema"`
 	RunID  string       `json:"run_id,omitempty"`
@@ -78,16 +79,6 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		}
 	}
 	return &b, nil
-}
-
-// ReadBundleFile parses a bundle file written by WriteBundle.
-func ReadBundleFile(path string) (*Bundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBundle(f)
 }
 
 // Merged is the aligned view of a bundle: every peer placed on the

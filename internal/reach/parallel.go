@@ -1,9 +1,8 @@
 package reach
 
 // Owner-computes parallel frontier-batch exploration. The 256 hash shards
-// of ShardOf are split into one contiguous range per worker (ShardRanges,
-// the partition the cluster explorer gives its peers), and every worker
-// owns exactly one visited.Store that only it touches while workers run:
+// of shardOf are split into one contiguous range per worker (shardRanges),
+// and every worker owns exactly one visited.Store that only it touches while workers run:
 // there is no lock anywhere. A BFS level wide enough to share (levelWidth)
 // is two barrier-separated phases:
 //
@@ -25,14 +24,14 @@ package reach
 // Either way States, Arcs, Deadlocks/BadStates order, the stored Graph,
 // and even the stop points of MaxStates and ErrUnsafe reproduce the
 // Workers: 0 run bit for bit. The order key and the stop-point arithmetic
-// live in merge.go; the key is shared with the cluster explorer
-// (internal/cluster).
+// close this file.
 //
 // A worker reads another's store only through the views of a level's
 // parent markings, taken while every store is quiescent (arena chunks
 // never move), so nobody reads a store its owner is growing.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -62,7 +61,7 @@ type worker struct {
 	id    uint32 // index in the owner list
 	store visited.Store
 	gid   []int32
-	pend  []Discovery
+	pend  []discovery
 	head  int // first of the sorted pend the level merge has not taken yet
 
 	out    []uint64      // successors routed to other owners: (order, hash, words...) each
@@ -80,7 +79,7 @@ func (w *worker) claim(m petri.Marking, hash, order uint64) {
 	local := w.store.Lookup(m, hash)
 	if local < 0 {
 		local = w.store.Insert(m, hash)
-		w.pend = append(w.pend, Discovery{Order: order, Shard: w.id, Local: int32(local)})
+		w.pend = append(w.pend, discovery{Order: order, Shard: w.id, Local: int32(local)})
 	} else if p := local - len(w.gid); p >= 0 && order < w.pend[p].Order {
 		w.pend[p].Order = order
 	}
@@ -119,7 +118,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		// Same export-once-on-exit discipline as the sequential engine,
 		// plus the parallel-only worker/batch metrics.
 		defer func() {
-			ExportMetrics(opts.Metrics, res, qPeak)
+			exportMetrics(opts.Metrics, res, qPeak)
 			opts.Metrics.Gauge("reach.workers").Set(int64(opts.Workers))
 			opts.Metrics.Counter("reach.batches").Add(batches)
 		}()
@@ -138,8 +137,8 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	}
 	isBad := func(m petri.Marking) bool { return opts.Bad != nil && opts.Bad(m) }
 
-	ranges := ShardRanges(min(opts.Workers, NumShards))
-	var ownerOf [NumShards]uint8
+	ranges := shardRanges(min(opts.Workers, numShards))
+	var ownerOf [numShards]uint8
 	ws := make([]*worker, len(ranges))
 	for o, r := range ranges {
 		for sh := r[0]; sh < r[1]; sh++ {
@@ -159,7 +158,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	var (
 		views, next []petri.Marking
 		spans       []span
-		discovered  []Discovery
+		discovered  []discovery
 		cursor      atomic.Int64
 		expanders   int // workers expanding the routed level at hand
 	)
@@ -231,7 +230,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	}
 	for id, m := range first {
 		h := m.Hash()
-		w := ws[ownerOf[ShardOf(h)]]
+		w := ws[ownerOf[shardOf(h)]]
 		if w.store.Lookup(m, h) >= 0 {
 			return nil, fmt.Errorf("reach: resume: duplicate marking at state %d", id)
 		}
@@ -266,7 +265,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 					return (&violation{t: t, m: m}).err(n)
 				}
 				hash := me.next.Hash()
-				ow := ws[ownerOf[ShardOf(hash)]]
+				ow := ws[ownerOf[shardOf(hash)]]
 				local := ow.store.Lookup(me.next, hash)
 				if local < 0 {
 					if states >= limit {
@@ -312,7 +311,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 				fired := 0
 				en = n.AppendEnabled(en[:0], m)
 				for _, t := range en {
-					order := OrderKey(pos, t)
+					order := orderKey(pos, t)
 					if !n.FireInto(next, m, t) {
 						if me.vio == nil || order < me.vio.order {
 							me.vio = &violation{order: order, t: t, m: m}
@@ -320,10 +319,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 						continue
 					}
 					fired++
-					// One hash routes the owner (and, in the cluster
-					// explorer, the owning peer) and indexes its table.
+					// One hash routes the owner and indexes its table.
 					hash := next.Hash()
-					if int(ownerOf[ShardOf(hash)]) == wi {
+					if int(ownerOf[shardOf(hash)]) == wi {
 						me.claim(next, hash, order)
 					} else {
 						out = append(append(out, order, hash), next...)
@@ -347,12 +345,12 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 				continue // it claimed its own successors on the spot
 			}
 			for buf := src.out; len(buf) > 0; buf = buf[2+words:] {
-				if int(ownerOf[ShardOf(buf[1])]) == o {
+				if int(ownerOf[shardOf(buf[1])]) == o {
 					ow.claim(buf[2:2+words], buf[1], buf[0])
 				}
 			}
 		}
-		SortDiscoveries(ow.pend)
+		sortDiscoveries(ow.pend)
 		for range ow.pend {
 			ow.gid = append(ow.gid, -1)
 		}
@@ -419,7 +417,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		if vio != nil {
 			vioOrder = vio.order
 		}
-		trigger, capped, unsafeFirst := PlanLevel(discovered, states, limit, vioOrder, vio != nil)
+		trigger, capped, unsafeFirst := planLevel(discovered, states, limit, vioOrder, vio != nil)
 		if unsafeFirst {
 			return vio.err(n)
 		}
@@ -445,23 +443,23 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		case graph:
 			whole = 0
 		case capped:
-			whole = OrderPos(trigger)
+			whole = orderPos(trigger)
 		}
 		for _, sp := range spans[:whole] {
 			res.Arcs += int(sp.n)
 		}
 		w0 := ws[0]
-		for pos := whole; pos < len(views) && OrderKey(pos, 0) <= trigger; pos++ {
+		for pos := whole; pos < len(views) && orderKey(pos, 0) <= trigger; pos++ {
 			w0.en = n.AppendEnabled(w0.en[:0], views[pos])
 			for _, t := range w0.en {
-				if OrderKey(pos, t) >= trigger {
+				if orderKey(pos, t) >= trigger {
 					break
 				}
 				res.Arcs++
 				if graph {
 					n.FireInto(w0.next, views[pos], t)
 					hash := w0.next.Hash()
-					ow := ws[ownerOf[ShardOf(hash)]]
+					ow := ws[ownerOf[shardOf(hash)]]
 					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[ow.store.Lookup(w0.next, hash)])})
 				}
 			}
@@ -551,4 +549,82 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	finish(true)
 	tk.End(phExplore)
 	return res, nil
+}
+
+// numShards is the granularity at which the visited store is
+// partitioned: a power of two well above any sensible worker count.
+const numShards = 256
+
+// shardOf maps a marking hash (petri.Marking.Hash) onto a shard index.
+func shardOf(hash uint64) uint32 {
+	return uint32(hash) & (numShards - 1)
+}
+
+// shardRanges splits the shards into n ≤ numShards contiguous ownership
+// ranges [lo, hi), owner i holding [i·256/n, (i+1)·256/n): sizes differ
+// by at most one.
+func shardRanges(n int) [][2]int {
+	ranges := make([][2]int, n)
+	for i := range ranges {
+		ranges[i] = [2]int{i * numShards / n, (i + 1) * numShards / n}
+	}
+	return ranges
+}
+
+// orderKey is the deterministic merge key of one examined firing: the
+// parent's position in the current BFS level in the high bits, the
+// transition index in the low bits — exactly the order the sequential
+// BFS scans firings.
+func orderKey(pos int, t petri.Trans) uint64 {
+	return uint64(pos)<<32 | uint64(uint32(t))
+}
+
+// orderPos is the parent position of an order key.
+func orderPos(order uint64) int { return int(order >> 32) }
+
+// discovery is a marking first reached during the current BFS level,
+// claimed in a visited-store shard by the first worker to see it. Order
+// is the minimal orderKey over all firings that reached it this level;
+// Shard and Local say where the claimant stored the marking (the
+// worker and its store id).
+type discovery struct {
+	Order uint64
+	Shard uint32
+	Local int32
+}
+
+// sortDiscoveries orders a level's discoveries by merge key — the order
+// the sequential BFS first encounters them. Keys are unique within a
+// level (each pending marking is claimed in exactly one shard), so the
+// sort is total.
+func sortDiscoveries(ds []discovery) {
+	slices.SortFunc(ds, func(a, b discovery) int { return cmp.Compare(a.Order, b.Order) })
+}
+
+// planLevel establishes a level's stop point before anything from it is
+// committed. Given the sorted discoveries, the states interned so far,
+// the MaxStates cap (0 = none) and the minimal unsafe-firing order key
+// (hasVio reports whether one exists), it returns:
+//
+//   - trigger: the order key at which the sequential scan stops
+//     (^uint64(0) when the whole level commits);
+//   - capped: the MaxStates cap cuts this level — discoveries with
+//     Order >= trigger are not interned, and arcs are only counted for
+//     examined orders < trigger;
+//   - unsafeFirst: the unsafe firing comes first in scan order, so the
+//     caller must fail with ErrUnsafe instead of committing anything.
+//
+// This reproduces the sequential engine exactly: it stops at whichever
+// comes first in its scan order, an unsafe firing or the firing that
+// would intern state MaxStates+1.
+func planLevel(sorted []discovery, statesSoFar, maxStates int, vioOrder uint64, hasVio bool) (trigger uint64, capped, unsafeFirst bool) {
+	trigger = ^uint64(0)
+	if maxStates > 0 && statesSoFar+len(sorted) > maxStates {
+		capped = true
+		trigger = sorted[maxStates-statesSoFar].Order
+	}
+	if hasVio && vioOrder < trigger {
+		return trigger, capped, true
+	}
+	return trigger, capped, false
 }

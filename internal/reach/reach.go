@@ -140,7 +140,7 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 	defer opts.Metrics.StartSpan("reach.explore").End()
 	res := &Result{Complete: true}
 	var qPeak int
-	defer func() { ExportMetrics(opts.Metrics, res, qPeak) }()
+	defer func() { exportMetrics(opts.Metrics, res, qPeak) }()
 	tk := opts.Trace.NewTrack("reach")
 	phExplore := opts.Trace.Intern("explore")
 	tk.Begin(phExplore)
@@ -308,12 +308,12 @@ func markings(s *visited.Store) []petri.Marking {
 	return out
 }
 
-// ExportMetrics publishes an exploration's counts under the "reach."
-// prefix. The explorers (and the cluster coordinator) call it once on the
-// way out, on every return path, rather than counting per event: the
-// per-state work is a hash insert, so even uncontended atomics would be
-// measurable. A nil registry costs nothing.
-func ExportMetrics(reg *obs.Registry, res *Result, queuePeak int) {
+// exportMetrics publishes an exploration's counts under the "reach."
+// prefix. Both explorers call it once on the way out, on every return
+// path, rather than counting per event: the per-state work is a hash
+// insert, so even uncontended atomics would be measurable. A nil
+// registry costs nothing.
+func exportMetrics(reg *obs.Registry, res *Result, queuePeak int) {
 	if reg == nil {
 		return
 	}

@@ -4,7 +4,7 @@ package reach
 //
 // Both engines are level-synchronous with deterministically assigned
 // state ids (the sequential BFS trivially, the parallel explorer through
-// the (parent, transition)-ordered level merge in merge.go), so a BFS
+// the (parent, transition)-ordered level merge, planLevel), so a BFS
 // level boundary is a complete, canonical description of the run so far:
 // the interned markings in id order, the contiguous frontier suffix that
 // has been discovered but not expanded, the arc count, and the verdict

@@ -142,6 +142,67 @@ func TestE2ESharedTierNoRecompute(t *testing.T) {
 	}
 }
 
+// TestE2EClusterRunsInProcess pins that a "cluster": true request runs
+// on the member that received it: each reply matches the same request
+// with "cluster": false on a standalone server — verdict, states,
+// witness and run ID — and carries the cluster size, while only that
+// member explores and no member receives any /cluster/v1/ request but
+// the shared tier's.
+func TestE2EClusterRunsInProcess(t *testing.T) {
+	alone := start(t, server.Config{Workers: 2})
+	f := startFleet(t, 3, server.Config{Workers: 2})
+	ctx := context.Background()
+	notTier := func(path string) bool {
+		return strings.HasPrefix(path, "/cluster/v1/") && !strings.HasPrefix(path, "/cluster/v1/cache/")
+	}
+	received := func() (n int, explored []int64) {
+		for _, p := range f.Peers {
+			n += p.Received(notTier)
+			explored = append(explored, p.Metrics.Snapshot().Counters["reach.states"])
+		}
+		return n, explored
+	}
+	for i, inst := range []struct {
+		model string
+		size  int
+	}{{"nsdp", 6}, {"asat", 4}} {
+		t.Run(fmt.Sprintf("%s%d", inst.model, inst.size), func(t *testing.T) {
+			req := &server.Request{Model: inst.model, Size: inst.size, Engine: "exhaustive", TimeoutMS: 60_000}
+			want, err := alone.Client.Verify(ctx, req)
+			if err != nil {
+				t.Fatalf("standalone: %v", err)
+			}
+			before, exploredBefore := received()
+			creq := *req
+			creq.Cluster = true
+			got, err := f.Peers[i].Client.Verify(ctx, &creq)
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			if got.Cached || got.Peers != 3 {
+				t.Errorf("cluster reply: cached=%v peers=%d, want a fresh run stamped peers=3", got.Cached, got.Peers)
+			}
+			if got.Status != want.Status || got.Complete != want.Complete || got.Deadlock != want.Deadlock ||
+				got.States != want.States || !slices.Equal(got.Witness, want.Witness) || got.RunID != want.RunID {
+				t.Errorf("cluster run differs from the standalone one:\n got %+v\nwant %+v", got, want)
+			}
+			after, explored := received()
+			if n := after - before; n != 0 {
+				t.Errorf("the fleet received %d /cluster/v1/ requests outside the shared tier during the run", n)
+			}
+			for j := range explored {
+				d, want := explored[j]-exploredBefore[j], int64(0)
+				if j == i {
+					want = int64(got.States)
+				}
+				if d != want {
+					t.Errorf("member %d explored %d states, want %d", j, d, want)
+				}
+			}
+		})
+	}
+}
+
 // runKey is the content address a default-configured server gives req.
 func runKey(t *testing.T, req *server.Request) verify.Key {
 	t.Helper()

@@ -79,8 +79,8 @@ func TestRuntimeMetricsDocumented(t *testing.T) {
 		{Model: "nsdp", Size: 4, Engine: "exhaustive"},             // server.cache_hits
 		{Model: "nsdp", Size: 4, Engine: "gpo"},                    // zdd.* via core.StatsReporter
 		{Model: "rw", Size: 6, Engine: "gpo", Reduce: true},        // reduce.* (rw reduces hard)
-		// cluster.* — a fresh key, so the shared-tier miss routes it to
-		// the distributed explorer rather than the result cache.
+		// cluster.* — a fresh key, so it misses the shared tier and
+		// runs here rather than answering from the result cache.
 		{Model: "rw", Size: 8, Engine: "exhaustive", Cluster: true},
 	} {
 		if _, err := c.Verify(ctx, req); err != nil {

@@ -43,11 +43,10 @@ type Request struct {
 	// Workers selects the exhaustive engine's parallel explorer. Results
 	// are bit-identical to sequential, so this does not key the cache.
 	Workers int `json:"workers,omitempty"`
-	// Cluster routes the run to the distributed sharded explorer
-	// (requires the server to be started with peers, and the exhaustive
-	// engine). Like Workers it changes how the answer is computed, never
-	// what it is — cluster results are bit-identical to sequential — so
-	// it does not key the result cache either.
+	// Cluster is accepted on a server started with peers, for the
+	// exhaustive engine; the run executes on the receiving member, and
+	// the reply's Peers carries the cluster size. It changes nothing of
+	// the answer, so it does not key the result cache.
 	Cluster bool `json:"cluster,omitempty"`
 	// Proviso applies the cycle proviso in the partial-order engine.
 	Proviso bool `json:"proviso,omitempty"`
@@ -88,10 +87,9 @@ type Response struct {
 	// result (the original run, for cached responses).
 	ElapsedNS int64 `json:"elapsed_ns"`
 	Complete  bool  `json:"complete"`
-	// Peers is the cluster size when this run executed on the
-	// distributed explorer (0 = in-process). Set on the original run's
-	// response only, never on cached copies — the result bytes a run
-	// contributes to the cache are identical however it was computed.
+	// Peers is the cluster size when the request asked for cluster
+	// execution (0 otherwise). Set on the original run's response only,
+	// never on cached copies.
 	Peers int `json:"peers,omitempty"`
 }
 
@@ -140,9 +138,9 @@ type parsedRequest struct {
 	// indexes the run's entry under it.
 	digest  bodyDigest
 	timeout time.Duration
-	// cluster routes the run to the distributed explorer; lease marks
-	// that the handler holds the shared tier's single-flight lease for
-	// this key, which the worker settles (tierSettle).
+	// cluster asks for the cluster size to be stamped on the reply;
+	// lease marks that the handler holds the shared tier's single-flight
+	// lease for this key, which the worker settles (tierSettle).
 	cluster bool
 	lease   bool
 }

@@ -45,8 +45,8 @@ type job struct {
 	enqNS       int64
 	startNS     atomic.Int64 // 0 while queued
 	queueWaitNS int64
-	// peers is the cluster size for cluster-executed jobs (0 otherwise),
-	// journaled in the run's ledger entry.
+	// peers is the cluster size for "cluster": true requests (0
+	// otherwise), journaled in the run's ledger entry.
 	peers int
 
 	pub *obs.Publisher

@@ -79,8 +79,7 @@ type Config struct {
 	// consulted for aborted runs with a TraceSink configured.
 	TracePath func(id string) string
 	// TraceRuns, when positive, retains the flight-recorder dump of the
-	// last N runs in memory (keyed by run ID) and serves them — fanned
-	// out to cluster peers for distributed runs — on
+	// last N runs in memory (keyed by run ID) and serves them on
 	// GET /v1/runs/{id}/trace. Tracing is enabled for every run when
 	// either TraceRuns or TraceSink is set; results stay bit-identical
 	// (the recorder is passive) and disabled tracing stays free.
@@ -110,14 +109,12 @@ type Config struct {
 	// CkptEveryStates additionally auto-checkpoints a job every N newly
 	// interned states (0 disables state-based auto-checkpoints).
 	CkptEveryStates int
-	// Cluster, if non-nil, makes this server a cluster member: the
-	// cluster protocol endpoints (/cluster/v1/*) are mounted on the
-	// handler, GET /v1/cluster reports membership and shard ranges,
-	// requests with "cluster": true execute on the distributed sharded
-	// explorer, and the result cache becomes this node's share of the
-	// consistent-hash shared tier (tier.go), consulted after a local
-	// miss. The node should report to Metrics, so that GET /v1/cluster
-	// shows the tier's cluster.* counters.
+	// Cluster, if non-nil, makes this server a cluster member: the result
+	// cache becomes this node's share of the consistent-hash shared tier
+	// (tier.go), consulted after a local miss, GET /v1/cluster reports
+	// the membership, and requests with "cluster": true are accepted and
+	// run here like any other. The node should report to Metrics, so
+	// that GET /v1/cluster shows the tier's cluster.* counters.
 	Cluster *cluster.Node
 }
 
@@ -234,7 +231,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	if cfg.Cluster != nil {
-		cfg.Cluster.Register(s.mux)
 		s.registerTier()
 	}
 	if cfg.TraceRuns > 0 {
@@ -375,12 +371,6 @@ func (s *Server) run(j *job) {
 	}
 	opts.Progress = prog
 	tr := s.newRunTracer(j, &opts)
-	// Cluster-flagged runs swap reach.Explore for the distributed
-	// sharded explorer; results are bit-identical, so nothing downstream
-	// (cache key, ledger verdict) changes with the execution mode.
-	if j.req.cluster && s.cfg.Cluster != nil {
-		opts.Explorer = s.cfg.Cluster.Explore
-	}
 	var sl *slice
 	if j.durable() {
 		sl = s.startSlice(j, tr, &opts)
@@ -425,8 +415,8 @@ func (s *Server) run(j *job) {
 		// statistics depend on where the deadline happened to land.
 		s.cacheResult(j.req, resp)
 	}
-	// Peers is stamped after the tier has the result: the cached bytes
-	// are identical however the run was computed.
+	// Peers is stamped after the tier has the result: it decorates this
+	// reply only, never the cached bytes.
 	if s.cfg.Cluster != nil {
 		s.tierSettle(j.req, resp)
 	}
@@ -441,13 +431,13 @@ func (s *Server) run(j *job) {
 	// folded into the process registry, the worker's counters settled,
 	// live registration dropped — all before the outcome is visible, so
 	// a client that saw it also sees the run's history.
-	tracePeers := s.retainTrace(j, tr)
+	s.retainTrace(j, tr)
 	j.finish(resp, err)
 	prog.Done()
 	j.pub.Close()
 	e := verify.LedgerEntry(j.req.key, j.req.net, j.req.check, j.req.opts, rep, err, startNS, endNS)
 	e.Source, e.RequestID, e.Peers = "gpod", j.id, j.peers
-	e.TracePath, e.TracePeers, e.Metrics = tracePath, tracePeers, metricsOf(j.reg)
+	e.TracePath, e.Metrics = tracePath, metricsOf(j.reg)
 	if e.Status == StatusAborted {
 		e.AbortReason = abortReason(j)
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -26,7 +27,9 @@ type Server struct {
 	HTTP    *http.Client   // for raw requests; its connections close with the server
 	Node    *cluster.Node  // the server's cluster membership; nil outside a fleet
 
-	srv *http.Server
+	srv   *http.Server
+	mu    sync.Mutex
+	paths map[string]int // requests received, by URL path
 }
 
 // Start boots a server with the given configuration. A nil cfg.Metrics
@@ -53,11 +56,32 @@ func serve(ln net.Listener, cfg server.Config) *Server {
 		Metrics: cfg.Metrics,
 		HTTP:    &http.Client{Transport: &http.Transport{}},
 		Node:    cfg.Cluster,
-		srv:     &http.Server{Handler: svc.Handler()},
+		paths:   make(map[string]int),
 	}
+	h := svc.Handler()
+	s.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		s.paths[r.URL.Path]++
+		s.mu.Unlock()
+		h.ServeHTTP(w, r)
+	})}
 	s.Client = client.New(s.URL, s.HTTP)
 	go s.srv.Serve(ln) //nolint:errcheck // always ErrServerClosed
 	return s
+}
+
+// Received returns the number of requests the server has received so far
+// on the paths that satisfy match.
+func (s *Server) Received(match func(path string) bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for p, c := range s.paths {
+		if match(p) {
+			n += c
+		}
+	}
+	return n
 }
 
 // Close shuts the server down in gpod's SIGTERM order: refuse new work,

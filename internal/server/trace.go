@@ -1,11 +1,10 @@
 package server
 
-// Distributed-tracing surface: the server retains the flight-recorder
-// dumps of the last Config.TraceRuns runs in memory and serves them on
-// GET /v1/runs/{id}/trace as a gpotrace bundle. For cluster runs the
-// coordinator's handler fans out to every peer (cluster.CollectTraces)
-// so one GET returns the whole fleet's view of the run, each peer entry
-// carrying the RPC-midpoint clock-offset estimate the merge aligns with.
+// Tracing surface: the server retains the flight-recorder dumps of the
+// last Config.TraceRuns runs in memory and serves them on
+// GET /v1/runs/{id}/trace as a gpotrace bundle. Every run executes on
+// the server that received it, cluster runs included, so the bundle
+// holds that server's dump alone.
 
 import (
 	"net/http"
@@ -17,8 +16,7 @@ import (
 )
 
 // runTraceStore retains the dumps of the most recent traced runs,
-// oldest evicted first. Same shape as the cluster node's store, but
-// capacity comes from Config.TraceRuns.
+// oldest evicted first; capacity comes from Config.TraceRuns.
 type runTraceStore struct {
 	mu    sync.Mutex
 	cap   int
@@ -77,30 +75,18 @@ func (s *Server) newRunTracer(j *job, opts *verify.Options) *trace.Tracer {
 	return tr
 }
 
-// retainTrace stores a finished run's dump for /v1/runs/{id}/trace and
-// returns the per-peer trace endpoints to journal for cluster runs.
-func (s *Server) retainTrace(j *job, tr *trace.Tracer) []string {
+// retainTrace stores a finished run's dump for /v1/runs/{id}/trace.
+func (s *Server) retainTrace(j *job, tr *trace.Tracer) {
 	if tr == nil || s.traces == nil {
-		return nil
+		return
 	}
 	s.traces.put(j.runID, tr.Dump())
 	s.traceRuns.Set(int64(s.traces.len()))
-	if !j.req.cluster || s.cfg.Cluster == nil {
-		return nil
-	}
-	peers := s.cfg.Cluster.Peers()
-	out := make([]string, 0, len(peers))
-	for _, p := range peers {
-		out = append(out, p+"/v1/runs/"+j.runID+"/trace")
-	}
-	return out
 }
 
 // handleRunTrace answers GET /v1/runs/{id}/trace with the run's trace
-// bundle. On the coordinator (the server that executed the run) the
-// bundle opens with its own dump and, for cluster runs, appends every
-// peer's node-side dump; on a worker peer the bundle holds just that
-// peer's slice — which is what the coordinator's fan-out fetches.
+// bundle: one entry, this server's dump, under its cluster address (or
+// "local" outside a cluster).
 func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var d *trace.Dump
@@ -108,31 +94,14 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		d = s.traces.get(id)
 	}
 	if d != nil {
-		b := &trace.Bundle{RunID: id}
 		addr := "local"
 		if s.cfg.Cluster != nil {
 			addr = s.cfg.Cluster.Self()
 		}
-		b.Peers = append(b.Peers, trace.BundlePeer{Addr: addr, Coordinator: true, Dump: d})
-		if s.cfg.Cluster != nil {
-			b.Peers = append(b.Peers, s.cfg.Cluster.CollectTraces(r.Context(), id)...)
-		}
+		b := &trace.Bundle{RunID: id, Peers: []trace.BundlePeer{{Addr: addr, Coordinator: true, Dump: d}}}
 		w.Header().Set("Content-Type", "application/json")
 		_ = trace.WriteBundle(w, b)
 		return
-	}
-	// Not a run this server executed: maybe it worked the run as a
-	// cluster peer — that slice is what ledger TracePeers paths resolve.
-	if s.cfg.Cluster != nil {
-		if pd := s.cfg.Cluster.LocalTrace(id); pd != nil {
-			b := &trace.Bundle{
-				RunID: id,
-				Peers: []trace.BundlePeer{{Addr: s.cfg.Cluster.Self(), Dump: pd}},
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = trace.WriteBundle(w, b)
-			return
-		}
 	}
 	if s.traces == nil {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "trace retention disabled (start the server with trace runs > 0)"})

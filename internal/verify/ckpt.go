@@ -19,8 +19,7 @@ import (
 // ErrCkptUnsupported is returned when Options.Ckpt or Options.Resume is
 // set for an engine (or engine configuration) that cannot checkpoint:
 // only Exhaustive, GPO and GPOExplicit have deterministic boundary
-// snapshots; PartialOrder, Symbolic and Unfolding do not, and neither
-// does a custom cluster Explorer.
+// snapshots; PartialOrder, Symbolic and Unfolding do not.
 var ErrCkptUnsupported = errors.New("verify: engine does not support checkpoint/resume")
 
 // Checkpointer enables checkpointing for checkpoint-capable engines.
@@ -89,9 +88,6 @@ func (o Options) validateCkpt() error {
 	}
 	if !o.Engine.valid() || !engines[o.Engine].ckpt {
 		return fmt.Errorf("%w: %s", ErrCkptUnsupported, o.Engine)
-	}
-	if o.Explorer != nil {
-		return fmt.Errorf("%w: custom Explorer", ErrCkptUnsupported)
 	}
 	if o.Resume != nil {
 		wantReach := o.Engine == Exhaustive

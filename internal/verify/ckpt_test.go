@@ -8,7 +8,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/petri"
 	"repro/internal/randnet"
-	"repro/internal/reach"
 	"repro/internal/stop"
 )
 
@@ -135,12 +134,6 @@ func TestCkptUnsupportedEngines(t *testing.T) {
 		if _, err := CheckDeadlock(n, Options{Engine: eng, Resume: &EngineSnapshot{}}); !errors.Is(err, ErrCkptUnsupported) {
 			t.Errorf("%s+Resume: err = %v, want ErrCkptUnsupported", eng, err)
 		}
-	}
-	// A cluster Explorer computes the same answer but cannot snapshot.
-	if _, err := CheckDeadlock(n, Options{Engine: Exhaustive, Ckpt: ck,
-		Explorer: func(n *petri.Net, bad []petri.Place, o reach.Options) (*reach.Result, error) { return nil, nil },
-	}); !errors.Is(err, ErrCkptUnsupported) {
-		t.Errorf("Explorer+Ckpt: err = %v, want ErrCkptUnsupported", err)
 	}
 	// A resume snapshot must match the engine that will consume it.
 	if _, err := CheckDeadlock(n, Options{Engine: GPO, Resume: &EngineSnapshot{}}); !errors.Is(err, ErrCkptUnsupported) {

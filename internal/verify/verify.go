@@ -136,15 +136,6 @@ type Options struct {
 	// flight-recorder events on it (states, firings, phase brackets,
 	// aborts; see OBSERVABILITY.md "Trace events"). Nil costs nothing.
 	Trace *trace.Tracer
-	// Explorer, if non-nil, replaces reach.Explore for the Exhaustive
-	// engine (other engines ignore it). bad lists the safety-check
-	// places, nil for deadlock checks; o carries the same options a
-	// reach.Explore call would get, including the equivalent Bad
-	// predicate. An Explorer must return Results bit-identical to
-	// reach.Explore — like Workers, it changes how the answer is
-	// computed, never what it is — so it does not participate in RunKey.
-	// The cluster explorer (internal/cluster) is the intended value.
-	Explorer func(n *petri.Net, bad []petri.Place, o reach.Options) (*reach.Result, error)
 	// Ckpt, if non-nil, enables checkpointing on the checkpoint-capable
 	// engines (Exhaustive, GPO, GPOExplicit): the Checkpointer is polled
 	// at every engine boundary and may save a snapshot or suspend the
@@ -339,7 +330,7 @@ func check(n *petri.Net, bad []petri.Place, safety bool, opts Options) (*Report,
 	return rep, nil
 }
 
-// runReach adapts the exhaustive engine, or Options.Explorer in its place.
+// runReach adapts the exhaustive engine.
 func runReach(n *petri.Net, g goal, o Options) (*Report, error) {
 	ro := reach.Options{
 		Ctx:            o.Ctx,
@@ -363,11 +354,7 @@ func runReach(n *petri.Net, g goal, o Options) (*Report, error) {
 			return true
 		}
 	}
-	explore := reach.Explore
-	if o.Explorer != nil {
-		explore = func(n *petri.Net, ro reach.Options) (*reach.Result, error) { return o.Explorer(n, g.bad, ro) }
-	}
-	res, err := explore(n, ro)
+	res, err := reach.Explore(n, ro)
 	if res == nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 // Package visited is the visited store of every explicit explorer
-// (internal/reach sequential and parallel, internal/stubborn, the
-// internal/cluster coordinator and peers): a set of fixed-width markings
-// with dense ids in insertion order.
+// (internal/reach sequential and parallel, internal/stubborn): a set of
+// fixed-width markings with dense ids in insertion order.
 //
 // Markings live as raw words in a chunked arena — an id is an arena
 // position, and a chunk never moves once allocated, so the views At hands
@@ -85,7 +84,8 @@ func (s *Store) At(id int) petri.Marking {
 // slot is the home slot of a hash: the top k bits of a Fibonacci
 // multiply (by 2^64/φ), which depend on every bit of the hash. The low
 // bits alone would not do: within one worker's store of the parallel
-// explorer they are nearly all equal, reach.ShardOf having consumed them.
+// explorer they are nearly all equal, reach's shard routing having
+// consumed them.
 // tag is the next 32−k product bits, shifted above the id: since
 // id+1 ≤ Len ≤ ¾·2^k, an id fits in the low k bits of an entry, and the
 // entry of a stored marking is its tag | id+1.

@@ -24,18 +24,19 @@ test "$(grep -ho 'petri\.WithSafetyMonitor(' $VERIFY_SRC | grep -c .)" = 1
 test "$(grep -ho 'reduce\.Run(' $VERIFY_SRC | grep -c .)" = 1
 test -z "$(grep -l 'case GPOExplicit' $VERIFY_SRC)"
 test ! -e internal/verify/reduce.go
-# A cluster level is one expand RPC per peer: the coordinator's table is
-# the only visited store, so no intern, collect or commit route is
-# registered and the frame types of that protocol stay retired.
+# A "cluster": true run executes on the member that received it: the
+# cluster package explores nothing (it does not import reach), no
+# exploration route is served, and verify has no pluggable explorer.
 CLUSTER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/cluster)
-test -z "$(grep -E '/cluster/v1/(intern|collect|commit)' $CLUSTER_SRC)"
-test -z "$(grep -E '\bframe(Intern|Commit|Ack)\b' $CLUSTER_SRC)"
+SERVER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/server)
+test -z "$(go list -deps ./internal/cluster | grep -x repro/internal/reach)"
+test -z "$(grep -E '/cluster/v1/(start|expand|finish|trace)' $CLUSTER_SRC $SERVER_SRC)"
+test -z "$(grep -E '^[[:space:]]+Explorer[[:space:]]' $VERIFY_SRC)"
 # One result cache per process: the cluster package only places runs on
 # its ring, with no store and no shared-tier route of its own; the
 # server's resultCache is the one LRU, and the tier's owner side.
 test -z "$(grep -l '"container/list"' $CLUSTER_SRC)"
 test -z "$(grep '/cluster/v1/cache/' $CLUSTER_SRC)"
-SERVER_SRC=$(go list -f '{{range .GoFiles}}{{$.Dir}}/{{.}} {{end}}' ./internal/server)
 test "$(grep -ho 'list\.New()' $SERVER_SRC | grep -c .)" = 1
 # gpod runs a /v1/verify request and a durable job's slice through one
 # worker body, which calls each check once, and the job is the one
@@ -48,7 +49,7 @@ test -z "$(grep -w liveRun $SERVER_SRC)"
 # (the server resolves both). Its end-to-end checks are tests — the
 # binary itself in cmd/gpod/main_test.go, every surface on loopback
 # servers (internal/server/servertest) in internal/server/*_e2e_test.go
-# and cmd/gpotrace — so `go test -race ./...` below is that gate.
+# — so `go test -race ./...` below is that gate.
 test -z "$(go list -deps ./cmd/gpod | grep -x -e repro/internal/server/client -e repro/internal/server/servertest)"
 test -z "$(go list -f '{{join .Imports "\n"}}' ./cmd/gpod | grep -x -e repro/internal/models -e repro/internal/verify)"
 test "$(go run ./cmd/gpod -h 2>&1 | grep -c smoke)" = 0
@@ -89,7 +90,7 @@ test -z "$(grep -E '\b(StopAtFirst|Proviso|Reduce|MaxStates|MaxNodes|ShardOf)\b|
 # may not grow past their total after the last cut. A change that needs
 # more room raises the bound here, in the same commit, and says why in
 # CHANGES.md; one that frees room lowers it.
-test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 190122
+test "$(cat README.md DESIGN.md EXPERIMENTS.md OBSERVABILITY.md ROADMAP.md | wc -c)" -le 177785
 go test -race ./...
 # Table 1 counts, every row: the full regeneration must reproduce
 # TABLE1.json byte for byte, including the rows TestTable1Artifact leaves
@@ -103,9 +104,9 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # Disabled-tracer allocation gate: the flight-recorder instrumentation
 # on the analysis hot path must stay free when no tracer is attached.
 # The benchmarks measure exactly the per-state emit mix on a nil track
-# (core), the cluster wire-edge call sites (cluster), and the
-# job-lifecycle call sites (server); anything but "0 allocs/op" fails.
-for pkg in ./internal/core ./internal/cluster ./internal/server; do
+# (core) and the job-lifecycle call sites (server); anything but
+# "0 allocs/op" fails.
+for pkg in ./internal/core ./internal/server; do
 	go test -run '^$' -bench BenchmarkDisabledTraceHotPath -benchtime=1x "$pkg" |
 		tee /dev/stderr | grep -q 'BenchmarkDisabledTraceHotPath.* 0 allocs/op'
 done
@@ -183,14 +184,12 @@ go test -run '^$' -bench BenchmarkProgressPublishNoSubscribers -benchtime=1x ./i
 	tee /dev/stderr | grep -q 'BenchmarkProgressPublishNoSubscribers.* 0 allocs/op'
 # Fuzz smoke: 5 seconds of FuzzParse against the hardened pnio parser,
 # 5 seconds of FuzzDec against the bounded decoder under every binary
-# format, 5 seconds of FuzzFrameRoundTrip against the cluster batch
-# codec (the bytes every peer accepts from the network), 5 seconds of
-# FuzzCkptRead against the ckpt/v2 checkpoint reader (the bytes a
-# restarted daemon trusts enough to resume from), and 5 seconds of
-# FuzzStoreVsMap, the visited store against a map[string]int oracle.
+# format, 5 seconds of FuzzCkptRead against the ckpt/v2 checkpoint
+# reader (the bytes a restarted daemon trusts enough to resume from),
+# and 5 seconds of FuzzStoreVsMap, the visited store against a
+# map[string]int oracle.
 go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/pnio
 go test -fuzz=FuzzDec -fuzztime=5s -run '^$' ./internal/codec
-go test -fuzz=FuzzFrameRoundTrip -fuzztime=5s -run '^$' ./internal/cluster
 go test -fuzz=FuzzCkptRead -fuzztime=5s -run '^$' ./internal/ckpt
 go test -fuzz=FuzzStoreVsMap -fuzztime=5s -run '^$' ./internal/visited
 # Ledger round-trip smoke: two gpoverify runs journal under the same
