@@ -167,8 +167,6 @@ type runStatusWire struct {
 	States      int64   `json:"states"`
 	ElapsedNS   int64   `json:"elapsed_ns"`
 	Rate        float64 `json:"rate"`
-	Frontier    int64   `json:"frontier_peak"`
-	ZddNodes    int64   `json:"zdd_nodes"`
 	Subscribers int     `json:"subscribers"`
 }
 
@@ -373,14 +371,12 @@ func streamRun(addr, id string) error {
 				States    int64   `json:"states"`
 				ElapsedNS int64   `json:"elapsed_ns"`
 				Rate      float64 `json:"rate"`
-				Frontier  int64   `json:"frontier_peak"`
-				ZddNodes  int64   `json:"zdd_nodes"`
 			}
 			if err := json.Unmarshal(data, &p); err != nil {
 				return err
 			}
-			fmt.Printf("%s states=%d rate=%.0f/s elapsed=%s frontier=%d zdd=%d\n",
-				id, p.States, p.Rate, fmtDur(p.ElapsedNS), p.Frontier, p.ZddNodes)
+			fmt.Printf("%s states=%d rate=%.0f/s elapsed=%s\n",
+				id, p.States, p.Rate, fmtDur(p.ElapsedNS))
 		case "done":
 			var d struct {
 				Status   string `json:"status"`

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/obs/ledger"
+	"repro/internal/server"
+	"repro/internal/server/servertest"
 )
 
 // TestRetryInCapped pins the -follow reconnect backoff: exponential in
@@ -128,5 +132,72 @@ func TestHistoryTraceMarker(t *testing.T) {
 	}
 	if rwLine == "" || strings.Contains(rwLine, "trace=yes") {
 		t.Errorf("untraced group line wrong: %q", rwLine)
+	}
+}
+
+// TestRunStreamsProgress: -run against a live daemon run prints the
+// run's progress samples and ends with the verdict line, whose states
+// are the daemon's response's.
+func TestRunStreamsProgress(t *testing.T) {
+	ts, err := servertest.Start(server.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	resCh := make(chan *server.Response, 1)
+	go func() {
+		resp, err := ts.Client.Verify(context.Background(), &server.Request{
+			Model: "nsdp", Size: 10, Engine: "exhaustive", TimeoutMS: 1000})
+		if err != nil {
+			t.Error(err)
+		}
+		resCh <- resp
+	}()
+	var id string
+	for deadline := time.Now().Add(10 * time.Second); id == "" && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var runs runsWire
+		if err := getJSON(ts.URL+"/v1/runs", &runs); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs.Running {
+			id = r.RunID
+		}
+	}
+	if id == "" {
+		t.Fatal("run never showed on /v1/runs")
+	}
+
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	streamErr := streamRun(ts.URL, id)
+	w.Close()
+	os.Stdout = old
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamErr != nil {
+		t.Fatalf("streamRun: %v\n%s", streamErr, out)
+	}
+	resp := <-resCh
+	if resp == nil {
+		t.Fatal("no response")
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("want progress lines before the verdict, got:\n%s", out)
+	}
+	for _, l := range lines[:len(lines)-1] {
+		if !strings.HasPrefix(l, id+" states=") {
+			t.Errorf("not a progress line: %q", l)
+		}
+	}
+	want := fmt.Sprintf("%s done status=%s deadlock=%v states=%d ", id, resp.Status, resp.Deadlock, resp.States)
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, want) {
+		t.Errorf("verdict line %q, want prefix %q", last, want)
 	}
 }

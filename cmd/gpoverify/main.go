@@ -33,6 +33,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -280,12 +281,10 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 			Metrics:     reg,
 			Trace:       ro.tracer,
 		}
+		var endProgress func()
 		if ro.progress {
-			opts.Progress = &obs.Progress{
-				Label:    eng.String(),
-				Every:    250_000,
-				Interval: 2 * time.Second,
-			}
+			opts.Progress = new(obs.Counter)
+			endProgress = reportProgress(eng.String(), opts.Progress, 2*time.Second)
 		}
 		var ckptSnap *verify.EngineSnapshot
 		if ro.ckptOut != "" {
@@ -309,6 +308,9 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 			rep, err = verify.CheckSafety(net, bad, opts)
 		} else {
 			rep, err = verify.CheckDeadlock(net, opts)
+		}
+		if endProgress != nil {
+			endProgress()
 		}
 		if ro.ledger != nil {
 			// Under the run ID the daemon gives the identical request, so
@@ -362,25 +364,51 @@ func runEngines(net *petri.Net, engines []verify.Engine, bad []petri.Place, reg 
 				fmt.Printf("  empty siphon: {%s}\n", strings.Join(names, ","))
 			}
 		}
-		if opts.Progress != nil {
-			opts.Progress.Done()
+	}
+}
+
+// reportProgress prints the run's count on stderr every interval from a
+// goroutine. The returned func stops it and prints the final count,
+// marked (done).
+func reportProgress(label string, c *obs.Counter, every time.Duration) (end func()) {
+	start := time.Now()
+	line := func(suffix string) {
+		n, el := c.Value(), time.Since(start)
+		fmt.Fprintf(os.Stderr, "%s: %d states in %v (%.0f/s)%s\n",
+			label, n, el.Round(time.Millisecond), float64(n)/el.Seconds(), suffix)
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				line("")
+			case <-stop:
+				return
+			}
 		}
+	}()
+	return func() {
+		close(stop)
+		<-stopped
+		line(" (done)")
 	}
 }
 
 func writeMetrics(reg *obs.Registry, out string) error {
-	if out == "-" {
-		return reg.Flush(obs.JSONSink{W: os.Stderr, Indent: true})
-	}
-	f, err := os.Create(out)
+	b, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := reg.Flush(obs.JSONSink{W: f, Indent: true}); err != nil {
-		f.Close()
+	b = append(b, '\n')
+	if out == "-" {
+		_, err = os.Stderr.Write(b)
 		return err
 	}
-	return f.Close()
+	return os.WriteFile(out, b, 0o666)
 }
 
 func loadNet(file, spec, model string, size int) (*petri.Net, error) {

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -104,5 +106,31 @@ func TestLedgerMatchesDaemon(t *testing.T) {
 	}
 	if got[0].Status != "ok" || !got[0].Complete || got[0].RunID == "" {
 		t.Fatalf("entry: %+v", got[0])
+	}
+}
+
+// TestProgressDoneLine: -progress ends stderr with one "(done)" line
+// whose count is the state count the engine reports on stdout.
+func TestProgressDoneLine(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-model", "nsdp", "-size", "6", "-engine", "exhaustive", "-progress")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("gpoverify: %v\n%s%s", err, stdout.String(), stderr.String())
+	}
+	var states string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if f := strings.Fields(l); len(f) > 2 && f[0] == "exhaustive" {
+			states = f[2]
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(stderr.String()), "\n")
+	last := lines[len(lines)-1]
+	if states == "" || !strings.HasPrefix(last, "exhaustive: "+states+" states in ") || !strings.HasSuffix(last, " (done)") {
+		t.Fatalf("last stderr line %q, want the (done) count of %s states", last, states)
+	}
+	if n := strings.Count(stderr.String(), "(done)"); n != 1 {
+		t.Fatalf("%d (done) lines, want one:\n%s", n, stderr.String())
 	}
 }

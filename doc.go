@@ -44,7 +44,7 @@
 // # Observability
 //
 // Every engine accepts an optional metric registry and progress
-// reporter through its Options (internal/obs; surfaced on
+// counter through its Options (internal/obs; surfaced on
 // repro.Options as Metrics and Progress). A nil registry is free:
 // engines thread it unconditionally and the instruments no-op. A
 // non-nil registry collects package-prefixed counters, gauges,

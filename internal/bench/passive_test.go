@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/models"
@@ -13,10 +14,10 @@ import (
 )
 
 // instrumented runs one check twice — bare, and under the full
-// introspection stack (per-run registry, throttled progress feeding a
-// Publisher with a live subscriber, ledger append) — and returns both
-// reports plus the subscriber's last observed count and the registry.
-func instrumented(t *testing.T, net string, size int, engine verify.Engine, every int64, log *ledger.Log) (bare, instr *verify.Report, lastCount int64, reg *obs.Registry) {
+// introspection stack (per-run registry, a progress counter read by a
+// live sampler, ledger append) — and returns both reports plus the
+// counter's final value and the registry.
+func instrumented(t *testing.T, net string, size int, engine verify.Engine, log *ledger.Log) (bare, instr *verify.Report, lastCount int64, reg *obs.Registry) {
 	t.Helper()
 	n, err := models.ByName(net, size)
 	if err != nil {
@@ -29,27 +30,34 @@ func instrumented(t *testing.T, net string, size int, engine verify.Engine, ever
 	}
 
 	reg = obs.New()
-	pub := obs.NewPublisher()
-	ch, cancel := pub.Subscribe(8)
-	defer cancel()
-	drained := make(chan int64)
-	go func() {
+	var progress obs.Counter
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() { // samples the counter the way a live SSE stream does
+		defer close(sampled)
 		var last int64
-		for u := range ch {
-			last = u.Count
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if v := progress.Value(); v < last {
+					t.Errorf("%s(%d)/%s: progress went back from %d to %d", net, size, engine, last, v)
+				} else {
+					last = v
+				}
+				runtime.Gosched()
+			}
 		}
-		drained <- last
 	}()
-	prog := &obs.Progress{Label: fmt.Sprintf("%s(%d)/%s", net, size, engine), Every: every, Report: pub.Publish}
 	opts.Metrics = reg
-	opts.Progress = prog
+	opts.Progress = &progress
 	instr, err = verify.CheckDeadlock(n, opts)
-	prog.Done()
-	pub.Close()
+	close(stop)
+	<-sampled
 	if err != nil {
 		t.Fatalf("%s(%d)/%s instrumented: %v", net, size, engine, err)
 	}
-	lastCount = <-drained
+	lastCount = progress.Value()
 
 	if err := log.Append(ledger.Entry{
 		RunID:       verify.RunID(n, "deadlock", nil, verify.Options{Engine: engine}),
@@ -85,10 +93,10 @@ func sameReport(t *testing.T, label string, bare, instr *verify.Report) {
 // criterion of the run-ledger work: journaling and live streaming must
 // never perturb results. Every Table 1 instance is checked with the GPO
 // engine — and the small ones exhaustively — once bare and once under
-// the full stack (per-run registry + progress publisher with an active
-// subscriber + ledger append); the two reports must be bit-identical
-// apart from wall clock. For exhaustive runs the stream's final count,
-// the report's state count and the reach.states counter must all agree.
+// the full stack (per-run registry + progress counter with a live
+// sampler + ledger append); the two reports must be bit-identical apart
+// from wall clock. For exhaustive runs the counter's final value, the
+// report's state count and the reach.states counter must all agree.
 func TestLedgerAndStreamingArePassive(t *testing.T) {
 	log, err := ledger.Open(filepath.Join(t.TempDir(), "runs.jsonl"), 0)
 	if err != nil {
@@ -99,23 +107,21 @@ func TestLedgerAndStreamingArePassive(t *testing.T) {
 	entries := 0
 	for _, r := range Table1() {
 		label := fmt.Sprintf("%s(%d)/gpo", r.Family, r.Size)
-		bare, instr, _, _ := instrumented(t, r.Family, r.Size, verify.GPO, 1, log)
+		bare, instr, _, _ := instrumented(t, r.Family, r.Size, verify.GPO, log)
 		sameReport(t, label, bare, instr)
 		entries++
 	}
 
-	// Exhaustive on instances small enough to enumerate in a test run,
-	// with the stream ticked every state so the final published count is
-	// exact, not throttled away.
+	// Exhaustive on instances small enough to enumerate in a test run.
 	for _, in := range []struct {
 		family string
 		size   int
 	}{{"nsdp", 4}, {"asat", 2}, {"over", 3}, {"rw", 9}} {
 		label := fmt.Sprintf("%s(%d)/exhaustive", in.family, in.size)
-		bare, instr, last, reg := instrumented(t, in.family, in.size, verify.Exhaustive, 1, log)
+		bare, instr, last, reg := instrumented(t, in.family, in.size, verify.Exhaustive, log)
 		sameReport(t, label, bare, instr)
 		if last != int64(instr.States) {
-			t.Errorf("%s: final streamed count = %d, want States = %d", label, last, instr.States)
+			t.Errorf("%s: final progress count = %d, want States = %d", label, last, instr.States)
 		}
 		if got := reg.Counter("reach.states").Value(); got != int64(instr.States) {
 			t.Errorf("%s: reach.states = %d, want %d", label, got, instr.States)

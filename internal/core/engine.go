@@ -56,8 +56,8 @@ type Options struct {
 	// StatsReporter (see OBSERVABILITY.md). Nil costs nothing; metrics
 	// never influence the exploration.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is ticked once per GPN state interned.
-	Progress *obs.Progress
+	// Progress, if non-nil, gains one per GPN state interned.
+	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: one state event
 	// per interned GPN state (with |r| as detail), fire/multifire events
 	// per arc, conflict-component events per state, the algebra's table
@@ -346,7 +346,7 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 		cStates.Inc()
 		hValid.Observe(ci)
 		gPeakValid.SetMax(ci)
-		opts.Progress.Tick(1)
+		opts.Progress.Add(1)
 		e.tk.State(int64(id), ci)
 		return id, true
 	}
@@ -399,7 +399,7 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 		resumedBoundary = true
 		cStates.Add(int64(len(states)))
 		gPeakValid.SetMax(satInt64(res.PeakValid))
-		opts.Progress.Tick(int64(len(states)))
+		opts.Progress.Add(int64(len(states)))
 	} else {
 		s0 := e.InitialState()
 		intern(s0)

@@ -1,10 +1,11 @@
 package obs
 
-// Merge folds every metric of from into r. The daemon gives each
-// verification a fresh per-run Registry — so the run's ledger entry and
-// /v1/runs/{id} snapshot see only that run's numbers — and then merges
-// it into the long-lived process registry that /metrics serves, keeping
-// the cumulative series every existing test and dashboard pins.
+// Merge folds the counters, gauges and histograms of from into r. The
+// daemon gives each verification a fresh per-run Registry — so the
+// run's ledger entry and /v1/runs/{id} snapshot see only that run's
+// numbers — and then merges it into the long-lived process registry
+// that /metrics serves, keeping the cumulative series every existing
+// test and dashboard pins.
 //
 // Semantics per metric kind:
 //
@@ -15,7 +16,9 @@ package obs
 //     appears in per-run registries), so max is the correct fold.
 //   - Histograms merge distributions: counts, sums, and buckets add;
 //     min/max fold through the same CAS loops Observe uses.
-//   - Spans append in completion order.
+//   - Spans stay on from: they describe one run's phases and are read
+//     from its own registry, and a long-lived process registry that
+//     appended them would grow by one record per run, forever.
 //
 // Nil r or from is a no-op. Merge takes from's read lock only; callers
 // must not Merge a registry into itself.
@@ -57,10 +60,5 @@ func (r *Registry) Merge(from *Registry) {
 				break
 			}
 		}
-	}
-	if len(from.spans) > 0 {
-		r.mu.Lock()
-		r.spans = append(r.spans, from.spans...)
-		r.mu.Unlock()
 	}
 }

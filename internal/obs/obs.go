@@ -1,9 +1,9 @@
 // Package obs is the unified instrumentation layer shared by every
 // analysis engine in this repository: named atomic counters, gauges and
 // histograms collected in a Registry, a span tracer that records
-// wall-clock and runtime.MemStats deltas per phase, periodic progress
-// reporting with an injectable clock, and Sink implementations (text,
-// JSON, no-op) for exporting a Snapshot.
+// wall-clock and runtime.MemStats deltas per phase, and a Snapshot of
+// both, exported as JSON or in the Prometheus text format. A run's live
+// progress is one Counter the engine adds to and any observer samples.
 //
 // The paper's whole argument is quantitative — states explored, peak BDD
 // nodes, runtimes — so the engines must be able to account for where they
@@ -32,7 +32,9 @@ import (
 
 // Counter is a monotonically increasing metric. Create counters through
 // Registry.Counter; a nil *Counter is valid and all its methods are
-// no-ops.
+// no-ops. A zero Counter is also a run's live progress: the engine adds
+// to it once per unit of work (Options.Progress) and any observer
+// samples Value, so watching a run costs the engine one atomic add.
 type Counter struct {
 	v atomic.Int64
 }
@@ -99,6 +101,37 @@ func (g *Gauge) Value() int64 {
 		return 0
 	}
 	return g.v.Load()
+}
+
+// Clock abstracts time.Now so span timing and snapshots are testable
+// with a fake clock.
+type Clock interface {
+	Now() time.Time
+}
+
+// FakeClock is a manually advanced clock for tests.
+type FakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+// NewFakeClock returns a fake clock reading start.
+func NewFakeClock(start time.Time) *FakeClock {
+	return &FakeClock{t: start}
+}
+
+// Now returns the fake time.
+func (c *FakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+// Advance moves the fake time forward by d.
+func (c *FakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
 }
 
 // Registry holds the metrics of one run, keyed by name. The zero value is

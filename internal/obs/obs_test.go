@@ -1,8 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -163,12 +168,6 @@ func TestNilRegistryAndMetricsAreNoops(t *testing.T) {
 	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
 		t.Error("nil registry snapshot should be empty")
 	}
-	var p *Progress
-	p.Tick(1)
-	p.Done()
-	if p.Count() != 0 {
-		t.Error("nil progress should stay 0")
-	}
 }
 
 func TestRegistryReturnsSameMetric(t *testing.T) {
@@ -181,5 +180,134 @@ func TestRegistryReturnsSameMetric(t *testing.T) {
 	}
 	if r.Histogram("a") != r.Histogram("a") {
 		t.Error("Histogram should return the same instance per name")
+	}
+}
+
+// populate fills a registry with one of everything, on a fake clock so
+// the snapshot is deterministic.
+func populate(t *testing.T) *Registry {
+	t.Helper()
+	clock := NewFakeClock(time.Unix(1000, 0))
+	r := NewWithClock(clock)
+	r.Counter("core.states").Add(523)
+	r.Counter("core.arcs").Add(1200)
+	r.Gauge("core.peak_valid").SetMax(9)
+	h := r.Histogram("stubborn.set_size")
+	for _, v := range []int64{1, 1, 2, 3, 8} {
+		h.Observe(v)
+	}
+	sp := r.StartSpan("core.analyze")
+	clock.Advance(250 * time.Millisecond)
+	sp.End()
+	return r
+}
+
+func TestSnapshotJSONRoundTrip(t *testing.T) {
+	want := populate(t).Snapshot()
+	b, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("snapshot JSON does not parse: %v", err)
+	}
+	if !reflect.DeepEqual(&got, want) {
+		t.Errorf("round trip:\ngot  %+v\nwant %+v", &got, want)
+	}
+	if len(got.Spans) != 1 || got.Spans[0].Name != "core.analyze" || got.Spans[0].WallNS != int64(250*time.Millisecond) {
+		t.Errorf("span round trip: got %+v", got.Spans)
+	}
+}
+
+func TestRegistryMerge(t *testing.T) {
+	proc := New()
+	proc.Counter("reach.states").Add(100)
+	proc.Gauge("reach.queue_peak").Set(10)
+	proc.Histogram("por.stubborn_size").Observe(4)
+	s := proc.StartSpan("warmup")
+	s.End()
+
+	run := New()
+	run.Counter("reach.states").Add(322)
+	run.Counter("reach.edges").Add(7)
+	run.Gauge("reach.queue_peak").Set(5) // below process peak: must not lower it
+	run.Gauge("zdd.nodes_peak").Set(99)
+	run.Histogram("por.stubborn_size").Observe(2)
+	run.Histogram("por.stubborn_size").Observe(16)
+	rs := run.StartSpan("verify.run")
+	rs.End()
+
+	proc.Merge(run)
+
+	if got := proc.Counter("reach.states").Value(); got != 422 {
+		t.Errorf("merged reach.states = %d, want 422", got)
+	}
+	if got := proc.Counter("reach.edges").Value(); got != 7 {
+		t.Errorf("merged reach.edges = %d, want 7", got)
+	}
+	if got := proc.Gauge("reach.queue_peak").Value(); got != 10 {
+		t.Errorf("merged reach.queue_peak = %d, want 10 (max fold)", got)
+	}
+	if got := proc.Gauge("zdd.nodes_peak").Value(); got != 99 {
+		t.Errorf("merged zdd.nodes_peak = %d, want 99", got)
+	}
+	h := proc.Histogram("por.stubborn_size")
+	if h.Count() != 3 || h.Sum() != 22 || h.Min() != 2 || h.Max() != 16 {
+		t.Errorf("merged histogram count/sum/min/max = %d/%d/%d/%d, want 3/22/2/16",
+			h.Count(), h.Sum(), h.Min(), h.Max())
+	}
+	// Spans are the run's own: the process registry keeps only its own
+	// and grows by none per merged run.
+	if spans := proc.Spans(); len(spans) != 1 || spans[0].Name != "warmup" {
+		t.Errorf("process spans after merge = %v, want [warmup]", spans)
+	}
+	if spans := run.Spans(); len(spans) != 1 || spans[0].Name != "verify.run" {
+		t.Errorf("run spans after merge = %v, want [verify.run]", spans)
+	}
+
+	// Nil folds are no-ops.
+	proc.Merge(nil)
+	(*Registry)(nil).Merge(run)
+	if got := proc.Counter("reach.states").Value(); got != 422 {
+		t.Errorf("nil merges changed state: reach.states = %d", got)
+	}
+}
+
+// BenchmarkProgressAdd is the engine side of a run's live progress: one
+// Counter.Add per state, with no sampler and with two goroutines reading
+// the counter the way /v1/runs and an SSE stream do. check.sh requires
+// "0 allocs/op" of both, so watching a run never costs the engine an
+// allocation.
+func BenchmarkProgressAdd(b *testing.B) {
+	for _, samplers := range []int{0, 2} {
+		b.Run(fmt.Sprintf("samplers=%d", samplers), func(b *testing.B) {
+			var c Counter
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < samplers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							_ = c.Value()
+							runtime.Gosched()
+						}
+					}
+				}()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Add(1)
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+		})
 	}
 }

@@ -81,10 +81,11 @@ func promName(name string) string {
 	return b.String()
 }
 
-// PromSink writes each snapshot in Prometheus text exposition format.
-type PromSink struct {
-	W io.Writer
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
-
-// Emit renders the snapshot via WritePrometheus.
-func (s PromSink) Emit(snap *Snapshot) error { return WritePrometheus(s.W, snap) }

@@ -185,7 +185,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		if graph {
 			g.Edges = append(g.Edges, nil)
 		}
-		opts.Progress.Tick(1)
+		opts.Progress.Add(1)
 		tk.State(int64(states), 0)
 		states++
 	}
@@ -240,7 +240,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		}
 	}
 	states = len(first)
-	opts.Progress.Tick(int64(states))
+	opts.Progress.Add(int64(states))
 	if opts.Resume == nil {
 		tk.State(0, 0)
 		if graph {

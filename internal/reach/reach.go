@@ -69,8 +69,8 @@ type Options struct {
 	// Metrics, if non-nil, receives exploration statistics under the
 	// "reach." prefix (see OBSERVABILITY.md). Nil costs nothing.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is ticked once per distinct state found.
-	Progress *obs.Progress
+	// Progress, if non-nil, gains one per distinct state found.
+	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: one state event
 	// per interned marking, one fire event per explored arc, phase
 	// brackets, and a terminal abort event on cancellation. The parallel
@@ -176,7 +176,7 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 		if opts.StoreGraph {
 			g.Edges = append(g.Edges, nil)
 		}
-		opts.Progress.Tick(1)
+		opts.Progress.Add(1)
 		tk.State(int64(id), 0)
 		return id
 	}
@@ -233,7 +233,7 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 		// boundary — after expanding it — has sn.Levels+1 levels done.
 		levelEnd = store.Len()
 		levels = sn.Levels + 1
-		opts.Progress.Tick(int64(store.Len()))
+		opts.Progress.Add(int64(store.Len()))
 	} else {
 		m0 := n.InitialMarking()
 		add(m0, m0.Hash())

@@ -329,3 +329,27 @@ func TestE2EMetricsPromFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestE2EMetricsKeepNoRunSpans pins that the process registry behind
+// /metrics does not grow with the runs it has served: each run's spans
+// stay on its own registry, and only counters, gauges and histograms
+// fold into the process totals.
+func TestE2EMetricsKeepNoRunSpans(t *testing.T) {
+	c, _ := startService(t, server.Config{Workers: 1})
+	ctx := context.Background()
+	for size := 3; size <= 6; size++ {
+		if _, err := c.Verify(ctx, &server.Request{Model: "nsdp", Size: size, Engine: "exhaustive"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["reach.states"] == 0 {
+		t.Fatalf("four runs folded no reach.states into /metrics: %v", snap.Counters)
+	}
+	if len(snap.Spans) != 0 {
+		t.Fatalf("/metrics holds %d spans after four runs, want none", len(snap.Spans))
+	}
+}

@@ -16,11 +16,11 @@ import (
 
 // job is one admitted verification and the one record of its run: the
 // resolved request, a per-run metrics registry (so /v1/runs/{id}
-// reports this run's numbers, not process totals), the Publisher
-// fanning throttled progress updates out to SSE subscribers, and the
-// outcome once the worker has it. The engine never sees any of this
-// directly — it only ticks the obs.Progress it is handed, exactly as it
-// would uninstrumented.
+// reports this run's numbers, not process totals), the run's progress
+// counter, and the outcome once the worker has it. The engine only adds
+// to the counter, one per unit of work, exactly as it would unwatched;
+// /v1/runs, /v1/runs/{id} and the SSE stream each sample it when they
+// answer, so live status is exact whether or not anyone subscribed.
 //
 // A durable job (POST /v1/jobs) differs from a /v1/verify request in
 // three things, all data here: ctx (the request's, or none — a job
@@ -49,11 +49,13 @@ type job struct {
 	// otherwise), journaled in the run's ledger entry.
 	peers int
 
-	pub *obs.Publisher
-	reg *obs.Registry
+	reg      *obs.Registry
+	progress obs.Counter   // states (events, iterations) so far
+	over     chan struct{} // closed when the outcome is stored or never comes
+	subs     atomic.Int32  // open SSE streams
 
 	mu   sync.Mutex
-	resp *Response // final response, set before the publisher closes
+	resp *Response // final response, set before over closes
 	err  string
 }
 
@@ -64,7 +66,7 @@ type jobResult struct {
 
 func newJob(ctx context.Context, id string, pr *parsedRequest) *job {
 	return &job{ctx: ctx, id: id, runID: pr.key.RunID(), req: pr, enqNS: nowUnixNS(),
-		pub: obs.NewPublisher(), reg: obs.New()}
+		reg: obs.New(), over: make(chan struct{})}
 }
 
 // durable reports whether j is a POST /v1/jobs job.
@@ -85,6 +87,26 @@ func (j *job) final() (*Response, string) {
 	return j.resp, j.err
 }
 
+// sample is one reading of a run's progress counter: the count so far,
+// the time since a worker started the engine (0 while queued), and
+// their ratio.
+type sample struct {
+	States    int64   `json:"states"`
+	ElapsedNS int64   `json:"elapsed_ns"`
+	Rate      float64 `json:"rate"`
+}
+
+func (j *job) sample() sample {
+	p := sample{States: j.progress.Value()}
+	if start := j.startNS.Load(); start != 0 {
+		p.ElapsedNS = nowUnixNS() - start
+	}
+	if p.ElapsedNS > 0 {
+		p.Rate = float64(p.States) / time.Duration(p.ElapsedNS).Seconds()
+	}
+	return p
+}
+
 // runStatus is the wire shape of one in-flight run on /v1/runs.
 type runStatus struct {
 	RunID     string `json:"run_id"`
@@ -95,14 +117,8 @@ type runStatus struct {
 	Check     string `json:"check"`
 	// StartUnixNS is when a worker started the engine (0 while queued).
 	StartUnixNS int64 `json:"start_unix_ns,omitempty"`
-	// Progress from the last throttled update (zero until the first one).
-	States    int64   `json:"states"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	Rate      float64 `json:"rate"`
-	// Peaks from the run's own registry.
-	Frontier    int64 `json:"frontier_peak,omitempty"`
-	ZddNodes    int64 `json:"zdd_nodes,omitempty"`
-	Subscribers int   `json:"subscribers"`
+	sample
+	Subscribers int `json:"subscribers"`
 }
 
 func (j *job) status() runStatus {
@@ -114,17 +130,11 @@ func (j *job) status() runStatus {
 		Engine:      j.req.opts.Engine.String(),
 		Check:       j.req.check,
 		StartUnixNS: j.startNS.Load(),
-		Frontier:    j.reg.Gauge("reach.queue_peak").Value(),
-		ZddNodes:    j.reg.Gauge("zdd.nodes").Value(),
-		Subscribers: j.pub.Subscribers(),
+		sample:      j.sample(),
+		Subscribers: int(j.subs.Load()),
 	}
 	if st.StartUnixNS != 0 {
 		st.State = "running"
-	}
-	if u, ok := j.pub.Last(); ok {
-		st.States = u.Count
-		st.ElapsedNS = int64(u.Elapsed)
-		st.Rate = u.Rate
 	}
 	return st
 }
@@ -212,17 +222,15 @@ func (s *Server) ledgerEntry(id string) (e ledger.Entry, ok bool) {
 	return e, false
 }
 
-// progressEvent is the SSE "progress" payload: one throttled snapshot
-// of a running exploration.
+// progressEvent is the SSE "progress" payload: one sample of a running
+// exploration.
 type progressEvent struct {
-	RunID     string  `json:"run_id"`
-	States    int64   `json:"states"`
-	ElapsedNS int64   `json:"elapsed_ns"`
-	Rate      float64 `json:"rate"`
-	Frontier  int64   `json:"frontier_peak,omitempty"`
-	ZddNodes  int64   `json:"zdd_nodes,omitempty"`
-	Final     bool    `json:"final,omitempty"`
+	RunID string `json:"run_id"`
+	sample
 }
+
+// progressEvery is the cadence of "progress" events on an SSE stream.
+const progressEvery = 200 * time.Millisecond
 
 // doneEvent is the SSE "done" payload: the run's verdict, emitted once
 // as the stream's last event. States here is the final result count —
@@ -248,11 +256,11 @@ func writeSSE(w http.ResponseWriter, flusher http.Flusher, event string, v any) 
 }
 
 // handleRunEvents answers GET /v1/runs/{id}/events with an SSE stream:
-// "progress" events at the server's throttle cadence, terminated by one
-// "done" event carrying the verdict. For an already-completed run the
-// stream is just the "done" event reconstructed from the ledger. The
-// subscriber rides a bounded drop-oldest buffer, so a slow client loses
-// intermediate snapshots, never the verdict, and never slows the engine.
+// a "progress" sample as soon as the client subscribes and then every
+// progressEvery, terminated by one "done" event carrying the verdict.
+// For an already-completed run the stream is just the "done" event
+// reconstructed from the ledger. Each stream reads the run's counter on
+// its own ticker, so a slow client delays only itself, never the engine.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	flusher, ok := w.(http.Flusher)
@@ -280,36 +288,29 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ch, cancel := j.pub.Subscribe(16)
-	defer cancel()
+	j.subs.Add(1)
+	defer j.subs.Add(-1)
 	sseHeaders(w)
+	tick := time.NewTicker(progressEvery)
+	defer tick.Stop()
 	for {
+		writeSSE(w, flusher, "progress", progressEvent{RunID: j.runID, sample: j.sample()})
 		select {
-		case u, open := <-ch:
-			if !open {
-				// Publisher closed: the run is over and its final
-				// response was stored before the close.
-				resp, errMsg := j.final()
-				done := doneEvent{RunID: j.runID, Status: "error", Error: errMsg}
-				if resp != nil {
-					done.Status = resp.Status
-					done.Deadlock = resp.Deadlock
-					done.States = int64(resp.States)
-					done.Complete = resp.Complete
-					done.WallNS = resp.ElapsedNS
-				}
-				writeSSE(w, flusher, "done", done)
-				return
+		case <-tick.C:
+		case <-j.over:
+			// The run is over and its final response was stored before
+			// over closed.
+			resp, errMsg := j.final()
+			done := doneEvent{RunID: j.runID, Status: "error", Error: errMsg}
+			if resp != nil {
+				done.Status = resp.Status
+				done.Deadlock = resp.Deadlock
+				done.States = int64(resp.States)
+				done.Complete = resp.Complete
+				done.WallNS = resp.ElapsedNS
 			}
-			writeSSE(w, flusher, "progress", progressEvent{
-				RunID:     j.runID,
-				States:    u.Count,
-				ElapsedNS: int64(u.Elapsed),
-				Rate:      u.Rate,
-				Frontier:  j.reg.Gauge("reach.queue_peak").Value(),
-				ZddNodes:  j.reg.Gauge("zdd.nodes").Value(),
-				Final:     u.Final,
-			})
+			writeSSE(w, flusher, "done", done)
+			return
 		case <-r.Context().Done():
 			return
 		}

@@ -269,7 +269,7 @@ func TestE2ERunEventsStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ldg.Close() }) // after the server, which start closes
-	ts := start(t, server.Config{Workers: 1, Ledger: ldg, ProgressEvery: 1})
+	ts := start(t, server.Config{Workers: 1, Ledger: ldg})
 	reg := ts.Metrics
 
 	body := `{"model":"nsdp","size":4,"engine":"exhaustive"}`
@@ -375,11 +375,9 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 	t.Cleanup(func() { ldg.Close() }) // after the server, which start closes
 	logBuf := &syncBuffer{}
 	ts := start(t, server.Config{
-		Workers:          1,
-		Ledger:           ldg,
-		AccessLog:        logBuf,
-		ProgressEvery:    1024,
-		ProgressInterval: time.Millisecond,
+		Workers:   1,
+		Ledger:    ldg,
+		AccessLog: logBuf,
 	})
 
 	// Kick off a run long enough to observe live: nsdp(10) either takes
@@ -521,5 +519,98 @@ func TestE2ERunEventsLiveStream(t *testing.T) {
 	}
 	if line.QueueWaitNS <= 0 {
 		t.Errorf("queued request queue_wait_ns = %d, want > 0", line.QueueWaitNS)
+	}
+}
+
+// TestE2ERunStatusUnwatched pins that live status is exact for a run
+// nobody streams: polled on GET /v1/runs/{id} with no SSE subscriber, a
+// long exploration reports a positive, non-decreasing state count and
+// elapsed time, never above the count of its final response.
+func TestE2ERunStatusUnwatched(t *testing.T) {
+	ts := start(t, server.Config{Workers: 1})
+	type result struct {
+		resp server.Response
+		err  error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		body := `{"model":"nsdp","size":10,"engine":"exhaustive","timeout_ms":1500}`
+		hr, err := ts.HTTP.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
+		if err != nil {
+			resCh <- result{err: err}
+			return
+		}
+		defer hr.Body.Close()
+		var r result
+		r.err = json.NewDecoder(hr.Body).Decode(&r.resp)
+		resCh <- r
+	}()
+
+	type status struct {
+		RunID     string `json:"run_id"`
+		State     string `json:"state"`
+		Net       string `json:"net"`
+		States    int64  `json:"states"`
+		ElapsedNS int64  `json:"elapsed_ns"`
+	}
+	get := func(path string, v any) int {
+		hr, err := ts.HTTP.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		if hr.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(hr.Body).Decode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hr.StatusCode
+	}
+	var runID string
+	for deadline := time.Now().Add(10 * time.Second); runID == "" && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var list struct {
+			Running []status `json:"running"`
+		}
+		get("/v1/runs", &list)
+		for _, r := range list.Running {
+			if r.Net == "NSDP(10)" && r.State == "running" {
+				runID = r.RunID
+			}
+		}
+	}
+	if runID == "" {
+		t.Fatal("run never showed as running on /v1/runs")
+	}
+
+	var samples []status
+	var res result
+poll:
+	for {
+		select {
+		case res = <-resCh:
+			break poll
+		case <-time.After(50 * time.Millisecond):
+			var st status
+			if get("/v1/runs/"+runID, &st) == http.StatusOK && st.RunID == runID {
+				samples = append(samples, st)
+			}
+		}
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(samples) < 5 {
+		t.Fatalf("only %d live samples of a 1.5 s run", len(samples))
+	}
+	var prev int64
+	for i, st := range samples {
+		if st.ElapsedNS <= 0 || st.States < prev || st.States > int64(res.resp.States) {
+			t.Fatalf("sample %d of %d: states=%d elapsed_ns=%d (previous %d, final %d)",
+				i, len(samples), st.States, st.ElapsedNS, prev, res.resp.States)
+		}
+		prev = st.States
+	}
+	if prev <= 0 {
+		t.Fatalf("unwatched run reported states=%d throughout", prev)
 	}
 }

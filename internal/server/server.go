@@ -30,6 +30,8 @@ import (
 )
 
 // Config sets the service's capacity limits. Zero values mean defaults.
+// Live progress has no setting: /v1/runs reads each run's counter when
+// asked, and an SSE stream every progressEvery.
 type Config struct {
 	// Workers is the number of concurrent verifications (default
 	// GOMAXPROCS). Each admitted request occupies one worker for its
@@ -89,14 +91,6 @@ type Config struct {
 	// backs the completed half of GET /v1/runs. Nil disables journaling;
 	// the live-run endpoints still work.
 	Ledger *ledger.Log
-	// ProgressEvery and ProgressInterval set the throttle of the per-run
-	// progress stream feeding GET /v1/runs/{id}/events: an update every
-	// ProgressEvery units of engine work, or whenever ProgressInterval
-	// has elapsed, whichever fires first (defaults 4096 and 200ms).
-	// Streaming is passive — with no subscriber an update is one atomic
-	// load, and results are bit-identical either way.
-	ProgressEvery    int64
-	ProgressInterval time.Duration
 	// Jobs, if non-nil, enables durable asynchronous jobs (DESIGN.md
 	// D11): POST /v1/jobs admits a verification that outlives the HTTP
 	// request, checkpoints at engine boundaries, survives crashes via the
@@ -136,12 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.New()
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 4096
-	}
-	if c.ProgressInterval <= 0 {
-		c.ProgressInterval = 200 * time.Millisecond
 	}
 	if c.CkptInterval == 0 {
 		c.CkptInterval = 30 * time.Second
@@ -320,7 +308,7 @@ func (s *Server) admit(j *job) bool {
 	if s.enqueue(j) {
 		return true
 	}
-	j.pub.Close()
+	close(j.over)
 	if j.req.lease {
 		s.tierRelease(j.req)
 	}
@@ -345,7 +333,7 @@ func (s *Server) worker() {
 // here, and its bookkeeping ends before its outcome becomes visible.
 func (s *Server) run(j *job) {
 	if j.durable() && !s.claim(j) {
-		j.pub.Close()
+		close(j.over)
 		s.runSettled()
 		s.release(j, nil)
 		return
@@ -360,16 +348,9 @@ func (s *Server) run(j *job) {
 	// and /v1/runs/{id} carry this run's numbers; the epilogue folds them
 	// into the process registry that /metrics serves.
 	opts.Metrics = j.reg
-	// Progress feeds the run's SSE publisher. Engines tick this once per
-	// unit of work already; the throttle bounds the event rate and the
-	// publisher's no-subscriber fast path keeps an unwatched run free.
-	prog := &obs.Progress{
-		Label:    j.runID,
-		Every:    s.cfg.ProgressEvery,
-		Interval: s.cfg.ProgressInterval,
-		Report:   j.pub.Publish,
-	}
-	opts.Progress = prog
+	// The engine adds one per unit of work to the run's counter, which
+	// every live surface samples.
+	opts.Progress = &j.progress
 	tr := s.newRunTracer(j, &opts)
 	var sl *slice
 	if j.durable() {
@@ -426,15 +407,14 @@ func (s *Server) run(j *job) {
 	}
 
 	// The epilogue, strictly ordered: trace retained, final response
-	// stored (so the SSE terminal event has a verdict), final progress
-	// update published, stream closed, journal appended, per-run metrics
+	// stored (so the SSE terminal event has a verdict), streams ended,
+	// journal appended, per-run metrics
 	// folded into the process registry, the worker's counters settled,
 	// live registration dropped — all before the outcome is visible, so
 	// a client that saw it also sees the run's history.
 	s.retainTrace(j, tr)
 	j.finish(resp, err)
-	prog.Done()
-	j.pub.Close()
+	close(j.over)
 	e := verify.LedgerEntry(j.req.key, j.req.net, j.req.check, j.req.opts, rep, err, startNS, endNS)
 	e.Source, e.RequestID, e.Peers = "gpod", j.id, j.peers
 	e.TracePath, e.Metrics = tracePath, metricsOf(j.reg)

@@ -63,8 +63,8 @@ type Options struct {
 	// Metrics, if non-nil, receives exploration statistics under the
 	// "stubborn." prefix (see OBSERVABILITY.md). Nil costs nothing.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is ticked once per distinct state found.
-	Progress *obs.Progress
+	// Progress, if non-nil, gains one per distinct state found.
+	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: states, firings,
 	// one stubborn event per set computation (set size vs enabled count),
 	// and a terminal abort event on cancellation.
@@ -237,7 +237,7 @@ func Explore(n *petri.Net, opts Options) (*Result, error) {
 		m = store.At(id)
 		onStack = append(onStack, true)
 		cStates.Inc()
-		opts.Progress.Tick(1)
+		opts.Progress.Add(1)
 		tk.State(int64(id), 0)
 		if fired >= 0 {
 			tk.Fire(int64(fired), int64(id))

@@ -53,8 +53,8 @@ type Options struct {
 	// "symbolic." prefix plus the BDD manager's cache statistics under
 	// "bdd." (see OBSERVABILITY.md). Nil costs nothing.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is ticked once per image iteration.
-	Progress *obs.Progress
+	// Progress, if non-nil, gains one per image iteration.
+	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: phase brackets
 	// for relation building and the fixpoint, one iter event per image
 	// step (with the manager size), and a terminal abort on cancellation.
@@ -219,7 +219,7 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 	for frontier != bdd.False {
 		iterations++
 		cIter.Inc()
-		opts.Progress.Tick(1)
+		opts.Progress.Add(1)
 		img := bdd.False
 		for _, rel := range rels {
 			if err := cancel.Poll(); err != nil {

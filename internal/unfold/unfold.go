@@ -136,8 +136,8 @@ type Options struct {
 	// Metrics, if non-nil, receives construction statistics under the
 	// "unfold." prefix (see OBSERVABILITY.md). Nil costs nothing.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is ticked once per inserted event.
-	Progress *obs.Progress
+	// Progress, if non-nil, gains one per inserted event.
+	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: one state event
 	// per inserted unfolding event, cutoff events, phase brackets, and a
 	// terminal abort on cancellation.
@@ -215,7 +215,7 @@ type unfolder struct {
 	cCutoffs *obs.Counter
 	cConds   *obs.Counter
 	gPQ      *obs.Gauge
-	progress *obs.Progress
+	progress *obs.Counter
 	tk       *trace.Track
 }
 
@@ -260,7 +260,7 @@ func (u *unfolder) insert(e *Event) {
 	e.ID = len(u.prefix.Events)
 	u.prefix.Events = append(u.prefix.Events, e)
 	u.cEvents.Inc()
-	u.progress.Tick(1)
+	u.progress.Add(1)
 	u.tk.State(int64(e.ID), 0)
 
 	key := e.mark.Key()

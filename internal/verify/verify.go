@@ -129,9 +129,9 @@ type Options struct {
 	// it with its package-prefixed counters, gauges, histograms and spans
 	// (see OBSERVABILITY.md). Nil costs nothing.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is ticked by the selected engine once per
+	// Progress, if non-nil, gains one from the selected engine per
 	// unit of work (state, event or iteration).
-	Progress *obs.Progress
+	Progress *obs.Counter
 	// Trace, if non-nil, is handed to the selected engine, which records
 	// flight-recorder events on it (states, firings, phase brackets,
 	// aborts; see OBSERVABILITY.md "Trace events"). Nil costs nothing.
