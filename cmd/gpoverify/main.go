@@ -70,7 +70,7 @@ func main() {
 		stop      = flag.Bool("stop", false, "stop at the first deadlock/violation")
 		maxStates = flag.Int("max-states", 0, "abort explicit searches beyond this many states")
 		maxNodes  = flag.Int("max-nodes", 0, "abort symbolic searches beyond this many BDD nodes")
-		workers   = flag.Int("workers", 0, "parallel workers for the exhaustive engine (0 = sequential, the default; -workers N starts to pay between 100 000 and 250 000 states, see EXPERIMENTS.md)")
+		workers   = flag.Int("workers", 0, "parallel workers for the exhaustive engine (0 = sequential, the default; with N >= 2 a run hands its first level of 8192 states to N workers, see EXPERIMENTS.md)")
 		proviso   = flag.Bool("proviso", false, "apply the cycle proviso in the partial-order engine")
 		reduceNet = flag.Bool("reduce", false, "apply the structural reduction pre-pass before the engine (witnesses are mapped back to the original net)")
 		compare   = flag.Bool("compare", false, "run all engines and tabulate")

@@ -10,7 +10,9 @@ import (
 // TestParallelReachMatchesSequentialTable1 is the cross-engine
 // equivalence gate for the parallel explorer: on the Table 1 instances
 // the Workers: 8 run must reproduce the Workers: 0 Result exactly —
-// States, Arcs, Deadlocks in order, and the stored Graph. The two
+// States, Arcs, Deadlocks in order, and the stored Graph. A stored graph
+// keeps a run sequential, so each instance also runs without one, where
+// the levels of nsdp(8) are wide enough to hand over. The two
 // largest instances (≈1.6–1.9M states) are skipped to keep the race-
 // enabled run of scripts/check.sh within budget; check.sh runs them full
 // size with `gpoverify -only 'nsdp\(10\)|asat\(8\)' -engine exhaustive
@@ -35,6 +37,20 @@ func TestParallelReachMatchesSequentialTable1(t *testing.T) {
 		par, err := reach.Explore(net, reach.Options{StoreGraph: true, Workers: 8})
 		if err != nil {
 			t.Fatalf("%s(%d) workers=8: %v", r.Family, r.Size, err)
+		}
+		shared, err := reach.Explore(net, reach.Options{Workers: 8})
+		if err != nil {
+			t.Fatalf("%s(%d) workers=8, no graph: %v", r.Family, r.Size, err)
+		}
+		if shared.States != seq.States || shared.Arcs != seq.Arcs || len(shared.Deadlocks) != len(seq.Deadlocks) {
+			t.Errorf("%s(%d): workers=8 without a graph (states=%d arcs=%d deadlocks=%d) != sequential (states=%d arcs=%d deadlocks=%d)",
+				r.Family, r.Size, shared.States, shared.Arcs, len(shared.Deadlocks), seq.States, seq.Arcs, len(seq.Deadlocks))
+		}
+		for i := range seq.Deadlocks {
+			if i < len(shared.Deadlocks) && !seq.Deadlocks[i].Equal(shared.Deadlocks[i]) {
+				t.Errorf("%s(%d): workers=8 without a graph: deadlock %d differs", r.Family, r.Size, i)
+				break
+			}
 		}
 		if par.States != seq.States || par.Arcs != seq.Arcs ||
 			par.Deadlock != seq.Deadlock || par.Complete != seq.Complete {

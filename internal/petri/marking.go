@@ -3,7 +3,6 @@ package petri
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -62,41 +61,31 @@ func (m Marking) Key() string {
 	return b.String()
 }
 
-// fnv1a64 constants (FNV-1a, 64 bit).
+// Hash constants (wyhash's): the seed, the per-word multiplier and the
+// final one.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	hashSeed = 0xa0761d6478bd642f
+	hashMul  = 0xe7037ed1a0b428db
+	hashFin  = 0x8ebc6af09c88c6e3
 )
 
-// Hash returns the 64-bit FNV-1a hash of the marking's Key() bytes,
-// computed over the words without building the string:
-// m.Hash() == HashKey(m.Key()). It is the hash the visited store
-// (internal/visited) indexes by and the shard-routing key of the parallel
-// explorer and the cluster wire protocol; no stored byte depends on it.
+// Hash returns a 64-bit hash of the marking's words: per word one xor
+// into the state and one 64×64→128-bit multiply whose halves are folded,
+// then a final fold. It is the hash the visited store (internal/visited)
+// indexes by and the shard-routing key of the parallel explorer; no
+// stored byte and no result depends on its value.
 func (m Marking) Hash() uint64 {
-	h := uint64(fnvOffset64)
+	h := uint64(hashSeed)
 	for _, w := range m {
-		for i := uint(0); i < 64; i += 8 {
-			h = (h ^ (w>>i)&0xff) * fnvPrime64
-		}
+		hi, lo := bits.Mul64(h^w, hashMul)
+		h = hi ^ lo
 	}
-	return h
+	hi, lo := bits.Mul64(h, hashFin)
+	return hi ^ lo
 }
 
 // KeyHash returns Key() together with Hash().
 func (m Marking) KeyHash() (string, uint64) { return m.Key(), m.Hash() }
-
-// HashKey returns the 64-bit FNV-1a hash of an already-built marking
-// key, for callers that receive keys over the wire rather than
-// constructing them from a Marking. HashKey(m.Key()) equals the hash
-// KeyHash returns.
-func HashKey(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * fnvPrime64
-	}
-	return h
-}
 
 // Places returns the marked places in increasing order.
 func (m Marking) Places() []Place {
@@ -145,25 +134,47 @@ func (n *Net) EnabledTrans(m Marking) []Trans { return n.AppendEnabled(nil, m) }
 
 // AppendEnabled appends the transitions enabled in m to dst, in
 // increasing order, and returns the extended slice. Only the transitions
-// indexed under m's marked places are tested; they come out in place
-// order, so the appended run is sorted only if one came out below its
-// predecessor. It panics if m is not a marking of n's width.
+// indexed under m's marked places are tested, the preset mask inline (one
+// AND on a one-word net); they come out in place order, nearly sorted,
+// and each is inserted at its place in the run. It panics if m is not a
+// marking of n's width.
 func (n *Net) AppendEnabled(dst []Trans, m Marking) []Trans {
 	n.checkWidth(m)
-	base, sorted := len(dst), true
+	base := len(dst)
+	if len(m) == 1 {
+		m0 := m[0]
+		for w := m0 & n.indexed[0]; w != 0; w &= w - 1 {
+			p := bits.TrailingZeros64(w)
+			for _, t := range n.byPlace[n.byPlaceAt[p]:n.byPlaceAt[p+1]] {
+				if pre := n.preMask[t]; m0&pre == pre {
+					dst = insertSorted(dst, base, t)
+				}
+			}
+		}
+		return dst
+	}
 	for wi, w := range m {
 		for w &= n.indexed[wi]; w != 0; w &= w - 1 {
 			p := wi<<6 | bits.TrailingZeros64(w)
 			for _, t := range n.byPlace[n.byPlaceAt[p]:n.byPlaceAt[p+1]] {
 				if n.Enabled(m, t) {
-					sorted = sorted && (len(dst) == base || dst[len(dst)-1] < t)
-					dst = append(dst, t)
+					dst = insertSorted(dst, base, t)
 				}
 			}
 		}
 	}
-	if !sorted {
-		slices.Sort(dst[base:])
+	return dst
+}
+
+// insertSorted appends t to dst and moves it down to its place in the
+// sorted run dst[base:]; the enabled walk seldom meets one out of order.
+func insertSorted(dst []Trans, base int, t Trans) []Trans {
+	dst = append(dst, t)
+	if i := len(dst) - 1; i > base && dst[i-1] > t {
+		for ; i > base && dst[i-1] > t; i-- {
+			dst[i] = dst[i-1]
+		}
+		dst[i] = t
 	}
 	return dst
 }

@@ -26,33 +26,35 @@ func buildWideNet(tb testing.TB, places int) (*Net, Marking) {
 	return n, m
 }
 
-// TestHashMatchesKey pins that Hash, computed over the words, is exactly
-// the FNV-1a hash of the Key() string (HashKey, for keys that arrive
-// over the cluster wire), and that KeyHash returns that pair.
+// TestHashMatchesKey pins what the visited store needs of Hash: equal
+// words hash equal, whichever slice holds them, and KeyHash returns the
+// pair (Key(), Hash()).
 func TestHashMatchesKey(t *testing.T) {
 	for _, places := range []int{1, 7, 64, 65, 200} {
-		_, m := buildWideNet(t, places)
+		n, m := buildWideNet(t, places)
 		key, hash := m.KeyHash()
-		if key != m.Key() {
-			t.Errorf("places=%d: KeyHash key differs from Key()", places)
+		if key != m.Key() || hash != m.Hash() {
+			t.Errorf("places=%d: KeyHash differs from (Key(), Hash())", places)
 		}
-		if hash != HashKey(m.Key()) || hash != m.Hash() {
-			t.Errorf("places=%d: KeyHash hash %x, Hash() %x, HashKey(Key()) %x", places, hash, m.Hash(), HashKey(m.Key()))
+		same := n.EmptyMarking()
+		copy(same, m)
+		if same.Hash() != hash || m.Clone().Hash() != hash {
+			t.Errorf("places=%d: equal words hash %x, %x and %x", places, same.Hash(), m.Clone().Hash(), hash)
 		}
 	}
 }
 
 // BenchmarkMarkingHash measures what interning a marking costs before
-// the table probe: the string route every explorer used to take (build
-// the key, hash the string) against Hash over the words.
+// the table probe: the string route explorers used to take (build the
+// key beside the hash) against Hash over the words.
 func BenchmarkMarkingHash(b *testing.B) {
 	_, m := buildWideNet(b, 192) // 3 words, a mid-size Table 1 marking
 	b.Run("key-then-hash", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink uint64
 		for i := 0; i < b.N; i++ {
-			key := m.Key()
-			sink += HashKey(key)
+			key, hash := m.KeyHash()
+			sink += hash + uint64(len(key))
 		}
 		_ = sink
 	})

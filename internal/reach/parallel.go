@@ -1,10 +1,12 @@
 package reach
 
-// Owner-computes parallel frontier-batch exploration. The 256 hash shards
-// of shardOf are split into one contiguous range per worker (shardRanges),
-// and every worker owns exactly one visited.Store that only it touches while workers run:
-// there is no lock anywhere. A BFS level wide enough to share (levelWidth)
-// is two barrier-separated phases:
+// Owner-computes parallel frontier-batch exploration. A run with
+// Workers ≥ 2 gets here from the sequential engine, which hands over its
+// first level of levelWidth positions as a Snapshot (or from a resumed
+// Snapshot). The 256 hash shards of shardOf are split into one contiguous
+// range per worker, and every worker owns exactly one visited.Store that
+// only it touches while workers run: there is no lock anywhere. A BFS
+// level wide enough to share (levelWidth) is two barrier-separated phases:
 //
 //   - expand: workers pull chunks of level positions, fire every enabled
 //     transition into a scratch marking and hash it; a successor the
@@ -21,10 +23,9 @@ package reach
 // order the sequential BFS first encounters them. A narrower level is
 // scanned in that order by the calling goroutine alone, which interns a
 // new marking on the spot in the store that owns it: no buffer, no merge.
-// Either way States, Arcs, Deadlocks/BadStates order, the stored Graph,
-// and even the stop points of MaxStates and ErrUnsafe reproduce the
-// Workers: 0 run bit for bit. The order key and the stop-point arithmetic
-// close this file.
+// Either way States, Arcs, Deadlocks/BadStates order, and even the stop
+// points of MaxStates and ErrUnsafe reproduce the Workers: 0 run bit for
+// bit. The order key and the stop-point arithmetic close this file.
 //
 // A worker reads another's store only through the views of a level's
 // parent markings, taken while every store is quiescent (arena chunks
@@ -45,10 +46,12 @@ import (
 )
 
 // levelWidth is the number of level positions that pays for one more
-// worker: a level of n positions runs on 1 + n/levelWidth workers (at most
-// Options.Workers), so one narrower than levelWidth runs inline. Fixed
-// from the crossover measurement in EXPERIMENTS.md; a variable only so the
-// tests can force the routed path on small nets.
+// worker: a run stays sequential until its first level of levelWidth
+// positions, and from there a level of n positions runs on
+// 1 + n/levelWidth workers (at most Options.Workers), so one narrower
+// than levelWidth runs inline. Fixed from the crossover measurement in
+// EXPERIMENTS.md; a variable only so the tests can force the handoff and
+// the routed path on small nets.
 var levelWidth = 8192
 
 // worker is one owner of the partitioned visited store plus the scratch
@@ -79,7 +82,7 @@ func (w *worker) claim(m petri.Marking, hash, order uint64) {
 	local := w.store.Lookup(m, hash)
 	if local < 0 {
 		local = w.store.Insert(m, hash)
-		w.pend = append(w.pend, discovery{Order: order, Shard: w.id, Local: int32(local)})
+		w.pend = append(grow(w.pend, 1), discovery{Order: order, Shard: w.id, Local: int32(local)})
 	} else if p := local - len(w.gid); p >= 0 && order < w.pend[p].Order {
 		w.pend[p].Order = order
 	}
@@ -104,46 +107,31 @@ func (v *violation) err(n *petri.Net) error {
 	return fmt.Errorf("%w: firing %s from %s double-marks a place", ErrUnsafe, n.TransName(v.t), v.m.String(n))
 }
 
-// exploreParallel is the Workers > 0 path of Explore. Early-stop options
-// are routed to the sequential engine before this is called.
-func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
-	defer opts.Metrics.StartSpan("reach.explore").End()
+// exploreParallel continues a run with Workers ≥ 2 from the level
+// boundary sn describes: a Snapshot the sequential engine handed over at
+// its first wide level, or the Options.Resume of a resumed run. Either
+// way the boundary's Ckpt poll has been answered and the frontier's
+// verdicts are recorded.
+func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result, error) {
 	res := &Result{Complete: true}
-	var (
-		qPeak   int
-		batches int64
-	)
-	hBatch := opts.Metrics.Histogram("reach.batch_sizes")
-	if opts.Metrics != nil {
-		// Same export-once-on-exit discipline as the sequential engine,
-		// plus the parallel-only worker/batch metrics.
-		defer func() {
-			exportMetrics(opts.Metrics, res, qPeak)
-			opts.Metrics.Gauge("reach.workers").Set(int64(opts.Workers))
-			opts.Metrics.Counter("reach.batches").Add(batches)
-		}()
+	r.res = res // Explore exports it also when sn is refused
+	if err := validateResume(n, sn); err != nil {
+		return nil, err
 	}
-	// The merge loop owns the "reach" track; each worker owns its own
-	// lane, so ring writes stay single-goroutine (the phase barrier orders
-	// a worker's level-k writes before whoever runs it at level k+1).
-	tk := opts.Trace.NewTrack("reach")
-	phExplore := opts.Trace.Intern("explore")
-	tk.Begin(phExplore)
-	graph := opts.StoreGraph
-	var g *Graph
-	if graph {
-		g = &Graph{Net: n}
-		res.Graph = g
-	}
+	res.Arcs = sn.Arcs
 	isBad := func(m petri.Marking) bool { return opts.Bad != nil && opts.Bad(m) }
 
-	ranges := shardRanges(min(opts.Workers, numShards))
+	// Owner o holds the shards sh with sh·len(ws)/numShards = o: one
+	// contiguous range each, sizes within one of each other.
+	ws := make([]*worker, min(opts.Workers, numShards))
 	var ownerOf [numShards]uint8
-	ws := make([]*worker, len(ranges))
-	for o, r := range ranges {
-		for sh := r[0]; sh < r[1]; sh++ {
-			ownerOf[sh] = uint8(o)
-		}
+	for sh := range ownerOf {
+		ownerOf[sh] = uint8(sh * len(ws) / numShards)
+	}
+	// The merge loop writes the "reach" track and each worker its own
+	// track, so ring writes stay single-goroutine (the phase barrier orders
+	// a worker's level-k writes before whoever runs it at level k+1).
+	for o := range ws {
 		ws[o] = &worker{id: uint32(o), next: n.EmptyMarking(), cancel: stop.Every(opts.Ctx, 64)}
 		if opts.Trace != nil {
 			ws[o].tk = opts.Trace.NewTrack(fmt.Sprintf("reach-w%d", o))
@@ -181,12 +169,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	// and makes it a parent of the next level.
 	intern := func(w *worker, local int) {
 		w.gid[local] = int32(states)
-		next = append(next, w.store.At(local))
-		if graph {
-			g.Edges = append(g.Edges, nil)
-		}
+		next = append(grow(next, 1), w.store.At(local))
 		opts.Progress.Add(1)
-		tk.State(int64(states), 0)
+		r.tk.State(int64(states), 0)
 		states++
 	}
 	limit := visited.Limit(opts.MaxStates)
@@ -195,8 +180,10 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	// ids from lo on are level number `levels`, exactly the boundary
 	// coordinate of the sequential engine's snapshots. The verdict id
 	// lists mirror res.Deadlocks/res.BadStates for checkpointing.
-	lo, levels := 0, 0
-	var deadIDs, badIDs []int
+	restoreVerdicts(res, sn.States, sn)
+	deadIDs := append([]int(nil), sn.DeadIDs...)
+	badIDs := append([]int(nil), sn.BadIDs...)
+	lo, levels := sn.FrontierStart, sn.Levels
 	record := func(id int, m petri.Marking, bad, dead bool) {
 		if bad {
 			res.BadFound = true
@@ -209,26 +196,13 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			deadIDs = append(deadIDs, id)
 		}
 	}
-	// A level's parents get their verdicts when they are expanded. On
-	// resume the frontier's were restored from the snapshot, so the first
-	// level must not record them again; the resume point itself is the
-	// boundary the checkpoint was taken at, so its poll is skipped too.
-	resumed := false
+	// A level's parents get their verdicts when they are expanded. The
+	// first level's came with the snapshot, so they must not be recorded
+	// again; its boundary poll was answered before sn was taken, so it is
+	// skipped too.
+	resumed := true
 
-	first := []petri.Marking{n.InitialMarking()}
-	if sn := opts.Resume; sn != nil {
-		if err := validateResume(n, sn); err != nil {
-			return nil, err
-		}
-		first = sn.States
-		res.Arcs = sn.Arcs
-		restoreVerdicts(res, sn.States, sn)
-		deadIDs = append(deadIDs, sn.DeadIDs...)
-		badIDs = append(badIDs, sn.BadIDs...)
-		lo, levels = sn.FrontierStart, sn.Levels
-		resumed = true
-	}
-	for id, m := range first {
+	for id, m := range sn.States {
 		h := m.Hash()
 		w := ws[ownerOf[shardOf(h)]]
 		if w.store.Lookup(m, h) >= 0 {
@@ -239,13 +213,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			views = append(views, w.store.At(local))
 		}
 	}
-	states = len(first)
-	opts.Progress.Add(int64(states))
-	if opts.Resume == nil {
-		tk.State(0, 0)
-		if graph {
-			g.Edges = append(g.Edges, nil)
-		}
+	states = len(sn.States)
+	if sn == opts.Resume { // a handed-over prefix was counted as it was found
+		opts.Progress.Add(int64(states))
 	}
 	words := n.Words()
 
@@ -277,13 +247,10 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 						return ErrStateLimit
 					}
 					local = ow.store.Insert(me.next, hash)
-					ow.gid = append(ow.gid, 0)
+					ow.gid = append(grow(ow.gid, 1), 0)
 					intern(ow, local)
 				}
 				res.Arcs++
-				if graph {
-					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[local])})
-				}
 				if me.tk != nil { // the id is a cache miss per arc
 					me.tk.Fire(int64(t), int64(ow.gid[local]))
 				}
@@ -324,7 +291,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 					if int(ownerOf[shardOf(hash)]) == wi {
 						me.claim(next, hash, order)
 					} else {
-						out = append(append(out, order, hash), next...)
+						out = append(append(grow(out, 2+words), order, hash), next...)
 					}
 					// The target's id is not known before the level merge,
 					// whose state events carry the definitive ids.
@@ -337,7 +304,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	}
 	// absorb is the second phase, for owner o: it picks its markings out of
 	// what the expanders routed (the hash names the owner again) and sorts
-	// its pending ones into discovery order.
+	// its pending ones into discovery order, by merge key. Keys are unique
+	// within a level (each pending marking is claimed by one owner), so
+	// the order is total.
 	absorb := func(o int) {
 		ow := ws[o]
 		for _, src := range ws[:expanders] {
@@ -350,7 +319,8 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 				}
 			}
 		}
-		sortDiscoveries(ow.pend)
+		slices.SortFunc(ow.pend, func(a, b discovery) int { return cmp.Compare(a.Order, b.Order) })
+		ow.gid = grow(ow.gid, len(ow.pend))
 		for range ow.pend {
 			ow.gid = append(ow.gid, -1)
 		}
@@ -392,7 +362,11 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		}
 
 		// Merge the owners' sorted discoveries into the level's one list.
-		discovered = discovered[:0]
+		total := 0
+		for _, w := range ws {
+			total += len(w.pend)
+		}
+		discovered = slices.Grow(discovered[:0], total)
 		for {
 			var best *worker
 			for _, w := range ws {
@@ -425,6 +399,7 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 		// Assign ids in first-encounter order; on the capped path only the
 		// discoveries the sequential engine interned before its stop (the
 		// rest keep global id -1: the run ends here).
+		next = grow(next, len(discovered))
 		for _, d := range discovered {
 			if d.Order >= trigger {
 				break
@@ -432,56 +407,41 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 			intern(ws[d.Shard], int(d.Local))
 		}
 
-		// Count the arcs, on the capped path only the firings the sequential
-		// scan examined strictly before the triggering one. Whole parents
-		// come from the spans; the triggering parent's firings below the
-		// trigger, and for a stored graph every firing (an edge needs its
-		// target's id, which exists only now), are done over here. All of
-		// them are safe: an unsafe one would have come first.
-		whole := len(spans)
-		switch {
-		case graph:
-			whole = 0
-		case capped:
-			whole = orderPos(trigger)
+		// Count the arcs: whole parents from the spans, and on the capped
+		// path only the firings the sequential scan examined strictly
+		// before the triggering one — those of the triggering parent below
+		// it are counted over here. All of them are safe: an unsafe one
+		// would have come first.
+		if !capped {
+			for _, sp := range spans {
+				res.Arcs += int(sp.n)
+			}
+			return nil
 		}
-		for _, sp := range spans[:whole] {
+		pos := int(trigger >> 32) // the triggering parent
+		for _, sp := range spans[:pos] {
 			res.Arcs += int(sp.n)
 		}
 		w0 := ws[0]
-		for pos := whole; pos < len(views) && orderKey(pos, 0) <= trigger; pos++ {
-			w0.en = n.AppendEnabled(w0.en[:0], views[pos])
-			for _, t := range w0.en {
-				if orderKey(pos, t) >= trigger {
-					break
-				}
-				res.Arcs++
-				if graph {
-					n.FireInto(w0.next, views[pos], t)
-					hash := w0.next.Hash()
-					ow := ws[ownerOf[shardOf(hash)]]
-					g.Edges[lo+pos] = append(g.Edges[lo+pos], Edge{T: t, To: int(ow.gid[ow.store.Lookup(w0.next, hash)])})
-				}
+		w0.en = n.AppendEnabled(w0.en[:0], views[pos])
+		for _, t := range w0.en {
+			if orderKey(pos, t) >= trigger {
+				break
 			}
+			res.Arcs++
 		}
-		if capped {
-			return ErrStateLimit
-		}
-		return nil
+		return ErrStateLimit
 	}
 
-	// finish fills the state count (and the stored graph's states) on
-	// every return path that hands out a Result.
+	// finish fills the state count on every return path that hands out a
+	// Result.
 	finish := func(complete bool) {
 		res.States = states
 		res.Complete = complete
-		if graph {
-			g.States = markings()
-		}
 	}
 	abort := func(err error) (*Result, error) {
 		finish(false)
-		tk.Abort(opts.Trace.Intern(err.Error()))
+		r.tk.Abort(opts.Trace.Intern(err.Error()))
 		return res, fmt.Errorf("reach: aborted: %w", err)
 	}
 
@@ -513,9 +473,9 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 				return res, err
 			}
 		}
-		batches++
-		qPeak = max(qPeak, len(views))
-		hBatch.Observe(int64(len(views)))
+		r.batches++
+		r.qPeak = max(r.qPeak, len(views))
+		r.hBatch.Observe(int64(len(views)))
 
 		nextLo := states
 		var err error
@@ -547,8 +507,18 @@ func exploreParallel(n *petri.Net, opts Options) (*Result, error) {
 	}
 
 	finish(true)
-	tk.End(phExplore)
 	return res, nil
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must grow: the routed-level buffers are refilled level
+// after level, and append's 1.25× growth for large slices would copy them
+// over and over.
+func grow[S ~[]E, E any](s S, n int) S {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
 }
 
 // numShards is the granularity at which the visited store is
@@ -560,17 +530,6 @@ func shardOf(hash uint64) uint32 {
 	return uint32(hash) & (numShards - 1)
 }
 
-// shardRanges splits the shards into n ≤ numShards contiguous ownership
-// ranges [lo, hi), owner i holding [i·256/n, (i+1)·256/n): sizes differ
-// by at most one.
-func shardRanges(n int) [][2]int {
-	ranges := make([][2]int, n)
-	for i := range ranges {
-		ranges[i] = [2]int{i * numShards / n, (i + 1) * numShards / n}
-	}
-	return ranges
-}
-
 // orderKey is the deterministic merge key of one examined firing: the
 // parent's position in the current BFS level in the high bits, the
 // transition index in the low bits — exactly the order the sequential
@@ -578,9 +537,6 @@ func shardRanges(n int) [][2]int {
 func orderKey(pos int, t petri.Trans) uint64 {
 	return uint64(pos)<<32 | uint64(uint32(t))
 }
-
-// orderPos is the parent position of an order key.
-func orderPos(order uint64) int { return int(order >> 32) }
 
 // discovery is a marking first reached during the current BFS level,
 // claimed in a visited-store shard by the first worker to see it. Order
@@ -591,14 +547,6 @@ type discovery struct {
 	Order uint64
 	Shard uint32
 	Local int32
-}
-
-// sortDiscoveries orders a level's discoveries by merge key — the order
-// the sequential BFS first encounters them. Keys are unique within a
-// level (each pending marking is claimed in exactly one shard), so the
-// sort is total.
-func sortDiscoveries(ds []discovery) {
-	slices.SortFunc(ds, func(a, b discovery) int { return cmp.Compare(a.Order, b.Order) })
 }
 
 // planLevel establishes a level's stop point before anything from it is

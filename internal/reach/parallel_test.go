@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/randnet"
 	"repro/internal/stop"
@@ -68,8 +69,9 @@ func sameMarkings(t *testing.T, name string, want, got []petri.Marking) {
 }
 
 // TestParallelMatchesSequential drives the parallel explorer at several
-// worker counts over small models (with graphs and a Bad predicate) and
-// requires results identical to Workers: 0.
+// worker counts over small models (with a Bad predicate, with and without
+// a stored graph, which keeps a run sequential) and requires results
+// identical to Workers: 0.
 func TestParallelMatchesSequential(t *testing.T) {
 	nets := []*petri.Net{
 		models.Fig1(3), models.Fig2(3), models.Fig3(), models.Fig7(),
@@ -77,16 +79,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for _, net := range nets {
 		bad := func(m petri.Marking) bool { return m.Has(petri.Place(0)) }
-		seq, err := Explore(net, Options{StoreGraph: true, Bad: bad})
-		if err != nil {
-			t.Fatalf("%s: %v", net.Name(), err)
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			par, err := Explore(net, Options{StoreGraph: true, Bad: bad, Workers: w})
+		for _, graph := range []bool{true, false} {
+			seq, err := Explore(net, Options{StoreGraph: graph, Bad: bad})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", net.Name(), w, err)
+				t.Fatalf("%s: %v", net.Name(), err)
 			}
-			sameResult(t, net.Name(), seq, par)
+			for _, w := range []int{1, 2, 4, 8} {
+				par, err := Explore(net, Options{StoreGraph: graph, Bad: bad, Workers: w})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", net.Name(), w, err)
+				}
+				sameResult(t, net.Name(), seq, par)
+			}
 		}
 	}
 }
@@ -114,12 +118,14 @@ func TestMaxStatesExact(t *testing.T) {
 func TestParallelMaxStatesMatchesSequential(t *testing.T) {
 	net := models.NSDP(4) // 322 states
 	for _, cap := range []int{1, 2, 7, 50, 321, 322} {
-		seq, seqErr := Explore(net, Options{MaxStates: cap, StoreGraph: true})
-		par, parErr := Explore(net, Options{MaxStates: cap, StoreGraph: true, Workers: 4})
-		if !errors.Is(parErr, seqErr) && !(seqErr == nil && parErr == nil) {
-			t.Fatalf("cap=%d: err %v != %v", cap, parErr, seqErr)
+		for _, graph := range []bool{true, false} {
+			seq, seqErr := Explore(net, Options{MaxStates: cap, StoreGraph: graph})
+			par, parErr := Explore(net, Options{MaxStates: cap, StoreGraph: graph, Workers: 4})
+			if !errors.Is(parErr, seqErr) && !(seqErr == nil && parErr == nil) {
+				t.Fatalf("cap=%d: err %v != %v", cap, parErr, seqErr)
+			}
+			sameResult(t, net.Name(), seq, par)
 		}
-		sameResult(t, net.Name(), seq, par)
 	}
 }
 
@@ -244,17 +250,18 @@ func TestRoutedPath(t *testing.T) {
 		TestParallelUnsafeNet(t)
 	})
 
-	// Width 1 routes every level; width 32 also switches modes mid-run.
+	// Width 1 routes every level; width 32 also switches modes mid-run. A
+	// stored graph keeps a run sequential, so these runs store none.
 	for _, width := range []int{1, 32} {
 		t.Run(fmt.Sprintf("models/width%d", width), func(t *testing.T) {
 			forceWidth(t, width)
 			for _, net := range nets {
-				seq, err := Explore(net, Options{StoreGraph: true, Bad: bad})
+				seq, err := Explore(net, Options{Bad: bad})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range []int{1, 2, 3, 4, 8, 300} {
-					par, err := Explore(net, Options{StoreGraph: true, Bad: bad, Workers: w})
+					par, err := Explore(net, Options{Bad: bad, Workers: w})
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", net.Name(), w, err)
 					}
@@ -281,9 +288,9 @@ func TestRoutedPath(t *testing.T) {
 			if cap < 1 {
 				continue
 			}
-			seq, seqErr := Explore(net, Options{MaxStates: cap, StoreGraph: true, Bad: bad})
+			seq, seqErr := Explore(net, Options{MaxStates: cap, Bad: bad})
 			for _, w := range []int{2, 3} {
-				par, parErr := Explore(net, Options{MaxStates: cap, StoreGraph: true, Bad: bad, Workers: w})
+				par, parErr := Explore(net, Options{MaxStates: cap, Bad: bad, Workers: w})
 				if !errors.Is(parErr, seqErr) && !(seqErr == nil && parErr == nil) {
 					t.Fatalf("cap=%d workers=%d: err %v != %v", cap, w, parErr, seqErr)
 				}
@@ -338,9 +345,9 @@ func TestRoutedPath(t *testing.T) {
 		forceWidth(t, 1)
 		for seed := int64(1); seed <= 200; seed++ {
 			net := randnet.Generate(randnet.Default(seed))
-			seq, seqErr := Explore(net, Options{StoreGraph: true, Bad: bad})
+			seq, seqErr := Explore(net, Options{Bad: bad})
 			for _, w := range []int{2, 3} {
-				par, parErr := Explore(net, Options{StoreGraph: true, Bad: bad, Workers: w})
+				par, parErr := Explore(net, Options{Bad: bad, Workers: w})
 				if seqErr != nil || parErr != nil {
 					if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
 						t.Fatalf("seed %d workers=%d: err %v != %v", seed, w, parErr, seqErr)
@@ -351,6 +358,239 @@ func TestRoutedPath(t *testing.T) {
 			}
 		}
 	})
+}
+
+// table1Nets returns the Table 1 instances of up to 150 000 states
+// (every row but nsdp(10) and asat(8)).
+func table1Nets(t *testing.T) []*petri.Net {
+	var nets []*petri.Net
+	for _, spec := range []struct {
+		family string
+		sizes  []int
+	}{
+		{"nsdp", []int{2, 4, 6, 8}}, {"asat", []int{2, 4}}, {"over", []int{2, 3, 4, 5}}, {"rw", []int{6, 9, 12, 15}},
+	} {
+		for _, size := range spec.sizes {
+			net, err := models.ByName(spec.family, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets = append(nets, net)
+		}
+	}
+	return nets
+}
+
+// handoffAt returns the boundary at which a run of net with Workers ≥ 2
+// hands over at the current levelWidth — its coordinate (expanded levels)
+// and the states interned there — or ok false if the run never does.
+func handoffAt(t *testing.T, net *petri.Net) (level, states int, ok bool) {
+	prev := 0
+	for level, states := range boundaries(t, net) {
+		if states-prev >= levelWidth {
+			return level, states, true
+		}
+		prev = states
+	}
+	return 0, 0, false
+}
+
+// TestHandoffBitIdentical is the determinism contract across the handoff
+// from the sequential engine to the parallel one, with the handoff forced
+// early (width 64) and onto the initial marking (width 1), on the Table 1
+// nets and randnet seeds: the Result equals Workers: 0, caps at the
+// handoff boundary and one state either side stop where the sequential
+// engine stops, and a suspend at the handoff boundary resumes
+// bit-identically on either engine. Workers: 1 never hands over.
+func TestHandoffBitIdentical(t *testing.T) {
+	bad := func(m petri.Marking) bool { return m.Has(petri.Place(0)) }
+	nets := table1Nets(t)
+	for seed := int64(1); seed <= 200; seed++ {
+		nets = append(nets, randnet.Generate(randnet.Default(seed)))
+	}
+	for _, width := range []int{64, 1} {
+		forceWidth(t, width)
+		handoffs, safe := 0, 0
+		for _, net := range nets {
+			name := fmt.Sprintf("%s width=%d", net.Name(), width)
+			want, wantErr := Explore(net, Options{Bad: bad})
+			if errors.Is(wantErr, ErrUnsafe) {
+				for _, w := range []int{2, 3} {
+					if _, err := Explore(net, Options{Bad: bad, Workers: w}); err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%s workers=%d: err %v, want %v", name, w, err, wantErr)
+					}
+				}
+				continue
+			}
+			if wantErr != nil {
+				t.Fatalf("%s: %v", name, wantErr)
+			}
+			safe++
+			for _, w := range []int{2, 3} {
+				got, err := Explore(net, Options{Bad: bad, Workers: w})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", name, w, err)
+				}
+				sameResult(t, fmt.Sprintf("%s workers=%d", name, w), want, got)
+			}
+			level, at, ok := handoffAt(t, net)
+			if !ok {
+				continue
+			}
+			handoffs++
+
+			for _, cap := range []int{at - 1, at, at + 1} {
+				if cap < 1 {
+					continue
+				}
+				seq, seqErr := Explore(net, Options{MaxStates: cap, Bad: bad})
+				for _, w := range []int{2, 3} {
+					par, parErr := Explore(net, Options{MaxStates: cap, Bad: bad, Workers: w})
+					if !errors.Is(parErr, seqErr) && !(seqErr == nil && parErr == nil) {
+						t.Fatalf("%s cap=%d workers=%d: err %v != %v", name, cap, w, parErr, seqErr)
+					}
+					sameResult(t, fmt.Sprintf("%s cap=%d workers=%d", name, cap, w), seq, par)
+				}
+			}
+
+			var snap *Snapshot
+			hook := &stop.Hook[*Snapshot]{
+				Poll: func(_ int, levels int64) stop.Action {
+					if levels == int64(level) {
+						return stop.Suspend
+					}
+					return stop.Continue
+				},
+				Save: func(sn *Snapshot) error { snap = sn; return nil },
+			}
+			if _, err := Explore(net, Options{Bad: bad, Workers: 2, Ckpt: hook}); !errors.Is(err, stop.ErrSuspended) {
+				t.Fatalf("%s: suspend at the handoff: got %v, want stop.ErrSuspended", name, err)
+			}
+			if snap.FrontierStart+levelWidth > len(snap.States) || len(snap.States) != at {
+				t.Fatalf("%s: suspended with %d states, frontier from %d; the handoff is at %d", name, len(snap.States), snap.FrontierStart, at)
+			}
+			for _, w := range []int{0, 3} {
+				got, err := Explore(net, Options{Bad: bad, Workers: w, Resume: snap})
+				if err != nil {
+					t.Fatalf("%s: resume at the handoff, workers=%d: %v", name, w, err)
+				}
+				sameResult(t, fmt.Sprintf("%s resumed at the handoff, workers=%d", name, w), want, got)
+			}
+
+			reg := obs.New()
+			if _, err := Explore(net, Options{Bad: bad, Workers: 1, Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+			if b := reg.Counter("reach.batches").Value(); b != 0 {
+				t.Fatalf("%s: Workers: 1 reports reach.batches %d, want 0", name, b)
+			}
+		}
+		// At width 1 every safe net hands over its initial marking.
+		if handoffs == 0 || width == 1 && handoffs != safe {
+			t.Fatalf("width %d: %d of %d safe nets hand over", width, handoffs, safe)
+		}
+	}
+}
+
+// TestHandoffOneAccount pins that a run reports one account across the
+// handoff, on nsdp(8) at Workers: 2 and the production levelWidth: the
+// reach.* metrics are exported once with their meaning (batches: the
+// levels expanded, sequential prefix included), Progress ends at States,
+// and the trace holds every state once and one explore phase on the
+// "reach" track. A real resume adds the snapshot's states to Progress.
+func TestHandoffOneAccount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores nsdp(8)")
+	}
+	net := models.NSDP(8)
+	if _, _, ok := handoffAt(t, net); !ok {
+		t.Fatal("nsdp(8) never hands over")
+	}
+	want, err := Explore(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := len(boundaries(t, net))
+
+	reg := obs.New()
+	var progress obs.Counter
+	tr := trace.New(trace.Options{Cap: 1 << 18})
+	res, err := Explore(net, Options{Workers: 2, Metrics: reg, Progress: &progress, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "nsdp(8) workers=2", want, res)
+	for name, v := range map[string]int{
+		"reach.states": res.States, "reach.arcs": res.Arcs, "reach.deadlocks": len(res.Deadlocks), "reach.batches": depth,
+	} {
+		if got := reg.Counter(name).Value(); got != int64(v) {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
+	}
+	if got := reg.Gauge("reach.workers").Value(); got != 2 {
+		t.Errorf("reach.workers = %d, want 2", got)
+	}
+	if got := progress.Value(); got != int64(res.States) {
+		t.Errorf("Progress ends at %d, want States %d", got, res.States)
+	}
+	sum := trace.Summarize(tr.Dump(), 5)
+	if sum.States != res.States {
+		t.Errorf("trace holds %d state events, want %d", sum.States, res.States)
+	}
+	explores := 0
+	for _, ph := range sum.Phases {
+		if ph.Track == "reach" && ph.Name == "explore" {
+			explores += ph.Count
+		}
+	}
+	if explores != 1 {
+		t.Errorf("trace has %d reach explore phases, want 1: %+v", explores, sum.Phases)
+	}
+	// The worker tracks come with the handoff: one per worker here, none
+	// on a net that never widens to levelWidth.
+	if sum.Tracks != 3 {
+		t.Errorf("handed-over run has %d tracks, want reach + 2 workers", sum.Tracks)
+	}
+	narrow := trace.New(trace.Options{})
+	if _, err := Explore(models.NSDP(6), Options{Workers: 2, Trace: narrow}); err != nil {
+		t.Fatal(err)
+	}
+	if got := trace.Summarize(narrow.Dump(), 5).Tracks; got != 1 {
+		t.Errorf("nsdp(6) never hands over but has %d tracks, want 1", got)
+	}
+
+	// A suspend after the handoff, resumed on the parallel explorer.
+	var snap *Snapshot
+	hook := &stop.Hook[*Snapshot]{
+		Poll: func(_ int, levels int64) stop.Action {
+			if levels == int64(depth-1) {
+				return stop.Suspend
+			}
+			return stop.Continue
+		},
+		Save: func(sn *Snapshot) error { snap = sn; return nil },
+	}
+	if _, err := Explore(net, Options{Workers: 2, Ckpt: hook}); !errors.Is(err, stop.ErrSuspended) {
+		t.Fatalf("suspend: got %v", err)
+	}
+	var resumed obs.Counter
+	if res, err = Explore(net, Options{Workers: 2, Resume: snap, Progress: &resumed}); err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Value(); got != int64(res.States) {
+		t.Errorf("resumed Progress ends at %d, want States %d", got, res.States)
+	}
+}
+
+// TestHandoffRefusedSnapshot pins that a Resume snapshot the explorer
+// refuses is an error on every engine, also when metrics are exported.
+func TestHandoffRefusedSnapshot(t *testing.T) {
+	net := models.NSDP(4)
+	for _, workers := range []int{0, 2} {
+		if _, err := Explore(net, Options{Workers: workers, Metrics: obs.New(), Resume: &Snapshot{}}); err == nil {
+			t.Errorf("workers=%d: empty snapshot resumed without error", workers)
+		}
+	}
 }
 
 // BenchmarkExploreParAllocs is the allocation gate of the parallel engine

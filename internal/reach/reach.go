@@ -5,11 +5,11 @@
 //
 // This engine is the ground truth the reduced analyses (internal/stubborn,
 // internal/symbolic, internal/core) are validated against, and it produces
-// the "States" column of Table 1. Exploration is breadth-first; setting
-// Options.Workers > 0 switches to the owner-computes parallel explorer
-// (parallel.go: one visited store per worker, levels narrower than a
-// measured width run on one goroutine), which produces bit-identical
-// Results.
+// the "States" column of Table 1. Exploration is breadth-first. With
+// Options.Workers ≥ 2 a run starts sequential and hands its first level of
+// at least levelWidth positions to the owner-computes parallel explorer
+// (parallel.go: one visited store per worker), which produces
+// bit-identical Results.
 package reach
 
 import (
@@ -45,16 +45,18 @@ type Options struct {
 	// the firing that would have exceeded the cap is not recorded (no arc,
 	// no edge). Zero means no limit.
 	MaxStates int
-	// Workers selects the parallel frontier-batch explorer with that many
-	// worker goroutines; 0 preserves the classical sequential BFS. The
-	// parallel explorer returns Results identical to Workers: 0 — same
-	// States, Arcs, Deadlocks/BadStates order and Graph — by merging each
+	// Workers ≥ 2 lets a run share its wide BFS levels among that many
+	// worker goroutines; 0 and 1 are the classical sequential BFS. Such a
+	// run starts sequential and, at the first level boundary whose
+	// frontier holds levelWidth positions, hands the run over to the
+	// parallel explorer, which returns Results identical to Workers: 0 —
+	// same States, Arcs and Deadlocks/BadStates order — by merging each
 	// BFS level's discoveries in deterministic (parent, transition) order.
 	// StopAtDeadlock and StopAtBad are latency-oriented early exits whose
-	// stop point is inherently scan-order-dependent, so those runs always
-	// use the sequential path regardless of Workers. When Workers > 0 the
-	// Bad predicate may be called from multiple goroutines and must be
-	// safe for concurrent use.
+	// stop point is inherently scan-order-dependent, and a stored graph is
+	// built by the sequential engine alone, so those runs never hand over.
+	// After a handoff the Bad predicate may be called from multiple
+	// goroutines, so with Workers ≥ 2 it must be safe for concurrent use.
 	Workers int
 	// StopAtDeadlock halts the search at the first deadlock found.
 	StopAtDeadlock bool
@@ -73,9 +75,10 @@ type Options struct {
 	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: one state event
 	// per interned marking, one fire event per explored arc, phase
-	// brackets, and a terminal abort event on cancellation. The parallel
-	// explorer records firings on one track per worker. Nil costs one
-	// branch per event.
+	// brackets, and a terminal abort event on cancellation. A run that
+	// hands over (Workers ≥ 2) also gets one track per worker there, where
+	// the parallel explorer records its firings. Nil costs one branch per
+	// event.
 	Trace *trace.Tracer
 	// Ckpt, if non-nil, enables checkpointing: the hook is polled at
 	// every BFS level boundary (the boundary coordinate is the count of
@@ -121,29 +124,65 @@ type Result struct {
 }
 
 // Explore enumerates the reachable markings of n breadth-first. With
-// Options.Workers > 0 (and no early-stop option) each wide BFS level is
-// explored by a pool of workers, each over the visited store it owns; the
-// Result is identical to the sequential one.
+// Options.Workers ≥ 2 (and no early stop or stored graph) the run hands
+// its first wide BFS level to a pool of workers, each over the visited
+// store it owns; the Result is identical to the sequential one.
 func Explore(n *petri.Net, opts Options) (*Result, error) {
 	if err := validateCkptOptions(opts); err != nil {
 		return nil, err
 	}
-	if opts.Workers > 0 && !opts.StopAtDeadlock && !opts.StopAtBad {
-		return exploreParallel(n, opts)
+	defer opts.Metrics.StartSpan("reach.explore").End()
+	shared := opts.Workers >= 2 && !opts.StopAtDeadlock && !opts.StopAtBad && !opts.StoreGraph
+	r := &run{tk: opts.Trace.NewTrack("reach")}
+	if shared {
+		r.hBatch = opts.Metrics.Histogram("reach.batch_sizes")
 	}
-	return exploreSeq(n, opts)
+	phExplore := opts.Trace.Intern("explore")
+	r.tk.Begin(phExplore)
+	res, err := exploreSeq(n, opts, r, shared)
+	if err == nil && res.Complete {
+		r.tk.End(phExplore)
+	}
+	// The counts are published once on the way out, on every return path,
+	// rather than per event: the per-state work is a hash insert, so even
+	// uncontended atomics would be measurable.
+	if reg := opts.Metrics; reg != nil {
+		reg.Counter("reach.states").Add(int64(r.res.States))
+		reg.Counter("reach.arcs").Add(int64(r.res.Arcs))
+		reg.Counter("reach.deadlocks").Add(int64(len(r.res.Deadlocks)))
+		reg.Counter("reach.bad_states").Add(int64(len(r.res.BadStates)))
+		reg.Gauge("reach.queue_peak").SetMax(int64(r.qPeak))
+		if shared {
+			reg.Gauge("reach.workers").Set(int64(opts.Workers))
+			reg.Counter("reach.batches").Add(r.batches)
+		}
+	}
+	return res, err
 }
 
-// exploreSeq is the classical sequential BFS, kept as the Workers: 0 path
-// and as the reference the parallel explorer must reproduce exactly.
-func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
-	defer opts.Metrics.StartSpan("reach.explore").End()
+// run is the account of one Explore call, whichever engine does the work:
+// across a handoff the sequential prefix and the parallel rest share one
+// trace track, one progress count and one metrics export.
+type run struct {
+	res     *Result        // the engine's Result, also on an error path
+	tk      *trace.Track   // the "reach" track: states, phases, aborts
+	qPeak   int            // queue high-water mark, or peak level size
+	batches int64          // levels a shared run expanded
+	hBatch  *obs.Histogram // their sizes
+}
+
+// exploreSeq is the classical sequential BFS, the reference the parallel
+// explorer must reproduce exactly. With handoff set it stops at the first
+// level boundary whose frontier holds levelWidth positions, after the
+// Ckpt poll there, and hands that boundary's Snapshot to exploreParallel;
+// a resumed run it hands over at once.
+func exploreSeq(n *petri.Net, opts Options, r *run, handoff bool) (*Result, error) {
+	if handoff && opts.Resume != nil {
+		return exploreParallel(n, opts, r, opts.Resume)
+	}
 	res := &Result{Complete: true}
-	var qPeak int
-	defer func() { exportMetrics(opts.Metrics, res, qPeak) }()
-	tk := opts.Trace.NewTrack("reach")
-	phExplore := opts.Trace.Intern("explore")
-	tk.Begin(phExplore)
+	r.res = res
+	tk := r.tk
 	var g *Graph
 	if opts.StoreGraph {
 		g = &Graph{Net: n}
@@ -252,6 +291,14 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 				finish(false)
 				return res, err
 			}
+			if handoff {
+				width := store.Len() - id
+				if width >= levelWidth {
+					return exploreParallel(n, opts, r, snapshotAt(markings(&store), id, res.Arcs, deadIDs, badIDs, levels))
+				}
+				r.batches++
+				r.hBatch.Observe(int64(width))
+			}
 			levels++
 			levelEnd = store.Len()
 		}
@@ -287,15 +334,14 @@ func exploreSeq(n *petri.Net, opts Options) (*Result, error) {
 					finish(false)
 					return res, nil
 				}
-				if live := store.Len() - id - 1; live > qPeak {
-					qPeak = live
+				if live := store.Len() - id - 1; live > r.qPeak {
+					r.qPeak = live
 				}
 			}
 		}
 	}
 
 	finish(true)
-	tk.End(phExplore)
 	return res, nil
 }
 
@@ -306,22 +352,6 @@ func markings(s *visited.Store) []petri.Marking {
 		out[id] = s.At(id)
 	}
 	return out
-}
-
-// exportMetrics publishes an exploration's counts under the "reach."
-// prefix. Both explorers call it once on the way out, on every return
-// path, rather than counting per event: the per-state work is a hash
-// insert, so even uncontended atomics would be measurable. A nil
-// registry costs nothing.
-func exportMetrics(reg *obs.Registry, res *Result, queuePeak int) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("reach.states").Add(int64(res.States))
-	reg.Counter("reach.arcs").Add(int64(res.Arcs))
-	reg.Counter("reach.deadlocks").Add(int64(len(res.Deadlocks)))
-	reg.Counter("reach.bad_states").Add(int64(len(res.BadStates)))
-	reg.Gauge("reach.queue_peak").SetMax(int64(queuePeak))
 }
 
 // CountStates is a convenience that returns just the size of the full

@@ -154,6 +154,12 @@ func TestSCCs(t *testing.T) {
 // The map-and-key-string store it replaced paid 13.9 allocs/state.
 func BenchmarkExploreSeqAllocs(b *testing.B) { benchAllocs(b, Options{}) }
 
+// BenchmarkExploreW1Allocs is the same gate at Workers: 1, which never
+// hands a level over and so is the sequential engine: it must cost what
+// the sequential engine costs (≤ 0.1 allocs/state), not an owner store,
+// a global-id list and a per-level view list more.
+func BenchmarkExploreW1Allocs(b *testing.B) { benchAllocs(b, Options{Workers: 1}) }
+
 // benchAllocs explores nsdp(7) b.N times and reports what a state costs
 // the allocator, as the allocation gates of scripts/check.sh read it.
 func benchAllocs(b *testing.B, opts Options) {

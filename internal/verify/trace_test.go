@@ -21,7 +21,7 @@ func TestTraceRoundTripReconstructsStates(t *testing.T) {
 		workers int
 	}{
 		{Exhaustive, 0},
-		{Exhaustive, 4}, // parallel explorer: per-worker tracks
+		{Exhaustive, 4}, // below the handoff width: one sequential account
 		{PartialOrder, 0},
 		{GPO, 0},
 		{Unfolding, 0},
@@ -77,9 +77,6 @@ func TestTraceRoundTripReconstructsStates(t *testing.T) {
 			}
 			if sum.Aborted {
 				t.Fatalf("completed run summarized as aborted: %+v", sum)
-			}
-			if tc.workers > 0 && sum.Tracks < 2 {
-				t.Fatalf("parallel run recorded %d tracks, want merge + worker tracks", sum.Tracks)
 			}
 		})
 	}
