@@ -95,7 +95,7 @@ type Manager struct {
 
 	// sat[i] holds the model count of node i once the current SatCount
 	// walk has visited it; allocated by the first SatCount and re-sized
-	// with the arena.
+	// by any later one that finds more nodes.
 	sat []float64
 
 	// Plain (non-atomic) operation statistics: the manager is
@@ -302,24 +302,6 @@ func (m *Manager) Implies(f, g Node) Node { return m.ITE(f, g, True) }
 // Equiv returns f ↔ g.
 func (m *Manager) Equiv(f, g Node) Node { return m.ITE(f, g, m.Not(g)) }
 
-// AndN folds And over its arguments (True for none).
-func (m *Manager) AndN(fs ...Node) Node {
-	r := True
-	for _, f := range fs {
-		r = m.And(r, f)
-	}
-	return r
-}
-
-// OrN folds Or over its arguments (False for none).
-func (m *Manager) OrN(fs ...Node) Node {
-	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
-	}
-	return r
-}
-
 // VarSet registers the set of variables v with vars[v] true and returns
 // its name. The manager keeps a copy, and equal sets get the same name:
 // a VarSet is identified by its content, which is what lets the computed
@@ -427,7 +409,7 @@ func (m *Manager) Rename(f Node, p Renaming) Node {
 func (m *Manager) SatCount(f Node) float64 {
 	m.nodes.Walk()
 	if len(m.sat) < m.nodes.Len() {
-		m.sat = make([]float64, m.nodes.Cap())
+		m.sat = make([]float64, m.nodes.Len())
 	}
 	return m.satBelow(f) * math.Exp2(float64(m.nodes.At(f).Level))
 }

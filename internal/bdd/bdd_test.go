@@ -346,8 +346,9 @@ func TestGrowthInsideAndExists(t *testing.T) {
 	}
 	m := NewManager(nv)
 	f, g, s := build(m)
-	// x₀ ∧ k for existing nodes k below level 0: one new node each.
-	room := func() int { return m.nodes.Cap() - m.nodes.Len() }
+	// x₀ ∧ k for existing nodes k below level 0: one new node each, until
+	// the unique table is a few nodes short of its 3/4-load doubling.
+	room := func() int { return m.nodes.Slots()/4*3 + 2 - m.nodes.Len() }
 	for k := Node(2); room() > 10; k++ {
 		if int(k) >= m.nodes.Len() {
 			t.Fatalf("ran out of padding with room for %d nodes left", room())

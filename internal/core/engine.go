@@ -88,6 +88,13 @@ type StatsReporter interface {
 	ReportStats(*obs.Registry)
 }
 
+// NodeCounter is implemented by family algebras whose families are nodes
+// of one store that only grows (ZDD); with Options.Metrics set, Analyze
+// publishes what each of its sites created as core.nodes.<site>.
+type NodeCounter interface {
+	Nodes() int
+}
+
 // TraceAttacher is implemented by family algebras that can stream
 // flight-recorder events (ZDD table growth) onto an engine's trace
 // track; Analyze attaches for the duration of the run when
@@ -165,6 +172,35 @@ type Engine[F any] struct {
 	// (nil when tracing is disabled); a transient like the scratch above,
 	// reset at the start of every Analyze.
 	tk *trace.Track
+
+	// The node meter of a metered Analyze (nc nil otherwise): the site
+	// running, the node count it was entered at, and each site's total.
+	// Every family operation of Analyze runs inside some site ("r0" also
+	// decodes a resumed run), so the totals add up to the nodes created.
+	nc        NodeCounter
+	site      string
+	siteFrom  int
+	siteNodes map[string]int64
+}
+
+// enter charges the nodes created since the last call to the site then
+// running, and runs site from here on. Unmetered, it is one branch.
+func (e *Engine[F]) enter(site string) {
+	if e.nc == nil {
+		return
+	}
+	n := e.nc.Nodes()
+	e.siteNodes[e.site] += int64(n - e.siteFrom)
+	e.site, e.siteFrom = site, n
+}
+
+// reportNodes closes the meter and publishes each site's total.
+func (e *Engine[F]) reportNodes(r *obs.Registry) {
+	e.enter("")
+	for site, n := range e.siteNodes {
+		r.Gauge("core.nodes." + site).Set(n)
+	}
+	e.nc = nil
 }
 
 // NewEngine returns an engine for the net using the given family algebra.
@@ -293,6 +329,10 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 		if sr, ok := any(e.Alg).(StatsReporter); ok {
 			defer sr.ReportStats(opts.Metrics)
 		}
+		if nc, ok := any(e.Alg).(NodeCounter); ok {
+			e.nc, e.site, e.siteFrom, e.siteNodes = nc, "r0", nc.Nodes(), map[string]int64{}
+			defer e.reportNodes(opts.Metrics)
+		}
 	}
 	e.tk = opts.Trace.NewTrack("core")
 	phAnalyze := opts.Trace.Intern("analyze")
@@ -359,10 +399,12 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 		// The enabled-family cache: s_enabled(t, s) for every t, computed
 		// once per state and shared by the deadlock check and the
 		// successor computation (which previously both recomputed it).
+		e.enter("s_enabled")
 		sEn := e.sEnabledAll(f.state)
 		// Deadlock check first (Section 3.3): a state whose valid sets are
 		// not all covered by single-enabled transitions exhibits a
 		// deadlock possibility.
+		e.enter("dead")
 		dead := e.deadSets(f.state, sEn)
 		if opts.TrapFilter {
 			dead = e.Alg.Intersect(dead, f.state.M[opts.TrapPlace])
@@ -479,6 +521,7 @@ func (e *Engine[F]) Analyze(opts Options) (*Result, *Graph[F], error) {
 			// forever (paper footnote 2).
 			f.fullDone = true
 			cProviso.Inc()
+			e.enter("proviso")
 			f.succs = append(f.succs, e.allSingleSuccessors(f.state)...)
 		}
 	}
@@ -550,6 +593,7 @@ func (e *Engine[F]) tryMultiple(s *State[F], comps [][]petri.Trans, isSingle []b
 	// t-containing part of ∩_{p∈•t} m(p), which sEn[t] already is.
 	mEn := e.mEnBuf
 	tentative := e.tentBuf[:0]
+	e.enter("m_enabled")
 	for _, comp := range comps {
 		ok := true
 		for _, t := range comp {
@@ -613,6 +657,7 @@ func (e *Engine[F]) tryMultiple(s *State[F], comps [][]petri.Trans, isSingle []b
 	for _, t := range tPrime {
 		inT[t] = true
 	}
+	e.enter("post_check")
 	ok := true
 	for t := 0; t < e.Net.NumTrans(); t++ {
 		if isSingle[t] && !inT[t] {
@@ -759,6 +804,7 @@ func (e *Engine[F]) anticipated(w petri.Trans, inUnion []bool, s *State[F]) bool
 }
 
 func (e *Engine[F]) singleSuccs(s *State[F], ts []petri.Trans, sEn []F) []succ[F] {
+	e.enter("single_fire")
 	out := make([]succ[F], 0, len(ts))
 	for _, t := range ts {
 		out = append(out, succ[F]{

@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,5 +137,67 @@ func TestValidSetMetricsSaturate(t *testing.T) {
 	}
 	if got := satInt64(1 << 40); got != 1<<40 {
 		t.Errorf("satInt64(2^40) = %d: counts below 2^63 must pass through", got)
+	}
+}
+
+// nodeSites lists Analyze's node-meter sites.
+var nodeSites = []string{"r0", "s_enabled", "dead", "m_enabled", "multi_r", "multi_place",
+	"multi_restrict", "post_check", "single_fire", "proviso"}
+
+// TestNodeSitesPinned pins what each of Analyze's sites creates
+// (core.nodes.<site>) on nsdp(40), asat(32) and the paper's Figure 7 net:
+// the sites add up to the nodes the run created, and metering them
+// changes neither the Result nor a single operation of the manager.
+func TestNodeSitesPinned(t *testing.T) {
+	for _, c := range []struct {
+		family string
+		size   int
+		want   []int64 // by nodeSites
+	}{
+		{"nsdp", 40, []int64{936, 99164, 12323, 35892, 32504, 71477, 33843, 0, 0, 0}},
+		{"asat", 32, []int64{284, 8038, 3227, 22796, 8877, 36991, 109477, 0, 0, 0}},
+		{"fig7", 0, []int64{4, 0, 0, 4, 1, 4, 0, 0, 0, 0}},
+	} {
+		net, err := models.ByName(c.family, c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res [2]*Result
+		var st [2]zdd.Stats
+		reg := obs.New()
+		for i, m := range []*obs.Registry{nil, reg} {
+			alg := zdd.NewAlgebra(net.NumTrans())
+			e, err := NewEngine[zdd.Node](net, alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[i], _, err = e.Analyze(Options{Metrics: m}); err != nil {
+				t.Fatal(err)
+			}
+			st[i] = alg.Manager().Stats()
+		}
+		if !reflect.DeepEqual(res[0], res[1]) || st[0] != st[1] {
+			t.Errorf("%s(%d): metering changed the run:\n  %+v %+v\n  %+v %+v", c.family, c.size, res[0], st[0], res[1], st[1])
+		}
+		gauges := reg.Snapshot().Gauges
+		var got []int64
+		sum := int64(0)
+		for name, v := range gauges {
+			if site, ok := strings.CutPrefix(name, "core.nodes."); ok {
+				sum += v
+				if !slices.Contains(nodeSites, site) {
+					t.Errorf("%s(%d): unlisted site %s", c.family, c.size, name)
+				}
+			}
+		}
+		for _, site := range nodeSites {
+			got = append(got, gauges["core.nodes."+site])
+		}
+		if sum != int64(st[1].Nodes-2) {
+			t.Errorf("%s(%d): the sites created %d nodes, the run %d", c.family, c.size, sum, st[1].Nodes-2)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s(%d): core.nodes.* = %v, want %v", c.family, c.size, got, c.want)
+		}
 	}
 }

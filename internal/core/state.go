@@ -77,17 +77,9 @@ func (e *Engine[F]) sEnabledAll(s *State[F]) []F {
 }
 
 // MEnabled computes m_enabled(t, ⟨m,r⟩) = {v ∈ ∩_{p∈•t} m(p) | t ∈ v}
-// (Definition 3.5).
+// (Definition 3.5): the t-containing part of s_enabled(t).
 func (e *Engine[F]) MEnabled(s *State[F], t petri.Trans) F {
-	pre := e.Net.Pre(t)
-	acc := s.M[pre[0]]
-	for _, p := range pre[1:] {
-		if e.Alg.IsEmpty(acc) {
-			return acc
-		}
-		acc = e.Alg.Intersect(acc, s.M[p])
-	}
-	return e.Alg.OnSet(acc, int(t))
+	return e.Alg.OnSet(e.SEnabled(s, t), int(t))
 }
 
 // SingleFire applies the single firing rule (Definition 3.3) for a
@@ -120,16 +112,11 @@ func (e *Engine[F]) SingleFire(s *State[F], t petri.Trans, en F) *State[F] {
 // multiFire against the engine's per-state enabled-family cache.
 func (e *Engine[F]) MultiFire(s *State[F], tPrime []petri.Trans, mEn map[petri.Trans]F) *State[F] {
 	e.ensureInit()
-	nt := e.Net.NumTrans()
-	mEnV := make([]F, nt)
+	mEnV := make([]F, e.Net.NumTrans())
 	for t, f := range mEn {
 		mEnV[t] = f
 	}
-	sEn := make([]F, nt)
-	for t := 0; t < nt; t++ {
-		sEn[t] = e.SEnabled(s, petri.Trans(t))
-	}
-	return e.multiFire(s, tPrime, mEnV, sEn)
+	return e.multiFire(s, tPrime, mEnV, e.sEnabledAll(s))
 }
 
 // multiFire is MultiFire against the per-state caches: mEn and sEn are
@@ -144,6 +131,7 @@ func (e *Engine[F]) multiFire(s *State[F], tPrime []petri.Trans, mEn []F, sEn []
 		inT[t] = true
 	}
 
+	e.enter("multi_r")
 	rNew := e.Alg.Empty()
 	for t := 0; t < nt; t++ {
 		if inT[t] {
@@ -160,6 +148,7 @@ func (e *Engine[F]) multiFire(s *State[F], tPrime []petri.Trans, mEn []F, sEn []
 	sameR := e.Alg.Equal(rNew, s.R)
 	next := &State[F]{M: make([]F, n.NumPlaces()), R: rNew}
 	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
+		e.enter("multi_place")
 		f := s.M[p]
 		for _, t := range n.PostT(p) { // t consumes from p
 			if inT[t] {
@@ -172,6 +161,7 @@ func (e *Engine[F]) multiFire(s *State[F], tPrime []petri.Trans, mEn []F, sEn []
 			}
 		}
 		if !sameR {
+			e.enter("multi_restrict")
 			f = e.Alg.Intersect(f, rNew)
 		}
 		next.M[p] = f
@@ -186,11 +176,8 @@ func (e *Engine[F]) multiFire(s *State[F], tPrime []petri.Trans, mEn []F, sEn []
 // which no transition is enabled. The state exhibits a deadlock
 // possibility iff this family is non-empty (Section 3.3).
 func (e *Engine[F]) DeadSets(s *State[F]) F {
-	alive := e.Alg.Empty()
-	for t := petri.Trans(0); int(t) < e.Net.NumTrans(); t++ {
-		alive = e.Alg.Union(alive, e.SEnabled(s, t))
-	}
-	return e.Alg.Diff(s.R, alive)
+	e.ensureInit()
+	return e.deadSets(s, e.sEnabledAll(s))
 }
 
 // deadSets is DeadSets against the state's enabled-family cache.

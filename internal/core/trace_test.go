@@ -12,7 +12,8 @@ import (
 // TestAnalyzeDisabledTracerZeroAlloc pins the cost of the disabled
 // flight recorder on the analysis hot path: the engine's track field is
 // nil until a tracer is attached, and every nil-track emit the per-state
-// code performs must stay allocation-free (see Options.Trace).
+// code performs must stay allocation-free (see Options.Trace), as must
+// the unmetered node meter.
 func TestAnalyzeDisabledTracerZeroAlloc(t *testing.T) {
 	net, err := models.ByName("nsdp", 4)
 	if err != nil {
@@ -27,7 +28,9 @@ func TestAnalyzeDisabledTracerZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		// The exact emit mix of one interned state with a multiple
-		// firing, as Analyze performs it.
+		// firing, as Analyze performs it, and the node meter's sites.
+		e.enter("s_enabled")
+		e.enter("multi_place")
 		e.tk.State(1, 3)
 		e.tk.Conflict(2, 1)
 		e.tk.MultiFire(2, 7)
@@ -108,6 +111,8 @@ func BenchmarkDisabledTraceHotPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		e.enter("s_enabled")
+		e.enter("multi_place")
 		e.tk.State(int64(i), 3)
 		e.tk.Conflict(2, 1)
 		e.tk.MultiFire(2, int64(i))

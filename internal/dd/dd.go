@@ -3,7 +3,8 @@
 // open-addressed unique table of node indices, in the style of
 // CUDD/Sylvan rather than a Go map, probed linearly and doubled at 3/4
 // load. A slot costs 4 bytes because probes compare against the node
-// fields in the arena.
+// fields in the arena. The arena is a list of small fixed-size chunks,
+// so a node is written once and never copied.
 //
 // Nodes are never freed, so a node id is a creation rank: Len is the peak
 // and the lifetime allocation count, ascending id is a topological order
@@ -26,19 +27,30 @@ type Entry struct {
 	Lo, Hi Node
 }
 
+// Node n is entry n&chunkMask of arena chunk n>>chunkBits. A chunk is
+// 3 KB, so a small diagram stays small; chunks are arrays, so reading a
+// node checks one bound, as a flat arena does (DESIGN.md D7).
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
 // Table is the arena and the unique table over it. It is
 // single-goroutine, and its counters are plain integers so that they
 // cost one increment on the hot path.
 type Table struct {
-	nodes []Entry
+	// chunks is the arena, n its node count (terminals included).
+	chunks []*[chunkSize]Entry
+	n      int
 
 	// unique holds node indices (0 = empty; terminals are never
 	// interned), hashed by (level, lo, hi).
 	unique []Node
 
 	// Scratch of the whole-DAG walks, allocated by the first walk and
-	// re-sized with the arena: node i was visited by the current walk
-	// iff stamp[i] == gen.
+	// re-sized by Walk: node i was visited by the current walk iff
+	// stamp[i] == gen.
 	stamp []uint32
 	gen   uint32
 
@@ -46,28 +58,24 @@ type Table struct {
 	// probes/(hits+misses) is the mean excess probe length.
 	hits, misses, probes int64
 
-	// Grown, if non-nil, is called after each doubling with the new slot
-	// count, when the arena already has its new capacity: the place to
-	// re-size a per-node side array. It must not call Intern.
+	// Grown, if non-nil, is called after each doubling of the unique
+	// table with its new slot count. It must not call Intern.
 	Grown func(slots int)
 }
 
 // Init empties the table: two terminals at terminalLevel, and a unique
 // table of the given slot count (a power of two).
 func (t *Table) Init(terminalLevel, slots int) {
-	t.nodes = make([]Entry, 2, ArenaCap(slots))
-	t.nodes[0].Level, t.nodes[1].Level = int32(terminalLevel), int32(terminalLevel)
+	first := &[chunkSize]Entry{{Level: int32(terminalLevel)}, {Level: int32(terminalLevel)}}
+	t.chunks, t.n = []*[chunkSize]Entry{first}, 2
 	t.unique = make([]Node, slots)
 }
 
-// At returns node n. It is a copy: Intern may move the arena.
-func (t *Table) At(n Node) Entry { return t.nodes[n] }
+// At returns node n.
+func (t *Table) At(n Node) Entry { return t.chunks[n>>chunkBits][n&chunkMask] }
 
 // Len returns the number of nodes, terminals included.
-func (t *Table) Len() int { return len(t.nodes) }
-
-// Cap returns the arena's capacity, ArenaCap(Slots()).
-func (t *Table) Cap() int { return cap(t.nodes) }
+func (t *Table) Len() int { return t.n }
 
 // Slots returns the unique table's slot count.
 func (t *Table) Slots() int { return len(t.unique) }
@@ -76,12 +84,6 @@ func (t *Table) Slots() int { return len(t.unique) }
 // that created it, and the probe steps all of them took beyond the home
 // slot.
 func (t *Table) Counts() (hits, misses, probes int64) { return t.hits, t.misses, t.probes }
-
-// ArenaCap is the most nodes (terminals included) a unique table of the
-// given slot count holds before it doubles. The arena is allocated with
-// exactly that capacity whenever the table is, so it doubles with the
-// table and append never re-copies it in between.
-func ArenaCap(slots int) int { return slots/4*3 + 2 }
 
 // Mix64 is the splitmix64 finalizer; a full-avalanche 64-bit mix.
 func Mix64(x uint64) uint64 {
@@ -109,7 +111,7 @@ func (t *Table) Intern(level int32, lo, hi Node) Node {
 		if slot == 0 {
 			break
 		}
-		nd := &t.nodes[slot]
+		nd := &t.chunks[slot>>chunkBits][slot&chunkMask]
 		if nd.Level == level && nd.Lo == lo && nd.Hi == hi {
 			t.hits++
 			return slot
@@ -118,31 +120,32 @@ func (t *Table) Intern(level int32, lo, hi Node) Node {
 		i = (i + 1) & mask
 	}
 	t.misses++
-	n := Node(len(t.nodes))
-	// Within capacity by construction: see ArenaCap.
-	t.nodes = append(t.nodes, Entry{level, lo, hi})
+	n := Node(t.n)
+	if n&chunkMask == 0 {
+		t.chunks = append(t.chunks, new([chunkSize]Entry))
+	}
+	t.chunks[n>>chunkBits][n&chunkMask] = Entry{level, lo, hi}
+	t.n++
 	t.unique[i] = n
 	// Grow at 3/4 load ((nodes-2) live entries ≥ 3/4 of the slots).
-	if (len(t.nodes)-2)*4 >= len(t.unique)*3 {
+	if (int(n)-1)*4 >= len(t.unique)*3 {
 		t.grow()
 	}
 	return n
 }
 
-// grow doubles the unique table and re-homes every interned node; the
-// arena moves to a slice sized for the new table. Values are node
-// indices, so rehashing reads the arena.
+// grow doubles the unique table and re-homes every interned node. Values
+// are node indices, so rehashing reads the arena, which stays put.
 func (t *Table) grow() {
 	next := make([]Node, 2*len(t.unique))
-	t.nodes = append(make([]Entry, 0, ArenaCap(len(next))), t.nodes...)
 	mask := uint64(len(next) - 1)
-	for idx := 2; idx < len(t.nodes); idx++ {
-		nd := &t.nodes[idx]
+	for idx := Node(2); int(idx) < t.n; idx++ {
+		nd := t.At(idx)
 		i := hashTriple(nd.Level, nd.Lo, nd.Hi) & mask
 		for next[i] != 0 {
 			i = (i + 1) & mask
 		}
-		next[i] = Node(idx)
+		next[i] = idx
 	}
 	t.unique = next
 	if t.Grown != nil {
@@ -150,12 +153,12 @@ func (t *Table) grow() {
 	}
 }
 
-// Walk starts a whole-DAG walk: it sizes the stamps to the arena and
-// opens a fresh generation, so every stamp of an earlier walk reads as
-// unvisited without being cleared.
+// Walk starts a whole-DAG walk: it sizes the stamps to the nodes the
+// unique table holds before it doubles and opens a fresh generation, so
+// every stamp of an earlier walk reads as unvisited without being cleared.
 func (t *Table) Walk() {
-	if len(t.stamp) < len(t.nodes) {
-		t.stamp = make([]uint32, cap(t.nodes)) // all zero: no generation is 0
+	if len(t.stamp) < t.n {
+		t.stamp = make([]uint32, len(t.unique)/4*3+2) // all zero: no generation is 0
 	}
 	if t.gen++; t.gen == 0 { // wrapped: stamps of 2³² walks ago would alias
 		clear(t.stamp)

@@ -7,50 +7,58 @@ import (
 )
 
 // TestInternAgainstMap interns seeded random triples, about half of them
-// repeats, into a table and into a map, across several doublings: same
-// ids, same length, same hit and miss totals, and at every step the arena
-// has exactly the capacity its unique table can fill.
+// repeats, into a table and into a map, across many doublings and past
+// 500 arena chunk boundaries: same ids, same length, same hit and miss
+// totals, and at the end every node still reads back as interned.
 func TestInternAgainstMap(t *testing.T) {
 	const levels, slots = 8, 16
-	for seed := int64(1); seed <= 4; seed++ {
+	const want = 1<<17 + 1000 // nodes, terminals included
+	for seed := int64(1); seed <= 2; seed++ {
 		var tb Table
 		tb.Init(levels, slots)
+		if len(tb.chunks) != 1 {
+			t.Fatalf("a fresh table's arena has %d chunks, want 1", len(tb.chunks))
+		}
 		var grown []int
 		tb.Grown = func(slots int) {
-			if tb.Slots() != slots || tb.Cap() != ArenaCap(slots) {
-				t.Fatalf("Grown(%d) with %d slots and arena capacity %d", slots, tb.Slots(), tb.Cap())
+			if tb.Slots() != slots {
+				t.Fatalf("Grown(%d) with %d slots", slots, tb.Slots())
 			}
 			grown = append(grown, slots)
 		}
 		ref := map[[3]int32]Node{}
+		byID := [][3]int32{{levels}, {levels}} // the terminals
 		var hits, misses int64
 		rng := rand.New(rand.NewSource(seed))
-		var seen [][3]int32
-		for step := 0; step < 4000; step++ {
+		for step := 0; len(byID) < want; step++ {
 			var k [3]int32
-			if len(seen) > 0 && rng.Intn(2) == 0 {
-				k = seen[rng.Intn(len(seen))]
+			if rng.Intn(2) == 0 && len(byID) > 2 {
+				k = byID[2+rng.Intn(len(byID)-2)]
 			} else {
 				k = [3]int32{int32(rng.Intn(levels)), int32(rng.Intn(tb.Len())), int32(rng.Intn(tb.Len()))}
-				seen = append(seen, k)
 			}
-			want, ok := ref[k]
+			id, ok := ref[k]
 			if ok {
 				hits++
 			} else {
 				misses++
-				want = Node(len(ref) + 2)
-				ref[k] = want
+				id = Node(len(byID))
+				ref[k] = id
+				byID = append(byID, k)
 			}
-			if got := tb.Intern(k[0], Node(k[1]), Node(k[2])); got != want {
-				t.Fatalf("seed %d step %d: Intern%v = %d, the map says %d", seed, step, k, got, want)
+			if got := tb.Intern(k[0], Node(k[1]), Node(k[2])); got != id {
+				t.Fatalf("seed %d step %d: Intern%v = %d, the map says %d", seed, step, k, got, id)
 			}
-			if e := tb.At(want); e != (Entry{k[0], Node(k[1]), Node(k[2])}) {
-				t.Fatalf("seed %d step %d: At(%d) = %+v, interned %v", seed, step, want, e, k)
+			if e := tb.At(id); e != (Entry{k[0], Node(k[1]), Node(k[2])}) {
+				t.Fatalf("seed %d step %d: At(%d) = %+v, interned %v", seed, step, id, e, k)
 			}
-			if tb.Len() != len(ref)+2 || tb.Cap() != ArenaCap(tb.Slots()) {
-				t.Fatalf("seed %d step %d: Len %d (want %d), Cap %d (want %d for %d slots)",
-					seed, step, tb.Len(), len(ref)+2, tb.Cap(), ArenaCap(tb.Slots()), tb.Slots())
+			if tb.Len() != len(byID) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, tb.Len(), len(byID))
+			}
+		}
+		for id, k := range byID[2:] {
+			if e := tb.At(Node(id + 2)); e != (Entry{k[0], Node(k[1]), Node(k[2])}) {
+				t.Fatalf("seed %d: at the end At(%d) = %+v, interned %v", seed, id+2, e, k)
 			}
 		}
 		if h, m, p := tb.Counts(); h != hits || m != misses || p == 0 {
@@ -58,6 +66,9 @@ func TestInternAgainstMap(t *testing.T) {
 		}
 		if len(grown) < 3 {
 			t.Errorf("seed %d: %d doublings; the test no longer crosses three", seed, len(grown))
+		}
+		if c := (want + chunkSize - 1) / chunkSize; len(tb.chunks) != c {
+			t.Errorf("seed %d: %d nodes in %d chunks, want %d", seed, tb.Len(), len(tb.chunks), c)
 		}
 		for i, s := range grown {
 			if s != slots<<(i+1) {
@@ -71,7 +82,7 @@ func TestInternAgainstMap(t *testing.T) {
 }
 
 // TestWalkStamps checks that a walk sees only its own marks: after a
-// doubling that moves the arena under the stamps, and when the generation
+// doubling that outgrows the stamps, and when the generation
 // counter wraps to the value old stamps carry.
 func TestWalkStamps(t *testing.T) {
 	var tb Table

@@ -39,13 +39,28 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
+// addSat adds v to s, saturating at math.MaxInt64 instead of wrapping
+// (three valid-set counts of 2⁶³−1 would sum to a negative number).
+func addSat(s *atomic.Int64, v int64) {
+	for {
+		cur := s.Load()
+		next := cur + v
+		if v > 0 && next < cur {
+			next = math.MaxInt64
+		}
+		if s.CompareAndSwap(cur, next) {
+			return
+		}
+	}
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
 	h.count.Add(1)
-	h.sum.Add(v)
+	addSat(&h.sum, v)
 	for {
 		cur := h.min.Load()
 		if v >= cur || h.min.CompareAndSwap(cur, v) {
@@ -69,7 +84,7 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observations.
+// Sum returns the sum of all observations, saturated at math.MaxInt64.
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
@@ -93,7 +108,8 @@ func (h *Histogram) Max() int64 {
 	return h.max.Load()
 }
 
-// Mean returns the arithmetic mean (0 if none).
+// Mean returns the arithmetic mean (0 if none), clamped to [Min, Max],
+// where the mean lies: a saturated sum would place it below.
 func (h *Histogram) Mean() float64 {
 	if h == nil {
 		return 0
@@ -102,7 +118,8 @@ func (h *Histogram) Mean() float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(h.sum.Load()) / float64(n)
+	mean := float64(h.sum.Load()) / float64(n)
+	return min(max(mean, float64(h.min.Load())), float64(h.max.Load()))
 }
 
 // Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the

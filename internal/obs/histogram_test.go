@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestQuantileExtremes pins the q=0/q=1 contract: the extremes come
 // from the exactly-tracked Min/Max, not from bucket upper bounds.
@@ -135,5 +138,27 @@ func TestSnapshotBuckets(t *testing.T) {
 	}
 	if empty := newHistogram().snapshot(); empty.Buckets != nil {
 		t.Errorf("empty histogram snapshot has buckets: %+v", empty.Buckets)
+	}
+}
+
+// TestSumSaturates pins the sum at math.MaxInt64 once the observations
+// pass it, as three |r| values of 2⁶³−1 do on nsdp(40): the sum must not
+// wrap, and the mean must not fall below the minimum.
+func TestSumSaturates(t *testing.T) {
+	h := newHistogram()
+	for i := 0; i < 3; i++ {
+		h.Observe(math.MaxInt64)
+	}
+	if h.Sum() != math.MaxInt64 || h.Mean() < float64(h.Min()) {
+		t.Errorf("three MaxInt64 observations: Sum %d, Mean %g, Min %d; want Sum MaxInt64 and Mean ≥ Min",
+			h.Sum(), h.Mean(), h.Min())
+	}
+	merged := New()
+	merged.Histogram("h").Observe(1)
+	from := New()
+	from.Histogram("h").Observe(math.MaxInt64)
+	merged.Merge(from)
+	if got := merged.Histogram("h").Sum(); got != math.MaxInt64 {
+		t.Errorf("merged sum %d, want MaxInt64", got)
 	}
 }

@@ -42,7 +42,7 @@ func (r *Registry) Merge(from *Registry) {
 		}
 		dst := r.Histogram(name)
 		dst.count.Add(h.count.Load())
-		dst.sum.Add(h.sum.Load())
+		addSat(&dst.sum, h.sum.Load())
 		for i := 0; i < nbuckets; i++ {
 			if n := h.buckets[i].Load(); n != 0 {
 				dst.buckets[i].Add(n)

@@ -1,6 +1,8 @@
 package zdd
 
 import (
+	"encoding/binary"
+
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/tset"
@@ -20,7 +22,7 @@ func NewAlgebra(n int) *Alg { return &Alg{m: NewManager(n)} }
 func (a *Alg) Manager() *Manager { return a.m }
 
 // Universe returns the transition universe size.
-func (a *Alg) Universe() int { return a.m.Universe() }
+func (a *Alg) Universe() int { return a.m.n }
 
 // Empty returns the family with no member sets.
 func (a *Alg) Empty() Node { return Bot }
@@ -54,7 +56,9 @@ func (a *Alg) Count(x Node) float64 { return a.m.Count(x) }
 
 // AppendKey appends the fixed-width binary key of x to dst: 4 bytes per
 // family, unique per manager because families are canonical nodes.
-func (a *Alg) AppendKey(dst []byte, x Node) []byte { return a.m.AppendKey(dst, x) }
+func (a *Alg) AppendKey(dst []byte, x Node) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(x))
+}
 
 // Enumerate returns up to limit member sets (all if limit <= 0).
 func (a *Alg) Enumerate(x Node, limit int) []tset.TSet { return a.m.Enumerate(x, limit) }
@@ -63,6 +67,10 @@ func (a *Alg) Enumerate(x Node, limit int) []tset.TSet { return a.m.Enumerate(x,
 func (a *Alg) MaximalConflictFree(conflict func(i, j int) bool) Node {
 	return a.m.MaximalConflictFree(conflict)
 }
+
+// Nodes returns the manager's node count (the core engine's NodeCounter
+// hook): nodes are never freed, so a difference is what a call created.
+func (a *Alg) Nodes() int { return a.m.Size() }
 
 // ReportStats exports the manager's cache statistics under the "zdd."
 // prefix (the core engine's StatsReporter hook). Gauges, not counters, so

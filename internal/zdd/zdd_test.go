@@ -178,7 +178,7 @@ func TestEnumerateLimit(t *testing.T) {
 
 func TestTopBot(t *testing.T) {
 	m := NewManager(4)
-	if !m.IsEmpty(Bot) || m.IsEmpty(Top) {
+	if a := (&Alg{m}); !a.IsEmpty(Bot) || a.IsEmpty(Top) {
 		t.Fatal("terminal emptiness")
 	}
 	if m.Count(Top) != 1 || m.Count(Bot) != 0 {
@@ -215,10 +215,10 @@ func TestCountAllocFree(t *testing.T) {
 	}
 }
 
-// TestCountMemoSurvivesGrowth checks the count memo stays aligned with
-// the node arena across unique-table growth, and that it is reallocated
-// only then: at every check it has exactly the arena's capacity. That
-// this is what the unique table can fill is dd's TestInternAgainstMap.
+// TestCountMemoSurvivesGrowth checks that Count stays exact across
+// unique-table doublings, and that its memo holds exactly the internal
+// nodes below the families counted so far: none of the nodes the
+// operators created on the way.
 func TestCountMemoSurvivesGrowth(t *testing.T) {
 	const n = 16
 	m := NewManager(n)
@@ -231,6 +231,7 @@ func TestCountMemoSurvivesGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	fam := family.Empty(n)
 	f := Bot
+	var counted []Node
 	for round := 0; round < 8; round++ {
 		sets := randSets(rng, n, 128)
 		f = m.Union(f, m.FromSets(sets))
@@ -238,8 +239,20 @@ func TestCountMemoSurvivesGrowth(t *testing.T) {
 		if got, want := m.Count(f), float64(fam.Size()); got != want {
 			t.Fatalf("round %d: Count=%v want %v", round, got, want)
 		}
-		if len(m.count) != m.nodes.Cap() {
-			t.Fatalf("round %d: count memo of %d entries, want the arena's capacity %d", round, len(m.count), m.nodes.Cap())
+		counted = append(counted, f)
+		m.nodes.Walk()
+		below := 0
+		for _, r := range counted {
+			below += m.mark(r)
+		}
+		if len(m.count) != below+2 || below >= m.Size()/2 { // and the two terminals
+			t.Fatalf("round %d: count memo of %d entries; %d nodes lie below the counted families, of %d",
+				round, len(m.count), below, m.Size())
+		}
+		for a := range m.count {
+			if !m.nodes.Seen(a) {
+				t.Fatalf("round %d: node %d is memoized but lies below no counted family", round, a)
+			}
 		}
 	}
 	if grows < 2 {
