@@ -241,3 +241,73 @@ func TestWithSafetyMonitor(t *testing.T) {
 		t.Error("empty bad set must error")
 	}
 }
+
+// TestBuilderErrorContract pins the exact text Build returns for each
+// construction mistake, one mistake per net, whichever step detects it.
+func TestBuilderErrorContract(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(b *Builder)
+		want  string
+	}{
+		{"dup-place", func(b *Builder) {
+			p := b.Place("x")
+			b.Place("x")
+			b.TransArcs("t", []Place{p}, nil)
+		}, `petri: building "dup-place": petri: duplicate place name "x"`},
+		{"dup-trans", func(b *Builder) {
+			p := b.Place("p")
+			b.TransArcs("t", []Place{p}, nil)
+			b.TransArcs("t", []Place{p}, nil)
+		}, `petri: building "dup-trans": petri: duplicate transition name "t"`},
+		{"dup-in-arc", func(b *Builder) {
+			p := b.Place("p")
+			b.In(b.Trans("t"), p, p)
+		}, `petri: building "dup-in-arc": petri: duplicate arc p -> t`},
+		{"dup-out-arc", func(b *Builder) {
+			p := b.Place("p")
+			b.TransArcs("t", []Place{p}, []Place{p, p})
+		}, `petri: building "dup-out-arc": petri: duplicate arc t -> p`},
+		{"unknown-in-trans", func(b *Builder) {
+			b.In(Trans(3), b.Place("p"))
+		}, `petri: building "unknown-in-trans": petri: In: unknown transition 3`},
+		{"unknown-out-trans", func(b *Builder) {
+			b.Out(Trans(-1), b.Place("p"))
+		}, `petri: building "unknown-out-trans": petri: Out: unknown transition -1`},
+		{"unknown-in-place", func(b *Builder) {
+			p := b.Place("p")
+			b.In(b.Trans("t"), p, Place(42))
+		}, `petri: building "unknown-in-place": petri: In: unknown place 42`},
+		{"unknown-out-place", func(b *Builder) {
+			b.TransArcs("t", []Place{b.Place("p")}, []Place{Place(-2)})
+		}, `petri: building "unknown-out-place": petri: Out: unknown place -2`},
+		{"unknown-mark", func(b *Builder) {
+			b.TransArcs("t", []Place{b.Place("p")}, nil)
+			b.Mark(Place(1))
+		}, `petri: building "unknown-mark": petri: Mark: unknown place 1`},
+		{"double-mark", func(b *Builder) {
+			p := b.Place("p")
+			b.TransArcs("t", []Place{p}, nil)
+			b.Mark(p, p)
+		}, `petri: building "double-mark": petri: place p marked twice`},
+		{"empty-preset", func(b *Builder) {
+			b.TransArcs("t", nil, []Place{b.Place("p")})
+		}, `petri: building "empty-preset": petri: transition t has no input places`},
+		{"two-mistakes", func(b *Builder) {
+			p := b.Place("p")
+			b.TransArcs("t", nil, []Place{p})
+			b.Mark(p, p)
+		}, `petri: building "two-mistakes": petri: place p marked twice; petri: transition t has no input places`},
+	} {
+		b := NewBuilder(c.name)
+		c.build(b)
+		n, err := b.Build()
+		if err == nil {
+			t.Errorf("%s: built %v, want error %q", c.name, n, c.want)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error\n  %s\nwant\n  %s", c.name, err, c.want)
+		}
+	}
+}
