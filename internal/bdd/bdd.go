@@ -150,10 +150,6 @@ func (m *Manager) NumVars() int { return m.nvars }
 // Size returns the number of allocated nodes (terminals included).
 func (m *Manager) Size() int { return m.nodes.Len() }
 
-// Peak returns the largest node count observed. Nodes are never freed,
-// so it is Size.
-func (m *Manager) Peak() int { return m.nodes.Len() }
-
 // Level returns the variable level tested by n (nvars for terminals).
 func (m *Manager) Level(n Node) int { return int(m.nodes.At(n).Level) }
 

@@ -196,8 +196,8 @@ func TestPeakGrows(t *testing.T) {
 	for v := 0; v < 16; v += 2 {
 		f = m.And(f, m.Xor(m.Var(v), m.Var(v+1)))
 	}
-	if m.Peak() < 16 {
-		t.Errorf("peak %d suspiciously small", m.Peak())
+	if m.Size() < 16 {
+		t.Errorf("peak %d suspiciously small", m.Size())
 	}
 	if m.NodeCount(f) == 0 {
 		t.Error("node count of non-terminal is zero")

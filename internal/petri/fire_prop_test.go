@@ -362,3 +362,51 @@ func TestConflictMatchesDefinition(t *testing.T) {
 		}
 	}
 }
+
+// TestNetListsClipped: every list a Net hands out has its capacity at its
+// length. The lists of one kind share a backing array, so a caller that
+// appended to one with room to spare would write into its neighbour.
+func TestNetListsClipped(t *testing.T) {
+	for _, n := range table1Nets(t) {
+		mon, _, err := petri.WithSafetyMonitor(n, n.InitialPlaces()[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []*petri.Net{n, reversed(n), mon} {
+			clipped := func(what string, i, l, c int) {
+				if l != c {
+					t.Errorf("%s: %s(%d) has len %d, cap %d", n.Name(), what, i, l, c)
+				}
+			}
+			for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
+				clipped("Pre", int(tr), len(n.Pre(tr)), cap(n.Pre(tr)))
+				clipped("Post", int(tr), len(n.Post(tr)), cap(n.Post(tr)))
+			}
+			for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
+				clipped("PreT", int(p), len(n.PreT(p)), cap(n.PreT(p)))
+				clipped("PostT", int(p), len(n.PostT(p)), cap(n.PostT(p)))
+			}
+			for i, c := range n.Clusters() {
+				clipped("Clusters", i, len(c), cap(c))
+			}
+			clipped("InitialPlaces", 0, len(n.InitialPlaces()), cap(n.InitialPlaces()))
+			// The property the capacities buy: an append copies, so
+			// appending to every list leaves every list as it was.
+			var before [][]petri.Place
+			for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
+				before = append(before, slices.Clone(n.Pre(tr)), slices.Clone(n.Post(tr)))
+			}
+			for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
+				_, _ = append(n.Pre(tr), -1), append(n.Post(tr), -1)
+			}
+			for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
+				_, _ = append(n.PreT(p), -1), append(n.PostT(p), -1)
+			}
+			for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
+				if !slices.Equal(n.Pre(tr), before[2*tr]) || !slices.Equal(n.Post(tr), before[2*tr+1]) {
+					t.Fatalf("%s: an append to a list wrote into %s's arcs", n.Name(), n.TransName(tr))
+				}
+			}
+		}
+	}
+}

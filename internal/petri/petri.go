@@ -4,13 +4,14 @@
 // conflict relation and maximal conflict sets (Definition 2.2) on which the
 // generalized partial-order analysis is built.
 //
-// Nets are constructed with a Builder and are immutable afterwards, so a
-// *Net may be shared freely between concurrent analyses.
+// Nets are constructed with a Builder (or, from lists already known to be
+// valid, with Assemble) and are immutable afterwards, so a *Net may be
+// shared freely between concurrent analyses.
 package petri
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Place identifies a place of a net by its dense index.
@@ -35,7 +36,7 @@ type Net struct {
 	initial []Place // initially marked places, sorted
 
 	clusters  [][]Trans // connected components of the conflict graph
-	clusterOf []int     // transition -> cluster index
+	clusterOf []int32   // transition -> cluster index
 	markWords int       // words per Marking
 	preMask   []uint64  // preMask[t*markWords:][:markWords]: •t as marking words
 	postMask  []uint64  // postMask likewise for t•
@@ -162,7 +163,7 @@ func (n *Net) Clusters() [][]Trans { return n.clusters }
 
 // ClusterOf returns the index into Clusters() of the maximal conflict set
 // containing t.
-func (n *Net) ClusterOf(t Trans) int { return n.clusterOf[t] }
+func (n *Net) ClusterOf(t Trans) int { return int(n.clusterOf[t]) }
 
 // Builder accumulates places, transitions, arcs and the initial marking,
 // then produces an immutable Net. Errors (duplicate names, duplicate arcs,
@@ -173,21 +174,12 @@ type Builder struct {
 	trans   []string
 	pre     [][]Place
 	post    [][]Place
-	initial map[Place]bool
-	pIndex  map[string]Place
-	tIndex  map[string]Trans
+	initial []bool // by place
 	errs    []error
 }
 
 // NewBuilder returns a Builder for a net with the given name.
-func NewBuilder(name string) *Builder {
-	return &Builder{
-		name:    name,
-		initial: make(map[Place]bool),
-		pIndex:  make(map[string]Place),
-		tIndex:  make(map[string]Trans),
-	}
-}
+func NewBuilder(name string) *Builder { return &Builder{name: name} }
 
 func (b *Builder) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
@@ -195,12 +187,9 @@ func (b *Builder) errf(format string, args ...any) {
 
 // Place adds a place with the given name and returns its identifier.
 func (b *Builder) Place(name string) Place {
-	if _, dup := b.pIndex[name]; dup {
-		b.errf("petri: duplicate place name %q", name)
-	}
 	p := Place(len(b.places))
 	b.places = append(b.places, name)
-	b.pIndex[name] = p
+	b.initial = append(b.initial, false)
 	return p
 }
 
@@ -215,14 +204,10 @@ func (b *Builder) Places(names ...string) []Place {
 
 // Trans adds a transition with the given name and returns its identifier.
 func (b *Builder) Trans(name string) Trans {
-	if _, dup := b.tIndex[name]; dup {
-		b.errf("petri: duplicate transition name %q", name)
-	}
 	t := Trans(len(b.trans))
 	b.trans = append(b.trans, name)
 	b.pre = append(b.pre, nil)
 	b.post = append(b.post, nil)
-	b.tIndex[name] = t
 	return t
 }
 
@@ -237,7 +222,7 @@ func (b *Builder) In(t Trans, ps ...Place) {
 			b.errf("petri: In: unknown place %d", p)
 			continue
 		}
-		if containsPlace(b.pre[t], p) {
+		if slices.Contains(b.pre[t], p) {
 			b.errf("petri: duplicate arc %s -> %s", b.places[p], b.trans[t])
 			continue
 		}
@@ -256,7 +241,7 @@ func (b *Builder) Out(t Trans, ps ...Place) {
 			b.errf("petri: Out: unknown place %d", p)
 			continue
 		}
-		if containsPlace(b.post[t], p) {
+		if slices.Contains(b.post[t], p) {
 			b.errf("petri: duplicate arc %s -> %s", b.trans[t], b.places[p])
 			continue
 		}
@@ -288,95 +273,28 @@ func (b *Builder) Mark(ps ...Place) {
 	}
 }
 
-func containsPlace(ps []Place, p Place) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// Build finalizes the net. It returns an error if any construction step was
-// invalid or if a transition has an empty preset (such a transition would
-// be unboundedly enabled, which contradicts the safe-net assumption).
+// Build finalizes the net. It returns an error if two places or two
+// transitions share a name, if any construction step was invalid, or if a
+// transition has an empty preset (such a transition would be unboundedly
+// enabled, which contradicts the safe-net assumption).
 func (b *Builder) Build() (*Net, error) {
+	errs := append(duplicateNames("place", b.places), duplicateNames("transition", b.trans)...)
+	errs = append(errs, b.errs...)
 	for t, pre := range b.pre {
 		if len(pre) == 0 {
-			b.errf("petri: transition %s has no input places", b.trans[t])
+			errs = append(errs, fmt.Errorf("petri: transition %s has no input places", b.trans[t]))
 		}
 	}
-	if len(b.errs) > 0 {
-		return nil, fmt.Errorf("petri: building %q: %w", b.name, joinErrors(b.errs))
+	if len(errs) > 0 {
+		return nil, fmt.Errorf("petri: building %q: %w", b.name, joinErrors(errs))
 	}
-
-	n := &Net{
-		name:       b.name,
-		placeNames: append([]string(nil), b.places...),
-		transNames: append([]string(nil), b.trans...),
-		pre:        make([][]Place, len(b.trans)),
-		post:       make([][]Place, len(b.trans)),
-		preT:       make([][]Trans, len(b.places)),
-		postT:      make([][]Trans, len(b.places)),
-	}
-	for t := range b.trans {
-		n.pre[t] = sortedPlaces(b.pre[t])
-		n.post[t] = sortedPlaces(b.post[t])
-		for _, p := range n.pre[t] {
-			n.postT[p] = append(n.postT[p], Trans(t))
-		}
-		for _, p := range n.post[t] {
-			n.preT[p] = append(n.preT[p], Trans(t))
+	var initial []Place
+	for p, marked := range b.initial {
+		if marked {
+			initial = append(initial, Place(p))
 		}
 	}
-	for p := range b.places {
-		if b.initial[Place(p)] {
-			n.initial = append(n.initial, Place(p))
-		}
-	}
-	n.markWords = (len(b.places) + 63) / 64
-	n.initMark = n.EmptyMarking()
-	for _, p := range n.initial {
-		n.initMark.Set(p)
-	}
-	n.preMask = make([]uint64, len(b.trans)*n.markWords)
-	n.postMask = make([]uint64, len(b.trans)*n.markWords)
-	for t := range b.trans {
-		pre, post := n.masks(Trans(t))
-		for _, p := range n.pre[t] {
-			Marking(pre).Set(p)
-		}
-		for _, p := range n.post[t] {
-			Marking(post).Set(p)
-		}
-	}
-	// A place with few consumers is rarely a shared resource that stays
-	// marked (a fork, a mutex, the safety monitor's run place, which is in
-	// every preset), so its list is seldom walked in vain. It also keeps
-	// the candidates of Table 1's nets in or near transition order.
-	key := make([]Place, len(b.trans))
-	n.byPlaceAt = make([]int32, len(b.places)+1)
-	n.indexed = n.EmptyMarking()
-	for t, pre := range n.pre {
-		key[t] = pre[0]
-		for _, p := range pre[1:] {
-			if len(n.postT[p]) < len(n.postT[key[t]]) {
-				key[t] = p
-			}
-		}
-		n.byPlaceAt[key[t]]++
-		n.indexed.Set(key[t])
-	}
-	for p := range b.places {
-		n.byPlaceAt[p+1] += n.byPlaceAt[p] // now the end of p's list
-	}
-	n.byPlace = make([]Trans, len(b.trans))
-	for t := len(b.trans) - 1; t >= 0; t-- { // each list filled from its end
-		n.byPlaceAt[key[t]]--
-		n.byPlace[n.byPlaceAt[key[t]]] = Trans(t)
-	}
-	n.buildConflicts()
-	return n, nil
+	return Assemble(b.name, b.places, b.trans, b.pre, b.post, initial), nil
 }
 
 // MustBuild is Build that panics on error; for tests and model generators
@@ -389,10 +307,18 @@ func (b *Builder) MustBuild() *Net {
 	return n
 }
 
-func sortedPlaces(ps []Place) []Place {
-	out := append([]Place(nil), ps...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// duplicateNames reports each name that an earlier one of names already
+// took, in index order.
+func duplicateNames(kind string, names []string) []error {
+	var errs []error
+	seen := make(map[string]struct{}, len(names))
+	for _, nm := range names {
+		if _, dup := seen[nm]; dup {
+			errs = append(errs, fmt.Errorf("petri: duplicate %s name %q", kind, nm))
+		}
+		seen[nm] = struct{}{}
+	}
+	return errs
 }
 
 func joinErrors(errs []error) error {
@@ -406,15 +332,150 @@ func joinErrors(errs []error) error {
 	return fmt.Errorf("%s", msg)
 }
 
+// Assemble returns the net with the given place and transition names,
+// presets pre[t], postsets post[t] and initially marked places. It is the
+// one constructor of a Net: Build calls it once its checks pass, and a
+// caller holding the lists of a net derived from a valid one (the
+// reduction pre-pass) calls it directly. Assemble itself checks nothing:
+// names must be distinct, every place in range and in a list at most
+// once, and every preset non-empty. The net keeps places and trans, which
+// the caller must not modify afterwards, and copies the lists, sorted.
+//
+// Each kind of list shares one backing array (pre, post and the initial
+// places one []Place; preT, postT, the enabled index and the clusters one
+// []Trans; the markings, masks and conflict bits one []uint64), so a net
+// costs a constant number of allocations whatever its size.
+func Assemble(name string, places, trans []string, pre, post [][]Place, initial []Place) *Net {
+	nP, nT := len(places), len(trans)
+	arcs := 0
+	for t := range nT {
+		arcs += len(pre[t]) + len(post[t])
+	}
+	n := &Net{
+		name:       name,
+		placeNames: places[:nP:nP],
+		transNames: trans[:nT:nT],
+		markWords:  (nP + 63) / 64,
+	}
+	placeArena := make([]Place, arcs+len(initial))
+	placeLists := make([][]Place, 2*nT)
+	n.pre, n.post = placeLists[:nT:nT], placeLists[nT:]
+	for t := range nT {
+		n.pre[t] = sortedCopy(carve(&placeArena, len(pre[t])), pre[t])
+		n.post[t] = sortedCopy(carve(&placeArena, len(post[t])), post[t])
+	}
+	n.initial = sortedCopy(carve(&placeArena, len(initial)), initial)
+
+	// scratch holds Assemble's own counts: producers and consumers by
+	// place, then (buildIndex, buildConflicts) one int32 per transition
+	// four times over.
+	scratch := make([]int32, 2*nP+4*nT)
+	producers, consumers := carve(&scratch, nP), carve(&scratch, nP)
+	for t := range nT {
+		for _, p := range n.pre[t] {
+			consumers[p]++
+		}
+		for _, p := range n.post[t] {
+			producers[p]++
+		}
+	}
+	transArena := make([]Trans, arcs+2*nT)
+	transLists := make([][]Trans, 2*nP)
+	n.preT, n.postT = transLists[:nP:nP], transLists[nP:]
+	for p := range nP {
+		n.preT[p] = carve(&transArena, int(producers[p]))[:0]
+		n.postT[p] = carve(&transArena, int(consumers[p]))[:0]
+	}
+	for t := range nT { // appends within capacity, in transition order
+		for _, p := range n.pre[t] {
+			n.postT[p] = append(n.postT[p], Trans(t))
+		}
+		for _, p := range n.post[t] {
+			n.preT[p] = append(n.preT[p], Trans(t))
+		}
+	}
+
+	w, stride := n.markWords, 0
+	if nT > 0 && nT <= conflictBitsMax {
+		stride = (nT + 63) / 64
+	}
+	words := make([]uint64, (2+2*nT)*w+nT*stride)
+	n.initMark, n.indexed = carve(&words, w), carve(&words, w)
+	n.preMask, n.postMask = carve(&words, nT*w), carve(&words, nT*w)
+	if stride > 0 {
+		n.conflictStride, n.conflictBits = stride, carve(&words, nT*stride)
+	}
+	for _, p := range n.initial {
+		n.initMark.Set(p)
+	}
+	for t := range nT {
+		pre, post := n.masks(Trans(t))
+		for _, p := range n.pre[t] {
+			Marking(pre).Set(p)
+		}
+		for _, p := range n.post[t] {
+			Marking(post).Set(p)
+		}
+	}
+
+	ints := make([]int32, nP+1+nT)
+	n.byPlaceAt, n.clusterOf = carve(&ints, nP+1), carve(&ints, nT)
+	n.byPlace = carve(&transArena, nT)
+	n.buildIndex(carve(&scratch, nT))
+	n.buildConflicts(&transArena, scratch)
+	return n
+}
+
+// carve cuts the next n elements off *arena and returns them as a list
+// whose capacity is its length, so that an append to it copies the list
+// instead of writing into the next one.
+func carve[E any](arena *[]E, n int) []E {
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
+}
+
+func sortedCopy(dst, src []Place) []Place {
+	copy(dst, src)
+	slices.Sort(dst)
+	return dst
+}
+
+// buildIndex fills byPlaceAt, byPlace and indexed, with key (one entry
+// per transition) as scratch. A place with few consumers is rarely a
+// shared resource that stays marked (a fork, a mutex, the safety
+// monitor's run place, which is in every preset), so its list is seldom
+// walked in vain. It also keeps the candidates of Table 1's nets in or
+// near transition order.
+func (n *Net) buildIndex(key []int32) {
+	for t, pre := range n.pre {
+		k := pre[0]
+		for _, p := range pre[1:] {
+			if len(n.postT[p]) < len(n.postT[k]) {
+				k = p
+			}
+		}
+		key[t] = int32(k)
+		n.byPlaceAt[k]++
+		n.indexed.Set(k)
+	}
+	for p := range n.NumPlaces() {
+		n.byPlaceAt[p+1] += n.byPlaceAt[p] // now the end of p's list
+	}
+	for t := len(key) - 1; t >= 0; t-- { // each list filled from its end
+		n.byPlaceAt[key[t]]--
+		n.byPlace[n.byPlaceAt[key[t]]] = Trans(t)
+	}
+}
+
 // buildConflicts computes the conflict bitset and the maximal conflict
 // sets, both straight from the consumer lists: t and u conflict iff they
 // share a place p with t, u ∈ p•, and a cluster is a component of the
-// union of the p•.
-func (n *Net) buildConflicts() {
+// union of the p•. The clusters are carved from *arena; scratch holds
+// three int32 per transition.
+func (n *Net) buildConflicts(arena *[]Trans, scratch []int32) {
 	nt := n.NumTrans()
-	if nt > 0 && nt <= conflictBitsMax {
-		n.conflictStride = (nt + 63) / 64
-		n.conflictBits = make([]uint64, nt*n.conflictStride)
+	if n.conflictBits != nil {
 		for _, out := range n.postT {
 			for _, t := range out {
 				row := n.conflictBits[int(t)*n.conflictStride:]
@@ -427,11 +488,11 @@ func (n *Net) buildConflicts() {
 		}
 	}
 	// Union-find over transitions to extract components.
-	parent := make([]int, nt)
+	parent, index, size := carve(&scratch, nt), carve(&scratch, nt), carve(&scratch, nt)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	find := func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -440,23 +501,29 @@ func (n *Net) buildConflicts() {
 	}
 	for _, out := range n.postT {
 		for _, u := range out[min(1, len(out)):] {
-			if ra, rb := find(int(out[0])), find(int(u)); ra != rb {
+			if ra, rb := find(int32(out[0])), find(int32(u)); ra != rb {
 				parent[ra] = rb
 			}
 		}
 	}
 	// Transitions ascend, so each component is met at its smallest
-	// member first and filled in increasing order.
-	index := make([]int, nt) // root -> cluster index + 1
-	n.clusterOf = make([]int, nt)
-	for t := 0; t < nt; t++ {
-		r := find(t)
+	// member first (index: root -> cluster index + 1) and filled in
+	// increasing order.
+	clusters := 0
+	for t := range nt {
+		r := find(int32(t))
 		if index[r] == 0 {
-			n.clusters = append(n.clusters, nil)
-			index[r] = len(n.clusters)
+			clusters++
+			index[r] = int32(clusters)
 		}
-		ci := index[r] - 1
-		n.clusters[ci] = append(n.clusters[ci], Trans(t))
-		n.clusterOf[t] = ci
+		n.clusterOf[t] = index[r] - 1
+		size[n.clusterOf[t]]++
+	}
+	n.clusters = make([][]Trans, clusters)
+	for c := range n.clusters {
+		n.clusters[c] = carve(arena, int(size[c]))[:0]
+	}
+	for t, c := range n.clusterOf {
+		n.clusters[c] = append(n.clusters[c], Trans(t))
 	}
 }

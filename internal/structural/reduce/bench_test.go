@@ -12,9 +12,10 @@ var benchSink *reduce.Certificate
 
 // BenchmarkReduce measures the pre-pass alone on the largest instance of
 // each Table 1 family the benchmark's table1-reduce workload runs.
-// scripts/check.sh gates asat(32)'s B/op and allocs/op: a rule that goes
-// back to assembling a petri.Net per application costs two orders of
-// magnitude more of both.
+// scripts/check.sh gates asat(32)'s B/op and allocs/op and rw(15)'s
+// allocs/op: a run makes the same 21 allocations on both, and a rule that
+// allocates per application (asat(32) makes 127 agglomerations) breaks
+// the bound.
 func BenchmarkReduce(b *testing.B) {
 	for _, c := range []struct {
 		family string

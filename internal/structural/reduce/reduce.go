@@ -31,12 +31,14 @@
 // dead markings) from a reduced one by replaying the removals in reverse.
 //
 // The rules do not build nets. They edit one working copy of the
-// adjacency lists, kept in the input net's indices, and a petri.Net — which
-// stays immutable — is assembled once, from what is left when no rule
-// applies any more (and once more per implicit-place attempt, which needs
-// the invariants of the net as it then stands). The pre-pass therefore
-// costs about one Build, not one per removed place, and nothing but a
-// scan when no rule applies.
+// adjacency lists, kept in the input net's indices: Run copies the input's
+// lists once into arenas it owns and edits them in place, so the input
+// net is never written. A petri.Net — which stays immutable — is
+// assembled once (petri.Assemble, the constructor Build ends in), from
+// what is left when no rule applies any more (and once more per
+// implicit-place attempt, which needs the invariants of the net as it
+// then stands). A run therefore makes the same few allocations however
+// many rules apply, and when none does it builds nothing.
 //
 // Like the engines, the pipeline assumes its input net is safe; protected
 // places (a safety check's bad places) are never removed, so property
@@ -64,13 +66,22 @@ const (
 	RulePostAgglomeration = "post_agglomeration"
 )
 
-var ruleNames = []string{
-	RuleDeadTransition,
-	RuleEmptySiphonPlace,
-	RuleConstantPlace,
-	RuleImplicitPlace,
-	RulePostAgglomeration,
+var ruleNames = [...]string{
+	deadTransition:    RuleDeadTransition,
+	emptySiphonPlace:  RuleEmptySiphonPlace,
+	constantPlace:     RuleConstantPlace,
+	implicitPlace:     RuleImplicitPlace,
+	postAgglomeration: RulePostAgglomeration,
 }
+
+// The rules' indices into ruleNames and Certificate.rules.
+const (
+	deadTransition = iota
+	emptySiphonPlace
+	constantPlace
+	implicitPlace
+	postAgglomeration
+)
 
 // Options configures a reduction.
 type Options struct {
@@ -126,7 +137,7 @@ type Certificate struct {
 	reduced      *petri.Net
 	toRed        []petri.Place // original place -> reduced place, -1 if removed
 	recons       []recon       // chronological removal order
-	rules        map[string]int
+	rules        [len(ruleNames)]int
 	rounds       int
 	transRemoved int
 }
@@ -152,9 +163,11 @@ func (c *Certificate) TransRemoved() int { return c.transRemoved }
 // Rules returns the per-rule application counts (keys are the Rule*
 // constants; rules that never fired are absent).
 func (c *Certificate) Rules() map[string]int {
-	out := make(map[string]int, len(c.rules))
-	for k, v := range c.rules {
-		out[k] = v
+	out := make(map[string]int)
+	for i, n := range c.rules {
+		if n > 0 {
+			out[ruleNames[i]] = n
+		}
 	}
 	return out
 }
@@ -216,49 +229,65 @@ func (c *Certificate) ExpandMarking(m petri.Marking) petri.Marking {
 // the input net's indices, that the rules edit in place. pre/post and
 // preT/postT mirror petri.Net's adjacency (sorted, and holding alive
 // nodes only); a removed place or transition keeps its index and loses
-// its arcs. The lists start out as the input net's own, which are
-// read-only: an edit replaces a list (with, without), it never writes
-// into one. Nothing here is a petri.Net: one is assembled by materialize
-// only when somebody needs one — the Farkas call behind the implicit-
-// place rule, and the certificate at the end.
+// its arcs. newReducer copies the input's lists into two arenas of the
+// reducer's own, each list with spare room behind it, so with and without
+// edit a list where it lies and never write into the input net (spare
+// says where a list that outgrows its room goes). Nothing here is a
+// petri.Net: one is assembled by materialize only when somebody needs
+// one — the Farkas call behind the implicit-place rule, and the
+// certificate at the end.
 type reducer struct {
-	orig    *petri.Net
-	opts    Options
-	protect []bool // by place
-	marked  []bool // by place: the initial marking
+	orig *petri.Net
+	opts Options
+	// By place: protect, marked (the initial marking), aliveP and
+	// pruneDead's siphon scratch; aliveT by transition. One allocation.
+	protect, marked, aliveP, siphon []bool
+	aliveT                          []bool
 
 	pre, post   [][]petri.Place // by transition
 	preT, postT [][]petri.Trans // by place
-	aliveP      []bool
-	aliveT      []bool
+	// The unused rest of the two arenas, where with moves a list that
+	// has outgrown its room.
+	placeRoom []petri.Place
+	transRoom []petri.Trans
 
 	// cur is a net equal to the working copy, or nil once an edit has
-	// outdated it; curOrig maps its places back to the input net's. It
-	// starts as the input net itself, so a run in which no rule applies
-	// builds nothing.
+	// outdated it; curOrig maps its places to the input net's and toCur
+	// back (-1: removed). It starts as the input net itself, so a run in
+	// which no rule applies builds nothing.
 	cur     *petri.Net
 	curOrig []petri.Place
+	toCur   []petri.Place
 	builds  int // nets materialize has assembled
 
 	cert *Certificate
 }
 
+// spare is the room newReducer leaves behind each list. An agglomeration
+// grows a producer's postset by |t•| − 1 and an output place's producers
+// by |•p| − 1, so most lists stay within it; each arena is twice the size
+// of its lists with their spare, and a list that grows past its spare
+// moves to the second half, with room to double. Only a run that spends
+// the second half too makes an allocation per move; Table 1's nets never
+// come near it.
+const spare = 2
+
 func newReducer(n *petri.Net, o Options) *reducer {
 	nP, nT := n.NumPlaces(), n.NumTrans()
+	flags := make([]bool, 4*nP+nT)
+	index := make([]petri.Place, 2*nP)
 	r := &reducer{
 		orig:    n,
 		opts:    o,
-		protect: make([]bool, nP),
-		marked:  make([]bool, nP),
-		pre:     make([][]petri.Place, nT),
-		post:    make([][]petri.Place, nT),
-		preT:    make([][]petri.Trans, nP),
-		postT:   make([][]petri.Trans, nP),
-		aliveP:  make([]bool, nP),
-		aliveT:  make([]bool, nT),
+		protect: flags[:nP:nP],
+		marked:  flags[nP : 2*nP : 2*nP],
+		aliveP:  flags[2*nP : 3*nP : 3*nP],
+		siphon:  flags[3*nP : 4*nP : 4*nP],
+		aliveT:  flags[4*nP:],
 		cur:     n,
-		curOrig: make([]petri.Place, nP),
-		cert:    &Certificate{orig: n, reduced: n, rules: make(map[string]int)},
+		curOrig: index[:nP:nP],
+		toCur:   index[nP:],
+		cert:    &Certificate{orig: n, reduced: n},
 	}
 	for _, p := range o.Protect {
 		if p >= 0 && int(p) < nP { // an unknown place protects nothing
@@ -268,35 +297,61 @@ func newReducer(n *petri.Net, o Options) *reducer {
 	for _, p := range n.InitialPlaces() {
 		r.marked[p] = true
 	}
+	arcs := 0
 	for t := petri.Trans(0); int(t) < nT; t++ {
-		r.aliveT[t], r.pre[t], r.post[t] = true, n.Pre(t), n.Post(t)
+		arcs += len(n.Pre(t)) + len(n.Post(t))
 	}
+	placeLists := make([][]petri.Place, 2*nT)
+	r.placeRoom = make([]petri.Place, 2*(arcs+2*nT*spare))
+	r.pre, r.post = placeLists[:nT:nT], placeLists[nT:]
+	for t := petri.Trans(0); int(t) < nT; t++ {
+		r.aliveT[t] = true
+		r.pre[t], r.post[t] = owned(&r.placeRoom, n.Pre(t)), owned(&r.placeRoom, n.Post(t))
+	}
+	transLists := make([][]petri.Trans, 2*nP)
+	r.transRoom = make([]petri.Trans, 2*(arcs+2*nP*spare))
+	r.preT, r.postT = transLists[:nP:nP], transLists[nP:]
 	for p := petri.Place(0); int(p) < nP; p++ {
-		r.aliveP[p], r.preT[p], r.postT[p] = true, n.PreT(p), n.PostT(p)
-		r.curOrig[p] = p
+		r.aliveP[p] = true
+		r.preT[p], r.postT[p] = owned(&r.transRoom, n.PreT(p)), owned(&r.transRoom, n.PostT(p))
+		r.curOrig[p], r.toCur[p] = p, p
 	}
 	return r
 }
 
-// without returns the list s with v removed — a fresh list, unless v was
-// not in it.
-func without[E comparable](s []E, v E) []E {
-	i := slices.Index(s, v)
-	if i < 0 {
-		return s
-	}
-	out := make([]E, 0, len(s)-1)
-	return append(append(out, s[:i]...), s[i+1:]...)
+// owned copies list to the front of *arena and cuts it off with spare
+// room behind it.
+func owned[E any](arena *[]E, list []E) []E {
+	n := len(list)
+	out := (*arena)[: n : n+spare]
+	copy(out, list)
+	*arena = (*arena)[n+spare:]
+	return out
 }
 
-// with returns the sorted list s with v in it — a fresh list if v had to
-// be added, which added reports.
-func with[E cmp.Ordered](s []E, v E) (out []E, added bool) {
+// without removes v from the list s, in place.
+func without[E comparable](s []E, v E) []E {
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
+
+// with inserts v into the sorted list s, in place while s has room; added
+// reports whether v was new. A full list first moves to *room, with room
+// to double, while *room lasts; after that slices.Insert allocates.
+func with[E cmp.Ordered](s []E, v E, room *[]E) (out []E, added bool) {
 	i, found := slices.BinarySearch(s, v)
 	if found {
 		return s, false
 	}
-	return slices.Insert(slices.Clip(s), i, v), true
+	if n := 2*len(s) + 1; len(s) == cap(s) && n <= len(*room) {
+		moved := (*room)[:len(s):n]
+		copy(moved, s)
+		*room = (*room)[n:]
+		s = moved
+	}
+	return slices.Insert(s, i, v), true
 }
 
 // Run applies the reduction rules to a fixpoint and returns the
@@ -347,17 +402,8 @@ func (r *reducer) run() error {
 		}
 	}
 
-	if err := r.materialize(); err != nil {
-		return err
-	}
-	r.cert.reduced = r.cur
-	r.cert.toRed = make([]petri.Place, r.orig.NumPlaces())
-	for i := range r.cert.toRed {
-		r.cert.toRed[i] = -1
-	}
-	for cp, op := range r.curOrig {
-		r.cert.toRed[op] = petri.Place(cp)
-	}
+	r.materialize()
+	r.cert.reduced, r.cert.toRed = r.cur, r.toCur
 	return nil
 }
 
@@ -370,54 +416,73 @@ func (r *reducer) emitMetrics() {
 	reg.Counter("reduce.places_removed").Add(int64(r.cert.PlacesRemoved()))
 	reg.Counter("reduce.trans_removed").Add(int64(r.cert.transRemoved))
 	total := int64(0)
-	for _, name := range ruleNames {
-		n := int64(r.cert.rules[name])
+	for i, name := range ruleNames {
+		n := int64(r.cert.rules[i])
 		reg.Counter("reduce.rule_" + name).Add(n)
 		total += n
 	}
 	reg.Counter("reduce.applications").Add(total)
 }
 
-// materialize makes r.cur the working copy as a petri.Net, through the
-// ordinary Builder: alive places and transitions in index order, so the
-// compaction keeps relative order and Build's sorting does the rest.
-func (r *reducer) materialize() error {
+// materialize makes r.cur the working copy as a petri.Net, assembled
+// from the lists as they stand: alive places and transitions in index
+// order, so the compaction keeps relative order and every list stays
+// sorted. The working copy holds a valid net's lists minus removed nodes,
+// and dropPlace refuses an empty preset, so nothing is left to check.
+func (r *reducer) materialize() {
 	if r.cur != nil {
-		return nil
+		return
 	}
 	n := r.orig
-	b := petri.NewBuilder(n.Name())
-	toCur := make([]petri.Place, n.NumPlaces())
 	r.curOrig = r.curOrig[:0]
+	size := 0 // of the compacted lists and initial marking
 	for p, alive := range r.aliveP {
-		if !alive {
-			continue
+		r.toCur[p] = -1
+		if alive {
+			r.toCur[p] = petri.Place(len(r.curOrig))
+			r.curOrig = append(r.curOrig, petri.Place(p))
+			if r.marked[p] {
+				size++
+			}
 		}
-		toCur[p] = b.Place(n.PlaceName(petri.Place(p)))
-		r.curOrig = append(r.curOrig, petri.Place(p))
-		if r.marked[p] {
-			b.Mark(toCur[p])
+	}
+	nT := 0
+	for t, alive := range r.aliveT {
+		if alive {
+			nT++
+			size += len(r.pre[t]) + len(r.post[t])
 		}
+	}
+	nP := len(r.curOrig)
+	names := make([]string, 0, nP+nT)
+	for _, p := range r.curOrig {
+		names = append(names, n.PlaceName(p))
+	}
+	lists := make([][]petri.Place, 2*nT)
+	pre, post := lists[:nT], lists[nT:]
+	arena := make([]petri.Place, 0, size)
+	compact := func(list []petri.Place) []petri.Place {
+		start := len(arena)
+		for _, p := range list {
+			arena = append(arena, r.toCur[p])
+		}
+		return arena[start:]
 	}
 	for t, alive := range r.aliveT {
-		if !alive {
-			continue
-		}
-		nt := b.Trans(n.TransName(petri.Trans(t)))
-		for _, p := range r.pre[t] {
-			b.In(nt, toCur[p])
-		}
-		for _, p := range r.post[t] {
-			b.Out(nt, toCur[p])
+		if alive {
+			i := len(names) - nP
+			names = append(names, n.TransName(petri.Trans(t)))
+			pre[i], post[i] = compact(r.pre[t]), compact(r.post[t])
 		}
 	}
-	cur, err := b.Build()
-	if err != nil {
-		return fmt.Errorf("reduce: %w", err)
+	initial := arena[len(arena):]
+	for cp, p := range r.curOrig {
+		if r.marked[p] {
+			initial = append(initial, petri.Place(cp))
+		}
 	}
-	r.cur = cur
+	r.cur = petri.Assemble(n.Name(), names[:nP], names[nP:], pre, post, initial)
 	r.builds++
-	return nil
 }
 
 // errEmptyPreset is the one way an edit can make the working copy stop
@@ -445,6 +510,9 @@ func (r *reducer) dropPlace(p petri.Place, rec recon) error {
 	r.aliveP[p] = false
 	r.cur = nil
 	rec.place = p
+	if r.cert.recons == nil { // at most one record per place
+		r.cert.recons = make([]recon, 0, len(r.aliveP))
+	}
 	r.cert.recons = append(r.cert.recons, rec)
 	return nil
 }
@@ -470,7 +538,7 @@ func (r *reducer) dropTrans(t petri.Trans) {
 // (constant 0 — their producers, putting tokens into S, are themselves
 // in S• and thus dead too, so no kept transition touches them).
 func (r *reducer) pruneDead() (bool, error) {
-	siphon := make([]bool, len(r.aliveP))
+	siphon := r.siphon
 	for p, alive := range r.aliveP {
 		siphon[p] = alive && !r.marked[p]
 	}
@@ -484,7 +552,7 @@ func (r *reducer) pruneDead() (bool, error) {
 		}
 		for len(r.postT[p]) > 0 {
 			r.dropTrans(r.postT[p][0])
-			r.cert.rules[RuleDeadTransition]++
+			r.cert.rules[deadTransition]++
 			changed = true
 		}
 	}
@@ -495,7 +563,7 @@ func (r *reducer) pruneDead() (bool, error) {
 		if err := r.dropPlace(petri.Place(p), recon{kind: reconConst, value: 0}); err != nil {
 			return false, err
 		}
-		r.cert.rules[RuleEmptySiphonPlace]++
+		r.cert.rules[emptySiphonPlace]++
 		changed = true
 	}
 	return changed, nil
@@ -528,7 +596,7 @@ scan:
 				continue scan
 			}
 		}
-		r.cert.rules[RuleConstantPlace]++
+		r.cert.rules[constantPlace]++
 		err := r.dropPlace(p, recon{kind: reconConst, value: 1})
 		return err == nil, err
 	}
@@ -553,9 +621,7 @@ func (r *reducer) dropImplicitPlace() (bool, error) {
 	if !hasSink {
 		return false, nil
 	}
-	if err := r.materialize(); err != nil {
-		return false, err
-	}
+	r.materialize()
 	n := r.cur
 	invariants, err := structural.PInvariants(n, r.opts.MaxInvariantRows)
 	if err != nil {
@@ -580,7 +646,7 @@ func (r *reducer) dropImplicitPlace() (bool, error) {
 					rec.coeff = append(rec.coeff, placeWeight{place: r.curOrig[q], weight: w})
 				}
 			}
-			r.cert.rules[RuleImplicitPlace]++
+			r.cert.rules[implicitPlace]++
 			err := r.dropPlace(p, rec)
 			return err == nil, err
 		}
@@ -613,18 +679,23 @@ func (r *reducer) agglomerate() (bool, error) {
 		if len(r.preT[p]) == 0 {
 			continue // unmarkable; pruneDead's siphon handles it
 		}
-		for _, u := range r.preT[p] {
-			for _, q := range r.post[t] {
+		// p and t go first, so no list holds both p and t's outputs at
+		// once. Their own lists are only read from then on.
+		producers, outputs := r.preT[p], r.post[t]
+		r.cert.rules[postAgglomeration]++
+		r.dropTrans(t)
+		if err := r.dropPlace(p, recon{kind: reconConst, value: 0}); err != nil {
+			return false, err
+		}
+		for _, u := range producers {
+			for _, q := range outputs {
 				var added bool
-				if r.post[u], added = with(r.post[u], q); added {
-					r.preT[q], _ = with(r.preT[q], u)
+				if r.post[u], added = with(r.post[u], q, &r.placeRoom); added {
+					r.preT[q], _ = with(r.preT[q], u, &r.transRoom)
 				}
 			}
 		}
-		r.cert.rules[RulePostAgglomeration]++
-		r.dropTrans(t)
-		err := r.dropPlace(p, recon{kind: reconConst, value: 0})
-		return err == nil, err
+		return true, nil
 	}
 	return false, nil
 }

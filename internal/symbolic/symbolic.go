@@ -182,7 +182,7 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 	cancel := stop.Every(opts.Ctx, 1)
 	abort := func(err error) (*Result, error) {
 		tk.Abort(opts.Trace.Intern(err.Error()))
-		return &Result{PeakNodes: m.Peak(), Iterations: iterations},
+		return &Result{PeakNodes: m.Size(), Iterations: iterations},
 			fmt.Errorf("symbolic: aborted: %w", err)
 	}
 
@@ -250,7 +250,7 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 
 	res := &Result{
 		States:     m.SatCount(reached) / math.Exp2(float64(n.NumPlaces())),
-		PeakNodes:  m.Peak(),
+		PeakNodes:  m.Size(),
 		FinalNodes: m.NodeCount(reached),
 		Iterations: iterations,
 		Complete:   true,

@@ -84,8 +84,7 @@ func (a *Alg) Nodes() int { return a.m.Size() }
 // (100·entries/slots).
 func (a *Alg) ReportStats(r *obs.Registry) {
 	st := a.m.Stats()
-	r.Gauge("zdd.nodes").Set(int64(st.Nodes))
-	r.Gauge("zdd.peak_nodes").Set(int64(st.Peak))
+	r.Gauge("zdd.peak_nodes").Set(int64(st.Nodes)) // nodes are never freed
 	r.Gauge("zdd.unique_hits").Set(st.UniqueHits)
 	r.Gauge("zdd.unique_misses").Set(st.UniqueMisses)
 	r.Gauge("zdd.memo_hits").Set(st.MemoHits)

@@ -104,7 +104,6 @@ type Manager struct {
 // lifetime allocation count.
 type Stats struct {
 	Nodes        int
-	Peak         int
 	UniqueHits   int64
 	UniqueMisses int64
 	MemoHits     int64
@@ -128,7 +127,6 @@ func (m *Manager) Stats() Stats {
 	hits, misses, probes := m.nodes.Counts()
 	return Stats{
 		Nodes:         m.nodes.Len(),
-		Peak:          m.nodes.Len(),
 		UniqueHits:    hits,
 		UniqueMisses:  misses,
 		MemoHits:      m.memoHits,
