@@ -250,25 +250,3 @@ func BenchmarkAblationProviso(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationBDDOrder compares the interleaved and sequential
-// variable orders of the symbolic engine (DESIGN.md ablations).
-func BenchmarkAblationBDDOrder(b *testing.B) {
-	net := models.Fig1(6)
-	for name, ord := range map[string]symbolic.Order{
-		"interleaved": symbolic.OrderInterleaved,
-		"sequential":  symbolic.OrderSequential,
-	} {
-		b.Run(name, func(b *testing.B) {
-			var peak int
-			for i := 0; i < b.N; i++ {
-				res, err := symbolic.Analyze(net, symbolic.Options{Order: ord})
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak = res.PeakNodes
-			}
-			b.ReportMetric(float64(peak), "peakBDD")
-		})
-	}
-}

@@ -1,6 +1,6 @@
 // Package bdd implements reduced ordered binary decision diagrams
 // (Bryant 1986, the paper's reference [2]): hash-consed nodes, the ITE
-// operator, quantification, the relational product and variable renaming —
+// operator, set difference and the firing of a safe-net transition —
 // everything the symbolic reachability engine of internal/symbolic (the
 // paper's SMV stand-in, Section 2.4) needs, plus the model-set extraction
 // used to build the generalized analysis' initial valid sets as ZDDs.
@@ -17,7 +17,6 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/dd"
 )
@@ -32,12 +31,18 @@ const (
 	True  Node = 1
 )
 
-// VarSet names a set of variables registered with Manager.VarSet: the
-// quantification operand of Exists and AndExists.
-type VarSet int32
+// Trans names a transition registered with Manager.Transition: the
+// operand of Fire.
+type Trans int32
 
-// Renaming names a variable map registered with Manager.Renaming.
-type Renaming int32
+// Action is what firing a transition does to one variable of its support.
+type Action uint8
+
+const (
+	Take Action = iota // the variable must be 1 and becomes 0 (pre-set only)
+	Keep               // the variable must be 1 and stays 1 (pre- and post-set)
+	Put                // the variable becomes 1, whatever it was (post-set only)
+)
 
 // Table capacities, powers of two. Both tables start small because most
 // managers stay small: every GPO run builds one for r₀ and every reduced
@@ -58,18 +63,16 @@ var cacheCap = maxCacheSlots
 
 // Operator tags of the computed cache; 0 marks an empty slot.
 const (
-	opITE       uint32 = iota + 1 // (f, g, h)
-	opAnd                         // (f, g, 0), f < g
-	opExists                      // (f, VarSet, 0)
-	opAndExists                   // (f, g, VarSet), f ≤ g
-	opRename                      // (f, Renaming, 0)
+	opITE  uint32 = iota + 1 // (f, g, h)
+	opAnd                    // (f, g, 0), f < g
+	opFire                   // (f, Trans, support index)
 )
 
 // cacheEntry is one slot of the computed cache: an operator, its up to
-// three operands and the result. The quantified set and the renaming are
-// operands — registered ids whose content cannot change — so a result
-// computed in one image step answers the next, and one computed under a
-// different set or map is never mistaken for it.
+// three operands and the result. A transition is an operand — a
+// registered id whose support and actions cannot change — so a result
+// computed in one image step answers the next, and one computed for a
+// different transition is never mistaken for it.
 type cacheEntry struct {
 	op      uint32
 	a, b, c int32
@@ -90,8 +93,11 @@ type Manager struct {
 	cache     []cacheEntry
 	cacheRoom int
 
-	sets  [][]bool // registered quantification sets, by VarSet
-	perms [][]int  // registered renamings, by Renaming
+	// Registered transitions: transition t's support levels, ascending,
+	// are levels[start[t]:start[t+1]] and their actions acts[...].
+	start  []int32
+	levels []int32
+	acts   []Action
 
 	// sat[i] holds the model count of node i once the current SatCount
 	// walk has visited it; allocated by the first SatCount and re-sized
@@ -107,10 +113,9 @@ type Manager struct {
 
 // Stats is a snapshot of the manager's internal counters: unique-table
 // hits (node reuse) vs. misses (node creation), computed-cache hits vs.
-// misses over all five cached operators (ITE, And, Exists, AndExists,
-// Rename), and the computed cache's current capacity. Nodes are never
-// garbage-collected, so Nodes is also the peak and the lifetime
-// allocation count.
+// misses over the three cached operators (ITE, And, Fire), and the
+// computed cache's current capacity. Nodes are never garbage-collected,
+// so Nodes is also the peak and the lifetime allocation count.
 type Stats struct {
 	Nodes        int
 	UniqueHits   int64
@@ -138,6 +143,7 @@ func NewManager(nvars int) *Manager {
 	m := &Manager{
 		nvars: nvars,
 		cache: make([]cacheEntry, min(initCacheSlots, cacheCap)),
+		start: []int32{0},
 	}
 	m.nodes.Init(nvars, initUniqueSlots)
 	m.cacheRoom = len(m.cache)
@@ -295,108 +301,64 @@ func (m *Manager) Xor(f, g Node) Node { return m.ITE(f, m.Not(g), g) }
 // Implies returns f → g.
 func (m *Manager) Implies(f, g Node) Node { return m.ITE(f, g, True) }
 
-// Equiv returns f ↔ g.
-func (m *Manager) Equiv(f, g Node) Node { return m.ITE(f, g, m.Not(g)) }
+// Diff returns f ∧ ¬g without building ¬g.
+func (m *Manager) Diff(f, g Node) Node { return m.ITE(g, False, f) }
 
-// VarSet registers the set of variables v with vars[v] true and returns
-// its name. The manager keeps a copy, and equal sets get the same name:
-// a VarSet is identified by its content, which is what lets the computed
-// cache key quantifications on it.
-func (m *Manager) VarSet(vars []bool) VarSet {
-	if len(vars) != m.nvars {
-		panic(fmt.Sprintf("bdd: variable set over %d variables, manager has %d", len(vars), m.nvars))
+// Transition registers a safe-net transition over the variables vars,
+// strictly ascending, where acts[i] is what firing it does to vars[i],
+// and returns its name. The manager keeps a copy.
+func (m *Manager) Transition(vars []int, acts []Action) Trans {
+	if len(vars) != len(acts) {
+		panic(fmt.Sprintf("bdd: transition with %d variables and %d actions", len(vars), len(acts)))
 	}
-	for i, s := range m.sets {
-		if slices.Equal(s, vars) {
-			return VarSet(i)
+	for i, v := range vars {
+		if v < 0 || v >= m.nvars || i > 0 && v <= vars[i-1] {
+			panic(fmt.Sprintf("bdd: transition support %v is not ascending in [0,%d)", vars, m.nvars))
 		}
+		m.levels = append(m.levels, int32(v))
 	}
-	m.sets = append(m.sets, slices.Clone(vars))
-	return VarSet(len(m.sets) - 1)
+	m.acts = append(m.acts, acts...)
+	m.start = append(m.start, int32(len(m.levels)))
+	return Trans(len(m.start) - 2)
 }
 
-// Renaming registers the map of each variable v to perm[v] and returns
-// its name, by content like VarSet. The map must be monotone on the
-// support of every function it is applied to (the use here — shifting
-// primed variables onto unprimed ones — is): Rename rebuilds top-down
-// and relies on the image order matching the level order.
-func (m *Manager) Renaming(perm []int) Renaming {
-	if len(perm) != m.nvars {
-		panic(fmt.Sprintf("bdd: renaming over %d variables, manager has %d", len(perm), m.nvars))
-	}
-	for i, p := range m.perms {
-		if slices.Equal(p, perm) {
-			return Renaming(i)
-		}
-	}
-	m.perms = append(m.perms, slices.Clone(perm))
-	return Renaming(len(m.perms) - 1)
+// Fire returns the image of f under transition t: every assignment that
+// t's actions make of an assignment of f that enables t, the image step
+// of symbolic reachability without a transition relation or next-state
+// variables (Pastor, Cortadella and Roig 2001). The walk goes down to t's
+// last support level only; below it the image is f itself.
+func (m *Manager) Fire(f Node, t Trans) Node {
+	return m.fire(f, t, m.start[t])
 }
 
-// Exists existentially quantifies the variables of s.
-func (m *Manager) Exists(f Node, s VarSet) Node {
-	lvl := m.nodes.At(f).Level
-	if int(lvl) >= m.nvars {
+// fire applies t's actions from support index k on.
+func (m *Manager) fire(f Node, t Trans, k int32) Node {
+	if f == False || k == m.start[t+1] {
 		return f
 	}
-	if r, ok := m.cacheGet(opExists, int32(f), int32(s), 0); ok {
+	if r, ok := m.cacheGet(opFire, int32(f), int32(t), k); ok {
 		return r
 	}
-	lo, hi := m.Exists(m.nodes.At(f).Lo, s), m.Exists(m.nodes.At(f).Hi, s)
+	nd := m.nodes.At(f)
 	var r Node
-	if m.sets[s][lvl] {
-		r = m.Or(lo, hi)
+	if lvl := m.levels[k]; nd.Level < lvl {
+		r = m.mk(nd.Level, m.fire(nd.Lo, t, k), m.fire(nd.Hi, t, k))
 	} else {
-		r = m.mk(lvl, lo, hi)
-	}
-	m.cachePut(opExists, int32(f), int32(s), 0, r)
-	return r
-}
-
-// AndExists computes ∃s. f ∧ g without building the full conjunction —
-// the relational product at the heart of symbolic image computation.
-func (m *Manager) AndExists(f, g Node, s VarSet) Node {
-	if f == False || g == False {
-		return False
-	}
-	if f == True && g == True {
-		return True
-	}
-	if f > g {
-		f, g = g, f
-	}
-	if r, ok := m.cacheGet(opAndExists, int32(f), int32(g), int32(s)); ok {
-		return r
-	}
-	top := min(m.nodes.At(f).Level, m.nodes.At(g).Level)
-	f0, f1 := m.cofactors(f, top)
-	g0, g1 := m.cofactors(g, top)
-	var r Node
-	if m.sets[s][top] {
-		if lo := m.AndExists(f0, g0, s); lo == True {
-			r = True
-		} else {
-			r = m.Or(lo, m.AndExists(f1, g1, s))
+		// A support variable f does not test is a don't-care: both
+		// cofactors are f.
+		lo, hi := m.cofactors(f, lvl)
+		switch m.acts[k] {
+		case Take:
+			r = m.mk(lvl, m.fire(hi, t, k+1), False)
+		case Keep:
+			r = m.mk(lvl, False, m.fire(hi, t, k+1))
+		default: // Put
+			// The image of lo ∨ hi, built as the union of the two
+			// images: fewer nodes than firing the union (DESIGN.md D7).
+			r = m.mk(lvl, False, m.Or(m.fire(lo, t, k+1), m.fire(hi, t, k+1)))
 		}
-	} else {
-		r = m.mk(top, m.AndExists(f0, g0, s), m.AndExists(f1, g1, s))
 	}
-	m.cachePut(opAndExists, int32(f), int32(g), int32(s), r)
-	return r
-}
-
-// Rename maps each variable of f through the registered renaming p.
-func (m *Manager) Rename(f Node, p Renaming) Node {
-	lvl := m.nodes.At(f).Level
-	if int(lvl) >= m.nvars {
-		return f
-	}
-	if r, ok := m.cacheGet(opRename, int32(f), int32(p), 0); ok {
-		return r
-	}
-	v := m.Var(m.perms[p][lvl])
-	r := m.ITE(v, m.Rename(m.nodes.At(f).Hi, p), m.Rename(m.nodes.At(f).Lo, p))
-	m.cachePut(opRename, int32(f), int32(p), 0, r)
+	m.cachePut(opFire, int32(f), int32(t), k, r)
 	return r
 }
 

@@ -96,18 +96,18 @@ func TestAgainstTruthTable(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
-	m := NewManager(3)
-	a, b := m.Var(0), m.Var(1)
-	f := m.And(a, b)
-	vars := m.VarSet([]bool{true, false, false})
-	// ∃a. a∧b = b
-	if got := m.Exists(f, vars); got != b {
-		t.Errorf("∃a.(a∧b) != b")
+// TestFire fires one transition by hand: take x0, keep x1, put x3.
+func TestFire(t *testing.T) {
+	m := NewManager(4)
+	tr := m.Transition([]int{0, 1, 3}, []Action{Take, Keep, Put})
+	// x0 ∧ x1 ∧ (x2 ⊕ x3) ↦ ¬x0 ∧ x1 ∧ x3, whatever x2 was.
+	f := m.And(m.And(m.Var(0), m.Var(1)), m.Xor(m.Var(2), m.Var(3)))
+	if got, want := m.Fire(f, tr), m.And(m.And(m.NVar(0), m.Var(1)), m.Var(3)); got != want {
+		t.Error("Fire(x0∧x1∧(x2⊕x3)) != ¬x0∧x1∧x3")
 	}
-	// ∃a. a = True
-	if got := m.Exists(a, vars); got != True {
-		t.Errorf("∃a.a != True")
+	// Nothing in ¬x1 enables it.
+	if got := m.Fire(m.NVar(1), tr); got != False {
+		t.Error("Fire of a disabling set is not False")
 	}
 }
 
@@ -129,36 +129,24 @@ func randCNF(m *Manager, rng *rand.Rand, clauses int) Node {
 	return f
 }
 
-// TestAndExistsMatchesComposition checks the relational product against
-// And followed by Exists on random formulas.
-func TestAndExistsMatchesComposition(t *testing.T) {
+// TestDiffMatchesComposition checks Diff against And of the complement
+// on random formulas and on the terminal cases.
+func TestDiffMatchesComposition(t *testing.T) {
 	const nv = 8
 	rng := rand.New(rand.NewSource(7))
 	m := NewManager(nv)
-	randForm := func() Node { return randCNF(m, rng, 5) }
 	for trial := 0; trial < 30; trial++ {
-		f, g := randForm(), randForm()
-		vars := make([]bool, nv)
-		for v := range vars {
-			vars[v] = rng.Intn(2) == 0
-		}
-		s := m.VarSet(vars)
-		want := m.Exists(m.And(f, g), s)
-		got := m.AndExists(f, g, s)
-		if got != want {
-			t.Fatalf("trial %d: AndExists != Exists∘And", trial)
+		f, g := randCNF(m, rng, 5), randCNF(m, rng, 5)
+		if m.Diff(f, g) != m.And(f, m.Not(g)) {
+			t.Fatalf("trial %d: Diff != f∧¬g", trial)
 		}
 	}
-}
-
-func TestRename(t *testing.T) {
-	m := NewManager(4)
-	// f = x0 ∧ ¬x1, rename 0→2, 1→3.
-	f := m.And(m.Var(0), m.NVar(1))
-	g := m.Rename(f, m.Renaming([]int{2, 3, 2, 3}))
-	want := m.And(m.Var(2), m.NVar(3))
-	if g != want {
-		t.Error("rename mismatch")
+	for _, f := range []Node{False, True, m.Var(3)} {
+		for _, g := range []Node{False, True, m.Var(3), m.NVar(5)} {
+			if m.Diff(f, g) != m.And(f, m.Not(g)) {
+				t.Errorf("Diff(%d, %d) != f∧¬g", f, g)
+			}
+		}
 	}
 }
 
@@ -218,79 +206,63 @@ func truthTable(m *Manager, f Node) []bool {
 	return tt
 }
 
-// TestQuantifyRenameInterleaved alternates two quantification sets and
-// two renamings on the same operands through one manager and checks
-// every answer against the truth table: a computed-cache key that left
-// out the set or the map would hand one's result to the other.
-func TestQuantifyRenameInterleaved(t *testing.T) {
+// fireTable is Fire by enumeration: the truth table of the image of tt
+// under the transition over vars with actions acts.
+func fireTable(tt []bool, vars []int, acts []Action) []bool {
+	img := make([]bool, len(tt))
+	for bits, in := range tt {
+		enabled := true
+		next := bits
+		for i, v := range vars {
+			if acts[i] != Put && bits&(1<<v) == 0 {
+				enabled = false
+			}
+			if acts[i] == Take {
+				next &^= 1 << v
+			} else {
+				next |= 1 << v
+			}
+		}
+		if in && enabled {
+			img[next] = true
+		}
+	}
+	return img
+}
+
+// randTransition draws a support of one to four ascending variables out
+// of nv, with random actions.
+func randTransition(rng *rand.Rand, nv int) ([]int, []Action) {
+	vars := rng.Perm(nv)[:1+rng.Intn(4)]
+	slices.Sort(vars)
+	acts := make([]Action, len(vars))
+	for i := range acts {
+		acts[i] = Action(rng.Intn(3))
+	}
+	return vars, acts
+}
+
+// TestFireInterleaved alternates transitions on the same operands through
+// one manager and checks every image against enumeration. Each pair
+// shares its support and differs in one action, so a computed-cache key
+// that left out the transition would hand one's image to the other.
+func TestFireInterleaved(t *testing.T) {
 	const nv = 8
 	rng := rand.New(rand.NewSource(11))
 	m := NewManager(nv)
-	randForm := func() Node { return randCNF(m, rng, 4) }
-	// Two sets over the even variables, two shifts of the odd ones.
-	setVars := [2][]bool{
-		{true, false, true, false, false, false, false, false},
-		{false, false, false, false, true, false, true, false},
-	}
-	perms := [2][]int{
-		{0, 0, 2, 2, 4, 4, 6, 6}, // odd v → v-1
-		{0, 1, 2, 1, 4, 3, 6, 5}, // odd v → v-2 (1 stays)
-	}
-	sets := [2]VarSet{m.VarSet(setVars[0]), m.VarSet(setVars[1])}
-	maps := [2]Renaming{m.Renaming(perms[0]), m.Renaming(perms[1])}
-	even := make([]bool, nv)
-	for v := 0; v < nv; v += 2 {
-		even[v] = true
-	}
-	evens := m.VarSet(even)
-
-	// quantified reports ∃vars.tt at the given assignment.
-	quantified := func(tt []bool, vars []bool, bits int) bool {
-		var free []int
-		for v, q := range vars {
-			if q {
-				free = append(free, v)
-				bits &^= 1 << v
-			}
-		}
-		for sub := 0; sub < 1<<len(free); sub++ {
-			b := bits
-			for i, v := range free {
-				if sub&(1<<i) != 0 {
-					b |= 1 << v
-				}
-			}
-			if tt[b] {
-				return true
-			}
-		}
-		return false
-	}
 	for trial := 0; trial < 20; trial++ {
-		f, g := randForm(), randForm()
-		ttF, ttFG := truthTable(m, f), truthTable(m, m.And(f, g))
-		odd := m.Exists(f, evens) // support on odd variables: both maps are injective on it
-		ttOdd := truthTable(m, odd)
+		vars, acts := randTransition(rng, nv)
+		twin := slices.Clone(acts)
+		i := rng.Intn(len(twin))
+		twin[i] = (twin[i] + 1) % 3
+		ts := [2]Trans{m.Transition(vars, acts), m.Transition(vars, twin)}
+		actions := [2][]Action{acts, twin}
+		f := randCNF(m, rng, 4)
+		tt := truthTable(m, f)
 		for round := 0; round < 2; round++ { // second round: answered from the cache
 			for k := 0; k < 2; k++ {
-				ex, ae, rn := truthTable(m, m.Exists(f, sets[k])), truthTable(m, m.AndExists(f, g, sets[k])), truthTable(m, m.Rename(odd, maps[k]))
-				for bits := 0; bits < 1<<nv; bits++ {
-					if want := quantified(ttF, setVars[k], bits); ex[bits] != want {
-						t.Fatalf("trial %d set %d: Exists wrong at %08b", trial, k, bits)
-					}
-					if want := quantified(ttFG, setVars[k], bits); ae[bits] != want {
-						t.Fatalf("trial %d set %d: AndExists wrong at %08b", trial, k, bits)
-					}
-					// Rename(odd, p)(x) = odd(y) with y[v] = x[p[v]] for odd v.
-					src := 0
-					for v := 1; v < nv; v += 2 {
-						if bits&(1<<perms[k][v]) != 0 {
-							src |= 1 << v
-						}
-					}
-					if rn[bits] != ttOdd[src] {
-						t.Fatalf("trial %d map %d: Rename wrong at %08b", trial, k, bits)
-					}
+				if got := truthTable(m, m.Fire(f, ts[k])); !slices.Equal(got, fireTable(tt, vars, actions[k])) {
+					t.Fatalf("trial %d transition %v %v: Fire wrong", trial, vars, actions[k])
 				}
 			}
 		}
@@ -298,58 +270,49 @@ func TestQuantifyRenameInterleaved(t *testing.T) {
 }
 
 // TestRegisteredOperandsAreCopies mutates the caller's slices after
-// registering them: the registered set and map, and the cached results
-// keyed on them, must not follow.
+// registering a transition: the registered transition, and the cached
+// images keyed on it, must not follow.
 func TestRegisteredOperandsAreCopies(t *testing.T) {
 	m := NewManager(4)
-	vars := []bool{true, false, false, false}
-	perm := []int{0, 0, 2, 2}
-	s, p := m.VarSet(vars), m.Renaming(perm)
-	f := m.And(m.Var(0), m.Var(1))
-	if m.Exists(f, s) != m.Var(1) || m.Rename(m.Var(1), p) != m.Var(0) {
+	vars := []int{0, 1}
+	acts := []Action{Take, Put}
+	tr := m.Transition(vars, acts)
+	want := m.And(m.NVar(0), m.Var(1))
+	if m.Fire(m.Var(0), tr) != want {
 		t.Fatal("wrong before the mutation")
 	}
-	vars[0], vars[1] = false, true
-	perm[1] = 2
-	if m.Exists(f, s) != m.Var(1) || m.Rename(m.Var(1), p) != m.Var(0) {
-		t.Error("a registered operand changed with the caller's slice")
+	vars[1], acts[0] = 2, Keep
+	if m.Fire(m.Var(0), tr) != want || m.Fire(m.And(m.Var(0), m.NVar(2)), tr) != m.And(want, m.NVar(2)) {
+		t.Error("a registered transition changed with the caller's slices")
 	}
-	if s2, p2 := m.VarSet(vars), m.Renaming(perm); s2 == s || p2 == p {
-		t.Error("different content registered under an existing name")
-	}
-	if m.VarSet([]bool{true, false, false, false}) != s || m.Renaming([]int{0, 0, 2, 2}) != p {
-		t.Error("equal content registered under a new name")
-	}
-	if m.Exists(f, m.VarSet(vars)) != m.Var(0) {
-		t.Error("the second set was answered with the first one's result")
+	if m.Fire(m.Var(0), m.Transition(vars, acts)) != m.And(m.Var(0), m.Var(2)) {
+		t.Error("the second transition was answered with the first one's image")
 	}
 }
 
-// TestGrowthInsideAndExists pads the arena to just below the unique
-// table's doubling point, so that the table doubles and the arena moves
-// in the middle of one deep relational product, and checks the result
-// against Exists∘And in an unpadded manager: a pointer into the arena
-// held across a mk would read a stale node.
-func TestGrowthInsideAndExists(t *testing.T) {
+// TestGrowthInsideFire pads the arena to just below the unique table's
+// doubling point, so that the table doubles in the middle of one deep
+// image, and checks the image against an unpadded manager and against
+// enumeration: a node read from before a mk that grew the table would
+// be stale.
+func TestGrowthInsideFire(t *testing.T) {
 	const nv = 16
-	build := func(m *Manager) (f, g Node, s VarSet) {
-		f, g = True, True
+	vars := []int{1, 4, 7, 10, 13, 15}
+	acts := []Action{Take, Put, Keep, Put, Take, Put}
+	build := func(m *Manager) (f Node, tr Trans) {
+		f = True
 		for v := 0; v < nv/2; v++ {
 			f = m.And(f, m.Or(m.Var(2*v), m.Var(2*v+1)))
-			g = m.And(g, m.Or(m.NVar(v), m.Var(v+nv/2)))
+			f = m.And(f, m.Or(m.NVar(v), m.Var(v+nv/2)))
 		}
-		vars := make([]bool, nv)
-		for v := 0; v < nv; v += 3 {
-			vars[v] = true
-		}
-		return f, g, m.VarSet(vars)
+		return f, m.Transition(vars, acts)
 	}
 	m := NewManager(nv)
-	f, g, s := build(m)
+	f, tr := build(m)
 	// x₀ ∧ k for existing nodes k below level 0: one new node each, until
 	// the unique table is a few nodes short of its 3/4-load doubling.
 	room := func() int { return m.nodes.Slots()/4*3 + 2 - m.nodes.Len() }
-	for k := Node(2); room() > 10; k++ {
+	for k := Node(2); room() > 3; k++ {
 		if int(k) >= m.nodes.Len() {
 			t.Fatalf("ran out of padding with room for %d nodes left", room())
 		}
@@ -358,19 +321,22 @@ func TestGrowthInsideAndExists(t *testing.T) {
 		}
 	}
 	slots, nodes := m.nodes.Slots(), m.nodes.Len()
-	got := m.AndExists(f, g, s)
+	got := m.Fire(f, tr)
 	if m.nodes.Slots() == slots {
-		t.Fatalf("AndExists created %d nodes and the unique table stayed at %d slots; the test needs a doubling",
+		t.Fatalf("Fire created %d nodes and the unique table stayed at %d slots; the test needs a doubling",
 			m.nodes.Len()-nodes, slots)
 	}
 	ref := NewManager(nv)
-	rf, rg, rs := build(ref)
-	want := ref.Exists(ref.And(rf, rg), rs)
+	rf, rt := build(ref)
+	want := ref.Fire(rf, rt)
 	if !slices.Equal(truthTable(m, got), truthTable(ref, want)) {
-		t.Fatal("AndExists across a table doubling differs from Exists∘And")
+		t.Fatal("Fire across a table doubling differs from an unpadded manager's")
+	}
+	if !slices.Equal(truthTable(m, got), fireTable(truthTable(m, f), vars, acts)) {
+		t.Fatal("Fire across a table doubling differs from enumeration")
 	}
 	if m.NodeCount(got) != ref.NodeCount(want) {
-		t.Fatalf("AndExists across a table doubling: %d nodes, want %d", m.NodeCount(got), ref.NodeCount(want))
+		t.Fatalf("Fire across a table doubling: %d nodes, want %d", m.NodeCount(got), ref.NodeCount(want))
 	}
 }
 

@@ -43,24 +43,17 @@ func randomOps(seed int64) (ids []bdd.Node, size int) {
 	const nv = 12
 	rng := rand.New(rand.NewSource(seed))
 	m := bdd.NewManager(nv)
-	sets := make([]bdd.VarSet, 2)
-	for i := range sets {
-		vars := make([]bool, nv)
-		for v := range vars {
-			vars[v] = rng.Intn(2) == 0
+	trans := make([]bdd.Trans, 4)
+	for i := range trans {
+		var vars []int
+		var acts []bdd.Action
+		for v := 0; v < nv; v++ {
+			if rng.Intn(3) == 0 {
+				vars, acts = append(vars, v), append(acts, bdd.Action(rng.Intn(3)))
+			}
 		}
-		sets[i] = m.VarSet(vars)
+		trans[i] = m.Transition(vars, acts)
 	}
-	shift := make([]int, nv) // odd variables onto the even one above: monotone
-	for v := range shift {
-		shift[v] = v &^ 1
-	}
-	up := m.Renaming(shift)
-	even := make([]bool, nv)
-	for v := 0; v < nv; v += 2 {
-		even[v] = true
-	}
-	evens := m.VarSet(even)
 	pool := []bdd.Node{bdd.True}
 	for v := 0; v < nv; v++ {
 		pool = append(pool, m.Var(v), m.NVar(v))
@@ -68,7 +61,7 @@ func randomOps(seed int64) (ids []bdd.Node, size int) {
 	pick := func() bdd.Node { return pool[rng.Intn(len(pool))] }
 	for i := 0; i < 400; i++ {
 		var r bdd.Node
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0:
 			r = m.And(pick(), pick())
 		case 1:
@@ -76,13 +69,9 @@ func randomOps(seed int64) (ids []bdd.Node, size int) {
 		case 2:
 			r = m.Xor(pick(), pick())
 		case 3:
-			r = m.Exists(pick(), sets[rng.Intn(2)])
-		case 4:
-			r = m.AndExists(pick(), pick(), sets[rng.Intn(2)])
+			r = m.Diff(pick(), pick())
 		default:
-			// Quantifying the even variables away first leaves a support
-			// the shift is injective on.
-			r = m.Rename(m.Exists(pick(), evens), up)
+			r = m.Fire(pick(), trans[rng.Intn(len(trans))])
 		}
 		pool = append(pool, r)
 		ids = append(ids, r)
@@ -94,21 +83,23 @@ func randomOps(seed int64) (ids []bdd.Node, size int) {
 // computed cache as a predicate: with the cache clamped to 64, 2 and 1
 // slots, so that nearly every lookup misses, symbolic analyses and random
 // operator sequences give the same results, the same node ids and the
-// same number of created nodes as at the default size. A BDD operator
-// with no memo at all is exponential (rw(9) takes over a minute on one
-// slot), so the single-slot clamp runs each family's smallest row.
+// same number of created nodes as at the default size. Every clamp runs
+// every instance: an image step is one Fire walk per transition, which
+// stops at the transition's last support level, so even one slot finishes
+// rw(9) in milliseconds (the relational product it replaced took over a
+// minute there).
 func TestBDDCacheLossIsInvisible(t *testing.T) {
 	type instance struct {
 		family string
 		size   int
 		want   symbolicRun
 	}
-	small := []instance{{family: "nsdp", size: 2}, {family: "over", size: 2}, {family: "rw", size: 6}}
-	large := []instance{{family: "nsdp", size: 4}, {family: "over", size: 3}, {family: "rw", size: 9}}
-	for _, insts := range [][]instance{small, large} {
-		for i := range insts {
-			insts[i].want = runSymbolic(t, insts[i].family, insts[i].size)
-		}
+	insts := []instance{
+		{family: "nsdp", size: 2}, {family: "over", size: 2}, {family: "rw", size: 6},
+		{family: "nsdp", size: 4}, {family: "over", size: 3}, {family: "rw", size: 9},
+	}
+	for i := range insts {
+		insts[i].want = runSymbolic(t, insts[i].family, insts[i].size)
 	}
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	wantIDs := make([][]bdd.Node, len(seeds))
@@ -116,17 +107,14 @@ func TestBDDCacheLossIsInvisible(t *testing.T) {
 	for i, seed := range seeds {
 		wantIDs[i], wantSize[i] = randomOps(seed)
 	}
-	for _, c := range []struct {
-		slots int
-		insts []instance
-	}{{64, large}, {2, large}, {1, small}} {
-		t.Run(fmt.Sprintf("slots=%d", c.slots), func(t *testing.T) {
-			bdd.ClampCache(t, c.slots)
-			if got := bdd.NewManager(4).Stats().CacheSlots; got != c.slots {
+	for _, slots := range []int{64, 2, 1} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
+			bdd.ClampCache(t, slots)
+			if got := bdd.NewManager(4).Stats().CacheSlots; got != slots {
 				t.Fatalf("clamp ignored: %d slots", got)
 			}
 			var extra int64
-			for _, in := range c.insts {
+			for _, in := range insts {
 				got := runSymbolic(t, in.family, in.size)
 				extra += got.misses - in.want.misses
 				if !reflect.DeepEqual(got.res, in.want.res) {

@@ -1,15 +1,15 @@
 package obs
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"time"
 )
 
 // SpanRecord is one finished span: a named phase with its wall-clock
-// duration and the runtime.MemStats deltas accumulated while it ran.
-// Memory deltas are process-wide, so overlapping spans double-count
-// allocations; the engines only nest spans (phase inside run), where the
-// outer span's delta legitimately includes the inner one's.
+// duration and the heap allocations made while it ran. Allocation counts
+// are process-wide, so overlapping spans double-count allocations; the
+// engines only nest spans (phase inside run), where the outer span's
+// count legitimately includes the inner one's.
 type SpanRecord struct {
 	Name string `json:"name"`
 	// StartUnixNS is the span's start time (UnixNano of the registry's
@@ -17,15 +17,15 @@ type SpanRecord struct {
 	// bit-for-bit.
 	StartUnixNS int64 `json:"start_unix_ns"`
 	WallNS      int64 `json:"wall_ns"`
-	// AllocBytes and Mallocs are the deltas of MemStats.TotalAlloc and
-	// MemStats.Mallocs: bytes and objects allocated during the span.
+	// AllocBytes and Mallocs are the bytes and objects allocated during
+	// the span, what MemStats.TotalAlloc and MemStats.Mallocs count, as
+	// runtime/metrics reports them: small objects are counted when their
+	// span leaves the allocating P's cache, so a delta misses what the
+	// caches still hold, tens of KB. On 2 vCPUs (go1.24) a symbolic
+	// nsdp(8) span reads 7.78 of 7.79 MB, an explicit nsdp(7) one 483 of
+	// 526 KB and 8 of 47 objects: a large phase's figure, not a small one's.
 	AllocBytes int64 `json:"alloc_bytes"`
 	Mallocs    int64 `json:"mallocs"`
-	// HeapObjectsDelta is the change in live heap objects (can be
-	// negative when the GC ran during the span).
-	HeapObjectsDelta int64 `json:"heap_objects_delta"`
-	// GCCycles is the number of completed GC cycles during the span.
-	GCCycles int64 `json:"gc_cycles"`
 }
 
 // Wall returns the span's wall-clock duration.
@@ -35,34 +35,39 @@ func (s SpanRecord) Wall() time.Duration { return time.Duration(s.WallNS) }
 // Registry.StartSpan and finish it with End; a nil *Span is valid and
 // End is a no-op.
 type Span struct {
-	r           *Registry
-	name        string
-	start       time.Time
-	allocBytes  uint64
-	mallocs     uint64
-	heapObjects uint64
-	gcCycles    uint32
+	r          *Registry
+	name       string
+	start      time.Time
+	allocBytes uint64
+	mallocs    uint64
+	// samples is the span's own runtime/metrics buffer, so that reading
+	// the counters allocates nothing.
+	samples [3]metrics.Sample
 }
 
-// StartSpan begins a named span. It reads runtime.MemStats, which costs
-// tens of microseconds — cheap per phase, far too expensive per state, so
-// spans delimit phases and counters track states. Returns nil on a nil
-// registry.
+// readAllocs returns the bytes and objects the process has allocated,
+// read from runtime/metrics without stopping the world, which MemStats
+// costs: MemStats.TotalAlloc is the first counter, MemStats.Mallocs the
+// sum of the other two (the heap's allocation count leaves out tiny
+// objects, which are packed into shared blocks and counted apart).
+func (s *Span) readAllocs() (bytes, objects uint64) {
+	s.samples = [...]metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+	}
+	metrics.Read(s.samples[:])
+	return s.samples[0].Value.Uint64(), s.samples[1].Value.Uint64() + s.samples[2].Value.Uint64()
+}
+
+// StartSpan begins a named span. Returns nil on a nil registry.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return &Span{
-		r:           r,
-		name:        name,
-		start:       r.now(),
-		allocBytes:  ms.TotalAlloc,
-		mallocs:     ms.Mallocs,
-		heapObjects: ms.HeapObjects,
-		gcCycles:    ms.NumGC,
-	}
+	sp := &Span{r: r, name: name, start: r.now()}
+	sp.allocBytes, sp.mallocs = sp.readAllocs()
+	return sp
 }
 
 // End finishes the span, appends its record to the registry and returns
@@ -72,16 +77,13 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	wall := s.r.now().Sub(s.start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	bytes, objects := s.readAllocs()
 	rec := SpanRecord{
-		Name:             s.name,
-		StartUnixNS:      s.start.UnixNano(),
-		WallNS:           int64(wall),
-		AllocBytes:       int64(ms.TotalAlloc - s.allocBytes),
-		Mallocs:          int64(ms.Mallocs - s.mallocs),
-		HeapObjectsDelta: int64(ms.HeapObjects) - int64(s.heapObjects),
-		GCCycles:         int64(ms.NumGC - s.gcCycles),
+		Name:        s.name,
+		StartUnixNS: s.start.UnixNano(),
+		WallNS:      int64(wall),
+		AllocBytes:  int64(bytes - s.allocBytes),
+		Mallocs:     int64(objects - s.mallocs),
 	}
 	s.r.mu.Lock()
 	s.r.spans = append(s.r.spans, rec)

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkAnalyze measures one full symbolic analysis per iteration —
-// manager, transition relations, fixpoint, deadlock check. nodes/op is
+// manager, transition registration, fixpoint, deadlock check. nodes/op is
 // the peak node count, constant per instance; B/op is the arena, the
 // unique table and the computed cache grown by doubling, so a map made
 // per call or per image step shows there first (scripts/check.sh gates

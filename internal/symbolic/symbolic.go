@@ -1,16 +1,16 @@
 // Package symbolic implements OBDD-based symbolic reachability analysis of
 // safe Petri nets (Section 2.4 of the paper; the role SMV plays in its
-// Table 1): one boolean variable per place, a partitioned transition
-// relation, breadth-first image computation to a fixpoint, and a symbolic
-// deadlock check. The manager's peak node count is reported as the
-// "Peak BDD-size" statistic.
+// Table 1): one boolean variable per place, an image step that fires each
+// transition on the frontier's BDD directly (bdd.Manager.Fire: no
+// next-state variables, no transition relation), breadth-first to a
+// fixpoint, and a symbolic deadlock check. The manager's peak node count
+// is reported as the "Peak BDD-size" statistic.
 package symbolic
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/bdd"
 	"repro/internal/obs"
@@ -22,27 +22,13 @@ import (
 // ErrNodeLimit is returned when the BDD grows beyond Options.MaxNodes.
 var ErrNodeLimit = errors.New("symbolic: BDD node limit exceeded")
 
-// Order selects the variable ordering of current/next state variables.
-type Order int
-
-const (
-	// OrderInterleaved puts each place's next-state variable directly
-	// after its current-state variable — the standard choice for
-	// transition relations.
-	OrderInterleaved Order = iota
-	// OrderSequential puts all current-state variables before all
-	// next-state variables; usually much worse (ablation).
-	OrderSequential
-)
-
 // Options configures a symbolic analysis.
 type Options struct {
 	// Ctx, if non-nil, is polled between image steps: once cancelled the
 	// analysis stops and Analyze returns a partial Result (Complete:
 	// false, peak node count and iterations so far) plus the context's
 	// error.
-	Ctx   context.Context
-	Order Order
+	Ctx context.Context
 	// MaxNodes aborts the analysis when the manager exceeds this many
 	// nodes (0 = no limit).
 	MaxNodes int
@@ -56,8 +42,9 @@ type Options struct {
 	// Progress, if non-nil, gains one per image iteration.
 	Progress *obs.Counter
 	// Trace, if non-nil, records flight-recorder events: phase brackets
-	// for relation building and the fixpoint, one iter event per image
-	// step (with the manager size), and a terminal abort on cancellation.
+	// for transition registration (named "relations", as trace readers
+	// know it) and the fixpoint, one iter event per image step (with the
+	// manager size), and a terminal abort on cancellation.
 	Trace *trace.Tracer
 }
 
@@ -74,90 +61,37 @@ type Result struct {
 	Complete   bool          // false if the analysis was cancelled mid-fixpoint
 }
 
-// analyzer carries the encoding.
-type analyzer struct {
-	net  *petri.Net
-	m    *bdd.Manager
-	cur  []int        // variable of place p (current state)
-	nxt  []int        // variable of place p (next state)
-	shed bdd.VarSet   // quantified in an image step: current-state variables
-	perm bdd.Renaming // next → current
-	role []uint8      // transitionRelation scratch, all zero between calls
-}
-
-func newAnalyzer(n *petri.Net, order Order) *analyzer {
-	np := n.NumPlaces()
-	a := &analyzer{
-		net:  n,
-		m:    bdd.NewManager(2 * np),
-		cur:  make([]int, np),
-		nxt:  make([]int, np),
-		role: make([]uint8, np),
-	}
-	for p := 0; p < np; p++ {
-		switch order {
-		case OrderInterleaved:
-			a.cur[p], a.nxt[p] = 2*p, 2*p+1
-		case OrderSequential:
-			a.cur[p], a.nxt[p] = p, np+p
+// register hands every transition of n to m: its support is •t ∪ t•,
+// place p being variable p.
+func register(n *petri.Net, m *bdd.Manager) []bdd.Trans {
+	ts := make([]bdd.Trans, n.NumTrans())
+	var vars []int
+	var acts []bdd.Action
+	for t := range ts {
+		vars, acts = vars[:0], acts[:0]
+		pre, post := n.Pre(petri.Trans(t)), n.Post(petri.Trans(t))
+		for len(pre) > 0 || len(post) > 0 {
+			switch {
+			case len(post) == 0 || len(pre) > 0 && pre[0] < post[0]:
+				vars, acts = append(vars, int(pre[0])), append(acts, bdd.Take)
+				pre = pre[1:]
+			case len(pre) == 0 || post[0] < pre[0]:
+				vars, acts = append(vars, int(post[0])), append(acts, bdd.Put)
+				post = post[1:]
+			default:
+				vars, acts = append(vars, int(pre[0])), append(acts, bdd.Keep)
+				pre, post = pre[1:], post[1:]
+			}
 		}
+		ts[t] = m.Transition(vars, acts)
 	}
-	shed := make([]bool, 2*np)
-	perm := make([]int, 2*np)
-	for p := 0; p < np; p++ {
-		shed[a.cur[p]] = true
-		perm[a.cur[p]] = a.cur[p]
-		perm[a.nxt[p]] = a.cur[p]
-	}
-	a.shed, a.perm = a.m.VarSet(shed), a.m.Renaming(perm)
-	return a
-}
-
-// Roles of a place in the transition whose relation is being built.
-const (
-	inPre uint8 = 1 << iota
-	inPost
-)
-
-// transitionRelation builds T_t(x, x′): t enabled in x, tokens moved, and
-// every untouched place unchanged — one conjunct per place, conjoined from
-// the last place to the first. A place's conjunct tests only its own two
-// variables, so in that order each And meets just the top of the
-// accumulated relation; a conjunct about a place above the top would
-// walk the relation down to its levels and leave a copy of the path
-// behind (the lesson of zdd's conflictFreeBDD).
-func (a *analyzer) transitionRelation(t petri.Trans) bdd.Node {
-	n, m := a.net, a.m
-	for _, p := range n.Pre(t) {
-		a.role[p] |= inPre
-	}
-	for _, p := range n.Post(t) {
-		a.role[p] |= inPost
-	}
-	rel := bdd.True
-	for p := n.NumPlaces() - 1; p >= 0; p-- {
-		var c bdd.Node
-		switch a.role[p] {
-		case inPre: // enabledness, token removed
-			c = m.And(m.Var(a.cur[p]), m.NVar(a.nxt[p]))
-		case inPre | inPost: // enabledness, self-loop keeps the token
-			c = m.And(m.Var(a.cur[p]), m.Var(a.nxt[p]))
-		case inPost: // token added
-			c = m.Var(a.nxt[p])
-		default: // untouched
-			c = m.Equiv(m.Var(a.cur[p]), m.Var(a.nxt[p]))
-		}
-		rel = m.And(c, rel)
-		a.role[p] = 0
-	}
-	return rel
+	return ts
 }
 
 // Analyze runs the symbolic reachability analysis and deadlock check.
 func Analyze(n *petri.Net, opts Options) (*Result, error) {
 	defer opts.Metrics.StartSpan("symbolic.analyze").End()
-	a := newAnalyzer(n, opts.Order)
-	m := a.m
+	m := bdd.NewManager(n.NumPlaces())
 	if opts.Metrics != nil {
 		// Export manager statistics on every exit path, including the
 		// node-limit aborts: peak size at abort is exactly what a cap
@@ -187,29 +121,18 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 	}
 
 	tk.Begin(phRel)
-	rels := make([]bdd.Node, n.NumTrans())
-	for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
-		if err := cancel.Poll(); err != nil {
-			return abort(err)
-		}
-		rels[t] = a.transitionRelation(t)
-		if opts.MaxNodes > 0 && m.Size() > opts.MaxNodes {
-			return nil, ErrNodeLimit
-		}
-	}
+	trans := register(n, m)
 	tk.End(phRel)
 
-	// Initial state.
+	// Initial state, conjoined from the last place up so that each And
+	// meets only the top of the cube.
 	init := bdd.True
-	marked := make(map[petri.Place]bool)
-	for _, p := range n.InitialPlaces() {
-		marked[p] = true
-	}
-	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
-		if marked[p] {
-			init = m.And(init, m.Var(a.cur[p]))
+	marked := n.InitialMarking()
+	for p := petri.Place(n.NumPlaces() - 1); p >= 0; p-- {
+		if marked.Has(p) {
+			init = m.And(m.Var(int(p)), init)
 		} else {
-			init = m.And(init, m.NVar(a.cur[p]))
+			init = m.And(m.NVar(int(p)), init)
 		}
 	}
 
@@ -221,17 +144,16 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 		cIter.Inc()
 		opts.Progress.Add(1)
 		img := bdd.False
-		for _, rel := range rels {
+		for _, t := range trans {
 			if err := cancel.Poll(); err != nil {
 				return abort(err)
 			}
-			step := m.AndExists(frontier, rel, a.shed)
-			img = m.Or(img, m.Rename(step, a.perm))
+			img = m.Or(img, m.Fire(frontier, t))
 			if opts.MaxNodes > 0 && m.Size() > opts.MaxNodes {
 				return nil, ErrNodeLimit
 			}
 		}
-		frontier = m.And(img, m.Not(reached))
+		frontier = m.Diff(img, reached)
 		reached = m.Or(reached, img)
 		tk.Iter(int64(iterations), int64(m.Size()))
 	}
@@ -242,14 +164,14 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 	for t := petri.Trans(0); int(t) < n.NumTrans(); t++ {
 		en := bdd.True
 		for _, p := range n.Pre(t) {
-			en = m.And(en, m.Var(a.cur[p]))
+			en = m.And(en, m.Var(int(p)))
 		}
 		someEnabled = m.Or(someEnabled, en)
 	}
-	dead := m.And(reached, m.Not(someEnabled))
+	dead := m.Diff(reached, someEnabled)
 
 	res := &Result{
-		States:     m.SatCount(reached) / math.Exp2(float64(n.NumPlaces())),
+		States:     m.SatCount(reached),
 		PeakNodes:  m.Size(),
 		FinalNodes: m.NodeCount(reached),
 		Iterations: iterations,
@@ -257,26 +179,26 @@ func Analyze(n *petri.Net, opts Options) (*Result, error) {
 	}
 	if assign, ok := m.AnySat(dead); ok {
 		res.Deadlock = true
-		res.Witness = a.markingOf(assign)
+		res.Witness = markingOf(n, assign)
 	}
 
 	if len(opts.Bad) > 0 {
 		badF := bdd.True
 		for _, p := range opts.Bad {
-			badF = m.And(badF, m.Var(a.cur[p]))
+			badF = m.And(badF, m.Var(int(p)))
 		}
 		if assign, ok := m.AnySat(m.And(reached, badF)); ok {
 			res.BadFound = true
-			res.BadWitness = a.markingOf(assign)
+			res.BadWitness = markingOf(n, assign)
 		}
 	}
 	return res, nil
 }
 
-func (a *analyzer) markingOf(assign []bool) petri.Marking {
-	w := a.net.EmptyMarking()
-	for p := petri.Place(0); int(p) < a.net.NumPlaces(); p++ {
-		if assign[a.cur[p]] {
+func markingOf(n *petri.Net, assign []bool) petri.Marking {
+	w := n.EmptyMarking()
+	for p := petri.Place(0); int(p) < n.NumPlaces(); p++ {
+		if assign[p] {
 			w.Set(p)
 		}
 	}

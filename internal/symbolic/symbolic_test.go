@@ -1,11 +1,15 @@
 package symbolic
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/models"
 	"repro/internal/petri"
+	"repro/internal/randnet"
 	"repro/internal/reach"
+	"repro/internal/structural/reduce"
 )
 
 // TestMatchesExplicit cross-validates the symbolic engine against
@@ -26,26 +30,15 @@ func TestMatchesExplicit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", net.Name(), err)
 		}
-		orders := []Order{OrderInterleaved}
-		// The sequential order makes the frame conditions of the transition
-		// relation exponential in the number of untouched places (that is
-		// the point of the ablation), so only exercise it on small nets.
-		if net.NumPlaces() <= 14 {
-			orders = append(orders, OrderSequential)
+		res, err := Analyze(net, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", net.Name(), err)
 		}
-		for _, ord := range orders {
-			res, err := Analyze(net, Options{Order: ord})
-			if err != nil {
-				t.Fatalf("%s: %v", net.Name(), err)
-			}
-			if int(res.States) != full.States {
-				t.Errorf("%s (order=%d): symbolic states=%v explicit=%d",
-					net.Name(), ord, res.States, full.States)
-			}
-			if res.Deadlock != full.Deadlock {
-				t.Errorf("%s (order=%d): symbolic deadlock=%v explicit=%v",
-					net.Name(), ord, res.Deadlock, full.Deadlock)
-			}
+		if int(res.States) != full.States {
+			t.Errorf("%s: symbolic states=%v explicit=%d", net.Name(), res.States, full.States)
+		}
+		if res.Deadlock != full.Deadlock {
+			t.Errorf("%s: symbolic deadlock=%v explicit=%v", net.Name(), res.Deadlock, full.Deadlock)
 		}
 	}
 }
@@ -105,24 +98,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-// TestOrderingAblation records that the interleaved order is no worse than
-// the sequential one on a concurrency-heavy model.
-func TestOrderingAblation(t *testing.T) {
-	net := models.Fig1(6)
-	inter, err := Analyze(net, Options{Order: OrderInterleaved})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Analyze(net, Options{Order: OrderSequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("Fig1(8): interleaved peak=%d, sequential peak=%d", inter.PeakNodes, seq.PeakNodes)
-	if inter.States != seq.States {
-		t.Errorf("orders disagree on state count: %v vs %v", inter.States, seq.States)
-	}
-}
-
 // TestPinnedBDDPeaks pins the symbolic column of the paper's Table 1
 // (EXPERIMENTS.md E1–E4) as exact counts. States, Iterations and
 // FinalNodes are properties of the net and the variable order; PeakNodes
@@ -136,20 +111,20 @@ func TestPinnedBDDPeaks(t *testing.T) {
 		states                        float64
 		iterations, finalNodes, peakN int
 	}{
-		{"nsdp", 2, 18, 5, 40, 948},
-		{"nsdp", 4, 322, 9, 132, 8_860},
-		{"nsdp", 6, 5_778, 13, 224, 41_081},
-		{"nsdp", 8, 103_682, 17, 316, 118_189},
-		{"asat", 2, 36, 11, 144, 2_169},
-		{"asat", 4, 768, 18, 2_823, 45_796},
-		{"over", 2, 62, 9, 80, 2_884},
-		{"over", 3, 488, 13, 210, 14_905},
-		{"over", 4, 3_842, 17, 484, 65_876},
-		{"over", 5, 30_248, 21, 1_046, 251_585},
-		{"rw", 6, 65, 7, 330, 4_372},
-		{"rw", 9, 513, 10, 2_576, 32_317},
-		{"rw", 12, 4_097, 13, 20_502, 251_873},
-		{"rw", 15, 32_769, 16, 163_868, 2_002_166},
+		{"nsdp", 2, 18, 5, 40, 338},
+		{"nsdp", 4, 322, 9, 132, 3_892},
+		{"nsdp", 6, 5_778, 13, 224, 18_701},
+		{"nsdp", 8, 103_682, 17, 316, 54_388},
+		{"asat", 2, 36, 11, 144, 752},
+		{"asat", 4, 768, 18, 2_823, 20_661},
+		{"over", 2, 62, 9, 80, 1_252},
+		{"over", 3, 488, 13, 210, 7_094},
+		{"over", 4, 3_842, 17, 484, 31_437},
+		{"over", 5, 30_248, 21, 1_046, 117_883},
+		{"rw", 6, 65, 7, 330, 1_917},
+		{"rw", 9, 513, 10, 2_576, 15_667},
+		{"rw", 12, 4_097, 13, 20_502, 125_200},
+		{"rw", 15, 32_769, 16, 163_868, 1_000_106},
 	} {
 		if testing.Short() && row.peakN > 1_000_000 {
 			continue
@@ -169,4 +144,107 @@ func TestPinnedBDDPeaks(t *testing.T) {
 				row.states, row.iterations, row.finalNodes, row.peakN)
 		}
 	}
+}
+
+// reachableSample returns up to limit reachable markings of n in
+// breadth-first order.
+func reachableSample(n *petri.Net, limit int) []petri.Marking {
+	m0 := n.InitialMarking()
+	seen := map[string]bool{m0.Key(): true}
+	out := []petri.Marking{m0}
+	var en []petri.Trans
+	for i := 0; i < len(out) && len(out) < limit; i++ {
+		en = n.AppendEnabled(en[:0], out[i])
+		for _, t := range en {
+			next, _ := n.Fire(out[i], t)
+			if k := next.Key(); !seen[k] && len(out) < limit {
+				seen[k] = true
+				out = append(out, next)
+			}
+		}
+	}
+	return out
+}
+
+// minterm returns the BDD of the one marking mk, place p being variable p.
+func minterm(m *bdd.Manager, n *petri.Net, mk petri.Marking) bdd.Node {
+	f := bdd.True
+	for p := petri.Place(n.NumPlaces() - 1); p >= 0; p-- {
+		if mk.Has(p) {
+			f = m.And(m.Var(int(p)), f)
+		} else {
+			f = m.And(m.NVar(int(p)), f)
+		}
+	}
+	return f
+}
+
+// TestFireMatchesExplicit checks the image step against explicit firing:
+// for a random set S of reachable markings, Fire(S, t) must be the set of
+// markings FireInto makes of the members of S that enable t, for every
+// transition, and Diff must be f ∧ ¬g on the same diagrams. The nets are
+// every Table 1 net and reduced net of at most 24 places and 25 random
+// nets of the default shape.
+func TestFireMatchesExplicit(t *testing.T) {
+	var nets []*petri.Net
+	for _, r := range []struct {
+		family string
+		sizes  []int
+	}{{"nsdp", []int{2, 4, 6, 8, 10}}, {"asat", []int{2, 4, 8}}, {"over", []int{2, 3, 4, 5}}, {"rw", []int{6, 9, 12, 15}}} {
+		for _, size := range r.sizes {
+			net, err := models.ByName(r.family, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cert, err := reduce.Run(net, reduce.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []*petri.Net{net, cert.Net()} {
+				if n.NumPlaces() <= 24 {
+					nets = append(nets, n)
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		nets = append(nets, randnet.Generate(randnet.Default(seed)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	checked := 0
+	for _, n := range nets {
+		m := bdd.NewManager(n.NumPlaces())
+		trans := register(n, m)
+		var set []petri.Marking
+		s := bdd.False
+		for _, mk := range reachableSample(n, 2000) {
+			if rng.Intn(2) == 0 {
+				set = append(set, mk)
+				s = m.Or(s, minterm(m, n, mk))
+			}
+		}
+		next := n.EmptyMarking()
+		for tr := petri.Trans(0); int(tr) < n.NumTrans(); tr++ {
+			want := bdd.False
+			for _, mk := range set {
+				if n.Enabled(mk, tr) {
+					n.FireInto(next, mk, tr)
+					want = m.Or(want, minterm(m, n, next))
+					checked++
+				}
+			}
+			got := m.Fire(s, trans[tr])
+			if got != want {
+				t.Fatalf("%s: Fire(S, %s) has %v markings, explicit firing %v",
+					n.Name(), n.TransName(tr), m.SatCount(got), m.SatCount(want))
+			}
+			if m.Diff(s, got) != m.And(s, m.Not(got)) || m.Diff(got, s) != m.And(got, m.Not(s)) {
+				t.Fatalf("%s: Diff differs from f ∧ ¬g at %s", n.Name(), n.TransName(tr))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no set member enabled any transition")
+	}
+	t.Logf("%d nets, %d firings", len(nets), checked)
 }
