@@ -28,8 +28,9 @@
 // becomes one JSON line under that ID; with -ledger every executed
 // verification appends one ledger/v1 entry under its content-addressed
 // run ID (browse with gpostat -history); with -trace-dump each run that
-// a deadline or disconnect aborts leaves <dir>/<id>.trace.jsonl holding
-// the flight recorder's last events (summarize with gpotrace).
+// a deadline or disconnect aborts leaves <dir>/<id>.trace.json holding
+// the flight recorder's last events as Chrome trace JSON (summarize
+// with gpotrace, or open in Perfetto).
 //
 // With -jobs DIR the daemon runs durable verification jobs (DESIGN.md
 // D11): POST /v1/jobs answers immediately with a content-addressed job
@@ -85,7 +86,7 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", 16<<20, "result cache budget in bytes, including the results a cluster member owns for its peers (negative disables)")
 		accessLog  = flag.String("access-log", "", "append JSON-lines access logs to this file ('-' = stderr)")
 		ledgerPath = flag.String("ledger", "", "append one ledger/v1 JSONL entry per executed verification to this file (backs GET /v1/runs history)")
-		traceDump  = flag.String("trace-dump", "", "write aborted requests' flight-recorder tails to <dir>/<request-id>.trace.jsonl")
+		traceDump  = flag.String("trace-dump", "", "write aborted requests' flight-recorder tails to <dir>/<request-id>.trace.json")
 		traceCap   = flag.Int("trace-events", 0, "per-track ring capacity of per-request traces (0 = default)")
 		traceRuns  = flag.Int("trace-runs", 0, "retain the last N runs' flight-recorder dumps in memory and serve them on GET /v1/runs/{id}/trace (0 disables)")
 		jobsDir    = flag.String("jobs", "", "enable durable jobs (POST /v1/jobs): journal and checkpoints live in this directory")
@@ -143,11 +144,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.TraceSink = dirTraceSink(*traceDump)
-		// Let aborted runs' ledger entries point at their dump.
-		dir := *traceDump
-		cfg.TracePath = func(id string) string {
-			return filepath.Join(dir, id+".trace.jsonl")
-		}
 	}
 
 	if *peersList != "" || *selfURL != "" {
@@ -217,22 +213,17 @@ func serve(cfg server.Config, addr string) error {
 }
 
 // dirTraceSink writes each aborted request's trace dump into dir as
-// <request-id>.trace.jsonl. IDs are validated by the server (printable,
-// no separators), so joining them onto dir is safe.
-func dirTraceSink(dir string) func(id string, d *trace.Dump) {
-	return func(id string, d *trace.Dump) {
-		path := filepath.Join(dir, id+".trace.jsonl")
-		f, err := os.Create(path)
-		if err != nil {
+// <request-id>.trace.json and returns that path, or "" when the write
+// failed. IDs are validated by the server (printable, no separators),
+// so joining them onto dir is safe.
+func dirTraceSink(dir string) func(id string, d *trace.Dump) string {
+	return func(id string, d *trace.Dump) string {
+		path := filepath.Join(dir, id+".trace.json")
+		if err := trace.WriteFile(path, d); err != nil {
 			fmt.Fprintln(os.Stderr, "gpod: trace dump:", err)
-			return
+			return ""
 		}
-		if err := trace.WriteJSONL(f, d); err != nil {
-			fmt.Fprintln(os.Stderr, "gpod: trace dump:", err)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "gpod: trace dump:", err)
-		}
+		return path
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/models"
 	"repro/internal/obs/ledger"
+	"repro/internal/obs/trace"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/verify"
@@ -224,5 +225,26 @@ func TestDaemonCrashAndRestart(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("ledger holds no NSDP(4) gpo deadlock entry: %+v", entries)
+	}
+}
+
+// TestDirTraceSink: the -trace-dump sink returns the path of the Chrome
+// trace JSON it wrote, and "" when it could not write one, so a ledger
+// entry never names a dump that does not exist.
+func TestDirTraceSink(t *testing.T) {
+	tr := trace.New(trace.Options{Cap: 8})
+	tr.SetMeta("request_id", "req-1")
+	tr.NewTrack("reach").State(0, 0)
+	dir := t.TempDir()
+	path := dirTraceSink(dir)("req-1", tr.Dump())
+	if path != filepath.Join(dir, "req-1.trace.json") {
+		t.Fatalf("sink wrote %q, want <dir>/req-1.trace.json", path)
+	}
+	d, err := trace.ReadFile(path)
+	if err != nil || d.Meta["request_id"] != "req-1" {
+		t.Fatalf("dump at %s: %v, meta %v", path, err, d)
+	}
+	if got := dirTraceSink(filepath.Join(dir, "missing"))("req-2", tr.Dump()); got != "" {
+		t.Fatalf("sink into a missing directory returned %q, want \"\"", got)
 	}
 }

@@ -92,7 +92,7 @@ func TestHistoryTraceMarker(t *testing.T) {
 	}
 	traced := base
 	traced.RunID, traced.Net, traced.Engine = "r1", "NSDP(4)", "exhaustive"
-	traced.TracePath = "traces/r1.trace.jsonl"
+	traced.TracePath = "traces/r1.trace.json"
 	plain := base
 	plain.RunID, plain.Net, plain.Engine = "r2", "RW(6)", "gpo"
 	for _, e := range []ledger.Entry{traced, plain} {

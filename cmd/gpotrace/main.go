@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	gpotrace trace.json                # Chrome/Perfetto trace
-//	gpotrace -top 20 dump.trace.jsonl  # JSONL dump, longer table
+//	gpotrace trace.json                # text summary
+//	gpotrace -top 20 req-1.trace.json  # a gpod abort dump, longer table
 //	gpotrace -json trace.json          # machine-readable summary
 //
-// Both formats are auto-detected. The same files open visually in
-// Perfetto (ui.perfetto.dev) or chrome://tracing.
+// Every trace is Chrome trace JSON; the same files open visually in
+// Perfetto (ui.perfetto.dev) or chrome://tracing. A file that does not
+// parse (an older JSONL dump included) exits non-zero.
 package main
 
 import (
@@ -37,9 +38,8 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gpotrace", flag.ExitOnError)
 	var (
-		top     = fs.Int("top", 10, "rows in the top-transitions table")
-		asJSON  = fs.Bool("json", false, "print the summary as JSON instead of text")
-		summary = fs.Bool("summary", true, "print the summary (disable to just validate the file)")
+		top    = fs.Int("top", 10, "rows in the top-transitions table")
+		asJSON = fs.Bool("json", false, "print the summary as JSON instead of text")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: gpotrace [flags] <trace-file>")
@@ -56,15 +56,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	s := trace.Summarize(d, *top)
-	switch {
-	case *asJSON:
+	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(s)
-	case *summary:
-		s.WriteText(stdout)
-	default:
-		fmt.Fprintf(stdout, "gpotrace: %s: valid (%d tracks, %d events)\n", fs.Arg(0), s.Tracks, s.Events)
 	}
+	s.WriteText(stdout)
 	return nil
 }

@@ -25,9 +25,9 @@
 // Observability flags (see OBSERVABILITY.md): -metrics dumps the engine's
 // metric registry as JSON, -ledger journals every engine run to a
 // ledger/v1 JSONL file under its content-addressed run ID (browse with
-// gpostat -history), -trace records a flight-recorder trace
-// (.json opens in Perfetto / chrome://tracing, .jsonl is line-oriented;
-// summarize either with gpotrace), -progress reports long runs on
+// gpostat -history), -trace records a flight-recorder trace as Chrome
+// trace JSON (opens in Perfetto / chrome://tracing; summarize with
+// gpotrace), -progress reports long runs on
 // stderr, -cpuprofile/-memprofile write pprof profiles, -pprof serves
 // net/http/pprof.
 package main
@@ -83,7 +83,7 @@ func main() {
 
 		metricsOut = flag.String("metrics", "", "write the engine's metric registry as JSON to this file ('-' = stderr)")
 		ledgerOut  = flag.String("ledger", "", "append one ledger/v1 JSONL entry per engine run to this file (browse with gpostat -history)")
-		traceOut   = flag.String("trace", "", "record a flight-recorder trace to this file (.jsonl/.ndjson = JSON lines, else Chrome/Perfetto trace JSON)")
+		traceOut   = flag.String("trace", "", "record a flight-recorder trace to this file as Chrome/Perfetto trace JSON")
 		progress   = flag.Bool("progress", false, "report long engine runs periodically on stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")

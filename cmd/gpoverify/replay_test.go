@@ -80,11 +80,11 @@ func TestReplayBitIdentical(t *testing.T) {
 			}
 			path, refDump := suspendRun(t, net, tc.eng, tc.stopAt)
 
-			ref := filepath.Join(t.TempDir(), "ref.trace.jsonl")
+			ref := filepath.Join(t.TempDir(), "ref.trace.json")
 			if err := trace.WriteFile(ref, refDump); err != nil {
 				t.Fatal(err)
 			}
-			out := filepath.Join(t.TempDir(), "replay.trace.jsonl")
+			out := filepath.Join(t.TempDir(), "replay.trace.json")
 			if err := runReplay(path, ref, out); err != nil {
 				t.Fatalf("runReplay: %v", err)
 			}
@@ -114,7 +114,7 @@ func TestReplayRejectsWrongRef(t *testing.T) {
 
 	// Reference trace from a different prefix (smaller boundary).
 	_, otherDump := suspendRun(t, net, verify.Exhaustive, func(states int, _ int64) bool { return states >= 100 })
-	ref := filepath.Join(t.TempDir(), "wrong.trace.jsonl")
+	ref := filepath.Join(t.TempDir(), "wrong.trace.json")
 	if err := trace.WriteFile(ref, otherDump); err != nil {
 		t.Fatal(err)
 	}

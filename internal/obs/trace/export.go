@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -9,16 +8,14 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
-	"strings"
 )
 
-// FormatVersion is the dump format version the writers stamp. Version
+// FormatVersion is the dump format version WriteChrome stamps. Version
 // 1 (files without a version field) added the original kinds; version
-// 2 added the distributed-tracing kinds (frame_send/frame_recv/steal/
-// level/expand/job). Parsers accept any version ≤ FormatVersion and
-// refuse newer files with ErrVersionMismatch rather than silently
-// dropping events they cannot name.
+// 2 added job (and cluster kinds, since retired). Parsers accept any
+// version ≤ FormatVersion and refuse newer files with
+// ErrVersionMismatch rather than silently dropping events they cannot
+// name.
 const FormatVersion = 2
 
 // Typed refusal errors from ReadDump and ReadBundle. Callers match
@@ -26,21 +23,21 @@ const FormatVersion = 2
 var (
 	// ErrEmptyTrace means the input held no bytes (or only whitespace).
 	ErrEmptyTrace = errors.New("trace: empty input")
-	// ErrBadHeader means the header (JSONL meta line or Chrome JSON
-	// envelope) was missing, truncated, or unparseable.
+	// ErrBadHeader means the Chrome JSON envelope was missing,
+	// truncated, or unparseable (a JSONL dump is refused this way too).
 	ErrBadHeader = errors.New("trace: bad or truncated header")
 	// ErrVersionMismatch means the dump was written by a newer format
 	// version than this reader understands.
 	ErrVersionMismatch = errors.New("trace: unsupported format version")
 	// ErrMixedVersions means a bundle's per-peer dumps disagree on the
-	// format version, so a merge would silently misread some of them.
+	// format version, so a reader would silently misread some of them.
 	ErrMixedVersions = errors.New("trace: mixed format versions in bundle")
 )
 
 // Dump is a tracer frozen for export: the metadata, string table and
 // transition names plus every track's surviving events oldest-first.
-// Both wire formats (Chrome trace JSON and JSONL) serialize a Dump and
-// ReadDump reconstructs one, so the summarizer works on either.
+// WriteChrome serializes a Dump as Chrome trace JSON and ReadDump
+// reconstructs one. Inside a Bundle a Dump is plain JSON.
 type Dump struct {
 	Version int               `json:"v,omitempty"`
 	Meta    map[string]string `json:"meta,omitempty"`
@@ -118,7 +115,7 @@ func (d *Dump) transName(id int64) string {
 // exporters resolve it and parsers re-intern it.
 func internedArg0(k Kind) bool {
 	switch k {
-	case KindPhaseBegin, KindPhaseEnd, KindZDDGrow, KindCacheHit, KindCacheMiss, KindAbort, KindJob:
+	case KindPhaseBegin, KindPhaseEnd, KindZDDGrow, KindAbort, KindJob:
 		return true
 	}
 	return false
@@ -218,105 +215,34 @@ func WriteChrome(w io.Writer, d *Dump) error {
 	return enc.Encode(&f)
 }
 
-// jsonlMeta is the first line of a JSONL dump.
-type jsonlMeta struct {
-	Type    string            `json:"type"` // "meta"
-	V       int               `json:"v,omitempty"`
-	Meta    map[string]string `json:"meta,omitempty"`
-	Strings []string          `json:"strings,omitempty"`
-	Trans   []string          `json:"trans,omitempty"`
-	Tracks  []string          `json:"tracks"`
-	Dropped []uint64          `json:"dropped,omitempty"`
-}
-
-// jsonlEvent is one event line of a JSONL dump.
-type jsonlEvent struct {
-	Type  string `json:"type"` // "event"
-	Track int    `json:"track"`
-	TS    int64  `json:"ts"`
-	Kind  string `json:"kind"`
-	A0    int64  `json:"a0"`
-	A1    int64  `json:"a1"`
-}
-
-// WriteJSONL writes the compact line-delimited format: one meta header
-// line, then one line per event in track order. This is the format
-// gpod dumps on aborted requests — cheap to produce and to tail.
-func WriteJSONL(w io.Writer, d *Dump) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	head := jsonlMeta{Type: "meta", V: FormatVersion, Meta: d.Meta, Strings: d.Strings, Trans: d.Trans}
-	for _, tk := range d.Tracks {
-		head.Tracks = append(head.Tracks, tk.Name)
-		head.Dropped = append(head.Dropped, tk.Dropped)
-	}
-	if err := enc.Encode(&head); err != nil {
-		return err
-	}
-	for i, tk := range d.Tracks {
-		for _, ev := range tk.Events {
-			line := jsonlEvent{
-				Type:  "event",
-				Track: i,
-				TS:    ev.TS,
-				Kind:  ev.Kind.String(),
-				A0:    ev.Arg0,
-				A1:    ev.Arg1,
-			}
-			if err := enc.Encode(&line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteFile writes the dump to path, choosing the format by extension:
-// ".jsonl" (or ".ndjson") writes JSONL, anything else Chrome trace
-// JSON.
+// WriteFile writes the dump to path as Chrome trace JSON.
 func WriteFile(path string, d *Dump) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	var werr error
-	if strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".ndjson") {
-		werr = WriteJSONL(f, d)
-	} else {
-		werr = WriteChrome(f, d)
-	}
+	werr := WriteChrome(f, d)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	return werr
 }
 
-// ReadDump parses either wire format back into a Dump, auto-detecting:
-// a JSONL stream starts with a {"type":"meta",...} line; anything else
-// must be a Chrome trace JSON object with a traceEvents array.
+// ReadDump parses Chrome trace JSON back into a Dump. The input must be
+// one JSON object with a traceEvents array; anything else, a JSONL dump
+// included, is refused with ErrBadHeader.
 func ReadDump(r io.Reader) (*Dump, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 {
+	if len(bytes.TrimLeft(data, " \t\r\n")) == 0 {
 		return nil, ErrEmptyTrace
 	}
-	first := trimmed
-	if i := bytes.IndexByte(trimmed, '\n'); i >= 0 {
-		first = trimmed[:i]
-	}
-	var probe struct {
-		Type string `json:"type"`
-	}
-	if json.Unmarshal(first, &probe) == nil && probe.Type == "meta" {
-		return readJSONL(trimmed)
-	}
-	return readChrome(trimmed)
+	return readChrome(data)
 }
 
-// ReadFile parses a trace file written by WriteFile (either format).
+// ReadFile parses a trace file written by WriteFile.
 func ReadFile(path string) (*Dump, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -324,59 +250,6 @@ func ReadFile(path string) (*Dump, error) {
 	}
 	defer f.Close()
 	return ReadDump(f)
-}
-
-func readJSONL(data []byte) (*Dump, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("%w: missing jsonl meta line", ErrBadHeader)
-	}
-	var head jsonlMeta
-	if err := json.Unmarshal(sc.Bytes(), &head); err != nil || head.Type != "meta" {
-		return nil, fmt.Errorf("%w: bad jsonl meta line", ErrBadHeader)
-	}
-	if head.V > FormatVersion {
-		return nil, fmt.Errorf("%w: jsonl dump is v%d, reader understands ≤ v%d",
-			ErrVersionMismatch, head.V, FormatVersion)
-	}
-	d := &Dump{Version: versionOr1(head.V), Meta: head.Meta, Strings: head.Strings, Trans: head.Trans}
-	for i, name := range head.Tracks {
-		tk := DumpTrack{Name: name}
-		if i < len(head.Dropped) {
-			tk.Dropped = head.Dropped[i]
-		}
-		d.Tracks = append(d.Tracks, tk)
-	}
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var line jsonlEvent
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %v", lineNo, err)
-		}
-		if line.Type != "event" {
-			continue
-		}
-		if line.Track < 0 || line.Track >= len(d.Tracks) {
-			return nil, fmt.Errorf("trace: jsonl line %d: track %d out of range", lineNo, line.Track)
-		}
-		k := kindByName(line.Kind)
-		if k == KindNone {
-			return nil, fmt.Errorf("trace: jsonl line %d: unknown kind %q", lineNo, line.Kind)
-		}
-		d.Tracks[line.Track].Events = append(d.Tracks[line.Track].Events, Event{
-			TS: line.TS, Kind: k, Arg0: line.A0, Arg1: line.A1,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 func readChrome(data []byte) (*Dump, error) {
@@ -472,10 +345,4 @@ func versionOr1(v int) int {
 // (rounded, so ns-precision events survive the float trip).
 func nsOfMicros(us float64) int64 {
 	return int64(math.Round(us * 1e3))
-}
-
-// sortTracksStable keeps summaries deterministic regardless of track
-// discovery order in a parsed Chrome file.
-func (d *Dump) sortTracksStable() {
-	sort.SliceStable(d.Tracks, func(i, j int) bool { return d.Tracks[i].Name < d.Tracks[j].Name })
 }

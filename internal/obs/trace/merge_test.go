@@ -3,16 +3,17 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
-	"strconv"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestReadDumpTypedErrors pins the refusal paths of the format sniffer:
-// each malformed input maps to a specific sentinel so callers can
+// TestReadDumpTypedErrors pins the refusal paths of the reader: each
+// malformed input maps to a specific sentinel so callers can
 // distinguish "empty file" from "corrupt header" from "written by a
-// newer build" with errors.Is.
+// newer build" with errors.Is. A JSONL dump, a format no longer
+// written, is a bad header, never misread.
 func TestReadDumpTypedErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -24,8 +25,9 @@ func TestReadDumpTypedErrors(t *testing.T) {
 		{"not json", "not json at all", ErrBadHeader},
 		{"truncated jsonl meta", `{"type":"meta"`, ErrBadHeader},
 		{"chrome without traceEvents", `{"foo": 1}`, ErrBadHeader},
-		{"jsonl future version", `{"type":"meta","v":99,"tracks":["core"]}`, ErrVersionMismatch},
 		{"chrome future sidecar", `{"traceEvents":[],"gpoTrace":{"v":99}}`, ErrVersionMismatch},
+		{"jsonl dump", `{"type":"meta","v":2,"tracks":["core"]}` + "\n" +
+			`{"type":"event","track":0,"ts":5,"kind":"state","a0":1,"a1":0}` + "\n", ErrBadHeader},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,16 +42,7 @@ func TestReadDumpTypedErrors(t *testing.T) {
 // TestReadDumpLegacyVersion checks that a pre-versioning dump (no "v"
 // field anywhere) still parses, reported as format version 1.
 func TestReadDumpLegacyVersion(t *testing.T) {
-	d, err := ReadDump(strings.NewReader(
-		`{"type":"meta","tracks":["core"]}` + "\n" +
-			`{"type":"event","track":0,"ts":5,"kind":"state","a0":1,"a1":0}` + "\n"))
-	if err != nil {
-		t.Fatalf("legacy jsonl: %v", err)
-	}
-	if d.Version != 1 {
-		t.Fatalf("legacy jsonl version = %d, want 1", d.Version)
-	}
-	d, err = ReadDump(strings.NewReader(`{"traceEvents":[]}`))
+	d, err := ReadDump(strings.NewReader(`{"traceEvents":[]}`))
 	if err != nil {
 		t.Fatalf("legacy chrome: %v", err)
 	}
@@ -58,14 +51,13 @@ func TestReadDumpLegacyVersion(t *testing.T) {
 	}
 }
 
-// TestBundleRoundTrip checks WriteBundle → ReadBundle is lossless for
-// the fields Merge consumes.
+// TestBundleRoundTrip checks WriteBundle → ReadBundle is lossless.
 func TestBundleRoundTrip(t *testing.T) {
 	in := &Bundle{
 		RunID: "run-1",
 		Peers: []BundlePeer{
 			{Addr: "http://a", Coordinator: true, Dump: sampleDump()},
-			{Addr: "http://b", OffsetNS: 1234, RTTNS: 99, Dump: sampleDump()},
+			{Addr: "http://b", Dump: sampleDump()},
 		},
 	}
 	var buf bytes.Buffer
@@ -79,10 +71,52 @@ func TestBundleRoundTrip(t *testing.T) {
 	if out.Schema != BundleSchema || out.RunID != "run-1" || len(out.Peers) != 2 {
 		t.Fatalf("round trip header: %+v", out)
 	}
-	if !out.Peers[0].Coordinator || out.Peers[1].OffsetNS != 1234 || out.Peers[1].RTTNS != 99 {
+	if !out.Peers[0].Coordinator || out.Peers[1].Coordinator || out.Peers[1].Addr != "http://b" {
 		t.Fatalf("round trip peers: %+v", out.Peers)
 	}
 	eventsEqual(t, in.Peers[0].Dump, out.Peers[0].Dump, true)
+	eventsEqual(t, in.Peers[1].Dump, out.Peers[1].Dump, true)
+}
+
+// TestBundleGoldenV2 reads a bundle written before the cluster kinds
+// were retired: a bundle stores Kind as a number, so every surviving
+// kind must keep its value and decode to the same event.
+func TestBundleGoldenV2(t *testing.T) {
+	f, err := os.Open("testdata/bundle_v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := ReadBundle(f)
+	if err != nil {
+		t.Fatalf("ReadBundle: %v", err)
+	}
+	if len(b.Peers) != 1 || b.RunID != "r-golden" {
+		t.Fatalf("golden bundle: run %q, %d peers", b.RunID, len(b.Peers))
+	}
+	d := b.Peers[0].Dump
+	var got [][]string
+	for _, tk := range d.Tracks {
+		var names []string
+		for _, ev := range tk.Events {
+			names = append(names, ev.Kind.String())
+		}
+		got = append(got, names)
+	}
+	want := [][]string{
+		{"phase_begin", "state", "fire", "state", "fire", "phase_end", "abort"},
+		{"job", "job"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("golden kinds = %v, want %v", got, want)
+	}
+	s := Summarize(d, 0)
+	if s.States != 2 || s.Fires != 2 || !s.Aborted || s.AbortReason != "context deadline exceeded" || s.Dropped != 2 {
+		t.Fatalf("golden summary: %+v", s)
+	}
+	if m, err := Merge(b); err != nil || len(m.Levels) != 0 {
+		t.Fatalf("Merge(golden) = %+v, %v; want no levels", m, err)
+	}
 }
 
 // TestReadBundleRefusals pins the bundle refusal paths: wrong schema
@@ -126,201 +160,5 @@ func TestReadBundleRefusals(t *testing.T) {
 	}
 	if _, err := Merge(&Bundle{}); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("Merge(empty bundle) = %v, want ErrBadHeader", err)
-	}
-}
-
-const (
-	msNS  = int64(1e6)
-	secNS = int64(1e9)
-)
-
-// synthFleet builds a synthetic coordinator + 2 peer bundle on a shared
-// "true" timeline (the coordinator's clock): each peer's recorder base
-// is skewed by skew[p], RPC latency is asymmetric (1ms out, 9ms back),
-// and the bundle carries deliberately wrong offset estimates (±50ms
-// error — far larger than any one-way latency). Per level and peer the
-// coordinator sends one expand frame and receives one reply; the peer
-// records the matching halves plus an "expand" phase span on its own
-// skewed clock.
-func synthFleet(skew1, skew2, est1, est2 int64) *Bundle {
-	const (
-		base = int64(1_700_000_000_000_000_000)
-		d1   = 1 * 1e6 // coordinator → peer, ns
-		d2   = 9 * 1e6 // peer → coordinator, ns
-	)
-	skews := []int64{0, skew1, skew2}
-	meta := func(p int) map[string]string {
-		return map[string]string{"base_unix_ns": strconv.FormatInt(base+skews[p], 10)}
-	}
-
-	coord := &Dump{Version: FormatVersion, Meta: meta(0)}
-	cluster := DumpTrack{Name: "cluster"}
-	cluster.Events = append(cluster.Events, Event{TS: 0, Kind: KindLevel, Arg0: 0, Arg1: 10})
-	for i := int64(0); i < 5; i++ {
-		cluster.Events = append(cluster.Events, Event{TS: 1*msNS + i, Kind: KindState, Arg0: i})
-	}
-	cluster.Events = append(cluster.Events,
-		Event{TS: 100 * msNS, Kind: KindLevel, Arg0: 1, Arg1: 20},
-		Event{TS: 110 * msNS, Kind: KindSteal, Arg0: 1, Arg1: 4},
-	)
-	wires := []DumpTrack{{Name: "wire:p1"}, {Name: "wire:p2"}}
-
-	peers := make([]*Dump, 3)
-	for p := 1; p <= 2; p++ {
-		d := &Dump{Version: FormatVersion, Meta: meta(p), Strings: []string{"", "expand"}}
-		tk := DumpTrack{Name: "peer"}
-		for _, i := range []int64{0, 1} {
-			tk.Events = append(tk.Events, Event{TS: 50*msNS + 100*msNS*i + int64(p), Kind: KindState, Arg0: i})
-		}
-		peers[p] = d
-		_ = tk
-		d.Tracks = append(d.Tracks, tk)
-	}
-
-	for lvl := int64(0); lvl < 2; lvl++ {
-		for p := 1; p <= 2; p++ {
-			// True-timeline instants (coordinator clock). Dump timestamps
-			// are relative to each recorder's base, and every base is the
-			// recorder's own reading of the same true instant, so relative
-			// timestamps equal true offsets on every peer.
-			send := lvl*100*msNS + 10*msNS + int64(p)*msNS // coordinator posts the frame
-			reply := send + 8*msNS + int64(p)*3*msNS       // peer posts the reply
-			pid := PairID(lvl, RPCExpand, 0, p)
-			wires[p-1].Events = append(wires[p-1].Events,
-				Event{TS: send, Kind: KindFrameSend, Arg0: pid, Arg1: 100},
-				Event{TS: reply + d2, Kind: KindFrameRecv, Arg0: pid, Arg1: 50},
-			)
-			pd := &peers[p].Tracks[0]
-			pd.Events = append(pd.Events,
-				Event{TS: send + d1, Kind: KindFrameRecv, Arg0: pid, Arg1: 100},
-				Event{TS: send + d1 + 100_000, Kind: KindPhaseBegin, Arg0: 1, Arg1: lvl},
-				Event{TS: send + d1 + 4*msNS, Kind: KindExpand, Arg0: 50 + int64(p), Arg1: lvl},
-				Event{TS: send + d1 + 4*msNS + 100_000, Kind: KindPhaseEnd, Arg0: 1, Arg1: lvl},
-				Event{TS: reply, Kind: KindFrameSend, Arg0: pid, Arg1: 50},
-			)
-		}
-	}
-	// One peer-to-peer intern exchange (no coordinator involvement) to
-	// exercise edge building between non-coordinator dumps.
-	ipid := PairID(0, RPCIntern, 1, 2)
-	peers[1].Tracks[0].Events = append(peers[1].Tracks[0].Events,
-		Event{TS: 40 * msNS, Kind: KindFrameSend, Arg0: ipid, Arg1: 64})
-	peers[2].Tracks[0].Events = append(peers[2].Tracks[0].Events,
-		Event{TS: 42 * msNS, Kind: KindFrameRecv, Arg0: ipid, Arg1: 64})
-
-	coord.Tracks = append(coord.Tracks, cluster, wires[0], wires[1])
-	return &Bundle{
-		Schema: BundleSchema,
-		RunID:  "skew-test",
-		Peers: []BundlePeer{
-			{Addr: "c0", Coordinator: true, Dump: coord},
-			{Addr: "p1", OffsetNS: est1, Dump: peers[1]},
-			{Addr: "p2", OffsetNS: est2, Dump: peers[2]},
-		},
-	}
-}
-
-// TestMergeSkew injects multi-second clock skew and ±50ms offset
-// estimation error (asymmetric 1ms/9ms RPC legs make the midpoint
-// estimate wrong by construction) and checks the causal clamp: applied
-// offsets land inside [skew−9ms, skew+1ms] and no matched wire edge
-// runs backwards on the merged timeline.
-func TestMergeSkew(t *testing.T) {
-	const (
-		skew1 = 2_500 * msNS  // peer 1 clock runs 2.5s ahead
-		skew2 = -3_000 * msNS // peer 2 clock runs 3s behind
-	)
-	b := synthFleet(skew1, skew2, skew1+50*msNS, skew2-50*msNS)
-	m, err := Merge(b)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-
-	// Causal clamp: peer→coordinator edges bound the offset below by
-	// skew−9ms, coordinator→peer edges bound it above by skew+1ms. The
-	// +50ms estimate clamps to the upper bound, the −50ms one to the
-	// lower.
-	if got := m.Peers[0].OffsetNS; got != 0 {
-		t.Fatalf("coordinator offset = %d, want 0", got)
-	}
-	if got, want := m.Peers[1].OffsetNS, skew1+1*msNS; got != want {
-		t.Fatalf("peer 1 offset = %d, want clamped %d (skew %d)", got, want, int64(skew1))
-	}
-	if got, want := m.Peers[2].OffsetNS, skew2-9*msNS; got != want {
-		t.Fatalf("peer 2 offset = %d, want clamped %d (skew %d)", got, want, int64(skew2))
-	}
-
-	// 2 levels × 2 peers × 2 directions of expand frames + 1 intern edge.
-	if len(m.Edges) != 9 {
-		t.Fatalf("matched %d wire edges, want 9", len(m.Edges))
-	}
-	for _, e := range m.Edges {
-		if e.EndNS < e.StartNS {
-			t.Fatalf("edge %d→%d (rpc %d, level %d) runs backwards: %d ns",
-				e.From, e.To, e.RPC, e.Level, e.EndNS-e.StartNS)
-		}
-	}
-
-	// State events counted across every dump: 5 coordinator + 2 per peer.
-	if m.States != 9 {
-		t.Fatalf("merged states = %d, want 9", m.States)
-	}
-
-	// Attribution: two level marks; level 0 spans the 100ms to the next
-	// mark and holds both peers' 4ms expand phases; the steal landed in
-	// level 1; peer 2's replies arrive 4ms after peer 1's.
-	if len(m.Levels) != 2 {
-		t.Fatalf("levels = %+v, want 2 entries", m.Levels)
-	}
-	l0, l1 := m.Levels[0], m.Levels[1]
-	if l0.Level != 0 || l0.Size != 10 || l0.WallNS != 100*msNS {
-		t.Fatalf("level 0 stat = %+v", l0)
-	}
-	if l0.ComputeNS != 8*msNS {
-		t.Fatalf("level 0 compute = %d, want %d (2 peers × 4ms)", l0.ComputeNS, 8*msNS)
-	}
-	if l0.StallNS != 4*msNS || l0.SlowestPeer != "p2" {
-		t.Fatalf("level 0 stall = %d slowest = %q, want 4ms / p2", l0.StallNS, l0.SlowestPeer)
-	}
-	if l1.Steals != 1 || l1.Stolen != 4 {
-		t.Fatalf("level 1 steal stats = %+v", l1)
-	}
-	if p1, p2 := m.Peers[1], m.Peers[2]; p1.Expanded != 102 || p2.Expanded != 104 {
-		t.Fatalf("expanded per peer = %d/%d, want 102/104", p1.Expanded, p2.Expanded)
-	}
-
-	var table strings.Builder
-	m.WriteText(&table)
-	out := table.String()
-	for _, want := range []string{"slowest", "p2", "fleet states: 9"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("attribution table missing %q:\n%s", want, out)
-		}
-	}
-	if err := WriteChromeMerged(io.Discard, b, m); err != nil {
-		t.Fatalf("WriteChromeMerged: %v", err)
-	}
-}
-
-// TestMergeOffsetInsideBounds checks the no-clamp path: an estimate
-// already inside the causal interval is applied unchanged.
-func TestMergeOffsetInsideBounds(t *testing.T) {
-	const skew1, skew2 = 7 * secNS, -2 * secNS
-	est1, est2 := skew1-3*msNS, skew2+0*msNS
-	m, err := Merge(synthFleet(skew1, skew2, est1, est2))
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if m.Peers[1].OffsetNS != est1 || m.Peers[2].OffsetNS != est2 {
-		t.Fatalf("offsets = %d/%d, want estimates %d/%d untouched",
-			m.Peers[1].OffsetNS, m.Peers[2].OffsetNS, est1, est2)
-	}
-	// Only coordinator-involving edges are causally constrained; the
-	// peer-to-peer intern edge may drift by the residual estimation
-	// error.
-	for _, e := range m.Edges {
-		if (e.From == 0 || e.To == 0) && e.EndNS < e.StartNS {
-			t.Fatalf("edge %d→%d runs backwards with in-bounds estimates", e.From, e.To)
-		}
 	}
 }

@@ -50,19 +50,22 @@ type RateBucket struct {
 // rateBuckets is how many slices Summarize cuts the run into.
 const rateBuckets = 10
 
-// Summarize reconstructs a Summary from a dump. topN bounds the
+// Summarize reconstructs a Summary from a dump, which it leaves as it
+// is. Tracks are read in name order, so the summary does not depend on
+// the order a parsed Chrome file listed them in. topN bounds the
 // top-transitions table (<=0 means 10).
 func Summarize(d *Dump, topN int) *Summary {
 	if topN <= 0 {
 		topN = 10
 	}
-	d.sortTracksStable()
-	s := &Summary{Meta: d.Meta, Tracks: len(d.Tracks)}
+	tracks := append([]DumpTrack(nil), d.Tracks...)
+	sort.SliceStable(tracks, func(i, j int) bool { return tracks[i].Name < tracks[j].Name })
+	s := &Summary{Meta: d.Meta, Tracks: len(tracks)}
 
 	minTS, maxTS := int64(0), int64(0)
 	seenTS := false
 	fires := map[int64]int{}
-	for _, tk := range d.Tracks {
+	for _, tk := range tracks {
 		s.Dropped += tk.Dropped
 		s.Events += len(tk.Events)
 		type open struct {
@@ -153,7 +156,7 @@ func Summarize(d *Dump, topN int) *Summary {
 		for i := range s.Rate {
 			s.Rate[i].StartNS = minTS + int64(i)*width
 		}
-		for _, tk := range d.Tracks {
+		for _, tk := range tracks {
 			for _, ev := range tk.Events {
 				if ev.Kind != KindState {
 					continue

@@ -22,9 +22,8 @@
 // A Track is single-goroutine, like the engines themselves; concurrent
 // recorders (the parallel reachability workers) each own a track, which
 // doubles as the Perfetto thread lane the events land on. Export with
-// WriteChrome (Perfetto / chrome://tracing trace.json) or WriteJSONL
-// (compact line-delimited events, the format gpod dumps on aborts), and
-// read either back with ReadDump.
+// WriteChrome (Perfetto / chrome://tracing trace.json) and read it back
+// with ReadDump.
 package trace
 
 import (
@@ -33,7 +32,9 @@ import (
 )
 
 // Kind classifies one event. The Arg0/Arg1 meaning is per kind; see the
-// String method for the wire names.
+// String method for the wire names. A bundle encodes Kind as a number,
+// so every kind keeps its value: 11, 12 and 14 to 18 are retired and
+// never reused.
 type Kind uint8
 
 const (
@@ -66,81 +67,42 @@ const (
 	// KindZDDGrow marks an open-addressed ZDD table doubling. Arg0 is
 	// the interned table name, Arg1 the new slot count.
 	KindZDDGrow
-	// KindCacheHit/KindCacheMiss mark a lookup in a named cache
-	// (Arg0 = interned cache name).
-	KindCacheHit
-	KindCacheMiss
+)
+
+const (
 	// KindAbort is the terminal event of a cancelled run. Arg0 is the
 	// interned reason (the context error text).
-	KindAbort
-	// KindFrameSend/KindFrameRecv are paired wire edges: one cluster
-	// frame leaving or entering a process. Arg0 is the pair id
-	// (PairID — level, RPC, source and destination peer), Arg1 the byte
-	// count on the wire. A request/reply exchange emits four events
-	// under one pair id: the client's send and recv, the server's recv
-	// and send. Matching them across dumps reconstructs wire latency.
-	KindFrameSend
-	KindFrameRecv
-	// KindSteal marks the coordinator moving work between peers during
-	// level assignment. Arg0 is the BFS level, Arg1 the number of
-	// frontier positions moved.
-	KindSteal
-	// KindLevel marks a BFS level boundary on the coordinator. Arg0 is
-	// the level number (0-based), Arg1 the frontier size.
-	KindLevel
-	// KindExpand marks a peer finishing one expand batch. Arg0 is the
-	// number of frontier entries expanded, Arg1 the BFS level.
-	KindExpand
+	KindAbort Kind = 13
 	// KindJob marks a durable-job lifecycle step (slice begin/end,
 	// checkpoint save, resume). Arg0 is the interned step name, Arg1 a
 	// step detail (typically the state count at the boundary).
-	KindJob
+	KindJob Kind = 19
 )
 
 // kindMax is the last valid kind; parsers iterate KindPhaseBegin..kindMax.
 const kindMax = KindJob
 
-// String returns the kind's wire name, used by both export formats.
+// kindNames holds each live kind's wire name; a retired value has none.
+var kindNames = [kindMax + 1]string{
+	KindPhaseBegin: "phase_begin",
+	KindPhaseEnd:   "phase_end",
+	KindState:      "state",
+	KindFire:       "fire",
+	KindMultiFire:  "multifire",
+	KindStubborn:   "stubborn",
+	KindConflict:   "conflict",
+	KindIter:       "iter",
+	KindCutoff:     "cutoff",
+	KindZDDGrow:    "zdd_grow",
+	KindAbort:      "abort",
+	KindJob:        "job",
+}
+
+// String returns the kind's wire name ("none" for KindNone and the
+// retired values).
 func (k Kind) String() string {
-	switch k {
-	case KindPhaseBegin:
-		return "phase_begin"
-	case KindPhaseEnd:
-		return "phase_end"
-	case KindState:
-		return "state"
-	case KindFire:
-		return "fire"
-	case KindMultiFire:
-		return "multifire"
-	case KindStubborn:
-		return "stubborn"
-	case KindConflict:
-		return "conflict"
-	case KindIter:
-		return "iter"
-	case KindCutoff:
-		return "cutoff"
-	case KindZDDGrow:
-		return "zdd_grow"
-	case KindCacheHit:
-		return "cache_hit"
-	case KindCacheMiss:
-		return "cache_miss"
-	case KindAbort:
-		return "abort"
-	case KindFrameSend:
-		return "frame_send"
-	case KindFrameRecv:
-		return "frame_recv"
-	case KindSteal:
-		return "steal"
-	case KindLevel:
-		return "level"
-	case KindExpand:
-		return "expand"
-	case KindJob:
-		return "job"
+	if k <= kindMax && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "none"
 }
@@ -148,7 +110,7 @@ func (k Kind) String() string {
 // kindByName inverts String for the parsers.
 func kindByName(s string) Kind {
 	for k := KindPhaseBegin; k <= kindMax; k++ {
-		if k.String() == s {
+		if kindNames[k] != "" && kindNames[k] == s {
 			return k
 		}
 	}
@@ -326,10 +288,6 @@ func (tk *Track) Cutoff(id int64) { tk.Emit(KindCutoff, id, 0) }
 // ZDDGrow records a table doubling to slots (nameID from Intern).
 func (tk *Track) ZDDGrow(nameID, slots int64) { tk.Emit(KindZDDGrow, nameID, slots) }
 
-// CacheHit/CacheMiss record a lookup in the named cache.
-func (tk *Track) CacheHit(nameID int64)  { tk.Emit(KindCacheHit, nameID, 0) }
-func (tk *Track) CacheMiss(nameID int64) { tk.Emit(KindCacheMiss, nameID, 0) }
-
 // Begin/End bracket a phase (nameID from Intern).
 func (tk *Track) Begin(nameID int64) { tk.Emit(KindPhaseBegin, nameID, 0) }
 func (tk *Track) End(nameID int64)   { tk.Emit(KindPhaseEnd, nameID, 0) }
@@ -337,21 +295,6 @@ func (tk *Track) End(nameID int64)   { tk.Emit(KindPhaseEnd, nameID, 0) }
 // Abort records the terminal event of a cancelled run (reasonID from
 // Intern).
 func (tk *Track) Abort(reasonID int64) { tk.Emit(KindAbort, reasonID, 0) }
-
-// FrameSend/FrameRecv record one side of a cluster wire edge: a frame
-// of the given byte count leaving or entering this process under pair
-// id pid (see PairID).
-func (tk *Track) FrameSend(pid, bytes int64) { tk.Emit(KindFrameSend, pid, bytes) }
-func (tk *Track) FrameRecv(pid, bytes int64) { tk.Emit(KindFrameRecv, pid, bytes) }
-
-// Steal records the coordinator moving n frontier positions at level.
-func (tk *Track) Steal(level, n int64) { tk.Emit(KindSteal, level, n) }
-
-// Level records a BFS level boundary of the given frontier size.
-func (tk *Track) Level(level, size int64) { tk.Emit(KindLevel, level, size) }
-
-// Expanded records a peer finishing an expand batch of n entries.
-func (tk *Track) Expanded(n, level int64) { tk.Emit(KindExpand, n, level) }
 
 // Job records a durable-job lifecycle step (stepID from Intern).
 func (tk *Track) Job(stepID, detail int64) { tk.Emit(KindJob, stepID, detail) }
@@ -392,39 +335,6 @@ func (tk *Track) snapshot() []Event {
 	head := tk.n % c
 	out = append(out, tk.events[head:]...)
 	return append(out, tk.events[:head]...)
-}
-
-// RPC codes carried inside wire-edge pair ids, identifying which
-// cluster exchange a frame belongs to.
-const (
-	RPCExpand  = 1
-	RPCIntern  = 2
-	RPCCollect = 3
-	RPCCommit  = 4
-)
-
-// PairID packs a wire edge's identity — BFS level, RPC code, source
-// and destination peer index — into one int64 so both ends of an
-// exchange can stamp the same id without coordination. Layout:
-// level<<20 | rpc<<16 | src<<8 | dst.
-func PairID(level int64, rpc, src, dst int) int64 {
-	return level<<20 | int64(rpc&0xf)<<16 | int64(src&0xff)<<8 | int64(dst&0xff)
-}
-
-// PairLevel/PairRPC/PairSrc/PairDst unpack a PairID.
-func PairLevel(pid int64) int64 { return pid >> 20 }
-func PairRPC(pid int64) int     { return int(pid>>16) & 0xf }
-func PairSrc(pid int64) int     { return int(pid>>8) & 0xff }
-func PairDst(pid int64) int     { return int(pid) & 0xff }
-
-// Base returns the tracer's start time (zero on a nil tracer). The
-// cluster layer stamps it into trace metadata (base_unix_ns) so merged
-// timelines can place each dump on an absolute clock.
-func (t *Tracer) Base() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.base
 }
 
 // Meta returns a copy of the tracer's metadata (nil-safe).

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -35,8 +37,6 @@ func TestNilSafety(t *testing.T) {
 	tk.Iter(1, 10)
 	tk.Cutoff(7)
 	tk.ZDDGrow(0, 128)
-	tk.CacheHit(0)
-	tk.CacheMiss(0)
 	tk.Begin(0)
 	tk.End(0)
 	tk.Abort(0)
@@ -113,15 +113,22 @@ func TestInternStable(t *testing.T) {
 	}
 }
 
-// TestKindNames checks String/kindByName are inverses over every kind.
+// TestKindNames checks String/kindByName are inverses over every named
+// kind, and that a retired value names nothing: a bundle that carries
+// one must not read back as a live kind.
 func TestKindNames(t *testing.T) {
-	for k := KindPhaseBegin; k <= KindAbort; k++ {
+	for k := KindPhaseBegin; k <= kindMax; k++ {
+		if k.String() == "none" {
+			continue
+		}
 		if got := kindByName(k.String()); got != k {
 			t.Fatalf("kindByName(%q) = %v, want %v", k.String(), got, k)
 		}
 	}
-	if kindByName("bogus") != KindNone {
-		t.Fatalf("kindByName(bogus) != KindNone")
+	for _, name := range []string{"bogus", "none", "", "cache_hit", "frame_send", "level"} {
+		if kindByName(name) != KindNone {
+			t.Fatalf("kindByName(%q) != KindNone", name)
+		}
 	}
 }
 
@@ -134,7 +141,6 @@ func sampleDump() *Dump {
 	tr.SetTransNames([]string{"think0", "eat0", "put0"})
 	explore := tr.Intern("explore")
 	uniq := tr.Intern("unique")
-	rc := tr.Intern("result")
 	reason := tr.Intern("context deadline exceeded")
 
 	main := tr.NewTrack("core")
@@ -149,8 +155,6 @@ func sampleDump() *Dump {
 	main.Iter(1, 100)
 	main.Cutoff(5)
 	main.ZDDGrow(uniq, 2048)
-	main.CacheHit(rc)
-	main.CacheMiss(rc)
 	main.End(explore)
 	main.Abort(reason)
 
@@ -206,20 +210,6 @@ func eventsEqual(t *testing.T, a, b *Dump, exactStrings bool) {
 	}
 }
 
-// TestJSONLRoundTrip checks WriteJSONL → ReadDump is lossless.
-func TestJSONLRoundTrip(t *testing.T) {
-	d := sampleDump()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, d); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	got, err := ReadDump(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadDump(jsonl): %v", err)
-	}
-	eventsEqual(t, d, got, true)
-}
-
 // TestChromeRoundTrip checks WriteChrome → ReadDump preserves the
 // events semantically and that the output is well-formed Chrome trace
 // JSON (object with a traceEvents array of ph/ts/pid/tid records).
@@ -254,8 +244,8 @@ func TestChromeRoundTrip(t *testing.T) {
 	eventsEqual(t, d, got, false)
 }
 
-// TestWriteFileFormats checks WriteFile picks the format by extension
-// and ReadFile reads both back.
+// TestWriteFileFormats checks WriteFile writes Chrome trace JSON
+// whatever the extension, and ReadFile reads it back.
 func TestWriteFileFormats(t *testing.T) {
 	d := sampleDump()
 	dir := t.TempDir()
@@ -263,6 +253,9 @@ func TestWriteFileFormats(t *testing.T) {
 		path := dir + "/" + name
 		if err := WriteFile(path, d); err != nil {
 			t.Fatalf("WriteFile(%s): %v", name, err)
+		}
+		if raw, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(raw, []byte(`{"traceEvents":`)) {
+			t.Fatalf("WriteFile(%s) did not write Chrome trace JSON (err %v)", name, err)
 		}
 		got, err := ReadFile(path)
 		if err != nil {
@@ -314,6 +307,26 @@ func TestSummarize(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("WriteText missing %q in:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestSummarizeLeavesDump checks Summarize reads its dump without
+// reordering it: the tracks keep their recording order (not name
+// order), and a second call returns an equal summary.
+func TestSummarizeLeavesDump(t *testing.T) {
+	tr := New(Options{Cap: 16})
+	for _, name := range []string{"zdd", "core", "job"} {
+		tr.NewTrack(name).State(0, 0)
+	}
+	d := tr.Dump()
+	first := Summarize(d, 0)
+	for i, want := range []string{"zdd", "core", "job"} {
+		if d.Tracks[i].Name != want {
+			t.Fatalf("after Summarize track %d is %q, want %q (recording order)", i, d.Tracks[i].Name, want)
+		}
+	}
+	if again := Summarize(d, 0); !reflect.DeepEqual(first, again) {
+		t.Fatalf("two summaries of one dump differ:\n%+v\n%+v", first, again)
 	}
 }
 

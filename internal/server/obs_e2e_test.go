@@ -46,10 +46,11 @@ func newDumpCollector() *dumpCollector {
 	return &dumpCollector{dumps: make(map[string]*trace.Dump)}
 }
 
-func (c *dumpCollector) sink(id string, d *trace.Dump) {
+func (c *dumpCollector) sink(id string, d *trace.Dump) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dumps[id] = d
+	return ""
 }
 
 func (c *dumpCollector) get(id string) *trace.Dump {
@@ -168,11 +169,11 @@ func TestE2EAbortDumpJoinsAccessLog(t *testing.T) {
 		t.Fatalf("abort dump has %d abort events, want 1", aborts)
 	}
 
-	// The dump round-trips through the JSONL wire format (what gpod
+	// The dump round-trips through Chrome trace JSON (what gpod
 	// -trace-dump writes and gpotrace reads).
 	var wire bytes.Buffer
-	if err := trace.WriteJSONL(&wire, d); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := trace.WriteChrome(&wire, d); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
 	}
 	back, err := trace.ReadDump(bytes.NewReader(wire.Bytes()))
 	if err != nil {

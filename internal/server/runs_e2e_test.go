@@ -2,12 +2,13 @@ package server_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,23 +103,18 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 	}
 	t.Cleanup(func() { ldg.Close() }) // after the server, which start closes
 	logBuf := &syncBuffer{}
-	tracePath := func(id string) string { return filepath.Join(dir, id+".trace.jsonl") }
 	ts := start(t, server.Config{
 		Workers:   1,
 		AccessLog: logBuf,
 		Ledger:    ldg,
-		TraceSink: func(id string, d *trace.Dump) {
-			f, err := os.Create(tracePath(id))
-			if err != nil {
+		TraceSink: func(id string, d *trace.Dump) string {
+			path := filepath.Join(dir, id+".trace.json")
+			if err := trace.WriteFile(path, d); err != nil {
 				t.Errorf("trace sink: %v", err)
-				return
+				return ""
 			}
-			defer f.Close()
-			if err := trace.WriteJSONL(f, d); err != nil {
-				t.Errorf("trace sink write: %v", err)
-			}
+			return path
 		},
-		TracePath: tracePath,
 	})
 
 	const id = "recon-1"
@@ -186,14 +182,9 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 	if e.TracePath == "" {
 		t.Fatal("ledger entry has no trace path")
 	}
-	f, err := os.Open(e.TracePath)
+	d, err := trace.ReadFile(e.TracePath)
 	if err != nil {
-		t.Fatalf("ledgered trace path: %v", err)
-	}
-	d, err := trace.ReadDump(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("trace dump: %v", err)
+		t.Fatalf("ledgered trace dump: %v", err)
 	}
 	if d.Meta["run_id"] != e.RunID || d.Meta["request_id"] != id {
 		t.Fatalf("trace meta does not join: %+v", d.Meta)
@@ -255,6 +246,49 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 	}
 	if done.RunID != e.RunID || done.Status != "aborted" || done.States != e.States {
 		t.Fatalf("done event %+v does not match ledger %+v", done, e)
+	}
+}
+
+// TestE2EAbortedRunFailedDump: when the trace sink writes no dump, the
+// aborted run's ledger entry names no trace path, rather than a file
+// that does not exist.
+func TestE2EAbortedRunFailedDump(t *testing.T) {
+	ldgPath := filepath.Join(t.TempDir(), "runs.jsonl")
+	ldg, err := ledger.Open(ldgPath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ldg.Close() })
+	var sinkCalls atomic.Int32
+	ts := start(t, server.Config{
+		Workers: 1,
+		Ledger:  ldg,
+		TraceSink: func(id string, d *trace.Dump) string {
+			sinkCalls.Add(1)
+			return "" // the dump could not be written
+		},
+	})
+	resp, err := ts.Client.Verify(context.Background(), &server.Request{
+		Model: "nsdp", Size: 10, Engine: "exhaustive", TimeoutMS: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != server.StatusAborted {
+		t.Skipf("nsdp(10) completed within 50ms on this machine: %+v", resp)
+	}
+	entries, err := ledger.Read(ldgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Status != "aborted" {
+		t.Fatalf("ledger = %+v, want one aborted entry", entries)
+	}
+	if n := sinkCalls.Load(); n != 1 {
+		t.Fatalf("trace sink called %d times, want 1", n)
+	}
+	if p := entries[0].TracePath; p != "" {
+		t.Fatalf("ledger trace_path = %q after a failed dump, want empty", p)
 	}
 }
 

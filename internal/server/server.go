@@ -70,16 +70,14 @@ type Config struct {
 	// every admitted verification runs under its own tracer (ring
 	// capacity TraceEvents) and, when the request deadline or a client
 	// disconnect aborts the run, the sink receives the request ID and
-	// the recorded event tail. Completed runs are not dumped. Called
-	// from worker goroutines; must be safe for concurrent use.
-	TraceSink func(id string, d *trace.Dump)
+	// the recorded event tail. It returns the path it wrote the dump
+	// to, which the run's ledger entry records, or "" if it wrote none.
+	// Completed runs are not dumped. Called from worker goroutines;
+	// must be safe for concurrent use.
+	TraceSink func(id string, d *trace.Dump) string
 	// TraceEvents is the per-track ring capacity of per-request tracers
 	// (0 = trace.DefaultCap). Only read when TraceSink is set.
 	TraceEvents int
-	// TracePath, if set, maps a request ID to the path TraceSink will
-	// write its dump to, so the run's ledger entry can point at it. Only
-	// consulted for aborted runs with a TraceSink configured.
-	TracePath func(id string) string
 	// TraceRuns, when positive, retains the flight-recorder dump of the
 	// last N runs in memory (keyed by run ID) and serves them on
 	// GET /v1/runs/{id}/trace. Tracing is enabled for every run when
@@ -386,10 +384,7 @@ func (s *Server) run(j *job) {
 		// flight recorder so the abort is diagnosable after the fact,
 		// and point the ledger entry at the dump.
 		if tr != nil && s.cfg.TraceSink != nil {
-			s.cfg.TraceSink(j.id, tr.Dump())
-			if s.cfg.TracePath != nil {
-				tracePath = s.cfg.TracePath(j.id)
-			}
+			tracePath = s.cfg.TraceSink(j.id, tr.Dump())
 		}
 	case resp.Status == StatusOK && resp.Complete:
 		// Only complete, uncancelled results are cacheable: partial

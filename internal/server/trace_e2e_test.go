@@ -65,12 +65,8 @@ func TestE2ERunTraceEndpoint(t *testing.T) {
 	if p.Dump.Meta["run_id"] != resp.RunID || p.Dump.Meta["engine"] == "" {
 		t.Fatalf("dump meta: %+v", p.Dump.Meta)
 	}
-	m, err := trace.Merge(b)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if m.States != int64(resp.States) {
-		t.Fatalf("merged timeline reconstructs %d states, response says %d", m.States, resp.States)
+	if got := trace.Summarize(b.Peers[0].Dump, 0).States; got != resp.States {
+		t.Fatalf("trace reconstructs %d states, response says %d", got, resp.States)
 	}
 	if g := reg.Snapshot().Gauges["server.trace_runs"]; g != 1 {
 		t.Fatalf("server.trace_runs = %d, want 1", g)
@@ -116,12 +112,8 @@ func TestE2ERunTraceFleet(t *testing.T) {
 	if p := b.Peers[0]; p.Addr != coord.URL || !p.Coordinator || p.Dump.Meta["run_id"] != resp.RunID {
 		t.Fatalf("bundle entry: addr=%q coordinator=%v meta=%v, want %s's dump of the run", p.Addr, p.Coordinator, p.Dump.Meta, coord.URL)
 	}
-	m, err := trace.Merge(b)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if m.States != int64(resp.States) {
-		t.Fatalf("trace reconstructs %d states, response says %d", m.States, resp.States)
+	if got := trace.Summarize(b.Peers[0].Dump, 0).States; got != resp.States {
+		t.Fatalf("trace reconstructs %d states, response says %d", got, resp.States)
 	}
 	for _, p := range f.Peers[1:] {
 		hr, err := http.Get(p.URL + "/v1/runs/" + resp.RunID + "/trace")
