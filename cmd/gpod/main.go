@@ -132,7 +132,7 @@ func main() {
 		}
 	}
 	if *ledgerPath != "" {
-		l, err := ledger.Open(*ledgerPath, 0)
+		l, err := ledger.Open(*ledgerPath)
 		if err != nil {
 			fatal(err)
 		}

@@ -81,7 +81,7 @@ func TestFollowOnceSemantics(t *testing.T) {
 func TestHistoryTraceMarker(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "runs.jsonl")
-	lg, err := ledger.Open(path, 0)
+	lg, err := ledger.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

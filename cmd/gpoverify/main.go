@@ -170,7 +170,7 @@ func main() {
 	var ldg *ledger.Log
 	if *ledgerOut != "" {
 		var err error
-		if ldg, err = ledger.Open(*ledgerOut, 0); err != nil {
+		if ldg, err = ledger.Open(*ledgerOut); err != nil {
 			fatal(err)
 		}
 		defer ldg.Close()

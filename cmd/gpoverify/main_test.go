@@ -73,7 +73,7 @@ func TestLedgerMatchesDaemon(t *testing.T) {
 		t.Fatalf("gpoverify: %v\n%s", err, out)
 	}
 
-	l, err := ledger.Open(gpodLedger, 0)
+	l, err := ledger.Open(gpodLedger)
 	if err != nil {
 		t.Fatal(err)
 	}

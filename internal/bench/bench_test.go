@@ -2,7 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -74,6 +78,81 @@ func TestTable1Artifact(t *testing.T) {
 					name, engine, got, want)
 			}
 		}
+	}
+}
+
+// TestTable1Docs holds EXPERIMENTS.md's Table 1 to TABLE1.json: in the
+// first table under each of the ### NSDP, ASAT, OVER and RW headings,
+// every "(ours)" count column equals the committed entry (states, or
+// peak_nodes for the BDD column), and "–" marks a skipped one.
+func TestTable1Docs(t *testing.T) {
+	_, rep := readTable1(t)
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make(map[string]Entry)
+	for _, e := range rep.Entries {
+		entries[fmt.Sprintf("%s(%d)/%s", e.Family, e.Size, e.Engine)] = e
+	}
+	columns := map[string]string{
+		"full (ours)": EngineExhaustive, "PO (ours)": EnginePO, "PO+prov (ours)": EnginePOProviso,
+		"BDD (ours)": EngineSymbolic, "BDD peak (ours)": EngineSymbolic, "GPO (ours)": EngineGPO,
+	}
+	clean := strings.NewReplacer("**", "", " (= full)", "", " ", "")
+	var family string
+	var header []string
+	cells := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "### ") {
+			family, header = "", nil
+			if f, _, ok := strings.Cut(line[4:], " "); ok && slices.Contains([]string{"NSDP", "ASAT", "OVER", "RW"}, f) {
+				family = strings.ToLower(f)
+			}
+			continue
+		}
+		if family == "" {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			if header != nil {
+				family = "" // only the first table under the heading
+			}
+			continue
+		}
+		row := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range row {
+			row[i] = strings.TrimSpace(row[i])
+		}
+		if header == nil {
+			header = row
+			continue
+		}
+		if strings.HasPrefix(row[0], "---") {
+			continue
+		}
+		for i, col := range header {
+			engine, ok := columns[col]
+			if !ok {
+				continue
+			}
+			cells++
+			key := fmt.Sprintf("%s(%s)/%s", family, row[0], engine)
+			e, ok := entries[key]
+			if v := clean.Replace(row[i]); !ok {
+				t.Errorf("%s: EXPERIMENTS.md has %q, TABLE1.json no entry", key, row[i])
+			} else if v == "–" {
+				if !e.Skipped {
+					t.Errorf("%s: EXPERIMENTS.md skips it, TABLE1.json records %+v", key, e)
+				}
+			} else if n, err := strconv.ParseInt(v, 10, 64); err != nil ||
+				(engine == EngineSymbolic && n != e.PeakNodes) || (engine != EngineSymbolic && n != e.States) {
+				t.Errorf("%s: EXPERIMENTS.md has %q, TABLE1.json records %+v", key, row[i], e)
+			}
+		}
+	}
+	if cells != 69 {
+		t.Errorf("read %d Table 1 cells from EXPERIMENTS.md, want 69", cells)
 	}
 }
 

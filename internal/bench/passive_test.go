@@ -98,7 +98,7 @@ func sameReport(t *testing.T, label string, bare, instr *verify.Report) {
 // from wall clock. For exhaustive runs the counter's final value, the
 // report's state count and the reach.states counter must all agree.
 func TestLedgerAndStreamingArePassive(t *testing.T) {
-	log, err := ledger.Open(filepath.Join(t.TempDir(), "runs.jsonl"), 0)
+	log, err := ledger.Open(filepath.Join(t.TempDir(), "runs.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,25 +132,24 @@ func Encode(f *File) ([]byte, error) {
 	if f.Snap == nil || (f.Snap.Reach == nil) == (f.Snap.Core == nil) {
 		return nil, fmt.Errorf("ckpt: exactly one engine snapshot must be set")
 	}
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	codec.WriteFrame(&buf, frameHeader, encodeHeader(f))
+	// magic[:] has no spare capacity, so the first append copies it.
+	img := codec.AppendFrame(magic[:], frameHeader, encodeHeader(f))
 	if sn := f.Snap.Reach; sn != nil {
 		if len(sn.States) == 0 {
 			return nil, fmt.Errorf("ckpt: exhaustive snapshot has no states")
 		}
 		words := len(sn.States[0])
-		codec.WriteFrame(&buf, frameReach, encodeReach(sn, words))
-		if err := writeStates(&buf, sn.States, words); err != nil {
+		img = codec.AppendFrame(img, frameReach, encodeReach(sn, words))
+		var err error
+		if img, err = appendStates(img, sn.States, words); err != nil {
 			return nil, err
 		}
 	} else {
-		codec.WriteFrame(&buf, frameCore, encodeCore(f.Snap.Core))
+		img = codec.AppendFrame(img, frameCore, encodeCore(f.Snap.Core))
 	}
 	// The footer frame carries the digest of every frame before it.
-	digest := sha256.Sum256(buf.Bytes()[len(magic):])
-	codec.WriteFrame(&buf, frameFooter, digest[:])
-	return buf.Bytes(), nil
+	digest := sha256.Sum256(img[len(magic):])
+	return codec.AppendFrame(img, frameFooter, digest[:]), nil
 }
 
 // Read decodes and fully validates the checkpoint at path.

@@ -6,7 +6,6 @@ package ckpt
 // digest mismatch, never as a silently different run.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,24 +66,24 @@ func decodeHeader(b []byte) (*File, int, error) {
 // id order, as many whole ones per segment as fit.
 const segmentBytes = 1 << 20
 
-// writeStates writes the markings, all words wide, as consecutive
-// frames of raw little-endian words — no ids, no lengths.
-func writeStates(buf *bytes.Buffer, states []petri.Marking, words int) error {
+// appendStates appends the markings, all words wide, to img as
+// consecutive frames of raw little-endian words — no ids, no lengths.
+func appendStates(img []byte, states []petri.Marking, words int) ([]byte, error) {
 	per := max(1, segmentBytes/(8*words))
 	var seg []byte
 	for lo := 0; lo < len(states); lo += per {
 		seg = seg[:0]
 		for _, m := range states[lo:min(lo+per, len(states))] {
 			if len(m) != words {
-				return fmt.Errorf("ckpt: marking widths differ (%d and %d words)", len(m), words)
+				return nil, fmt.Errorf("ckpt: marking widths differ (%d and %d words)", len(m), words)
 			}
 			for _, w := range m {
 				seg = binary.LittleEndian.AppendUint64(seg, w)
 			}
 		}
-		codec.WriteFrame(buf, frameStates, seg)
+		img = codec.AppendFrame(img, frameStates, seg)
 	}
-	return nil
+	return img, nil
 }
 
 // decodeStates appends one segment's markings to states, all of them

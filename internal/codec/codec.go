@@ -1,7 +1,7 @@
 // Package codec is the one binary format under every byte the verifier
-// exchanges or stores: the cluster wire protocol, the ckpt/v2 checkpoint
-// container, the family snapshots embedded in it and the canonical net
-// encoding behind RunKey (DESIGN.md, "Binary codec").
+// stores: the ckpt/v2 checkpoint container, the family snapshots
+// embedded in it and the canonical net encoding behind RunKey
+// (DESIGN.md, "Binary codec").
 //
 // The format has four primitives. An integer is a uvarint. A byte string
 // is its uvarint length followed by the bytes. A list is its uvarint

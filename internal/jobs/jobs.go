@@ -1,8 +1,9 @@
 // Package jobs is the durable half of asynchronous verification jobs
-// (DESIGN.md D11): an append-only jobs/v1 journal of job state
-// transitions plus the per-job ckpt/v2 checkpoint files, both living in
-// one directory. The server layers the HTTP surface and the execution
-// loop on top; this package owns only what must survive a crash.
+// (DESIGN.md D11): a jobs/v1 journal of job state transitions (a
+// ledger.Journal, which keeps the crash contract) plus the per-job
+// ckpt/v2 checkpoint files, both living in one directory. The server
+// layers the HTTP surface and the execution loop on top; this package
+// owns only what must survive a crash.
 //
 // A job's identity is its content-addressed run ID (verify.RunKey), so
 // resubmitting the same work is idempotent and a checkpoint can never
@@ -15,13 +16,14 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"repro/internal/obs/ledger"
 )
 
 // Schema is the versioned format tag stamped on every journal line.
@@ -92,10 +94,10 @@ type Record struct {
 // Store is the journal-backed job table. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir string
+	dir     string
+	journal *ledger.Journal // never rotates: replay needs every line
 
 	mu    sync.Mutex
-	f     *os.File
 	recs  map[string]*Record
 	order []string // IDs in first-seen order
 }
@@ -114,14 +116,24 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{dir: dir, recs: make(map[string]*Record)}
 	path := filepath.Join(dir, journalName)
-	if err := s.replay(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// Replay, last line per job winning. Unparseable lines (a torn final
+	// line after a crash) are skipped; OpenJournal then heals the tail.
+	err := ledger.Scan(path, func(line []byte) {
+		var rec Record
+		if json.Unmarshal(line, &rec) != nil || rec.Schema != Schema || rec.ID == "" {
+			return
+		}
+		if _, seen := s.recs[rec.ID]; !seen {
+			s.order = append(s.order, rec.ID)
+		}
+		s.recs[rec.ID] = &rec
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.f = f
+	if s.journal, err = ledger.OpenJournal(path, 0); err != nil {
+		return nil, err
+	}
 	// Crash repair, journaled like any other transition so the next
 	// recovery does not repeat it.
 	for _, id := range s.order {
@@ -135,49 +147,18 @@ func Open(dir string) (*Store, error) {
 			rec.State = Queued
 		}
 		rec.UpdatedNS = nowNS()
-		if err := s.appendLocked(rec); err != nil {
-			f.Close()
+		if err := s.journal.Append(rec); err != nil {
+			s.journal.Close()
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// replay loads the journal, last line per job winning. Unparseable
-// lines (a torn final line after a crash) are skipped, matching the
-// ledger's convention.
-func (s *Store) replay(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Schema != Schema || rec.ID == "" {
-			continue
-		}
-		if _, seen := s.recs[rec.ID]; !seen {
-			s.order = append(s.order, rec.ID)
-		}
-		cp := rec
-		s.recs[rec.ID] = &cp
-	}
-	return sc.Err()
-}
-
 func fileExists(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.Mode().IsRegular()
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // CkptPath is where job id's checkpoint lives. IDs are run IDs
 // ("r"+hex), so joining them onto the directory is safe.
@@ -237,7 +218,7 @@ func (s *Store) Create(rec Record) error {
 	cp := rec
 	s.recs[rec.ID] = &cp
 	s.order = append(s.order, rec.ID)
-	return s.appendLocked(&cp)
+	return s.journal.Append(&cp)
 }
 
 // Update applies mut to the job's record under the store lock and
@@ -252,37 +233,11 @@ func (s *Store) Update(id string, mut func(*Record)) (Record, error) {
 	mut(rec)
 	rec.Schema = Schema
 	rec.UpdatedNS = nowNS()
-	return *rec, s.appendLocked(rec)
+	return *rec, s.journal.Append(rec)
 }
 
-// appendLocked writes one journal line (caller holds s.mu). A single
-// Write call keeps concurrent appenders line-atomic, like the ledger.
-func (s *Store) appendLocked(rec *Record) error {
-	if s.f == nil {
-		return fmt.Errorf("jobs: store is closed")
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.f.Write(append(b, '\n'))
-	return err
-}
-
-// Close flushes and closes the journal. The store is unusable after.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
-	return err
-}
+// Close syncs and closes the journal. The store is unusable after.
+func (s *Store) Close() error { return s.journal.Close() }
 
 // nowNS is time.Now().UnixNano(), indirected for tests.
 var nowNS = func() int64 { return time.Now().UnixNano() }

@@ -103,7 +103,10 @@ func TestCrashRepair(t *testing.T) {
 	}
 }
 
-// TestTornTailSkipped pins the ledger-style torn-line tolerance.
+// TestTornTailSkipped writes the crash shape: a fragment with no
+// newline at the journal's end. The fragment is skipped, and a job
+// created after the reopen lands on its own line and survives the next
+// one.
 func TestTornTailSkipped(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
@@ -116,10 +119,21 @@ func TestTornTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"schema":"jobs/v1","id":"rok","state":"done"` + "\n") // torn: unbalanced JSON
+	f.WriteString(`{"schema":"jobs/v1","id":"rok","state":"do`)
 	f.Close()
 	s2 := open(t, dir)
 	if rec, _ := s2.Get("rok"); rec.State != Queued {
 		t.Fatalf("torn line was not skipped: %+v", rec)
+	}
+	if err := s2.Create(Record{ID: "rnext", Request: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3 := open(t, dir)
+	if rec, ok := s3.Get("rnext"); !ok || rec.State != Queued {
+		t.Fatalf("job created after the torn tail was lost: %+v", rec)
+	}
+	if got := s3.List(); len(got) != 2 {
+		t.Fatalf("List after two reopens: %+v", got)
 	}
 }

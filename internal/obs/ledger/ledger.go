@@ -9,15 +9,9 @@
 //
 // Design rules:
 //
-//   - One JSON object per line, written with a single Write call while
-//     holding the log's mutex, so concurrent appenders interleave only
-//     at line granularity and a crash can corrupt at most the final
-//     line. The reader skips lines that fail to parse, which makes a
-//     torn tail harmless rather than fatal.
-//   - Rotation by byte budget: when the journal would exceed MaxBytes
-//     the current file is renamed to <path>.1 (replacing any previous
-//     generation) and a fresh file is started. Readers stitch <path>.1
-//     and <path> back together, oldest first.
+//   - The file is a Journal (journal.go), which keeps the JSONL crash
+//     contract for the ledger and the jobs store alike; the ledger's
+//     rotates at a fixed 16 MiB per generation.
 //   - Timestamps are caller-supplied UnixNano integers, so entries
 //     survive a JSON round trip bit-for-bit and tests can use fake
 //     clocks.
@@ -26,13 +20,8 @@
 package ledger
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 )
@@ -111,104 +100,49 @@ func (e Entry) Verdict() string {
 	}
 }
 
-// DefaultMaxBytes is the rotation budget when Open is given none:
-// generous enough for ~50k entries per generation, small enough that a
-// forgotten ledger never eats a disk.
-const DefaultMaxBytes = 16 << 20
+// maxBytes is the ledger's rotation budget: generous enough for ~50k
+// entries per generation, small enough that a forgotten ledger never
+// eats a disk.
+const maxBytes = 16 << 20
 
 // recentCap bounds the in-memory tail a Log keeps for serving /v1/runs
 // without rereading the file.
 const recentCap = 256
 
-// Log is an append-only JSONL journal with byte-budget rotation. All
-// methods are safe for concurrent use; all methods are no-ops on nil.
+// Log is the ledger's journal plus its recent tail. All methods are
+// safe for concurrent use; all methods are no-ops on nil.
 type Log struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	size     int64
-	maxBytes int64
-	recent   []Entry // tail of appended entries, oldest first, ≤ recentCap
+	mu     sync.Mutex
+	j      *Journal
+	recent []Entry // tail of appended entries, oldest first, ≤ recentCap
 }
 
-// Open opens (creating if needed) the journal at path. maxBytes ≤ 0
-// selects DefaultMaxBytes. Existing entries stay where they are; new
-// appends go to the end.
-func Open(path string, maxBytes int64) (*Log, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// Open opens (creating if needed) the ledger at path. Existing entries
+// stay where they are; new appends go to the end.
+func Open(path string) (*Log, error) {
+	j, err := OpenJournal(path, maxBytes)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: open %s: %w", path, err)
+		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: stat %s: %w", path, err)
-	}
-	size := st.Size()
-	// Heal a torn tail: if the previous writer crashed mid-line, the file
-	// ends without a newline. Terminate that fragment now so the garbage
-	// stays confined to its own (skipped) line instead of fusing with the
-	// next append.
-	if size > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], size-1); err == nil && last[0] != '\n' {
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("ledger: heal %s: %w", path, err)
-			}
-			size++
-		}
-	}
-	return &Log{path: path, f: f, size: size, maxBytes: maxBytes}, nil
+	return &Log{j: j}, nil
 }
 
 // Append writes e as one line. The entry's Schema is stamped here so
-// callers cannot forget it. Rotation happens before the write when the
-// line would push the file past the byte budget.
+// callers cannot forget it.
 func (l *Log) Append(e Entry) error {
 	if l == nil {
 		return nil
 	}
 	e.Schema = Schema
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("ledger: marshal: %w", err)
-	}
-	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.size > 0 && l.size+int64(len(line)) > l.maxBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
+	if err := l.j.Append(e); err != nil {
+		return err
 	}
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("ledger: append %s: %w", l.path, err)
-	}
-	l.size += int64(len(line))
 	l.recent = append(l.recent, e)
 	if len(l.recent) > recentCap {
 		l.recent = append(l.recent[:0], l.recent[len(l.recent)-recentCap:]...)
 	}
-	return nil
-}
-
-func (l *Log) rotateLocked() error {
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("ledger: rotate close: %w", err)
-	}
-	if err := os.Rename(l.path, l.path+".1"); err != nil {
-		return fmt.Errorf("ledger: rotate rename: %w", err)
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ledger: rotate reopen: %w", err)
-	}
-	l.f = f
-	l.size = 0
 	return nil
 }
 
@@ -231,56 +165,30 @@ func (l *Log) Path() string {
 	if l == nil {
 		return ""
 	}
-	return l.path
+	return l.j.path
 }
 
-// Close closes the underlying file.
+// Close syncs and closes the journal.
 func (l *Log) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.j.Close()
 }
 
-// Read reconstructs history from the journal at path, stitching the
-// rotated generation <path>.1 (if present) before the current file.
-// Lines that fail to parse — a torn tail after a crash, a truncated
-// rotation — are skipped, not fatal. A missing journal reads as empty.
+// Read reconstructs history from the ledger at path, both generations,
+// oldest first. Lines that fail to parse or carry another schema — a
+// torn tail after a crash — are skipped. A missing ledger reads as
+// empty; a read error returns the entries before it.
 func Read(path string) ([]Entry, error) {
 	var out []Entry
-	for _, p := range []string{path + ".1", path} {
-		f, err := os.Open(p)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			return nil, fmt.Errorf("ledger: read %s: %w", p, err)
-		}
-		out = append(out, ReadAll(f)...)
-		f.Close()
-	}
-	return out, nil
-}
-
-// ReadAll decodes every parseable entry line from r, skipping garbage.
-func ReadAll(r io.Reader) []Entry {
-	var out []Entry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := Scan(path, func(line []byte) {
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Schema != Schema {
-			continue // torn or foreign line: crash-safety contract
+		if json.Unmarshal(line, &e) == nil && e.Schema == Schema {
+			out = append(out, e)
 		}
-		out = append(out, e)
-	}
-	return out
+	})
+	return out, err
 }
 
 // Group is the reconstructed history of one (net, engine, check)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,7 +28,7 @@ func entry(i int) Entry {
 
 func TestLedgerRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	l, err := Open(path, 0)
+	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +63,18 @@ func TestLedgerRoundTrip(t *testing.T) {
 func TestLedgerRotation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	// Budget fits roughly two entries; appends beyond that rotate.
-	l, err := Open(path, 700)
+	j, err := OpenJournal(path, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		if err := l.Append(entry(i)); err != nil {
+		e := entry(i)
+		e.Schema = Schema
+		if err := j.Append(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.Close()
+	j.Close()
 	if _, err := os.Stat(path + ".1"); err != nil {
 		t.Fatalf("rotated generation missing: %v", err)
 	}
@@ -98,7 +101,7 @@ func TestLedgerRotation(t *testing.T) {
 
 func TestLedgerTornTailSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	l, err := Open(path, 0)
+	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestLedgerTornTailSkipped(t *testing.T) {
 	}
 	// Reopening heals the torn tail (terminates the fragment), so new
 	// appends land on their own lines and survive.
-	l2, err := Open(path, 0)
+	l2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +138,37 @@ func TestLedgerTornTailSkipped(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Fatalf("read %d entries after torn tail + heal + append, want 3", len(got))
+	}
+}
+
+// TestJournalCloseAndOverlongLine pins the rest of the Journal
+// contract: Close is idempotent and refuses later appends, and a line
+// over Scan's cap is an error from Read, not a silently short history.
+func TestJournalCloseAndOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	j, err := OpenJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := entry(0)
+	e.Schema = Schema
+	if err := j.Append(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(map[string]string{"pad": strings.Repeat("x", 16<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if err := j.Append(e); err == nil {
+		t.Fatal("Append after Close succeeded")
+	}
+	if got, err := Read(path); err == nil || len(got) != 1 {
+		t.Fatalf("Read past an overlong line = (%d entries, %v), want 1 entry and an error", len(got), err)
 	}
 }
 
@@ -160,7 +194,7 @@ func TestLedgerNilAndMissing(t *testing.T) {
 
 func TestLedgerRecentTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	l, err := Open(path, 0)
+	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +217,7 @@ func TestLedgerRecentTail(t *testing.T) {
 
 func TestLedgerConcurrentAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	l, err := Open(path, 0)
+	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

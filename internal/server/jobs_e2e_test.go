@@ -176,7 +176,7 @@ func TestE2EJobSuspendResume(t *testing.T) {
 // run that is still live — after done, with the completed run's.
 func TestE2EJobResumeAfterSettle(t *testing.T) {
 	dir := t.TempDir()
-	l, err := ledger.Open(filepath.Join(dir, "runs.jsonl"), 0)
+	l, err := ledger.Open(filepath.Join(dir, "runs.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -201,7 +202,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // ledgerEntry finds the newest ledger entry for id, first in the
 // in-memory tail, then (for history beyond the tail) in the journal
-// itself.
+// itself, decoding only the lines that name id.
 func (s *Server) ledgerEntry(id string) (e ledger.Entry, ok bool) {
 	recent := s.cfg.Ledger.Recent()
 	for i := len(recent) - 1; i >= 0; i-- {
@@ -210,16 +211,17 @@ func (s *Server) ledgerEntry(id string) (e ledger.Entry, ok bool) {
 		}
 	}
 	if path := s.cfg.Ledger.Path(); path != "" {
-		all, err := ledger.Read(path)
-		if err == nil {
-			for i := len(all) - 1; i >= 0; i-- {
-				if all[i].RunID == id {
-					return all[i], true
+		needle := []byte(`"run_id":"` + id + `"`)
+		ledger.Scan(path, func(line []byte) {
+			if bytes.Contains(line, needle) {
+				var cand ledger.Entry
+				if json.Unmarshal(line, &cand) == nil && cand.Schema == ledger.Schema && cand.RunID == id {
+					e, ok = cand, true
 				}
 			}
-		}
+		})
 	}
-	return e, false
+	return e, ok
 }
 
 // progressEvent is the SSE "progress" payload: one sample of a running

@@ -97,7 +97,7 @@ func decodeRunLine(t *testing.T, buf *syncBuffer, id string) runLine {
 func TestE2EAbortedRunReconstructable(t *testing.T) {
 	dir := t.TempDir()
 	ldgPath := filepath.Join(dir, "runs.jsonl")
-	ldg, err := ledger.Open(ldgPath, 0)
+	ldg, err := ledger.Open(ldgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestE2EAbortedRunReconstructable(t *testing.T) {
 // that does not exist.
 func TestE2EAbortedRunFailedDump(t *testing.T) {
 	ldgPath := filepath.Join(t.TempDir(), "runs.jsonl")
-	ldg, err := ledger.Open(ldgPath, 0)
+	ldg, err := ledger.Open(ldgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestE2EAbortedRunFailedDump(t *testing.T) {
 // never a second bookkeeping.
 func TestE2ERunEventsStates(t *testing.T) {
 	ldgPath := filepath.Join(t.TempDir(), "runs.jsonl")
-	ldg, err := ledger.Open(ldgPath, 0)
+	ldg, err := ledger.Open(ldgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestE2ERunEventsStates(t *testing.T) {
 // and everyone sees the same terminal verdict.
 func TestE2ERunEventsLiveStream(t *testing.T) {
 	ldgPath := filepath.Join(t.TempDir(), "runs.jsonl")
-	ldg, err := ledger.Open(ldgPath, 0)
+	ldg, err := ledger.Open(ldgPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,9 +145,6 @@ type Certificate struct {
 // Net returns the reduced net (the original net when nothing applied).
 func (c *Certificate) Net() *petri.Net { return c.reduced }
 
-// Original returns the net the reduction started from.
-func (c *Certificate) Original() *petri.Net { return c.orig }
-
 // Changed reports whether any rule applied.
 func (c *Certificate) Changed() bool { return c.reduced != c.orig }
 

@@ -80,13 +80,6 @@ type Result struct {
 	Complete  bool
 }
 
-// StubbornEnabled returns the enabled members of a stubborn set for
-// marking m, in increasing order. The result is empty iff m is a deadlock.
-func StubbornEnabled(n *petri.Net, m petri.Marking, seed SeedStrategy) []petri.Trans {
-	c := newCloser(n)
-	return c.stubborn(nil, m, n.EnabledTrans(m), seed)
-}
-
 // closer computes stubborn sets with scratch that is reused from state
 // to state, so a set costs no allocation once the buffers have grown.
 type closer struct {
