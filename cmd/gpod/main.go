@@ -37,7 +37,7 @@
 // ID, the run auto-checkpoints on the -ckpt-interval/-ckpt-states
 // cadence and at its deadline, and GET/DELETE /v1/jobs/{id} and POST
 // /v1/jobs/{id}/resume observe, cancel and continue it. The journal
-// and the ckpt/v2 checkpoint files live in DIR; a restarted daemon
+// and the ckpt/v3 checkpoint files live in DIR; a restarted daemon
 // re-admits interrupted jobs at startup and replays nothing it cannot
 // prove intact (gpoverify -replay re-executes any checkpoint
 // deterministically).

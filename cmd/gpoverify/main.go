@@ -14,7 +14,7 @@
 // unfolding. With -compare, all engines run and their statistics are
 // tabulated.
 //
-// With -replay, the checkpointed prefix in a ckpt/v2 file (written by
+// With -replay, the checkpointed prefix in a ckpt/v3 file (written by
 // gpod's durable jobs, DESIGN.md D11) is re-executed from scratch and
 // must reproduce the stored snapshot bit for bit and the same flight-
 // recorder event stream across independent re-executions; -trace-ref
@@ -76,9 +76,9 @@ func main() {
 		compare   = flag.Bool("compare", false, "run all engines and tabulate")
 		explain   = flag.Bool("explain", true, "explain deadlock witnesses structurally (empty siphon)")
 
-		replayCkpt = flag.String("replay", "", "re-execute the checkpointed prefix in this ckpt/v2 file deterministically and verify snapshot + event-stream equality")
+		replayCkpt = flag.String("replay", "", "re-execute the checkpointed prefix in this ckpt/v3 file deterministically and verify snapshot + event-stream equality")
 		traceRef   = flag.String("trace-ref", "", "with -replay: reference flight-recorder trace to compare event counts against")
-		ckptOut    = flag.String("ckpt", "", "suspend the run at a checkpoint: stop at the first engine boundary with at least -ckpt-states interned states and write a ckpt/v2 file here (re-execute with -replay)")
+		ckptOut    = flag.String("ckpt", "", "suspend the run at a checkpoint: stop at the first engine boundary with at least -ckpt-states interned states and write a ckpt/v3 file here (re-execute with -replay)")
 		ckptStates = flag.Int("ckpt-states", 1000, "with -ckpt: minimum interned states before suspending")
 
 		metricsOut = flag.String("metrics", "", "write the engine's metric registry as JSON to this file ('-' = stderr)")
@@ -257,7 +257,7 @@ type runOpts struct {
 	tracer    *trace.Tracer
 	ledger    *ledger.Log
 	// ckptOut, when set, suspends the run at the first boundary with at
-	// least ckptStates interned states and writes a ckpt/v2 file there.
+	// least ckptStates interned states and writes a ckpt/v3 file there.
 	ckptOut    string
 	ckptStates int
 }

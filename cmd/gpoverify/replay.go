@@ -1,7 +1,7 @@
 package main
 
 // Deterministic checkpoint replay (-replay): re-execute the prefix a
-// ckpt/v2 file describes — same net, same check, same result-determining
+// ckpt/v3 file describes — same net, same check, same result-determining
 // options, stopping at the same engine boundary — and prove the run is
 // reproducible three ways:
 //

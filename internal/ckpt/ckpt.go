@@ -1,4 +1,4 @@
-// Package ckpt implements ckpt/v2, the durable on-disk checkpoint
+// Package ckpt implements ckpt/v3, the durable on-disk checkpoint
 // container for verification jobs (DESIGN.md D11).
 //
 // A checkpoint file is an 8-byte magic and a sequence of internal/codec
@@ -15,7 +15,7 @@
 // tail surfaces as ErrTorn (the footer never arrived or a frame is
 // cut), any bit flip surfaces as ErrCorrupt (digest mismatch, or a
 // frame that does not decode canonically), a wrong file as ErrBadMagic,
-// and another format version — ckpt/v1, or a RunKey pre-image of
+// and another format version — ckpt/v1 or v2, or a RunKey pre-image of
 // another verify.RunKeyFormat — as ErrUnsupported. Files are written to
 // a temp name and renamed into place, so a crash during Write never
 // leaves a partial file under the final name.
@@ -56,8 +56,10 @@ var (
 // the container; the version is the header frame's first field.
 var magic = [8]byte{'G', 'P', 'O', 'C', 'K', 'P', 'T', '1'}
 
-// version is the container format version in the header frame.
-const version = 2
+// version is the container format version in the header frame. v3
+// builds a GPO snapshot's families under structural.TransitionOrder's
+// level order; a v2 file's blob was built under the identity order.
+const version = 3
 
 // Frame types.
 const (
@@ -125,7 +127,7 @@ func Write(path string, f *File) (err error) {
 	return os.Rename(tmp.Name(), path)
 }
 
-// Encode serializes f to the ckpt/v2 container image in memory — the
+// Encode serializes f to the ckpt/v3 container image in memory — the
 // exact bytes Write places on disk. Replay uses it to compare a
 // re-executed prefix against a stored checkpoint bit for bit.
 func Encode(f *File) ([]byte, error) {

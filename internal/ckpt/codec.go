@@ -1,6 +1,6 @@
 package ckpt
 
-// Frame payload codecs for ckpt/v2, in internal/codec's primitives:
+// Frame payload codecs for ckpt/v3, in internal/codec's primitives:
 // payloads are self-delimiting, every decoder consumes its payload
 // exactly, and a mutation anywhere surfaces as a decode error or a
 // digest mismatch, never as a silently different run.

@@ -1,5 +1,5 @@
 // Package codec is the one binary format under every byte the verifier
-// stores: the ckpt/v2 checkpoint container, the family snapshots
+// stores: the ckpt/v3 checkpoint container, the family snapshots
 // embedded in it and the canonical net encoding behind RunKey
 // (DESIGN.md, "Binary codec").
 //

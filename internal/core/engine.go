@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/petri"
 	"repro/internal/stop"
+	"repro/internal/structural"
 )
 
 // ErrStateLimit is returned when exploration would exceed Options.MaxStates.
@@ -102,6 +103,14 @@ type NodeCounter interface {
 type TraceAttacher interface {
 	AttachTrace(*trace.Tracer, *trace.Track)
 	DetachTrace()
+}
+
+// Orderer is implemented by family algebras whose size depends on the
+// order in which they test transitions (ZDD levels); NewEngine hands them
+// structural.TransitionOrder of the net before the first family is
+// built. No result depends on the order, only the work (DESIGN.md D7).
+type Orderer interface {
+	SetOrder(order []petri.Trans)
 }
 
 // Arc is one edge of the GPN reachability graph: the simultaneous (or
@@ -209,6 +218,9 @@ func NewEngine[F any](n *petri.Net, alg Algebra[F]) (*Engine[F], error) {
 	if alg.Universe() != n.NumTrans() {
 		return nil, fmt.Errorf("core: algebra universe %d != %d transitions of %s",
 			alg.Universe(), n.NumTrans(), n.Name())
+	}
+	if o, ok := any(alg).(Orderer); ok {
+		o.SetOrder(structural.TransitionOrder(n))
 	}
 	e := &Engine[F]{Net: n, Alg: alg}
 	e.ensureInit()

@@ -154,7 +154,7 @@ func TestNodeSitesPinned(t *testing.T) {
 		size   int
 		want   []int64 // by nodeSites
 	}{
-		{"nsdp", 40, []int64{936, 99164, 12323, 35892, 32504, 71477, 33843, 0, 0, 0}},
+		{"nsdp", 40, []int64{396, 28705, 7500, 12171, 9186, 24188, 6297, 0, 0, 0}},
 		{"asat", 32, []int64{284, 8038, 3227, 22796, 8877, 36991, 109477, 0, 0, 0}},
 		{"fig7", 0, []int64{4, 0, 0, 4, 1, 4, 0, 0, 0, 0}},
 	} {

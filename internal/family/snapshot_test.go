@@ -12,7 +12,7 @@ const goldenBlob = "c8010303000101030003c701010280018101000400010200"
 
 // TestEncodeFamiliesGolden pins the explicit-family snapshot blob. The
 // bytes were recorded before the shared codec (internal/codec) replaced
-// this package's private reader; they are embedded in ckpt/v2 GPO
+// this package's private reader; they are embedded in ckpt/v3 GPO
 // checkpoints, so the format is frozen.
 func TestEncodeFamiliesGolden(t *testing.T) {
 	const n = 200

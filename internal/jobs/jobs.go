@@ -1,18 +1,19 @@
 // Package jobs is the durable half of asynchronous verification jobs
-// (DESIGN.md D11): a jobs/v1 journal of job state transitions (a
+// (DESIGN.md D11): a jobs/v2 journal of job state transitions (a
 // ledger.Journal, which keeps the crash contract) plus the per-job
-// ckpt/v2 checkpoint files, both living in one directory. The server
+// ckpt/v3 checkpoint files, both living in one directory. The server
 // layers the HTTP surface and the execution loop on top; this package
 // owns only what must survive a crash.
 //
 // A job's identity is its content-addressed run ID (verify.RunKey), so
 // resubmitting the same work is idempotent and a checkpoint can never
 // be resumed under the wrong job. Every state transition appends one
-// JSON line; recovery replays the journal (last line per job wins) and
-// then repairs crash-interrupted jobs: a job left "running" becomes
-// "checkpointed" when its checkpoint file is intact, or "queued" (start
-// over) when there is none — a torn or corrupt checkpoint file fails
-// loudly at resume time via the typed ckpt errors, never silently.
+// JSON line; recovery replays the journal (last line per job wins, the
+// request taken from the job's first line) and then repairs
+// crash-interrupted jobs: a job left "running" becomes "checkpointed"
+// when its checkpoint file is intact, or "queued" (start over) when
+// there is none — a torn or corrupt checkpoint file fails loudly at
+// resume time via the typed ckpt errors, never silently.
 package jobs
 
 import (
@@ -27,7 +28,12 @@ import (
 )
 
 // Schema is the versioned format tag stamped on every journal line.
-const Schema = "jobs/v1"
+// jobs/v2 journals a job's request once, on its first line; a jobs/v1
+// line carries it every time, and replays as it did.
+const (
+	Schema   = "jobs/v2"
+	schemaV1 = "jobs/v1"
+)
 
 // State is a job's lifecycle position.
 type State string
@@ -64,15 +70,18 @@ func (s State) Resumable() bool {
 	return s == Checkpointed || s == Canceled || s == Queued
 }
 
-// Record is one job's durable state; every transition journals the full
-// record, so recovery needs only the last line per ID.
+// Record is one job's durable state; every transition journals the
+// record but its request, so recovery needs only the first and the last
+// line per ID.
 type Record struct {
-	Schema string `json:"schema"` // always "jobs/v1"
+	Schema string `json:"schema"` // "jobs/v2" (read: also "jobs/v1")
 	ID     string `json:"id"`     // content-addressed run ID
 	State  State  `json:"state"`
 	// Request is the original wire request (server.Request JSON), kept
 	// verbatim so a restart can re-resolve the job without the client.
-	Request json.RawMessage `json:"request"`
+	// Only the job's first line carries it: it is up to 8 MB, and a job
+	// journals a line per auto-checkpoint.
+	Request json.RawMessage `json:"request,omitempty"`
 	// Display fields, resolved at submission.
 	Net    string `json:"net"`
 	Engine string `json:"engine"`
@@ -102,7 +111,7 @@ type Store struct {
 	order []string // IDs in first-seen order
 }
 
-// journalName is the jobs/v1 journal file inside the store directory.
+// journalName is the jobs journal file inside the store directory.
 const journalName = "jobs.jsonl"
 
 // Open creates or recovers a job store in dir (created if missing).
@@ -116,15 +125,18 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{dir: dir, recs: make(map[string]*Record)}
 	path := filepath.Join(dir, journalName)
-	// Replay, last line per job winning. Unparseable lines (a torn final
-	// line after a crash) are skipped; OpenJournal then heals the tail.
+	// Replay, last line per job winning, a line without a request
+	// keeping the one seen before. Unparseable lines (a torn final line
+	// after a crash) are skipped; OpenJournal then heals the tail.
 	err := ledger.Scan(path, func(line []byte) {
 		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.Schema != Schema || rec.ID == "" {
+		if json.Unmarshal(line, &rec) != nil || rec.Schema != Schema && rec.Schema != schemaV1 || rec.ID == "" {
 			return
 		}
-		if _, seen := s.recs[rec.ID]; !seen {
+		if prev, seen := s.recs[rec.ID]; !seen {
 			s.order = append(s.order, rec.ID)
+		} else if rec.Request == nil {
+			rec.Request = prev.Request
 		}
 		s.recs[rec.ID] = &rec
 	})
@@ -146,8 +158,7 @@ func Open(dir string) (*Store, error) {
 		} else {
 			rec.State = Queued
 		}
-		rec.UpdatedNS = nowNS()
-		if err := s.journal.Append(rec); err != nil {
+		if err := s.journalUpdate(rec); err != nil {
 			s.journal.Close()
 			return nil, err
 		}
@@ -231,9 +242,17 @@ func (s *Store) Update(id string, mut func(*Record)) (Record, error) {
 		return Record{}, fmt.Errorf("jobs: unknown job %s", id)
 	}
 	mut(rec)
+	return *rec, s.journalUpdate(rec)
+}
+
+// journalUpdate stamps rec and journals it without its request, which
+// the job's first line holds.
+func (s *Store) journalUpdate(rec *Record) error {
 	rec.Schema = Schema
 	rec.UpdatedNS = nowNS()
-	return *rec, s.journal.Append(rec)
+	line := *rec
+	line.Request = nil
+	return s.journal.Append(&line)
 }
 
 // Close syncs and closes the journal. The store is unusable after.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -136,4 +137,71 @@ func TestTornTailSkipped(t *testing.T) {
 	if got := s3.List(); len(got) != 2 {
 		t.Fatalf("List after two reopens: %+v", got)
 	}
+}
+
+// TestRequestJournaledOnce: a job's request is on its first line only. A
+// 1 MB request checkpointed ten times grows the journal by less than
+// 10 KB after creation, and a reopen still resolves the request.
+func TestRequestJournaledOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	req := json.RawMessage(`{"net":"` + strings.Repeat("p", 1<<20) + `"}`)
+	if err := s.Create(Record{ID: "rbig", Request: req}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, journalName)
+	created := fileSize(t, path)
+	for i := 1; i <= 10; i++ {
+		if _, err := s.Update("rbig", func(r *Record) {
+			r.State, r.States, r.Boundary, r.CkptPath = Running, 100*i, int64(i), s.CkptPath("rbig")
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := fileSize(t, path) - created; grown >= 10<<10 {
+		t.Errorf("ten checkpoints grew the journal by %d bytes, want < 10 KB", grown)
+	}
+	if rec, _ := s.Get("rbig"); string(rec.Request) != string(req) {
+		t.Error("Update dropped the request from the live record")
+	}
+	s.Close()
+	rec, _ := open(t, dir).Get("rbig")
+	if string(rec.Request) != string(req) || rec.Boundary != 10 || rec.State != Queued {
+		t.Errorf("after reopen: state %s boundary %d, request of %d bytes", rec.State, rec.Boundary, len(rec.Request))
+	}
+}
+
+// TestV1JournalReplays: a jobs/v1 journal, which repeats the request on
+// every line, replays as it did, and lines appended to it now leave
+// the request out.
+func TestV1JournalReplays(t *testing.T) {
+	dir := t.TempDir()
+	v1 := `{"schema":"jobs/v1","id":"rold","state":"queued","request":{"model":"nsdp","size":4},"net":"NSDP(4)","engine":"gpo","check":"deadlock","created_unix_ns":1,"updated_unix_ns":1}
+{"schema":"jobs/v1","id":"rold","state":"done","request":{"model":"nsdp","size":4},"net":"NSDP(4)","engine":"gpo","check":"deadlock","result":{"status":"ok"},"created_unix_ns":1,"updated_unix_ns":2}
+`
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir)
+	rec, ok := s.Get("rold")
+	if !ok || rec.State != Done || string(rec.Request) != `{"model":"nsdp","size":4}` || string(rec.Result) != `{"status":"ok"}` {
+		t.Fatalf("v1 replay: %+v", rec)
+	}
+	if _, err := s.Update("rold", func(r *Record) { r.State = Canceled }); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	rec, _ = open(t, dir).Get("rold")
+	if rec.State != Canceled || string(rec.Request) != `{"model":"nsdp","size":4}` || rec.Schema != Schema {
+		t.Fatalf("v1 then v2 replay: %+v", rec)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }

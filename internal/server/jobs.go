@@ -9,7 +9,7 @@ package server
 // submission is idempotent, the checkpoint file can never be resumed
 // under the wrong work, and the job joins the result cache, the ledger
 // and /v1/runs on one identity. The durable state (jobs/v1 journal +
-// ckpt/v2 files) lives in internal/jobs and internal/ckpt; this file
+// ckpt/v3 files) lives in internal/jobs and internal/ckpt; this file
 // owns the HTTP handlers and what a job's slice adds to the one worker
 // body (Server.run): the claim, the Checkpointer and the record's
 // terminal transition.

@@ -93,7 +93,7 @@ type Config struct {
 	// D11): POST /v1/jobs admits a verification that outlives the HTTP
 	// request, checkpoints at engine boundaries, survives crashes via the
 	// store's journal, and resumes bit-identically. The store directory
-	// also holds the per-job ckpt/v2 checkpoint files.
+	// also holds the per-job ckpt/v3 checkpoint files.
 	Jobs *jobs.Store
 	// CkptInterval is the auto-checkpoint wall-clock cadence of running
 	// jobs (default 30s; negative disables time-based auto-checkpoints).

@@ -209,6 +209,21 @@ func (s TSet) Compare(t TSet) int {
 	return 0
 }
 
+// Precedes reports whether s comes before t when sets are ordered by
+// their smallest elements first: the smallest element in exactly one of
+// them is in s. It is the order in which a depth-first walk meets the
+// sets when it tries each element's presence before its absence,
+// smallest element first.
+func (s TSet) Precedes(t TSet) bool {
+	s.sameUniverse(t)
+	for i, w := range s.words {
+		if x := w ^ t.words[i]; x != 0 {
+			return w&(x&-x) != 0
+		}
+	}
+	return false
+}
+
 // Key returns a string usable as a map key, unique per (universe, members).
 // The universe size is encoded ahead of the member words: sets over
 // different universes can share an identical word representation (e.g.

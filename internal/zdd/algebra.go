@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/petri"
 	"repro/internal/tset"
 )
 
@@ -15,8 +16,13 @@ type Alg struct {
 	m *Manager
 }
 
-// NewAlgebra returns a ZDD family algebra over an n-transition universe.
+// NewAlgebra returns a ZDD family algebra over an n-transition universe,
+// its levels in transition order until SetOrder names another.
 func NewAlgebra(n int) *Alg { return &Alg{m: NewManager(n)} }
+
+// SetOrder makes order[l] the transition tested at level l (the core
+// engine's Orderer hook); see Manager.SetOrder.
+func (a *Alg) SetOrder(order []petri.Trans) { a.m.SetOrder(order) }
 
 // Manager exposes the underlying ZDD manager (for statistics).
 func (a *Alg) Manager() *Manager { return a.m }

@@ -10,7 +10,10 @@ package zdd
 // decoder replays them through mk, which re-canonicalizes on the target
 // manager. Anything keyed by node id (the core engine's state index)
 // must therefore be rebuilt after a restore; the families themselves
-// are reproduced exactly.
+// are reproduced exactly. A node is written with the element it tests,
+// not its level, so the blob means the same families under any level
+// order; a decoder whose order puts a node's element below its
+// children's refuses the blob.
 
 import (
 	"errors"
@@ -49,7 +52,7 @@ func (a *Alg) EncodeFamilies(roots []Node) []byte {
 		renum[n] = next
 		next++
 		nd := m.nodes.At(n)
-		b = codec.AppendInt(b, nd.Level)
+		b = codec.AppendInt(b, m.elemAt(nd.Level))
 		b = codec.AppendInt(b, renum[nd.Lo])
 		b = codec.AppendInt(b, renum[nd.Hi])
 	}
@@ -64,10 +67,10 @@ func (a *Alg) EncodeFamilies(roots []Node) []byte {
 // algebra's manager and returns the root nodes in encoding order. The
 // nodes are replayed through the canonicalizing constructor, so decoding
 // onto a non-empty manager is sound (existing equal nodes are reused);
-// structural violations — universe mismatch, out-of-range level, forward
-// or zero-suppression-violating child references, a child that tests an
-// element at or above its parent's, trailing bytes — are rejected with an
-// error wrapping ErrBadSnapshot.
+// structural violations — universe mismatch, out-of-range element,
+// forward or zero-suppression-violating child references, a child that
+// tests a level at or above its parent's, trailing bytes — are rejected
+// with an error wrapping ErrBadSnapshot.
 func (a *Alg) DecodeFamilies(blob []byte) ([]Node, error) {
 	m := a.m
 	d := codec.NewDec(blob)
@@ -79,19 +82,21 @@ func (a *Alg) DecodeFamilies(blob []byte) ([]Node, error) {
 	ids := make([]Node, 2, n+2)
 	ids[0], ids[1] = Bot, Top
 	for i := 0; i < n && d.Err() == nil; i++ {
-		level, lo, hi := d.Int(), d.Int(), d.Int()
+		elem, lo, hi := d.Int(), d.Int(), d.Int()
 		switch {
 		case d.Err() != nil:
-		case level >= m.n:
-			d.Fail("node %d level %d out of range", i, level)
+		case elem >= m.n:
+			d.Fail("node %d element %d out of range", i, elem)
 		case lo >= len(ids) || hi >= len(ids):
 			d.Fail("node %d references a later node", i)
 		case hi == 0:
 			d.Fail("node %d violates zero-suppression (hi = Bot)", i)
-		case level >= int(m.nodes.At(ids[lo]).Level) || level >= int(m.nodes.At(ids[hi]).Level):
-			d.Fail("node %d at level %d does not test above its children", i, level)
 		default:
-			ids = append(ids, m.mk(int32(level), ids[lo], ids[hi]))
+			if l := m.levelOf(elem); l < m.nodes.At(ids[lo]).Level && l < m.nodes.At(ids[hi]).Level {
+				ids = append(ids, m.mk(l, ids[lo], ids[hi]))
+			} else {
+				d.Fail("node %d on element %d does not test above its children", i, elem)
+			}
 		}
 	}
 	roots := make([]Node, d.Count(1))

@@ -12,7 +12,7 @@ const goldenBlob = "c80106c70100010300020101010004038101000180010006050507000501
 
 // TestEncodeFamiliesGolden pins the ZDD family snapshot blob. The bytes
 // were recorded before the shared codec (internal/codec) replaced this
-// package's private reader; they are embedded in ckpt/v2 GPO
+// package's private reader; they are embedded in ckpt/v3 GPO
 // checkpoints, so the format is frozen.
 func TestEncodeFamiliesGolden(t *testing.T) {
 	const n = 200

@@ -13,6 +13,13 @@
 // Families handled by one Manager are canonical: equal families are the
 // same node, so Equal and Key are O(1).
 //
+// A manager tests its elements in a fixed level order, the identity
+// unless SetOrder names another before the first node is built. Levels
+// are internal: every operation that takes or returns elements (Single,
+// FromSets, OnSet, Contains, Enumerate, MaximalConflictFree and the
+// family snapshot) maps through the order, so no result depends on it
+// but the node count.
+//
 // The node arena and the unique table are internal/dd's. This package
 // keeps the zero-suppression rule, the operators, a persistent Count
 // memo of the nodes counted and the binary-op cache, which is lossy
@@ -20,10 +27,13 @@
 package zdd
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bdd"
 	"repro/internal/dd"
+	"repro/internal/petri"
 	"repro/internal/tset"
 )
 
@@ -65,9 +75,14 @@ type memoEntry struct {
 type Manager struct {
 	n int
 
+	// elem[l] is the element tested at level l and level[e] the level of
+	// element e; both nil while the order is the identity.
+	elem  []petri.Trans
+	level []int32
+
 	// nodes is the arena and unique table. An entry's Level is the
-	// element tested (the universe size for the terminals), Lo the sets
-	// without the element and Hi the sets with it.
+	// level tested (the universe size for the terminals), Lo the sets
+	// without its element and Hi the sets with it.
 	nodes dd.Table
 
 	// memo is the direct-mapped binary-op cache; memoRoom counts the
@@ -163,6 +178,42 @@ func NewManager(n int) *Manager {
 	return m
 }
 
+// SetOrder makes order[l] the element tested at level l. It must be a
+// permutation of the universe, set before the manager builds its first
+// node; the manager keeps order, which the caller must not modify.
+func (m *Manager) SetOrder(order []petri.Trans) {
+	if len(order) != m.n || m.nodes.Len() > 2 {
+		panic("zdd: SetOrder needs a full order on an empty manager")
+	}
+	level := make([]int32, m.n)
+	for l := range level {
+		level[l] = -1
+	}
+	for l, e := range order {
+		if e < 0 || int(e) >= m.n || level[e] >= 0 {
+			panic(fmt.Sprintf("zdd: order is not a permutation (element %d)", e))
+		}
+		level[e] = int32(l)
+	}
+	m.elem, m.level = order, level
+}
+
+// levelOf returns the level that tests element e.
+func (m *Manager) levelOf(e int) int32 {
+	if m.level == nil {
+		return int32(e)
+	}
+	return m.level[e]
+}
+
+// elemAt returns the element tested at level l.
+func (m *Manager) elemAt(l int32) int {
+	if m.elem == nil {
+		return int(l)
+	}
+	return int(m.elem[l])
+}
+
 // Size returns the number of allocated nodes.
 func (m *Manager) Size() int { return m.nodes.Len() }
 
@@ -234,10 +285,12 @@ func (m *Manager) Single(s tset.TSet) Node {
 	if s.Universe() != m.n {
 		panic("zdd: set universe mismatch")
 	}
-	els := s.Members()
+	levels := make([]int32, 0, s.Len())
+	s.ForEach(func(e int) { levels = append(levels, m.levelOf(e)) })
+	slices.Sort(levels)
 	f := Top
-	for i := len(els) - 1; i >= 0; i-- {
-		f = m.mk(int32(els[i]), Bot, f)
+	for i := len(levels) - 1; i >= 0; i-- {
+		f = m.mk(levels[i], Bot, f)
 	}
 	return f
 }
@@ -335,43 +388,44 @@ func (m *Manager) Diff(a, b Node) Node {
 // OnSet returns {s ∈ a | v ∈ s}: the member sets containing element v,
 // with v still present in them.
 func (m *Manager) OnSet(a Node, v int) Node {
+	return m.onSet(a, m.levelOf(v))
+}
+
+// onSet is OnSet with the element given by its level.
+func (m *Manager) onSet(a Node, l int32) Node {
 	na := m.nodes.At(a)
 	switch {
-	case int(na.Level) > v: // v below every tested element: absent from all
+	case na.Level > l: // l below every tested level: absent from all
 		return Bot
-	case int(na.Level) == v:
+	case na.Level == l:
 		return m.mk(na.Level, Bot, na.Hi)
 	}
-	// The op cache tags the entry with the element; without it the
+	// The op cache tags the entry with the level; without it the
 	// recursion revisits shared nodes once per path, which is exponential.
-	op := opOnSet + uint32(v)<<opShift
+	op := opOnSet + uint32(l)<<opShift
 	if r, ok := m.memoGet(op, a, 0); ok {
 		return r
 	}
-	r := m.mk(na.Level, m.OnSet(na.Lo, v), m.OnSet(na.Hi, v))
+	r := m.mk(na.Level, m.onSet(na.Lo, l), m.onSet(na.Hi, l))
 	m.memoPut(op, a, 0, r)
 	return r
 }
 
 // Contains reports whether set s is a member of family a.
+// The path s selects must test every member: one it skips is absent
+// from the sets below.
 func (m *Manager) Contains(a Node, s tset.TSet) bool {
-	els := s.Members()
-	i := 0
-	for a != Bot {
+	tested := 0
+	for a > Top {
 		na := m.nodes.At(a)
-		if int(na.Level) >= m.n {
-			return i == len(els) // reached Top
-		}
-		if i < len(els) && els[i] == int(na.Level) {
+		if s.Has(m.elemAt(na.Level)) {
 			a = na.Hi
-			i++
-		} else if i < len(els) && els[i] < int(na.Level) {
-			return false // required element cannot appear anymore
+			tested++
 		} else {
 			a = na.Lo
 		}
 	}
-	return false
+	return a == Top && tested == s.Len()
 }
 
 // Count returns the number of member sets. The memo is per-node and
@@ -396,39 +450,70 @@ func (m *Manager) countSlow(a Node) float64 {
 	return c
 }
 
-// Enumerate returns up to limit member sets (all if limit <= 0), in
-// canonical DFS order.
+// Enumerate returns up to limit member sets (all if limit <= 0), sorted
+// by tset.Compare. A limit keeps the first sets in element order, the
+// ones containing the smallest element first (tset.Precedes): the sets a
+// depth-first walk of the identity order meets first, whatever the
+// manager's level order.
 func (m *Manager) Enumerate(a Node, limit int) []tset.TSet {
 	var out []tset.TSet
-	var cur []int
-	var rec func(Node) bool
-	rec = func(a Node) bool {
-		if limit > 0 && len(out) >= limit {
-			return false
-		}
-		if a == Bot {
-			return true
-		}
-		if a == Top {
-			s := tset.New(m.n)
-			for _, e := range cur {
-				s.Add(e)
-			}
-			out = append(out, s)
-			return !(limit > 0 && len(out) >= limit)
-		}
-		na := m.nodes.At(a)
-		cur = append(cur, int(na.Level))
-		if !rec(na.Hi) {
-			cur = cur[:len(cur)-1]
-			return false
-		}
-		cur = cur[:len(cur)-1]
-		return rec(na.Lo)
+	if limit > 0 {
+		out = m.first(a, limit, map[Node][]tset.TSet{})
+	} else {
+		m.all(a, tset.New(m.n), &out)
 	}
-	rec(a)
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
+}
+
+// all appends every member set of a, each joined with cur, to out.
+func (m *Manager) all(a Node, cur tset.TSet, out *[]tset.TSet) {
+	switch a {
+	case Bot:
+	case Top:
+		*out = append(*out, cur.Clone())
+	default:
+		na := m.nodes.At(a)
+		e := m.elemAt(na.Level)
+		cur.Add(e)
+		m.all(na.Hi, cur, out)
+		cur.Remove(e)
+		m.all(na.Lo, cur, out)
+	}
+}
+
+// first returns the k first member sets of a in tset.Precedes order,
+// memoized per node. A node's sets with its element and those without
+// are each such a list already, so its own is their k-way merge.
+func (m *Manager) first(a Node, k int, memo map[Node][]tset.TSet) []tset.TSet {
+	switch a {
+	case Bot:
+		return nil
+	case Top:
+		return []tset.TSet{tset.New(m.n)}
+	}
+	if r, ok := memo[a]; ok {
+		return r
+	}
+	na := m.nodes.At(a)
+	e := m.elemAt(na.Level)
+	lo := m.first(na.Lo, k, memo)
+	var hi []tset.TSet
+	for _, s := range m.first(na.Hi, k, memo) {
+		s = s.Clone()
+		s.Add(e)
+		hi = append(hi, s)
+	}
+	r := make([]tset.TSet, 0, min(k, len(lo)+len(hi)))
+	for len(r) < cap(r) {
+		if len(lo) == 0 || len(hi) > 0 && hi[0].Precedes(lo[0]) {
+			r, hi = append(r, hi[0]), hi[1:]
+		} else {
+			r, lo = append(r, lo[0]), lo[1:]
+		}
+	}
+	memo[a] = r
+	return r
 }
 
 // NodeCount returns the number of distinct internal nodes reachable from a.
@@ -446,14 +531,12 @@ func (m *Manager) mark(a Node) int {
 	return 1 + m.mark(m.nodes.At(a).Lo) + m.mark(m.nodes.At(a).Hi)
 }
 
-// FromBDDModels converts the model set of a BDD predicate over the same
-// n-variable universe into the ZDD family of its satisfying assignments
-// (each model read as the set of variables assigned true). Don't-care
-// variables are expanded into both membership outcomes.
-func (m *Manager) FromBDDModels(bm *bdd.Manager, f bdd.Node) Node {
-	if bm.NumVars() != m.n {
-		panic("zdd: BDD universe mismatch")
-	}
+// fromBDDModels converts the model set of a BDD predicate whose
+// variable l is this manager's level l into the ZDD family of its
+// satisfying assignments (each model read as the set of variables
+// assigned true). Don't-care variables are expanded into both membership
+// outcomes.
+func (m *Manager) fromBDDModels(bm *bdd.Manager, f bdd.Node) Node {
 	// memo[f] is the family of f's models over the variables from f's own
 	// level down, by BDD node id; Bot means not built yet, which no
 	// satisfiable f converts to.
@@ -484,12 +567,14 @@ func (m *Manager) FromBDDModels(bm *bdd.Manager, f bdd.Node) Node {
 // MaximalConflictFree returns the family of maximal independent sets of
 // the conflict graph given by the adjacency predicate: a set S is maximal
 // independent iff it contains no edge and every vertex outside S has a
-// neighbour inside S. The predicate is built as a BDD (a conjunction of
-// local constraints, compact for the locally-structured conflict graphs of
-// real nets) and its models are extracted as a ZDD.
+// neighbour inside S. The predicate is built as a BDD with one variable
+// per level (a conjunction of local constraints, compact for the
+// locally-structured conflict graphs of real nets) and its models are
+// extracted as a ZDD.
 func (m *Manager) MaximalConflictFree(conflict func(i, j int) bool) Node {
 	bm := bdd.NewManager(m.n)
-	return m.FromBDDModels(bm, conflictFreeBDD(bm, conflict))
+	onLevels := func(i, j int) bool { return conflict(m.elemAt(int32(i)), m.elemAt(int32(j))) }
+	return m.fromBDDModels(bm, conflictFreeBDD(bm, onLevels))
 }
 
 // conflictFreeBDD conjoins the maximal-independent-set clauses over bm's
