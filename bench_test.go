@@ -211,24 +211,35 @@ func BenchmarkAblationFamilyAlgebra(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationStubbornSeed compares the stubborn-set seed strategies.
+// BenchmarkAblationStubbornSeed compares the served seed policy
+// (stubborn.SeedDefault) with best seed, with and without the cycle
+// proviso. Served is best seed without the proviso and first seed with
+// it; EXPERIMENTS.md cites the state counts.
 func BenchmarkAblationStubbornSeed(b *testing.B) {
-	net := models.NSDP(6)
-	for name, seed := range map[string]stubborn.SeedStrategy{
-		"first": stubborn.SeedFirst,
-		"best":  stubborn.SeedBest,
-	} {
-		b.Run(name, func(b *testing.B) {
-			var states int
-			for i := 0; i < b.N; i++ {
-				res, err := stubborn.Explore(net, stubborn.Options{Seed: seed})
-				if err != nil {
-					b.Fatal(err)
+	seeds := []struct {
+		name string
+		seed stubborn.SeedStrategy
+	}{{"served", stubborn.SeedDefault}, {"best", stubborn.SeedBest}}
+	for _, net := range []*petri.Net{models.NSDP(6), models.ArbiterTree(8)} {
+		for _, s := range seeds {
+			for _, prov := range []bool{false, true} {
+				name := net.Name() + "/" + s.name
+				if prov {
+					name += "+proviso"
 				}
-				states = res.States
+				b.Run(name, func(b *testing.B) {
+					var states int
+					for i := 0; i < b.N; i++ {
+						res, err := stubborn.Explore(net, stubborn.Options{Seed: s.seed, Proviso: prov})
+						if err != nil {
+							b.Fatal(err)
+						}
+						states = res.States
+					}
+					b.ReportMetric(float64(states), "states")
+				})
 			}
-			b.ReportMetric(float64(states), "states")
-		})
+		}
 	}
 }
 

@@ -286,8 +286,9 @@ func (c Config) measure(net *petri.Net, r Row, engine string) Entry {
 }
 
 // The runners call the engines directly rather than through verify: the
-// partial-order columns run stubborn.SeedBest, the paper-comparable seed
-// no verify engine offers.
+// partial-order columns run stubborn.SeedBest, with and without the
+// proviso. verify serves best seed without the proviso (the PO column's
+// counts) and first seed with it.
 
 func runExhaustive(net *petri.Net, reg *obs.Registry) outcome {
 	res, err := reach.Explore(net, reach.Options{MaxStates: maxStates, Metrics: reg})

@@ -81,6 +81,51 @@ func TestTable1Artifact(t *testing.T) {
 	}
 }
 
+// TestServedPartialOrderIsTable1 checks that the partial-order engine
+// verify serves is the one TABLE1.json's PO column measures: without the
+// proviso it explores exactly that column's states on every row
+// TestTable1Artifact affords, and with the proviso it keeps first seed
+// (best seed explores 32 083 states on asat(8)).
+func TestServedPartialOrderIsTable1(t *testing.T) {
+	_, rep := readTable1(t)
+	for _, e := range rep.Entries {
+		if e.Engine != EnginePO || e.Skipped || slices.ContainsFunc(Table1(), func(r Row) bool {
+			return r.Family == e.Family && r.Size == e.Size && r.PaperFull > 150_000
+		}) {
+			continue
+		}
+		net, err := models.ByName(e.Family, e.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := verify.CheckDeadlock(net, verify.Options{Engine: verify.PartialOrder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(got.States) != e.States {
+			t.Errorf("%s: verify's partial-order engine explores %d states, TABLE1.json's PO column %d",
+				InstanceName(e.Family, e.Size), got.States, e.States)
+		}
+	}
+	for _, c := range []struct {
+		family       string
+		size, states int
+	}{{"nsdp", 7, 24_458}, {"asat", 8, 6_323}} {
+		net, err := models.ByName(c.family, c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := verify.CheckDeadlock(net, verify.Options{Engine: verify.PartialOrder, Proviso: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.States != c.states {
+			t.Errorf("%s with the proviso: %d states, want first seed's %d",
+				InstanceName(c.family, c.size), got.States, c.states)
+		}
+	}
+}
+
 // TestTable1Docs holds EXPERIMENTS.md's Table 1 to TABLE1.json: in the
 // first table under each of the ### NSDP, ASAT, OVER and RW headings,
 // every "(ours)" count column equals the committed entry (states, or

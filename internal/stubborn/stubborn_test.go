@@ -2,11 +2,14 @@ package stubborn
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/models"
 	"repro/internal/petri"
+	"repro/internal/randnet"
 	"repro/internal/reach"
 )
 
@@ -84,18 +87,18 @@ func TestDeadlockPreservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seed := range []SeedStrategy{SeedFirst, SeedBest} {
-			res, err := Explore(net, Options{Seed: seed})
+		for _, opts := range []Options{{}, {Proviso: true}, {Seed: SeedBest, Proviso: true}} {
+			res, err := Explore(net, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Deadlock != full.Deadlock {
-				t.Errorf("%s (seed=%d): reduced deadlock=%v, full=%v",
-					net.Name(), seed, res.Deadlock, full.Deadlock)
+				t.Errorf("%s (seed=%d, proviso=%v): reduced deadlock=%v, full=%v",
+					net.Name(), opts.Seed, opts.Proviso, res.Deadlock, full.Deadlock)
 			}
 			if res.States > full.States {
-				t.Errorf("%s (seed=%d): reduced %d > full %d states",
-					net.Name(), seed, res.States, full.States)
+				t.Errorf("%s (seed=%d, proviso=%v): reduced %d > full %d states",
+					net.Name(), opts.Seed, opts.Proviso, res.States, full.States)
 			}
 			realDead := make(map[string]bool)
 			for _, m := range full.Deadlocks {
@@ -113,8 +116,8 @@ func TestDeadlockPreservation(t *testing.T) {
 			}
 			for _, m := range full.Deadlocks {
 				if !found[m.Key()] {
-					t.Errorf("%s (seed=%d): deadlock %s missed by reduction",
-						net.Name(), seed, m.String(net))
+					t.Errorf("%s (seed=%d, proviso=%v): deadlock %s missed by reduction",
+						net.Name(), opts.Seed, opts.Proviso, m.String(net))
 				}
 			}
 		}
@@ -179,6 +182,142 @@ func TestStateLimit(t *testing.T) {
 			t.Errorf("MaxStates=%d: %d arcs for %d states", c.max, res.Arcs, res.States)
 		}
 	}
+}
+
+// refStubborn is SeedBest without pruning: every enabled transition's
+// closure is grown to the end and the first smallest set is kept.
+func refStubborn(c *closer, m petri.Marking, enabled []petri.Trans) []petri.Trans {
+	best := refClosure(c, m, enabled, enabled[0])
+	for _, s := range enabled[1:] {
+		if len(best) == 1 {
+			break
+		}
+		if cand := refClosure(c, m, enabled, s); len(cand) < len(best) {
+			best = cand
+		}
+	}
+	return best
+}
+
+// refClosure returns the enabled members of the stubborn set grown from
+// seed, in increasing order, by the rules closer.closure applies.
+func refClosure(c *closer, m petri.Marking, enabled []petri.Trans, seed petri.Trans) []petri.Trans {
+	n := c.n
+	c.newSet()
+	c.add(seed)
+	work := []petri.Trans{seed}
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		if n.Enabled(m, t) {
+			for _, p := range n.Pre(t) {
+				for _, u := range n.PostT(p) {
+					if c.add(u) {
+						work = append(work, u)
+					}
+				}
+			}
+			continue
+		}
+		for _, p := range n.Pre(t) {
+			if !m.Has(p) {
+				for _, u := range n.PreT(p) {
+					if c.add(u) {
+						work = append(work, u)
+					}
+				}
+				break
+			}
+		}
+	}
+	var set []petri.Trans
+	for _, t := range enabled {
+		if c.stamp[t] == c.epoch {
+			set = append(set, t)
+		}
+	}
+	return set
+}
+
+// TestSeedBestPruningExact holds the pruned SeedBest to the unpruned
+// search: at every state of the reduced state space of the Table 1 nets
+// the explicit engines can afford and of 200 random nets, both pick the
+// same set in the same order, and Explore counts the states and arcs
+// the unpruned sets span.
+func TestSeedBestPruningExact(t *testing.T) {
+	var nets []*petri.Net
+	for _, spec := range []struct {
+		family string
+		sizes  []int
+	}{
+		{"nsdp", []int{2, 4, 6, 8}}, {"asat", []int{2, 4}},
+		{"over", []int{2, 3, 4, 5}}, {"rw", []int{6, 9, 12, 15}},
+	} {
+		for _, size := range spec.sizes {
+			net, err := models.ByName(spec.family, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets = append(nets, net)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		cfg := randnet.Default(seed)
+		if seed > 100 { // denser nets: more enabled transitions per state
+			cfg = randnet.Config{Machines: 4, PlacesPer: 4, LocalTrans: 2, SyncTrans: 6, Seed: seed}
+		}
+		nets = append(nets, randnet.Generate(cfg))
+	}
+	for _, net := range nets {
+		states, arcs, err := refExplore(net)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		res, err := Explore(net, Options{Seed: SeedBest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.States != states || res.Arcs != arcs {
+			t.Errorf("%s: Explore counts %d states, %d arcs; the unpruned sets span %d, %d",
+				net.Name(), res.States, res.Arcs, states, arcs)
+		}
+	}
+}
+
+// refExplore walks the state space the unpruned SeedBest sets span,
+// checking the pruned set at every state, and returns its state and arc
+// counts.
+func refExplore(net *petri.Net) (states, arcs int, err error) {
+	pruned, ref := newCloser(net), newCloser(net)
+	m0 := net.InitialMarking()
+	seen := map[string]bool{m0.Key(): true}
+	stack := []petri.Marking{m0}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		enabled := net.AppendEnabled(nil, m)
+		if len(enabled) == 0 {
+			continue
+		}
+		want := refStubborn(ref, m, enabled)
+		if got := pruned.stubborn(nil, m, enabled, true); !slices.Equal(got, want) {
+			return 0, 0, fmt.Errorf("%s at %s: pruned best seed picks %v, unpruned %v",
+				net.Name(), m.String(net), got, want)
+		}
+		arcs += len(want)
+		for _, t := range want {
+			next := net.EmptyMarking()
+			if !net.FireInto(next, m, t) {
+				return 0, 0, fmt.Errorf("%s is not safe", net.Name())
+			}
+			if k := next.Key(); !seen[k] {
+				seen[k] = true
+				stack = append(stack, next)
+			}
+		}
+	}
+	return len(seen), arcs, nil
 }
 
 // BenchmarkStubbornAllocs is the allocation gate of the reduced search

@@ -35,7 +35,8 @@ const (
 	// Exhaustive enumerates the complete reachability graph (Section 2.2;
 	// the "States" column).
 	Exhaustive Engine = iota
-	// PartialOrder uses stubborn-set reduction (Section 2.3; SPIN+PO).
+	// PartialOrder uses stubborn-set reduction (Section 2.3; SPIN+PO),
+	// best seed, or first seed under Proviso (stubborn.SeedDefault).
 	PartialOrder
 	// Symbolic uses OBDD-based reachability (Section 2.4; SMV).
 	Symbolic
