@@ -10,11 +10,12 @@ package reach
 //
 //   - expand: workers pull chunks of level positions, fire every enabled
 //     transition into a scratch marking and hash it; a successor the
-//     worker owns is claimed in its store at once, any other is appended —
-//     order key, hash, marking words — to this worker's one flat buffer;
-//   - absorb: every owner picks its successors out of the other workers'
-//     buffers (the hash names the owner) into its store, min-combining
-//     order keys, and sorts its own discoveries.
+//     worker owns is claimed in its store at once, for any other only the
+//     firing's order key goes to the buffer this worker keeps for that
+//     owner;
+//   - absorb: every owner re-fires the keys addressed to it from the
+//     level's parents into its store, min-combining order keys, and sorts
+//     its own discoveries.
 //
 // Determinism is recovered at the level boundary: a new marking is
 // pending under the minimal order key (parent position in the level,
@@ -27,9 +28,10 @@ package reach
 // points of MaxStates and ErrUnsafe reproduce the Workers: 0 run bit for
 // bit. The order key and the stop-point arithmetic close this file.
 //
-// A worker reads another's store only through the views of a level's
-// parent markings, taken while every store is quiescent (arena chunks
-// never move), so nobody reads a store its owner is growing.
+// A level's parents are its (owner, local id) list. A worker reads them
+// through copies of the owners' stores taken while every store is
+// quiescent (arena chunks never move), so nobody reads a store its owner
+// is growing.
 
 import (
 	"cmp"
@@ -67,7 +69,7 @@ type worker struct {
 	pend  []discovery
 	head  int // first of the sorted pend the level merge has not taken yet
 
-	out    []uint64      // successors routed to other owners: (order, hash, words...) each
+	out    [][]uint64    // by owner: the order keys of the firings routed to it
 	next   petri.Marking // scratch successor
 	en     []petri.Trans // scratch: the enabled transitions of the parent at hand
 	vio    *violation    // scan-order-first unsafe firing this worker saw
@@ -132,24 +134,32 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 	// track, so ring writes stay single-goroutine (the phase barrier orders
 	// a worker's level-k writes before whoever runs it at level k+1).
 	for o := range ws {
-		ws[o] = &worker{id: uint32(o), next: n.EmptyMarking(), cancel: stop.Every(opts.Ctx, 64)}
+		ws[o] = &worker{id: uint32(o), next: n.EmptyMarking(), cancel: stop.Every(opts.Ctx, 64),
+			// Spare capacity keeps two workers' buffer headers, written
+			// per routed firing, off one cache line.
+			out: make([][]uint64, len(ws), len(ws)+8)}
 		if opts.Trace != nil {
 			ws[o].tk = opts.Trace.NewTrack(fmt.Sprintf("reach-w%d", o))
 		}
 	}
 
 	// Per-level scratch, reused so steady-state exploration does not
-	// reallocate with every batch. views holds the level's parent markings
-	// by position — the ids [lo, lo+len(views)) — and next collects the
-	// level being discovered; spans is what routed workers record per
-	// position.
+	// reallocate with every batch. level lists the parents by position —
+	// the ids [lo, lo+len(level)) — as owner and local id, and next
+	// collects the level being discovered; stores are copies of the
+	// owners' stores taken at the level's start, which the parents are
+	// read from, and spans is what routed workers record per position.
 	var (
-		views, next []petri.Marking
+		level, next []discovery
+		stores      = make([]visited.Store, len(ws))
 		spans       []span
-		discovered  []discovery
 		cursor      atomic.Int64
 		expanders   int // workers expanding the routed level at hand
 	)
+	parent := func(pos int) petri.Marking {
+		d := level[pos]
+		return stores[d.Shard].At(int(d.Local))
+	}
 	// states counts the global ids handed out. markings inverts the
 	// owners' gid lists into the id-ordered arena views; like intern it is
 	// for the merge loop, with the workers quiesced.
@@ -165,11 +175,9 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		}
 		return all
 	}
-	// intern establishes an owner-local marking under the next global id
-	// and makes it a parent of the next level.
+	// intern establishes an owner-local marking under the next global id.
 	intern := func(w *worker, local int) {
 		w.gid[local] = int32(states)
-		next = append(grow(next, 1), w.store.At(local))
 		opts.Progress.Add(1)
 		r.tk.State(int64(states), 0)
 		states++
@@ -210,14 +218,13 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		}
 		w.gid = append(w.gid, int32(id))
 		if local := w.store.Insert(m, h); id >= lo {
-			views = append(views, w.store.At(local))
+			level = append(level, discovery{Shard: w.id, Local: int32(local)})
 		}
 	}
 	states = len(sn.States)
 	if sn == opts.Resume { // a handed-over prefix was counted as it was found
 		opts.Progress.Add(int64(states))
 	}
-	words := n.Words()
 
 	// inline expands a narrow level on the calling goroutine, as worker 0.
 	// Positions are scanned in order, so first-encounter order is scan
@@ -225,10 +232,11 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 	// and the scan stops where the sequential engine would.
 	inline := func() error {
 		me := ws[0]
-		for pos, m := range views {
+		for pos := range level {
 			if err := me.cancel.Poll(); err != nil {
 				return err
 			}
+			m := parent(pos)
 			me.en = n.AppendEnabled(me.en[:0], m)
 			for _, t := range me.en {
 				if !n.FireInto(me.next, m, t) {
@@ -241,14 +249,16 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 					if states >= limit {
 						// The parents from here on were checked by the
 						// sequential engine when it discovered them.
-						for ; pos < len(views) && !resumed; pos++ {
-							record(lo+pos, views[pos], isBad(views[pos]), n.IsDeadlock(views[pos]))
+						for ; pos < len(level) && !resumed; pos++ {
+							m := parent(pos)
+							record(lo+pos, m, isBad(m), n.IsDeadlock(m))
 						}
 						return ErrStateLimit
 					}
 					local = ow.store.Insert(me.next, hash)
 					ow.gid = append(grow(ow.gid, 1), 0)
 					intern(ow, local)
+					next = append(grow(next, 1), discovery{Shard: ow.id, Local: int32(local)})
 				}
 				res.Arcs++
 				if me.tk != nil { // the id is a cache miss per arc
@@ -269,29 +279,33 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 	expand := func(wi int) {
 		const chunk = 16
 		me := ws[wi]
-		next, en, out, cancel, wtk := me.next, me.en, me.out[:0], me.cancel, me.tk
+		succ, en, out, cancel, wtk := me.next, me.en, me.out, me.cancel, me.tk
+		for o := range out {
+			out[o] = out[o][:0]
+		}
 		me.vio = nil
-		for clo := 0; clo < len(views) && cancel.Poll() == nil; {
+		for clo := 0; clo < len(level) && cancel.Poll() == nil; {
 			clo = int(cursor.Add(chunk)) - chunk
-			for pos := clo; pos < min(clo+chunk, len(views)); pos++ {
-				m := views[pos]
+			for pos := clo; pos < min(clo+chunk, len(level)); pos++ {
+				m := parent(pos)
 				fired := 0
 				en = n.AppendEnabled(en[:0], m)
 				for _, t := range en {
 					order := orderKey(pos, t)
-					if !n.FireInto(next, m, t) {
+					if !n.FireInto(succ, m, t) {
 						if me.vio == nil || order < me.vio.order {
 							me.vio = &violation{order: order, t: t, m: m}
 						}
 						continue
 					}
 					fired++
-					// One hash routes the owner and indexes its table.
-					hash := next.Hash()
-					if int(ownerOf[shardOf(hash)]) == wi {
-						me.claim(next, hash, order)
+					// One hash routes the owner and indexes its table; the
+					// owner rebuilds a routed successor from its order key.
+					hash := succ.Hash()
+					if o := ownerOf[shardOf(hash)]; int(o) == wi {
+						me.claim(succ, hash, order)
 					} else {
-						out = append(append(grow(out, 2+words), order, hash), next...)
+						out[o] = append(grow(out[o], 1), order)
 					}
 					// The target's id is not known before the level merge,
 					// whose state events carry the definitive ids.
@@ -300,23 +314,20 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 				spans[pos] = span{n: int32(fired), dead: len(en) == 0, bad: isBad(m)}
 			}
 		}
-		me.en, me.out = en, out
+		me.en = en
 	}
-	// absorb is the second phase, for owner o: it picks its markings out of
-	// what the expanders routed (the hash names the owner again) and sorts
-	// its pending ones into discovery order, by merge key. Keys are unique
-	// within a level (each pending marking is claimed by one owner), so
-	// the order is total.
+	// absorb is the second phase, for owner o: it re-fires the firings the
+	// expanders routed to it — each a safe one whose successor hashes to
+	// o — and sorts its pending markings into discovery order, by merge
+	// key. Keys are unique within a level (each pending marking is claimed
+	// by one owner), so the order is total.
 	absorb := func(o int) {
 		ow := ws[o]
+		succ := ow.next
 		for _, src := range ws[:expanders] {
-			if src == ow {
-				continue // it claimed its own successors on the spot
-			}
-			for buf := src.out; len(buf) > 0; buf = buf[2+words:] {
-				if int(ownerOf[shardOf(buf[1])]) == o {
-					ow.claim(buf[2:2+words], buf[1], buf[0])
-				}
+			for _, order := range src.out[o] { // none from ow: it claimed its own
+				n.FireInto(succ, parent(int(order>>32)), petri.Trans(uint32(order)))
+				ow.claim(succ, succ.Hash(), order)
 			}
 		}
 		slices.SortFunc(ow.pend, func(a, b discovery) int { return cmp.Compare(a.Order, b.Order) })
@@ -339,9 +350,9 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		wg.Wait()
 	}
 	// routed expands a level on nw workers, absorbs it on one per owner
-	// and merges what they found.
+	// and merges what they found into next.
 	routed := func(nw int) error {
-		spans = slices.Grow(spans[:0], len(views))[:len(views)]
+		spans = slices.Grow(spans[:0], len(level))[:len(level)]
 		cursor.Store(0)
 		expanders = nw
 		fan(nw, expand)
@@ -357,7 +368,7 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		// here preserves the global id order of the verdict lists.
 		if !resumed {
 			for pos, sp := range spans {
-				record(lo+pos, views[pos], sp.bad, sp.dead)
+				record(lo+pos, parent(pos), sp.bad, sp.dead)
 			}
 		}
 
@@ -366,7 +377,7 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		for _, w := range ws {
 			total += len(w.pend)
 		}
-		discovered = slices.Grow(discovered[:0], total)
+		next = slices.Grow(next[:0], total)
 		for {
 			var best *worker
 			for _, w := range ws {
@@ -377,7 +388,7 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 			if best == nil {
 				break
 			}
-			discovered = append(discovered, best.pend[best.head])
+			next = append(next, best.pend[best.head])
 			best.head++
 		}
 		var vio *violation
@@ -391,17 +402,17 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		if vio != nil {
 			vioOrder = vio.order
 		}
-		trigger, capped, unsafeFirst := planLevel(discovered, states, limit, vioOrder, vio != nil)
+		trigger, capped, unsafeFirst := planLevel(next, states, limit, vioOrder, vio != nil)
 		if unsafeFirst {
 			return vio.err(n)
 		}
 
-		// Assign ids in first-encounter order; on the capped path only the
-		// discoveries the sequential engine interned before its stop (the
-		// rest keep global id -1: the run ends here).
-		next = grow(next, len(discovered))
-		for _, d := range discovered {
+		// Assign ids in first-encounter order; on the capped path only to
+		// the discoveries the sequential engine interned before its stop
+		// (the rest keep global id -1: the run ends here).
+		for i, d := range next {
 			if d.Order >= trigger {
+				next = next[:i]
 				break
 			}
 			intern(ws[d.Shard], int(d.Local))
@@ -423,7 +434,7 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 			res.Arcs += int(sp.n)
 		}
 		w0 := ws[0]
-		w0.en = n.AppendEnabled(w0.en[:0], views[pos])
+		w0.en = n.AppendEnabled(w0.en[:0], parent(pos))
 		for _, t := range w0.en {
 			if orderKey(pos, t) >= trigger {
 				break
@@ -445,9 +456,12 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		return res, fmt.Errorf("reach: aborted: %w", err)
 	}
 
-	for len(views) > 0 {
+	for len(level) > 0 {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			return abort(opts.Ctx.Err())
+		}
+		for o, w := range ws {
+			stores[o] = w.store
 		}
 		// Level boundary: every state below the frontier is expanded and
 		// the level is the contiguous id suffix about to be. The snapshot
@@ -459,7 +473,8 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		if !resumed {
 			if err := opts.Ckpt.At(states, int64(levels), func() *Snapshot {
 				sn := snapshotAt(markings(), lo, res.Arcs, deadIDs, badIDs, levels)
-				for pos, m := range views {
+				for pos := range level {
+					m := parent(pos)
 					if isBad(m) {
 						sn.BadIDs = append(sn.BadIDs, lo+pos)
 					}
@@ -474,12 +489,13 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 			}
 		}
 		r.batches++
-		r.qPeak = max(r.qPeak, len(views))
-		r.hBatch.Observe(int64(len(views)))
+		r.qPeak = max(r.qPeak, len(level))
+		r.hBatch.Observe(int64(len(level)))
 
 		nextLo := states
+		next = next[:0]
 		var err error
-		if nw := min(len(ws), 1+len(views)/levelWidth); nw == 1 {
+		if nw := min(len(ws), 1+len(level)/levelWidth); nw == 1 {
 			err = inline()
 		} else {
 			err = routed(nw)
@@ -491,7 +507,8 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 		case errors.Is(err, ErrStateLimit):
 			// The fresh states interned before the cap were checked at
 			// discovery by the sequential engine; reproduce that.
-			for i, m := range next {
+			for i, d := range next {
+				m := ws[d.Shard].store.At(int(d.Local))
 				record(nextLo+i, m, isBad(m), n.IsDeadlock(m))
 			}
 			finish(false)
@@ -501,7 +518,7 @@ func exploreParallel(n *petri.Net, opts Options, r *run, sn *Snapshot) (*Result,
 			// partial Result, like the sequential engine's.
 			return abort(err)
 		}
-		lo, views, next = nextLo, next, views[:0]
+		lo, level, next = nextLo, next, level
 		levels++
 		resumed = false
 	}
@@ -542,7 +559,8 @@ func orderKey(pos int, t petri.Trans) uint64 {
 // claimed in a visited-store shard by the first worker to see it. Order
 // is the minimal orderKey over all firings that reached it this level;
 // Shard and Local say where the claimant stored the marking (the
-// worker and its store id).
+// worker and its store id). The merged list of a level's discoveries is
+// the next level's parent list, which reads only Shard and Local.
 type discovery struct {
 	Order uint64
 	Shard uint32

@@ -3,6 +3,7 @@ package reach
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -358,6 +359,96 @@ func TestRoutedPath(t *testing.T) {
 			}
 		}
 	})
+}
+
+// arbitraryNet builds a small net of random arcs and a random initial
+// marking. Nothing keeps it safe, so many such nets are not.
+func arbitraryNet(seed int64) *petri.Net {
+	rng := rand.New(rand.NewSource(seed))
+	b := petri.NewBuilder(fmt.Sprintf("arbitrary(%d)", seed))
+	places := make([]petri.Place, 5+rng.Intn(8))
+	for i := range places {
+		places[i] = b.Place(fmt.Sprintf("p%d", i))
+		if rng.Intn(3) == 0 {
+			b.Mark(places[i])
+		}
+	}
+	pick := func(k int) []petri.Place {
+		var ps []petri.Place
+		for _, i := range rng.Perm(len(places))[:k] {
+			ps = append(ps, places[i])
+		}
+		return ps
+	}
+	// Most transitions keep the token count, so that a net runs a while
+	// before it double-marks a place, if it ever does.
+	for i := range 2*len(places) + rng.Intn(8) {
+		in := 1 + rng.Intn(2)
+		out := in
+		if rng.Intn(4) == 0 {
+			out = 1 + rng.Intn(3)
+		}
+		b.TransArcs(fmt.Sprintf("t%d", i), pick(in), pick(out))
+	}
+	return b.MustBuild()
+}
+
+// TestRoutedDifferential is the determinism contract where the owner
+// rebuilds every routed successor from its order key: randnet seeds and
+// small arbitrary nets, at level widths 1 and 7 and on 2, 3 and 4
+// workers, uncapped and capped at 1, 2, n/3, n/2 and n−1 of the n states
+// the sequential run finds. Every run must equal Workers: 0: the same
+// Result, or the same ErrUnsafe message.
+func TestRoutedDifferential(t *testing.T) {
+	bad := func(m petri.Marking) bool { return m.Has(petri.Place(0)) }
+	var nets []*petri.Net
+	for seed := int64(1); seed <= 200; seed++ {
+		nets = append(nets, randnet.Generate(randnet.Default(seed)))
+	}
+	for seed := int64(1); seed <= 500; seed++ {
+		nets = append(nets, arbitraryNet(seed))
+	}
+	unsafe, capped := 0, 0
+	for _, width := range []int{1, 7} {
+		forceWidth(t, width)
+		for _, net := range nets {
+			// Progress counts the states found also when the run fails.
+			var found obs.Counter
+			Explore(net, Options{Bad: bad, Progress: &found})
+			n := int(found.Value())
+			caps := []int{0} // uncapped
+			for _, c := range []int{1, 2, n / 3, n / 2, n - 1} {
+				if c > 0 && !slices.Contains(caps, c) {
+					caps = append(caps, c)
+				}
+			}
+			for _, cap := range caps {
+				name := fmt.Sprintf("%s width=%d cap=%d", net.Name(), width, cap)
+				seq, seqErr := Explore(net, Options{Bad: bad, MaxStates: cap})
+				for _, w := range []int{2, 3, 4} {
+					par, parErr := Explore(net, Options{Bad: bad, MaxStates: cap, Workers: w})
+					if errors.Is(seqErr, ErrUnsafe) {
+						if parErr == nil || parErr.Error() != seqErr.Error() {
+							t.Fatalf("%s workers=%d: err %v, want %v", name, w, parErr, seqErr)
+						}
+						unsafe++
+						continue
+					}
+					if !errors.Is(parErr, seqErr) && !(seqErr == nil && parErr == nil) {
+						t.Fatalf("%s workers=%d: err %v != %v", name, w, parErr, seqErr)
+					}
+					sameResult(t, fmt.Sprintf("%s workers=%d", name, w), seq, par)
+					if seqErr != nil {
+						capped++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d nets: %d unsafe and %d capped comparisons", len(nets), unsafe, capped)
+	if unsafe == 0 || capped == 0 {
+		t.Fatalf("%d unsafe and %d capped comparisons: a stop point went untested", unsafe, capped)
+	}
 }
 
 // table1Nets returns the Table 1 instances of up to 150 000 states

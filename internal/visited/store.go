@@ -6,10 +6,10 @@
 // position, and a chunk never moves once allocated, so the views At hands
 // out stay valid for the life of the store. Membership is an
 // open-addressed, linear-probing table of 32-bit entries over the
-// marking's 64-bit hash (petri.Marking.Hash), doubled at ¾ load: the
-// layout of the ZDD unique table (internal/zdd). An entry holds an id and,
-// in the bits the id leaves free, a tag of the hash, so a probe passes
-// most other markings without reading the arena. No key string is built,
+// marking's 64-bit hash (petri.Marking.Hash), doubled at ¾ load, like
+// the decision diagrams' unique table (internal/dd). Unlike that table's,
+// an entry holds an id and, in the bits the id leaves free, a tag of the
+// hash, so a probe passes most other markings without reading the arena. No key string is built,
 // and looking up a stored marking allocates nothing.
 package visited
 
@@ -47,7 +47,8 @@ const (
 
 // Store is a set of markings of one width. The zero value is an empty
 // store ready for use; the width is fixed by the first Insert. A Store is
-// not safe for concurrent use.
+// not safe for concurrent use, but a copy of one keeps reading (At) the
+// markings stored when it was taken while the original grows.
 type Store struct {
 	w      int        // words per marking
 	n      int        // markings stored

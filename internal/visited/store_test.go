@@ -112,7 +112,7 @@ func randomStream(rng *rand.Rand, w, count int) []petri.Marking {
 // (long probe chains, every growth re-homes colliding entries), and one
 // that collides totally.
 var hashes = map[string]func(petri.Marking) uint64{
-	"fnv":      petri.Marking.Hash,
+	"real":     petri.Marking.Hash,
 	"16-way":   func(m petri.Marking) uint64 { return m.Hash() & 15 },
 	"constant": func(petri.Marking) uint64 { return 42 },
 }
@@ -314,7 +314,7 @@ func FuzzStoreVsMap(f *testing.F) {
 			return
 		}
 		w := int(data[0]&0x7f)%5 + 1
-		hash := hashes["fnv"]
+		hash := hashes["real"]
 		if data[0]&0x80 != 0 {
 			hash = hashes["16-way"]
 		}
